@@ -5,7 +5,7 @@ Runs the generator at a scale large enough that worker-process startup
 the sharded executor at ``--workers N``.  Prints the measured speedup
 and asserts the two captures are identical -- timing *and* determinism
 in one pass.  ``tools/bench_parallel.py`` runs the same workload
-standalone and records results in ``BENCH_parallel.json``.
+standalone and records each timing as a bench entry in the run ledger.
 """
 
 from __future__ import annotations

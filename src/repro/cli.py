@@ -90,7 +90,6 @@ _RUN_OPTIONS: dict[str, frozenset[str]] = {
     "check": frozenset({"telemetry", "workers", "json", "ledger"}),
     "lint": frozenset(),
     "telemetry-demo": frozenset({"metrics"}),
-    "bench-report": frozenset({"json"}),
     "runs": frozenset(),
     "serve": frozenset({"workers", "ledger"}),
 }
@@ -102,7 +101,6 @@ _JSON_HELP = {
     "probe": "export the probe report as JSON",
     "trace": "export per-connection records as JSON",
     "check": "export the drift report as JSON",
-    "bench-report": "export the trend report and SLO verdicts as JSON",
 }
 
 
@@ -378,24 +376,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument("--scale", type=int, default=2, help="passive-trace scale (default 2)")
     add_run_options(demo, "telemetry-demo")
 
-    bench_report = subparsers.add_parser(
-        "bench-report",
-        help="summarise the benchmark trajectory and evaluate SLOs",
-    )
-    bench_report.add_argument(
-        "--history",
-        default="BENCH_history.jsonl",
-        metavar="PATH",
-        help="benchmark trajectory file (default BENCH_history.jsonl)",
-    )
-    bench_report.add_argument(
-        "--slo",
-        metavar="PATH",
-        help=f"evaluate the SLO policy file (tools/slo.json schema {telemetry.SLO_SCHEMA}); "
-        "a failing blocking SLO exits 1",
-    )
-    add_run_options(bench_report, "bench-report")
-
     serve = subparsers.add_parser(
         "serve",
         help="run the resident fleet service (HTTP/JSON, content-addressed "
@@ -475,9 +455,11 @@ def build_parser() -> argparse.ArgumentParser:
     runs_list.add_argument(
         "--host", metavar="KEY", help="only entries whose host-key starts with KEY"
     )
-    runs_list.add_argument("--status", choices=["ok", "error"], help="only this status")
     runs_list.add_argument(
-        "--kind", choices=["run", "bench", "check"], help="only this entry kind"
+        "--status", choices=telemetry.ledger.ENTRY_STATUSES, help="only this status"
+    )
+    runs_list.add_argument(
+        "--kind", choices=telemetry.ledger.ENTRY_KINDS, help="only this entry kind"
     )
 
     runs_show = runs_sub.add_parser("show", help="show one entry by manifest digest")
@@ -503,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     runs_trend.add_argument(
         "--slo",
         metavar="PATH",
-        help="also evaluate the SLO policy against the ledger's bench entries",
+        help="also evaluate the SLO policy against the ledger's bench entries; "
+        "a failing blocking SLO exits 1",
     )
     runs_trend.add_argument(
         "--json", metavar="PATH", help=f"write the {telemetry.TREND_SCHEMA} report as JSON"
@@ -877,67 +860,6 @@ def _cmd_telemetry_demo(args, _opts: RunOptions) -> int:
     return 0
 
 
-def _cmd_bench_report(args, opts: RunOptions) -> int:
-    """Render the bench trajectory trend report and evaluate SLOs.
-
-    Exit codes: 0 healthy (or advisory-only failures), 1 a blocking SLO
-    failed, 2 the history file is unreadable or the SLO policy is invalid.
-    """
-    import json as _json
-    from pathlib import Path
-
-    from .telemetry import (
-        SloPolicyError,
-        evaluate_slos,
-        load_slo_policy,
-        render_trend_report,
-        render_verdicts,
-        trend_report,
-    )
-
-    history_path = Path(args.history)
-    if not history_path.exists():
-        print(f"no bench history at {history_path}", file=sys.stderr)
-        return 2
-    entries = []
-    for line in history_path.read_text().splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            entries.append(_json.loads(line))
-        except ValueError:
-            continue  # skip malformed lines: history files append-only, may truncate
-    report = trend_report(entries)
-    print(render_trend_report(report))
-
-    verdicts = []
-    if args.slo:
-        try:
-            slos = load_slo_policy(args.slo)
-        except (OSError, SloPolicyError) as exc:
-            print(f"bad SLO policy {args.slo}: {exc}", file=sys.stderr)
-            return 2
-        verdicts = evaluate_slos(entries, slos)
-        print("\nSLO verdicts:")
-        print(render_verdicts(verdicts))
-
-    if opts.json:
-        path = write_json({"trend": report, "slo_verdicts": verdicts}, opts.json)
-        print(f"\nwrote bench report {path}")
-
-    blocking_failures = [v for v in verdicts if v["status"] == "fail" and v["blocking"]]
-    advisory_failures = [v for v in verdicts if v["status"] == "fail" and not v["blocking"]]
-    if advisory_failures:
-        names = ", ".join(v["slo"] for v in advisory_failures)
-        print(f"\nadvisory SLO failure(s): {names}", file=sys.stderr)
-    if blocking_failures:
-        names = ", ".join(v["slo"] for v in blocking_failures)
-        print(f"\nBLOCKING SLO failure(s): {names}", file=sys.stderr)
-        return 1
-    return 0
-
-
 def _runs_list(args, entries) -> int:
     selected = telemetry.filter_entries(
         entries,
@@ -1004,7 +926,7 @@ def _runs_trend(args, entries) -> int:
             f"{fingerprint.get('platform')}/{fingerprint.get('machine')}, "
             f"{fingerprint.get('cpu_count')} core(s)"
             if isinstance(fingerprint, dict)
-            else "legacy (no fingerprint)"
+            else "no fingerprint"
         )
         print(f"\nhost {key} ({shown}): {host['entries']} bench entr(ies)")
         for benchmark, series in host["series"].items():
@@ -1135,7 +1057,6 @@ _COMMANDS = {
     "check": _cmd_check,
     "lint": _cmd_lint,
     "telemetry-demo": _cmd_telemetry_demo,
-    "bench-report": _cmd_bench_report,
     "runs": _cmd_runs,
     "serve": _cmd_serve,
 }

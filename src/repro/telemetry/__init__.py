@@ -43,7 +43,6 @@ from .ledger import (
     diff_entries,
     filter_entries,
     find_entry,
-    from_history_row,
     gc_entries,
     host_key,
     ledger_trend,
@@ -177,7 +176,6 @@ __all__ = [
     "diff_entries",
     "filter_entries",
     "find_entry",
-    "from_history_row",
     "gc_entries",
     "get_schema",
     "host_date",

@@ -60,7 +60,6 @@ __all__ = [
     "diff_entries",
     "filter_entries",
     "find_entry",
-    "from_history_row",
     "gc_entries",
     "host_key",
     "ledger_trend",
@@ -265,8 +264,7 @@ def load_ledger(path: str | Path | None = None) -> list[dict[str, Any]]:
 
     A torn or corrupt line (a crash mid-append on a non-POSIX
     filesystem, a truncated copy) must never poison the whole store:
-    malformed lines and non-ledger records are skipped, keeping the
-    load tolerant the way the bench-history loader already is.
+    malformed lines and non-ledger records are skipped.
     """
     path = _resolve(path)
     if not path.exists():
@@ -464,29 +462,6 @@ def ledger_trend(
     if slos:
         report["slo_verdicts"] = evaluate_slos(bench, slos)
     return report
-
-
-# ----------------------------------------------------------------------
-# History migration (tools/bench_history.py --migrate)
-# ----------------------------------------------------------------------
-def from_history_row(row: dict[str, Any]) -> dict[str, Any]:
-    """Rewrite one ``BENCH_history.jsonl`` row into ledger schema.
-
-    Rows already in ledger schema pass through unchanged.  Rows written
-    before the host fingerprint landed (no ``host`` dict) are tagged
-    ``legacy: true`` so the bench gate's ``None == None`` shape
-    fallback stops matching them against modern runs.
-    """
-    entry = dict(row)
-    if entry.get("schema") == LEDGER_SCHEMA:
-        return entry
-    entry["schema"] = LEDGER_SCHEMA
-    entry.setdefault("kind", "bench")
-    entry.setdefault("status", "ok")
-    entry.setdefault("command", "bench")
-    if not isinstance(row.get("host"), dict):
-        entry["legacy"] = True
-    return entry
 
 
 # ----------------------------------------------------------------------

@@ -96,6 +96,24 @@ def host_fingerprint() -> dict[str, Any]:
     }
 
 
+def git_rev(repo_root: str | Path | None = None) -> str:
+    """The current short git revision, or ``"unknown"`` outside a checkout."""
+    import subprocess
+
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=repo_root or Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    rev = completed.stdout.strip()
+    return rev if completed.returncode == 0 and rev else "unknown"
+
+
 def canonical_json(payload: Any) -> str:
     """The one true encoding digests are computed over: sorted keys,
     2-space indent, trailing newline -- the repo's ``write_json`` shape,

@@ -100,7 +100,7 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="jsonl-stream",
         description="run-health heartbeat stream: header, seq-monotonic "
         "heartbeats, one trailing summary (--heartbeat-out)",
-        validator="validate_health_stream",
+        validator="validate_run_health",
     ),
     StreamSchema(
         name="serve-access",
@@ -114,8 +114,8 @@ REGISTRY: tuple[StreamSchema, ...] = (
         name="bench-trend",
         version=1,
         kind="document",
-        description="benchmark trajectory report (iotls runs trend --json, "
-        "iotls bench-report)",
+        description="benchmark trajectory report over the run ledger's "
+        "bench entries (iotls runs trend --json)",
         validator="validate_bench_trend",
     ),
     StreamSchema(

@@ -1,27 +1,30 @@
-"""Declarative SLOs over the benchmark trajectory.
+"""Declarative SLOs and the trend report over the run ledger's bench entries.
 
-The bench gate's single 1.25x slowdown threshold says nothing about
-absolute health: a run can get 20% slower every PR and still pass each
-gate, or stream at 500 records/s on a branch where the paper-scale
-target needs 20k.  This module evaluates **declarative service-level
-objectives** from a committed policy file (``tools/slo.json``, schema
-:data:`SLO_SCHEMA`) against the newest matching entry per benchmark in
-``BENCH_history.jsonl``:
+Every ``tools/bench_*.py`` timing is one ``kind: "bench"`` entry in the
+run ledger (:mod:`repro.telemetry.ledger`).  This module reads those
+entries two ways:
 
-* each SLO names a benchmark, a metric (any numeric field of the
-  history entry, e.g. ``records_per_second``, ``peak_mib``,
-  ``worker_skew``), a comparison op, a threshold, and a ``level`` --
-  ``advisory`` (report only) or ``blocking`` (gate-failing),
-* :func:`evaluate_slos` yields one verdict per SLO (``pass``, ``fail``,
-  or ``skip`` when the trajectory has no matching data -- missing data
-  must surface, never silently pass),
+* :func:`evaluate_slos` checks **declarative service-level objectives**
+  from a committed policy file (``tools/slo.json``, schema
+  :data:`SLO_SCHEMA`) against the newest matching entry per benchmark.
+  Each SLO names a benchmark, a metric (any numeric field of the entry,
+  e.g. ``records_per_second``, ``peak_mib``, ``worker_skew``), a
+  comparison op, a threshold, and a ``level`` -- ``advisory`` (report
+  only) or ``blocking`` (gate-failing).  A verdict is ``pass``,
+  ``fail``, or ``skip`` when no entry carries the metric -- missing
+  data must surface, never silently pass.
 * :func:`trend_report` summarises each benchmark's trajectory (first /
-  best / latest seconds plus tracked resource metrics) for
-  ``iotls bench-report``.
+  best / latest seconds plus tracked resource metrics).  The latest run
+  is compared only with runs of the same ``config_digest`` (the
+  workload shape in ``params``) on the same host fingerprint, and
+  :func:`render_trend_report` marks a ratio above
+  :data:`REGRESSION_RATIO` as an advisory regression.
 
-Policy loading is strict: an unknown op, level, or schema tag raises
-:class:`SloPolicyError` so a typo'd policy fails the gate loudly
-instead of evaluating nothing.
+``iotls runs trend --slo tools/slo.json`` is the one gate built on both:
+it exits 1 on a blocking SLO failure and 2 on a bad policy.  Policy
+loading is strict: a non-object document or SLO, an unknown op, level,
+or schema tag raises :class:`SloPolicyError` so a typo'd policy fails
+the gate loudly instead of evaluating nothing.
 """
 
 from __future__ import annotations
@@ -85,6 +88,8 @@ def load_slo_policy(path: str | Path) -> list[Slo]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         raise SloPolicyError(f"cannot read SLO policy {path}: {exc}") from exc
+    if not isinstance(document, dict):
+        raise SloPolicyError(f"{path}: policy must be a JSON object")
     if document.get("schema") != SLO_SCHEMA:
         raise SloPolicyError(
             f"{path}: schema must be {SLO_SCHEMA!r}, got {document.get('schema')!r}"
@@ -95,6 +100,8 @@ def load_slo_policy(path: str | Path) -> list[Slo]:
     slos = []
     for index, raw in enumerate(raw_slos):
         where = f"{path}: slos[{index}]"
+        if not isinstance(raw, dict):
+            raise SloPolicyError(f"{where} must be an object")
         for key in ("name", "benchmark", "metric", "op", "threshold"):
             if key not in raw:
                 raise SloPolicyError(f"{where} missing required key {key!r}")
@@ -137,7 +144,7 @@ def _latest_with_metric(
 def evaluate_slos(
     entries: list[dict[str, Any]], slos: list[Slo]
 ) -> list[dict[str, Any]]:
-    """One verdict per SLO against the newest matching history entry.
+    """One verdict per SLO against the newest matching bench entry.
 
     Verdict ``status`` is ``pass``/``fail``/``skip`` (no matching entry
     carries the metric).  ``blocking`` is pre-computed so callers can
@@ -187,9 +194,27 @@ def render_verdicts(verdicts: list[dict[str, Any]]) -> str:
 #: Resource metrics the trend report tracks per benchmark when present.
 _TREND_METRICS = ("records_per_second", "peak_mib", "peak_rss_kib", "worker_skew")
 
+#: ``latest_over_best`` above this ratio renders as an advisory regression
+#: (wall-clock ratios are too noisy across runners to block on).
+REGRESSION_RATIO = 1.25
+
+
+def _comparable(run: dict[str, Any], latest: dict[str, Any]) -> bool:
+    """Same workload shape (config digest) measured on the same host."""
+    return (
+        run.get("config_digest") == latest.get("config_digest")
+        and run.get("host") == latest.get("host")
+    )
+
 
 def trend_report(entries: list[dict[str, Any]]) -> dict[str, Any]:
-    """Per-benchmark trajectory summary (schema :data:`TREND_SCHEMA`)."""
+    """Per-benchmark trajectory summary (schema :data:`TREND_SCHEMA`).
+
+    ``best_seconds`` is the fastest run comparable with the latest one
+    (:func:`_comparable`), so a ``--scale 4000`` run is never measured
+    against a ``--scale 400`` run's time, nor a laptop against a CI
+    runner.
+    """
     by_benchmark: dict[str, list[dict[str, Any]]] = {}
     for entry in entries:
         if "benchmark" in entry and isinstance(entry.get("seconds"), (int, float)):
@@ -198,7 +223,10 @@ def trend_report(entries: list[dict[str, Any]]) -> dict[str, Any]:
     benchmarks = {}
     for benchmark, runs in sorted(by_benchmark.items()):
         latest, first = runs[-1], runs[0]
-        best = min(runs, key=lambda run: run["seconds"])
+        best = min(
+            (run for run in runs if _comparable(run, latest)),
+            key=lambda run: run["seconds"],
+        )
         summary: dict[str, Any] = {
             "runs": len(runs),
             "first_seconds": first["seconds"],
@@ -229,14 +257,19 @@ def trend_report(entries: list[dict[str, Any]]) -> dict[str, Any]:
 
 
 def render_trend_report(report: dict[str, Any]) -> str:
-    """Human-readable trend table for ``iotls bench-report``."""
+    """Human-readable trend table for ``iotls runs trend``."""
     lines = [f"benchmark trajectory ({report['entries']} entries)"]
     for benchmark, summary in report["benchmarks"].items():
+        marker = (
+            "  REGRESSION (advisory)"
+            if summary["latest_over_best"] > REGRESSION_RATIO
+            else ""
+        )
         lines.append(
             f"  {benchmark}: {summary['runs']} run(s), latest "
             f"{summary['latest_seconds']:.3f}s ({summary['latest_rev']}) = "
             f"{summary['latest_over_best']:.2f}x best "
-            f"{summary['best_seconds']:.3f}s ({summary['best_rev']})"
+            f"{summary['best_seconds']:.3f}s ({summary['best_rev']}){marker}"
         )
         for metric, value in summary.get("latest_metrics", {}).items():
             lines.append(f"      {metric}: {value:,g}")

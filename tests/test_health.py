@@ -496,6 +496,8 @@ class TestSloPolicy:
                     }
                 ],
             },
+            [],
+            {"schema": SLO_SCHEMA, "slos": [1]},
         ],
     )
     def test_bad_policies_rejected(self, tmp_path, document):
@@ -558,57 +560,53 @@ class TestSloPolicy:
 
 
 class TestBenchReportCli:
-    def _history(self, tmp_path, entries) -> str:
-        path = tmp_path / "history.jsonl"
-        path.write_text("\n".join(json.dumps(e) for e in entries) + "\n")
-        return str(path)
+    """The bench report and gate: ``iotls runs trend --ledger L --slo P``."""
+
+    def _trend(self, tmp_path, entries, *argv) -> int:
+        ledger = tmp_path / "ledger.jsonl"
+        for entry in entries:
+            telemetry.append_entry(entry, ledger)
+        return main(["runs", "--ledger", str(ledger), "trend", *argv])
 
     def test_ok_exit_zero(self, tmp_path, capsys):
-        history = self._history(tmp_path, [_entry("stream_trace", peak_mib=2.0)])
-        status = main(["bench-report", "--history", history, "--slo", "tools/slo.json"])
-        assert status == 0
+        entries = [_entry("stream_trace", peak_mib=2.0)]
+        assert self._trend(tmp_path, entries, "--slo", "tools/slo.json") == 0
         assert "stream-heap-ceiling" in capsys.readouterr().out
 
     def test_blocking_failure_exit_one(self, tmp_path, capsys):
-        history = self._history(tmp_path, [_entry("stream_trace", peak_mib=9000.0)])
-        status = main(["bench-report", "--history", history, "--slo", "tools/slo.json"])
-        capsys.readouterr()
-        assert status == 1
+        entries = [_entry("stream_trace", peak_mib=9000.0)]
+        assert self._trend(tmp_path, entries, "--slo", "tools/slo.json") == 1
 
     def test_advisory_failure_exit_zero(self, tmp_path, capsys):
         # peak_rss_kib above its ceiling fails only the advisory RSS SLO.
-        history = self._history(
-            tmp_path,
-            [_entry("stream_trace", peak_mib=2.0, peak_rss_kib=3 * 1024 * 1024)],
-        )
-        status = main(["bench-report", "--history", history, "--slo", "tools/slo.json"])
-        capsys.readouterr()
-        assert status == 0
+        entries = [_entry("stream_trace", peak_mib=2.0, peak_rss_kib=3 * 1024 * 1024)]
+        assert self._trend(tmp_path, entries, "--slo", "tools/slo.json") == 0
+        assert "[FAIL] stream-rss-ceiling (advisory)" in capsys.readouterr().out
 
     def test_throughput_floor_is_blocking(self, tmp_path, capsys):
-        # The streaming records/s floor gates for real now: a collapsed
-        # throughput reading must fail the report, not just warn.
-        history = self._history(
-            tmp_path,
-            [_entry("stream_trace", peak_mib=2.0, records_per_second=1.0)],
-        )
-        status = main(["bench-report", "--history", history, "--slo", "tools/slo.json"])
-        capsys.readouterr()
-        assert status == 1
+        # The streaming records/s floor gates for real: a collapsed
+        # throughput reading must fail the gate, not just warn.
+        entries = [_entry("stream_trace", peak_mib=2.0, records_per_second=1.0)]
+        assert self._trend(tmp_path, entries, "--slo", "tools/slo.json") == 1
 
     def test_bad_policy_exit_two(self, tmp_path, capsys):
-        history = self._history(tmp_path, [_entry("b")])
         bad = tmp_path / "bad.json"
-        bad.write_text("{}")
-        status = main(["bench-report", "--history", history, "--slo", str(bad)])
-        capsys.readouterr()
-        assert status == 2
+        for text in ("{}", "[]", json.dumps({"schema": SLO_SCHEMA, "slos": [1]})):
+            bad.write_text(text)
+            assert self._trend(tmp_path, [_entry("b")], "--slo", str(bad)) == 2, text
+            assert "bad SLO policy" in capsys.readouterr().err
 
     def test_json_export(self, tmp_path, capsys):
-        history = self._history(tmp_path, [_entry("b")])
+        import importlib.util
+        from pathlib import Path
+
         out = tmp_path / "report.json"
-        status = main(["bench-report", "--history", history, "--json", str(out)])
-        capsys.readouterr()
-        assert status == 0
+        entries = [_entry("stream_trace", peak_mib=2.0)]
+        assert self._trend(tmp_path, entries, "--slo", "tools/slo.json", "--json", str(out)) == 0
         document = json.loads(out.read_text())
-        assert "trend" in document and "slo_verdicts" in document
+        assert document["slo_verdicts"]
+        tool = Path(__file__).resolve().parents[1] / "tools" / "validate_streams.py"
+        spec = importlib.util.spec_from_file_location("validate_streams", tool)
+        streams = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(streams)
+        assert streams.validate_bench_trend(out) == []

@@ -225,16 +225,6 @@ class TestQueries:
         assert host["series"]["stream_trace"][-1]["seconds"] == 2.0
         assert host["benchmarks"]["stream_trace"]["runs"] == 1
 
-    def test_from_history_row_tags_fingerprintless_rows(self):
-        legacy = {"benchmark": "b", "seconds": 1.0, "host_cpu_count": 4}
-        migrated = ledger.from_history_row(legacy)
-        assert migrated["schema"] == ledger.LEDGER_SCHEMA
-        assert migrated["legacy"] is True
-        assert migrated["kind"] == "bench"
-        # Rows already in ledger schema pass through untouched.
-        modern = ledger.build_entry("bench", kind="bench", seconds=1.0)
-        assert ledger.from_history_row(modern) == modern
-
 
 class TestRunsCli:
     @pytest.fixture

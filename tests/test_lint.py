@@ -629,25 +629,30 @@ class TestFixedViolations:
 
         assert host_date() == date.today().isoformat()
 
-    def test_bench_history_stamps_via_host_date(self, tmp_path):
+    def test_bench_history_stamps_via_host_date(self, tmp_path, monkeypatch):
         import importlib.util
+        import sys
+
+        from repro.telemetry import host_date, load_ledger
 
         spec = importlib.util.spec_from_file_location(
-            "bench_history_lint_check", REPO_ROOT / "tools" / "bench_history.py"
+            "bench_stream_lint_check", REPO_ROOT / "tools" / "bench_stream.py"
         )
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        from repro.telemetry import host_date
-
-        entry = module.append_history("bench_lint", 0.5, path=tmp_path / "h.jsonl")
+        path = tmp_path / "ledger.jsonl"
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["bench_stream.py", "--scale", "1", "--skip-heap-probe", "--ledger", str(path)],
+        )
+        assert module.main() == 0
+        (entry,) = load_ledger(path)
         assert entry["date"] == host_date()
 
     def test_bench_tools_have_no_wall_clock_reads(self):
         report = run_lint(
-            [
-                REPO_ROOT / "tools" / "bench_history.py",
-                REPO_ROOT / "tools" / "bench_parallel.py",
-            ],
+            sorted((REPO_ROOT / "tools").glob("bench_*.py")),
             root=REPO_ROOT,
             select=["RL002"],
         )

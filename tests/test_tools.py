@@ -1,4 +1,5 @@
-"""Tests for repository tooling (docs generation, bench trajectory/gate)."""
+"""Tests for repository tooling (docs generation, bench tools and their
+run-ledger trajectory, the ``iotls runs trend`` gate, stream validators)."""
 
 from __future__ import annotations
 
@@ -6,6 +7,21 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+
+import pytest
+
+from repro import __version__
+from repro.cli import main
+from repro.telemetry import (
+    append_entry,
+    build_entry,
+    host_date,
+    host_fingerprint,
+    load_ledger,
+    render_trend_report,
+    trend_report,
+)
+from repro.telemetry.provenance import config_digest
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -15,6 +31,47 @@ def _load_tool(name: str):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _run_tool(name: str, *argv: str) -> int:
+    module = _load_tool(name)
+    original = sys.argv
+    try:
+        sys.argv = [f"{name}.py", *argv]
+        return module.main()
+    finally:
+        sys.argv = original
+
+
+@pytest.fixture(scope="module")
+def stream_ledger(tmp_path_factory):
+    """Two ``bench_stream`` runs (scale 1, then 2) into one fresh ledger."""
+    path = tmp_path_factory.mktemp("bench") / "ledger.jsonl"
+    for scale in ("1", "2"):
+        argv = ("--scale", scale, "--skip-heap-probe", "--ledger", str(path))
+        assert _run_tool("bench_stream", *argv) == 0
+    return path
+
+
+def _bench(seconds: float, benchmark: str = "b", **params) -> dict:
+    """A bench ledger entry, as the bench tools write them."""
+    return build_entry(
+        "bench",
+        kind="bench",
+        params=params,
+        seconds=seconds,
+        extra={"benchmark": benchmark, "git_rev": "r"},
+    )
+
+
+def _summary(entries: list[dict], benchmark: str = "b") -> dict:
+    return trend_report(entries)["benchmarks"][benchmark]
+
+
+def _write_ledger(path: Path, entries: list[dict]) -> str:
+    for entry in entries:
+        append_entry(entry, path)
+    return str(path)
 
 
 def _load_generator():
@@ -51,162 +108,106 @@ class TestCatalogReferenceGenerator:
 
 
 class TestBenchHistory:
-    def test_append_and_load_roundtrip(self, tmp_path):
-        history = _load_tool("bench_history")
-        path = tmp_path / "BENCH_history.jsonl"
-        entry = history.append_history("bench_x", 1.23456, path=path, extra={"scale": 5})
-        assert entry["seconds"] == 1.2346
-        assert entry["scale"] == 5
-        assert isinstance(entry["host_cpu_count"], int)
-        history.append_history("bench_x", 2.0, path=path)
-        loaded = history.load_history(path)
-        assert [e["seconds"] for e in loaded] == [1.2346, 2.0]
+    """The run ledger is the one bench history."""
 
-    def test_load_skips_torn_lines(self, tmp_path):
-        history = _load_tool("bench_history")
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"benchmark": "a", "seconds": 1.0}\n{"benchm\n\n')
-        assert [e["benchmark"] for e in history.load_history(path)] == ["a"]
+    def test_append_and_load_roundtrip(self, stream_ledger):
+        entries = load_ledger(stream_ledger)
+        assert [e["benchmark"] for e in entries] == ["stream_trace"] * 2
+        assert [e["params"]["scale"] for e in entries] == [1, 2]
+        assert all(isinstance(e["seconds"], float) for e in entries)
 
-    def test_missing_file_is_empty(self, tmp_path):
-        history = _load_tool("bench_history")
-        assert history.load_history(tmp_path / "absent.jsonl") == []
+    def test_load_skips_torn_lines(self, tmp_path, capsys):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(_bench(1.0)) + '\n{"benchm')
+        append_entry(_bench(1.1), path)
+        assert main(["runs", "--ledger", str(path), "trend"]) == 0
+        assert "b: 2 run(s)" in capsys.readouterr().out
+
+    def test_missing_file_is_empty(self, tmp_path, capsys):
+        missing = str(tmp_path / "absent.jsonl")
+        assert main(["runs", "--ledger", missing, "trend", "--slo", "tools/slo.json"]) == 0
+        out = capsys.readouterr().out
+        assert "(no benchmark entries)" in out
+        assert "[skip] stream-throughput-floor" in out
 
 
 class TestBenchGate:
-    def _entries(self, *seconds, benchmark="b", cpus=4):
-        return [
-            {"benchmark": benchmark, "host_cpu_count": cpus, "seconds": s, "git_rev": f"r{i}"}
-            for i, s in enumerate(seconds)
-        ]
+    """The gate: ``trend_report`` ratios plus ``iotls runs trend --slo``."""
 
     def test_regression_flagged_above_threshold(self):
-        gate = _load_tool("bench_gate").gate
-        verdicts = gate(self._entries(1.0, 1.1, 1.5))
-        assert len(verdicts) == 1
-        assert verdicts[0]["regressed"] is True
-        assert verdicts[0]["ratio"] == 1.5
+        report = trend_report([_bench(1.0), _bench(1.1), _bench(1.5)])
+        assert report["benchmarks"]["b"]["latest_over_best"] == 1.5
+        assert "REGRESSION (advisory)" in render_trend_report(report)
 
     def test_within_threshold_passes(self):
-        gate = _load_tool("bench_gate").gate
-        verdicts = gate(self._entries(1.0, 1.2))
-        assert verdicts[0]["regressed"] is False
+        report = trend_report([_bench(1.0), _bench(1.2)])
+        assert report["benchmarks"]["b"]["latest_over_best"] == 1.2
+        assert "REGRESSION" not in render_trend_report(report)
 
     def test_compares_against_best_prior_not_latest(self):
-        gate = _load_tool("bench_gate").gate
         # Best prior is 1.0 (first run), not the slow 2.0 in between.
-        verdicts = gate(self._entries(1.0, 2.0, 1.4))
-        assert verdicts[0]["best_prior_seconds"] == 1.0
-        assert verdicts[0]["regressed"] is True
+        summary = _summary([_bench(1.0), _bench(2.0), _bench(1.4)])
+        assert summary["best_seconds"] == 1.0
+        assert summary["latest_over_best"] == 1.4
 
     def test_different_host_shape_not_compared(self):
-        gate = _load_tool("bench_gate").gate
-        entries = self._entries(1.0, cpus=8) + self._entries(9.0, cpus=1)
-        assert gate(entries) == []
+        entries = [_bench(1.0), _bench(9.0)]
+        entries[0]["host"] = {**entries[0]["host"], "cpu_count": 8}
+        entries[1]["host"] = {**entries[1]["host"], "cpu_count": 1}
+        assert _summary(entries)["latest_over_best"] == 1.0
 
     def test_fingerprint_mismatch_not_compared(self):
-        # Same core count but different platform/arch: the full host
-        # fingerprint wins over the legacy cpu-count fallback.
-        gate = _load_tool("bench_gate").gate
-        entries = self._entries(1.0, 9.0)
+        entries = [_bench(1.0), _bench(9.0)]
         entries[0]["host"] = {"cpu_count": 4, "platform": "linux", "machine": "x86_64"}
         entries[1]["host"] = {"cpu_count": 4, "platform": "darwin", "machine": "arm64"}
-        assert gate(entries) == []
+        assert _summary(entries)["latest_over_best"] == 1.0
 
     def test_matching_fingerprint_compared(self):
-        gate = _load_tool("bench_gate").gate
-        fingerprint = {"cpu_count": 4, "platform": "linux", "machine": "x86_64"}
-        entries = self._entries(1.0, 1.1)
-        for entry in entries:
-            entry["host"] = dict(fingerprint)
-        verdicts = gate(entries)
-        assert len(verdicts) == 1
-        assert verdicts[0]["regressed"] is False
+        assert _summary([_bench(1.0), _bench(1.1)])["latest_over_best"] == 1.1
 
-    def test_legacy_entry_falls_back_to_cpu_count(self):
-        # One fingerprinted and one legacy entry still compare when the
-        # core counts agree, so old trajectory data keeps gating.
-        gate = _load_tool("bench_gate").gate
-        entries = self._entries(1.0, 1.1)
-        entries[1]["host"] = {"cpu_count": 4, "platform": "linux", "machine": "x86_64"}
-        assert len(gate(entries)) == 1
-
-    def test_history_records_host_fingerprint(self, tmp_path):
-        history = _load_tool("bench_history")
-        entry = history.append_history("b", 1.0, path=tmp_path / "h.jsonl")
-        assert set(entry["host"]) == {"cpu_count", "platform", "machine"}
-        loaded = history.load_history(tmp_path / "h.jsonl")
-        assert loaded[0]["host"] == entry["host"]
+    def test_history_records_host_fingerprint(self, stream_ledger):
+        for entry in load_ledger(stream_ledger):
+            assert entry["host"] == host_fingerprint()
 
     def test_single_run_yields_no_verdict(self):
-        gate = _load_tool("bench_gate").gate
-        assert gate(self._entries(1.0)) == []
+        report = trend_report([_bench(1.0)])
+        assert report["benchmarks"]["b"]["latest_over_best"] == 1.0
+        assert "REGRESSION" not in render_trend_report(report)
 
     def test_different_workload_shape_not_compared(self):
-        # Regression guard: a scale-4000 run must not be gated against a
-        # scale-400 run's time just because the host matches.
-        gate = _load_tool("bench_gate").gate
-        entries = self._entries(1.0, 9.0)
-        entries[0]["scale"] = 400
-        entries[1]["scale"] = 4000
-        assert gate(entries) == []
+        # Two same-host stream_trace runs at scale 400 and 4000: each is
+        # only ever measured against runs with its own config digest.
+        small = _bench(1.0, "stream_trace", scale=400)
+        big = _bench(9.0, "stream_trace", scale=4000)
+        assert small["config_digest"] != big["config_digest"]
+        assert _summary([small, big], "stream_trace")["latest_over_best"] == 1.0
+        again = _bench(2.0, "stream_trace", scale=400)
+        summary = _summary([small, big, again], "stream_trace")
+        assert summary["best_seconds"] == 1.0
+        assert summary["latest_over_best"] == 2.0
 
     def test_workers_and_flow_cap_must_match_too(self):
-        gate = _load_tool("bench_gate").gate
         for key, values in (("workers", (1, 2)), ("flow_cap", (50, None))):
-            entries = self._entries(1.0, 9.0)
-            entries[0][key] = values[0]
-            entries[1][key] = values[1]
-            assert gate(entries) == [], key
+            entries = [_bench(1.0, **{key: values[0]}), _bench(9.0, **{key: values[1]})]
+            assert _summary(entries)["latest_over_best"] == 1.0, key
 
     def test_matching_shape_compared(self):
-        gate = _load_tool("bench_gate").gate
-        entries = self._entries(1.0, 1.1)
-        for entry in entries:
-            entry.update(scale=4000, workers=1, flow_cap=50)
-        verdicts = gate(entries)
-        assert len(verdicts) == 1
-        assert verdicts[0]["regressed"] is False
-
-    def test_legacy_entries_without_shape_still_compare(self):
-        # Entries that predate the shape keys (no scale/workers/flow_cap)
-        # compare as None == None, so old trajectory data keeps gating.
-        gate = _load_tool("bench_gate").gate
-        assert len(gate(self._entries(1.0, 1.1))) == 1
+        shape = {"scale": 4000, "workers": 1, "flow_cap": 50}
+        summary = _summary([_bench(1.0, **shape), _bench(1.1, **shape)])
+        assert summary["latest_over_best"] == 1.1
 
     def test_regressions_warn_only_flag(self, tmp_path, capsys):
-        gate_mod = _load_tool("bench_gate")
-        path = tmp_path / "h.jsonl"
-        with path.open("w") as handle:
-            for entry in self._entries(1.0, 1.6):
-                handle.write(json.dumps(entry) + "\n")
-        argv = sys.argv
-        try:
-            sys.argv = [
-                "bench_gate.py", "--history", str(path), "--regressions-warn-only"
-            ]
-            assert gate_mod.main() == 0
-        finally:
-            sys.argv = argv
-        assert "REGRESSION" in capsys.readouterr().out
+        # Wall-clock regressions are advisory: printed, never exit 1.
+        ledger = _write_ledger(tmp_path / "l.jsonl", [_bench(1.0), _bench(1.6)])
+        assert main(["runs", "--ledger", ledger, "trend", "--slo", "tools/slo.json"]) == 0
+        assert "REGRESSION (advisory)" in capsys.readouterr().out
 
     def test_cli_exit_codes(self, tmp_path, capsys):
-        gate_mod = _load_tool("bench_gate")
-        path = tmp_path / "h.jsonl"
-        with path.open("w") as handle:
-            for entry in self._entries(1.0, 1.6):
-                handle.write(json.dumps(entry) + "\n")
-        argv = sys.argv
-        try:
-            sys.argv = ["bench_gate.py", "--history", str(path)]
-            assert gate_mod.main() == 1
-            sys.argv = ["bench_gate.py", "--history", str(path), "--warn-only"]
-            assert gate_mod.main() == 0
-            sys.argv = ["bench_gate.py", "--history", str(tmp_path / "none.jsonl")]
-            assert gate_mod.main() == 0
-        finally:
-            sys.argv = argv
-        assert "REGRESSION" in capsys.readouterr().out
+        # Without --slo nothing can fail the gate; the ratio is exported.
+        ledger = _write_ledger(tmp_path / "l.jsonl", [_bench(1.0), _bench(1.6)])
+        out = tmp_path / "trend.json"
+        assert main(["runs", "--ledger", ledger, "trend", "--json", str(out)]) == 0
+        assert json.loads(out.read_text())["benchmarks"]["b"]["latest_over_best"] == 1.6
 
 
 class TestBenchStreamSafeRate:
@@ -235,93 +236,34 @@ class TestBenchStreamSafeRate:
 
 
 class TestBenchHistoryLedger:
-    def test_entries_are_ledger_schema(self, tmp_path):
-        history = _load_tool("bench_history")
-        entry = history.append_history("b", 1.0, path=tmp_path / "h.jsonl")
+    def test_entries_are_ledger_schema(self, stream_ledger):
+        entry = load_ledger(stream_ledger)[0]
         assert entry["schema"] == "iotls-run-ledger/1"
-        assert entry["kind"] == "bench"
-        assert entry["status"] == "ok"
+        assert (entry["kind"], entry["status"]) == ("bench", "ok")
+        # The workload shape lives in params, so the config digest names it.
+        assert entry["params"] == {"scale": 1, "flow_cap": 50, "workers": 1}
+        assert entry["config_digest"] == config_digest("bench", entry["params"], __version__)
+        assert isinstance(entry["git_rev"], str) and entry["git_rev"]
+        assert entry["date"] == host_date()
+        streams = _load_tool("validate_streams")
+        assert streams.validate_run_ledger(stream_ledger) == []
 
-    def test_auto_mirror_lands_next_to_history(self, tmp_path):
-        history = _load_tool("bench_history")
-        history.append_history("b", 1.0, path=tmp_path / "h.jsonl")
-        mirror = tmp_path / ".iotls" / "ledger.jsonl"
-        assert mirror.is_file()
-        assert json.loads(mirror.read_text())["benchmark"] == "b"
-
-    def test_explicit_ledger_path_and_none(self, tmp_path):
-        history = _load_tool("bench_history")
-        target = tmp_path / "custom.jsonl"
-        history.append_history("b", 1.0, path=tmp_path / "h.jsonl", ledger=target)
-        assert target.is_file()
-        history.append_history("b", 1.0, path=tmp_path / "h2.jsonl", ledger=None)
-        assert not (tmp_path / ".iotls").joinpath("extra").exists()
-        assert len(history.load_history(tmp_path / "h2.jsonl")) == 1
-
-    def _run_main(self, history_mod, *argv):
-        original = sys.argv
-        try:
-            sys.argv = ["bench_history.py", *argv]
-            return history_mod.main()
-        finally:
-            sys.argv = original
-
-    def test_migrate_tags_legacy_rows(self, tmp_path, capsys):
-        history = _load_tool("bench_history")
-        path = tmp_path / "h.jsonl"
-        rows = [
-            {"benchmark": "b", "seconds": 1.0, "host_cpu_count": 4},
-            {
-                "benchmark": "b",
-                "seconds": 1.1,
-                "host_cpu_count": 4,
-                "host": {"cpu_count": 4, "platform": "linux", "machine": "x86_64"},
-            },
-        ]
-        path.write_text("".join(json.dumps(row) + "\n" for row in rows))
-        assert self._run_main(history, "--migrate", "--history", str(path)) == 0
-        migrated = history.load_history(path)
-        assert migrated[0]["legacy"] is True
-        assert "legacy" not in migrated[1]
-        assert all(e["schema"] == "iotls-run-ledger/1" for e in migrated)
-        # Idempotent: a second migration changes nothing.
-        assert self._run_main(history, "--migrate", "--history", str(path)) == 0
-        assert "0 migrated" in capsys.readouterr().out
-
-    def test_migrate_dry_run_leaves_file(self, tmp_path):
-        history = _load_tool("bench_history")
-        path = tmp_path / "h.jsonl"
-        path.write_text('{"benchmark": "b", "seconds": 1.0}\n')
-        before = path.read_text()
-        assert (
-            self._run_main(history, "--migrate", "--history", str(path), "--dry-run")
-            == 0
-        )
-        assert path.read_text() == before
-
-    def test_main_without_migrate_is_usage_error(self, tmp_path, capsys):
-        history = _load_tool("bench_history")
-        assert self._run_main(history) == 2
+    def test_explicit_ledger_path_and_none(self, tmp_path, monkeypatch):
+        # --ledger is the one destination: nothing else is written.
+        monkeypatch.chdir(tmp_path)
+        argv = ("--scale", "1", "--skip-heap-probe", "--ledger", "out/l.jsonl")
+        assert _run_tool("bench_stream", *argv) == 0
+        written = [p.relative_to(tmp_path) for p in tmp_path.rglob("*") if p.is_file()]
+        assert written == [Path("out/l.jsonl")]
+        assert len(load_ledger(tmp_path / "out" / "l.jsonl")) == 1
 
 
 class TestBenchGateLegacyTag:
     def test_legacy_tagged_entries_never_baseline(self):
-        # A migrated `legacy: true` row has no shape keys, so it would
-        # None == None match any modern run; the tag excludes it.
-        gate = _load_tool("bench_gate").gate
-        entries = [
-            {"benchmark": "b", "seconds": 1.0, "host_cpu_count": 4, "legacy": True},
-            {"benchmark": "b", "seconds": 9.0, "host_cpu_count": 4},
-        ]
-        assert gate(entries) == []
-
-    def test_legacy_latest_still_gated_against_modern_prior(self):
-        gate = _load_tool("bench_gate").gate
-        entries = [
-            {"benchmark": "b", "seconds": 1.0, "host_cpu_count": 4},
-            {"benchmark": "b", "seconds": 1.1, "host_cpu_count": 4},
-        ]
-        assert len(gate(entries)) == 1
+        # A pre-ledger row (no host, no config digest) is never a
+        # baseline for a bench tool's entry.
+        legacy = {"benchmark": "b", "seconds": 1.0, "host_cpu_count": 4, "legacy": True}
+        assert _summary([legacy, _bench(9.0)])["latest_over_best"] == 1.0
 
 
 class TestValidateStreams:
@@ -346,20 +288,14 @@ class TestValidateStreams:
         assert any("schema" in error for error in errors)
         assert any("not valid JSON" in error for error in errors)
 
-    def test_legacy_rows_need_no_host(self, tmp_path):
+    def test_rows_without_host_rejected(self, tmp_path):
         streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
-        row = {
-            "schema": "iotls-run-ledger/1",
-            "kind": "bench",
-            "status": "ok",
-            "date": "2026-01-01",
-            "benchmark": "b",
-            "seconds": 1.0,
-            "legacy": True,
-        }
+        row = _bench(1.0)
+        del row["host"]
+        row["legacy"] = True
         path.write_text(json.dumps(row) + "\n")
-        assert streams.validate_run_ledger(path) == []
+        assert any("'host'" in e for e in streams.validate_run_ledger(path))
 
     def test_error_entries_need_typed_error(self, tmp_path):
         streams = _load_tool("validate_streams")
@@ -389,9 +325,11 @@ class TestValidateStreams:
         unknown.write_text("hello\n")
         assert streams.detect_schema(unknown) is None
 
-    def test_health_shim_keeps_public_names(self):
-        shim = _load_tool("validate_health_stream")
-        assert shim.EXPECTED_SCHEMA == "iotls-health-stream/1"
-        assert callable(shim.validate)
-        assert "seq" in shim.HEARTBEAT_REQUIRED
-        assert "heartbeats" in shim.SUMMARY_REQUIRED
+    def test_slo_policy_uses_the_gate_loader(self, tmp_path):
+        streams = _load_tool("validate_streams")
+        assert streams.validate_slo_policy(REPO_ROOT / "tools" / "slo.json") == []
+        path = tmp_path / "slo.json"
+        for document in ([], {"schema": "iotls-slo/1", "slos": [1]}):
+            path.write_text(json.dumps(document))
+            (error,) = streams.validate_slo_policy(path)
+            assert "object" in error

@@ -5,14 +5,15 @@ module's AST several times (symbols, aliases, calls, thread entries)
 and pass 2 runs fixpoint propagation over the call graph, so a careless
 change can turn the blocking CI lint step from seconds into minutes.
 This benchmark times one full ``--whole-program`` run over ``src`` and
-``tools`` and appends the timing to the bench trajectory
-(``BENCH_history.jsonl``), where the ``lint-wall-time-budget`` SLO in
-``tools/slo.json`` turns it into a gated budget -- the same
-``bench_gate --slo`` machinery that guards streaming throughput.
+``tools`` and appends the timing to the run ledger as a bench entry
+(``jobs`` and ``repeat`` in ``params``), where the
+``lint-wall-time-budget`` SLO in ``tools/slo.json`` turns it into a
+gated budget -- the same ``iotls runs trend --slo`` gate that guards
+streaming throughput.
 
 Usage::
 
-    PYTHONPATH=src python tools/bench_lint.py [--jobs N] [--repeat K]
+    PYTHONPATH=src python tools/bench_lint.py [--jobs N] [--repeat K] [--ledger PATH]
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import sys
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_history import append_history  # noqa: E402
-
 try:
     from repro.lint import Baseline, run_lint
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.lint import Baseline, run_lint
+from repro import telemetry
+from repro.telemetry.provenance import git_rev
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK = "lint_whole_program"
@@ -53,10 +53,11 @@ def main() -> int:
         help="time K runs and record the fastest (default 1)",
     )
     parser.add_argument(
-        "--history",
-        default=None,
+        "--ledger",
+        default=telemetry.DEFAULT_LEDGER_PATH,
         metavar="PATH",
-        help="trajectory file (default: repo-root BENCH_history.jsonl)",
+        help="run ledger to record the timing in "
+        f"(default {telemetry.DEFAULT_LEDGER_PATH})",
     )
     args = parser.parse_args()
 
@@ -77,17 +78,20 @@ def main() -> int:
             best_seconds = seconds
 
     assert report is not None and best_seconds is not None
-    entry = append_history(
-        BENCHMARK,
-        round(best_seconds, 4),
-        path=args.history,
+    entry = telemetry.build_entry(
+        "bench",
+        kind="bench",
+        params={"jobs": args.jobs, "repeat": args.repeat},
+        seconds=best_seconds,
         extra={
+            "benchmark": BENCHMARK,
+            "git_rev": git_rev(),
             "files_checked": report.files_checked,
             "violations": len(report.violations),
             "suppressed": len(report.suppressed),
-            "jobs": args.jobs,
         },
     )
+    telemetry.append_entry(entry, args.ledger)
     print(
         f"{BENCHMARK}: {entry['seconds']}s for {report.files_checked} "
         f"file(s) (jobs={args.jobs}, violations={len(report.violations)}, "

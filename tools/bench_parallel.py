@@ -1,38 +1,33 @@
-"""Record serial-vs-parallel trace-generation timings in BENCH_parallel.json.
+"""Record serial-vs-parallel trace-generation timings in the run ledger.
 
 Runs the passive-trace generator at a benchmark scale once serially and
 once per requested worker count, verifies every parallel capture is
-record-identical to the serial one, and writes the timings, speedups,
-and host core count to ``BENCH_parallel.json`` at the repo root.  Each
-timing is also appended to the ``BENCH_history.jsonl`` trajectory that
-``tools/bench_gate.py`` gates on.  Telemetry is enabled for every run
-(serial included, so timings compare like with like) and each parallel
-entry records ``worker_skew`` -- the slowest shard's wall time over the
-mean, from the stitched cross-worker span profile -- which the
+record-identical to the serial one, and appends one bench entry per
+timing to the run ledger, with the workload shape (``scale``,
+``workers``) in ``params``.  Each parallel entry also records its
+``speedup_vs_serial`` and ``identical_to_serial``; the tool exits 1 if
+any capture differs.  Telemetry is enabled for every run (serial
+included, so timings compare like with like) and each parallel entry
+records ``worker_skew`` -- the slowest shard's wall time over the mean,
+from the stitched cross-worker span profile -- which the
 ``parallel-skew-ceiling`` SLO watches for straggler regressions.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_parallel.py [--scale 200] \
-        [--workers 2 4] [--out BENCH_parallel.json]
+        [--workers 2 4] [--ledger PATH]
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
-import sys
-from pathlib import Path
 from time import perf_counter
-
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_history import append_history  # noqa: E402
 
 import repro.telemetry as telemetry
 from repro.longitudinal import PassiveTraceGenerator
 from repro.parallel import pool_session
-from repro.telemetry import Profiler, host_date
+from repro.telemetry import Profiler
+from repro.telemetry.provenance import git_rev
 
 DEFAULT_SCALE = 200
 SEED = "iotls-bench-parallel"
@@ -69,21 +64,25 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     parser.add_argument("--workers", type=int, nargs="+", default=[2, 4])
-    parser.add_argument("--out", default="BENCH_parallel.json")
     parser.add_argument(
         "--ledger",
-        default=None,
+        default=telemetry.DEFAULT_LEDGER_PATH,
         metavar="PATH",
-        help="mirror timing entries into this run ledger "
-        "(default: the .iotls/ledger.jsonl next to the history file)",
-    )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="record timings in BENCH_history.jsonl only",
+        help="run ledger to record the timings in "
+        f"(default {telemetry.DEFAULT_LEDGER_PATH})",
     )
     args = parser.parse_args()
-    ledger = None if args.no_ledger else (args.ledger or "auto")
+    rev = git_rev()
+
+    def record(workers: int, seconds: float, extra: dict) -> None:
+        entry = telemetry.build_entry(
+            "bench",
+            kind="bench",
+            params={"scale": args.scale, "workers": workers},
+            seconds=seconds,
+            extra={"git_rev": rev, **extra},
+        )
+        telemetry.append_entry(entry, args.ledger)
 
     # Telemetry on for serial and parallel alike: both pay the same
     # instrumentation cost, so speedup ratios stay meaningful.
@@ -91,67 +90,38 @@ def main() -> int:
 
     serial_capture, serial_seconds, _, _ = _timed_generate(args.scale, workers=1)
     print(f"serial: {serial_seconds:.2f}s ({len(serial_capture)} flow records)")
-    append_history(
-        "bench_parallel/serial",
-        serial_seconds,
-        extra={"scale": args.scale},
-        ledger=ledger,
-    )
+    record(1, serial_seconds, {"benchmark": "bench_parallel/serial"})
 
-    runs = {}
+    all_identical = True
     for workers in args.workers:
         capture, seconds, skew, pool_stats = _timed_generate(
             args.scale, workers=workers
-        )
-        extra = {"scale": args.scale}
-        if skew is not None:
-            extra["worker_skew"] = skew["max_over_mean"]
-        if pool_stats is not None:
-            extra["warm_pool_reused_dispatches"] = pool_stats["reused_dispatches"]
-        append_history(
-            f"bench_parallel/workers{workers}", seconds, extra=extra, ledger=ledger
         )
         identical = (
             capture.records == serial_capture.records
             and capture.revocation_events == serial_capture.revocation_events
         )
+        all_identical = all_identical and identical
         speedup = serial_seconds / seconds if seconds > 0 else 0.0
+        extra = {
+            "benchmark": f"bench_parallel/workers{workers}",
+            "speedup_vs_serial": round(speedup, 4),
+            "identical_to_serial": identical,
+        }
+        if skew is not None:
+            extra["worker_skew"] = skew["max_over_mean"]
+        if pool_stats is not None:
+            # How many dispatches rode an already-warm process (spawn
+            # amortisation evidence; see repro.parallel.pool).
+            extra["warm_pool_reused_dispatches"] = pool_stats["reused_dispatches"]
+        record(workers, seconds, extra)
         skew_note = f", skew={skew['max_over_mean']:.2f}x" if skew is not None else ""
         print(
             f"workers={workers}: {seconds:.2f}s -- {speedup:.2f}x, "
             f"identical={identical}{skew_note}"
         )
-        runs[str(workers)] = {
-            "seconds": round(seconds, 4),
-            "speedup_vs_serial": round(speedup, 4),
-            "identical_to_serial": identical,
-            "worker_skew": skew["max_over_mean"] if skew is not None else None,
-            # How many dispatches rode an already-warm process (spawn
-            # amortisation evidence; see repro.parallel.pool).
-            "warm_pool": pool_stats,
-        }
-
-    document = {
-        "benchmark": "tools/bench_parallel.py (passive-trace generation)",
-        "date": host_date(),
-        "command": {
-            "serial": f"iotls trace --scale {args.scale} --seed {SEED}",
-            "parallel": f"iotls trace --scale {args.scale} --seed {SEED} --workers N",
-        },
-        "units": f"seconds per full 27-month generation at scale={args.scale}",
-        "host_cpu_count": os.cpu_count(),
-        "serial": {"seconds": round(serial_seconds, 4)},
-        "parallel": runs,
-        "acceptance": (
-            "every parallel capture must be record-identical to the serial one; "
-            ">=1.8x speedup expected at 4 workers on a host with >=4 cores "
-            "(CPU-bound workload: speedup is bounded by host_cpu_count)"
-        ),
-    }
-    path = Path(args.out)
-    path.write_text(json.dumps(document, indent=2) + "\n", encoding="utf-8")
-    print(f"wrote {path}")
-    return 0 if all(run["identical_to_serial"] for run in runs.values()) else 1
+    print(f"recorded {1 + len(args.workers)} bench entries in {args.ledger}")
+    return 0 if all_identical else 1
 
 
 if __name__ == "__main__":

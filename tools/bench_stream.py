@@ -15,30 +15,28 @@ volume tracks connection volume.  Two passes:
 
 The point of the memory measurement: peak memory must stay flat while
 connection volume grows, because nothing is materialised.  Each run
-appends a ``stream_trace`` entry to the ``BENCH_history.jsonl``
-trajectory that ``tools/bench_gate.py`` gates on -- including
-``records_per_second`` (the ``stream-throughput-floor`` SLO) and
-``peak_rss_kib`` (the ``stream-rss-ceiling`` SLO in ``tools/slo.json``).
+appends one ``stream_trace`` bench entry to the run ledger, with the
+workload shape in ``params`` -- including ``records_per_second`` (the
+``stream-throughput-floor`` SLO) and ``peak_rss_kib`` (the
+``stream-rss-ceiling`` SLO in ``tools/slo.json``).  ``iotls runs trend
+--slo tools/slo.json`` gates on it.
 
 Usage::
 
     PYTHONPATH=src python tools/bench_stream.py [--scale 4000] \
-        [--flow-cap 50] [--workers 1] [--skip-heap-probe]
+        [--flow-cap 50] [--workers 1] [--skip-heap-probe] [--ledger PATH]
 """
 
 from __future__ import annotations
 
 import argparse
-import sys
-from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_history import append_history  # noqa: E402
-
+from repro import telemetry
 from repro.longitudinal import PassiveTraceGenerator
 from repro.parallel import pool_session
 from repro.telemetry import ResourceSampler
+from repro.telemetry.provenance import git_rev
 from repro.testbed import DiscardSink
 
 DEFAULT_SCALE = 4000  # ~100x the analysis default; approximates the paper's volume
@@ -68,15 +66,10 @@ def main() -> int:
     )
     parser.add_argument(
         "--ledger",
-        default=None,
+        default=telemetry.DEFAULT_LEDGER_PATH,
         metavar="PATH",
-        help="mirror the timing entry into this run ledger "
-        "(default: the .iotls/ledger.jsonl next to the history file)",
-    )
-    parser.add_argument(
-        "--no-ledger",
-        action="store_true",
-        help="record the timing in BENCH_history.jsonl only",
+        help="run ledger to record the timing in "
+        f"(default {telemetry.DEFAULT_LEDGER_PATH})",
     )
     args = parser.parse_args()
 
@@ -112,21 +105,22 @@ def main() -> int:
         f"{throughput:,.0f} records/s, peak {peak_mib:.1f} MiB traced, "
         f"RSS {peak_rss_kib:,} KiB"
     )
-    append_history(
-        "stream_trace",
-        seconds,
+    entry = telemetry.build_entry(
+        "bench",
+        kind="bench",
+        params={"scale": args.scale, "flow_cap": args.flow_cap, "workers": args.workers},
+        seconds=seconds,
         extra={
-            "scale": args.scale,
-            "flow_cap": args.flow_cap,
-            "workers": args.workers,
+            "benchmark": "stream_trace",
+            "git_rev": git_rev(),
             "flow_records": sink.records_seen,
             "connections": sink.connections_seen,
             "records_per_second": round(throughput, 1),
             "peak_mib": round(peak_mib, 2),
             "peak_rss_kib": peak_rss_kib,
         },
-        ledger=None if args.no_ledger else (args.ledger or "auto"),
     )
+    telemetry.append_entry(entry, args.ledger)
     return 0
 
 

@@ -18,7 +18,7 @@ auto-detection from the file's first parseable record):
   self-contained entry with schema tag, known kind/status, and the
   per-kind required fields,
 * ``bench-trend`` -- a trend-report JSON document (``iotls runs trend
-  --json`` / ``iotls bench-report``),
+  --json``),
 * ``trace-stream`` -- a streamed trace artifact: schema header first,
   one record/revocation-event object per line, exactly one trailing
   summary whose counts match the lines,
@@ -51,6 +51,8 @@ try:
 except ImportError:  # running from a checkout without PYTHONPATH=src
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
     from repro.telemetry.schemas import all_schemas
+from repro.telemetry.ledger import ENTRY_KINDS, ENTRY_STATUSES
+from repro.telemetry.slo import SloPolicyError, load_slo_policy
 
 _IDS = {schema.name: schema.id for schema in all_schemas()}
 HEALTH_SCHEMA = _IDS["health-stream"]
@@ -58,19 +60,16 @@ LEDGER_SCHEMA = _IDS["run-ledger"]
 TREND_SCHEMA = _IDS["bench-trend"]
 TRACE_SCHEMA = _IDS["trace-stream"]
 ACCESS_SCHEMA = _IDS["serve-access"]
-SLO_SCHEMA = _IDS["slo"]
 STATUS_SCHEMA = _IDS["serve-status"]
 RESOURCES_SCHEMA = _IDS["resources"]
 
 HEARTBEAT_REQUIRED = ("seq", "label", "done", "elapsed_seconds", "rate", "ewma_rate")
 SUMMARY_REQUIRED = ("label", "done", "seconds", "rate", "heartbeats")
 
-LEDGER_KINDS = ("run", "bench", "check")
-LEDGER_STATUSES = ("ok", "error")
 LEDGER_REQUIRED = ("schema", "kind", "status", "date", "host")
 
 
-def validate_health_stream(path: Path) -> list[str]:
+def validate_run_health(path: Path) -> list[str]:
     """Contract violations in a run-health stream (empty = valid)."""
     errors: list[str] = []
     try:
@@ -136,11 +135,7 @@ def validate_health_stream(path: Path) -> list[str]:
 def _validate_ledger_entry(number: int, entry: dict[str, Any]) -> list[str]:
     """Per-entry ledger contract (shared by run/bench/check kinds)."""
     errors = []
-    required = LEDGER_REQUIRED
-    if entry.get("legacy"):
-        # Migrated pre-fingerprint rows legitimately lack a host dict.
-        required = tuple(key for key in required if key != "host")
-    for key in required:
+    for key in LEDGER_REQUIRED:
         if key not in entry:
             errors.append(f"line {number}: entry missing {key!r}")
     if entry.get("schema") != LEDGER_SCHEMA:
@@ -148,11 +143,11 @@ def _validate_ledger_entry(number: int, entry: dict[str, Any]) -> list[str]:
             f"line {number}: schema {entry.get('schema')!r}, expected {LEDGER_SCHEMA!r}"
         )
     kind = entry.get("kind")
-    if kind not in LEDGER_KINDS:
-        errors.append(f"line {number}: kind {kind!r} not one of {LEDGER_KINDS}")
+    if kind not in ENTRY_KINDS:
+        errors.append(f"line {number}: kind {kind!r} not one of {ENTRY_KINDS}")
     status = entry.get("status")
-    if status not in LEDGER_STATUSES:
-        errors.append(f"line {number}: status {status!r} not one of {LEDGER_STATUSES}")
+    if status not in ENTRY_STATUSES:
+        errors.append(f"line {number}: status {status!r} not one of {ENTRY_STATUSES}")
     if kind in ("run", "check"):
         if not isinstance(entry.get("command"), str):
             errors.append(f"line {number}: {kind} entry needs a string 'command'")
@@ -205,9 +200,6 @@ def validate_bench_trend(path: Path) -> list[str]:
         document = json.loads(path.read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError) as exc:
         return [f"cannot parse {path}: {exc}"]
-    # iotls bench-report --json wraps the trend document; accept both.
-    if isinstance(document, dict) and "trend" in document:
-        document = document["trend"]
     if not isinstance(document, dict):
         return ["document is not an object"]
     errors = []
@@ -347,10 +339,6 @@ def validate_access_log(path: Path) -> list[str]:
     return errors
 
 
-SLO_OPS = ("<=", "<", ">=", ">")
-SLO_LEVELS = ("blocking", "advisory")
-
-
 def _load_document(path: Path) -> tuple[dict[str, Any] | None, list[str]]:
     """Parse one JSON document, returning (document, errors)."""
     try:
@@ -363,30 +351,15 @@ def _load_document(path: Path) -> tuple[dict[str, Any] | None, list[str]]:
 
 
 def validate_slo_policy(path: Path) -> list[str]:
-    """Contract violations in an SLO policy document (empty = valid)."""
-    document, errors = _load_document(path)
-    if document is None:
-        return errors
-    if document.get("schema") != SLO_SCHEMA:
-        errors.append(f"schema {document.get('schema')!r}, expected {SLO_SCHEMA!r}")
-    slos = document.get("slos")
-    if not isinstance(slos, list) or not slos:
-        return errors + ["'slos' must be a non-empty list"]
-    for index, slo in enumerate(slos):
-        if not isinstance(slo, dict):
-            errors.append(f"slos[{index}]: not an object")
-            continue
-        for key in ("name", "benchmark", "metric", "op", "threshold"):
-            if key not in slo:
-                errors.append(f"slos[{index}]: missing {key!r}")
-        if "op" in slo and slo["op"] not in SLO_OPS:
-            errors.append(f"slos[{index}]: op {slo['op']!r} not one of {SLO_OPS}")
-        if "threshold" in slo and not isinstance(slo["threshold"], (int, float)):
-            errors.append(f"slos[{index}]: threshold must be numeric")
-        level = slo.get("level", "blocking")
-        if level not in SLO_LEVELS:
-            errors.append(f"slos[{index}]: level {level!r} not one of {SLO_LEVELS}")
-    return errors
+    """Contract violations in an SLO policy document (empty = valid).
+
+    The contract is whatever the gate's own loader accepts.
+    """
+    try:
+        load_slo_policy(path)
+    except SloPolicyError as exc:
+        return [str(exc)]
+    return []
 
 
 def validate_serve_status(path: Path) -> list[str]:
@@ -479,12 +452,7 @@ def detect_schema(path: Path) -> str | None:
     if not isinstance(record, dict):
         return None
     schema = record.get("schema")
-    if schema in VALIDATORS:
-        return schema
-    trend = record.get("trend")
-    if isinstance(trend, dict) and trend.get("schema") in VALIDATORS:
-        return trend["schema"]
-    return None
+    return schema if schema in VALIDATORS else None
 
 
 def main() -> int:
