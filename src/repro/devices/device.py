@@ -21,7 +21,7 @@ from typing import Callable
 
 from ..pki.store import RootStore
 from ..roothistory.universe import RootStoreUniverse, build_default_universe
-from ..tls.engine import Responder
+from ..tls.engine import HandshakeMemo, Responder
 from .instance import ConnectionAttempt, TLSInstance
 from .profile import ACTIVE_EXPERIMENT_MONTH, DestinationSpec, DeviceProfile, month_to_date
 from .rootstores import build_device_store
@@ -66,6 +66,7 @@ class Device:
         universe: RootStoreUniverse | None = None,
         root_store: RootStore | None = None,
         revocation_transport=None,
+        handshake_memo: HandshakeMemo | None = None,
     ) -> None:
         self.profile = profile
         self._universe = universe or build_default_universe()
@@ -78,6 +79,7 @@ class Device:
                 self.root_store,
                 revocation_method=self._revocation_method_for(spec),
                 revocation_transport=revocation_transport,
+                handshake_memo=handshake_memo,
             )
             for spec in profile.instances
         }

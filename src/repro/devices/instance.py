@@ -21,7 +21,13 @@ from datetime import datetime
 
 from ..pki.revocation import RevocationMethod
 from ..pki.store import RootStore
-from ..tls.engine import HandshakeResult, HandshakeState, Responder, perform_handshake
+from ..tls.engine import (
+    HandshakeMemo,
+    HandshakeResult,
+    HandshakeState,
+    Responder,
+    perform_handshake,
+)
 from ..tls.extensions import NamedGroup, SignatureScheme
 from ..tls.versions import ProtocolVersion
 from ..tlslib.library import ClientConfig, TLSLibrary
@@ -129,7 +135,8 @@ class TLSInstance:
 
     ``revocation_method`` / ``revocation_transport`` are set by the
     owning device from its Table 8 behaviour; they override the spec's
-    defaults when provided.
+    defaults when provided.  ``handshake_memo`` is the owning testbed's
+    (see :class:`~repro.tls.engine.HandshakeMemo`).
     """
 
     def __init__(
@@ -139,11 +146,13 @@ class TLSInstance:
         *,
         revocation_method=None,
         revocation_transport=None,
+        handshake_memo: HandshakeMemo | None = None,
     ) -> None:
         self.spec = spec
         self.root_store = root_store
         self.revocation_method = revocation_method
         self.revocation_transport = revocation_transport
+        self.handshake_memo = handshake_memo
         self._consecutive_failures = 0
         self._validation_disabled = False
 
@@ -200,8 +209,14 @@ class TLSInstance:
         validation_was_disabled = self._validation_disabled
         config = self.client_config(month)
         client = self.spec.library.client(config)
+        memo = self.handshake_memo
         first = perform_handshake(
-            client, responder, hostname=hostname, when=when, application_data=application_data
+            client,
+            responder,
+            hostname=hostname,
+            when=when,
+            application_data=application_data,
+            memo=memo,
         )
         attempts = [first]
         downgraded = False
@@ -217,6 +232,7 @@ class TLSInstance:
                 hostname=hostname,
                 when=when,
                 application_data=application_data,
+                memo=memo,
             )
             attempts.append(retry)
             downgraded = True

@@ -21,7 +21,7 @@ from enum import Enum
 from .. import telemetry as _telemetry
 from ..pki.certificate import Certificate
 from ..tls.ciphersuites import REGISTRY
-from ..tls.engine import negotiate
+from ..tls.engine import MemoizableResponder, negotiate
 from ..tls.messages import ClientHello, ServerResponse
 from ..tls.versions import ProtocolVersion
 from .forge import AttackerToolbox
@@ -55,9 +55,15 @@ class AttackMode(Enum):
     UNKNOWN_CA = "UnknownCA"
 
 
-@dataclass
-class InterceptionProxy:
-    """An on-path TLS interceptor."""
+@dataclass(frozen=True)
+class InterceptionProxy(MemoizableResponder):
+    """An on-path TLS interceptor.
+
+    It forges each hostname's chain once and keeps it, as interception
+    tools keep a per-host certificate cache, so its answer is a pure
+    function of the hello; logging the hello is the part replayed on
+    every handshake.
+    """
 
     toolbox: AttackerToolbox
     mode: AttackMode
@@ -65,26 +71,38 @@ class InterceptionProxy:
     target_root: Certificate | None = None
     #: ClientHellos seen (interception tooling logs these).
     observed_hellos: list[ClientHello] = field(default_factory=list)
+    _chains: dict[str, tuple[Certificate, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def respond(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
-        self.observed_hellos.append(client_hello)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.registry.counter(
-                "iotls_interception_attempts_total",
-                "ClientHellos answered by the interception proxy, by attack mode.",
-            ).inc(mode=self.mode.value)
+        return self.replay(client_hello, self.answer(client_hello, when=when), when=when)
 
+    def answer(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
         if self.mode is AttackMode.INCOMPLETE_HANDSHAKE:
             return ServerResponse(incomplete=True)
 
         hostname = client_hello.server_name or "unknown.host"
-        chain = self._chain_for(hostname)
+        chain = self._chains.get(hostname)
+        if chain is None:
+            chain = self._chains[hostname] = self._chain_for(hostname)
         server_hello = negotiate(client_hello, _ATTACKER_VERSIONS, _ATTACKER_CIPHERS)
         if server_hello is None:
             # The attacker supports everything; reaching here means the
             # hello offered no suites we recognise.
             return ServerResponse(incomplete=True)
         return ServerResponse(server_hello=server_hello, certificate_chain=chain)
+
+    def replay(
+        self, client_hello: ClientHello, response: ServerResponse, *, when: datetime
+    ) -> ServerResponse:
+        self.observed_hellos.append(client_hello)
+        if _TELEMETRY.enabled:
+            _TELEMETRY.registry.counter(
+                "iotls_interception_attempts_total",
+                "ClientHellos answered by the interception proxy, by attack mode.",
+            ).inc(mode=self.mode.value)
+        return response
 
     def _chain_for(self, hostname: str) -> tuple[Certificate, ...]:
         if self.mode in (AttackMode.NO_VALIDATION, AttackMode.FAILED_HANDSHAKE):
@@ -102,8 +120,8 @@ class InterceptionProxy:
         raise AssertionError(f"unhandled mode {self.mode}")  # pragma: no cover
 
 
-@dataclass
-class VersionProbeResponder:
+@dataclass(frozen=True)
+class VersionProbeResponder(MemoizableResponder):
     """A responder that negotiates at most ``version`` with valid credentials.
 
     Used for the Table 6 experiment: will the device *establish* a
@@ -116,6 +134,9 @@ class VersionProbeResponder:
     chain: tuple[Certificate, ...]
 
     def respond(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
+        return self.answer(client_hello, when=when)
+
+    def answer(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
         server_hello = negotiate(client_hello, frozenset({self.version}), _ATTACKER_CIPHERS)
         if server_hello is None:
             return ServerResponse(incomplete=True)

@@ -15,6 +15,7 @@ than one that finds no name at all (``unknown_ca``).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from datetime import datetime
 from typing import Iterable, Iterator
@@ -24,16 +25,31 @@ from .name import DistinguishedName
 
 __all__ = ["RootStore"]
 
+_STORE_SERIALS = itertools.count(1)
+
 
 @dataclass
 class RootStore:
     """A mutable set of trusted root certificates.
 
     ``label`` names the owning platform or device (for reports).
+    ``serial`` is unique to this store within the process and
+    ``revision`` counts the changes made to it, so ``(serial,
+    revision)`` names the store's current contents without hashing
+    them (the handshake memo keys on it).
     """
 
     label: str = "unnamed"
     _by_subject: dict[tuple[str, str, str, str], list[Certificate]] = field(default_factory=dict)
+    serial: int = field(
+        default_factory=lambda: next(_STORE_SERIALS), init=False, repr=False, compare=False
+    )
+    revision: int = field(default=0, init=False, repr=False, compare=False)
+
+    def __setstate__(self, state: dict) -> None:
+        # An unpickled store is a new store in this process.
+        self.__dict__.update(state)
+        self.serial = next(_STORE_SERIALS)
 
     @classmethod
     def from_certificates(cls, label: str, certificates: Iterable[Certificate]) -> "RootStore":
@@ -48,6 +64,7 @@ class RootStore:
         bucket = self._by_subject.setdefault(key, [])
         if certificate not in bucket:
             bucket.append(certificate)
+            self.revision += 1
 
     def remove(self, certificate: Certificate) -> bool:
         """Remove a root; returns True when it was present."""
@@ -57,12 +74,15 @@ class RootStore:
             bucket.remove(certificate)
             if not bucket:
                 del self._by_subject[key]
+            self.revision += 1
             return True
         return False
 
     def remove_by_name(self, name: DistinguishedName) -> int:
         """Remove all roots with the given subject; returns count removed."""
         bucket = self._by_subject.pop(name.normalized_key(), [])
+        if bucket:
+            self.revision += 1
         return len(bucket)
 
     def find_by_subject(self, name: DistinguishedName) -> list[Certificate]:

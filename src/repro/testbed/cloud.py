@@ -18,11 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from ..devices.profile import ServerSpec
+from ..devices.profile import ServerEpoch, ServerSpec
 from ..pki.certificate import Certificate, CertificateAuthority
 from ..pki.revocation import RevocationRegistry
 from ..pki.simcrypto import KeyPair
-from ..tls.engine import negotiate
+from ..tls.ciphersuites import TLS_FALLBACK_SCSV
+from ..tls.engine import MemoizableResponder, negotiate
 from ..tls.messages import ClientHello, ServerResponse
 from ..tls.alerts import Alert, AlertDescription
 
@@ -34,9 +35,13 @@ def month_of(when: datetime) -> int:
     return (when.year - 2018) * 12 + when.month - 1
 
 
-@dataclass
-class CloudServer:
-    """One genuine TLS endpoint."""
+@dataclass(frozen=True)
+class CloudServer(MemoizableResponder):
+    """One genuine TLS endpoint.
+
+    Frozen: its answers depend only on the hello and the epoch in effect,
+    which is what lets the testbed's handshake memo key them that way.
+    """
 
     hostname: str
     spec: ServerSpec
@@ -46,7 +51,14 @@ class CloudServer:
 
     def respond(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
         """Answer a ClientHello per the epoch in effect at ``when``."""
-        epoch = self.spec.epoch_at(month_of(when))
+        return self.replay(client_hello, self.answer(client_hello, when=when), when=when)
+
+    def memo_key(self, when: datetime) -> ServerEpoch:
+        return self.spec.epoch_at(month_of(when))
+
+    def answer(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
+        """Negotiate per the epoch; the staple is left to :meth:`replay`."""
+        epoch = self.memo_key(when)
         server_hello = negotiate(
             client_hello,
             frozenset(epoch.versions),
@@ -54,8 +66,6 @@ class CloudServer:
             honor_fallback_scsv=self.spec.honor_fallback_scsv,
         )
         if server_hello is None:
-            from ..tls.ciphersuites import TLS_FALLBACK_SCSV
-
             description = AlertDescription.HANDSHAKE_FAILURE
             if (
                 self.spec.honor_fallback_scsv
@@ -63,13 +73,22 @@ class CloudServer:
             ):
                 description = AlertDescription.INAPPROPRIATE_FALLBACK
             return ServerResponse(alert=Alert.fatal(description))
-        staple = None
-        if self.spec.supports_stapling and client_hello.requests_ocsp_staple:
-            staple = self.registry.staple_for(self.chain[0], when=when)
+        return ServerResponse(server_hello=server_hello, certificate_chain=self.chain)
+
+    def replay(
+        self, client_hello: ClientHello, response: ServerResponse, *, when: datetime
+    ) -> ServerResponse:
+        """Staple a fresh OCSP response when both sides support stapling."""
+        if (
+            response.server_hello is None
+            or not self.spec.supports_stapling
+            or not client_hello.requests_ocsp_staple
+        ):
+            return response
         return ServerResponse(
-            server_hello=server_hello,
-            certificate_chain=self.chain,
-            ocsp_staple=staple,
+            server_hello=response.server_hello,
+            certificate_chain=response.certificate_chain,
+            ocsp_staple=self.registry.staple_for(self.chain[0], when=when),
         )
 
     @classmethod

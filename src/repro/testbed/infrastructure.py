@@ -10,12 +10,14 @@
   built lazily and cached,
 * runtime :class:`~repro.devices.device.Device` objects, also cached,
 * a :class:`~repro.testbed.capture.GatewayCapture` recording everything
-  that flows through :meth:`record_connection`.
+  that flows through :meth:`record_connection`,
+* the :class:`~repro.tls.engine.HandshakeMemo` its devices share, so
+  the pure work of a repeated handshake is done once per testbed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import partial
 
 from ..devices.catalog import build_catalog
 from ..devices.device import Device, DeviceConnection
@@ -23,9 +25,9 @@ from ..devices.profile import DestinationSpec, DeviceProfile
 from ..devices.rootstores import anchor_records
 from ..pki.certificate import CertificateAuthority
 from ..pki.name import DistinguishedName
-from ..pki.revocation import RevocationRegistry
+from ..pki.revocation import RevocationRegistry, RevocationStatus
 from ..roothistory.universe import RootStoreUniverse, build_default_universe
-from ..tls.engine import HandshakeResult
+from ..tls.engine import HandshakeMemo, HandshakeResult
 from .capture import GatewayCapture, TrafficRecord
 from .cloud import CloudServer, month_of
 
@@ -48,6 +50,7 @@ class Testbed:
         self._registries: dict[int, RevocationRegistry] = {}
         self._servers: dict[str, CloudServer] = {}
         self._devices: dict[str, Device] = {}
+        self.handshake_memo = HandshakeMemo()
 
     # ------------------------------------------------------------------
     # PKI / server infrastructure
@@ -106,29 +109,20 @@ class Testbed:
             self._devices[profile.name] = Device(
                 profile,
                 universe=self.universe,
-                revocation_transport=self.revocation_transport,
+                # Bound to the registries, not to the testbed: a device
+                # holding the testbed would make a reference cycle, and a
+                # finished run's testbed (memo included) would then wait
+                # for the cyclic garbage collector.
+                revocation_transport=partial(_fetch_revocation, self._registries),
+                handshake_memo=self.handshake_memo,
             )
         return self._devices[profile.name]
 
-    def revocation_transport(self, url: str, serial: int):
+    def revocation_transport(self, url: str, serial: int) -> RevocationStatus:
         """Device-side out-of-band revocation fetch: resolve a CRL or
         OCSP URL to the owning anchor's registry and answer for
         ``serial`` (Table 8's CRL/OCSP network signals)."""
-        from ..pki.revocation import RevocationStatus
-
-        for index in list(self._registries):
-            registry = self._registries[index]
-            if url in (registry.crl_url, registry.ocsp_url):
-                if url == registry.crl_url:
-                    registry.crl_fetches += 1
-                else:
-                    registry.ocsp.queries_served += 1
-                return (
-                    RevocationStatus.REVOKED
-                    if registry.is_revoked(serial)
-                    else RevocationStatus.GOOD
-                )
-        return RevocationStatus.UNKNOWN
+        return _fetch_revocation(self._registries, url, serial)
 
     def all_devices(self) -> list[Device]:
         return [self.device(profile) for profile in build_catalog()]
@@ -169,3 +163,17 @@ class Testbed:
             client_alert=alert.description.name.lower() if alert else None,
             downgraded=downgraded,
         )
+
+
+def _fetch_revocation(
+    registries: dict[int, RevocationRegistry], url: str, serial: int
+) -> RevocationStatus:
+    for registry in list(registries.values()):
+        if url == registry.crl_url:
+            registry.crl_fetches += 1
+        elif url == registry.ocsp_url:
+            registry.ocsp.queries_served += 1
+        else:
+            continue
+        return RevocationStatus.REVOKED if registry.is_revoked(serial) else RevocationStatus.GOOD
+    return RevocationStatus.UNKNOWN

@@ -10,7 +10,13 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["ProtocolVersion", "VersionBand", "DEPRECATED_VERSIONS", "MODERN_VERSIONS"]
+__all__ = [
+    "ProtocolVersion",
+    "VersionBand",
+    "DEPRECATED_VERSIONS",
+    "MODERN_VERSIONS",
+    "versions_between",
+]
 
 
 class ProtocolVersion(Enum):
@@ -86,3 +92,22 @@ class VersionBand(Enum):
 
 DEPRECATED_VERSIONS = frozenset(v for v in ProtocolVersion if v.is_deprecated)
 MODERN_VERSIONS = frozenset(v for v in ProtocolVersion if not v.is_deprecated)
+
+
+#: Every version, lowest first.
+_ASCENDING = tuple(sorted(ProtocolVersion, key=lambda version: version.wire))
+_RANK = {version: rank for rank, version in enumerate(_ASCENDING)}
+#: ``_SPANS[low][high]``: the versions from ``low`` to ``high`` inclusive.
+_SPANS = tuple(
+    tuple(frozenset(_ASCENDING[low : high + 1]) for high in range(len(_ASCENDING)))
+    for low in range(len(_ASCENDING))
+)
+
+
+def versions_between(low: ProtocolVersion, high: ProtocolVersion) -> frozenset[ProtocolVersion]:
+    """Every version from ``low`` to ``high`` inclusive (empty when ``low > high``).
+
+    A table lookup, because negotiation and the client's version check
+    ask it on every handshake.
+    """
+    return _SPANS[_RANK[low]][_RANK[high]]

@@ -19,9 +19,10 @@ terminology; devices host one or more instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from datetime import datetime
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Hashable
 
 from ..pki.revocation import RevocationMethod, RevocationStatus
 from ..pki.store import RootStore
@@ -42,7 +43,7 @@ from ..tls.extensions import (
     supported_versions_ext,
 )
 from ..tls.messages import ClientHello, ServerResponse
-from ..tls.versions import ProtocolVersion
+from ..tls.versions import ProtocolVersion, versions_between
 
 __all__ = ["AlertPolicy", "ClientConfig", "TLSLibrary", "LibraryClient"]
 
@@ -160,12 +161,37 @@ class TLSLibrary:
         return LibraryClient(library=self, config=config)
 
 
+#: The :class:`ClientConfig` fields the hello and the pure verdict read.
+#: The root store enters the memo key as its serial and revision; the
+#: revocation fields are read only by :meth:`LibraryClient.settle`,
+#: which runs on every handshake.
+_MEMO_FIELDS = (
+    "versions",
+    "cipher_codes",
+    "validate",
+    "check_hostname",
+    "check_validity",
+    "check_basic_constraints",
+    "request_ocsp_staple",
+    "send_sni",
+    "signature_schemes",
+    "groups",
+    "alpn",
+    "session_tickets",
+)
+_memo_fields = attrgetter(*_MEMO_FIELDS)
+
+
 @dataclass
 class LibraryClient(ClientBehavior):
     """A concrete TLS instance (library + configuration)."""
 
     library: TLSLibrary
     config: ClientConfig
+
+    def memo_key(self) -> Hashable:
+        store = self.config.root_store
+        return (self.library, _memo_fields(self.config), store.serial, store.revision)
 
     # ------------------------------------------------------------------
     # ClientHello construction
@@ -217,6 +243,12 @@ class LibraryClient(ClientBehavior):
     def evaluate_response(
         self, response: ServerResponse, *, hostname: str | None, when: datetime
     ) -> ClientVerdict:
+        return self.settle(self.assess(response, hostname=hostname, when=when), response)
+
+    def assess(
+        self, response: ServerResponse, *, hostname: str | None, when: datetime
+    ) -> ClientVerdict:
+        """Everything but revocation: version, cipher and chain checks."""
         config = self.config
         server_hello = response.server_hello
         if server_hello is None:
@@ -249,18 +281,26 @@ class LibraryClient(ClientBehavior):
             check_basic_constraints=config.check_basic_constraints,
         )
         if result.ok:
-            if self._revoked(response):
-                return ClientVerdict(
-                    accept=False,
-                    validation=result,
-                    alert=self._alert(AlertDescription.CERTIFICATE_REVOKED),
-                )
             return ClientVerdict(accept=True, validation=result)
         return ClientVerdict(
             accept=False,
             validation=result,
             alert=self._alert_for_validation(result),
         )
+
+    def settle(self, verdict: ClientVerdict, response: ServerResponse) -> ClientVerdict:
+        """Revocation, for a chain that validated.
+
+        Staples are issued per handshake and CRL/OCSP endpoints answer
+        from live state, so this runs on every handshake.
+        """
+        if verdict.accept and verdict.validation is not None and self._revoked(response):
+            return ClientVerdict(
+                accept=False,
+                validation=verdict.validation,
+                alert=self._alert(AlertDescription.CERTIFICATE_REVOKED),
+            )
+        return verdict
 
     def _revoked(self, response: ServerResponse) -> bool:
         """Revocation check per the instance's Table 8 method.
@@ -296,7 +336,7 @@ class LibraryClient(ClientBehavior):
             return False
         return transport(url, leaf.serial) is RevocationStatus.REVOKED
 
-    def _acceptable_versions(self) -> set[ProtocolVersion]:
+    def _acceptable_versions(self) -> frozenset[ProtocolVersion]:
         """Versions this instance will let a server choose.
 
         Pre-1.3 TLS semantics: offering a maximum implies accepting
@@ -304,11 +344,10 @@ class LibraryClient(ClientBehavior):
         model "compiled in" as the instance's configured version list
         plus everything between its min and max.
         """
-        versions = set(self.config.versions)
+        versions = self.config.versions
         if ProtocolVersion.TLS_1_3 in versions:
-            return versions
-        low, high = min(versions), max(versions)
-        return {v for v in ProtocolVersion if low <= v <= high}
+            return frozenset(versions)
+        return versions_between(min(versions), max(versions))
 
     def _alert(self, description: AlertDescription | None) -> Alert | None:
         if description is None or not self.library.sends_alerts:
