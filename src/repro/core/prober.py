@@ -27,6 +27,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 from .. import telemetry as _telemetry
 from ..devices.device import Device
@@ -292,8 +293,8 @@ class RootStoreProber:
         self,
         device: Device,
         *,
-        common: list[RootCARecord] | None = None,
-        deprecated: list[RootCARecord] | None = None,
+        common: Sequence[RootCARecord] | None = None,
+        deprecated: Sequence[RootCARecord] | None = None,
     ) -> DeviceProbeReport:
         """Calibrate, then sweep the common and deprecated probe sets."""
         with _TELEMETRY.tracer.span("probe.device", device=device.name):
@@ -303,8 +304,8 @@ class RootStoreProber:
         self,
         device: Device,
         *,
-        common: list[RootCARecord] | None = None,
-        deprecated: list[RootCARecord] | None = None,
+        common: Sequence[RootCARecord] | None = None,
+        deprecated: Sequence[RootCARecord] | None = None,
     ) -> DeviceProbeReport:
         plug = SmartPlug(device)
         with _TELEMETRY.tracer.span("probe.calibrate", device=device.name):

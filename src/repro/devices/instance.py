@@ -30,10 +30,21 @@ from ..tls.engine import (
 )
 from ..tls.extensions import NamedGroup, SignatureScheme
 from ..tls.versions import ProtocolVersion
-from ..tlslib.library import ClientConfig, TLSLibrary
+from ..tlslib.library import ClientConfig, LibraryClient, TLSLibrary
 from .policies import FallbackPolicy, FallbackTrigger, ValidationMode, ValidationPolicy
 
 __all__ = ["InstanceConfigSpec", "TLSInstanceSpec", "TLSInstance", "ConnectionAttempt"]
+
+
+def epoch_position(timeline: tuple[tuple[int, object], ...], month: int) -> int:
+    """Index of the ``(start month, epoch)`` entry in effect during ``month``:
+    the last one starting at or before it, clamped to the first."""
+    position = 0
+    for index, (epoch_month, _) in enumerate(timeline):
+        if month < epoch_month:
+            break
+        position = index
+    return position
 
 
 @dataclass(frozen=True)
@@ -80,13 +91,7 @@ class TLSInstanceSpec:
 
     def config_at(self, month: int) -> InstanceConfigSpec:
         """Configuration in effect during ``month`` (clamped at the ends)."""
-        chosen = self.timeline[0][1]
-        for epoch_month, spec in self.timeline:
-            if month >= epoch_month:
-                chosen = spec
-            else:
-                break
-        return chosen
+        return self.timeline[epoch_position(self.timeline, month)][1]
 
     @staticmethod
     def static(
@@ -130,6 +135,19 @@ class ConnectionAttempt:
         return self.final.established
 
 
+class _Clients:
+    """An instance's clients for one config epoch and validation state,
+    valid while the root store stays at ``revision``."""
+
+    __slots__ = ("first", "retry", "revision")
+
+    def __init__(self, first: LibraryClient, revision: int) -> None:
+        self.first = first
+        #: The fallback retry's client, built on first use.
+        self.retry: LibraryClient | None = None
+        self.revision = revision
+
+
 class TLSInstance:
     """Runtime TLS instance: spec + the owning device's root store.
 
@@ -137,6 +155,11 @@ class TLSInstance:
     owning device from its Table 8 behaviour; they override the spec's
     defaults when provided.  ``handshake_memo`` is the owning testbed's
     (see :class:`~repro.tls.engine.HandshakeMemo`).
+
+    A connection's client depends only on the config epoch in effect,
+    whether validation has been disabled and the root store's revision,
+    so the instance builds it (and its fallback retry's) once per
+    combination and reuses it.
     """
 
     def __init__(
@@ -155,6 +178,7 @@ class TLSInstance:
         self.handshake_memo = handshake_memo
         self._consecutive_failures = 0
         self._validation_disabled = False
+        self._clients: dict[tuple[int, bool], _Clients] = {}
 
     @property
     def name(self) -> str:
@@ -172,24 +196,33 @@ class TLSInstance:
         self._validation_disabled = False
 
     def client_config(self, month: int) -> ClientConfig:
-        """Materialise the library :class:`ClientConfig` for ``month``."""
-        spec = self.spec.config_at(month)
-        validation = self.spec.validation
-        validate = validation.validates and not self._validation_disabled
-        return ClientConfig(
-            versions=spec.versions,
-            cipher_codes=spec.cipher_codes,
-            root_store=self.root_store,
-            validate=validate,
-            check_hostname=validation.checks_hostname,
-            request_ocsp_staple=spec.request_ocsp_staple,
-            session_tickets=spec.session_tickets,
-            alpn=spec.alpn,
-            signature_schemes=spec.signature_schemes,
-            groups=spec.groups,
-            revocation_method=self.revocation_method or spec.revocation_method,
-            revocation_transport=self.revocation_transport,
-        )
+        """The library :class:`ClientConfig` in effect for ``month``."""
+        return self._clients_at(month).first.config
+
+    def _clients_at(self, month: int) -> _Clients:
+        position = epoch_position(self.spec.timeline, month)
+        key = (position, self._validation_disabled)
+        revision = self.root_store.revision
+        clients = self._clients.get(key)
+        if clients is None or clients.revision != revision:
+            spec = self.spec.timeline[position][1]
+            validation = self.spec.validation
+            config = ClientConfig(
+                versions=spec.versions,
+                cipher_codes=spec.cipher_codes,
+                root_store=self.root_store,
+                validate=validation.validates and not self._validation_disabled,
+                check_hostname=validation.checks_hostname,
+                request_ocsp_staple=spec.request_ocsp_staple,
+                session_tickets=spec.session_tickets,
+                alpn=spec.alpn,
+                signature_schemes=spec.signature_schemes,
+                groups=spec.groups,
+                revocation_method=self.revocation_method or spec.revocation_method,
+                revocation_transport=self.revocation_transport,
+            )
+            clients = self._clients[key] = _Clients(self.spec.library.client(config), revision)
+        return clients
 
     def connect(
         self,
@@ -207,11 +240,10 @@ class TLSInstance:
         opt out of the instance's retry-with-downgrade behaviour.
         """
         validation_was_disabled = self._validation_disabled
-        config = self.client_config(month)
-        client = self.spec.library.client(config)
+        clients = self._clients_at(month)
         memo = self.handshake_memo
         first = perform_handshake(
-            client,
+            clients.first,
             responder,
             hostname=hostname,
             when=when,
@@ -224,10 +256,10 @@ class TLSInstance:
         trigger = self._failure_trigger(first)
         fallback = self.spec.fallback if fallback_enabled else None
         if trigger is not None and fallback is not None and fallback.triggered_by(trigger):
-            downgraded_config = fallback.apply(config)
-            retry_client = self.spec.library.client(downgraded_config)
+            if clients.retry is None:
+                clients.retry = self.spec.library.client(fallback.apply(clients.first.config))
             retry = perform_handshake(
-                retry_client,
+                clients.retry,
                 responder,
                 hostname=hostname,
                 when=when,

@@ -25,9 +25,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import lru_cache
 
 from ..tls.versions import ProtocolVersion
-from .instance import TLSInstanceSpec
+from .instance import TLSInstanceSpec, epoch_position
 from .policies import RevocationBehavior
 
 __all__ = [
@@ -51,8 +52,13 @@ STUDY_MONTHS = 27
 ACTIVE_EXPERIMENT_MONTH = 38
 
 
+@lru_cache(maxsize=256)
 def month_to_date(month: int, day: int = 15) -> datetime:
-    """Convert a study-month index to a mid-month UTC datetime."""
+    """Convert a study-month index to a mid-month UTC datetime.
+
+    Cached: a campaign asks for the same few months per connection, and
+    datetimes are immutable.
+    """
     year = 2018 + month // 12
     return datetime(year, month % 12 + 1, day, tzinfo=timezone.utc)
 
@@ -112,13 +118,7 @@ class ServerSpec:
     honor_fallback_scsv: bool = False
 
     def epoch_at(self, month: int) -> ServerEpoch:
-        chosen = self.timeline[0][1]
-        for epoch_month, epoch in self.timeline:
-            if month >= epoch_month:
-                chosen = epoch
-            else:
-                break
-        return chosen
+        return self.timeline[epoch_position(self.timeline, month)][1]
 
     @staticmethod
     def static(

@@ -32,7 +32,7 @@ __all__ = ["ANCHOR_COUNT", "anchor_records", "build_device_store"]
 ANCHOR_COUNT = 8
 
 
-def anchor_records(universe: RootStoreUniverse) -> list[RootCARecord]:
+def anchor_records(universe: RootStoreUniverse) -> tuple[RootCARecord, ...]:
     """The designated anchor CAs every device store must contain."""
     return universe.common_records()[:ANCHOR_COUNT]
 
@@ -48,7 +48,7 @@ def build_device_store(
     anchors = commons[:ANCHOR_COUNT]
     others = commons[ANCHOR_COUNT:]
     common_count = min(max(profile.common_count, ANCHOR_COUNT), len(commons))
-    chosen_common = anchors + rng.sample(others, common_count - len(anchors))
+    chosen_common = [*anchors, *rng.sample(others, common_count - len(anchors))]
     for record in chosen_common:
         store.add(record.certificate)
 
@@ -60,7 +60,8 @@ def build_device_store(
             raise KeyError(f"{device_name}: forced deprecated root {name!r} not in universe")
         forced.append(by_name[name])
 
-    remaining = [record for record in deprecated if record.name not in set(profile.force_deprecated)]
+    forced_names = set(profile.force_deprecated)
+    remaining = [record for record in deprecated if record.name not in forced_names]
     target = min(profile.deprecated_count, len(deprecated))
     fill_count = max(0, target - len(forced))
     chosen_deprecated = forced + _weighted_sample(rng, remaining, fill_count, profile.recency_bias)
@@ -81,17 +82,15 @@ def _weighted_sample(
     if count >= len(records):
         return list(records)
     pool = list(records)
+    weights = [max((record.removal_year or 2020) - 2012, 1) ** recency_bias for record in pool]
     chosen: list[RootCARecord] = []
     for _ in range(count):
-        weights = [
-            max((record.removal_year or 2020) - 2012, 1) ** recency_bias for record in pool
-        ]
-        total = sum(weights)
-        pick = rng.random() * total
+        pick = rng.random() * sum(weights)
         cumulative = 0.0
         for index, weight in enumerate(weights):
             cumulative += weight
             if pick <= cumulative:
                 chosen.append(pool.pop(index))
+                weights.pop(index)
                 break
     return chosen

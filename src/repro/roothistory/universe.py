@@ -20,8 +20,9 @@ March-2021 probe date:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import attrgetter
 
 from .derive import derive_common_names, derive_deprecated_names
 from .platforms import PLATFORM_SPECS, PlatformHistory, build_history
@@ -120,6 +121,9 @@ _SYNTH_ORG_STEMS = (
 _SYNTH_COUNTRIES = ("US", "GB", "DE", "FR", "JP", "NL", "ES", "CA", "CH", "SE")
 
 
+_by_name = attrgetter("name")
+
+
 def _synthetic_name(kind: str, index: int) -> tuple[str, str, str]:
     stem = _SYNTH_ORG_STEMS[index % len(_SYNTH_ORG_STEMS)]
     country = _SYNTH_COUNTRIES[index % len(_SYNTH_COUNTRIES)]
@@ -127,39 +131,51 @@ def _synthetic_name(kind: str, index: int) -> tuple[str, str, str]:
     return (f"{stem} {kind} Root CA G{generation}", f"{stem} Inc", country)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RootStoreUniverse:
-    """All root-CA records, platform histories, and the derived sets."""
+    """All root-CA records, platform histories, and the derived sets.
+
+    The derived sets are computed once, at construction.  The default
+    universe is a process-wide singleton shared by every testbed and
+    thread, so it is frozen and callers get immutable tuples.
+    """
 
     records: dict[str, RootCARecord]
     histories: dict[str, PlatformHistory]
     probe_year: float
+    common_names: frozenset[str] = field(init=False, repr=False)
+    deprecated_names: frozenset[str] = field(init=False, repr=False)
+    _common: tuple[RootCARecord, ...] = field(init=False, repr=False)
+    _deprecated: tuple[RootCARecord, ...] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        common = frozenset(
+            derive_common_names(self.histories, self.records, probe_year=self.probe_year)
+        )
+        deprecated = frozenset(
+            derive_deprecated_names(self.histories, self.records, probe_year=self.probe_year)
+        )
+        object.__setattr__(self, "common_names", common)
+        object.__setattr__(self, "deprecated_names", deprecated)
+        object.__setattr__(self, "_common", self._sorted_records(common))
+        object.__setattr__(self, "_deprecated", self._sorted_records(deprecated))
+
+    def _sorted_records(self, names: frozenset[str]) -> tuple[RootCARecord, ...]:
+        return tuple(sorted((self.records[name] for name in names), key=_by_name))
 
     def record(self, name: str) -> RootCARecord:
         return self.records[name]
 
-    @property
-    def common_names(self) -> set[str]:
-        return derive_common_names(self.histories, self.records, probe_year=self.probe_year)
+    def common_records(self) -> tuple[RootCARecord, ...]:
+        return self._common
 
-    @property
-    def deprecated_names(self) -> set[str]:
-        return derive_deprecated_names(self.histories, self.records, probe_year=self.probe_year)
-
-    def common_records(self) -> list[RootCARecord]:
-        return sorted(
-            (self.records[name] for name in self.common_names), key=lambda r: r.name
-        )
-
-    def deprecated_records(self) -> list[RootCARecord]:
-        return sorted(
-            (self.records[name] for name in self.deprecated_names), key=lambda r: r.name
-        )
+    def deprecated_records(self) -> tuple[RootCARecord, ...]:
+        return self._deprecated
 
     def distrusted_records(self) -> list[RootCARecord]:
         return sorted(
             (record for record in self.records.values() if record.is_distrusted),
-            key=lambda r: r.name,
+            key=_by_name,
         )
 
     def history(self, platform: str) -> PlatformHistory:

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from datetime import datetime
 
-from ..devices.profile import ServerEpoch, ServerSpec
+from ..devices.instance import epoch_position
+from ..devices.profile import ServerSpec
 from ..pki.certificate import Certificate, CertificateAuthority
 from ..pki.revocation import RevocationRegistry
 from ..pki.simcrypto import KeyPair
@@ -53,12 +54,17 @@ class CloudServer(MemoizableResponder):
         """Answer a ClientHello per the epoch in effect at ``when``."""
         return self.replay(client_hello, self.answer(client_hello, when=when), when=when)
 
-    def memo_key(self, when: datetime) -> ServerEpoch:
-        return self.spec.epoch_at(month_of(when))
+    def memo_key(self, when: datetime) -> int:
+        """Position in ``spec.timeline`` of the epoch in effect at ``when``.
+
+        The memo groups entries per responder, so the position names the
+        epoch, and an int hashes in C where a ``ServerEpoch`` does not.
+        """
+        return epoch_position(self.spec.timeline, month_of(when))
 
     def answer(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
         """Negotiate per the epoch; the staple is left to :meth:`replay`."""
-        epoch = self.memo_key(when)
+        epoch = self.spec.timeline[self.memo_key(when)][1]
         server_hello = negotiate(
             client_hello,
             frozenset(epoch.versions),

@@ -366,11 +366,11 @@ class HandshakeMemo:
     (library, hello and validation settings, root store and its
     revision), the hostname and the responder's
     :meth:`~MemoizableResponder.memo_key` at the handshake time (for a
-    cloud server, the epoch in effect that month).  It holds the
-    ClientHello, the pure answer and the client's pure verdicts, the
-    latter keyed by where the handshake time falls in each presented
-    certificate's validity window (before, inside, after): the only way
-    time enters a verdict.
+    cloud server, the position of the epoch in effect that month).  It
+    holds the ClientHello, the pure answer and the client's pure
+    verdicts, the latter keyed by where the handshake time falls in each
+    presented certificate's validity window (before, inside, after): the
+    only way time enters a verdict.
 
     Entries are grouped by responder and dropped when the responder
     dies, so a discarded interception proxy's answers do not outlive it.

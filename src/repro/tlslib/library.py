@@ -182,16 +182,50 @@ _MEMO_FIELDS = (
 _memo_fields = attrgetter(*_MEMO_FIELDS)
 
 
-@dataclass
+class _StaticKey:
+    """A client's library and keyed config fields, hashed once.
+
+    Those hold frozen dataclasses and enums whose hashes run in Python,
+    and the memo looks the key up on every handshake.  Equality is by
+    content, so equal configs on different clients share memo entries.
+    """
+
+    __slots__ = ("parts", "_hash")
+
+    def __init__(self, parts: tuple) -> None:
+        self.parts = parts
+        self._hash = hash(parts)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if self is other:
+            return True
+        if not isinstance(other, _StaticKey):
+            return NotImplemented
+        return self._hash == other._hash and self.parts == other.parts
+
+
+@dataclass(frozen=True)
 class LibraryClient(ClientBehavior):
-    """A concrete TLS instance (library + configuration)."""
+    """A concrete TLS instance (library + configuration).
+
+    Frozen, so the static part of :meth:`memo_key` is computed once.
+    """
 
     library: TLSLibrary
     config: ClientConfig
 
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self, "_static_key", _StaticKey((self.library, _memo_fields(self.config)))
+        )
+
     def memo_key(self) -> Hashable:
+        # The store's contents can change under a live client: read them now.
         store = self.config.root_store
-        return (self.library, _memo_fields(self.config), store.serial, store.revision)
+        return (self._static_key, store.serial, store.revision)
 
     # ------------------------------------------------------------------
     # ClientHello construction

@@ -22,18 +22,20 @@ import weakref
 from datetime import timedelta
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import api, telemetry
 from repro.devices import build_catalog, device_by_name
 from repro.devices.profile import STUDY_MONTHS, month_to_date
 from repro.devices.policies import RevocationBehavior
+from repro.longitudinal import PassiveTraceGenerator
 from repro.mitm import AttackMode, AttackerToolbox, InterceptionProxy, VersionProbeResponder
 from repro.pki import certificate
 from repro.pki.revocation import RevocationMethod
 from repro.pki.validation import ValidationErrorCode
 from repro.roothistory import build_default_universe
 from repro.testbed import Testbed
+from repro.testbed.cloud import month_of
 from repro.tls import HandshakeState, ProtocolVersion, engine
 from repro.tlslib import ClientConfig, library
 
@@ -95,6 +97,16 @@ def _scenario(testbed: Testbed, names: list[str], month: int, seed: int) -> dict
             # Mostly inside the study, sometimes far enough out that the
             # presented certificates are not yet valid or have expired.
             years = rng.choice((0, 0, 0, -12, 18))
+            if (
+                round_number == 0
+                and device.name in _ALWAYS
+                and responder is testbed.server_for(destination)
+            ):
+                # Revocation is checked only for a chain that validates, so
+                # the first pass's genuine connections of the always-driven
+                # devices stay inside the validity window: every example
+                # then fetches a CRL and asks an OCSP responder.
+                years = 0
             when = month_to_date(month) + timedelta(days=rng.randrange(28) + 365 * years)
             connection = device.connect_destination(
                 destination, responder, month=month + round_number, when=when
@@ -148,6 +160,9 @@ def _run(names: list[str], month: int, seed: int, *, memoised: bool) -> dict:
     extra=st.lists(st.sampled_from(sorted(_PROFILES)), max_size=3, unique=True),
     month=st.integers(min_value=0, max_value=STUDY_MONTHS - 2),
 )
+# Regression: with the first pass's genuine connections dated at random,
+# this draw's CRL-only device never fetched a CRL.
+@example(seed=9186058, extra=["Amazon Echo Dot"], month=0)
 def test_memoised_equals_unmemoised(seed, extra, month):
     names = sorted(set(_ALWAYS) | set(extra))
     _run(names, month, seed, memoised=True)  # warm-up
@@ -194,6 +209,88 @@ def test_root_store_change_is_not_a_stale_hit():
     assert final.verdict.validation.code is ValidationErrorCode.UNKNOWN_CA
     assert final.client_alert.description.name == "UNKNOWN_CA"
     assert len(testbed.handshake_memo) > entries
+
+
+def test_instance_builds_a_client_only_when_its_inputs_change(monkeypatch):
+    """A client depends on the config epoch, the validation state and the
+    root store's revision, so only a change to one of them builds one."""
+    built = []
+    original_init = ClientConfig.__init__
+
+    def counting_init(self, *args, **kwargs):
+        original_init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(ClientConfig, "__init__", counting_init)
+    testbed = Testbed(_UNIVERSE)
+    memo = testbed.handshake_memo
+
+    def builds(device, destination, responder, month, day=15):
+        before = len(built)
+        connection = device.connect_destination(
+            destination, responder, month=month, when=month_to_date(month, day)
+        )
+        return len(built) - before, connection.attempt.final
+
+    apple = testbed.device("Apple TV")  # config epochs from months 0, 9 and 16
+    destination = apple.profile.destinations[0]
+    server = testbed.server_for(destination)
+    assert builds(apple, destination, server, 2)[0] == 1
+    assert builds(apple, destination, server, 2, day=3)[0] == 0
+    assert builds(apple, destination, server, 10)[0] == 1
+    assert builds(apple, destination, server, 12)[0] == 0
+
+    yi = testbed.device("Yi Camera")  # disables validation after 3 failures
+    instance = yi.instance("yi-tls")
+    destination = next(d for d in yi.profile.destinations if d.instance == "yi-tls")
+    proxy = InterceptionProxy(
+        toolbox=AttackerToolbox(issuing_ca=testbed.anchor(0)), mode=AttackMode.UNKNOWN_CA
+    )
+    assert builds(yi, destination, proxy, 20)[0] == 1
+    while not instance.validation_disabled:
+        count, final = builds(yi, destination, proxy, 20)
+        assert count == 0
+        assert final.state is HandshakeState.CLIENT_REJECTED
+    entries = len(memo)
+    count, final = builds(yi, destination, proxy, 20)
+    assert count == 1
+    assert final.state is HandshakeState.ESTABLISHED
+    assert len(memo) == entries + 1  # a miss: the client no longer validates
+    assert builds(yi, destination, proxy, 20)[0] == 0
+
+    destination = apple.profile.destinations[0]
+    assert apple.root_store.remove_by_name(server.chain[-1].issuer) > 0
+    count, final = builds(apple, destination, server, 12)
+    assert count == 1
+    assert final.state is HandshakeState.CLIENT_REJECTED
+    assert builds(apple, destination, server, 12)[0] == 0
+
+
+def test_trace_memo_holds_one_entry_per_distinct_input(monkeypatch):
+    """Keying by epoch position and a hashed-once client key partitions a
+    trace's handshakes exactly as the declared inputs do."""
+    inputs = set()
+    original = engine.HandshakeMemo.handshake
+
+    def recording(self, client, client_key, responder, hostname, when, application_data):
+        config, month = client.config, month_of(when)
+        inputs.add(
+            (
+                id(responder),
+                client.library,
+                library._memo_fields(config),
+                config.root_store.serial,
+                config.root_store.revision,
+                hostname,
+                responder.spec.epoch_at(month),
+            )
+        )
+        return original(self, client, client_key, responder, hostname, when, application_data)
+
+    monkeypatch.setattr(engine.HandshakeMemo, "handshake", recording)
+    testbed = Testbed(_UNIVERSE)
+    PassiveTraceGenerator(testbed, scale=40).generate()
+    assert len(testbed.handshake_memo) == len(inputs) > 0
 
 
 def test_trace_run_releases_its_testbed(tmp_path, monkeypatch):
