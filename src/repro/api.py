@@ -189,8 +189,6 @@ class ExecutionOptions:
 
     #: Worker processes for device sharding; output is identical for any N.
     workers: int = 1
-    #: Keep one warm worker pool alive across a run's parallel phases.
-    warm_pool: bool = True
     #: Enable the telemetry subsystem for this run.
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
@@ -225,10 +223,6 @@ class RunConfig:
     seed: str = "iotls-passive"
     #: Worker processes for device sharding; output is identical for any N.
     workers: int = 1
-    #: Keep one warm worker pool alive across a run's parallel phases
-    #: (no-op at ``workers=1``).  Off falls back to an ephemeral pool
-    #: per dispatch; results are identical either way.
-    warm_pool: bool = True
     #: Enable the telemetry subsystem for this run.
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
@@ -270,7 +264,6 @@ class RunConfig:
         """The host-local half: how this config executes."""
         return ExecutionOptions(
             workers=self.workers,
-            warm_pool=self.warm_pool,
             telemetry=self.telemetry,
             stream=self.stream,
             progress=self.progress,
@@ -292,7 +285,6 @@ class RunConfig:
             device=request.device,
             limit=request.limit,
             workers=options.workers,
-            warm_pool=options.warm_pool,
             telemetry=options.telemetry,
             stream=options.stream,
             progress=options.progress,
@@ -776,7 +768,7 @@ def _execute_trace(
     with _ledger_session(config, "trace", _trace_params(config)) as note:
         with _progress_session(
             config, heartbeat_path, label="trace"
-        ) as reporter, pool_session(config.workers, enabled=config.warm_pool) as pool:
+        ) as reporter, pool_session(config.workers) as pool:
             if streaming:
                 pipeline = TraceAnalysisPipeline()
                 writer = None
@@ -864,7 +856,7 @@ def _execute_audit(
     with _ledger_session(config, "audit", params) as note:
         with _progress_session(
             config, heartbeat_path, label="audit"
-        ) as reporter, pool_session(config.workers, enabled=config.warm_pool) as pool:
+        ) as reporter, pool_session(config.workers) as pool:
             results = ActiveExperimentCampaign().run(
                 include_passthrough=config.include_passthrough, workers=config.workers
             )
@@ -970,9 +962,9 @@ def _execute_report(
     with _ledger_session(config, "report", _report_params(config)) as note:
         with _progress_session(
             config, heartbeat_path, label="report"
-        ) as reporter, pool_session(config.workers, enabled=config.warm_pool) as pool:
+        ) as reporter, pool_session(config.workers) as pool:
             # One pool session spans both phases: the campaign's shards and
-            # the trace's shards land on the same warm processes, so the
+            # the trace's chunks land on the same warm processes, so the
             # spawn + import + testbed cost is paid once per run, not once
             # per phase.
             notify("running active campaign...")
@@ -1020,7 +1012,7 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
     params = _pcap_params(config)
     limit = config.limit
     with _ledger_session(config, "pcap", params) as note:
-        with pool_session(config.workers, enabled=config.warm_pool) as pool:
+        with pool_session(config.workers) as pool:
             capture = PassiveTraceGenerator(
                 scale=config.scale, seed=config.seed
             ).generate(workers=config.workers)
@@ -1053,7 +1045,7 @@ def _execute_check(
     from .analysis.drift import audit_fresh_run
 
     _configure_telemetry(config)
-    with pool_session(config.workers, enabled=config.warm_pool):
+    with pool_session(config.workers):
         report = audit_fresh_run(
             scale=config.scale,
             seed=config.seed,

@@ -128,12 +128,6 @@ def add_run_options(parser: argparse.ArgumentParser, command: str) -> None:
             help="worker processes for device sharding (default 1 = in-process); "
             "output is identical for any N",
         )
-        parser.add_argument(
-            "--no-warm-pool",
-            action="store_true",
-            help="spawn a fresh worker pool per parallel phase instead of "
-            "keeping one warm pool for the whole run (output is identical)",
-        )
     if "manifest" in supported:
         parser.add_argument(
             "--manifest",
@@ -202,7 +196,6 @@ class RunOptions:
     telemetry: bool = False
     metrics_out: str | None = None
     workers: int = 1
-    warm_pool: bool = True
     manifest: str | None = None
     profile: bool = False
     profile_out: str | None = None
@@ -248,7 +241,6 @@ def resolve_run_options(args: argparse.Namespace) -> RunOptions:
         telemetry=bool(getattr(args, "telemetry", False)),
         metrics_out=getattr(args, "metrics_out", None),
         workers=getattr(args, "workers", 1),
-        warm_pool=not getattr(args, "no_warm_pool", False),
         manifest=getattr(args, "manifest", None),
         profile=bool(getattr(args, "profile", False)),
         profile_out=getattr(args, "profile_out", None),
@@ -545,7 +537,6 @@ def _cmd_audit(args, opts: RunOptions) -> int:
     result = api.run_audit(
         api.RunConfig(
             workers=opts.workers,
-            warm_pool=opts.warm_pool,
             include_passthrough=not args.no_passthrough,
             progress=opts.progress,
             heartbeat_interval=opts.heartbeat_interval,
@@ -646,7 +637,6 @@ def _cmd_trace(args, opts: RunOptions) -> int:
             scale=args.scale,
             seed=args.seed,
             workers=opts.workers,
-            warm_pool=opts.warm_pool,
             stream=streaming,
             flow_cap=args.flow_cap,
             progress=opts.progress,
@@ -717,7 +707,6 @@ def _cmd_report(args, opts: RunOptions) -> int:
         api.RunConfig(
             scale=args.scale,
             workers=opts.workers,
-            warm_pool=opts.warm_pool,
             progress=opts.progress,
             heartbeat_interval=opts.heartbeat_interval,
             ledger=opts.ledger_path,
@@ -739,7 +728,6 @@ def _cmd_pcap(args, opts: RunOptions) -> int:
         api.RunConfig(
             scale=args.scale,
             workers=opts.workers,
-            warm_pool=opts.warm_pool,
             ledger=opts.ledger_path,
         ),
         out=args.out,
@@ -776,7 +764,6 @@ def _cmd_check(args, opts: RunOptions) -> int:
                     scale=args.scale,
                     seed=args.seed,
                     workers=opts.workers,
-                    warm_pool=opts.warm_pool,
                     ledger=opts.ledger_path,
                 ),
                 expected_path=args.expected,
@@ -1007,7 +994,6 @@ def _cmd_serve(args, opts: RunOptions) -> int:
         queue_size=args.queue_size,
         executors=args.executors,
         workers=opts.workers,
-        warm_pool=opts.warm_pool,
         ledger=opts.ledger_path,
         artifact_dir=args.artifact_dir,
         access_log=args.access_log,

@@ -19,6 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
+from typing import Sequence
 
 from .. import telemetry as _telemetry
 from ..devices.catalog import active_devices
@@ -187,16 +188,15 @@ class ActiveExperimentCampaign:
         return results
 
     def _run_parallel(self, include_passthrough: bool, workers: int) -> CampaignResults:
-        """Shard the roster across worker processes, merge in catalog order."""
-        from ..parallel import CampaignShardTask, ShardedExecutor, run_campaign_shard
+        """Shard the roster onto the session pool, merge in catalog order."""
+        from ..parallel import CampaignShardTask, pool_session, run_campaign_shard
 
         order = [profile.name for profile in active_devices()]
-        executor = ShardedExecutor(workers)
         # Stitching anchor for the campaign: workers' shard.run spans
         # re-parent under this dispatch span on merge.
         with _TELEMETRY.tracer.span(
             "parallel.dispatch", workers=workers, devices=len(order)
-        ):
+        ), pool_session(workers) as pool:
             context = _TELEMETRY.tracer.propagation_context(
                 "campaign", include_passthrough, workers
             )
@@ -209,9 +209,9 @@ class ActiveExperimentCampaign:
                     event_level=_TELEMETRY.events.level,
                     trace_context=context.to_dict() if context is not None else None,
                 )
-                for worker_id, shard in enumerate(executor.shard(order))
+                for worker_id, shard in enumerate(round_robin_shards(order, workers))
             ]
-            shard_results = executor.map_tasks(run_campaign_shard, tasks)
+            shard_results = pool.map(run_campaign_shard, tasks)
         if _TELEMETRY.enabled:
             _TELEMETRY.merge_worker_states([result.telemetry for result in shard_results])
         outcomes = {
@@ -234,3 +234,16 @@ class ActiveExperimentCampaign:
             if include_passthrough:
                 results.passthrough.append(outcome.passthrough)
         return results
+
+
+def round_robin_shards(items: Sequence, workers: int) -> list[list]:
+    """Partition ``items`` round-robin into at most ``workers`` shards.
+
+    Shard ``i`` holds ``items[i::n]``, so long-running devices spread
+    evenly instead of clustering in one contiguous chunk; within a shard
+    the original order is kept.  Empty shards are never produced.
+    """
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
+    count = max(1, min(workers, len(items)))
+    return [list(items[index::count]) for index in range(count)]

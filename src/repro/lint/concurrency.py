@@ -76,8 +76,6 @@ SEEDED_BLOCKING_QUALNAMES = frozenset(
     {
         "repro.parallel.pool.WarmWorkerPool.map",
         "repro.parallel.pool.WarmWorkerPool.imap",
-        "repro.parallel.executor.ShardedExecutor.map_tasks",
-        "repro.parallel.executor.ShardedExecutor.imap_tasks",
     }
 )
 
@@ -537,7 +535,7 @@ def _spawn_crossing_classes(graph: ProjectGraph) -> set[str]:
                 continue
             if not (
                 isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("map", "imap", "map_tasks", "imap_tasks", "submit")
+                and node.func.attr in ("map", "imap", "submit")
             ):
                 continue
             class_qual = _enclosing_class(graph, module, node)

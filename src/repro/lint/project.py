@@ -19,7 +19,7 @@ builds
 * a thread-entry map: every project function handed to
   ``asyncio.to_thread``, ``threading.Thread(target=...)``, executor
   ``submit``/``run_in_executor``, pool ``initializer=``, or a
-  ``map``/``imap``/``map_tasks``/``imap_tasks`` dispatch, plus the
+  ``map``/``imap`` dispatch, plus the
   transitive closure of functions reachable from those entries,
 * declared locks: module-level ``NAME = threading.Lock()`` constants
   and per-class lock attributes (class-body or ``self.x = Lock()``).
@@ -53,8 +53,8 @@ LOCK_FACTORIES = frozenset(
 
 #: Attribute-call names that dispatch their first argument onto another
 #: thread or process (executor/pool protocols, including this repo's
-#: WarmWorkerPool/ShardedExecutor surface).
-DISPATCH_ATTRS = frozenset({"submit", "map", "imap", "map_tasks", "imap_tasks"})
+#: WarmWorkerPool surface).
+DISPATCH_ATTRS = frozenset({"submit", "map", "imap"})
 
 
 @dataclass

@@ -16,7 +16,9 @@ fast, while benchmarks raise it toward the study's full volume.
 from __future__ import annotations
 
 import random
+from contextlib import closing
 from time import perf_counter
+from typing import Iterator
 
 from .. import telemetry as _telemetry
 from ..devices.catalog import passive_devices
@@ -190,39 +192,15 @@ class PassiveTraceGenerator:
                 )
             )
 
-    def generate_device_instrumented(
-        self, profile: DeviceProfile, capture: CaptureSink
-    ) -> None:
-        """:meth:`generate_device` inside the per-device telemetry envelope.
-
-        The serial loop and the parallel workers both route through this
-        method, so the span, counter, and event a device produces are
-        identical whichever process replays it -- the property that makes
-        merged parallel counter totals equal the serial ones.
-        """
-        if not _TELEMETRY.enabled:
-            self.generate_device(profile, capture)
-            return
-        before = capture.records_seen
-        with _TELEMETRY.tracer.span("trace.device", device=profile.name) as span:
-            self.generate_device(profile, capture)
-            span.annotate(flow_records=capture.records_seen - before)
-        _TELEMETRY.registry.counter(
-            "iotls_trace_devices_total", "Devices replayed by the trace generator."
-        ).inc()
-        _TELEMETRY.events.debug(
-            "trace.device_complete",
-            device=profile.name,
-            flow_records=capture.records_seen - before,
-        )
-
     def _device_chunk_instrumented(self, profile: DeviceProfile) -> RecordChunk:
         """:meth:`generate_device_chunk` in the per-device telemetry envelope.
 
-        The streaming counterpart of :meth:`generate_device_instrumented`:
-        same span, counter, and debug event, with ``flow_records`` equal
-        to the chunk's base-record count -- exactly what the old staging
-        capture would have reported before any flow-cap splitting.
+        Every path -- materialise, stream, and the pool's chunk tasks --
+        replays a device through this method, so the span, counter, and
+        event a device produces are identical whichever process replays
+        it: the property that makes merged parallel counter totals equal
+        the serial ones.  ``flow_records`` is the chunk's base-record
+        count, before any flow-cap splitting.
         """
         if not _TELEMETRY.enabled:
             return self.generate_device_chunk(profile)
@@ -243,14 +221,13 @@ class PassiveTraceGenerator:
     def generate(self, *, workers: int = 1) -> GatewayCapture:
         """The full 27-month capture for all 40 devices.
 
-        ``workers=1`` (the default) replays every device in-process,
-        exactly as before.  ``workers>1`` shards the catalog across that
-        many worker processes via :class:`repro.parallel.ShardedExecutor`
-        and merges the per-device captures in catalog order; because
-        every flow's RNG is keyed by ``(seed, device, hostname, month)``,
-        the merged capture is byte-identical to the serial one.  Parallel
-        workers rebuild the *default* testbed, so a generator constructed
-        over a custom universe must run serially.
+        ``workers=1`` (the default) replays every device in-process.
+        ``workers>1`` replays one device per task on the session pool
+        (:meth:`_chunks`) and folds the chunks in catalog order;
+        because every flow's RNG is keyed by ``(seed, device, hostname,
+        month)``, the capture is byte-identical to the serial one.  Pool
+        workers rebuild the *default* testbed, so a generator
+        constructed over a custom universe must run serially.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -289,74 +266,17 @@ class PassiveTraceGenerator:
         return capture
 
     def _generate(self, workers: int) -> GatewayCapture:
-        if workers == 1:
-            capture = GatewayCapture()
-            target: CaptureSink = (
-                capture
-                if self.flow_cap is None
-                else FlowRecordChunker(capture, self.flow_cap)
-            )
-            progress = _TELEMETRY.progress
-            for profile in passive_devices():
-                before = target.records_seen
-                self.generate_device_instrumented(profile, target)
-                if progress is not None:
-                    progress.advance(
-                        target.records_seen - before, stage="trace.device"
-                    )
-            return capture
-        return self._generate_parallel(workers)
-
-    def _generate_parallel(self, workers: int) -> GatewayCapture:
-        """Shard the catalog across worker processes and merge in order."""
-        from ..parallel import ShardedExecutor, TraceShardTask, run_trace_shard
-
-        order = [profile.name for profile in passive_devices()]
-        executor = ShardedExecutor(workers)
-        # The dispatch span is the stitching anchor: the propagated
-        # context snapshots the open span path (trace.generate;
-        # parallel.dispatch), and merge re-parents worker spans there.
-        with _TELEMETRY.tracer.span(
-            "parallel.dispatch", workers=workers, devices=len(order)
-        ):
-            context = _TELEMETRY.tracer.propagation_context(
-                "trace.generate", self.seed, self.scale, workers
-            )
-            tasks = [
-                TraceShardTask(
-                    worker_id=worker_id,
-                    device_names=tuple(shard),
-                    seed=self.seed,
-                    scale=self.scale,
-                    telemetry=_TELEMETRY.enabled,
-                    event_level=_TELEMETRY.events.level,
-                    # With a flow cap the parent re-ingests (and counts) the
-                    # records post-split; workers must stage uncounted.
-                    count_records=self.flow_cap is None,
-                    trace_context=context.to_dict() if context is not None else None,
-                )
-                for worker_id, shard in enumerate(executor.shard(order))
-            ]
-            results = executor.map_tasks(run_trace_shard, tasks)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.merge_worker_states([result.telemetry for result in results])
-        shards = {
-            device: capture for result in results for device, capture in result.captures
-        }
-        progress = _TELEMETRY.progress
-        if progress is not None:
-            for device in order:
-                progress.advance(len(shards[device].records), stage="trace.device")
-        if self.flow_cap is None:
-            return GatewayCapture.merged(shards, order)
         capture = GatewayCapture()
-        chunker = FlowRecordChunker(capture, self.flow_cap)
-        for device in order:
-            shard = shards[device]
-            for record in shard.records:
-                chunker.add(record)
-            for event in shard.revocation_events:
-                capture.add_revocation_event(event)
+        target: CaptureSink = (
+            capture if self.flow_cap is None else FlowRecordChunker(capture, self.flow_cap)
+        )
+        progress = _TELEMETRY.progress
+        with closing(self._chunks(workers, "trace.generate")) as chunks:
+            for chunk in chunks:
+                before = target.records_seen
+                sink_add_batch(target, chunk)
+                if progress is not None:
+                    progress.advance(target.records_seen - before, stage="trace.device")
         return capture
 
     # ------------------------------------------------------------------
@@ -372,12 +292,11 @@ class PassiveTraceGenerator:
         Peak memory is one device's chunk, O(devices x months) cells,
         independent of ``scale`` and ``flow_cap``.
 
-        ``workers>1`` runs one task per device on a persistent process
-        pool (:meth:`repro.parallel.ShardedExecutor.imap_tasks`) and
-        folds chunks home in catalog order, so the sink observes exactly
-        the serial arrival order -- streaming output and run manifests
-        are invariant under ``workers``, and match the materialised
-        path's byte for byte.
+        ``workers>1`` runs one task per device on the session pool
+        (:meth:`_chunks`) and folds chunks home in catalog order, so
+        the sink observes exactly the serial arrival order -- streaming
+        output and run manifests are invariant under ``workers``, and
+        match the materialised path's byte for byte.
 
         A ``flow_cap`` splits batched records just before ``sink`` --
         *virtually* on the columnar path: the chunker stamps the cap on
@@ -435,38 +354,47 @@ class PassiveTraceGenerator:
 
     def _stream(self, target: CaptureSink, workers: int) -> int:
         """Feed ``target`` device by device; returns the peak staging depth."""
-        if workers > 1:
-            return self._stream_parallel(target, workers)
         peak = 0
         progress = _TELEMETRY.progress
-        for profile in passive_devices():
-            chunk = self._device_chunk_instrumented(profile)
-            peak = max(peak, len(chunk))
-            sink_add_batch(target, chunk)
-            # Record counts flow through the stream's ProgressSink; here
-            # only the per-device staging stage is tallied.
-            if progress is not None:
-                progress.advance(0, stage="trace.device")
+        with closing(self._chunks(workers, "trace.stream")) as chunks:
+            for chunk in chunks:
+                peak = max(peak, len(chunk))
+                sink_add_batch(target, chunk)
+                # Record counts flow through the stream's ProgressSink;
+                # here only the per-device staging stage is tallied.
+                if progress is not None:
+                    progress.advance(0, stage="trace.device")
         return peak
 
-    def _stream_parallel(self, target: CaptureSink, workers: int) -> int:
-        """One task per device on a persistent pool, folded in catalog order."""
-        from ..parallel import ShardedExecutor, TraceChunkTask, run_trace_chunk
+    # ------------------------------------------------------------------
+    def _chunks(self, workers: int, root: str) -> Iterator[RecordChunk]:
+        """Every device's chunk, in catalog order.
+
+        ``workers=1`` replays devices in-process.  Otherwise each device
+        is one task on the session pool and chunks come home through
+        ``Pool.imap`` in task order.  ``root`` names the run's root span
+        (``trace.generate`` or ``trace.stream``).  The dispatch span
+        wraps task fan-out *and* the caller's fold (chunks stream home
+        as they finish); the context it anchors re-parents every worker
+        ``chunk.run`` under ``root;parallel.dispatch`` once the workers'
+        telemetry merges, after the last chunk.  Callers consume it
+        under ``contextlib.closing`` so a failing fold exits the span
+        and the pool session at once, not when the generator is
+        collected.
+        """
+        if workers == 1:
+            for profile in passive_devices():
+                yield self._device_chunk_instrumented(profile)
+            return
+        from ..parallel import TraceChunkTask, pool_session, run_trace_chunk
 
         order = [profile.name for profile in passive_devices()]
-        executor = ShardedExecutor(workers)
         states = []
-        peak = 0
-        progress = _TELEMETRY.progress
-        # The dispatch span wraps task fan-out *and* the fold loop (the
-        # coordinator streams chunks home as they finish); the context it
-        # anchors re-parents every chunk.run under trace.stream;
-        # parallel.dispatch on merge.
         with _TELEMETRY.tracer.span(
             "parallel.dispatch", workers=workers, devices=len(order)
-        ):
+        ), pool_session(workers) as pool:
             context = _TELEMETRY.tracer.propagation_context(
-                "trace.stream", self.seed, self.scale, workers
+                root, self.seed, self.scale, workers
             )
             tasks = [
                 TraceChunkTask(
@@ -480,14 +408,9 @@ class PassiveTraceGenerator:
                 )
                 for index, name in enumerate(order)
             ]
-            for result in executor.imap_tasks(run_trace_chunk, tasks):
-                chunk = result.chunk
-                peak = max(peak, len(chunk))
-                sink_add_batch(target, chunk)
+            for result in pool.imap(run_trace_chunk, tasks):
                 if result.telemetry is not None:
                     states.append(result.telemetry)
-                if progress is not None:
-                    progress.advance(0, stage="trace.device")
-        if _TELEMETRY.enabled and states:
+                yield result.chunk
+        if states:
             _TELEMETRY.merge_worker_states(states)
-        return peak

@@ -1,40 +1,31 @@
 """Deterministic parallel execution for the heavy pipelines.
 
-``repro.parallel`` shards device-keyed workloads across worker
-processes and merges the results in catalog order, so a ``workers=N``
-run produces byte-identical artifacts to the serial one (see
-``docs/architecture.md`` for the sharding/merge model and the
+``repro.parallel`` runs device-keyed workloads on one session pool of
+worker processes and merges the results in catalog order, so a
+``workers=N`` run produces byte-identical artifacts to the serial one
+(see ``docs/architecture.md`` for the dispatch/merge model and the
 determinism argument).
 """
 
-from .executor import ShardedExecutor
-from .pool import WarmWorkerPool, active_pool, pool_session
+from .pool import WarmWorkerPool, pool_session
 from .workers import (
     CampaignDeviceOutcome,
     CampaignShardResult,
     CampaignShardTask,
     TraceChunkResult,
     TraceChunkTask,
-    TraceShardResult,
-    TraceShardTask,
     run_campaign_shard,
     run_trace_chunk,
-    run_trace_shard,
 )
 
 __all__ = [
-    "ShardedExecutor",
     "WarmWorkerPool",
     "CampaignDeviceOutcome",
     "CampaignShardResult",
     "CampaignShardTask",
     "TraceChunkResult",
     "TraceChunkTask",
-    "TraceShardResult",
-    "TraceShardTask",
-    "active_pool",
     "pool_session",
     "run_campaign_shard",
     "run_trace_chunk",
-    "run_trace_shard",
 ]

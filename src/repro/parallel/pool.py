@@ -1,25 +1,23 @@
-"""A persistent warm worker pool, amortised across shards and phases.
+"""The session pool: the one way ``--workers N`` work leaves the process.
 
-Every parallel dispatch used to build a fresh ``spawn`` pool: each run
-paid ``workers`` interpreter starts plus a full :mod:`repro` import and
-testbed rebuild *per phase*, which is why ``--workers 2`` could lose to
-serial outright on small workloads.  :class:`WarmWorkerPool` keeps one
-spawn pool alive for the duration of a run session: processes are
-started once, warmed by an initializer that preloads the device catalog
-and the default testbed (the two expensive pure-function caches worker
-tasks need), and then reused by every ``map``/``imap`` batch -- the
-trace, audit, and report phases of one run all dispatch onto the same
-processes.
+Every parallel dispatch -- the campaign's device shards and the trace's
+per-device chunks -- runs on a :class:`WarmWorkerPool`: one ``spawn``
+pool whose processes are started once, warmed by an initializer that
+preloads the device catalog and the default testbed (the two expensive
+pure-function caches worker tasks need), and then reused by every
+``map``/``imap`` batch of the session.
 
-:func:`pool_session` is the ambient activation point, mirroring the run
-facade's progress session: the API layer opens one session per run and
-:class:`~repro.parallel.executor.ShardedExecutor` transparently routes
-through the active pool.  Nested sessions reuse the outer pool, so
-``run_report`` (campaign + trace) warms exactly once.
+:func:`pool_session` is the activation point.  Callers write ``with
+pool_session(workers) as pool:`` and dispatch on ``pool`` directly.
+With no session active it opens (and on exit closes) a pool of its
+own; inside an outer session it yields the outer pool, so the API
+layer's one session per run -- or ``iotls serve``'s one session per
+server -- puts a run's trace, audit and report phases on the same warm
+processes and pays spawn + import once.
 
 Determinism is untouched: ``Pool.map``/``Pool.imap`` return results in
 task order regardless of which process finishes first, and pooled task
-functions already reset their telemetry runtime at task start (see
+functions reset their telemetry runtime at task start (see
 :mod:`repro.parallel.workers`), so per-task exports stay per-task
 increments whether the process is fresh or reused.
 """
@@ -32,12 +30,12 @@ from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Iterator, Sequence, TypeVar
 
-__all__ = ["WarmWorkerPool", "pool_session", "active_pool"]
+__all__ = ["WarmWorkerPool", "pool_session"]
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
 
-#: The session-scoped pool :class:`ShardedExecutor` routes through.
+#: The pool of the outermost open :func:`pool_session`.
 _ACTIVE_POOL: "WarmWorkerPool | None" = None
 
 #: Guards session creation/teardown: concurrent server request threads
@@ -86,36 +84,48 @@ class WarmWorkerPool:
         #: concurrently (Pool itself is thread-safe); the counters above
         #: need the same protection or concurrent += updates lose bumps.
         self._stats_lock = threading.Lock()
+        #: Dispatches not yet drained: a ``map`` that has not returned or
+        #: an ``imap`` not yet exhausted.  :meth:`close` reads it to pick
+        #: its teardown.
+        self._outstanding = 0
         self._closed = False
+
+    def _begin(self, tasks: Sequence) -> None:
+        with self._stats_lock:
+            self.batches += 1
+            self.tasks_dispatched += len(tasks)
+            self._outstanding += 1
+
+    def _account(self, seconds: float, *, drained: bool = False) -> None:
+        with self._stats_lock:
+            self.dispatch_seconds += seconds
+            if drained:
+                self._outstanding -= 1
 
     # ------------------------------------------------------------------
     def map(
         self, worker_fn: Callable[[Task], Result], tasks: Sequence[Task]
     ) -> list[Result]:
         """``Pool.map`` on the warm processes; results in task order."""
-        with self._stats_lock:
-            self.batches += 1
-            self.tasks_dispatched += len(tasks)
+        self._begin(tasks)
         started = perf_counter()
         try:
             return self._pool.map(worker_fn, tasks)
         finally:
-            elapsed = perf_counter() - started
-            with self._stats_lock:
-                self.dispatch_seconds += elapsed
+            self._account(perf_counter() - started, drained=True)
 
     def imap(
         self, worker_fn: Callable[[Task], Result], tasks: Sequence[Task]
     ) -> Iterator[Result]:
-        """``Pool.imap`` on the warm processes; yields in task order."""
-        with self._stats_lock:
-            self.batches += 1
-            self.tasks_dispatched += len(tasks)
+        """``Pool.imap`` on the warm processes; yields in task order.
+
+        The dispatch stays outstanding until the iterator is exhausted;
+        one abandoned part-way keeps :meth:`close` on its joining path.
+        """
+        self._begin(tasks)
         started = perf_counter()
         iterator = self._pool.imap(worker_fn, tasks, chunksize=1)
-        elapsed = perf_counter() - started
-        with self._stats_lock:
-            self.dispatch_seconds += elapsed
+        self._account(perf_counter() - started)
 
         def _timed() -> Iterator[Result]:
             # Only the time spent *waiting* on the pool counts as
@@ -126,13 +136,9 @@ class WarmWorkerPool:
                 try:
                     item = next(iterator)
                 except StopIteration:
-                    waited = perf_counter() - begin
-                    with self._stats_lock:
-                        self.dispatch_seconds += waited
+                    self._account(perf_counter() - begin, drained=True)
                     return
-                waited = perf_counter() - begin
-                with self._stats_lock:
-                    self.dispatch_seconds += waited
+                self._account(perf_counter() - begin)
                 yield item
 
         return _timed()
@@ -157,8 +163,23 @@ class WarmWorkerPool:
             }
 
     def close(self) -> None:
-        if not self._closed:
+        """Shut the processes down; idempotent.
+
+        With every dispatch drained there is nothing left to wait for:
+        workers write nothing durable (their telemetry came home inside
+        the results), so ``terminate()`` skips the interpreter-shutdown
+        wait a ``join`` pays, as a ``with Pool`` block does on exit.  While
+        a dispatch is still outstanding (a serve shutdown with a run in
+        flight), ``close()`` + ``join()`` lets its tasks finish instead.
+        """
+        with self._stats_lock:
+            if self._closed:
+                return
             self._closed = True
+            drained = self._outstanding == 0
+        if drained:
+            self._pool.terminate()
+        else:
             self._pool.close()
             self._pool.join()
 
@@ -169,23 +190,18 @@ class WarmWorkerPool:
         self.close()
 
 
-def active_pool() -> WarmWorkerPool | None:
-    """The pool of the innermost active :func:`pool_session`, if any."""
-    return _ACTIVE_POOL
-
-
 @contextmanager
-def pool_session(workers: int, *, enabled: bool = True):
+def pool_session(workers: int):
     """Hold one warm pool open for a run's worth of parallel dispatches.
 
-    Yields the active :class:`WarmWorkerPool` (or ``None`` when
-    ``workers < 2`` or ``enabled=False`` -- dispatches then fall back to
-    ephemeral pools exactly as before).  A nested session reuses the
-    outer session's pool rather than spawning a second one.
+    Yields the session's :class:`WarmWorkerPool`, or ``None`` when
+    ``workers < 2`` and no outer session is open (callers then run in
+    process).  A nested session reuses the outer session's pool rather
+    than spawning a second one.
     """
     global _ACTIVE_POOL
     with _SESSION_LOCK:
-        if not enabled or workers < 2 or _ACTIVE_POOL is not None:
+        if workers < 2 or _ACTIVE_POOL is not None:
             owns = False
             pool = _ACTIVE_POOL
         else:

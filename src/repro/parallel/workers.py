@@ -1,4 +1,4 @@
-"""Spawn-safe worker entry points for the sharded execution layer.
+"""Spawn-safe worker entry points for the session pool.
 
 Everything in this module crosses a process boundary: task payloads go
 out, result payloads come back, and both must pickle under the ``spawn``
@@ -22,14 +22,11 @@ from dataclasses import dataclass
 from .. import telemetry as _telemetry
 
 __all__ = [
-    "TraceShardTask",
-    "TraceShardResult",
     "TraceChunkTask",
     "TraceChunkResult",
     "CampaignShardTask",
     "CampaignDeviceOutcome",
     "CampaignShardResult",
-    "run_trace_shard",
     "run_trace_chunk",
     "run_campaign_shard",
 ]
@@ -96,84 +93,23 @@ def _export_worker_telemetry(
     Returns ``None`` in-process for the same reason
     :func:`_configure_worker_telemetry` is a no-op there: the task's
     metrics already live in the parent runtime, so merging an export of
-    it onto itself would double every total.
+    it onto itself would double every total.  The payload names the
+    pool process that ran the task, so shard skew is attributed per
+    process however many tasks each one served.
     """
     if not enabled or not _in_worker():
         return None
-    return _telemetry.get().export_worker_state(worker_id, context=context)
-
-
-# ----------------------------------------------------------------------
-# Passive-trace generation
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceShardTask:
-    """One worker's slice of the passive-trace workload.
-
-    ``count_records=False`` builds the shard captures as *staging*
-    captures (no gateway-ingest counting): the parent process will
-    re-ingest the records through a counting sink -- the flow-cap
-    materialised path splits records at the parent, and counting must
-    happen once, after splitting.
-    """
-
-    worker_id: int
-    device_names: tuple[str, ...]
-    seed: str
-    scale: int
-    telemetry: bool
-    event_level: str = "info"
-    count_records: bool = True
-    #: The coordinator's propagated trace context (a
-    #: ``TraceContext.to_dict()`` document); rides home in the profile
-    #: payload so merge stitches this shard under the dispatch span.
-    trace_context: dict | None = None
-
-
-@dataclass(frozen=True)
-class TraceShardResult:
-    """Per-device captures (in shard order) plus exported telemetry."""
-
-    worker_id: int
-    captures: tuple[tuple[str, object], ...]  # (device name, GatewayCapture)
-    telemetry: dict | None
-
-
-def run_trace_shard(task: TraceShardTask) -> TraceShardResult:
-    """Generate one shard of the 27-month capture in a worker process."""
-    from ..longitudinal.generator import PassiveTraceGenerator
-    from ..testbed.capture import GatewayCapture
-
-    _configure_worker_telemetry(task.telemetry, task.event_level)
-    profiles = _passive_profiles()
-    generator = PassiveTraceGenerator(
-        _worker_testbed(), scale=task.scale, seed=task.seed
-    )
-    captures = []
-    # The shard.run span times the whole shard; its wall time travels
-    # home inside the profile payload as the shard's per-worker reading.
-    with _telemetry.get().tracer.span(
-        "shard.run", worker=task.worker_id, devices=len(task.device_names)
-    ):
-        for name in task.device_names:
-            capture = GatewayCapture(counted=task.count_records)
-            generator.generate_device_instrumented(profiles[name], capture)
-            captures.append((name, capture))
-    return TraceShardResult(
-        worker_id=task.worker_id,
-        captures=tuple(captures),
-        telemetry=_export_worker_telemetry(
-            task.telemetry, task.worker_id, task.trace_context
-        ),
+    return _telemetry.get().export_worker_state(
+        worker_id, context=context, process=multiprocessing.current_process().name
     )
 
 
 # ----------------------------------------------------------------------
-# Streaming passive-trace generation (one task per device)
+# Passive-trace generation (one task per device)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class TraceChunkTask:
-    """One device's worth of the streaming trace workload.
+    """One device's worth of the passive-trace workload.
 
     ``index`` is the device's catalog position; it doubles as the
     telemetry worker id, so merged worker payloads sort into catalog
@@ -186,7 +122,9 @@ class TraceChunkTask:
     scale: int
     telemetry: bool
     event_level: str = "info"
-    #: See :attr:`TraceShardTask.trace_context`.
+    #: The coordinator's propagated trace context (a
+    #: ``TraceContext.to_dict()`` document); rides home in the profile
+    #: payload so merge stitches this task under the dispatch span.
     trace_context: dict | None = None
 
 
@@ -201,16 +139,15 @@ class TraceChunkResult:
 
 
 def run_trace_chunk(task: TraceChunkTask) -> TraceChunkResult:
-    """Replay one device and ship its chunk of the stream home.
+    """Replay one device and ship its chunk home.
 
-    Unlike :func:`run_trace_shard` (fresh process per shard), chunk
-    tasks run on a *persistent* pool whose processes each serve many
-    tasks, so per-task telemetry is reset at task start -- every
+    Chunk tasks run on the session pool, whose processes each serve
+    many tasks, so per-task telemetry is reset at task start -- every
     exported payload is then a per-chunk increment and the parent's
     merge sums to exactly the serial totals.  When the task happens to
-    run in the parent process (``workers=1`` fallback), telemetry is
-    neither reset nor exported: metrics accrue directly in the parent
-    runtime, which is already correct.
+    run in the parent process, telemetry is neither reset nor exported:
+    metrics accrue directly in the parent runtime, which is already
+    correct.
 
     The chunk crosses the process boundary in columnar form -- no
     per-record objects are pickled -- and carries no gateway-ingest
@@ -250,7 +187,7 @@ class CampaignShardTask:
     include_passthrough: bool
     telemetry: bool
     event_level: str = "info"
-    #: See :attr:`TraceShardTask.trace_context`.
+    #: See :attr:`TraceChunkTask.trace_context`.
     trace_context: dict | None = None
 
 

@@ -86,7 +86,6 @@ class ServeConfig:
     executors: int = 2
     #: Worker processes per run (the resident warm pool's size).
     workers: int = 1
-    warm_pool: bool = True
     #: The ledger that is both run history and the result cache's index.
     ledger: str | Path = DEFAULT_LEDGER_PATH
     #: Where computed run artifacts (stream bodies, reports, pcaps) land.
@@ -186,7 +185,7 @@ class FleetService:
         # shards land on the same warm processes, so spawn + import +
         # preload cost is paid once per *server*, not once per request.
         self._pool = self._stack.enter_context(
-            pool_session(config.workers, enabled=config.warm_pool)
+            pool_session(config.workers)
         )
         self._queue = asyncio.Queue(maxsize=config.queue_size)
         self._executors = [
@@ -280,7 +279,6 @@ class FleetService:
         resident warm pool, and appends the run's one ledger entry."""
         options = api.ExecutionOptions(
             workers=self.config.workers,
-            warm_pool=self.config.warm_pool,
             ledger=self.config.ledger,
         )
         config = api.RunConfig.merge(job.request, options)

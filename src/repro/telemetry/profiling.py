@@ -27,9 +27,10 @@ Three render targets:
 Parallel runs: worker processes aggregate their own spans
 (:meth:`Profiler.to_payload`) and ship the pure-data result home with
 the rest of the worker state; the parent folds every payload in with
-:meth:`Profiler.merge_payload`, attributing each worker's ``shard.run``
-root to its shard.  The benchmark harness records its timings through
-the same path (``benchmarks/conftest.py --profile-out``).
+:meth:`Profiler.merge_payload`, attributing each task's root span
+(``shard.run`` or ``chunk.run``) to the pool process that ran it.  The
+benchmark harness records its timings through the same path
+(``benchmarks/conftest.py --profile-out``).
 """
 
 from __future__ import annotations
@@ -104,8 +105,10 @@ class Profiler:
 
     def __init__(self) -> None:
         self._paths: dict[str, PathStat] = {}
-        #: Per-shard wall times, keyed by worker id (parallel runs only).
-        self.shards: dict[int, float] = {}
+        #: Per-process wall times (parallel runs only), keyed by the
+        #: pool process a payload names -- or by its worker id when it
+        #: names none -- so a process serving many tasks is one shard.
+        self.shards: dict[int | str, float] = {}
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -145,13 +148,19 @@ class Profiler:
     # Worker transfer (pure data across the spawn boundary)
     # ------------------------------------------------------------------
     def to_payload(
-        self, *, worker: int | None = None, context: Any | None = None
+        self,
+        *,
+        worker: int | None = None,
+        context: Any | None = None,
+        process: str | None = None,
     ) -> dict[str, Any]:
         """Everything a worker ships home: path stats plus shard time.
 
         The shard wall time is the cumulative time of the worker's
         shard-root span (:data:`SHARD_ROOT_SPANS`), which wraps its
-        whole work loop.  ``context`` is the coordinator's propagated
+        whole work loop.  ``process`` names the pool process that ran
+        the task; merge sums shard time per process.  ``context`` is the
+        coordinator's propagated
         :class:`~repro.telemetry.tracing.TraceContext`; when present it
         rides along so the merge side can re-parent this worker's paths
         under the coordinator's dispatch span.
@@ -176,6 +185,8 @@ class Profiler:
                 for stat in sorted(self._paths.values(), key=lambda s: s.path)
             ],
         }
+        if process is not None:
+            payload["process"] = process
         if context is not None:
             payload["context"] = (
                 context if isinstance(context, dict) else context.to_dict()
@@ -189,10 +200,11 @@ class Profiler:
         worker path is re-parented under the context's ``parent_path``
         (the coordinator's open span path at dispatch), stitching the
         worker's spans into the coordinator's end-to-end trace -- a
-        worker ``shard.run;trace.device`` becomes
-        ``trace.generate;parallel.dispatch;shard.run;trace.device``.
+        worker ``chunk.run;trace.device`` becomes
+        ``trace.generate;parallel.dispatch;chunk.run;trace.device``.
         Merging is order-independent: path stats add commutatively and
-        shard times key by worker id.
+        shard times add per pool process (per worker id for payloads
+        that name no process).
         """
         parent_path = (payload.get("context") or {}).get("parent_path", "")
         prefix = f"{parent_path};" if parent_path else ""
@@ -204,9 +216,10 @@ class Profiler:
             stat.min = min(stat.min, entry["min"])
             stat.max = max(stat.max, entry["max"])
         worker = payload.get("worker")
-        if worker is not None:
-            self.shards[int(worker)] = (
-                self.shards.get(int(worker), 0.0) + payload.get("shard_seconds", 0.0)
+        key = payload.get("process", None if worker is None else int(worker))
+        if key is not None:
+            self.shards[key] = self.shards.get(key, 0.0) + payload.get(
+                "shard_seconds", 0.0
             )
         return self
 
@@ -215,14 +228,17 @@ class Profiler:
 
         ``max_over_mean`` is the skew figure: 1.0 means perfectly even
         shards, 2.0 means the slowest worker took twice the mean (the
-        run's critical path is that straggler).  ``None`` with fewer
-        than two shards -- skew needs a comparison.
+        run's critical path is that straggler).  ``slowest_worker`` is
+        that shard's position in sorted key order, an index in
+        ``range(workers)``.  ``None`` with fewer than two shards --
+        skew needs a comparison.
         """
         if len(self.shards) < 2:
             return None
-        times = list(self.shards.values())
+        keys = sorted(self.shards)
+        times = [self.shards[key] for key in keys]
         mean = sum(times) / len(times)
-        slowest = max(self.shards, key=lambda worker: self.shards[worker])
+        slowest = times.index(max(times))
         return {
             "workers": len(times),
             "max_seconds": round(max(times), 6),
@@ -307,8 +323,9 @@ def render_hot_table(profiler: Profiler, *, top: int = 10) -> str:
     if profiler.shards:
         lines.append("")
         lines.append("per-shard wall time:")
-        for worker, seconds in sorted(profiler.shards.items()):
-            lines.append(f"  shard {worker}: {seconds:.4f}s")
+        # Numbered like shard_skew's slowest_worker: by sorted key.
+        for index, (_, seconds) in enumerate(sorted(profiler.shards.items())):
+            lines.append(f"  shard {index}: {seconds:.4f}s")
         skew = profiler.shard_skew()
         if skew is not None:
             lines.append(

@@ -100,7 +100,9 @@ class TelemetryRuntime:
     # ------------------------------------------------------------------
     # Parallel-worker state transfer
     # ------------------------------------------------------------------
-    def export_worker_state(self, worker: int, *, context: object | None = None) -> dict:
+    def export_worker_state(
+        self, worker: int, *, context: object | None = None, process: str | None = None
+    ) -> dict:
         """Everything a worker process ships back to its parent.
 
         Metrics travel as a :func:`~repro.telemetry.export.metrics_snapshot`
@@ -110,7 +112,9 @@ class TelemetryRuntime:
         ``spawn`` process boundary.  ``context`` is the coordinator's
         propagated :class:`~repro.telemetry.tracing.TraceContext` (or its
         dict form); it rides in the profile payload so merge re-parents
-        this worker's spans under the dispatch span.
+        this worker's spans under the dispatch span.  ``process`` names
+        the pool process that ran the task (see
+        :meth:`~repro.telemetry.profiling.Profiler.merge_payload`).
         """
         from .export import metrics_snapshot
         from .profiling import Profiler
@@ -120,7 +124,7 @@ class TelemetryRuntime:
             "metrics": metrics_snapshot(self.registry),
             "events": self.events.tail(),
             "profile": Profiler.from_tracer(self.tracer).to_payload(
-                worker=worker, context=context
+                worker=worker, context=context, process=process
             ),
         }
 

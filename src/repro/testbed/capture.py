@@ -35,9 +35,9 @@ The capture side of the streaming execution core also lives here:
 Exactly one stage of a sink chain counts gateway-ingest telemetry
 (``iotls_capture_records_total`` / ``..._connections_total``): a
 :class:`GatewayCapture` counts unless constructed with
-``counted=False``; a tee counts on behalf of its fan-out; staging
-captures inside workers never count because the terminal sink in the
-parent will.  That single-counter rule is what keeps run manifests
+``counted=False``; a tee counts on behalf of its fan-out; pool workers
+ship uncounted chunks home because the terminal sink in the parent
+counts them.  That single-counter rule is what keeps run manifests
 byte-identical across serial/parallel and streaming/materialised modes.
 """
 
@@ -419,9 +419,8 @@ class GatewayCapture:
 
     ``counted=False`` makes this a *staging* capture: records still
     accumulate, but gateway-ingest telemetry is left to a downstream
-    sink (workers and the streaming core stage per-device records this
-    way, so counters never double when the stream reaches its terminal
-    sink).
+    sink (a capture behind a :class:`CaptureTee` stages this way, so
+    counters never double when the stream reaches its terminal sink).
     """
 
     records: list[TrafficRecord] = field(default_factory=list)
@@ -471,27 +470,6 @@ class GatewayCapture:
     def extend(self, other: "GatewayCapture") -> None:
         self.records.extend(other.records)
         self.revocation_events.extend(other.revocation_events)
-
-    @classmethod
-    def merged(
-        cls,
-        shards: dict[str, "GatewayCapture"],
-        order: list[str],
-    ) -> "GatewayCapture":
-        """Concatenate per-device shard captures in catalog ``order``.
-
-        The deterministic-merge half of the parallel contract: whatever
-        order worker processes finish in, records and revocation events
-        land exactly where a serial device-by-device run would put them.
-        Appends via :meth:`extend`, not :meth:`add` -- the worker that
-        produced each shard already counted its records into its own
-        telemetry registry, so re-counting here would double ingest
-        totals after the registries merge.
-        """
-        capture = cls()
-        for device in order:
-            capture.extend(shards[device])
-        return capture
 
 
 class CaptureTee:

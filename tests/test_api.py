@@ -248,16 +248,13 @@ class TestRunRequestSplit:
             scale=5,
             seed="split",
             workers=3,
-            warm_pool=False,
             flow_cap=9,
             ledger=None,
             device="LG TV",
             limit=2,
         )
         assert RunConfig.merge(config.request, config.options) == config
-        assert config.options == ExecutionOptions(
-            workers=3, warm_pool=False, ledger=None
-        )
+        assert config.options == ExecutionOptions(workers=3, ledger=None)
 
     def test_request_digest_matches_recorded_config_digest(self, tmp_path):
         """The wire request hashes to exactly what a real run records."""

@@ -345,12 +345,27 @@ class TestSpanStitching:
         profiler = self._parallel_profile()
         paths = {stat.path for stat in profiler.paths()}
         assert "trace.generate;parallel.dispatch" in paths
-        assert "trace.generate;parallel.dispatch;shard.run" in paths
-        assert "trace.generate;parallel.dispatch;shard.run;trace.device" in paths
+        assert "trace.generate;parallel.dispatch;chunk.run" in paths
+        assert "trace.generate;parallel.dispatch;chunk.run;trace.device" in paths
 
     def test_shard_skew_attributed(self):
         profiler = self._parallel_profile()
         skew = profiler.shard_skew()
+        assert skew is not None
+        assert skew["workers"] == 2
+        assert skew["max_over_mean"] >= 1.0
+        assert skew["slowest_worker"] in (0, 1)
+
+    def test_shard_skew_attributed_streaming(self):
+        """Skew is per pool process, not per chunk task, when streaming."""
+        from repro.longitudinal import PassiveTraceGenerator
+        from repro.testbed.capture import DiscardSink
+
+        telemetry.configure(enabled=True)
+        PassiveTraceGenerator(scale=1, seed="stitch").stream_into(
+            DiscardSink(), workers=2
+        )
+        skew = Profiler.from_runtime(telemetry.get()).shard_skew()
         assert skew is not None
         assert skew["workers"] == 2
         assert skew["max_over_mean"] >= 1.0

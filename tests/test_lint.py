@@ -744,6 +744,19 @@ class TestProjectGraph:
         assert graph.module_locks["pkg.util"] == {"GUARD"}
         assert graph.class_locks["pkg.app.Service"] == {"_lock"}
 
+    def test_pool_workers_are_thread_entries_in_the_real_tree(self):
+        """The session-pool dispatch sites seed the worker functions."""
+        from repro.lint.project import build_graph
+        from repro.lint.walker import iter_python_files, parse_module
+
+        package = REPO_ROOT / "src" / "repro"
+        contexts = [
+            parse_module(path, REPO_ROOT / "src") for path in iter_python_files([package])
+        ]
+        entries = build_graph(contexts).thread_entries
+        assert "repro.parallel.workers.run_trace_chunk" in entries
+        assert "repro.parallel.workers.run_campaign_shard" in entries
+
 
 # ----------------------------------------------------------------------
 # Whole-program pass 2: RL040-RL043 and RL022
@@ -965,7 +978,7 @@ class TestRL043SpawnUnsafeCapture:
         assert wp(tmp_path, source, "RL043") == ["RL043"]
 
     def test_good_plain_data_task(self, tmp_path):
-        # The TraceShardTask pattern: strings, ints, tuples only.
+        # The CampaignShardTask pattern: strings, ints, tuples only.
         source = (
             "from dataclasses import dataclass\n"
             "@dataclass(frozen=True)\n"

@@ -13,10 +13,9 @@ import pytest
 
 from repro import telemetry
 from repro.analysis.export import capture_to_document
-from repro.core.audit import ActiveExperimentCampaign
+from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
 from repro.longitudinal.generator import PassiveTraceGenerator
-from repro.parallel import ShardedExecutor, WarmWorkerPool, active_pool, pool_session
-from repro.parallel import executor as executor_module
+from repro.parallel import WarmWorkerPool, pool_session
 from repro.parallel import pool as pool_module
 from repro.telemetry.events import EventLog
 from repro.telemetry.export import metrics_snapshot
@@ -27,24 +26,24 @@ SCALE = 2
 
 
 # ----------------------------------------------------------------------
-# ShardedExecutor unit behaviour
+# Campaign sharding and worker-count validation
 # ----------------------------------------------------------------------
 class TestShardedExecutor:
     def test_rejects_zero_workers(self):
         with pytest.raises(ValueError):
-            ShardedExecutor(0)
+            round_robin_shards(["a"], 0)
 
     def test_round_robin_sharding(self):
-        shards = ShardedExecutor(3).shard(["a", "b", "c", "d", "e", "f", "g"])
+        shards = round_robin_shards(["a", "b", "c", "d", "e", "f", "g"], 3)
         assert shards == [["a", "d", "g"], ["b", "e"], ["c", "f"]]
 
     def test_never_more_shards_than_items(self):
-        shards = ShardedExecutor(8).shard(["a", "b"])
+        shards = round_robin_shards(["a", "b"], 8)
         assert shards == [["a"], ["b"]]
 
     def test_shards_cover_all_items_exactly_once(self):
         items = [f"item-{i}" for i in range(17)]
-        shards = ShardedExecutor(4).shard(items)
+        shards = round_robin_shards(items, 4)
         flattened = [item for shard in shards for item in shard]
         assert sorted(flattened) == sorted(items)
 
@@ -57,85 +56,9 @@ class TestShardedExecutor:
             ActiveExperimentCampaign().run(workers=0)
 
 
-class _RecordingContext:
-    """A fake spawn context that records the requested pool size and runs
-    the tasks inline, so process-count behaviour is testable without
-    spawning anything."""
-
-    def __init__(self):
-        self.processes = None
-
-    def Pool(self, processes):
-        self.processes = processes
-        outer = self
-
-        class _InlinePool:
-            def map(self, fn, tasks):
-                return [fn(task) for task in tasks]
-
-            def imap(self, fn, tasks, chunksize=1):
-                return iter([fn(task) for task in tasks])
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-        return _InlinePool()
-
-
-class TestDispatchProcessCap:
-    """Regression: dispatch once spawned ``len(tasks)`` processes, ignoring
-    the configured worker cap -- oversubscribing the host whenever there
-    were more shards/tasks than workers."""
-
-    def _patched_context(self, monkeypatch) -> _RecordingContext:
-        context = _RecordingContext()
-        monkeypatch.setattr(
-            executor_module.multiprocessing, "get_context", lambda method: context
-        )
-        return context
-
-    def test_map_tasks_caps_pool_at_workers(self, monkeypatch):
-        context = self._patched_context(monkeypatch)
-        results = ShardedExecutor(workers=2).map_tasks(str, [1, 2, 3, 4, 5])
-        assert results == ["1", "2", "3", "4", "5"]
-        assert context.processes == 2
-
-    def test_map_tasks_never_spawns_more_than_tasks(self, monkeypatch):
-        context = self._patched_context(monkeypatch)
-        ShardedExecutor(workers=8).map_tasks(str, [1, 2])
-        assert context.processes == 2
-
-    def test_imap_tasks_caps_pool_at_workers(self, monkeypatch):
-        context = self._patched_context(monkeypatch)
-        results = list(ShardedExecutor(workers=3).imap_tasks(str, list(range(10))))
-        assert results == [str(n) for n in range(10)]
-        assert context.processes == 3
-
-    def test_single_task_runs_in_process(self, monkeypatch):
-        context = self._patched_context(monkeypatch)
-        assert ShardedExecutor(workers=4).map_tasks(str, [7]) == ["7"]
-        assert context.processes is None
-
-
 # ----------------------------------------------------------------------
 # Warm worker pool
 # ----------------------------------------------------------------------
-class _FakeWarmPool:
-    def __init__(self):
-        self.mapped = []
-
-    def map(self, fn, tasks):
-        self.mapped.append(len(tasks))
-        return [fn(task) for task in tasks]
-
-    def imap(self, fn, tasks):
-        self.mapped.append(len(tasks))
-        return iter([fn(task) for task in tasks])
-
-
 class TestWarmPoolSession:
     def test_pool_requires_two_workers(self):
         with pytest.raises(ValueError):
@@ -144,30 +67,17 @@ class TestWarmPoolSession:
     def test_session_is_noop_for_single_worker(self):
         with pool_session(1) as pool:
             assert pool is None
-            assert active_pool() is None
-
-    def test_session_is_noop_when_disabled(self):
-        with pool_session(4, enabled=False) as pool:
-            assert pool is None
-            assert active_pool() is None
+            assert pool_module._ACTIVE_POOL is None
 
     def test_nested_session_reuses_outer_pool(self, monkeypatch):
-        sentinel = _FakeWarmPool()
+        sentinel = object()
         monkeypatch.setattr(pool_module, "_ACTIVE_POOL", sentinel)
-        assert active_pool() is sentinel
         with pool_session(4) as pool:
             assert pool is sentinel
 
-    def test_executor_routes_through_active_pool(self, monkeypatch):
-        fake = _FakeWarmPool()
-        monkeypatch.setattr(pool_module, "_ACTIVE_POOL", fake)
-        assert ShardedExecutor(workers=2).map_tasks(str, [1, 2, 3]) == ["1", "2", "3"]
-        assert list(ShardedExecutor(workers=2).imap_tasks(str, [4, 5])) == ["4", "5"]
-        assert fake.mapped == [3, 2]
-
     def test_warm_pool_reuse_accounting(self):
         with pool_session(2) as pool:
-            assert active_pool() is pool
+            assert pool_module._ACTIVE_POOL is pool
             assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
             assert list(pool.imap(abs, [-4])) == [4]
             stats = pool.stats()
@@ -181,8 +91,41 @@ class TestWarmPoolSession:
                 "dispatches": 4,
                 "reused_dispatches": 2,
             }
-        assert active_pool() is None
+        assert pool_module._ACTIVE_POOL is None
         pool.close()  # idempotent after session teardown
+
+
+class TestPoolTeardown:
+    """``close()`` terminates a drained pool and joins one with a
+    dispatch still outstanding."""
+
+    def _record_teardown(self, pool: WarmWorkerPool, monkeypatch) -> list[str]:
+        calls: list[str] = []
+        for name in ("terminate", "close", "join"):
+            original = getattr(pool._pool, name)
+
+            def spy(original=original, name=name):
+                calls.append(name)
+                return original()
+
+            monkeypatch.setattr(pool._pool, name, spy)
+        return calls
+
+    def test_drained_pool_terminates(self, monkeypatch):
+        pool = WarmWorkerPool(2)
+        calls = self._record_teardown(pool, monkeypatch)
+        assert pool.map(abs, [-1, -2]) == [1, 2]
+        assert list(pool.imap(abs, [-3, -4])) == [3, 4]
+        pool.close()
+        assert calls == ["terminate"]
+
+    def test_abandoned_imap_still_joins(self, monkeypatch):
+        pool = WarmWorkerPool(2)
+        calls = self._record_teardown(pool, monkeypatch)
+        results = pool.imap(abs, [-1, -2, -3])
+        assert next(results) == 1
+        pool.close()
+        assert calls == ["close", "join"]
 
 
 # ----------------------------------------------------------------------
@@ -273,10 +216,22 @@ class TestEventLogMerge:
 # ----------------------------------------------------------------------
 # Serial-vs-parallel equivalence (the tentpole guarantee)
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def serial_capture_json() -> str:
-    capture = PassiveTraceGenerator(scale=SCALE, seed=SEED).generate()
+def _capture_json(capture) -> str:
     return json.dumps(capture_to_document(capture), indent=2, sort_keys=True)
+
+
+@pytest.fixture(scope="module")
+def serial_capture_json():
+    """The serial capture's JSON per flow cap, generated once each."""
+    cache: dict[int | None, str] = {}
+
+    def serial(flow_cap: int | None) -> str:
+        if flow_cap not in cache:
+            generator = PassiveTraceGenerator(scale=SCALE, seed=SEED, flow_cap=flow_cap)
+            cache[flow_cap] = _capture_json(generator.generate())
+        return cache[flow_cap]
+
+    return serial
 
 
 @pytest.fixture(scope="module")
@@ -307,11 +262,15 @@ def _counter_totals() -> dict[str, object]:
     }
 
 
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_trace_capture_json_identical(workers, serial_capture_json):
-    capture = PassiveTraceGenerator(scale=SCALE, seed=SEED).generate(workers=workers)
-    exported = json.dumps(capture_to_document(capture), indent=2, sort_keys=True)
-    assert exported == serial_capture_json
+@pytest.mark.parametrize(
+    "workers, flow_cap",
+    [pytest.param(workers, None, id=str(workers)) for workers in (1, 2, 4)]
+    + [pytest.param(workers, 5, id=f"{workers}-cap5") for workers in (1, 2, 4)],
+)
+def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json):
+    generator = PassiveTraceGenerator(scale=SCALE, seed=SEED, flow_cap=flow_cap)
+    exported = _capture_json(generator.generate(workers=workers))
+    assert exported == serial_capture_json(flow_cap)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -322,10 +281,9 @@ def test_campaign_headline_counts_identical(workers, serial_campaign):
 
 class TestWarmPoolManifestParity:
     """The warm pool must be invisible in every artifact: a streaming
-    trace run produces the same manifest digest at any worker count,
-    warm pool on or off."""
+    trace run produces the same manifest digest at any worker count."""
 
-    def _digest(self, *, workers: int, warm_pool: bool) -> str:
+    def _digest(self, *, workers: int) -> str:
         from repro.api import RunConfig, run_trace
 
         try:
@@ -334,7 +292,6 @@ class TestWarmPoolManifestParity:
                     scale=1,
                     seed="warm-parity",
                     workers=workers,
-                    warm_pool=warm_pool,
                     telemetry=True,
                     stream=True,
                 )
@@ -343,12 +300,59 @@ class TestWarmPoolManifestParity:
             telemetry.disable()
         return result.manifest_digest
 
-    def test_manifests_identical_warm_on_and_off(self):
-        serial = self._digest(workers=1, warm_pool=True)
-        warm = self._digest(workers=2, warm_pool=True)
-        cold = self._digest(workers=2, warm_pool=False)
-        assert warm == serial
-        assert cold == serial
+    def test_manifests_identical_across_workers(self):
+        assert self._digest(workers=2) == self._digest(workers=1)
+
+
+@pytest.mark.parametrize("flow_cap", [None, 5], ids=["nocap", "cap5"])
+@pytest.mark.parametrize("stream", [False, True], ids=["materialised", "stream"])
+def test_progress_done_identical_across_workers(stream, flow_cap, tmp_path):
+    """The heartbeat summary counts the same records at any worker count."""
+    from repro.api import RunConfig, run_trace
+
+    def done(workers: int) -> int:
+        try:
+            result = run_trace(
+                RunConfig(
+                    scale=1,
+                    seed="progress-parity",
+                    workers=workers,
+                    stream=stream,
+                    flow_cap=flow_cap,
+                    ledger=None,
+                ),
+                heartbeat_path=tmp_path / f"w{workers}.health.jsonl",
+            )
+        finally:
+            telemetry.disable()
+        return result.health["done"]
+
+    serial = done(1)
+    assert serial > 0
+    assert done(2) == serial
+
+
+class _FailingSink:
+    records_seen = 0
+
+    def add(self, record):
+        raise RuntimeError("sink failed")
+
+    def add_revocation_event(self, event):
+        pass
+
+
+def test_failing_fold_closes_dispatch_span_and_pool():
+    runtime = telemetry.configure(enabled=True)
+    try:
+        with pytest.raises(RuntimeError, match="sink failed"):
+            PassiveTraceGenerator(scale=1, seed=SEED).stream_into(
+                _FailingSink(), workers=2
+            )
+        assert runtime.tracer.current_path() == ""
+        assert pool_module._ACTIVE_POOL is None
+    finally:
+        telemetry.disable()
 
 
 @pytest.mark.parametrize("workers", [2, 4])

@@ -54,7 +54,7 @@ def _timed_generate(scale: int, workers: int):
             capture = PassiveTraceGenerator(scale=scale, seed=SEED).generate(
                 workers=workers
             )
-            pool_stats = pool.stats() if pool is not None else None
+            pool_stats = pool.stats()
     seconds = perf_counter() - started
     skew = Profiler.from_runtime(runtime).shard_skew()
     return capture, seconds, skew, pool_stats
