@@ -20,13 +20,24 @@ Two trace shapes are supported:
 from __future__ import annotations
 
 import json
+from datetime import datetime
 from pathlib import Path
 from typing import Any
 
 from ..core.audit import CampaignResults
 from ..core.prober import DeviceProbeReport, ProbeOutcome
+from ..devices.profile import Party
 from ..mitm.proxy import AttackMode
-from ..testbed.capture import GatewayCapture, RevocationEvent, TrafficRecord
+from ..testbed.capture import (
+    GatewayCapture,
+    RecordChunk,
+    RevocationEvent,
+    TrafficRecord,
+    sink_add_batch,
+)
+from ..tls.codec import HelloWireCache
+from ..tls.messages import ClientHello
+from ..tls.versions import ProtocolVersion
 
 __all__ = [
     "STREAM_SCHEMA",
@@ -50,31 +61,65 @@ __all__ = [
 from ..telemetry.schemas import TRACE_STREAM_SCHEMA as STREAM_SCHEMA  # noqa: E402
 
 
+#: Exported version label -> version, for :func:`record_from_dict`.
+_VERSION_BY_LABEL = {version.label: version for version in ProtocolVersion}
+
+#: Most items (records plus revocation events) one chunk holds when
+#: :func:`fold_stream` reads an artifact back, so the fold's memory stays
+#: bounded however long one device's run of records is.
+_FOLD_RUN = 1024
+
+
+class _ArtifactCodec(HelloWireCache):
+    """The hello memo of one artifact: the wire cache, plus each hello's
+    exported ``advertised_max_version`` label and cipher names."""
+
+    __slots__ = ("_labels",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._labels: dict[int, tuple[ClientHello, str, tuple[str, ...]]] = {}
+
+    def labels(self, hello: ClientHello) -> tuple[str, tuple[str, ...]]:
+        entry = self._labels.get(id(hello))
+        if entry is None:
+            entry = self._labels[id(hello)] = (
+                hello,
+                hello.max_version.label,
+                tuple(suite.name for suite in hello.cipher_suites()),
+            )
+        return entry[1], entry[2]
+
+
 # ----------------------------------------------------------------------
 # Per-record serialisation (shared by the document and stream shapes)
 # ----------------------------------------------------------------------
-def record_to_dict(record: TrafficRecord) -> dict[str, Any]:
+def record_to_dict(
+    record: TrafficRecord, codec: _ArtifactCodec | None = None
+) -> dict[str, Any]:
     """One flow record as a JSON-ready dictionary.
 
     ``client_hello_hex`` embeds the RFC-format encoding of the hello
     (via :mod:`repro.tls.codec`), so :func:`record_from_dict` can
     rebuild a byte-faithful record -- the reproduction's equivalent of
-    the paper's published longitudinal handshake data.
+    the paper's published longitudinal handshake data.  ``codec`` is
+    the artifact's hello memo; without one, a fresh memo is used.
     """
-    from ..tls.codec import encode_client_hello
-
+    if codec is None:
+        codec = _ArtifactCodec()
+    hello = record.client_hello
+    max_version, cipher_names = codec.labels(hello)
     return {
         "device": record.device,
         "hostname": record.hostname,
-        "client_hello_hex": encode_client_hello(
-            record.client_hello,
-            seed=f"{record.device}:{record.hostname}:{record.month}",
+        "client_hello_hex": codec.encode(
+            hello, seed=f"{record.device}:{record.hostname}:{record.month}"
         ).hex(),
         "party": record.party.value,
         "month": record.month,
         "timestamp": record.when.isoformat(),
-        "advertised_max_version": record.advertised_max_version.label,
-        "advertised_ciphers": [s.name for s in record.client_hello.cipher_suites()],
+        "advertised_max_version": max_version,
+        "advertised_ciphers": list(cipher_names),
         "requests_ocsp_staple": record.requests_ocsp_staple,
         "established": record.established,
         "established_version": (
@@ -91,25 +136,26 @@ def record_to_dict(record: TrafficRecord) -> dict[str, Any]:
     }
 
 
-def record_from_dict(entry: dict[str, Any]) -> TrafficRecord:
-    """Rebuild one flow record (the inverse of :func:`record_to_dict`)."""
-    from datetime import datetime
+def record_from_dict(
+    entry: dict[str, Any], codec: HelloWireCache | None = None
+) -> TrafficRecord:
+    """Rebuild one flow record (the inverse of :func:`record_to_dict`).
 
-    from ..devices.profile import Party
-    from ..tls.codec import decode_client_hello
-    from ..tls.versions import ProtocolVersion
-
-    by_label = {version.label: version for version in ProtocolVersion}
+    ``codec`` is the artifact's hello memo; without one, a fresh memo
+    is used.
+    """
+    if codec is None:
+        codec = HelloWireCache()
     return TrafficRecord(
         device=entry["device"],
         hostname=entry["hostname"],
         party=Party(entry["party"]),
         month=entry["month"],
         when=datetime.fromisoformat(entry["timestamp"]),
-        client_hello=decode_client_hello(bytes.fromhex(entry["client_hello_hex"])),
+        client_hello=codec.decode(bytes.fromhex(entry["client_hello_hex"])),
         established=entry["established"],
         established_version=(
-            by_label[entry["established_version"]]
+            _VERSION_BY_LABEL[entry["established_version"]]
             if entry["established_version"]
             else None
         ),
@@ -148,7 +194,8 @@ def revocation_event_from_dict(entry: dict[str, Any]) -> RevocationEvent:
 def capture_to_records(capture: GatewayCapture) -> list[dict[str, Any]]:
     """Flatten a capture into per-connection dictionaries (one per flow
     record; ``count`` carries the batched connection multiplicity)."""
-    return [record_to_dict(record) for record in capture.iter_records()]
+    codec = _ArtifactCodec()
+    return [record_to_dict(record, codec) for record in capture.iter_records()]
 
 
 def capture_to_document(
@@ -190,8 +237,9 @@ def capture_from_records(
         records = records["records"]
 
     capture = GatewayCapture()
+    codec = HelloWireCache()
     for entry in records:
-        capture.add(record_from_dict(entry))
+        capture.add(record_from_dict(entry, codec))
     for entry in revocation_events:
         capture.add_revocation_event(revocation_event_from_dict(entry))
     return capture
@@ -206,14 +254,16 @@ class JsonlStreamWriter:
     Layout: a header line ``{"schema": ..., "metadata": ...}``, then one
     ``{"record": ...}`` or ``{"revocation_event": ...}`` line per item
     in arrival order, then a ``{"summary": ...}`` trailer on close.
-    Nothing is buffered beyond the open file handle, so the writer's
-    memory footprint is independent of trace size.
+    Nothing is buffered beyond the open file handle and one wire
+    template per distinct hello, so the writer's memory footprint is
+    independent of trace size.
     """
 
     def __init__(self, path: str | Path, *, metadata: dict[str, Any] | None = None) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self._handle = self.path.open("w")
+        self._codec = _ArtifactCodec()
         self._records_seen = 0
         self._connections_seen = 0
         self._revocation_events_seen = 0
@@ -238,7 +288,7 @@ class JsonlStreamWriter:
     def add(self, record: TrafficRecord) -> None:
         self._records_seen += 1
         self._connections_seen += record.count
-        self._write({"record": record_to_dict(record)})
+        self._write({"record": record_to_dict(record, self._codec)})
 
     def add_revocation_event(self, event: RevocationEvent) -> None:
         self._revocation_events_seen += 1
@@ -267,20 +317,46 @@ class JsonlStreamWriter:
 
 
 def fold_stream(path: str | Path, sink) -> dict[str, Any]:
-    """Replay a streamed artifact line-by-line into a capture sink.
+    """Replay a streamed artifact into a capture sink, one device run at a time.
 
-    Returns the header's metadata.  The artifact is never materialised:
-    each line is decoded, fed to ``sink``, and dropped, so auditing a
-    paper-scale stream is O(1) in the artifact size (plus whatever state
-    the sink itself accumulates).
+    Returns the header's metadata.  Consecutive records of one device,
+    followed by that device's revocation events, are folded as one
+    :class:`~repro.testbed.capture.RecordChunk` through
+    :func:`~repro.testbed.capture.sink_add_batch`: batch-aware sinks
+    (the analysis pipeline, a capture) take the run at once, and any
+    other sink gets the same stream record by record.  A run ends when
+    the device changes, when a record follows an event, and after
+    ``_FOLD_RUN`` items, so the fold holds at most one bounded run and
+    auditing a paper-scale stream is O(1) in the artifact size (plus
+    whatever state the sink itself accumulates).  Hellos are decoded
+    once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`).
+
+    A damaged artifact raises ``ValueError`` rather than being audited
+    as paper drift: a missing header line, a missing or non-final
+    ``summary`` trailer, or trailer counts that differ from what was
+    folded.
     """
     path = Path(path)
-    metadata: dict[str, Any] = {}
+    codec = HelloWireCache()
+    records: list[TrafficRecord] = []
+    events: list[RevocationEvent] = []
+    run_device: str | None = None
+    folded = {"flow_records": 0, "connections": 0, "revocation_events": 0}
+    summary: dict[str, Any] | None = None
+
+    def flush() -> None:
+        if run_device is not None:
+            sink_add_batch(sink, RecordChunk.from_records(run_device, records, events))
+            records.clear()
+            events.clear()
+
     with path.open() as handle:
-        header = json.loads(next(handle))
-        if header.get("schema") != STREAM_SCHEMA:
+        header = json.loads(handle.readline() or "null")
+        if not isinstance(header, dict) or "schema" not in header:
+            raise ValueError(f"{path}: no stream header on the first line")
+        if header["schema"] != STREAM_SCHEMA:
             raise ValueError(
-                f"unexpected stream schema {header.get('schema')!r}; "
+                f"unexpected stream schema {header['schema']!r}; "
                 f"wanted {STREAM_SCHEMA}"
             )
         metadata = header.get("metadata", {})
@@ -288,17 +364,47 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
             line = line.strip()
             if not line:
                 continue
+            if summary is not None:
+                raise ValueError(f"{path}: a line follows the summary trailer")
             payload = json.loads(line)
             if "record" in payload:
-                sink.add(record_from_dict(payload["record"]))
+                record = record_from_dict(payload["record"], codec)
+                if record.device != run_device or events or len(records) >= _FOLD_RUN:
+                    flush()
+                    run_device = record.device
+                records.append(record)
+                folded["flow_records"] += 1
+                folded["connections"] += record.count
             elif "revocation_event" in payload:
-                sink.add_revocation_event(
-                    revocation_event_from_dict(payload["revocation_event"])
-                )
+                event = revocation_event_from_dict(payload["revocation_event"])
+                if (
+                    event.device != run_device
+                    or len(records) + len(events) >= _FOLD_RUN
+                ):
+                    flush()
+                    run_device = event.device
+                events.append(event)
+                folded["revocation_events"] += 1
             elif "summary" in payload:
-                continue
+                summary = payload["summary"]
+                if not isinstance(summary, dict):
+                    raise ValueError(f"{path}: malformed summary trailer")
             else:
                 raise ValueError(f"unrecognised stream line: {line[:80]}")
+    flush()
+    if summary is None:
+        raise ValueError(f"{path}: no summary trailer; the artifact is truncated")
+    mismatched = {
+        key: (summary.get(key), count)
+        for key, count in folded.items()
+        if summary.get(key) != count
+    }
+    if mismatched:
+        raise ValueError(
+            f"{path}: summary trailer disagrees with the folded stream "
+            "(trailer, folded): "
+            + ", ".join(f"{key} {pair}" for key, pair in mismatched.items())
+        )
     return metadata
 
 

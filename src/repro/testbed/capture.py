@@ -325,33 +325,29 @@ class RecordChunk:
         return clone
 
     # -- materialisation ------------------------------------------------
-    def base_record(self, index: int) -> TrafficRecord:
-        """Materialise one base (pre-split) record."""
-        return TrafficRecord(
-            device=self.device,
-            hostname=self.hostnames[index],
-            party=self.parties[index],
-            month=self.months[index],
-            when=self.whens[index],
-            client_hello=self.client_hellos[index],
-            established=self.establisheds[index],
-            established_version=self.established_versions[index],
-            established_cipher_code=self.established_cipher_codes[index],
-            client_alert=self.client_alerts[index],
-            downgraded=self.downgradeds[index],
-            count=self.counts[index],
-        )
-
     def iter_base_records(self) -> Iterator[TrafficRecord]:
         """One record per base slot, ignoring any ``split_cap``."""
-        for index in range(len(self.counts)):
-            yield self.base_record(index)
+        device = self.device
+        # The columns in TrafficRecord field order, after ``device``.
+        for row in zip(
+            self.hostnames,
+            self.parties,
+            self.months,
+            self.whens,
+            self.client_hellos,
+            self.establisheds,
+            self.established_versions,
+            self.established_cipher_codes,
+            self.client_alerts,
+            self.downgradeds,
+            self.counts,
+        ):
+            yield TrafficRecord(device, *row)
 
     def iter_records(self) -> Iterator[TrafficRecord]:
         """The logical record stream (split-expanded, arrival order)."""
         cap = self.split_cap
-        for index in range(len(self.counts)):
-            record = self.base_record(index)
+        for record in self.iter_base_records():
             if cap is None or record.count <= cap:
                 yield record
                 continue

@@ -19,7 +19,7 @@ import hashlib
 import struct
 from pathlib import Path
 
-from ..tls.codec import encode_client_hello
+from ..tls.codec import HelloWireCache
 from .capture import GatewayCapture, TrafficRecord
 from .dns import DnsResolver
 
@@ -109,15 +109,18 @@ def write_pcap(
     ``limit`` caps the number of packets (None = all flow records; the
     per-record ``count`` is NOT expanded -- one packet per flow record,
     mirroring how the analyses weight by count instead of duplicating).
+    Each distinct hello is encoded once per file
+    (:class:`~repro.tls.codec.HelloWireCache`).
     """
     path = Path(path)
+    codec = HelloWireCache()
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as handle:
         handle.write(_global_header())
         for index, record in enumerate(capture.records):
             if limit is not None and index >= limit:
                 break
-            payload = encode_client_hello(
+            payload = codec.encode(
                 record.client_hello, seed=f"{record.device}:{record.hostname}:{record.month}"
             )
             packet = _tcp_packet(record, payload)

@@ -33,6 +33,7 @@ from .versions import ProtocolVersion
 
 __all__ = [
     "CodecError",
+    "HelloWireCache",
     "encode_client_hello",
     "decode_client_hello",
     "encode_server_hello",
@@ -45,6 +46,11 @@ _CONTENT_HANDSHAKE = 22
 _CONTENT_ALERT = 21
 _HANDSHAKE_CLIENT_HELLO = 1
 _HANDSHAKE_SERVER_HELLO = 2
+#: Where a ClientHello record carries its 32-byte random: after the
+#: record header (5 bytes), the handshake header (4) and the legacy
+#: version (2).  Its length is fixed, so no length field depends on it.
+_RANDOM_START = 5 + 4 + 2
+_RANDOM_END = _RANDOM_START + 32
 
 
 class CodecError(ValueError):
@@ -124,7 +130,7 @@ def _deterministic_random(seed: str) -> bytes:
 def _encode_extension(extension: Extension) -> bytes:
     ext_type = extension.extension_type
     if ext_type is ExtensionType.SERVER_NAME and extension.data:
-        hostname = str(extension.data[0]).encode("idna" if False else "ascii")
+        hostname = str(extension.data[0]).encode("ascii")
         entry = _u8(0) + _vec(hostname, 2)  # name_type=host_name
         body = _vec(entry, 2)
     elif ext_type is ExtensionType.SUPPORTED_VERSIONS:
@@ -244,6 +250,52 @@ def decode_client_hello(wire: bytes) -> ClientHello:
         extensions=tuple(extensions),
         compression_methods=compression or (0,),
     )
+
+
+class HelloWireCache:
+    """Run the ClientHello codec once per distinct hello of one artifact.
+
+    A trace repeats a few hundred hellos across thousands of records,
+    and only the 32-byte random differs between their wires.
+
+    * :meth:`encode` builds each hello's wire once, with the random cut
+      out, and splices in the per-record random.  It keys on identity
+      and holds a reference to the hello, so the id is never reused;
+      an equal hello that is a different object just misses.
+    * :meth:`decode` keys on the wire with the random cut out.  The
+      parser reads the random as opaque bytes, so the decoded hello
+      depends on the key alone; records share the frozen result.  Only
+      successful decodes are cached, and a wire too short to hold a
+      random goes straight to :func:`decode_client_hello`.
+
+    One cache belongs to one artifact (a writer, a fold, an export
+    call); nothing is global.
+    """
+
+    __slots__ = ("_templates", "_decoded")
+
+    def __init__(self) -> None:
+        self._templates: dict[int, tuple[ClientHello, bytes, bytes]] = {}
+        self._decoded: dict[bytes, ClientHello] = {}
+
+    def encode(self, hello: ClientHello, *, seed: str) -> bytes:
+        """``encode_client_hello(hello, seed=seed)``, byte for byte."""
+        template = self._templates.get(id(hello))
+        if template is None:
+            wire = encode_client_hello(hello)
+            template = (hello, wire[:_RANDOM_START], wire[_RANDOM_END:])
+            self._templates[id(hello)] = template
+        return template[1] + _deterministic_random(seed) + template[2]
+
+    def decode(self, wire: bytes) -> ClientHello:
+        """``decode_client_hello(wire)``, shared across equal hellos."""
+        if len(wire) < _RANDOM_END:
+            return decode_client_hello(wire)
+        key = wire[:_RANDOM_START] + wire[_RANDOM_END:]
+        hello = self._decoded.get(key)
+        if hello is None:
+            hello = self._decoded[key] = decode_client_hello(wire)
+        return hello
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import struct
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis.export import record_from_dict
 from repro.devices.configs import FS_MODERN, RSA_PLAIN, TLS13, WEAK_LEGACY
 from repro.fingerprint import fingerprint
 from repro.tls import (
@@ -27,6 +28,7 @@ from repro.tls import (
 )
 from repro.tls.codec import (
     CodecError,
+    HelloWireCache,
     decode_alert,
     decode_client_hello,
     decode_server_hello,
@@ -43,6 +45,38 @@ FULL_EXTENSIONS = (
     signature_algorithms_ext((SignatureScheme.RSA_PKCS1_SHA256,)),
     alpn_ext(("h2", "http/1.1")),
 )
+
+CIPHER_LISTS = st.lists(
+    st.sampled_from(sorted(FS_MODERN + RSA_PLAIN + WEAK_LEGACY)),
+    min_size=1,
+    max_size=20,
+    unique=True,
+)
+LEGACY_VERSIONS = st.sampled_from(
+    [ProtocolVersion.TLS_1_0, ProtocolVersion.TLS_1_1, ProtocolVersion.TLS_1_2]
+)
+HOSTNAMES = st.from_regex(r"[a-z]{1,10}\.[a-z]{2,8}\.com", fullmatch=True)
+
+
+@st.composite
+def hellos(draw) -> ClientHello:
+    """A ClientHello over the codec's real extension encodings."""
+    extensions = [sni(draw(HOSTNAMES))]
+    extensions += draw(st.lists(st.sampled_from(FULL_EXTENSIONS[1:]), unique=True))
+    if draw(st.booleans()):
+        extensions.append(
+            supported_versions_ext(
+                (ProtocolVersion.TLS_1_3.wire, ProtocolVersion.TLS_1_2.wire)
+            )
+        )
+    return ClientHello(
+        legacy_version=draw(LEGACY_VERSIONS),
+        cipher_codes=tuple(draw(CIPHER_LISTS)) + (TLS13 if draw(st.booleans()) else ()),
+        extensions=tuple(extensions),
+    )
+
+
+SEEDS = st.text(max_size=40)
 
 
 class TestClientHelloRoundtrip:
@@ -83,18 +117,7 @@ class TestClientHelloRoundtrip:
         assert encode_client_hello(hello, seed="a") == encode_client_hello(hello, seed="a")
         assert encode_client_hello(hello, seed="a") != encode_client_hello(hello, seed="b")
 
-    @given(
-        ciphers=st.lists(
-            st.sampled_from(sorted(FS_MODERN + RSA_PLAIN + WEAK_LEGACY)),
-            min_size=1,
-            max_size=20,
-            unique=True,
-        ),
-        version=st.sampled_from(
-            [ProtocolVersion.TLS_1_0, ProtocolVersion.TLS_1_1, ProtocolVersion.TLS_1_2]
-        ),
-        hostname=st.from_regex(r"[a-z]{1,10}\.[a-z]{2,8}\.com", fullmatch=True),
-    )
+    @given(ciphers=CIPHER_LISTS, version=LEGACY_VERSIONS, hostname=HOSTNAMES)
     @settings(max_examples=60)
     def test_property_roundtrip(self, ciphers, version, hostname):
         hello = ClientHello(
@@ -114,6 +137,81 @@ class TestClientHelloRoundtrip:
                 hello = connection.attempt.attempts[0].client_hello
                 assert decode_client_hello(encode_client_hello(hello)) == hello
             break  # one full device is plenty per run
+
+
+class TestHelloWireCache:
+    """The per-artifact memo is the codec, byte for byte and hello for hello."""
+
+    @given(hello=hellos(), seeds=st.lists(SEEDS, min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_template_splice_matches_encoder(self, hello, seeds):
+        cache = HelloWireCache()
+        for seed in seeds:
+            assert cache.encode(hello, seed=seed) == encode_client_hello(hello, seed=seed)
+
+    @given(hello=hellos(), seeds=st.lists(SEEDS, min_size=1, max_size=6))
+    @settings(max_examples=60)
+    def test_cached_decode_matches_decoder(self, hello, seeds):
+        cache = HelloWireCache()
+        for seed in seeds:
+            wire = encode_client_hello(hello, seed=seed)
+            assert cache.decode(wire) == decode_client_hello(wire) == hello
+
+    @given(hello=hellos(), first=SEEDS, second=SEEDS)
+    @settings(max_examples=40)
+    def test_wires_differing_only_in_random_share_one_entry(self, hello, first, second):
+        one = encode_client_hello(hello, seed=first)
+        other = encode_client_hello(hello, seed=second)
+        assert one[:11] == other[:11] and one[43:] == other[43:]
+        cache = HelloWireCache()
+        assert cache.decode(one) is cache.decode(other)
+
+    @given(hello=hellos(), seed=SEEDS, data=st.data())
+    @settings(max_examples=40)
+    def test_bad_hex_still_raises_on_a_warm_cache(self, hello, seed, data):
+        wire_hex = encode_client_hello(hello, seed=seed).hex()
+        cache = HelloWireCache()
+        valid = {**_RECORD_FIELDS, "client_hello_hex": wire_hex}
+        assert record_from_dict(valid, cache).client_hello == hello
+        # Inside the random (hex chars [22, 86)) or anywhere else.
+        at = data.draw(
+            st.one_of(st.integers(22, 85), st.integers(0, len(wire_hex) - 1))
+        )
+        broken = data.draw(
+            st.sampled_from(
+                [
+                    wire_hex[:at] + "zz" + wire_hex[at + 2 :],  # non-hex digits
+                    wire_hex[:at] + wire_hex[at + 1 :],  # odd length
+                ]
+            )
+        )
+        with pytest.raises(ValueError):
+            record_from_dict({**valid, "client_hello_hex": broken}, cache)
+
+    @given(hello=hellos(), seed=SEEDS, length=st.integers(0, 42))
+    @settings(max_examples=40)
+    def test_short_wire_raises_codec_error_on_a_warm_cache(self, hello, seed, length):
+        wire = encode_client_hello(hello, seed=seed)
+        cache = HelloWireCache()
+        cache.decode(wire)
+        with pytest.raises(CodecError):
+            cache.decode(wire[:length])
+
+
+#: Every non-hello field of an exported record, for decode tests.
+_RECORD_FIELDS = {
+    "device": "Wink Hub 2",
+    "hostname": "hub.example.com",
+    "party": "first",
+    "month": 3,
+    "timestamp": "2018-04-01T00:00:00",
+    "established": True,
+    "established_version": "TLS 1.2",
+    "established_cipher": "0x2f",
+    "client_alert": None,
+    "downgraded": False,
+    "count": 1,
+}
 
 
 class TestServerHelloAndAlert:

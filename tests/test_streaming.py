@@ -12,16 +12,29 @@ from __future__ import annotations
 
 import json
 import random
+import tempfile
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
 from repro.analysis import analyze_capture, measure_analysis, measure_capture
-from repro.analysis.export import JsonlStreamWriter, capture_from_stream, fold_stream
+from repro.analysis import export
+from repro.analysis.export import (
+    JsonlStreamWriter,
+    capture_from_stream,
+    fold_stream,
+    record_from_dict,
+    revocation_event_from_dict,
+)
+from repro.analysis.streaming import TraceAnalysisPipeline
 from repro.cli import main
+from repro.devices.catalog import passive_devices
 from repro.longitudinal import (
     PassiveTraceGenerator,
     VersionHeatmapAccumulator,
@@ -38,6 +51,7 @@ from repro.testbed import (
     DiscardSink,
     FlowRecordChunker,
     GatewayCapture,
+    RevocationEvent,
 )
 from repro.tls.versions import VersionBand
 
@@ -258,6 +272,224 @@ class TestJsonlStream:
         path.write_text(json.dumps({"schema": "bogus/9", "metadata": {}}) + "\n")
         with pytest.raises(ValueError, match="schema"):
             fold_stream(path, DiscardSink())
+
+
+def _write_stream(path: Path, items) -> None:
+    """Write records and revocation events as a JSONL artifact, in order."""
+    with JsonlStreamWriter(path) as writer:
+        for item in items:
+            if isinstance(item, RevocationEvent):
+                writer.add_revocation_event(item)
+            else:
+                writer.add(item)
+
+
+class TestDamagedArtifacts:
+    """A damaged artifact raises; it is never audited as paper drift."""
+
+    @pytest.fixture()
+    def lines(self, tmp_path, passive_capture):
+        path = tmp_path / "whole.jsonl"
+        _write_stream(
+            path,
+            list(passive_capture.records[:5]) + passive_capture.revocation_events[:2],
+        )
+        return path.read_text().splitlines(keepends=True)
+
+    def _fold(self, tmp_path, lines):
+        path = tmp_path / "damaged.jsonl"
+        path.write_text("".join(lines))
+        return fold_stream(path, DiscardSink())
+
+    def test_whole_artifact_folds(self, tmp_path, lines):
+        assert self._fold(tmp_path, lines) == {}
+
+    def test_empty_artifact(self, tmp_path):
+        with pytest.raises(ValueError, match="header"):
+            self._fold(tmp_path, [])
+
+    def test_missing_header(self, tmp_path, lines):
+        with pytest.raises(ValueError, match="header"):
+            self._fold(tmp_path, lines[1:])
+
+    def test_missing_summary(self, tmp_path, lines):
+        with pytest.raises(ValueError, match="summary trailer"):
+            self._fold(tmp_path, lines[:-1])
+
+    def test_summary_not_last(self, tmp_path, lines):
+        with pytest.raises(ValueError, match="follows the summary"):
+            self._fold(tmp_path, lines[:2] + lines[-1:] + lines[2:-1])
+
+    @pytest.mark.parametrize("key", ["flow_records", "connections", "revocation_events"])
+    def test_trailer_counts_must_match(self, tmp_path, lines, key):
+        trailer = json.loads(lines[-1])
+        trailer["summary"][key] += 1
+        with pytest.raises(ValueError, match=f"disagrees.*{key}"):
+            self._fold(tmp_path, lines[:-1] + [json.dumps(trailer) + "\n"])
+
+    def test_check_exits_2_on_truncated_artifact(self, tmp_path, capsys, lines):
+        path = tmp_path / "trunc.jsonl"
+        path.write_text("".join(lines[:-1]))
+        assert main(["check", "--artifact", str(path), "--no-ledger"]) == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def _fold_per_record(path: Path, sink) -> None:
+    """The reference fold: every line through ``add`` or
+    ``add_revocation_event``, one at a time."""
+    for line in path.read_text().splitlines()[1:]:
+        payload = json.loads(line)
+        if "record" in payload:
+            sink.add(record_from_dict(payload["record"]))
+        elif "revocation_event" in payload:
+            sink.add_revocation_event(
+                revocation_event_from_dict(payload["revocation_event"])
+            )
+
+
+#: A passive device with revocation events; its stream keeps the events
+#: and drops every record.
+EVENTS_ONLY_DEVICE = "Samsung TV"
+
+
+@st.composite
+def generated_streams(draw, testbed):
+    """(items, run bound): a generated trace's records and revocation
+    events for a device subset, in catalog, interleaved or shuffled order."""
+    seed = draw(st.text("abcxyz0123", min_size=1, max_size=6))
+    flow_cap = draw(st.sampled_from([None, 1, 5]))
+    profiles = draw(
+        st.lists(
+            st.sampled_from(
+                [p for p in passive_devices() if p.name != EVENTS_ONLY_DEVICE]
+            ),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda profile: profile.name,
+        )
+    )
+    generator = PassiveTraceGenerator(testbed, scale=1, seed=seed)
+    per_device = []
+    for profile in profiles:
+        chunk = generator.generate_device_chunk(profile)
+        if flow_cap is not None:
+            chunk = chunk.with_split_cap(flow_cap)
+        per_device.append(list(chunk.iter_records()) + list(chunk.revocation_events))
+    (events_only,) = [p for p in passive_devices() if p.name == EVENTS_ONLY_DEVICE]
+    events = list(generator.generate_device_chunk(events_only).revocation_events)
+    assert events
+    per_device.insert(draw(st.integers(0, len(per_device))), events)
+
+    order = draw(st.sampled_from(["catalog", "interleaved", "shuffled"]))
+    rng = draw(st.randoms(use_true_random=False))
+    if order == "catalog":
+        items = [item for device in per_device for item in device]
+    elif order == "interleaved":
+        blocks = []
+        for device in per_device:
+            at = 0
+            while at < len(device):
+                size = rng.randint(1, 20)
+                blocks.append(device[at : at + size])
+                at += size
+        rng.shuffle(blocks)
+        items = [item for block in blocks for item in block]
+    else:
+        items = [item for device in per_device for item in device]
+        rng.shuffle(items)
+    bound = draw(st.sampled_from([export._FOLD_RUN, 1, 3, 17]))
+    return items, bound
+
+
+class _ChunkLoggingPipeline(TraceAnalysisPipeline):
+    """The analysis pipeline, noting each chunk's shape and any ``add``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.chunks: list[tuple[int, set[str]]] = []
+        self.adds = 0
+
+    def add(self, record) -> None:
+        self.adds += 1
+        super().add(record)
+
+    def add_batch(self, chunk) -> None:
+        devices = {chunk.device}
+        devices.update(record.device for record in chunk.iter_records())
+        devices.update(event.device for event in chunk.revocation_events)
+        self.chunks.append((len(chunk) + len(chunk.revocation_events), devices))
+        super().add_batch(chunk)
+
+
+class _ItemLog:
+    """A sink without ``add_batch``: it sees the stream item by item."""
+
+    def __init__(self) -> None:
+        self.items: list = []
+
+    def add(self, record) -> None:
+        self.items.append(record)
+
+    def add_revocation_event(self, event) -> None:
+        self.items.append(event)
+
+
+_FOLD_SETTINGS = settings(
+    max_examples=25,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+
+
+class TestBatchedFoldEquivalence:
+    """fold_stream's device-run chunks fold exactly like a per-record fold."""
+
+    @given(data=st.data())
+    @_FOLD_SETTINGS
+    def test_pipeline_cells_match_per_record_fold(self, testbed, data):
+        items, bound = data.draw(generated_streams(testbed))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            _write_stream(path, items)
+            batched = _ChunkLoggingPipeline()
+            with mock.patch.object(export, "_FOLD_RUN", bound):
+                fold_stream(path, batched)
+            reference = TraceAnalysisPipeline()
+            _fold_per_record(path, reference)
+
+        assert batched.adds == 0
+        assert batched.chunks
+        for size, devices in batched.chunks:
+            assert 0 < size <= bound
+            assert len(devices) == 1
+        left, right = batched.finalize(), reference.finalize()
+        assert measure_analysis(left) == measure_analysis(right)
+        assert (left.flow_records, left.connections, left.revocation_event_count) == (
+            right.flow_records,
+            right.connections,
+            right.revocation_event_count,
+        )
+        np.testing.assert_array_equal(left.insecure.matrix(), right.insecure.matrix())
+        np.testing.assert_array_equal(left.strong.matrix(), right.strong.matrix())
+
+    @given(data=st.data())
+    @_FOLD_SETTINGS
+    def test_capture_and_plain_sink_match_per_record_fold(self, testbed, data):
+        items, bound = data.draw(generated_streams(testbed))
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            _write_stream(path, items)
+            batched, plain = GatewayCapture(), _ItemLog()
+            with mock.patch.object(export, "_FOLD_RUN", bound):
+                fold_stream(path, batched)
+                fold_stream(path, plain)
+            reference = GatewayCapture()
+            _fold_per_record(path, reference)
+
+        assert batched.records == reference.records
+        assert batched.revocation_events == reference.revocation_events
+        # Without add_batch, a sink sees the artifact's exact line order.
+        assert plain.items == items
 
 
 class TestBoundedMemory:
