@@ -64,6 +64,20 @@ from ..telemetry.schemas import TRACE_STREAM_SCHEMA as STREAM_SCHEMA  # noqa: E4
 #: Exported version label -> version, for :func:`record_from_dict`.
 _VERSION_BY_LABEL = {version.label: version for version in ProtocolVersion}
 
+#: The JSON type of every record field :func:`record_from_dict` reads, so
+#: a mistyped field is an error rather than a silently wrong record.
+_RECORD_TYPES = {
+    **dict.fromkeys(("device", "hostname", "party", "timestamp", "client_hello_hex"), str),
+    **dict.fromkeys(
+        ("established_version", "established_cipher", "client_alert"), (str, type(None))
+    ),
+    **dict.fromkeys(("established", "downgraded"), bool),
+    **dict.fromkeys(("month", "count"), int),
+}
+
+#: The same for :func:`revocation_event_from_dict`.
+_EVENT_TYPES = {"device": str, "method": str, "url": str, "month": int}
+
 #: Most items (records plus revocation events) one chunk holds when
 #: :func:`fold_stream` reads an artifact back, so the fold's memory stays
 #: bounded however long one device's run of records is.
@@ -142,10 +156,12 @@ def record_from_dict(
     """Rebuild one flow record (the inverse of :func:`record_to_dict`).
 
     ``codec`` is the artifact's hello memo; without one, a fresh memo
-    is used.
+    is used.  A missing field raises ``KeyError``; a mistyped field, bad
+    hex or an undecodable hello raises ``ValueError``.
     """
     if codec is None:
         codec = HelloWireCache()
+    _check_types(entry, _RECORD_TYPES, "record")
     return TrafficRecord(
         device=entry["device"],
         hostname=entry["hostname"],
@@ -168,6 +184,16 @@ def record_from_dict(
     )
 
 
+def _check_types(entry: dict[str, Any], types: dict[str, Any], what: str) -> None:
+    if not isinstance(entry, dict):
+        raise ValueError(f"{what} is not an object")
+    for key, kind in types.items():
+        if not isinstance(entry[key], kind):
+            raise ValueError(
+                f"{what} field {key!r} has type {type(entry[key]).__name__}"
+            )
+
+
 def revocation_event_to_dict(event: RevocationEvent) -> dict[str, Any]:
     return {
         "device": event.device,
@@ -180,6 +206,7 @@ def revocation_event_to_dict(event: RevocationEvent) -> dict[str, Any]:
 def revocation_event_from_dict(entry: dict[str, Any]) -> RevocationEvent:
     from ..pki.revocation import RevocationMethod
 
+    _check_types(entry, _EVENT_TYPES, "revocation_event")
     return RevocationEvent(
         device=entry["device"],
         method=RevocationMethod(entry["method"]),
@@ -332,9 +359,11 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`).
 
     A damaged artifact raises ``ValueError`` rather than being audited
-    as paper drift: a missing header line, a missing or non-final
-    ``summary`` trailer, or trailer counts that differ from what was
-    folded.
+    as paper drift: a missing header line or header ``metadata`` object,
+    a malformed line (not a JSON object, a missing or mistyped record
+    field, bad hex), a missing or non-final ``summary`` trailer, or
+    trailer counts that differ from what was folded.  A malformed line's
+    error names its line number.
     """
     path = Path(path)
     codec = HelloWireCache()
@@ -359,24 +388,43 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
                 f"unexpected stream schema {header['schema']!r}; "
                 f"wanted {STREAM_SCHEMA}"
             )
-        metadata = header.get("metadata", {})
-        for line in handle:
+        metadata = header.get("metadata")
+        if not isinstance(metadata, dict):
+            raise ValueError(f"{path}: line 1: header needs a 'metadata' object")
+        for number, line in enumerate(handle, start=2):
             line = line.strip()
             if not line:
                 continue
             if summary is not None:
-                raise ValueError(f"{path}: a line follows the summary trailer")
-            payload = json.loads(line)
-            if "record" in payload:
-                record = record_from_dict(payload["record"], codec)
+                raise ValueError(
+                    f"{path}: line {number}: a line follows the summary trailer"
+                )
+            record = event = None
+            try:
+                payload = json.loads(line)
+                if not isinstance(payload, dict):
+                    raise ValueError("not a JSON object")
+                if "record" in payload:
+                    record = record_from_dict(payload["record"], codec)
+                elif "revocation_event" in payload:
+                    event = revocation_event_from_dict(payload["revocation_event"])
+                elif "summary" in payload:
+                    summary = payload["summary"]
+                    if not isinstance(summary, dict):
+                        raise ValueError("malformed summary trailer")
+                else:
+                    raise ValueError(f"unrecognised stream line: {line[:80]}")
+            except (KeyError, TypeError, ValueError) as exc:
+                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                raise ValueError(f"{path}: line {number}: {detail}") from exc
+            if record is not None:
                 if record.device != run_device or events or len(records) >= _FOLD_RUN:
                     flush()
                     run_device = record.device
                 records.append(record)
                 folded["flow_records"] += 1
                 folded["connections"] += record.count
-            elif "revocation_event" in payload:
-                event = revocation_event_from_dict(payload["revocation_event"])
+            elif event is not None:
                 if (
                     event.device != run_device
                     or len(records) + len(events) >= _FOLD_RUN
@@ -385,12 +433,6 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
                     run_device = event.device
                 events.append(event)
                 folded["revocation_events"] += 1
-            elif "summary" in payload:
-                summary = payload["summary"]
-                if not isinstance(summary, dict):
-                    raise ValueError(f"{path}: malformed summary trailer")
-            else:
-                raise ValueError(f"unrecognised stream line: {line[:80]}")
     flush()
     if summary is None:
         raise ValueError(f"{path}: no summary trailer; the artifact is truncated")

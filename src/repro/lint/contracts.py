@@ -2,19 +2,18 @@
 
 The schema registry (:mod:`repro.telemetry.schemas`) is the single
 source of truth for every ``iotls-<name>/<version>`` identifier the
-repo publishes.  RL022 closes the loop statically:
+repo publishes, and for each identifier's contract: the contract is
+data on the registry entry (a declarative spec, or the strict loader
+that reads the format), enforced by the registry's one checker, so it
+cannot name a missing function.  RL022 closes the identifier loop
+statically: an ``iotls-*/N`` string literal anywhere outside the
+registry module must be a *registered* identifier -- and even then it
+must not be hard-coded: producers import the constant instead.
 
-* an ``iotls-*/N`` string literal anywhere outside the registry module
-  must be a *registered* identifier -- and even then it must not be
-  hard-coded: producers import the constant instead,
-* every registry entry that declares a ``validator`` must have a
-  function of that name defined in ``tools/validate_streams.py``
-  (checked whenever that module is part of the lint run).
-
-The registry is read **statically** from its AST -- the registration
-calls are literal by convention (the module docstring says so), so the
-rule needs no imports and works on any checkout.  Docstrings are
-exempt: prose may name a schema without publishing it.
+The registry is read **statically** from its AST -- the registrations'
+``name``/``version`` are literal by convention (the module docstring
+says so), so the rule needs no imports and works on any checkout.
+Docstrings are exempt: prose may name a schema without publishing it.
 """
 
 from __future__ import annotations
@@ -27,13 +26,10 @@ from .project import ProjectGraph
 from .registry import Violation, rule
 from .walker import ModuleContext, parent
 
-__all__ = ["REGISTRY_MODULE", "SCHEMA_ID_PATTERN", "VALIDATORS_MODULE"]
+__all__ = ["REGISTRY_MODULE", "SCHEMA_ID_PATTERN"]
 
 #: Where the registry lives; literals inside it are the declarations.
 REGISTRY_MODULE = "repro.telemetry.schemas"
-
-#: Where validators live (module name as derived from ``tools/``).
-VALIDATORS_MODULE = "tools.validate_streams"
 
 #: Matches a published schema identifier embedded anywhere in a string.
 SCHEMA_ID_PATTERN = re.compile(r"iotls-[a-z][a-z0-9-]*/[0-9]+")
@@ -53,11 +49,9 @@ def _violation(module: ModuleContext, node: ast.AST, message: str) -> Violation:
     )
 
 
-def registered_schemas(
-    registry: ModuleContext,
-) -> list[tuple[str, str | None, ast.Call]]:
-    """(schema id, validator name, registration node) from the registry AST."""
-    out: list[tuple[str, str | None, ast.Call]] = []
+def registered_schemas(registry: ModuleContext) -> set[str]:
+    """Every schema id the registry AST declares with a literal name/version."""
+    out: set[str] = set()
     for node in ast.walk(registry.tree):
         if not isinstance(node, ast.Call):
             continue
@@ -74,23 +68,13 @@ def registered_schemas(
         }
         schema_name = fields.get("name")
         version = fields.get("version")
-        if not (
+        if (
             isinstance(schema_name, ast.Constant)
             and isinstance(schema_name.value, str)
             and isinstance(version, ast.Constant)
             and isinstance(version.value, int)
         ):
-            continue
-        validator = fields.get("validator")
-        validator_name = (
-            validator.value
-            if isinstance(validator, ast.Constant)
-            and isinstance(validator.value, str)
-            else None
-        )
-        out.append(
-            (f"iotls-{schema_name.value}/{version.value}", validator_name, node)
-        )
+            out.add(f"iotls-{schema_name.value}/{version.value}")
     return out
 
 
@@ -99,32 +83,20 @@ def _is_docstring(node: ast.Constant) -> bool:
     return isinstance(parent(node), ast.Expr)
 
 
-def _defined_functions(module: ModuleContext) -> set[str]:
-    return {
-        node.name
-        for node in ast.walk(module.tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
 @rule(
     "RL022",
     "stream-schema-contract",
     "api",
     "Every published iotls-*/N identifier must come from the "
     "repro.telemetry.schemas registry (import the constant, never "
-    "hard-code the string) and carry a validator in "
-    "tools/validate_streams.py, so producers, consumers, and CI "
-    "contract checks can never drift apart.",
+    "hard-code the string), the registry that declares each contract, "
+    "so producers, consumers, and CI contract checks can never drift "
+    "apart.",
     scope="project",
 )
 def check_stream_schema_contract(graph: ProjectGraph) -> Iterator[Violation]:
     registry = graph.modules.get(REGISTRY_MODULE)
-    registered: dict[str, str | None] = {}
-    registrations: list[tuple[str, str | None, ast.Call]] = []
-    if registry is not None:
-        registrations = registered_schemas(registry)
-        registered = {schema_id: validator for schema_id, validator, _ in registrations}
+    registered = registered_schemas(registry) if registry is not None else set()
 
     for name in sorted(graph.modules):
         module = graph.modules[name]
@@ -150,19 +122,6 @@ def check_stream_schema_contract(graph: ProjectGraph) -> Iterator[Violation]:
                         module,
                         node,
                         f"'{match}' is not a registered stream schema; "
-                        f"declare it in {REGISTRY_MODULE} (with a validator "
-                        "in tools/validate_streams.py) before publishing it",
+                        f"declare it (and its contract) in {REGISTRY_MODULE} "
+                        "before publishing it",
                     )
-
-    validators_module = graph.modules.get(VALIDATORS_MODULE)
-    if registry is not None and validators_module is not None:
-        defined = _defined_functions(validators_module)
-        for schema_id, validator, node in registrations:
-            if validator is not None and validator not in defined:
-                yield _violation(
-                    registry,
-                    node,
-                    f"schema '{schema_id}' declares validator "
-                    f"'{validator}' but tools/validate_streams.py defines "
-                    "no such function",
-                )

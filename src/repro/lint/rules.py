@@ -15,7 +15,6 @@ Rule codes are grouped by family:
 from __future__ import annotations
 
 import ast
-import json
 from typing import Iterator
 
 from .registry import Violation, rule
@@ -100,9 +99,6 @@ LEDGER_BOUNDARY_PREFIXES = ("src/repro/telemetry/ledger.py",)
 DEPRECATED_NAMES = frozenset(
     {"campaign_to_dict", "probe_report_to_dict", "capture_to_dict"}
 )
-
-#: RL021 -- the committed public-surface baseline (repo-root relative).
-API_SURFACE_BASELINE = "tools/api_surface.json"
 
 #: RL003 -- calls that consume an iterable order-sensitively.
 _ORDERED_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
@@ -517,61 +513,6 @@ def check_deprecated_aliases(module: ModuleContext) -> Iterator[Violation]:
             f"reference to removed export alias {name!r}; use the "
             "*_to_document name",
         )
-
-
-def _module_all(tree: ast.Module) -> list[str] | None:
-    """The module's literal ``__all__`` (None when absent/non-literal)."""
-    for node in tree.body:
-        targets: list[ast.expr] = []
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-        elif isinstance(node, ast.AugAssign):
-            targets = [node.target]
-        for target in targets:
-            if isinstance(target, ast.Name) and target.id == "__all__":
-                try:
-                    value = ast.literal_eval(node.value)
-                except ValueError:
-                    return None
-                if isinstance(value, (list, tuple)):
-                    return [str(item) for item in value]
-    return None
-
-
-@rule(
-    "RL021",
-    "api-surface-baseline",
-    "api",
-    "Every public symbol reachable from repro.api / the CLI must appear "
-    "in tools/api_surface.json, so accidental surface growth (or a "
-    "forgotten --update after a deliberate change) fails in CI instead "
-    "of in consumers.",
-)
-def check_api_surface(module: ModuleContext) -> Iterator[Violation]:
-    baseline_path = module.root / API_SURFACE_BASELINE
-    if not baseline_path.is_file():
-        return
-    try:
-        baseline = json.loads(baseline_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError):
-        return
-    recorded = baseline.get("modules", {}).get(module.module)
-    if recorded is None:
-        return  # module's surface is not gated
-    exported = _module_all(module.tree)
-    if exported is None:
-        return
-    known = set(recorded)
-    for name in exported:
-        if name not in known:
-            yield _violation(
-                module,
-                "RL021",
-                module.tree,
-                f"public symbol {name!r} in {module.module}.__all__ is missing "
-                f"from {API_SURFACE_BASELINE}; run `python tools/api_surface.py "
-                "--update` if the change is deliberate",
-            )
 
 
 # ----------------------------------------------------------------------

@@ -71,17 +71,12 @@ __all__ = [
     "rewrite_ledger",
 ]
 
-#: Schema tag every ledger line declares (see repro.telemetry.schemas).
-from .schemas import LEDGER_SCHEMA  # noqa: E402
+#: Schema tag every ledger line declares, and the entry kinds and
+#: statuses its contract admits (see repro.telemetry.schemas).
+from .schemas import ENTRY_KINDS, ENTRY_STATUSES, LEDGER_SCHEMA  # noqa: E402
 
 #: Repo/CWD-relative default ledger location (``--ledger`` overrides).
 DEFAULT_LEDGER_PATH = ".iotls/ledger.jsonl"
-
-#: Entry kinds the schema admits.
-ENTRY_KINDS = ("run", "bench", "check")
-
-#: Entry statuses the schema admits.
-ENTRY_STATUSES = ("ok", "error")
 
 #: Same-process appends serialise on this lock; cross-process atomicity
 #: comes from the single O_APPEND write per line.

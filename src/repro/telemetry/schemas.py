@@ -1,37 +1,43 @@
-"""The central stream/document schema registry.
+"""The central stream/document schema registry and its contracts.
 
 Every machine-readable contract the repo publishes carries a version
-tag of the form ``iotls-<name>/<version>``.  Before this module those
-identifiers were string literals scattered across telemetry, analysis,
-serve, the CLI, and the tools -- nine-plus copies with nothing keeping
-them in sync with each other or with the validators in
-``tools/validate_streams.py``.  This registry is now the single source
-of truth:
+tag of the form ``iotls-<name>/<version>``.  This registry is the single
+source of truth for those identifiers and for what each one promises:
 
 * every schema is declared **once** here, with its kind (JSONL stream
   vs. single JSON document), a one-line description, and -- when the
-  contract is externally consumed -- the name of its validator function
-  in ``tools/validate_streams.py``,
+  contract is externally consumed -- the contract itself, on the entry:
+  a declarative :class:`~repro.telemetry.contracts.Spec` (health
+  stream, access log, run ledger, trend, status and resources
+  documents), or the strict loader in ``src/`` that already reads the
+  format (the trace artifact's ``fold_stream``, which is what ``iotls
+  check --artifact`` runs, and the SLO gate's ``load_slo_policy``),
+* :func:`check_contract` is the one checker: ``tools/validate_streams.py``,
+  ``tools/serve_smoke.py`` and the tests all go through it,
 * every producer imports its identifier from here (the module-level
   ``*_SCHEMA`` constants keep the historical names), and
-* reprolint rule **RL022** (``stream-schema-contract``) statically
-  enforces both halves: an ``iotls-*/N`` literal anywhere else in
-  ``src``/``tools`` is a violation, and a declared validator that
-  ``tools/validate_streams.py`` does not define is a violation.
+* reprolint rule **RL022** (``stream-schema-contract``) rejects an
+  ``iotls-*/N`` literal anywhere else in ``src``/``tools``.
 
-The registration calls below are deliberately **literal** (constant
-name/version/validator arguments): RL022 reads this file's AST, so the
-registry must be statically evaluable without importing the package.
+The registration calls below keep ``name`` and ``version`` **literal**:
+RL022 reads this file's AST, so the identifiers must be statically
+evaluable without importing the package.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import Callable
+
+from .contracts import Kind, Spec, When, check_spec
 
 __all__ = [
     "ACCESS_LOG_SCHEMA",
     "API_SURFACE_SCHEMA",
     "DRIFT_REPORT_SCHEMA",
+    "ENTRY_KINDS",
+    "ENTRY_STATUSES",
     "EXPECTATIONS_SCHEMA",
     "HEALTH_STREAM_SCHEMA",
     "LEDGER_SCHEMA",
@@ -46,6 +52,7 @@ __all__ = [
     "TRACE_STREAM_SCHEMA",
     "TREND_SCHEMA",
     "all_schemas",
+    "check_contract",
     "get_schema",
     "is_registered",
     "schema_id",
@@ -57,7 +64,7 @@ STREAM_SCHEMA_PREFIX = "iotls-"
 
 @dataclass(frozen=True)
 class StreamSchema:
-    """One published contract: identity, shape, and validation hook."""
+    """One published contract: identity, shape, and the contract itself."""
 
     #: Short name (the ``<name>`` in ``iotls-<name>/<version>``).
     name: str
@@ -66,9 +73,11 @@ class StreamSchema:
     #: (one JSON object).
     kind: str
     description: str
-    #: Name of the validator function in ``tools/validate_streams.py``
-    #: (``None`` for internal documents validated by their own loaders).
-    validator: str | None = None
+    #: What :func:`check_contract` enforces: a declarative :class:`Spec`,
+    #: or the strict reader of the format, which raises ``ValueError`` on
+    #: any violation (``None`` for internal documents read by their own
+    #: loaders).
+    contract: Spec | Callable[[Path], object] | None = field(default=None, compare=False)
 
     @property
     def id(self) -> str:
@@ -76,7 +85,30 @@ class StreamSchema:
         return f"{STREAM_SCHEMA_PREFIX}{self.name}/{self.version}"
 
 
-#: The registry.  Keep registrations literal -- RL022 parses this file.
+def _fold_trace_stream(path: Path) -> None:
+    """The artifact's reader is its contract (what ``iotls check --artifact`` runs)."""
+    from ..analysis.export import fold_stream
+    from ..testbed.capture import DiscardSink
+
+    fold_stream(path, DiscardSink())
+
+
+def _load_slo_policy(path: Path) -> None:
+    from .slo import load_slo_policy
+
+    load_slo_policy(path)
+
+
+#: Run-ledger entry statuses (``status: error`` entries carry an ``error``).
+ENTRY_STATUSES = ("ok", "error")
+
+_RUN_ENTRY = Kind({"command": "str", "params": "object", "config_digest": "str"})
+_HEARTBEAT = dict.fromkeys(("label", "done", "elapsed_seconds", "rate", "ewma_rate"), "any")
+_HEALTH_SUMMARY = dict.fromkeys(("label", "done", "seconds", "rate", "heartbeats"), "any")
+_STATUS_INTS = ("queue.depth", "queue.capacity", "queue.executors", "queue.inflight",
+                "cache.hits", "cache.misses", "cache.coalesced")
+
+#: The registry.  Keep ``name``/``version`` literal -- RL022 parses this file.
 REGISTRY: tuple[StreamSchema, ...] = (
     StreamSchema(
         name="trace-stream",
@@ -84,7 +116,7 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="jsonl-stream",
         description="chunked trace export: header, record/revocation-event "
         "lines, one trailing summary (iotls trace --stream-out, serve bodies)",
-        validator="validate_trace_stream",
+        contract=_fold_trace_stream,
     ),
     StreamSchema(
         name="run-ledger",
@@ -92,7 +124,15 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="jsonl-stream",
         description="append-only cross-run observability store; one "
         "self-contained entry per line (.iotls/ledger.jsonl)",
-        validator="validate_run_ledger",
+        contract=Spec(
+            fields={"status": ENTRY_STATUSES, "date": "any", "host": "any", "error.type": "any"},
+            when=(When("status", lambda status: status == "error", {"error": "object"}),),
+            kinds={
+                "run": _RUN_ENTRY,
+                "bench": Kind({"benchmark": "str", "seconds": "number"}),
+                "check": _RUN_ENTRY,
+            },
+        ),
     ),
     StreamSchema(
         name="health-stream",
@@ -100,7 +140,13 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="jsonl-stream",
         description="run-health heartbeat stream: header, seq-monotonic "
         "heartbeats, one trailing summary (--heartbeat-out)",
-        validator="validate_run_health",
+        contract=Spec(
+            kinds={
+                "header": Kind(count=(1, 1)),
+                "heartbeat": Kind(_HEARTBEAT | {"seq": "int"}, count=(1, None), seq=True),
+                "summary": Kind(_HEALTH_SUMMARY, count=(1, 1), final=True),
+            },
+        ),
     ),
     StreamSchema(
         name="serve-access",
@@ -108,7 +154,13 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="jsonl-stream",
         description="fleet-service access log: header, seq-monotonic request "
         "lifecycle events, at most one trailing summary",
-        validator="validate_access_log",
+        contract=Spec(
+            kinds={
+                "header": Kind(count=(1, 1)),
+                "event": Kind({"seq": "int", "event": "any", "elapsed_seconds": "any"}, seq=True),
+                "summary": Kind({"counts": "object"}, count=(0, 1), final=True),
+            },
+        ),
     ),
     StreamSchema(
         name="bench-trend",
@@ -116,14 +168,21 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="document",
         description="benchmark trajectory report over the run ledger's "
         "bench entries (iotls runs trend --json)",
-        validator="validate_bench_trend",
+        contract=Spec(
+            fields={"entries": "int", "benchmarks": "object", "benchmarks.*": "object"}
+            | dict.fromkeys(
+                ("benchmarks.*.runs", "benchmarks.*.best_seconds", "benchmarks.*.latest_seconds"),
+                "any",
+            )
+            | {"hosts?": "object"}
+        ),
     ),
     StreamSchema(
         name="slo",
         version=1,
         kind="document",
         description="declarative benchmark SLO policy (tools/slo.json)",
-        validator="validate_slo_policy",
+        contract=_load_slo_policy,
     ),
     StreamSchema(
         name="serve-status",
@@ -131,7 +190,10 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="document",
         description="fleet-service GET /status snapshot: queue, pool, cache, "
         "resident state, access counters",
-        validator="validate_serve_status",
+        contract=Spec(
+            fields={"queue": "object", "cache": "object", "resident": "object", "access": "object"}
+            | dict.fromkeys(_STATUS_INTS, "int")
+        ),
     ),
     StreamSchema(
         name="resources",
@@ -139,7 +201,17 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="document",
         description="ResourceSampler summary: peak heap/RSS, gc and CPU "
         "readings for one run",
-        validator="validate_resource_summary",
+        contract=Spec(
+            fields={"samples": "int"},
+            when=(
+                When(
+                    "samples",
+                    lambda samples: isinstance(samples, int) and samples > 0,
+                    dict.fromkeys(("seconds", "peak_rss_kib", "peak_traced_bytes"), "number")
+                    | {"stages?": "array"},
+                ),
+            ),
+        ),
     ),
     StreamSchema(
         name="manifest",
@@ -147,21 +219,18 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="document",
         description="blake2s-named canonical run manifest, byte-identical "
         "across worker counts",
-        validator=None,
     ),
     StreamSchema(
         name="telemetry",
         version=1,
         kind="document",
         description="metrics snapshot export (counters/gauges/histograms)",
-        validator=None,
     ),
     StreamSchema(
         name="profile",
         version=1,
         kind="document",
         description="span-based profile aggregation (--profile-out)",
-        validator=None,
     ),
     StreamSchema(
         name="paper-expectations",
@@ -169,21 +238,18 @@ REGISTRY: tuple[StreamSchema, ...] = (
         kind="document",
         description="calibrated paper cells the drift gate audits against "
         "(packaged expected/paper.json)",
-        validator=None,
     ),
     StreamSchema(
         name="drift-report",
         version=1,
         kind="document",
         description="iotls check outcome: per-cell drift verdicts",
-        validator=None,
     ),
     StreamSchema(
         name="api-surface",
         version=1,
         kind="document",
         description="public API surface baseline (tools/api_surface.json)",
-        validator=None,
     ),
 )
 
@@ -219,6 +285,25 @@ def is_registered(identifier: str) -> bool:
 def all_schemas() -> tuple[StreamSchema, ...]:
     """Every registered schema, in registration order."""
     return REGISTRY
+
+
+def check_contract(path: str | Path, identifier: str) -> list[str]:
+    """Every way the file at ``path`` breaks contract ``identifier``
+    (empty = valid): the entry's spec, or its reader's ``ValueError``."""
+    contract = get_schema(identifier).contract
+    if contract is None:
+        raise ValueError(f"{identifier} declares no contract to check")
+    if isinstance(contract, Spec):
+        return check_spec(contract, path, identifier)
+    try:
+        contract(Path(path))
+    except (OSError, ValueError) as exc:
+        return [str(exc)]
+    return []
+
+
+#: Run-ledger entry kinds: the line kinds the ledger's spec declares.
+ENTRY_KINDS = tuple(_BY_NAME["run-ledger"].contract.kinds)
 
 
 # ----------------------------------------------------------------------

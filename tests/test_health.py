@@ -24,6 +24,7 @@ from repro.telemetry import (
     HEALTH_STREAM_SCHEMA,
     RESOURCE_SUMMARY_SCHEMA,
     SLO_SCHEMA,
+    TREND_SCHEMA,
     HeartbeatWriter,
     ProgressReporter,
     Profiler,
@@ -38,6 +39,7 @@ from repro.telemetry import (
     trend_report,
 )
 from repro.telemetry import TelemetryRuntime
+from repro.telemetry.schemas import check_contract
 from repro.testbed import ProgressSink
 
 
@@ -218,7 +220,7 @@ class TestProgressReporter:
 # ResourceSampler: reference-counted tracemalloc
 # ----------------------------------------------------------------------
 class TestResourceSampler:
-    def test_summary_shape(self):
+    def test_summary_shape(self, tmp_path):
         with ResourceSampler() as sampler:
             list(range(10_000))
         summary = sampler.summary()
@@ -227,6 +229,11 @@ class TestResourceSampler:
         assert summary["peak_traced_bytes"] > 0
         assert summary["stages"][0]["stage"] == "start"
         assert summary["stages"][-1]["stage"] == "stop"
+        # Both shapes meet the published contract: > 0 samples, and none.
+        path = tmp_path / "resources.json"
+        for document in (summary, ResourceSampler().summary()):
+            path.write_text(json.dumps(document))
+            assert check_contract(path, RESOURCE_SUMMARY_SCHEMA) == []
 
     def test_hold_released_after_stop(self):
         assert tracemalloc_holds() == 0
@@ -450,13 +457,8 @@ class TestManifestParity:
         )
         assert status == 0
         capsys.readouterr()
-        records = [json.loads(line) for line in path.read_text().splitlines()]
-        assert records[0]["kind"] == "header"
-        assert records[0]["schema"] == HEALTH_STREAM_SCHEMA
-        kinds = [r["kind"] for r in records]
-        assert kinds.count("heartbeat") >= 1
-        assert kinds[-1] == "summary"
-        assert records[-1]["done"] > 0
+        assert check_contract(path, HEALTH_STREAM_SCHEMA) == []
+        assert json.loads(path.read_text().splitlines()[-1])["done"] > 0
 
     def test_api_returns_health_summary(self, tmp_path):
         result = api.run_trace(
@@ -612,16 +614,9 @@ class TestBenchReportCli:
             assert "bad SLO policy" in capsys.readouterr().err
 
     def test_json_export(self, tmp_path, capsys):
-        import importlib.util
-        from pathlib import Path
-
         out = tmp_path / "report.json"
         entries = [_entry("stream_trace", peak_mib=2.0)]
         assert self._trend(tmp_path, entries, "--slo", "tools/slo.json", "--json", str(out)) == 0
         document = json.loads(out.read_text())
         assert document["slo_verdicts"]
-        tool = Path(__file__).resolve().parents[1] / "tools" / "validate_streams.py"
-        spec = importlib.util.spec_from_file_location("validate_streams", tool)
-        streams = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(streams)
-        assert streams.validate_bench_trend(out) == []
+        assert check_contract(out, TREND_SCHEMA) == []

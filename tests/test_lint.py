@@ -301,36 +301,6 @@ class TestRL020DeprecatedAliases:
         assert codes(lint_source(tmp_path, source)) == []
 
 
-class TestRL021ApiSurface:
-    def _project(self, tmp_path, exported, recorded) -> Path:
-        (tmp_path / "tools").mkdir()
-        (tmp_path / "tools" / "api_surface.json").write_text(
-            json.dumps({"schema": "iotls-api-surface/1", "modules": {"mypkg": recorded}})
-        )
-        package = tmp_path / "src" / "mypkg"
-        package.mkdir(parents=True)
-        target = package / "__init__.py"
-        names = ", ".join(repr(name) for name in exported)
-        target.write_text(f"__all__ = [{names}]\n")
-        return target
-
-    def test_bad_symbol_missing_from_baseline(self, tmp_path):
-        target = self._project(tmp_path, ["run_lint", "new_thing"], ["run_lint"])
-        report = run_lint([target], root=tmp_path)
-        assert codes(report) == ["RL021"]
-        assert "new_thing" in report.violations[0].message
-
-    def test_good_surface_in_sync(self, tmp_path):
-        target = self._project(tmp_path, ["run_lint"], ["run_lint"])
-        assert codes(run_lint([target], root=tmp_path)) == []
-
-    def test_ungated_module_is_skipped(self, tmp_path):
-        target = self._project(tmp_path, ["anything"], ["anything"])
-        other = tmp_path / "src" / "otherpkg.py"
-        other.write_text("__all__ = ['not_gated']\n")
-        assert codes(run_lint([other], root=tmp_path)) == []
-
-
 # ----------------------------------------------------------------------
 # Rule fixtures: exception hygiene family
 # ----------------------------------------------------------------------
@@ -613,7 +583,7 @@ class TestCli:
     def test_iotls_lint_list_rules(self, capsys):
         assert iotls_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL010", "RL011", "RL020", "RL021", "RL030"):
+        for code in ("RL001", "RL002", "RL003", "RL010", "RL011", "RL020", "RL030"):
             assert code in out
 
 
@@ -1007,14 +977,8 @@ class TestRL043SpawnUnsafeCapture:
 
 
 class TestRL022StreamSchemaContract:
-    def _project(
-        self,
-        tmp_path: Path,
-        consumer: str,
-        *,
-        validators: str | None = "def validate_trace_stream(path):\n    return []\n",
-    ) -> LintReport:
-        """A mini repo: registry + tools/validate_streams.py + consumer."""
+    def _project(self, tmp_path: Path, consumer: str) -> LintReport:
+        """A mini repo: the registry plus one consumer."""
         telemetry = tmp_path / "src" / "repro" / "telemetry"
         telemetry.mkdir(parents=True)
         (telemetry / "schemas.py").write_text(
@@ -1023,23 +987,12 @@ class TestRL022StreamSchemaContract:
             "class StreamSchema:\n"
             "    name: str\n"
             "    version: int\n"
-            "    validator: str | None = None\n"
-            "REGISTRY = (\n"
-            "    StreamSchema(name='trace-stream', version=1,\n"
-            "                 validator='validate_trace_stream'),\n"
-            ")\n"
+            "REGISTRY = (StreamSchema(name='trace-stream', version=1),)\n"
         )
-        tools = tmp_path / "tools"
-        tools.mkdir()
-        if validators is not None:
-            (tools / "validate_streams.py").write_text(validators)
         consumer_path = tmp_path / "src" / "repro" / "consumer.py"
         consumer_path.write_text(consumer)
         return run_lint(
-            [tmp_path / "src", tools],
-            root=tmp_path,
-            select=["RL022"],
-            whole_program=True,
+            [tmp_path / "src"], root=tmp_path, select=["RL022"], whole_program=True
         )
 
     def test_bad_hardcoded_registered_id(self, tmp_path):
@@ -1051,15 +1004,6 @@ class TestRL022StreamSchemaContract:
         report = self._project(tmp_path, "SCHEMA = 'iotls-mystery/9'\n")
         assert codes(report) == ["RL022"]
         assert "not a registered" in report.violations[0].message
-
-    def test_bad_missing_validator(self, tmp_path):
-        report = self._project(
-            tmp_path,
-            "X = 1\n",
-            validators="def validate_something_else(path):\n    return []\n",
-        )
-        assert codes(report) == ["RL022"]
-        assert "validate_trace_stream" in report.violations[0].message
 
     def test_good_docstring_mention_is_exempt(self, tmp_path):
         consumer = '"""Writes iotls-trace-stream/1 bodies."""\nX = 1\n'

@@ -19,7 +19,8 @@ import pytest
 from repro import api, telemetry
 from repro.serve import FleetService, ServeConfig
 from repro.serve.http import HttpError, HttpRequest
-from repro.telemetry import AccessLog, ledger
+from repro.telemetry import ACCESS_LOG_SCHEMA, AccessLog, ledger
+from repro.telemetry.schemas import check_contract
 
 
 def serve_config(tmp_path, **overrides) -> ServeConfig:
@@ -337,16 +338,12 @@ class TestAccessLog:
         for thread in threads:
             thread.join()
         log.close()
-        lines = [
-            json.loads(line)
-            for line in (tmp_path / "log.jsonl").read_text().splitlines()
-        ]
-        assert lines[0]["kind"] == "header"
-        assert lines[0]["schema"] == "iotls-serve-access/1"
+        path = tmp_path / "log.jsonl"
+        assert check_contract(path, ACCESS_LOG_SCHEMA) == []
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
         events = [line for line in lines if line["kind"] == "event"]
         assert len(events) == 400
         assert [event["seq"] for event in events] == list(range(1, 401))
-        assert lines[-1]["kind"] == "summary"
         assert lines[-1]["counts"] == {"request": 400}
         assert log.record("late") == {}  # closed logs drop silently
 

@@ -333,6 +333,34 @@ class TestDamagedArtifacts:
         assert main(["check", "--artifact", str(path), "--no-ledger"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda payload: 5, "not a JSON object"),
+            (lambda payload: {"record": 5}, "record is not an object"),
+            (lambda payload: {"record": {}}, "missing field 'device'"),
+            (lambda payload: {"record": dict(payload["record"], count="3")}, "record field 'count'"),
+            (lambda payload: {"record": dict(payload["record"], client_hello_hex="zz")}, "non-hex"),
+        ],
+        ids=["non-object", "record-5", "missing-device", "mistyped-count", "bad-hex"],
+    )
+    def test_malformed_line_names_its_number(self, tmp_path, lines, damage, message):
+        damaged = json.dumps(damage(json.loads(lines[1]))) + "\n"
+        with pytest.raises(ValueError, match=f"line 2: {message}"):
+            self._fold(tmp_path, [lines[0], damaged, *lines[2:]])
+
+    def test_header_metadata_must_be_an_object(self, tmp_path, lines):
+        header = json.loads(lines[0])
+        header["metadata"] = 7
+        with pytest.raises(ValueError, match="line 1: header needs a 'metadata' object"):
+            self._fold(tmp_path, [json.dumps(header) + "\n", *lines[1:]])
+
+    def test_check_exits_2_on_malformed_record(self, tmp_path, capsys, lines):
+        path = tmp_path / "malformed.jsonl"
+        path.write_text("".join([lines[0], '{"record": 5}\n', *lines[2:]]))
+        assert main(["check", "--artifact", str(path), "--no-ledger"]) == 2
+        assert "error:" in capsys.readouterr().err
+
 
 def _fold_per_record(path: Path, sink) -> None:
     """The reference fold: every line through ``add`` or

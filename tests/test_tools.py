@@ -22,6 +22,7 @@ from repro.telemetry import (
     trend_report,
 )
 from repro.telemetry.provenance import config_digest
+from repro.telemetry.schemas import LEDGER_SCHEMA, SLO_SCHEMA, TREND_SCHEMA, check_contract
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -245,8 +246,7 @@ class TestBenchHistoryLedger:
         assert entry["config_digest"] == config_digest("bench", entry["params"], __version__)
         assert isinstance(entry["git_rev"], str) and entry["git_rev"]
         assert entry["date"] == host_date()
-        streams = _load_tool("validate_streams")
-        assert streams.validate_run_ledger(stream_ledger) == []
+        assert check_contract(stream_ledger, LEDGER_SCHEMA) == []
 
     def test_explicit_ledger_path_and_none(self, tmp_path, monkeypatch):
         # --ledger is the one destination: nothing else is written.
@@ -275,61 +275,70 @@ class TestValidateStreams:
         )
 
     def test_valid_ledger_passes(self, tmp_path):
-        streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
         path.write_text(json.dumps(self._ledger_entry()) + "\n")
-        assert streams.validate_run_ledger(path) == []
+        assert check_contract(path, LEDGER_SCHEMA) == []
 
     def test_ledger_violations_reported(self, tmp_path):
-        streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
         path.write_text('{"schema": "wrong/1", "kind": "nope"}\nnot json\n')
-        errors = streams.validate_run_ledger(path)
+        errors = check_contract(path, LEDGER_SCHEMA)
         assert any("schema" in error for error in errors)
         assert any("not valid JSON" in error for error in errors)
 
     def test_rows_without_host_rejected(self, tmp_path):
-        streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
         row = _bench(1.0)
         del row["host"]
         row["legacy"] = True
         path.write_text(json.dumps(row) + "\n")
-        assert any("'host'" in e for e in streams.validate_run_ledger(path))
+        assert any("'host'" in e for e in check_contract(path, LEDGER_SCHEMA))
 
     def test_error_entries_need_typed_error(self, tmp_path):
-        streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
         entry = self._ledger_entry(status="error")
         path.write_text(json.dumps(entry) + "\n")
-        errors = streams.validate_run_ledger(path)
+        errors = check_contract(path, LEDGER_SCHEMA)
         assert any("'error' object" in error for error in errors)
 
     def test_trend_document_validates(self, tmp_path):
         from repro.telemetry import ledger
 
-        streams = _load_tool("validate_streams")
         entry = ledger.build_entry(
             "bench", kind="bench", seconds=1.0, extra={"benchmark": "b"}
         )
         path = tmp_path / "trend.json"
         path.write_text(json.dumps(ledger.ledger_trend([entry])) + "\n")
-        assert streams.validate_bench_trend(path) == []
+        assert check_contract(path, TREND_SCHEMA) == []
 
     def test_schema_autodetection(self, tmp_path):
         streams = _load_tool("validate_streams")
         path = tmp_path / "ledger.jsonl"
         path.write_text(json.dumps(self._ledger_entry()) + "\n")
-        assert streams.detect_schema(path) == streams.LEDGER_SCHEMA
+        assert streams.detect_schema(path) == LEDGER_SCHEMA
         unknown = tmp_path / "other.txt"
         unknown.write_text("hello\n")
         assert streams.detect_schema(unknown) is None
 
     def test_slo_policy_uses_the_gate_loader(self, tmp_path):
-        streams = _load_tool("validate_streams")
-        assert streams.validate_slo_policy(REPO_ROOT / "tools" / "slo.json") == []
+        assert check_contract(REPO_ROOT / "tools" / "slo.json", SLO_SCHEMA) == []
         path = tmp_path / "slo.json"
         for document in ([], {"schema": "iotls-slo/1", "slos": [1]}):
             path.write_text(json.dumps(document))
-            (error,) = streams.validate_slo_policy(path)
+            (error,) = check_contract(path, SLO_SCHEMA)
             assert "object" in error
+
+class TestApiSurfaceDiff:
+    """``tools/api_surface.py --check`` diffs every gated ``__all__``."""
+
+    def test_good_surface_in_sync(self):
+        tool = _load_tool("api_surface")
+        surface = tool.build_surface()
+        assert tool._diff(surface, surface) == []
+
+    def test_bad_symbol_missing_from_baseline(self):
+        tool = _load_tool("api_surface")
+        baseline = tool.build_surface()
+        current = json.loads(json.dumps(baseline))
+        current["modules"]["repro.lint"].append("new_thing")
+        assert tool._diff(baseline, current) == ["repro.lint: added 'new_thing'"]

@@ -7,13 +7,15 @@ operator) would:
 2. ``POST /runs`` the same trace request twice and assert the cache
    contract: ``miss`` then ``hit``, byte-identical stream bodies, equal
    manifest digests, and **zero** new warm-pool dispatches for the hit,
-3. validate the streamed body against the ``iotls-trace-stream/1``
-   contract and the access log against ``iotls-serve-access/1``
-   (via :mod:`validate_streams`),
-4. assert a distinct request misses (the cache is content-addressed,
+3. assert a distinct request misses (the cache is content-addressed,
    not request-order magic),
-5. shut the server down and leave the access log behind for artifact
-   upload.
+4. check the streamed body, the final ``GET /status`` document and the
+   access log against their registered contracts
+   (``iotls-trace-stream/1``, ``iotls-serve-status/1``,
+   ``iotls-serve-access/1``) through the one contract checker,
+   :func:`repro.telemetry.schemas.check_contract`,
+5. shut the server down and leave the access log and status document
+   behind for artifact upload.
 
 Exit codes: 0 = contract holds, 1 = violation, 2 = environment failure
 (server would not start).
@@ -37,8 +39,13 @@ import urllib.error
 import urllib.request
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from validate_streams import validate_access_log, validate_trace_stream  # noqa: E402
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+from repro.telemetry.schemas import (  # noqa: E402
+    ACCESS_LOG_SCHEMA,
+    STATUS_SCHEMA,
+    TRACE_STREAM_SCHEMA,
+    check_contract,
+)
 
 TRACE_REQUEST = {"command": "trace", "scale": 1, "seed": "serve-smoke"}
 OTHER_REQUEST = {"command": "trace", "scale": 1, "seed": "serve-smoke-b"}
@@ -142,10 +149,14 @@ def main() -> int:
 
         stream_path = workdir / "stream-body.jsonl"
         stream_path.write_bytes(first_body)
-        for problem in validate_trace_stream(stream_path):
+        for problem in check_contract(stream_path, TRACE_STREAM_SCHEMA):
             failures.append(f"trace stream: {problem}")
 
         status = get(base, "/status")
+        status_path = workdir / "status.json"
+        status_path.write_text(json.dumps(status, sort_keys=True) + "\n")
+        for problem in check_contract(status_path, STATUS_SCHEMA):
+            failures.append(f"status: {problem}")
         print(
             "serve smoke:",
             json.dumps({"cache": status["cache"], "pool": status["pool"], "resident": status["resident"]}),
@@ -158,7 +169,7 @@ def main() -> int:
             server.kill()
             server.wait()
 
-    for problem in validate_access_log(access_log):
+    for problem in check_contract(access_log, ACCESS_LOG_SCHEMA):
         failures.append(f"access log: {problem}")
 
     if failures:
