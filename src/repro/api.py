@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Any, Callable, Iterator
@@ -112,7 +112,9 @@ class RunRequest:
 
     #: Connections per unit of destination weight per month.
     scale: int = 40
-    #: Passive-trace generator seed (recorded in export metadata).
+    #: Passive-trace generator seed (recorded in export metadata).  Only
+    #: ``trace`` and ``check`` read it; ``report`` and ``pcap`` always
+    #: build the generator's default-seed trace.
     seed: str = "iotls-passive"
     #: Maximum connections per emitted flow record (None = classic batching).
     flow_cap: int | None = None
@@ -219,7 +221,7 @@ class RunConfig:
 
     #: Connections per unit of destination weight per month.
     scale: int = 40
-    #: Passive-trace generator seed (recorded in export metadata).
+    #: Passive-trace generator seed (``trace`` and ``check`` only).
     seed: str = "iotls-passive"
     #: Worker processes for device sharding; output is identical for any N.
     workers: int = 1
@@ -250,26 +252,13 @@ class RunConfig:
     @property
     def request(self) -> RunRequest:
         """The serializable half: what this config asks to compute."""
-        return RunRequest(
-            scale=self.scale,
-            seed=self.seed,
-            flow_cap=self.flow_cap,
-            include_passthrough=self.include_passthrough,
-            device=self.device,
-            limit=self.limit,
-        )
+        return RunRequest(**{name: getattr(self, name) for name in _REQUEST_FIELDS})
 
     @property
     def options(self) -> ExecutionOptions:
         """The host-local half: how this config executes."""
         return ExecutionOptions(
-            workers=self.workers,
-            telemetry=self.telemetry,
-            stream=self.stream,
-            progress=self.progress,
-            heartbeat_interval=self.heartbeat_interval,
-            ledger=self.ledger,
-            progress_stream=self.progress_stream,
+            **{name: getattr(self, name) for name in _OPTION_FIELDS}
         )
 
     @classmethod
@@ -278,20 +267,15 @@ class RunConfig:
     ) -> "RunConfig":
         """Recombine a wire request with host-local execution options."""
         return cls(
-            scale=request.scale,
-            seed=request.seed,
-            flow_cap=request.flow_cap,
-            include_passthrough=request.include_passthrough,
-            device=request.device,
-            limit=request.limit,
-            workers=options.workers,
-            telemetry=options.telemetry,
-            stream=options.stream,
-            progress=options.progress,
-            heartbeat_interval=options.heartbeat_interval,
-            ledger=options.ledger,
-            progress_stream=options.progress_stream,
+            **{name: getattr(request, name) for name in _REQUEST_FIELDS},
+            **{name: getattr(options, name) for name in _OPTION_FIELDS},
         )
+
+
+#: The two halves :class:`RunConfig` splits into; together they are
+#: exactly its fields.
+_REQUEST_FIELDS = tuple(f.name for f in fields(RunRequest))
+_OPTION_FIELDS = tuple(f.name for f in fields(ExecutionOptions))
 
 
 class RunError(Exception):
@@ -538,9 +522,8 @@ def _pcap_params(request: Any) -> dict[str, Any]:
 
 
 def _check_params(request: Any) -> dict[str, Any]:
-    # `artifact` mirrors the CLI's check entries: the fresh-run path
-    # audits no pre-existing artifact, but the key stays in the digest
-    # so CLI and service check runs index identically.
+    # `artifact` is None for a fresh run; an artifact audit records the
+    # artifact's path there instead (see `_execute_check`).
     return {"scale": request.scale, "seed": request.seed, "artifact": None}
 
 
@@ -972,8 +955,9 @@ def _execute_report(
                 results = ActiveExperimentCampaign(testbed).run(workers=config.workers)
             notify("generating passive trace...")
             with note.phase("trace"):
+                # The report's digest holds no seed: always the default one.
                 capture = PassiveTraceGenerator(
-                    testbed, scale=config.scale, seed=config.seed
+                    testbed, scale=config.scale
                 ).generate(workers=config.workers)
             with note.phase("render"):
                 path = write_report(testbed, results, capture, out)
@@ -1008,14 +992,17 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
     from .longitudinal import PassiveTraceGenerator
     from .testbed.pcap import write_pcap
 
+    limit = config.limit
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be >= 0 or None, got {limit}")
     _configure_telemetry(config)
     params = _pcap_params(config)
-    limit = config.limit
     with _ledger_session(config, "pcap", params) as note:
         with pool_session(config.workers) as pool:
-            capture = PassiveTraceGenerator(
-                scale=config.scale, seed=config.seed
-            ).generate(workers=config.workers)
+            # The pcap's digest holds no seed: always the default one.
+            capture = PassiveTraceGenerator(scale=config.scale).generate(
+                workers=config.workers
+            )
             note.observe_pool(pool)
         path = write_pcap(capture, out, limit=limit)
         packets = limit if limit is not None else len(capture)
@@ -1035,23 +1022,34 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
 @_register(
     "check",
     params=_check_params,
-    extras=("expected_path",),
+    extras=("expected_path", "artifact_path"),
     cacheable=False,  # the drift verdict carries no manifest
-    summary="audit a fresh run against the paper's published values",
+    summary="audit a fresh run (or an exported trace artifact) against "
+    "the paper's published values",
 )
 def _execute_check(
-    config: RunConfig, *, expected_path: str | Path | None = None
+    config: RunConfig,
+    *,
+    expected_path: str | Path | None = None,
+    artifact_path: str | Path | None = None,
 ) -> CheckResult:
-    from .analysis.drift import audit_fresh_run
+    """A fresh run's drift audit, or with ``artifact_path`` the audit of
+    an exported trace artifact (capture-derived cells only)."""
+    from .analysis.drift import audit_artifact, audit_fresh_run
 
     _configure_telemetry(config)
-    with pool_session(config.workers):
-        report = audit_fresh_run(
-            scale=config.scale,
-            seed=config.seed,
-            workers=config.workers,
-            expectations_path=expected_path,
-        )
+    params = _check_params(config)
+    if artifact_path is not None:
+        report = audit_artifact(artifact_path, expectations_path=expected_path)
+        params["artifact"] = str(artifact_path)
+    else:
+        with pool_session(config.workers):
+            report = audit_fresh_run(
+                scale=config.scale,
+                seed=config.seed,
+                workers=config.workers,
+                expectations_path=expected_path,
+            )
     drifted = sorted(cell.expectation.id for cell in report.drifted)
     if config.ledger is not None:
         # The drift verdict is run history worth querying later: `iotls
@@ -1061,7 +1059,7 @@ def _execute_check(
                 "check",
                 kind="check",
                 status="ok" if report.ok else "error",
-                params=_check_params(config),
+                params=params,
                 workers=config.workers,
                 drift={"ok": report.ok, "drifted": drifted, "cells": len(report.cells)},
                 error=(

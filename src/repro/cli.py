@@ -9,22 +9,39 @@ Subcommands map one-to-one onto the paper's experiments:
                       Figures 1-3, adoption events, Table 8
 * ``fingerprint``  -- the Figure 5 shared-fingerprint analysis
 * ``devices``      -- list the Table 1 catalog
+* ``report``       -- run everything and write the markdown report
+* ``pcap``         -- export the capture's ClientHellos as a pcap file
 * ``check``        -- audit a run against the paper's published values
                       (drift report; non-zero exit on drift)
 * ``lint``         -- reprolint: static invariant checks over the
                       repo's own source (see ``docs/static-analysis.md``)
 * ``telemetry-demo`` -- exercise the telemetry subsystem end-to-end
+* ``serve``        -- the resident fleet service (:mod:`repro.serve`)
 * ``runs``         -- query the run ledger: ``list``/``show``/``diff``/
                       ``trend``/``lookup``/``gc`` over every recorded run
 
-The experiment subcommands are thin wrappers over :mod:`repro.api`:
-each builds a :class:`repro.api.RunConfig`, calls the matching
-``run_*`` function, and renders the typed result.  Shared run flags
-(``--telemetry`` / ``--metrics-out`` / ``--workers`` / ``--manifest`` /
-``--profile*`` / ``--json``) are declared once by
-:func:`add_run_options` and read back via :func:`resolve_run_options`;
-the :data:`_RUN_OPTIONS` table is the single source of truth for which
-command supports which flag.
+The run subcommands (``audit``, ``probe``, ``trace``, ``report``,
+``pcap``, ``check``) are a thin projection of :mod:`repro.api`.  Each
+flag is declared once, in :data:`_FLAGS`, under the ``dest`` it feeds:
+
+* a :class:`repro.api.RunConfig` field -- ``--scale`` -> ``scale``,
+  ``--no-passthrough`` -> ``include_passthrough`` (``store_false``), the
+  probe positional -> ``device``, ``--flow-cap`` -> ``flow_cap``, ...;
+* an extra of the command's :class:`repro.api.CommandSpec` --
+  ``--json`` -> ``json_path``, ``--stream-out`` -> ``stream_path``,
+  ``--heartbeat-out`` -> ``heartbeat_path``, ``--out``, ``--expected``
+  -> ``expected_path``, ``--artifact`` -> ``artifact_path``;
+* or a CLI-only setting the CLI handles around the run --
+  ``--metrics-out``, ``--manifest``, ``--profile*``, ``--no-ledger``.
+
+:data:`_COMMAND_FLAGS` says which flags each subcommand takes and the
+few defaults it overrides.  :func:`_execute` is the one path from a
+parsed namespace to :func:`repro.api.execute`: ``RunConfig`` from the
+fields the namespace carries, plus the spec's extras.  ``iotls serve``
+fills :class:`repro.serve.ServeConfig` by field name the same way.  A
+``ValueError`` from a run prints ``error: ...`` and exits 2, the CLI's
+counterpart of the service's 400; a typed :class:`repro.api.RunError`
+exits 2 the same way.
 
 ``trace`` additionally supports the streaming pipeline: ``--stream``
 runs the analyses in bounded memory without materialising the capture,
@@ -37,221 +54,195 @@ from __future__ import annotations
 import argparse
 import statistics
 import sys
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import fields
+from typing import Any, Sequence
 
-from . import telemetry
+from . import api, telemetry
 from .analysis import render_table, table1_rows
 from .analysis.export import write_json
 
-__all__ = [
-    "main",
-    "build_parser",
-    "add_run_options",
-    "resolve_run_options",
-    "RunOptions",
-]
+__all__ = ["main", "build_parser"]
 
-#: Which shared run flags each subcommand supports -- the one table the
-#: parser builder and option resolver both read.
-_RUN_OPTIONS: dict[str, frozenset[str]] = {
-    "audit": frozenset(
-        {
-            "telemetry",
-            "metrics",
-            "workers",
-            "manifest",
-            "profile",
-            "json",
-            "progress",
-            "ledger",
-        }
+#: Every flag of the run and serve subcommands, declared once:
+#: ``dest -> (option string, argparse keywords)``.  The ``dest`` is the
+#: RunConfig / ServeConfig field, CommandSpec extra, or CLI-only
+#: setting the flag feeds.
+_FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
+    # RunConfig fields
+    "device": ("device", dict(help='device name, e.g. "LG TV"')),
+    "include_passthrough": (
+        "--no-passthrough",
+        dict(action="store_false", help="skip the passthrough pass"),
     ),
-    "probe": frozenset({"telemetry", "metrics", "json", "ledger"}),
-    "amenability": frozenset({"telemetry"}),
-    "trace": frozenset(
-        {
-            "telemetry",
-            "metrics",
-            "workers",
-            "manifest",
-            "profile",
-            "json",
-            "progress",
-            "ledger",
-        }
-    ),
-    "fingerprint": frozenset({"telemetry"}),
-    "devices": frozenset({"telemetry"}),
-    "report": frozenset(
-        {"telemetry", "metrics", "workers", "manifest", "profile", "progress", "ledger"}
-    ),
-    "pcap": frozenset({"telemetry", "workers", "manifest", "ledger"}),
-    "check": frozenset({"telemetry", "workers", "json", "ledger"}),
-    "lint": frozenset(),
-    "telemetry-demo": frozenset({"metrics"}),
-    "runs": frozenset(),
-    "serve": frozenset({"workers", "ledger"}),
+    "scale": ("--scale", dict(
+        type=int, default=40,
+        help="passive-trace scale: connections per weight-unit-month "
+        "(default %(default)s)",
+    )),
+    "seed": ("--seed", dict(
+        default="iotls-passive",
+        help="passive-trace generator seed (default %(default)s); recorded in "
+        "JSON metadata",
+    )),
+    "stream": ("--stream", dict(
+        action="store_true",
+        help="run the analyses in streaming mode (bounded memory; the capture "
+        "is never materialised, so --json is unavailable)",
+    )),
+    "flow_cap": ("--flow-cap", dict(
+        type=int, default=None, metavar="N",
+        help="split batched flow records to at most N connections each "
+        "(record volume then tracks connection volume)",
+    )),
+    "limit": ("--limit", dict(type=int, default=None, help="max packets")),
+    "telemetry": ("--telemetry", dict(
+        action="store_true",
+        help="enable the telemetry subsystem (metrics, spans, events)",
+    )),
+    "workers": ("--workers", dict(
+        type=int, default=1, metavar="N",
+        help="worker processes for device sharding (default 1 = in-process); "
+        "output is identical for any N",
+    )),
+    "progress": ("--progress", dict(
+        action="store_true",
+        help="print throttled live-progress heartbeats to stderr "
+        "(implies --telemetry)",
+    )),
+    "heartbeat_interval": ("--heartbeat-interval", dict(
+        type=float, default=1.0, metavar="SECONDS",
+        help="seconds between heartbeats / resource samples (default %(default)s)",
+    )),
+    "ledger": ("--ledger", dict(
+        metavar="PATH", default=None,
+        help=f"append this run's {telemetry.LEDGER_SCHEMA} entry to PATH "
+        f"(default {telemetry.DEFAULT_LEDGER_PATH}); query it with `iotls runs`",
+    )),
+    # CommandSpec extras
+    "json_path": ("--json", dict(metavar="PATH", help="export the results as JSON")),
+    "stream_path": ("--stream-out", dict(
+        metavar="PATH",
+        help="export the record stream as JSON Lines (implies --stream); "
+        "audit it later with `iotls check --artifact PATH`",
+    )),
+    "heartbeat_path": ("--heartbeat-out", dict(
+        metavar="PATH",
+        help="write the machine-readable run-health stream as JSONL "
+        f"(schema {telemetry.HEALTH_STREAM_SCHEMA}; implies --telemetry)",
+    )),
+    "out": ("--out", dict(help="output path (default %(default)s)")),
+    "expected_path": ("--expected", dict(
+        metavar="PATH",
+        help="expectations file (default: the packaged expected/paper.json)",
+    )),
+    "artifact_path": ("--artifact", dict(
+        metavar="PATH",
+        help="audit a previously exported trace artifact (`iotls trace --json` "
+        "document or `--stream-out` JSONL stream) instead of running fresh "
+        "experiments (capture-derived cells only; the rest are reported as "
+        "skipped)",
+    )),
+    # CLI-only settings
+    "metrics_out": ("--metrics-out", dict(
+        metavar="PATH",
+        help="write the run's metrics snapshot as JSON (implies --telemetry)",
+    )),
+    "manifest": ("--manifest", dict(
+        metavar="PATH",
+        help="write the run manifest (provenance document) as canonical JSON; "
+        "the manifest digest is always printed",
+    )),
+    "profile": ("--profile", dict(
+        action="store_true",
+        help="print a hot-span profile after the run (implies --telemetry)",
+    )),
+    "profile_out": ("--profile-out", dict(
+        metavar="PATH", help="write the profile as JSON (implies --profile)"
+    )),
+    "profile_stacks": ("--profile-stacks", dict(
+        metavar="PATH",
+        help="write flamegraph-ready collapsed stacks (implies --profile)",
+    )),
+    "no_ledger": ("--no-ledger", dict(
+        action="store_true", help="do not record this run in the run ledger"
+    )),
+    # ServeConfig fields
+    "host": ("--host", dict(
+        default="127.0.0.1", help="bind address (default %(default)s)"
+    )),
+    "port": ("--port", dict(
+        type=int, default=8738,
+        help="TCP port (default %(default)s; 0 binds an ephemeral port)",
+    )),
+    "queue_size": ("--queue-size", dict(
+        type=int, default=8, metavar="N",
+        help="bounded run-queue capacity; beyond it requests get 429 "
+        "(default %(default)s)",
+    )),
+    "executors": ("--executors", dict(
+        type=int, default=2, metavar="N",
+        help="concurrent run executors (default %(default)s)",
+    )),
+    "artifact_dir": ("--artifact-dir", dict(
+        default=".iotls/serve", metavar="PATH",
+        help="where computed run artifacts land (default %(default)s)",
+    )),
+    "access_log": ("--access-log", dict(
+        metavar="PATH",
+        help=f"write the {telemetry.ACCESS_LOG_SCHEMA} access log as JSONL",
+    )),
+    "retry_after": ("--retry-after", dict(
+        type=int, default=1, metavar="SECONDS",
+        help="Retry-After seconds advertised on 429 responses (default %(default)s)",
+    )),
 }
 
-#: Per-command ``--json`` help text (the flag means a different artifact
-#: for each command).
-_JSON_HELP = {
-    "audit": "export full results as JSON",
-    "probe": "export the probe report as JSON",
-    "trace": "export per-connection records as JSON",
-    "check": "export the drift report as JSON",
+_PROFILE = ("profile", "profile_out", "profile_stacks")
+_PROGRESS = ("progress", "heartbeat_path", "heartbeat_interval")
+_LEDGER = ("ledger", "no_ledger")
+_OBSERVED = ("telemetry", "metrics_out", "workers", "manifest", *_PROFILE, *_PROGRESS)
+
+#: The flags each subcommand takes (in help order) and the defaults it
+#: overrides.
+_COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
+    "audit": (("include_passthrough", *_OBSERVED, "json_path", *_LEDGER), {}),
+    "probe": (("device", "telemetry", "metrics_out", "json_path", *_LEDGER), {}),
+    "amenability": (("telemetry",), {}),
+    "trace": (
+        ("scale", "seed", "stream", "stream_path", "flow_cap", *_OBSERVED,
+         "json_path", *_LEDGER),
+        {},
+    ),
+    "fingerprint": (("telemetry",), {}),
+    "devices": (("telemetry",), {}),
+    "report": (("out", "scale", *_OBSERVED, *_LEDGER), {"out": "REPORT.md"}),
+    "pcap": (
+        ("out", "scale", "limit", "telemetry", "workers", "manifest", *_LEDGER),
+        {"out": "iotls.pcap", "scale": 10},
+    ),
+    "check": (
+        ("scale", "seed", "expected_path", "artifact_path", "telemetry",
+         "workers", "json_path", *_LEDGER),
+        {"scale": 1},
+    ),
+    "telemetry-demo": (("scale", "metrics_out"), {"scale": 2}),
+    "serve": (
+        ("host", "port", "queue_size", "executors", "artifact_dir", "access_log",
+         "heartbeat_interval", "retry_after", "workers", *_LEDGER),
+        {},
+    ),
 }
 
 
-def add_run_options(parser: argparse.ArgumentParser, command: str) -> None:
-    """Attach the shared run flags ``command`` supports to ``parser``."""
-    supported = _RUN_OPTIONS[command]
-    if "telemetry" in supported:
-        parser.add_argument(
-            "--telemetry",
-            action="store_true",
-            help="enable the telemetry subsystem (metrics, spans, events)",
-        )
-    if "metrics" in supported:
-        parser.add_argument(
-            "--metrics-out",
-            metavar="PATH",
-            help="write the run's metrics snapshot as JSON (implies --telemetry)",
-        )
-    if "workers" in supported:
-        parser.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for device sharding (default 1 = in-process); "
-            "output is identical for any N",
-        )
-    if "manifest" in supported:
-        parser.add_argument(
-            "--manifest",
-            metavar="PATH",
-            help="write the run manifest (provenance document) as canonical JSON; "
-            "the manifest digest is always printed",
-        )
-    if "profile" in supported:
-        parser.add_argument(
-            "--profile",
-            action="store_true",
-            help="print a hot-span profile after the run (implies --telemetry)",
-        )
-        parser.add_argument(
-            "--profile-out",
-            metavar="PATH",
-            help="write the profile as JSON (implies --profile)",
-        )
-        parser.add_argument(
-            "--profile-stacks",
-            metavar="PATH",
-            help="write flamegraph-ready collapsed stacks (implies --profile)",
-        )
-    if "progress" in supported:
-        parser.add_argument(
-            "--progress",
-            action="store_true",
-            help="print throttled live-progress heartbeats to stderr "
-            "(implies --telemetry)",
-        )
-        parser.add_argument(
-            "--heartbeat-out",
-            metavar="PATH",
-            help="write the machine-readable run-health stream as JSONL "
-            f"(schema {telemetry.HEALTH_STREAM_SCHEMA}; implies --telemetry)",
-        )
-        parser.add_argument(
-            "--heartbeat-interval",
-            type=float,
-            default=1.0,
-            metavar="SECONDS",
-            help="seconds between heartbeats / resource samples (default 1.0)",
-        )
-    if "json" in supported:
-        parser.add_argument("--json", metavar="PATH", help=_JSON_HELP[command])
-    if "ledger" in supported:
-        parser.add_argument(
-            "--ledger",
-            metavar="PATH",
-            default=None,
-            help=f"append this run's {telemetry.LEDGER_SCHEMA} entry to PATH "
-            f"(default {telemetry.DEFAULT_LEDGER_PATH}); query it with `iotls runs`",
-        )
-        parser.add_argument(
-            "--no-ledger",
-            action="store_true",
-            help="do not record this run in the run ledger",
-        )
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """The resolved shared run flags for one invocation."""
-
-    command: str
-    telemetry: bool = False
-    metrics_out: str | None = None
-    workers: int = 1
-    manifest: str | None = None
-    profile: bool = False
-    profile_out: str | None = None
-    profile_stacks: str | None = None
-    json: str | None = None
-    progress: bool = False
-    heartbeat_out: str | None = None
-    heartbeat_interval: float = 1.0
-    ledger: str | None = None
-    no_ledger: bool = False
-
-    @property
-    def profile_on(self) -> bool:
-        return bool(self.profile or self.profile_out or self.profile_stacks)
-
-    @property
-    def progress_on(self) -> bool:
-        return bool(self.progress or self.heartbeat_out)
-
-    @property
-    def ledger_path(self) -> str | None:
-        """The resolved run-ledger destination (None = ledgering off)."""
-        if self.no_ledger:
-            return None
-        return self.ledger or telemetry.DEFAULT_LEDGER_PATH
-
-    @property
-    def telemetry_on(self) -> bool:
-        return bool(
-            self.telemetry
-            or self.metrics_out is not None
-            or self.profile_on
-            or self.progress_on
-            or self.command == "telemetry-demo"
-        )
-
-
-def resolve_run_options(args: argparse.Namespace) -> RunOptions:
-    """Read the shared flags back off a parsed namespace (defaults for
-    flags the command does not declare)."""
-    return RunOptions(
-        command=args.command,
-        telemetry=bool(getattr(args, "telemetry", False)),
-        metrics_out=getattr(args, "metrics_out", None),
-        workers=getattr(args, "workers", 1),
-        manifest=getattr(args, "manifest", None),
-        profile=bool(getattr(args, "profile", False)),
-        profile_out=getattr(args, "profile_out", None),
-        profile_stacks=getattr(args, "profile_stacks", None),
-        json=getattr(args, "json", None),
-        progress=bool(getattr(args, "progress", False)),
-        heartbeat_out=getattr(args, "heartbeat_out", None),
-        heartbeat_interval=getattr(args, "heartbeat_interval", 1.0),
-        ledger=getattr(args, "ledger", None),
-        no_ledger=bool(getattr(args, "no_ledger", False)),
-    )
+def _add_flags(parser: argparse.ArgumentParser, command: str) -> None:
+    names, defaults = _COMMAND_FLAGS[command]
+    for dest in names:
+        option, keywords = _FLAGS[dest]
+        if option.startswith("-"):
+            keywords = {**keywords, "dest": dest}
+        if dest in defaults:
+            keywords = {**keywords, "default": defaults[dest]}
+        parser.add_argument(option, **keywords)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,170 +251,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="IoTLS reproduction: TLS measurement experiments for consumer IoT devices",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    audit = subparsers.add_parser("audit", help="run the full active-experiment campaign")
-    audit.add_argument("--no-passthrough", action="store_true", help="skip the passthrough pass")
-    add_run_options(audit, "audit")
-
-    probe = subparsers.add_parser("probe", help="probe one device's root store")
-    probe.add_argument("device", help='device name, e.g. "LG TV"')
-    add_run_options(probe, "probe")
-
-    amenability = subparsers.add_parser(
-        "amenability", help="survey library alert behaviour (Table 4)"
-    )
-    add_run_options(amenability, "amenability")
-
-    trace = subparsers.add_parser("trace", help="generate the 27-month passive capture")
-    trace.add_argument("--scale", type=int, default=40, help="connections per weight-unit-month")
-    trace.add_argument(
-        "--seed",
-        default="iotls-passive",
-        help="generator seed (default iotls-passive); recorded in JSON metadata",
-    )
-    trace.add_argument(
-        "--stream",
-        action="store_true",
-        help="run the analyses in streaming mode (bounded memory; the capture "
-        "is never materialised, so --json is unavailable)",
-    )
-    trace.add_argument(
-        "--stream-out",
-        metavar="PATH",
-        help="export the record stream as JSON Lines (implies --stream); "
-        "audit it later with `iotls check --artifact PATH`",
-    )
-    trace.add_argument(
-        "--flow-cap",
-        type=int,
-        default=None,
-        metavar="N",
-        help="split batched flow records to at most N connections each "
-        "(record volume then tracks connection volume)",
-    )
-    add_run_options(trace, "trace")
-
-    fingerprint = subparsers.add_parser(
-        "fingerprint", help="shared-fingerprint analysis (Figure 5)"
-    )
-    add_run_options(fingerprint, "fingerprint")
-
-    devices = subparsers.add_parser("devices", help="list the device catalog (Table 1)")
-    add_run_options(devices, "devices")
-
-    report = subparsers.add_parser(
-        "report", help="run everything and write a full markdown report"
-    )
-    report.add_argument("--out", default="REPORT.md", help="output path (default REPORT.md)")
-    report.add_argument("--scale", type=int, default=40, help="passive-trace scale")
-    add_run_options(report, "report")
-
-    pcap = subparsers.add_parser(
-        "pcap", help="export the passive capture's ClientHellos as a pcap file"
-    )
-    pcap.add_argument("--out", default="iotls.pcap", help="output path (default iotls.pcap)")
-    pcap.add_argument("--scale", type=int, default=10, help="passive-trace scale")
-    pcap.add_argument("--limit", type=int, default=None, help="max packets")
-    add_run_options(pcap, "pcap")
-
-    check = subparsers.add_parser(
-        "check", help="audit the reproduction against the paper's published values"
-    )
-    check.add_argument(
-        "--scale",
-        type=int,
-        default=1,
-        help="passive-trace scale for the fresh audit run (default 1)",
-    )
-    check.add_argument(
-        "--seed", default="iotls-passive", help="trace seed (default iotls-passive)"
-    )
-    check.add_argument(
-        "--expected",
-        metavar="PATH",
-        help="expectations file (default: the packaged expected/paper.json)",
-    )
-    check.add_argument(
-        "--artifact",
-        metavar="PATH",
-        help="audit a previously exported trace artifact (`iotls trace --json` "
-        "document or `--stream-out` JSONL stream) instead of running fresh "
-        "experiments (capture-derived cells only; the rest are reported as "
-        "skipped)",
-    )
-    add_run_options(check, "check")
-
-    lint = subparsers.add_parser(
-        "lint",
-        help="run reprolint's static invariant checks over the repo source",
-    )
-    from .lint.cli import configure_parser as configure_lint_parser
-
-    configure_lint_parser(lint)
-    add_run_options(lint, "lint")
-
-    demo = subparsers.add_parser(
-        "telemetry-demo", help="smoke-test the telemetry subsystem on a small trace"
-    )
-    demo.add_argument("--scale", type=int, default=2, help="passive-trace scale (default 2)")
-    add_run_options(demo, "telemetry-demo")
-
-    serve = subparsers.add_parser(
-        "serve",
-        help="run the resident fleet service (HTTP/JSON, content-addressed "
+    helps = {
+        "audit": "run the full active-experiment campaign",
+        "probe": "probe one device's root store",
+        "amenability": "survey library alert behaviour (Table 4)",
+        "trace": "generate the 27-month passive capture",
+        "fingerprint": "shared-fingerprint analysis (Figure 5)",
+        "devices": "list the device catalog (Table 1)",
+        "report": "run everything and write a full markdown report",
+        "pcap": "export the passive capture's ClientHellos as a pcap file",
+        "check": "audit the reproduction against the paper's published values",
+        "lint": "run reprolint's static invariant checks over the repo source",
+        "telemetry-demo": "smoke-test the telemetry subsystem on a small trace",
+        "serve": "run the resident fleet service (HTTP/JSON, content-addressed "
         "result cache over the run ledger)",
-    )
-    serve.add_argument(
-        "--host", default="127.0.0.1", help="bind address (default 127.0.0.1)"
-    )
-    serve.add_argument(
-        "--port",
-        type=int,
-        default=8738,
-        help="TCP port (default 8738; 0 binds an ephemeral port)",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=int,
-        default=8,
-        metavar="N",
-        help="bounded run-queue capacity; beyond it requests get 429 "
-        "(default 8)",
-    )
-    serve.add_argument(
-        "--executors",
-        type=int,
-        default=2,
-        metavar="N",
-        help="concurrent run executors (default 2)",
-    )
-    serve.add_argument(
-        "--artifact-dir",
-        default=".iotls/serve",
-        metavar="PATH",
-        help="where computed run artifacts land (default .iotls/serve)",
-    )
-    serve.add_argument(
-        "--access-log",
-        metavar="PATH",
-        help=f"write the {telemetry.ACCESS_LOG_SCHEMA} access log as JSONL",
-    )
-    serve.add_argument(
-        "--heartbeat-interval",
-        type=float,
-        default=1.0,
-        metavar="SECONDS",
-        help="seconds between per-request heartbeats in the access log "
-        "(default 1.0)",
-    )
-    serve.add_argument(
-        "--retry-after",
-        type=int,
-        default=1,
-        metavar="SECONDS",
-        help="Retry-After seconds advertised on 429 responses (default 1)",
-    )
-    add_run_options(serve, "serve")
+    }
+    for command, help_text in helps.items():
+        sub = subparsers.add_parser(command, help=help_text)
+        if command == "lint":
+            from .lint.cli import configure_parser as configure_lint_parser
+
+            configure_lint_parser(sub)
+        else:
+            _add_flags(sub, command)
 
     runs = subparsers.add_parser(
         "runs",
@@ -503,15 +353,51 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _print_manifest(result, opts: RunOptions) -> None:
+def _config_fields(cls: type, args: argparse.Namespace) -> dict[str, Any]:
+    """The fields of dataclass ``cls`` that ``args`` carries, by name.
+
+    The ledger is the one flag pair resolved here: ``--no-ledger`` turns
+    it off, and an absent ``--ledger`` means the default ledger.
+    """
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(cls) if f.name in given}
+    if "ledger" in values:
+        values["ledger"] = (
+            None if args.no_ledger else values["ledger"] or telemetry.DEFAULT_LEDGER_PATH
+        )
+    return values
+
+
+def _execute(args: argparse.Namespace, **extras: Any) -> api.RunResult:
+    """The one path from a parsed namespace to :func:`repro.api.execute`.
+
+    Flags named after a :class:`~repro.api.RunConfig` field build the
+    config; flags named after one of the command's extras are passed as
+    keyword arguments, and explicit ``extras`` override them.  A name
+    that is a config field never doubles as an extra: ``report``'s
+    ``progress`` callback is passed explicitly.
+    """
+    config = _config_fields(api.RunConfig, args)
+    given = vars(args)
+    from_flags = {
+        name: given[name]
+        for name in api.command_spec(args.command).extras
+        if name in given and name not in config
+    }
+    return api.execute(
+        args.command, api.RunConfig(**config), **{**from_flags, **extras}
+    )
+
+
+def _print_manifest(result, args: argparse.Namespace) -> None:
     """Print the run's manifest digest; write the document with --manifest."""
     print(f"\nrun manifest digest: {result.manifest_digest}")
-    if opts.manifest:
-        path = telemetry.write_manifest(result.manifest, opts.manifest)
+    if args.manifest:
+        path = telemetry.write_manifest(result.manifest, args.manifest)
         print(f"wrote run manifest {path}")
 
 
-def _print_health(result, opts: RunOptions) -> None:
+def _print_health(result, args: argparse.Namespace) -> None:
     """One-line run-health summary for progress/heartbeat runs."""
     health = getattr(result, "health", None)
     if health is None:
@@ -527,24 +413,12 @@ def _print_health(result, opts: RunOptions) -> None:
             f"peak traced heap {resources['peak_traced_bytes']:,} B"
         )
     print(line)
-    if opts.heartbeat_out:
-        print(f"wrote run-health stream {opts.heartbeat_out}")
+    if args.heartbeat_path:
+        print(f"wrote run-health stream {args.heartbeat_path}")
 
 
-def _cmd_audit(args, opts: RunOptions) -> int:
-    from . import api
-
-    result = api.run_audit(
-        api.RunConfig(
-            workers=opts.workers,
-            include_passthrough=not args.no_passthrough,
-            progress=opts.progress,
-            heartbeat_interval=opts.heartbeat_interval,
-            ledger=opts.ledger_path,
-        ),
-        json_path=opts.json,
-        heartbeat_path=opts.heartbeat_out,
-    )
+def _cmd_audit(args) -> int:
+    result = _execute(args)
     results = result.results
     rows = [
         report.table7_row()
@@ -580,23 +454,16 @@ def _cmd_audit(args, opts: RunOptions) -> int:
               f"{sum(o.new_validation_failures for o in results.passthrough)} new failures")
     if "campaign_json" in result.artifacts:
         print(f"\nwrote {result.artifacts['campaign_json']}")
-    _print_health(result, opts)
-    _print_manifest(result, opts)
+    _print_health(result, args)
+    _print_manifest(result, args)
     return 0
 
 
-def _cmd_probe(args, opts: RunOptions) -> int:
-    from . import api
-
+def _cmd_probe(args) -> int:
     try:
-        result = api.run_probe(
-            args.device, api.RunConfig(ledger=opts.ledger_path), json_path=opts.json
-        )
+        result = _execute(args)
     except api.UnknownDeviceError as exc:
-        print(f"error: unknown device {exc.device!r}; try `iotls devices`", file=sys.stderr)
-        return 2
-    except api.DeviceNotProbeableError as exc:
-        print(f"error: {exc.device} {exc.reason}", file=sys.stderr)
+        print(f"error: {exc}; try `iotls devices`", file=sys.stderr)
         return 2
     if not result.amenable:
         print(f"{result.device} is not amenable: {result.report.calibration.reason}")
@@ -613,7 +480,7 @@ def _cmd_probe(args, opts: RunOptions) -> int:
     return 0
 
 
-def _cmd_amenability(_args, _opts: RunOptions) -> int:
+def _cmd_amenability(_args) -> int:
     from .core import survey_all_libraries
 
     rows = [(*row.row(), "yes" if row.amenable else "no") for row in survey_all_libraries()]
@@ -621,32 +488,8 @@ def _cmd_amenability(_args, _opts: RunOptions) -> int:
     return 0
 
 
-def _cmd_trace(args, opts: RunOptions) -> int:
-    from . import api
-
-    streaming = bool(args.stream or args.stream_out)
-    if streaming and opts.json:
-        print(
-            "error: --stream/--stream-out and --json are mutually exclusive; "
-            "streaming runs export JSON Lines via --stream-out",
-            file=sys.stderr,
-        )
-        return 2
-    result = api.run_trace(
-        api.RunConfig(
-            scale=args.scale,
-            seed=args.seed,
-            workers=opts.workers,
-            stream=streaming,
-            flow_cap=args.flow_cap,
-            progress=opts.progress,
-            heartbeat_interval=opts.heartbeat_interval,
-            ledger=opts.ledger_path,
-        ),
-        json_path=opts.json,
-        stream_path=args.stream_out,
-        heartbeat_path=opts.heartbeat_out,
-    )
+def _cmd_trace(args) -> int:
+    result = _execute(args)
     analysis = result.analysis
     print(f"generated {analysis.connections:,} connections ({analysis.flow_records} flow records, "
           f"{analysis.dataset.device_count} devices)")
@@ -668,12 +511,12 @@ def _cmd_trace(args, opts: RunOptions) -> int:
         print(f"wrote {result.artifacts['records_json']}")
     if "records_jsonl" in result.artifacts:
         print(f"wrote {result.artifacts['records_jsonl']}")
-    _print_health(result, opts)
-    _print_manifest(result, opts)
+    _print_health(result, args)
+    _print_manifest(result, args)
     return 0
 
 
-def _cmd_fingerprint(_args, _opts: RunOptions) -> int:
+def _cmd_fingerprint(_args) -> int:
     from .fingerprint import (
         build_reference_database,
         build_shared_graph,
@@ -695,118 +538,52 @@ def _cmd_fingerprint(_args, _opts: RunOptions) -> int:
     return 0
 
 
-def _cmd_devices(_args, _opts: RunOptions) -> int:
+def _cmd_devices(_args) -> int:
     print(render_table(["Category", "Device", "Passive-only"], table1_rows()))
     return 0
 
 
-def _cmd_report(args, opts: RunOptions) -> int:
-    from . import api
-
-    result = api.run_report(
-        api.RunConfig(
-            scale=args.scale,
-            workers=opts.workers,
-            progress=opts.progress,
-            heartbeat_interval=opts.heartbeat_interval,
-            ledger=opts.ledger_path,
-        ),
-        out=args.out,
-        progress=print,
-        heartbeat_path=opts.heartbeat_out,
-    )
+def _cmd_report(args) -> int:
+    # `progress` is both a RunConfig field (--progress) and the report
+    # runner's phase-announcement callback: the CLI prints the phases.
+    result = _execute(args, progress=print)
     print(f"wrote {result.path}")
-    _print_health(result, opts)
-    _print_manifest(result, opts)
+    _print_health(result, args)
+    _print_manifest(result, args)
     return 0
 
 
-def _cmd_pcap(args, opts: RunOptions) -> int:
-    from . import api
-
-    result = api.run_pcap(
-        api.RunConfig(
-            scale=args.scale,
-            workers=opts.workers,
-            ledger=opts.ledger_path,
-        ),
-        out=args.out,
-        limit=args.limit,
-    )
+def _cmd_pcap(args) -> int:
+    result = _execute(args)
     print(f"wrote {result.packets_written} packets to {result.path} "
           f"({result.size_bytes:,} bytes)")
-    _print_manifest(result, opts)
+    _print_manifest(result, args)
     return 0
 
 
-def _cmd_check(args, opts: RunOptions) -> int:
+def _cmd_check(args) -> int:
     """Audit the reproduction against the paper's published values.
 
     Exit codes: 0 = no drift, 1 = drift detected, 2 = usage error
     (unreadable artifact or expectations file).
     """
-    from . import api
-    from .analysis.drift import audit_artifact
-
+    if args.artifact_path:
+        print(f"auditing artifact {args.artifact_path} (capture-derived cells only)\n")
+    else:
+        print(
+            f"auditing fresh run (scale {args.scale}, seed {args.seed!r}, "
+            f"workers {args.workers})...\n"
+        )
     try:
-        if args.artifact:
-            print(f"auditing artifact {args.artifact} (capture-derived cells only)\n")
-            report = audit_artifact(args.artifact, expectations_path=args.expected)
-        else:
-            print(
-                f"auditing fresh run (scale {args.scale}, seed {args.seed!r}, "
-                f"workers {opts.workers})...\n"
-            )
-            # The fresh audit is a registered run (`api.run_check`): it
-            # appends its own check ledger entry, drift verdict included.
-            result = api.run_check(
-                api.RunConfig(
-                    scale=args.scale,
-                    seed=args.seed,
-                    workers=opts.workers,
-                    ledger=opts.ledger_path,
-                ),
-                expected_path=args.expected,
-            )
-            report = result.report
-    except (OSError, ValueError, KeyError) as exc:
+        # Either path is a registered run that appends its own check
+        # ledger entry, drift verdict included.
+        report = _execute(args).report
+    except (OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(report.render())
-    if args.artifact and opts.ledger_path is not None:
-        # The drift verdict is run history worth querying later: `iotls
-        # runs list --status error` surfaces past drifts per host.
-        telemetry.append_entry(
-            telemetry.build_entry(
-                "check",
-                kind="check",
-                status="ok" if report.ok else "error",
-                params={
-                    "scale": args.scale,
-                    "seed": args.seed,
-                    "artifact": args.artifact,
-                },
-                workers=opts.workers,
-                drift={
-                    "ok": report.ok,
-                    "drifted": sorted(
-                        cell.expectation.id for cell in report.drifted
-                    ),
-                    "cells": len(report.cells),
-                },
-                error=(
-                    None
-                    if report.ok
-                    else {
-                        "type": "DriftDetected",
-                        "message": f"{len(report.drifted)} cell(s) deviate",
-                    }
-                ),
-            ),
-            opts.ledger_path,
-        )
-    if opts.json:
-        path = write_json(report.to_dict(), opts.json)
+    if args.json_path:
+        path = write_json(report.to_dict(), args.json_path)
         print(f"\nwrote drift report {path}")
     if not report.ok:
         cells = ", ".join(cell.expectation.id for cell in report.drifted)
@@ -816,14 +593,14 @@ def _cmd_check(args, opts: RunOptions) -> int:
     return 0
 
 
-def _cmd_lint(args, _opts: RunOptions) -> int:
+def _cmd_lint(args) -> int:
     """Run reprolint; exit 0 clean, 1 violations, 2 usage error."""
     from .lint.cli import run_from_args
 
     return run_from_args(args)
 
 
-def _cmd_telemetry_demo(args, _opts: RunOptions) -> int:
+def _cmd_telemetry_demo(args) -> int:
     """Exercise metrics, spans, and events end-to-end on a small trace."""
     from .longitudinal import PassiveTraceGenerator
     from .telemetry import to_prometheus
@@ -971,7 +748,7 @@ def _runs_gc(args, entries) -> int:
     return 0
 
 
-def _cmd_serve(args, opts: RunOptions) -> int:
+def _cmd_serve(args) -> int:
     """Run the resident fleet service until interrupted.
 
     Exit codes: 0 = clean shutdown, 2 = usage error (serve needs a
@@ -981,33 +758,22 @@ def _cmd_serve(args, opts: RunOptions) -> int:
 
     from .serve import ServeConfig, serve
 
-    if opts.ledger_path is None:
+    config = _config_fields(ServeConfig, args)
+    if config["ledger"] is None:
         print(
             "error: iotls serve needs a run ledger (it is the result "
             "cache's index); drop --no-ledger",
             file=sys.stderr,
         )
         return 2
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        queue_size=args.queue_size,
-        executors=args.executors,
-        workers=opts.workers,
-        ledger=opts.ledger_path,
-        artifact_dir=args.artifact_dir,
-        access_log=args.access_log,
-        heartbeat_interval=args.heartbeat_interval,
-        retry_after=args.retry_after,
-    )
     try:
-        asyncio.run(serve(config))
+        asyncio.run(serve(ServeConfig(**config)))
     except KeyboardInterrupt:
         print("iotls serve: stopped")
     return 0
 
 
-def _cmd_runs(args, _opts: RunOptions) -> int:
+def _cmd_runs(args) -> int:
     """Query the run ledger.
 
     Exit codes: 0 = success / no drift, 1 = not found, drift, or a
@@ -1048,7 +814,7 @@ _COMMANDS = {
 }
 
 
-def _emit_profile(opts: RunOptions) -> int:
+def _emit_profile(args: argparse.Namespace) -> int:
     """Render/export the run's span profile.  Returns 1 if no spans."""
     from pathlib import Path
 
@@ -1057,11 +823,11 @@ def _emit_profile(opts: RunOptions) -> int:
     profiler = Profiler.from_runtime(telemetry.get())
     print("\nhot spans:")
     print(render_hot_table(profiler))
-    if opts.profile_out:
-        path = write_json(profiler.to_dict(), opts.profile_out)
+    if args.profile_out:
+        path = write_json(profiler.to_dict(), args.profile_out)
         print(f"wrote profile {path}")
-    if opts.profile_stacks:
-        path = Path(opts.profile_stacks)
+    if args.profile_stacks:
+        path = Path(args.profile_stacks)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(profiler.collapsed_stacks())
         print(f"wrote collapsed stacks {path}")
@@ -1070,22 +836,35 @@ def _emit_profile(opts: RunOptions) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    opts = resolve_run_options(args)
-    if opts.telemetry_on:
+    given = vars(args)
+    profile_on = any(given.get(name) for name in _PROFILE)
+    telemetry_on = (
+        profile_on
+        or args.command == "telemetry-demo"
+        or given.get("metrics_out") is not None
+        or any(given.get(name) for name in ("telemetry", "progress", "heartbeat_path"))
+    )
+    if telemetry_on:
         telemetry.configure(enabled=True)
-    status = _COMMANDS[args.command](args, opts)
-    if opts.telemetry_on:
+    try:
+        status = _COMMANDS[args.command](args)
+    except (api.RunError, ValueError) as exc:
+        if args.command not in api.command_names():
+            raise
+        print(f"error: {exc}", file=sys.stderr)
+        status = 2
+    if telemetry_on:
         registry = telemetry.get_registry()
-        if opts.metrics_out is not None:
+        if given.get("metrics_out") is not None:
             path = telemetry.write_snapshot(
-                registry, opts.metrics_out, extra={"command": args.command}
+                registry, args.metrics_out, extra={"command": args.command}
             )
             print(f"wrote metrics snapshot {path}")
         if args.command != "telemetry-demo":
             print("\ntelemetry summary:")
             print(telemetry.summary_table(registry))
-    if status == 0 and opts.profile_on:
-        status = _emit_profile(opts)
+    if status == 0 and profile_on:
+        status = _emit_profile(args)
     return status
 
 

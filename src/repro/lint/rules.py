@@ -9,7 +9,10 @@ run to expose it, caught at parse time instead.
 Rule codes are grouped by family:
 
 * ``RL00x`` determinism, ``RL01x`` telemetry discipline,
-* ``RL02x`` API hygiene, ``RL03x`` exception hygiene.
+* ``RL03x`` exception hygiene.
+
+The API-hygiene family (``RL022``) and the concurrency family
+(``RL04x``) are whole-program rules in their own modules.
 """
 
 from __future__ import annotations
@@ -22,7 +25,6 @@ from .walker import ModuleContext, enclosing_functions, parent
 
 __all__ = [
     "CLOCK_BOUNDARY_PREFIXES",
-    "DEPRECATED_NAMES",
     "LEDGER_BOUNDARY_PREFIXES",
     "PROGRESS_BOUNDARY_PREFIXES",
     "PROGRESS_EVENT_PREFIXES",
@@ -94,11 +96,6 @@ PROGRESS_EVENT_PREFIXES = ("progress.", "heartbeat.")
 #: is what makes concurrent entries atomic; any other writer can tear
 #: lines, interleave partial entries, or clobber the store outright.
 LEDGER_BOUNDARY_PREFIXES = ("src/repro/telemetry/ledger.py",)
-
-#: RL020 -- removed/deprecated public names no internal code may call.
-DEPRECATED_NAMES = frozenset(
-    {"campaign_to_dict", "probe_report_to_dict", "capture_to_dict"}
-)
 
 #: RL003 -- calls that consume an iterable order-sensitively.
 _ORDERED_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
@@ -470,48 +467,6 @@ def check_ledger_write_boundary(module: ModuleContext) -> Iterator[Violation]:
             "ledger file opened for writing outside the ledger-write "
             "boundary; append through repro.telemetry.ledger.append_entry "
             "(or rewrite_ledger) so entries stay atomic",
-        )
-
-
-# ----------------------------------------------------------------------
-# API hygiene family (RL02x)
-# ----------------------------------------------------------------------
-@rule(
-    "RL020",
-    "deprecated-alias",
-    "api",
-    "The *_to_dict export aliases were removed in favour of "
-    "*_to_document; internal callers of removed names fail at import "
-    "time in the field, so they must never reappear.",
-)
-def check_deprecated_aliases(module: ModuleContext) -> Iterator[Violation]:
-    for node in ast.walk(module.tree):
-        name: str | None = None
-        if isinstance(node, ast.Name) and node.id in DEPRECATED_NAMES:
-            name = node.id
-        elif isinstance(node, ast.Attribute) and node.attr in DEPRECATED_NAMES:
-            name = node.attr
-        elif isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name in DEPRECATED_NAMES:
-                    yield _violation(
-                        module,
-                        "RL020",
-                        node,
-                        f"import of removed export alias {alias.name!r}; use "
-                        f"the *_to_document name",
-                    )
-            continue
-        if name is None:
-            continue
-        # The definition site (def foo_to_dict) is a Name in neither
-        # Load nor import position, so only references reach here.
-        yield _violation(
-            module,
-            "RL020",
-            node,
-            f"reference to removed export alias {name!r}; use the "
-            "*_to_document name",
         )
 
 

@@ -121,6 +121,23 @@ class TestRunPcap:
         assert result.size_bytes == result.path.stat().st_size
 
 
+class TestSeedlessCommands:
+    """``report`` and ``pcap`` digest no seed, so they must not read one:
+    a seed would change the artifact behind an unchanged config digest."""
+
+    @pytest.mark.parametrize("command,out", [("report", "r.md"), ("pcap", "x.pcap")])
+    def test_seed_leaves_the_manifest_unchanged(self, tmp_path, command, out):
+        from repro.api import execute
+
+        digests = {
+            seed: execute(
+                command, RunConfig(scale=1, seed=seed, ledger=None), out=tmp_path / out
+            ).manifest_digest
+            for seed in ("iotls-passive", "x")
+        }
+        assert digests["x"] == digests["iotls-passive"]
+
+
 class TestRemovedExportAliases:
     """The PR-4 deprecation cycle is complete: the aliases are gone."""
 

@@ -125,3 +125,142 @@ class TestCLI:
         assert "8 probe-amenable" in out
         payload = json.loads(json_path.read_text())
         assert payload["summary"]["vulnerable_devices"] == 11
+
+
+class _Dispatched(Exception):
+    """Raised by the recording ``execute`` so no run actually happens."""
+
+
+#: One argv per run subcommand and the ``api.execute`` call it must make.
+#: Together they use every run flag at least once.  Each case is
+#: ``(argv, command, RunConfig keywords, extras)`` with ``{tmp}`` standing
+#: for the test's scratch directory.
+_DISPATCH_CASES = [
+    (
+        ["audit", "--no-passthrough", "--workers", "2", "--progress",
+         "--heartbeat-out", "{tmp}/hb.jsonl", "--heartbeat-interval", "0.5",
+         "--json", "{tmp}/audit.json", "--ledger", "{tmp}/ledger.jsonl"],
+        "audit",
+        dict(include_passthrough=False, workers=2, progress=True, telemetry=True,
+             heartbeat_interval=0.5, ledger="{tmp}/ledger.jsonl"),
+        dict(json_path="{tmp}/audit.json", heartbeat_path="{tmp}/hb.jsonl"),
+    ),
+    (
+        ["probe", "Wink Hub 2", "--telemetry", "--json", "{tmp}/probe.json",
+         "--no-ledger"],
+        "probe",
+        dict(device="Wink Hub 2", telemetry=True, ledger=None),
+        dict(json_path="{tmp}/probe.json"),
+    ),
+    (
+        ["trace", "--scale", "3", "--seed", "s", "--flow-cap", "5", "--stream",
+         "--stream-out", "{tmp}/t.jsonl", "--metrics-out", "{tmp}/m.json",
+         "--manifest", "{tmp}/man.json", "--profile", "--profile-out",
+         "{tmp}/p.json", "--profile-stacks", "{tmp}/p.txt"],
+        "trace",
+        dict(scale=3, seed="s", flow_cap=5, stream=True, telemetry=True),
+        dict(stream_path="{tmp}/t.jsonl"),
+    ),
+    (
+        ["report", "--scale", "2", "--out", "{tmp}/r.md", "--workers", "2",
+         "--progress", "--no-ledger"],
+        "report",
+        dict(scale=2, workers=2, progress=True, telemetry=True, ledger=None),
+        dict(out="{tmp}/r.md", progress=print),
+    ),
+    (
+        ["pcap", "--scale", "1", "--limit", "7", "--out", "{tmp}/x.pcap",
+         "--workers", "2", "--manifest", "{tmp}/man.json"],
+        "pcap",
+        dict(scale=1, limit=7, workers=2),
+        dict(out="{tmp}/x.pcap"),
+    ),
+    (
+        ["check", "--scale", "2", "--seed", "s", "--expected", "{tmp}/e.json",
+         "--workers", "2", "--json", "{tmp}/d.json", "--ledger",
+         "{tmp}/ledger.jsonl"],
+        "check",
+        dict(scale=2, seed="s", workers=2, ledger="{tmp}/ledger.jsonl"),
+        dict(expected_path="{tmp}/e.json"),
+    ),
+    (
+        ["check", "--artifact", "{tmp}/t.jsonl", "--expected", "{tmp}/e.json",
+         "--no-ledger"],
+        "check",
+        dict(scale=1, ledger=None),
+        dict(artifact_path="{tmp}/t.jsonl", expected_path="{tmp}/e.json"),
+    ),
+]
+
+
+class TestCLIDispatch:
+    """Characterization of the argv -> ``api.execute`` mapping.
+
+    ``repro.api.execute`` is replaced by a recorder that raises before
+    any work happens.  Extras passed as ``None`` equal the runner's
+    default, so they are dropped before comparing; telemetry counts as
+    on when either the config asks for it or the CLI already switched
+    the runtime on.
+    """
+
+    @pytest.fixture()
+    def recorder(self, monkeypatch):
+        from repro import api, telemetry
+
+        calls = []
+
+        def record(command, config=api.RunConfig(), **extras):
+            calls.append((command, config, extras, telemetry.enabled()))
+            raise _Dispatched
+
+        telemetry.disable()
+        monkeypatch.setattr(api, "execute", record)
+        yield calls
+        telemetry.disable()
+
+    @staticmethod
+    def _fill(value, tmp):
+        return value.replace("{tmp}", str(tmp)) if isinstance(value, str) else value
+
+    @pytest.mark.parametrize(
+        "argv,command,fields,extras",
+        _DISPATCH_CASES,
+        ids=[" ".join(case[0][:2]) for case in _DISPATCH_CASES],
+    )
+    def test_argv_reaches_execute(self, recorder, tmp_path, argv, command, fields, extras):
+        from dataclasses import replace
+
+        from repro.api import RunConfig
+
+        with pytest.raises(_Dispatched):
+            main([self._fill(arg, tmp_path) for arg in argv])
+        [(seen_command, config, seen_extras, telemetry_on)] = recorder
+        assert seen_command == command
+        config = replace(config, telemetry=config.telemetry or telemetry_on)
+        assert config == RunConfig(
+            **{key: self._fill(value, tmp_path) for key, value in fields.items()}
+        )
+        assert {key: value for key, value in seen_extras.items() if value is not None} == {
+            key: self._fill(value, tmp_path) for key, value in extras.items()
+        }
+
+
+class TestCLIUsageErrors:
+    """A ``ValueError`` from a run is a usage error: ``error: ...``, exit 2,
+    and nothing is recorded."""
+
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["pcap", "--limit", "-1", "--out", "{tmp}/x.pcap"], "limit must be >= 0"),
+            (["trace", "--flow-cap", "0"], "flow_cap must be >= 1"),
+            (["trace", "--stream", "--json", "{tmp}/t.json"], "streaming runs export JSONL"),
+        ],
+        ids=["pcap-negative-limit", "trace-zero-flow-cap", "trace-stream-json"],
+    )
+    def test_value_error_exits_2(self, capsys, tmp_path, argv, message):
+        ledger = tmp_path / "ledger.jsonl"
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        assert main([*argv, "--scale", "1", "--ledger", str(ledger)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []

@@ -279,29 +279,6 @@ class TestRL013LedgerWriteBoundary:
 
 
 # ----------------------------------------------------------------------
-# Rule fixtures: API hygiene family
-# ----------------------------------------------------------------------
-class TestRL020DeprecatedAliases:
-    def test_bad_import_of_removed_alias(self, tmp_path):
-        source = "from repro.analysis.export import campaign_to_dict\n"
-        assert "RL020" in codes(lint_source(tmp_path, source))
-
-    def test_bad_attribute_reference(self, tmp_path):
-        source = (
-            "from repro.analysis import export\n"
-            "payload = export.probe_report_to_dict(None)\n"
-        )
-        assert "RL020" in codes(lint_source(tmp_path, source))
-
-    def test_good_document_names(self, tmp_path):
-        source = (
-            "from repro.analysis.export import campaign_to_document\n"
-            "payload = campaign_to_document(None)\n"
-        )
-        assert codes(lint_source(tmp_path, source)) == []
-
-
-# ----------------------------------------------------------------------
 # Rule fixtures: exception hygiene family
 # ----------------------------------------------------------------------
 class TestRL030ExceptionHygiene:
@@ -583,7 +560,7 @@ class TestCli:
     def test_iotls_lint_list_rules(self, capsys):
         assert iotls_main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for code in ("RL001", "RL002", "RL003", "RL010", "RL011", "RL020", "RL030"):
+        for code in ("RL001", "RL002", "RL003", "RL010", "RL011", "RL030"):
             assert code in out
 
 
