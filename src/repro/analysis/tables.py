@@ -11,7 +11,7 @@ __all__ = ["render_table", "table1_rows", "table3_rows"]
 
 
 def render_table(headers: list[str], rows: list[tuple]) -> str:
-    """Plain-text table with aligned columns (benchmark harness output)."""
+    """Plain-text table with aligned columns (CLI and example output)."""
     table = [tuple(str(cell) for cell in row) for row in rows]
     widths = [len(header) for header in headers]
     for row in table:

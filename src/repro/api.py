@@ -42,6 +42,7 @@ series that both modes count identically.
 
 from __future__ import annotations
 
+import math
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
@@ -562,6 +563,9 @@ def _progress_session(
     every line is wall-clock-derived, and digesting it would break the
     on/off manifest parity the telemetry layer guarantees.
     """
+    interval = config.heartbeat_interval
+    if not (math.isfinite(interval) and interval >= 0):
+        raise ValueError(f"heartbeat_interval must be finite and >= 0, got {interval}")
     if not (
         config.progress
         or config.progress_stream is not None
@@ -942,6 +946,8 @@ def _execute_report(
     _configure_telemetry(config)
     notify = progress or (lambda message: None)
     testbed = Testbed()
+    # The report's digest holds no seed: always the default one.
+    generator = PassiveTraceGenerator(testbed, scale=config.scale)
     with _ledger_session(config, "report", _report_params(config)) as note:
         with _progress_session(
             config, heartbeat_path, label="report"
@@ -955,10 +961,7 @@ def _execute_report(
                 results = ActiveExperimentCampaign(testbed).run(workers=config.workers)
             notify("generating passive trace...")
             with note.phase("trace"):
-                # The report's digest holds no seed: always the default one.
-                capture = PassiveTraceGenerator(
-                    testbed, scale=config.scale
-                ).generate(workers=config.workers)
+                capture = generator.generate(workers=config.workers)
             with note.phase("render"):
                 path = write_report(testbed, results, capture, out)
             note.observe_pool(pool)
@@ -997,12 +1000,11 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
         raise ValueError(f"limit must be >= 0 or None, got {limit}")
     _configure_telemetry(config)
     params = _pcap_params(config)
+    # The pcap's digest holds no seed: always the default one.
+    generator = PassiveTraceGenerator(scale=config.scale)
     with _ledger_session(config, "pcap", params) as note:
         with pool_session(config.workers) as pool:
-            # The pcap's digest holds no seed: always the default one.
-            capture = PassiveTraceGenerator(scale=config.scale).generate(
-                workers=config.workers
-            )
+            capture = generator.generate(workers=config.workers)
             note.observe_pool(pool)
         path = write_pcap(capture, out, limit=limit)
         packets = limit if limit is not None else len(capture)

@@ -55,6 +55,8 @@ class PassiveTraceGenerator:
         seed: str = "iotls-passive",
         flow_cap: int | None = None,
     ) -> None:
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
         if flow_cap is not None and flow_cap < 1:
             raise ValueError(f"flow_cap must be >= 1 or None, got {flow_cap}")
         self.testbed = testbed or Testbed()

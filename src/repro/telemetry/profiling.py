@@ -28,9 +28,7 @@ Parallel runs: worker processes aggregate their own spans
 (:meth:`Profiler.to_payload`) and ship the pure-data result home with
 the rest of the worker state; the parent folds every payload in with
 :meth:`Profiler.merge_payload`, attributing each task's root span
-(``shard.run`` or ``chunk.run``) to the pool process that ran it.  The
-benchmark harness records its timings through the same path
-(``benchmarks/conftest.py --profile-out``).
+(``shard.run`` or ``chunk.run``) to the pool process that ran it.
 """
 
 from __future__ import annotations

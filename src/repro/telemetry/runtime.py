@@ -12,8 +12,8 @@ fast-path contract is::
 
 Telemetry is **opt-in**: the default runtime starts disabled, so the
 library adds one boolean check per instrumented operation until
-something (the CLI's ``--telemetry`` flag, the benchmark harness, a
-test) enables it.
+something (the CLI's ``--telemetry`` flag, a bench tool, a test)
+enables it.
 """
 
 from __future__ import annotations

@@ -255,12 +255,31 @@ class TestCLIUsageErrors:
             (["pcap", "--limit", "-1", "--out", "{tmp}/x.pcap"], "limit must be >= 0"),
             (["trace", "--flow-cap", "0"], "flow_cap must be >= 1"),
             (["trace", "--stream", "--json", "{tmp}/t.json"], "streaming runs export JSONL"),
+            (["trace", "--scale", "0"], "scale must be >= 1"),
+            (["pcap", "--scale", "-1", "--out", "{tmp}/x.pcap"], "scale must be >= 1"),
+            (
+                ["trace", "--heartbeat-out", "{tmp}/h.jsonl", "--heartbeat-interval", "-1"],
+                "heartbeat_interval must be finite and >= 0",
+            ),
+            (
+                ["trace", "--heartbeat-out", "{tmp}/h.jsonl", "--heartbeat-interval", "nan"],
+                "heartbeat_interval must be finite and >= 0",
+            ),
         ],
-        ids=["pcap-negative-limit", "trace-zero-flow-cap", "trace-stream-json"],
+        ids=[
+            "pcap-negative-limit",
+            "trace-zero-flow-cap",
+            "trace-stream-json",
+            "trace-zero-scale",
+            "pcap-negative-scale",
+            "trace-negative-heartbeat-interval",
+            "trace-nan-heartbeat-interval",
+        ],
     )
     def test_value_error_exits_2(self, capsys, tmp_path, argv, message):
         ledger = tmp_path / "ledger.jsonl"
-        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
-        assert main([*argv, "--scale", "1", "--ledger", str(ledger)]) == 2
+        command, *flags = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+        # The default scale goes first so that a case's own --scale wins.
+        assert main([command, "--scale", "1", *flags, "--ledger", str(ledger)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []

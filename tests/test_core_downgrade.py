@@ -79,7 +79,14 @@ class TestTable5:
         # Only Roku downgrades on failed handshakes too.
         assert by_device["Roku TV"].downgrades_on_failed
         assert by_device["Roku TV"].downgrades_on_incomplete
-        for name in ("Amazon Echo Dot", "Apple HomePod", "Google Home Mini"):
+        for name in (
+            "Amazon Echo Dot",
+            "Amazon Echo Plus",
+            "Amazon Echo Spot",
+            "Fire TV",
+            "Apple HomePod",
+            "Google Home Mini",
+        ):
             assert not by_device[name].downgrades_on_failed
             assert by_device[name].downgrades_on_incomplete
 

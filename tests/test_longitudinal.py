@@ -156,6 +156,13 @@ class TestFigure2:
         assert series.values[15] and series.values[15] > 0.5
         assert series.values[16] == 0.0  # 5/2019
 
+    def test_smartthings_main_instance_drops_weak_ciphers(self, heatmap):
+        # 3/2020: the main instance drops its weak suites and the legacy side
+        # instance keeps them, so the fraction falls sharply but not to zero.
+        series = heatmap.series["Smartthings Hub"]
+        assert series.values[25] > 0.65
+        assert series.values[26] < 0.35
+
     def test_established_insecure_only_two_devices(self, passive_capture):
         """Only Wink Hub 2 and LG TV ever *establish* insecure suites."""
         from repro.tls.ciphersuites import REGISTRY

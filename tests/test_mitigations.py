@@ -267,3 +267,66 @@ class TestSecureService:
             d.hostname for d in original.destinations
         }
         assert len(hardened.instances) == 1
+
+
+# ---------------------------------------------------------------------------
+# Ablation: the mitigations against the Table 7 attack surface
+# ---------------------------------------------------------------------------
+
+#: The 11 devices Table 7 finds interceptable.
+TABLE7_DEVICES = (
+    "Zmodo Doorbell",
+    "Amcrest Camera",
+    "Smarter iKettle",
+    "Yi Camera",
+    "Wink Hub 2",
+    "LG TV",
+    "Smartthings Hub",
+    "Amazon Echo Plus",
+    "Amazon Echo Dot",
+    "Amazon Echo Spot",
+    "Fire TV",
+)
+
+
+def _interceptable(device, testbed, toolbox, *, pin: bool) -> bool:
+    """Does any Table 2 attack establish on any destination, in 4 tries?"""
+    for destination in device.profile.destinations:
+        for mode in TABLE2_ATTACKS:
+            proxy = InterceptionProxy(toolbox=toolbox, mode=mode)
+            if pin:
+                # A leaf pin protects even a failure-disabled client, so a
+                # fresh client per destination is enough.
+                instance = device.instance(destination.instance)
+                client = PinnedClient(
+                    instance.spec.library.client(instance.client_config(38)),
+                    pin_leaf(testbed.server_for(destination).chain[0]),
+                )
+                attempts = (
+                    perform_handshake(client, proxy, hostname=destination.hostname, when=WHEN)
+                    for _ in range(4)
+                )
+            else:
+                # The device's own instance, so stateful behaviour (the Yi
+                # Camera's validation-disable counter) spans the attempts.
+                device.power_cycle()
+                attempts = (device.connect_destination(destination, proxy) for _ in range(4))
+            if any(attempt.established for attempt in attempts):
+                return True
+    return False
+
+
+def test_mitigation_ablation_over_table7_devices(testbed, universe):
+    """§6: leaf pinning and TLS as an OS service each leave none of the
+    11 stock-interceptable devices interceptable."""
+    toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+    counts = {"stock": 0, "leaf-pinned": 0, "os-tls-service": 0}
+    for name in TABLE7_DEVICES:
+        stock = testbed.device(name)
+        stock.power_cycle()
+        counts["stock"] += _interceptable(stock, testbed, toolbox, pin=False)
+        stock.power_cycle()
+        counts["leaf-pinned"] += _interceptable(stock, testbed, toolbox, pin=True)
+        hardened = Device(harden_device(device_by_name(name)), universe=universe)
+        counts["os-tls-service"] += _interceptable(hardened, testbed, toolbox, pin=False)
+    assert counts == {"stock": 11, "leaf-pinned": 0, "os-tls-service": 0}

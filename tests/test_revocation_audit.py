@@ -15,6 +15,7 @@ def enforcement(testbed):
 
 class TestEnforcement:
     def test_baselines_all_establish(self, enforcement):
+        assert len(enforcement) == 32
         assert all(result.baseline_established for result in enforcement.values())
 
     def test_stapling_checkers_reject_revoked(self, enforcement):

@@ -124,6 +124,7 @@ class TestHttpFraming:
                 ({"command": "probe"}, 400),  # no device
                 ({"command": "probe", "device": "No Such Device"}, 404),
                 ({"command": "pcap", "scale": 1, "limit": -1}, 400),
+                ({"command": "trace", "scale": 0}, 400),
             ]
             for body, expected in cases:
                 status, _, content = await request(port, "POST", "/runs", body)
