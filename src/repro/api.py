@@ -532,7 +532,7 @@ def _check_params(request: Any) -> dict[str, Any]:
 # Internals
 # ----------------------------------------------------------------------
 def _configure_telemetry(config: RunConfig) -> None:
-    # Progress reporting rides on the telemetry runtime (events, spans,
+    # Progress reporting rides on the telemetry runtime (spans and
     # resource gauges), so --progress implies telemetry.
     if config.telemetry or config.progress:
         telemetry.configure(enabled=True)
@@ -596,7 +596,6 @@ def _progress_session(
         interval=config.heartbeat_interval,
         stream=stream,
         heartbeat=writer,
-        events=runtime.events,
         sampler=sampler,
     )
     runtime.progress = reporter

@@ -15,7 +15,6 @@ Subcommands map one-to-one onto the paper's experiments:
                       (drift report; non-zero exit on drift)
 * ``lint``         -- reprolint: static invariant checks over the
                       repo's own source (see ``docs/static-analysis.md``)
-* ``telemetry-demo`` -- exercise the telemetry subsystem end-to-end
 * ``serve``        -- the resident fleet service (:mod:`repro.serve`)
 * ``runs``         -- query the run ledger: ``list``/``show``/``diff``/
                       ``trend``/``lookup``/``gc`` over every recorded run
@@ -32,7 +31,8 @@ flag is declared once, in :data:`_FLAGS`, under the ``dest`` it feeds:
   ``--heartbeat-out`` -> ``heartbeat_path``, ``--out``, ``--expected``
   -> ``expected_path``, ``--artifact`` -> ``artifact_path``;
 * or a CLI-only setting the CLI handles around the run --
-  ``--metrics-out``, ``--manifest``, ``--profile*``, ``--no-ledger``.
+  ``--metrics-out``, ``--manifest``, ``--profile``, ``--profile-out``,
+  ``--no-ledger``.
 
 :data:`_COMMAND_FLAGS` says which flags each subcommand takes and the
 few defaults it overrides.  :func:`_execute` is the one path from a
@@ -97,7 +97,7 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "limit": ("--limit", dict(type=int, default=None, help="max packets")),
     "telemetry": ("--telemetry", dict(
         action="store_true",
-        help="enable the telemetry subsystem (metrics, spans, events)",
+        help="enable the telemetry subsystem (metrics, spans)",
     )),
     "workers": ("--workers", dict(
         type=int, default=1, metavar="N",
@@ -159,10 +159,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "profile_out": ("--profile-out", dict(
         metavar="PATH", help="write the profile as JSON (implies --profile)"
     )),
-    "profile_stacks": ("--profile-stacks", dict(
-        metavar="PATH",
-        help="write flamegraph-ready collapsed stacks (implies --profile)",
-    )),
     "no_ledger": ("--no-ledger", dict(
         action="store_true", help="do not record this run in the run ledger"
     )),
@@ -197,7 +193,7 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     )),
 }
 
-_PROFILE = ("profile", "profile_out", "profile_stacks")
+_PROFILE = ("profile", "profile_out")
 _PROGRESS = ("progress", "heartbeat_path", "heartbeat_interval")
 _LEDGER = ("ledger", "no_ledger")
 _OBSERVED = ("telemetry", "metrics_out", "workers", "manifest", *_PROFILE, *_PROGRESS)
@@ -225,7 +221,6 @@ _COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
          "workers", "json_path", *_LEDGER),
         {"scale": 1},
     ),
-    "telemetry-demo": (("scale", "metrics_out"), {"scale": 2}),
     "serve": (
         ("host", "port", "queue_size", "executors", "artifact_dir", "access_log",
          "heartbeat_interval", "retry_after", "workers", *_LEDGER),
@@ -262,7 +257,6 @@ def build_parser() -> argparse.ArgumentParser:
         "pcap": "export the passive capture's ClientHellos as a pcap file",
         "check": "audit the reproduction against the paper's published values",
         "lint": "run reprolint's static invariant checks over the repo source",
-        "telemetry-demo": "smoke-test the telemetry subsystem on a small trace",
         "serve": "run the resident fleet service (HTTP/JSON, content-addressed "
         "result cache over the run ledger)",
     }
@@ -600,30 +594,6 @@ def _cmd_lint(args) -> int:
     return run_from_args(args)
 
 
-def _cmd_telemetry_demo(args) -> int:
-    """Exercise metrics, spans, and events end-to-end on a small trace."""
-    from .longitudinal import PassiveTraceGenerator
-    from .telemetry import to_prometheus
-
-    runtime = telemetry.get()
-    with runtime.tracer.span("demo.run", scale=args.scale):
-        capture = PassiveTraceGenerator(scale=args.scale).generate()
-    runtime.events.info("demo.complete", flow_records=len(capture.records))
-
-    registry = runtime.registry
-    handshakes = registry.get("iotls_handshakes_total")
-    print(
-        f"telemetry demo: {len(capture.records)} flow records generated, "
-        f"{int(handshakes.total()) if handshakes else 0} handshakes counted, "
-        f"{len(runtime.tracer.finished)} spans finished, "
-        f"{len(runtime.events)} events buffered"
-    )
-    print("\nprometheus sample (first 12 lines):")
-    for line in to_prometheus(registry).splitlines()[:12]:
-        print(f"  {line}")
-    return 0
-
-
 def _runs_list(args, entries) -> int:
     selected = telemetry.filter_entries(
         entries,
@@ -808,7 +778,6 @@ _COMMANDS = {
     "devices": _cmd_devices,
     "check": _cmd_check,
     "lint": _cmd_lint,
-    "telemetry-demo": _cmd_telemetry_demo,
     "runs": _cmd_runs,
     "serve": _cmd_serve,
 }
@@ -816,8 +785,6 @@ _COMMANDS = {
 
 def _emit_profile(args: argparse.Namespace) -> int:
     """Render/export the run's span profile.  Returns 1 if no spans."""
-    from pathlib import Path
-
     from .telemetry import Profiler, render_hot_table
 
     profiler = Profiler.from_runtime(telemetry.get())
@@ -826,11 +793,6 @@ def _emit_profile(args: argparse.Namespace) -> int:
     if args.profile_out:
         path = write_json(profiler.to_dict(), args.profile_out)
         print(f"wrote profile {path}")
-    if args.profile_stacks:
-        path = Path(args.profile_stacks)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(profiler.collapsed_stacks())
-        print(f"wrote collapsed stacks {path}")
     return 0 if len(profiler) else 1
 
 
@@ -840,7 +802,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     profile_on = any(given.get(name) for name in _PROFILE)
     telemetry_on = (
         profile_on
-        or args.command == "telemetry-demo"
         or given.get("metrics_out") is not None
         or any(given.get(name) for name in ("telemetry", "progress", "heartbeat_path"))
     )
@@ -853,16 +814,15 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise
         print(f"error: {exc}", file=sys.stderr)
         status = 2
-    if telemetry_on:
+    if status == 0 and telemetry_on:
         registry = telemetry.get_registry()
         if given.get("metrics_out") is not None:
             path = telemetry.write_snapshot(
                 registry, args.metrics_out, extra={"command": args.command}
             )
             print(f"wrote metrics snapshot {path}")
-        if args.command != "telemetry-demo":
-            print("\ntelemetry summary:")
-            print(telemetry.summary_table(registry))
+        print("\ntelemetry summary:")
+        print(telemetry.summary_table(registry))
     if status == 0 and profile_on:
         status = _emit_profile(args)
     return status

@@ -37,7 +37,7 @@ _TELEMETRY = _telemetry.get()
 
 @contextmanager
 def _phase(name: str):
-    """Time one campaign phase: a span plus a per-phase gauge and event."""
+    """Time one campaign phase: a span plus a per-phase gauge."""
     if not _TELEMETRY.enabled:
         yield
         return
@@ -48,7 +48,6 @@ def _phase(name: str):
     _TELEMETRY.registry.gauge(
         "iotls_campaign_phase_seconds", "Wall time of the last run's campaign phases."
     ).set(elapsed, phase=name)
-    _TELEMETRY.events.info("campaign.phase_complete", phase=name, seconds=round(elapsed, 6))
 
 
 @dataclass
@@ -118,18 +117,8 @@ class ActiveExperimentCampaign:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         if workers == 1:
-            results = self._run_serial(include_passthrough)
-        else:
-            results = self._run_parallel(include_passthrough, workers)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.events.info(
-                "campaign.complete",
-                vulnerable=results.vulnerable_device_count,
-                downgrading=results.downgrading_device_count,
-                probe_eligible=len(results.probe_eligible),
-                amenable=len(results.amenable_probe_reports),
-            )
-        return results
+            return self._run_serial(include_passthrough)
+        return self._run_parallel(include_passthrough, workers)
 
     def _run_serial(self, include_passthrough: bool) -> CampaignResults:
         results = CampaignResults()
@@ -197,17 +186,14 @@ class ActiveExperimentCampaign:
         with _TELEMETRY.tracer.span(
             "parallel.dispatch", workers=workers, devices=len(order)
         ), pool_session(workers) as pool:
-            context = _TELEMETRY.tracer.propagation_context(
-                "campaign", include_passthrough, workers
-            )
+            span_parent = _TELEMETRY.tracer.propagation_context()
             tasks = [
                 CampaignShardTask(
                     worker_id=worker_id,
                     device_names=tuple(shard),
                     include_passthrough=include_passthrough,
                     telemetry=_TELEMETRY.enabled,
-                    event_level=_TELEMETRY.events.level,
-                    trace_context=context.to_dict() if context is not None else None,
+                    span_parent=span_parent,
                 )
                 for worker_id, shard in enumerate(round_robin_shards(order, workers))
             ]

@@ -312,10 +312,6 @@ class RootStoreProber:
             calibration = self.calibrate(plug)
         report = DeviceProbeReport(device=device.name, calibration=calibration)
         if not calibration.amenable:
-            if _TELEMETRY.enabled:
-                _TELEMETRY.events.info(
-                    "probe.not_amenable", device=device.name, reason=calibration.reason
-                )
             return report
 
         store_profile = device.profile.store
@@ -342,16 +338,5 @@ class RootStoreProber:
                     conclusive_rate=store_profile.conclusive_rate_deprecated,
                     noise_key="deprecated",
                 )
-            )
-        if _TELEMETRY.enabled:
-            cp, cc = report.common_tally
-            dp, dc = report.deprecated_tally
-            _TELEMETRY.events.info(
-                "probe.device_complete",
-                device=device.name,
-                common_present=cp,
-                common_conclusive=cc,
-                deprecated_present=dp,
-                deprecated_conclusive=dc,
             )
         return report

@@ -27,7 +27,6 @@ __all__ = [
     "CLOCK_BOUNDARY_PREFIXES",
     "LEDGER_BOUNDARY_PREFIXES",
     "PROGRESS_BOUNDARY_PREFIXES",
-    "PROGRESS_EVENT_PREFIXES",
     "STREAM_PATH_FUNCTIONS",
     "WALL_CLOCK_CALLS",
 ]
@@ -82,14 +81,8 @@ STREAM_PATH_FUNCTIONS = frozenset(
 
 #: RL012 -- the progress boundary: the one module allowed to emit
 #: heartbeat/progress output directly, because every emission there
-#: funnels through a Throttle before reaching a stream or event log.
+#: funnels through a Throttle before reaching a stream.
 PROGRESS_BOUNDARY_PREFIXES = ("src/repro/telemetry/progress.py",)
-
-#: RL012 -- event-name prefixes reserved for the progress layer.  An
-#: event named ``progress.*``/``heartbeat.*`` logged outside the
-#: boundary bypasses throttling and can flood the event ring buffer
-#: (and any --heartbeat-out consumer) at per-record rates.
-PROGRESS_EVENT_PREFIXES = ("progress.", "heartbeat.")
 
 #: RL013 -- the ledger-write boundary: the one module allowed to open
 #: the run ledger for writing.  Its single-``write()`` O_APPEND append
@@ -318,49 +311,24 @@ def check_span_usage(module: ModuleContext) -> Iterator[Violation]:
         )
 
 
-_EVENT_LOG_METHODS = frozenset({"debug", "info", "warning", "error"})
-
-
-def _event_name_literal(node: ast.Call) -> str | None:
-    """The literal event name of an event-log call, if determinable.
-
-    ``events.debug("name", ...)`` carries the name as the first
-    positional argument; ``events.log("debug", "name", ...)`` as the
-    second.  Non-literal names return None (out of scope for RL012).
-    """
-    if not isinstance(node.func, ast.Attribute):
-        return None
-    if node.func.attr in _EVENT_LOG_METHODS:
-        index = 0
-    elif node.func.attr == "log":
-        index = 1
-    else:
-        return None
-    if len(node.args) <= index:
-        return None
-    arg = node.args[index]
-    if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-        return arg.value
-    return None
-
-
 @rule(
     "RL012",
     "unthrottled-heartbeat",
     "telemetry",
     "Progress and heartbeat emission must flow through the throttled "
     "ProgressReporter in repro.telemetry.progress; a direct emit_now() "
-    "call or a progress.*/heartbeat.* event logged elsewhere bypasses "
-    "rate limiting and can flood stderr, the event buffer, and every "
+    "call elsewhere bypasses rate limiting and can flood stderr and every "
     "--heartbeat-out consumer at per-record rates.",
 )
 def check_heartbeat_throttling(module: ModuleContext) -> Iterator[Violation]:
     if module.path.startswith(PROGRESS_BOUNDARY_PREFIXES):
         return
     for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "emit_now":
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "emit_now"
+        ):
             yield _violation(
                 module,
                 "RL012",
@@ -368,17 +336,6 @@ def check_heartbeat_throttling(module: ModuleContext) -> Iterator[Violation]:
                 ".emit_now() outside the progress boundary bypasses the "
                 "heartbeat throttle; call reporter.advance(...) and let the "
                 "Throttle decide when to emit",
-            )
-            continue
-        name = _event_name_literal(node)
-        if name is not None and name.startswith(PROGRESS_EVENT_PREFIXES):
-            yield _violation(
-                module,
-                "RL012",
-                node,
-                f"event {name!r} uses a progress/heartbeat name outside the "
-                "progress boundary; route it through ProgressReporter so "
-                "emission stays rate-limited",
             )
 
 

@@ -198,10 +198,10 @@ class PassiveTraceGenerator:
         """:meth:`generate_device_chunk` in the per-device telemetry envelope.
 
         Every path -- materialise, stream, and the pool's chunk tasks --
-        replays a device through this method, so the span, counter, and
-        event a device produces are identical whichever process replays
-        it: the property that makes merged parallel counter totals equal
-        the serial ones.  ``flow_records`` is the chunk's base-record
+        replays a device through this method, so the span and counter a
+        device produces are identical whichever process replays it: the
+        property that makes merged parallel counter totals equal the
+        serial ones.  ``flow_records`` is the chunk's base-record
         count, before any flow-cap splitting.
         """
         if not _TELEMETRY.enabled:
@@ -212,11 +212,6 @@ class PassiveTraceGenerator:
         _TELEMETRY.registry.counter(
             "iotls_trace_devices_total", "Devices replayed by the trace generator."
         ).inc()
-        _TELEMETRY.events.debug(
-            "trace.device_complete",
-            device=profile.name,
-            flow_records=len(chunk),
-        )
         return chunk
 
     # ------------------------------------------------------------------
@@ -236,11 +231,7 @@ class PassiveTraceGenerator:
         if not _TELEMETRY.enabled:
             return self._generate(workers)
 
-        tracer, registry, events = (
-            _TELEMETRY.tracer,
-            _TELEMETRY.registry,
-            _TELEMETRY.events,
-        )
+        tracer, registry = _TELEMETRY.tracer, _TELEMETRY.registry
         started = perf_counter()
         with tracer.span(
             "trace.generate", scale=self.scale, seed=self.seed, workers=workers
@@ -248,7 +239,6 @@ class PassiveTraceGenerator:
             capture = self._generate(workers)
             root.annotate(flow_records=len(capture.records))
         elapsed = perf_counter() - started
-        connections = sum(record.count for record in capture.records)
         registry.gauge(
             "iotls_trace_last_run_seconds", "Wall time of the last full trace generation."
         ).set(elapsed)
@@ -257,14 +247,6 @@ class PassiveTraceGenerator:
             "iotls_trace_records_per_second",
             "Flow-record throughput of the last full trace generation.",
         ).set(throughput)
-        events.info(
-            "trace.complete",
-            flow_records=len(capture.records),
-            connections=connections,
-            devices=len(capture.devices()),
-            seconds=round(elapsed, 6),
-            records_per_second=round(throughput, 1),
-        )
         return capture
 
     def _generate(self, workers: int) -> GatewayCapture:
@@ -273,7 +255,7 @@ class PassiveTraceGenerator:
             capture if self.flow_cap is None else FlowRecordChunker(capture, self.flow_cap)
         )
         progress = _TELEMETRY.progress
-        with closing(self._chunks(workers, "trace.generate")) as chunks:
+        with closing(self._chunks(workers)) as chunks:
             for chunk in chunks:
                 before = target.records_seen
                 sink_add_batch(target, chunk)
@@ -316,11 +298,7 @@ class PassiveTraceGenerator:
             self._stream(target, workers)
             return
 
-        tracer, registry, events = (
-            _TELEMETRY.tracer,
-            _TELEMETRY.registry,
-            _TELEMETRY.events,
-        )
+        tracer, registry = _TELEMETRY.tracer, _TELEMETRY.registry
         before = sink.records_seen
         started = perf_counter()
         with tracer.span(
@@ -346,19 +324,12 @@ class PassiveTraceGenerator:
             "Largest per-device staging buffer of the last streaming run "
             "(the stream's memory high-water mark, in records).",
         ).set(float(peak_staged))
-        events.info(
-            "trace.stream_complete",
-            flow_records=streamed,
-            seconds=round(elapsed, 6),
-            records_per_second=round(throughput, 1),
-            peak_staged_records=peak_staged,
-        )
 
     def _stream(self, target: CaptureSink, workers: int) -> int:
         """Feed ``target`` device by device; returns the peak staging depth."""
         peak = 0
         progress = _TELEMETRY.progress
-        with closing(self._chunks(workers, "trace.stream")) as chunks:
+        with closing(self._chunks(workers)) as chunks:
             for chunk in chunks:
                 peak = max(peak, len(chunk))
                 sink_add_batch(target, chunk)
@@ -369,16 +340,16 @@ class PassiveTraceGenerator:
         return peak
 
     # ------------------------------------------------------------------
-    def _chunks(self, workers: int, root: str) -> Iterator[RecordChunk]:
+    def _chunks(self, workers: int) -> Iterator[RecordChunk]:
         """Every device's chunk, in catalog order.
 
         ``workers=1`` replays devices in-process.  Otherwise each device
         is one task on the session pool and chunks come home through
-        ``Pool.imap`` in task order.  ``root`` names the run's root span
-        (``trace.generate`` or ``trace.stream``).  The dispatch span
-        wraps task fan-out *and* the caller's fold (chunks stream home
-        as they finish); the context it anchors re-parents every worker
-        ``chunk.run`` under ``root;parallel.dispatch`` once the workers'
+        ``Pool.imap`` in task order.  The dispatch span wraps task
+        fan-out *and* the caller's fold (chunks stream home as they
+        finish); its open span path re-parents every worker
+        ``chunk.run`` under the run's root span (``trace.generate`` or
+        ``trace.stream``) and ``parallel.dispatch`` once the workers'
         telemetry merges, after the last chunk.  Callers consume it
         under ``contextlib.closing`` so a failing fold exits the span
         and the pool session at once, not when the generator is
@@ -395,9 +366,7 @@ class PassiveTraceGenerator:
         with _TELEMETRY.tracer.span(
             "parallel.dispatch", workers=workers, devices=len(order)
         ), pool_session(workers) as pool:
-            context = _TELEMETRY.tracer.propagation_context(
-                root, self.seed, self.scale, workers
-            )
+            span_parent = _TELEMETRY.tracer.propagation_context()
             tasks = [
                 TraceChunkTask(
                     index=index,
@@ -405,8 +374,7 @@ class PassiveTraceGenerator:
                     seed=self.seed,
                     scale=self.scale,
                     telemetry=_TELEMETRY.enabled,
-                    event_level=_TELEMETRY.events.level,
-                    trace_context=context.to_dict() if context is not None else None,
+                    span_parent=span_parent,
                 )
                 for index, name in enumerate(order)
             ]

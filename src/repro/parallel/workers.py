@@ -69,7 +69,7 @@ def _in_worker() -> bool:
     return multiprocessing.parent_process() is not None
 
 
-def _configure_worker_telemetry(enabled: bool, event_level: str) -> None:
+def _configure_worker_telemetry(enabled: bool) -> None:
     """Reset this worker's telemetry runtime to mirror the parent's switch.
 
     Only ever touches a *worker* process's runtime.  Pool processes are
@@ -82,11 +82,11 @@ def _configure_worker_telemetry(enabled: bool, event_level: str) -> None:
     """
     if not _in_worker():
         return
-    _telemetry.configure(enabled=enabled, level=event_level)
+    _telemetry.configure(enabled=enabled)
 
 
 def _export_worker_telemetry(
-    enabled: bool, worker_id: int, context: object | None = None
+    enabled: bool, worker_id: int, span_parent: str | None = None
 ) -> dict | None:
     """Export this worker's runtime for the parent to merge.
 
@@ -100,7 +100,7 @@ def _export_worker_telemetry(
     if not enabled or not _in_worker():
         return None
     return _telemetry.get().export_worker_state(
-        worker_id, context=context, process=multiprocessing.current_process().name
+        worker_id, span_parent=span_parent, process=multiprocessing.current_process().name
     )
 
 
@@ -121,11 +121,9 @@ class TraceChunkTask:
     seed: str
     scale: int
     telemetry: bool
-    event_level: str = "info"
-    #: The coordinator's propagated trace context (a
-    #: ``TraceContext.to_dict()`` document); rides home in the profile
-    #: payload so merge stitches this task under the dispatch span.
-    trace_context: dict | None = None
+    #: The coordinator's open span path at dispatch; rides home in the
+    #: profile payload so merge stitches this task under the dispatch span.
+    span_parent: str | None = None
 
 
 @dataclass(frozen=True)
@@ -156,7 +154,7 @@ def run_trace_chunk(task: TraceChunkTask) -> TraceChunkResult:
     """
     from ..longitudinal.generator import PassiveTraceGenerator
 
-    _configure_worker_telemetry(task.telemetry, task.event_level)
+    _configure_worker_telemetry(task.telemetry)
     generator = PassiveTraceGenerator(
         _worker_testbed(), scale=task.scale, seed=task.seed
     )
@@ -166,7 +164,7 @@ def run_trace_chunk(task: TraceChunkTask) -> TraceChunkResult:
         chunk = generator._device_chunk_instrumented(
             _passive_profiles()[task.device_name]
         )
-    payload = _export_worker_telemetry(task.telemetry, task.index, task.trace_context)
+    payload = _export_worker_telemetry(task.telemetry, task.index, task.span_parent)
     return TraceChunkResult(
         index=task.index,
         device=task.device_name,
@@ -186,9 +184,8 @@ class CampaignShardTask:
     device_names: tuple[str, ...]
     include_passthrough: bool
     telemetry: bool
-    event_level: str = "info"
-    #: See :attr:`TraceChunkTask.trace_context`.
-    trace_context: dict | None = None
+    #: See :attr:`TraceChunkTask.span_parent`.
+    span_parent: str | None = None
 
 
 @dataclass(frozen=True)
@@ -226,7 +223,7 @@ def run_campaign_shard(task: CampaignShardTask) -> CampaignShardResult:
     from ..core.prober import RootStoreProber
     from ..devices.catalog import active_devices
 
-    _configure_worker_telemetry(task.telemetry, task.event_level)
+    _configure_worker_telemetry(task.telemetry)
     runtime = _telemetry.get()
     testbed = _worker_testbed()
     profiles = {profile.name: profile for profile in active_devices()}
@@ -255,7 +252,7 @@ def run_campaign_shard(task: CampaignShardTask) -> CampaignShardResult:
         worker_id=task.worker_id,
         devices=tuple(outcomes),
         telemetry=_export_worker_telemetry(
-            task.telemetry, task.worker_id, task.trace_context
+            task.telemetry, task.worker_id, task.span_parent
         ),
     )
 

@@ -1,4 +1,4 @@
-"""Observability for the IoTLS reproduction: metrics, traces, events.
+"""Observability for the IoTLS reproduction: metrics and traces.
 
 The paper's pipeline is a *measurement system* -- ≈17M passive
 connections over 27 months plus the active probing campaigns -- and
@@ -8,30 +8,26 @@ same way, with zero external dependencies:
 
 * :class:`MetricsRegistry` -- named counters, gauges, and fixed-bucket
   histograms (:mod:`repro.telemetry.metrics`),
-* :class:`Tracer` -- nested spans with monotonic timing and a
-  propagated :class:`TraceContext` for cross-process stitching
+* :class:`Tracer` -- nested spans with monotonic timing; its open span
+  path is propagated to worker processes for cross-process stitching
   (:mod:`repro.telemetry.tracing`),
-* :class:`EventLog` -- structured JSONL events with a ring-buffer tail
-  (:mod:`repro.telemetry.events`),
 * run health -- :class:`ResourceSampler` resource snapshots
   (:mod:`repro.telemetry.health`) and :class:`ProgressReporter`
   throttled heartbeats (:mod:`repro.telemetry.progress`),
 * declarative benchmark SLOs over the trajectory
   (:mod:`repro.telemetry.slo`),
-* exporters -- Prometheus text format, JSON snapshots, and a human
-  summary table (:mod:`repro.telemetry.export`),
+* exporters -- JSON snapshots and a human summary table
+  (:mod:`repro.telemetry.export`),
 * a process-wide opt-in runtime (:mod:`repro.telemetry.runtime`);
   disabled by default and no-op cheap when off.
 
 See ``docs/observability.md`` for the metric catalog and span taxonomy.
 """
 
-from .events import LEVELS, EventLog
 from .export import (
     SNAPSHOT_SCHEMA,
     metrics_snapshot,
     summary_table,
-    to_prometheus,
     write_snapshot,
 )
 from .ledger import (
@@ -108,7 +104,6 @@ from .runtime import (
     enable,
     enabled,
     get,
-    get_events,
     get_registry,
     get_tracer,
     reset,
@@ -124,7 +119,7 @@ from .slo import (
     render_verdicts,
     trend_report,
 )
-from .tracing import NULL_SPAN, Span, TraceContext, Tracer
+from .tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "ACCESS_LOG_SCHEMA",
@@ -136,13 +131,11 @@ __all__ = [
     "DEFAULT_LEDGER_PATH",
     "DRIFT_REPORT_SCHEMA",
     "EXPECTATIONS_SCHEMA",
-    "EventLog",
     "Gauge",
     "HEALTH_STREAM_SCHEMA",
     "HeartbeatWriter",
     "Histogram",
     "LEDGER_SCHEMA",
-    "LEVELS",
     "MANIFEST_SCHEMA",
     "MetricsRegistry",
     "NULL_SPAN",
@@ -165,7 +158,6 @@ __all__ = [
     "TREND_SCHEMA",
     "TelemetryRuntime",
     "Throttle",
-    "TraceContext",
     "Tracer",
     "all_schemas",
     "append_entry",
@@ -206,12 +198,10 @@ __all__ = [
     "enable",
     "enabled",
     "get",
-    "get_events",
     "get_registry",
     "get_tracer",
     "metrics_snapshot",
     "reset",
     "summary_table",
-    "to_prometheus",
     "write_snapshot",
 ]

@@ -1,11 +1,7 @@
-"""Exporters: Prometheus text format, JSON snapshots, and a summary table.
+"""Exporters: JSON snapshots and a summary table.
 
-Three render targets for one :class:`~repro.telemetry.metrics.MetricsRegistry`:
+Two render targets for one :class:`~repro.telemetry.metrics.MetricsRegistry`:
 
-* :func:`to_prometheus` -- the Prometheus text exposition format
-  (``# HELP`` / ``# TYPE`` headers, labelled samples, cumulative
-  histogram ``le`` buckets with ``_sum`` / ``_count``), parseable by any
-  Prometheus-compatible scraper,
 * :func:`metrics_snapshot` / :func:`write_snapshot` -- a JSON document
   in the same family as the repo's ``BENCH_*.json`` trajectory files
   (plain nested dicts, sorted keys, a ``schema`` tag),
@@ -16,7 +12,6 @@ Three render targets for one :class:`~repro.telemetry.metrics.MetricsRegistry`:
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 from typing import Any
 
@@ -26,73 +21,10 @@ __all__ = [
     "SNAPSHOT_SCHEMA",
     "metrics_snapshot",
     "summary_table",
-    "to_prometheus",
     "write_snapshot",
 ]
 
 from .schemas import SNAPSHOT_SCHEMA  # registered in repro.telemetry.schemas
-
-
-# ----------------------------------------------------------------------
-# Prometheus text format
-# ----------------------------------------------------------------------
-def _escape_label_value(value: str) -> str:
-    return value.replace("\\", r"\\").replace('"', r"\"").replace("\n", r"\n")
-
-
-def _format_labels(key: LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> str:
-    pairs = [*key, *extra]
-    if not pairs:
-        return ""
-    inner = ",".join(f'{name}="{_escape_label_value(value)}"' for name, value in pairs)
-    return "{" + inner + "}"
-
-
-def _format_value(value: int | float) -> str:
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return str(int(value))
-    if isinstance(value, int):
-        return str(value)
-    if value == int(value) and abs(value) < 1e15:
-        return str(int(value))
-    return repr(value)
-
-
-def _format_bound(bound: float) -> str:
-    # Prometheus spells the overflow bound "+Inf"; repr(inf) would
-    # render "inf", which scrapers reject.
-    if math.isinf(bound):
-        return "+Inf" if bound > 0 else "-Inf"
-    return _format_value(bound)
-
-
-def to_prometheus(registry: MetricsRegistry) -> str:
-    """Render the registry as Prometheus text exposition format."""
-    lines: list[str] = []
-    for metric in registry.metrics():
-        help_text = metric.help or metric.name.replace("_", " ")
-        lines.append(f"# HELP {metric.name} {help_text}")
-        lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if isinstance(metric, Histogram):
-            # An explicit +Inf bound in the bucket layout would collide
-            # with the implicit overflow line; render finite bounds only
-            # and let the overflow line carry the total.
-            finite_bounds = [b for b in metric.buckets if not math.isinf(b)]
-            for key, state in sorted(metric.series().items()):
-                cumulative = state.cumulative()
-                for bound, count in zip(finite_bounds, cumulative):
-                    labels = _format_labels(key, (("le", _format_bound(bound)),))
-                    lines.append(f"{metric.name}_bucket{labels} {count}")
-                inf_labels = _format_labels(key, (("le", "+Inf"),))
-                lines.append(f"{metric.name}_bucket{inf_labels} {cumulative[-1]}")
-                lines.append(
-                    f"{metric.name}_sum{_format_labels(key)} {_format_value(state.sum)}"
-                )
-                lines.append(f"{metric.name}_count{_format_labels(key)} {state.count}")
-        else:
-            for key, value in sorted(metric.series().items()):
-                lines.append(f"{metric.name}{_format_labels(key)} {_format_value(value)}")
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
@@ -165,6 +97,16 @@ def write_snapshot(
 # ----------------------------------------------------------------------
 # Human summary
 # ----------------------------------------------------------------------
+def _format_value(value: int | float) -> str:
+    if isinstance(value, bool):  # pragma: no cover - defensive
+        return str(int(value))
+    if isinstance(value, int):
+        return str(value)
+    if value == int(value) and abs(value) < 1e15:
+        return str(int(value))
+    return repr(value)
+
+
 def _render_rows(rows: list[tuple[str, str, str]]) -> str:
     headers = ("metric", "labels", "value")
     widths = [

@@ -149,7 +149,7 @@ class Profiler:
         self,
         *,
         worker: int | None = None,
-        context: Any | None = None,
+        span_parent: str | None = None,
         process: str | None = None,
     ) -> dict[str, Any]:
         """Everything a worker ships home: path stats plus shard time.
@@ -157,11 +157,11 @@ class Profiler:
         The shard wall time is the cumulative time of the worker's
         shard-root span (:data:`SHARD_ROOT_SPANS`), which wraps its
         whole work loop.  ``process`` names the pool process that ran
-        the task; merge sums shard time per process.  ``context`` is the
-        coordinator's propagated
-        :class:`~repro.telemetry.tracing.TraceContext`; when present it
-        rides along so the merge side can re-parent this worker's paths
-        under the coordinator's dispatch span.
+        the task; merge sums shard time per process.  ``span_parent`` is
+        the coordinator's open span path at dispatch
+        (:meth:`~repro.telemetry.tracing.Tracer.propagation_context`);
+        when present it rides along so the merge side can re-parent this
+        worker's paths under the coordinator's dispatch span.
         """
         shard_seconds = sum(
             stat.cumulative
@@ -185,18 +185,16 @@ class Profiler:
         }
         if process is not None:
             payload["process"] = process
-        if context is not None:
-            payload["context"] = (
-                context if isinstance(context, dict) else context.to_dict()
-            )
+        if span_parent is not None:
+            payload["span_parent"] = span_parent
         return payload
 
     def merge_payload(self, payload: dict[str, Any]) -> "Profiler":
         """Fold one worker's exported profile into this one.
 
-        When the payload carries a propagated trace context, every
-        worker path is re-parented under the context's ``parent_path``
-        (the coordinator's open span path at dispatch), stitching the
+        When the payload carries a ``span_parent``, every worker path is
+        re-parented under it (the coordinator's open span path at
+        dispatch), stitching the
         worker's spans into the coordinator's end-to-end trace -- a
         worker ``chunk.run;trace.device`` becomes
         ``trace.generate;parallel.dispatch;chunk.run;trace.device``.
@@ -204,8 +202,8 @@ class Profiler:
         shard times add per pool process (per worker id for payloads
         that name no process).
         """
-        parent_path = (payload.get("context") or {}).get("parent_path", "")
-        prefix = f"{parent_path};" if parent_path else ""
+        span_parent = payload.get("span_parent")
+        prefix = f"{span_parent};" if span_parent else ""
         for entry in payload.get("paths", []):
             stat = self._stat(prefix + entry["path"])
             stat.calls += entry["calls"]

@@ -12,8 +12,7 @@ enforces that everywhere else goes through the rate-limited
 * :class:`ProgressReporter` -- accumulates work done (plus per-stage
   tallies), and on each throttled emission computes instantaneous and
   EWMA rates, an ETA when a total is known, and an optional resource
-  reading; renders to a stderr line, a ``progress.heartbeat`` event,
-  and/or a machine-readable stream,
+  reading; renders to a stderr line and/or a machine-readable stream,
 * :class:`HeartbeatWriter` -- the ``--heartbeat-out`` JSONL stream
   (schema :data:`HEALTH_STREAM_SCHEMA`): a header line, throttled
   heartbeat lines, and one final summary line,
@@ -25,8 +24,8 @@ enforces that everywhere else goes through the rate-limited
 
 Heartbeat data is wall-clock-derived and therefore lives entirely
 outside run manifests: the reporter touches no counters (RL010) and the
-event log and heartbeat stream are excluded from the deterministic
-metrics slice by construction.
+heartbeat stream is excluded from the deterministic metrics slice by
+construction.
 """
 
 from __future__ import annotations
@@ -36,8 +35,6 @@ import threading
 from pathlib import Path
 from time import perf_counter
 from typing import IO, Any, Callable
-
-from .events import EventLog
 
 __all__ = [
     "ACCESS_LOG_SCHEMA",
@@ -257,10 +254,8 @@ class ProgressReporter:
     independent per-stage tallies.
 
     Emission targets are all optional: ``stream`` (a callable receiving
-    rendered lines -- the ``--progress`` stderr hook), ``heartbeat`` (a
-    :class:`HeartbeatWriter`), and ``events`` (the run's
-    :class:`~repro.telemetry.events.EventLog`, as ``progress.heartbeat``
-    debug events).  ``sampler`` (a
+    rendered lines -- the ``--progress`` stderr hook) and ``heartbeat``
+    (a :class:`HeartbeatWriter`).  ``sampler`` (a
     :class:`~repro.telemetry.health.ResourceSampler`) contributes a
     resource reading per heartbeat and the ``resources`` section of the
     final summary.
@@ -275,7 +270,6 @@ class ProgressReporter:
         throttle: Throttle | None = None,
         stream: Callable[[str], None] | None = None,
         heartbeat: HeartbeatWriter | None = None,
-        events: EventLog | None = None,
         sampler: Any | None = None,
         clock: Callable[[], float] = perf_counter,
     ) -> None:
@@ -284,7 +278,6 @@ class ProgressReporter:
         self.throttle = throttle if throttle is not None else Throttle(interval, clock=clock)
         self.stream = stream
         self.heartbeat = heartbeat
-        self.events = events
         self.sampler = sampler
         self._clock = clock
         self.done = 0
@@ -350,15 +343,6 @@ class ProgressReporter:
             self.stream(render_progress_line(entry))
         if self.heartbeat is not None:
             self.heartbeat.heartbeat(entry)
-        if self.events is not None:
-            self.events.debug(
-                "progress.heartbeat",
-                label=entry["label"],
-                done=entry["done"],
-                rate=entry["rate"],
-                ewma_rate=entry["ewma_rate"],
-                stages=entry["stages"],
-            )
         return entry
 
     def finish(self) -> dict[str, Any]:
@@ -384,14 +368,6 @@ class ProgressReporter:
         if self.sampler is not None:
             self.sampler.stop()
             summary["resources"] = self.sampler.summary()
-        if self.events is not None:
-            self.events.info(
-                "progress.complete",
-                label=self.label,
-                done=self.done,
-                seconds=elapsed,
-                heartbeats=self.heartbeats,
-            )
         if self.heartbeat is not None:
             self.heartbeat.close(summary)
         self.summary = summary

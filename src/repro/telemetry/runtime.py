@@ -1,4 +1,4 @@
-"""The process-wide telemetry runtime: one registry, tracer, and event log.
+"""The process-wide telemetry runtime: one registry and one tracer.
 
 Instrumented hot paths share a single :class:`TelemetryRuntime`
 singleton, obtained once at import time via :func:`get` -- the object's
@@ -18,9 +18,6 @@ enables it.
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from .events import EventLog
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
@@ -31,7 +28,6 @@ __all__ = [
     "enable",
     "enabled",
     "get",
-    "get_events",
     "get_registry",
     "get_tracer",
     "reset",
@@ -39,13 +35,12 @@ __all__ = [
 
 
 class TelemetryRuntime:
-    """A registry + tracer + event log behind one enable switch."""
+    """A registry + tracer behind one enable switch."""
 
     __slots__ = (
         "enabled",
         "registry",
         "tracer",
-        "events",
         "worker_profiles",
         "progress",
     )
@@ -54,7 +49,6 @@ class TelemetryRuntime:
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(registry=self.registry, enabled=enabled)
-        self.events = EventLog(enabled=enabled)
         #: Profile payloads merged in from worker processes
         #: (:meth:`merge_worker_states`), consumed by
         #: :meth:`repro.telemetry.profiling.Profiler.from_runtime`.
@@ -69,31 +63,23 @@ class TelemetryRuntime:
         self,
         *,
         enabled: bool = True,
-        level: str | None = None,
-        events_path: str | Path | None = None,
         reset: bool = True,
     ) -> "TelemetryRuntime":
         """Switch telemetry on or off, optionally resetting state.
 
-        ``reset=True`` (the default) zeroes metrics, finished spans, and
-        the event tail so a run's snapshot covers exactly that run.
+        ``reset=True`` (the default) zeroes metrics and finished spans so
+        a run's snapshot covers exactly that run.
         """
         if reset:
             self.reset()
         self.enabled = enabled
         self.registry.enabled = enabled
         self.tracer.enabled = enabled
-        self.events.enabled = enabled
-        if level is not None:
-            self.events.set_level(level)
-        if events_path is not None:
-            self.events.attach(events_path)
         return self
 
     def reset(self) -> None:
         self.registry.reset()
         self.tracer.reset()
-        self.events.reset()
         self.worker_profiles.clear()
         self.progress = None
 
@@ -101,18 +87,18 @@ class TelemetryRuntime:
     # Parallel-worker state transfer
     # ------------------------------------------------------------------
     def export_worker_state(
-        self, worker: int, *, context: object | None = None, process: str | None = None
+        self, worker: int, *, span_parent: str | None = None, process: str | None = None
     ) -> dict:
         """Everything a worker process ships back to its parent.
 
         Metrics travel as a :func:`~repro.telemetry.export.metrics_snapshot`
-        document, events as the plain tail list, and the worker's span
-        profile as a :meth:`~repro.telemetry.profiling.Profiler.to_payload`
-        document -- all pure data, so the payload pickles across the
-        ``spawn`` process boundary.  ``context`` is the coordinator's
-        propagated :class:`~repro.telemetry.tracing.TraceContext` (or its
-        dict form); it rides in the profile payload so merge re-parents
-        this worker's spans under the dispatch span.  ``process`` names
+        document and the worker's span profile as a
+        :meth:`~repro.telemetry.profiling.Profiler.to_payload` document --
+        pure data, so the payload pickles across the ``spawn`` process
+        boundary.  ``span_parent`` is the coordinator's open span path
+        (:meth:`~repro.telemetry.tracing.Tracer.propagation_context`); it
+        rides in the profile payload so merge re-parents this worker's
+        spans under the dispatch span.  ``process`` names
         the pool process that ran the task (see
         :meth:`~repro.telemetry.profiling.Profiler.merge_payload`).
         """
@@ -122,9 +108,8 @@ class TelemetryRuntime:
         return {
             "worker": worker,
             "metrics": metrics_snapshot(self.registry),
-            "events": self.events.tail(),
             "profile": Profiler.from_tracer(self.tracer).to_payload(
-                worker=worker, context=context, process=process
+                worker=worker, span_parent=span_parent, process=process
             ),
         }
 
@@ -132,8 +117,8 @@ class TelemetryRuntime:
         """Fold worker telemetry into this runtime, keyed by worker id.
 
         States are merged in ascending worker-id order -- never arrival
-        order -- so counter totals, event interleaving, and therefore
-        exported snapshots are identical run-to-run.  ``None`` entries
+        order -- so counter totals, and therefore exported snapshots, are
+        identical run-to-run.  ``None`` entries
         (workers that ran without telemetry) are skipped.
         """
         for state in sorted(
@@ -141,7 +126,6 @@ class TelemetryRuntime:
             key=lambda state: state["worker"],
         ):
             self.registry.merge_snapshot(state["metrics"])
-            self.events.merge(state["events"], worker=state["worker"])
             if state.get("profile") is not None:
                 self.worker_profiles.append(state["profile"])
 
@@ -161,10 +145,6 @@ def get_registry() -> MetricsRegistry:
 
 def get_tracer() -> Tracer:
     return _RUNTIME.tracer
-
-
-def get_events() -> EventLog:
-    return _RUNTIME.events
 
 
 def enabled() -> bool:

@@ -19,14 +19,12 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
-from hashlib import blake2s
 from time import perf_counter
 from typing import Iterator
 
 from .metrics import MetricsRegistry
 
-__all__ = ["Span", "TraceContext", "Tracer", "NULL_SPAN"]
+__all__ = ["Span", "Tracer", "NULL_SPAN"]
 
 #: Metric fed by finished spans when the tracer has a registry.
 SPAN_DURATION_METRIC = "iotls_span_duration_seconds"
@@ -104,39 +102,6 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-@dataclass(frozen=True)
-class TraceContext:
-    """The trace context a coordinator hands to each worker process.
-
-    ``run_id`` identifies the dispatching run; ``parent_path`` is the
-    coordinator's open span path (``;``-joined names, e.g.
-    ``trace.generate;parallel.dispatch``) at dispatch time.  Workers
-    embed the context in their exported profile payload, and
-    :meth:`repro.telemetry.profiling.Profiler.merge_payload` re-parents
-    worker span paths under ``parent_path`` on merge -- stitching shard
-    timelines into the coordinator's end-to-end trace.
-
-    ``run_id`` is a content digest of the run parameters (uuid/wall
-    clocks are banned outside the telemetry boundary, and a seed-derived
-    id keeps identical runs identically labelled).
-    """
-
-    run_id: str
-    parent_path: str = ""
-
-    @classmethod
-    def derive(cls, *parts: object, parent_path: str = "") -> "TraceContext":
-        """A deterministic context from run-identifying parts."""
-        digest = blake2s(
-            "\x1f".join(str(part) for part in parts).encode("utf-8"),
-            digest_size=8,
-        ).hexdigest()
-        return cls(run_id=digest, parent_path=parent_path)
-
-    def to_dict(self) -> dict[str, str]:
-        return {"run_id": self.run_id, "parent_path": self.parent_path}
-
-
 class Tracer:
     """A stack-based span tracer with a bounded finished-span buffer."""
 
@@ -185,12 +150,12 @@ class Tracer:
         """The open span stack as a ``;``-joined path (profiler keying)."""
         return ";".join(span.name for span in self._stack)
 
-    def propagation_context(self, *seed_parts: object) -> TraceContext | None:
-        """The :class:`TraceContext` to hand to worker processes, rooted
-        at the currently open span path; ``None`` when tracing is off."""
+    def propagation_context(self) -> str | None:
+        """The open span path to hand to worker processes, so a merge
+        re-parents their spans under it; ``None`` when tracing is off."""
         if not self.enabled:
             return None
-        return TraceContext.derive(*seed_parts, parent_path=self.current_path())
+        return self.current_path()
 
     def roots(self) -> list[Span]:
         """Finished top-level spans (no parent), oldest first."""

@@ -156,7 +156,7 @@ _DISPATCH_CASES = [
         ["trace", "--scale", "3", "--seed", "s", "--flow-cap", "5", "--stream",
          "--stream-out", "{tmp}/t.jsonl", "--metrics-out", "{tmp}/m.json",
          "--manifest", "{tmp}/man.json", "--profile", "--profile-out",
-         "{tmp}/p.json", "--profile-stacks", "{tmp}/p.txt"],
+         "{tmp}/p.json"],
         "trace",
         dict(scale=3, seed="s", flow_cap=5, stream=True, telemetry=True),
         dict(stream_path="{tmp}/t.jsonl"),
@@ -256,6 +256,10 @@ class TestCLIUsageErrors:
             (["trace", "--flow-cap", "0"], "flow_cap must be >= 1"),
             (["trace", "--stream", "--json", "{tmp}/t.json"], "streaming runs export JSONL"),
             (["trace", "--scale", "0"], "scale must be >= 1"),
+            (
+                ["trace", "--scale", "0", "--metrics-out", "{tmp}/m.json"],
+                "scale must be >= 1",
+            ),
             (["pcap", "--scale", "-1", "--out", "{tmp}/x.pcap"], "scale must be >= 1"),
             (
                 ["trace", "--heartbeat-out", "{tmp}/h.jsonl", "--heartbeat-interval", "-1"],
@@ -271,6 +275,7 @@ class TestCLIUsageErrors:
             "trace-zero-flow-cap",
             "trace-stream-json",
             "trace-zero-scale",
+            "trace-zero-scale-metrics-out",
             "pcap-negative-scale",
             "trace-negative-heartbeat-interval",
             "trace-nan-heartbeat-interval",

@@ -31,7 +31,6 @@ from repro.telemetry import (
     ResourceSampler,
     SloPolicyError,
     Throttle,
-    TraceContext,
     evaluate_slos,
     load_slo_policy,
     render_progress_line,
@@ -314,30 +313,17 @@ class TestProgressSink:
 # ----------------------------------------------------------------------
 # Cross-worker span stitching
 # ----------------------------------------------------------------------
-class TestTraceContext:
-    def test_derive_is_deterministic(self):
-        a = TraceContext.derive("trace", "seed", 2, parent_path="x;y")
-        b = TraceContext.derive("trace", "seed", 2, parent_path="x;y")
-        assert a == b
-        assert a.parent_path == "x;y"
-        assert len(a.run_id) == 16  # blake2s digest_size=8, hex
-
-    def test_derive_varies_with_parts(self):
-        assert (
-            TraceContext.derive("trace", 1).run_id
-            != TraceContext.derive("trace", 2).run_id
-        )
-
+class TestPropagationContext:
     def test_propagation_context_snapshots_open_path(self):
         runtime = telemetry.configure(enabled=True)
         with runtime.tracer.span("outer"):
             with runtime.tracer.span("dispatch"):
-                context = runtime.tracer.propagation_context("seed")
-        assert context.parent_path == "outer;dispatch"
+                span_parent = runtime.tracer.propagation_context()
+        assert span_parent == "outer;dispatch"
 
     def test_disabled_tracer_yields_none(self):
         runtime = telemetry.get()
-        assert runtime.tracer.propagation_context("seed") is None
+        assert runtime.tracer.propagation_context() is None
 
 
 class TestSpanStitching:
@@ -383,14 +369,14 @@ class TestSpanStitching:
         runtime = telemetry.configure(enabled=True)
         with runtime.tracer.span("run"):
             with runtime.tracer.span("parallel.dispatch"):
-                context = runtime.tracer.propagation_context("seed")
+                span_parent = runtime.tracer.propagation_context()
 
         def worker_payload(worker: int) -> dict:
             worker_runtime = TelemetryRuntime(enabled=True)
             with worker_runtime.tracer.span("shard.run", worker=worker):
                 with worker_runtime.tracer.span("trace.device", device=f"d{worker}"):
                     worker_runtime.registry.counter("test_units_total").inc(worker + 1)
-            return worker_runtime.export_worker_state(worker, context=context)
+            return worker_runtime.export_worker_state(worker, span_parent=span_parent)
 
         payloads = [worker_payload(0), worker_payload(1), worker_payload(2)]
 

@@ -17,7 +17,6 @@ from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
 from repro.longitudinal.generator import PassiveTraceGenerator
 from repro.parallel import WarmWorkerPool, pool_session
 from repro.parallel import pool as pool_module
-from repro.telemetry.events import EventLog
 from repro.telemetry.export import metrics_snapshot
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -189,30 +188,6 @@ class TestMergeSnapshot:
         assert parent.get("requests_total").total() == 7
 
 
-class TestEventLogMerge:
-    def test_entries_tagged_with_worker_and_resequenced(self):
-        worker_log = EventLog(enabled=True, level="debug")
-        worker_log.debug("first", device="A")
-        worker_log.info("second", device="B")
-
-        parent = EventLog(enabled=True, level="debug")
-        parent.info("before")
-        parent.merge(worker_log.tail(), worker=3)
-        entries = parent.tail()
-        assert [entry["event"] for entry in entries] == ["before", "first", "second"]
-        assert entries[1]["worker"] == 3
-        assert entries[2]["worker"] == 3
-        assert [entry["seq"] for entry in entries] == [1, 2, 3]
-
-    def test_merge_respects_parent_level(self):
-        worker_log = EventLog(enabled=True, level="debug")
-        worker_log.debug("noise")
-        worker_log.warning("signal")
-        parent = EventLog(enabled=True, level="info")
-        parent.merge(worker_log.tail(), worker=0)
-        assert [entry["event"] for entry in parent.tail()] == ["signal"]
-
-
 # ----------------------------------------------------------------------
 # Serial-vs-parallel equivalence (the tentpole guarantee)
 # ----------------------------------------------------------------------
@@ -358,11 +333,11 @@ def test_failing_fold_closes_dispatch_span_and_pool():
 @pytest.mark.parametrize("workers", [2, 4])
 def test_merged_telemetry_counters_identical(workers):
     try:
-        telemetry.configure(enabled=True, level="debug")
+        telemetry.configure(enabled=True)
         PassiveTraceGenerator(scale=SCALE, seed=SEED).generate()
         serial_totals = _counter_totals()
 
-        telemetry.configure(enabled=True, level="debug")
+        telemetry.configure(enabled=True)
         PassiveTraceGenerator(scale=SCALE, seed=SEED).generate(workers=workers)
         parallel_totals = _counter_totals()
     finally:

@@ -159,8 +159,6 @@ class TestCliProfile:
                 "--profile",
                 "--profile-out",
                 str(tmp_path / "profile.json"),
-                "--profile-stacks",
-                str(tmp_path / "profile.stacks"),
             ]
         )
         assert status == 0
@@ -170,8 +168,7 @@ class TestCliProfile:
         document = json.loads((tmp_path / "profile.json").read_text())
         assert document["schema"] == PROFILE_SCHEMA
         assert any(s["path"] == "trace.generate" for s in document["spans"])
-        stacks = (tmp_path / "profile.stacks").read_text()
-        assert "trace.generate;trace.device" in stacks
+        assert "trace.generate;trace.device" in document["collapsed_stacks"]
 
     def test_profile_disabled_costs_one_boolean_read(self):
         # The acceptance contract: without --profile, the hot path's only

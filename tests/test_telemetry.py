@@ -1,20 +1,17 @@
-"""Unit tests for the telemetry subsystem: metrics, spans, events, exporters."""
+"""Unit tests for the telemetry subsystem: metrics, spans, exporters."""
 
 from __future__ import annotations
 
 import json
-import re
 
 import pytest
 
 from repro.telemetry import (
-    EventLog,
     MetricsRegistry,
     NULL_SPAN,
     Tracer,
     metrics_snapshot,
     summary_table,
-    to_prometheus,
     write_snapshot,
 )
 
@@ -214,61 +211,6 @@ class TestTracer:
 
 
 # ----------------------------------------------------------------------
-# Events
-# ----------------------------------------------------------------------
-class TestEventLog:
-    def test_log_and_tail(self):
-        events = EventLog()
-        events.info("trace.complete", flow_records=12)
-        events.warning("probe.flaky", device="Wink Hub 2")
-        tail = events.tail()
-        assert [entry["event"] for entry in tail] == ["trace.complete", "probe.flaky"]
-        assert tail[0]["flow_records"] == 12
-        assert tail[0]["seq"] < tail[1]["seq"]
-
-    def test_level_threshold_filters(self):
-        events = EventLog(level="warning")
-        events.debug("noise")
-        events.info("still noise")
-        events.error("signal")
-        assert [entry["event"] for entry in events.tail()] == ["signal"]
-
-    def test_ring_buffer_bounded(self):
-        events = EventLog(tail=2)
-        for index in range(5):
-            events.info(f"e{index}")
-        assert [entry["event"] for entry in events.tail()] == ["e3", "e4"]
-
-    def test_disabled_is_noop(self):
-        events = EventLog(enabled=False)
-        events.error("dropped")
-        assert len(events) == 0
-
-    def test_unknown_level_raises(self):
-        with pytest.raises(ValueError):
-            EventLog(level="loud")
-        with pytest.raises(ValueError):
-            EventLog().log("loud", "x")
-
-    def test_jsonl_file_output(self, tmp_path):
-        path = tmp_path / "events.jsonl"
-        events = EventLog(path=path)
-        events.info("a", n=1)
-        events.info("b", n=2)
-        events.close()
-        lines = [json.loads(line) for line in path.read_text().splitlines()]
-        assert [entry["event"] for entry in lines] == ["a", "b"]
-        assert lines[1]["n"] == 2
-
-    def test_find(self):
-        events = EventLog()
-        events.info("x")
-        events.info("y")
-        events.info("x", k=1)
-        assert len(events.find("x")) == 2
-
-
-# ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
 def _populated_registry() -> MetricsRegistry:
@@ -281,102 +223,6 @@ def _populated_registry() -> MetricsRegistry:
     hist.observe(0.0005)
     hist.observe(0.5)
     return registry
-
-
-#: One Prometheus sample line: name, optional {labels}, numeric value.
-#: Label values may contain escaped quotes/backslashes/newlines (\" \\ \n).
-_LABEL_VALUE = r"\"(?:\\.|[^\"\\])*\""
-_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"
-    r"(\{[a-zA-Z_][a-zA-Z0-9_]*=" + _LABEL_VALUE
-    + r"(,[a-zA-Z_][a-zA-Z0-9_]*=" + _LABEL_VALUE + r")*\})?"
-    r" [-+]?([0-9]*\.?[0-9]+([eE][-+]?[0-9]+)?|Inf|NaN)$"
-)
-
-
-class TestPrometheusExport:
-    def test_every_line_is_valid_protocol(self):
-        text = to_prometheus(_populated_registry())
-        assert text.endswith("\n")
-        for line in text.strip().splitlines():
-            if line.startswith("#"):
-                assert re.match(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$", line), line
-            else:
-                assert _SAMPLE_RE.match(line), line
-
-    def test_type_headers_present(self):
-        text = to_prometheus(_populated_registry())
-        assert "# TYPE iotls_handshakes_total counter" in text
-        assert "# TYPE iotls_trace_records_per_second gauge" in text
-        assert "# TYPE iotls_handshake_seconds histogram" in text
-
-    def test_counter_samples(self):
-        text = to_prometheus(_populated_registry())
-        assert 'iotls_handshakes_total{state="established"} 3' in text
-        assert 'iotls_handshakes_total{state="client_rejected"} 1' in text
-
-    def test_histogram_cumulative_buckets(self):
-        text = to_prometheus(_populated_registry())
-        assert 'iotls_handshake_seconds_bucket{le="0.001"} 1' in text
-        assert 'iotls_handshake_seconds_bucket{le="0.01"} 1' in text
-        assert 'iotls_handshake_seconds_bucket{le="+Inf"} 2' in text
-        assert "iotls_handshake_seconds_count 2" in text
-
-    def test_label_values_escaped(self):
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc(device='Say "hi"\nnow')
-        text = to_prometheus(registry)
-        assert r'device="Say \"hi\"\nnow"' in text
-
-    def test_backslash_escaped_before_quotes_and_newlines(self):
-        # A literal backslash must become \\ and must not swallow the
-        # escapes of " and \n that follow it.
-        registry = MetricsRegistry()
-        registry.counter("c_total").inc(path='C:\\dir\n"x"')
-        text = to_prometheus(registry)
-        assert r'path="C:\\dir\n\"x\""' in text
-        for line in text.strip().splitlines():
-            if not line.startswith("#"):
-                assert _SAMPLE_RE.match(line), line
-
-    def test_explicit_inf_bucket_renders_single_overflow_line(self):
-        # A bucket layout that names +Inf explicitly must not produce a
-        # second le="+Inf" sample, and the bound must render as "+Inf"
-        # (repr(inf) would give "inf", which scrapers reject).
-        registry = MetricsRegistry()
-        hist = registry.histogram("h_seconds", buckets=(0.1, float("inf")))
-        hist.observe(0.05)
-        hist.observe(5.0)
-        text = to_prometheus(registry)
-        assert text.count('le="+Inf"') == 1
-        assert 'le="inf"' not in text
-        assert 'h_seconds_bucket{le="0.1"} 1' in text
-        assert 'h_seconds_bucket{le="+Inf"} 2' in text
-        for line in text.strip().splitlines():
-            if not line.startswith("#"):
-                assert _SAMPLE_RE.match(line), line
-
-    def test_snapshot_roundtrip_over_full_catalog(self):
-        # Every metric the pipeline emits must survive
-        # snapshot -> merge_snapshot -> to_prometheus byte-for-byte:
-        # the shape workers use to ship telemetry home.
-        registry = MetricsRegistry()
-        registry.counter("iotls_handshakes_total").inc(3, state="established")
-        registry.counter("iotls_handshakes_total").inc(1, state="client_rejected")
-        registry.counter("iotls_capture_records_total").inc(40)
-        registry.counter("iotls_capture_connections_total").inc(700)
-        registry.counter("iotls_capture_revocation_events_total").inc(2, method="crl")
-        registry.counter("iotls_negotiated_versions_total").inc(5, version="TLS 1.2")
-        registry.counter("iotls_campaign_devices_total").inc(32)
-        registry.counter("iotls_probe_certificates_total").inc(9, outcome="present")
-        registry.gauge("iotls_trace_last_run_seconds").set(0.52)
-        registry.gauge("iotls_trace_records_per_second").set(7432.1)
-        registry.gauge("iotls_campaign_phase_seconds").set(0.2, phase="interception")
-        registry.histogram("iotls_handshake_seconds").observe(0.0001)
-        registry.histogram("iotls_span_duration_seconds").observe(0.5, span="trace.generate")
-        rebuilt = MetricsRegistry()
-        rebuilt.merge_snapshot(metrics_snapshot(registry))
-        assert to_prometheus(rebuilt) == to_prometheus(registry)
 
 
 class TestSnapshot:
@@ -394,6 +240,28 @@ class TestSnapshot:
         assert hist["series"][0]["count"] == 2
         assert hist["series"][0]["cumulative_bucket_counts"] == [1, 1, 2]
         json.dumps(snapshot)  # must be serialisable
+
+    def test_snapshot_roundtrip_over_full_catalog(self):
+        # Every metric the pipeline emits must survive
+        # snapshot -> merge_snapshot -> snapshot unchanged:
+        # the shape workers use to ship telemetry home.
+        registry = MetricsRegistry()
+        registry.counter("iotls_handshakes_total").inc(3, state="established")
+        registry.counter("iotls_handshakes_total").inc(1, state="client_rejected")
+        registry.counter("iotls_capture_records_total").inc(40)
+        registry.counter("iotls_capture_connections_total").inc(700)
+        registry.counter("iotls_capture_revocation_events_total").inc(2, method="crl")
+        registry.counter("iotls_negotiated_versions_total").inc(5, version="TLS 1.2")
+        registry.counter("iotls_campaign_devices_total").inc(32)
+        registry.counter("iotls_probe_certificates_total").inc(9, outcome="present")
+        registry.gauge("iotls_trace_last_run_seconds").set(0.52)
+        registry.gauge("iotls_trace_records_per_second").set(7432.1)
+        registry.gauge("iotls_campaign_phase_seconds").set(0.2, phase="interception")
+        registry.histogram("iotls_handshake_seconds").observe(0.0001)
+        registry.histogram("iotls_span_duration_seconds").observe(0.5, span="trace.generate")
+        rebuilt = MetricsRegistry()
+        rebuilt.merge_snapshot(metrics_snapshot(registry))
+        assert metrics_snapshot(rebuilt) == metrics_snapshot(registry)
 
     def test_write_snapshot(self, tmp_path):
         path = write_snapshot(_populated_registry(), tmp_path / "deep" / "m.json")
