@@ -12,16 +12,17 @@ instances as the consistent explanation.
 
 This module runs that exact test: per device, a contingency table of
 (advertised max version x destination party) and a chi-square
-independence test over it.
+independence test over it.  The test is written out in closed form
+(Pearson's statistic, Yates' correction at one degree of freedom, and
+the chi-square survival function at integer degrees of freedom), so
+the analysis package needs no statistics library at import time.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
-
-import numpy as np
-from scipy import stats
 
 from ..devices.profile import Party
 from ..testbed.capture import GatewayCapture
@@ -79,21 +80,21 @@ def test_party_bias(capture: GatewayCapture, device: str) -> PartyBiasResult:
             continue
         counts[(record.advertised_max_version.label, record.party)] += record.count
 
-    versions = sorted({version for version, _ in counts})
+    # A version seen only in zero-count records has no row: the test
+    # needs positive margins throughout.
+    versions = sorted({version for (version, _), total in counts.items() if total > 0})
     table = [
         [counts.get((version, Party.FIRST), 0), counts.get((version, Party.THIRD), 0)]
         for version in versions
     ]
-    matrix = np.array(table)
     # The test needs at least a 2x2 table with both parties represented.
-    if len(versions) < 2 or (matrix.sum(axis=0) == 0).any():
+    if len(versions) < 2 or not all(map(sum, zip(*table))):
         p_value = None
         cramers_v = None
     else:
-        chi2, p_value, _dof, _expected = stats.chi2_contingency(matrix)
-        n = matrix.sum()
-        k = min(matrix.shape[0] - 1, matrix.shape[1] - 1)
-        cramers_v = float(np.sqrt(chi2 / (n * k))) if n and k else 0.0
+        chi2, p_value = _chi2_independence(table)
+        # Cramér's V; min(rows, columns) - 1 is 1 for a k x 2 table.
+        cramers_v = math.sqrt(chi2 / sum(map(sum, table)))
     return PartyBiasResult(
         device=device,
         versions=tuple(versions),
@@ -101,3 +102,48 @@ def test_party_bias(capture: GatewayCapture, device: str) -> PartyBiasResult:
         p_value=p_value,
         cramers_v=cramers_v,
     )
+
+
+def _chi2_independence(table: list[list[int]]) -> tuple[float, float]:
+    """Pearson's chi-square test of independence on a table of counts
+    whose row and column totals are all positive: ``(chi2, p_value)``.
+
+    The same statistic as ``scipy.stats.chi2_contingency``: expected
+    counts are row total x column total / n, and at one degree of
+    freedom Yates' correction moves each observed count towards its
+    expectation by ``min(0.5, |o - e|)``.
+    """
+    row_totals = [sum(row) for row in table]
+    column_totals = [sum(column) for column in zip(*table)]
+    n = sum(row_totals)
+    dof = (len(row_totals) - 1) * (len(column_totals) - 1)
+    chi2 = 0.0
+    for row, row_total in zip(table, row_totals):
+        for observed, column_total in zip(row, column_totals):
+            expected = row_total * column_total / n
+            deviation = abs(observed - expected)
+            if dof == 1:
+                deviation -= min(0.5, deviation)
+            chi2 += deviation * deviation / expected
+    return chi2, _chi2_survival(chi2, dof)
+
+
+def _chi2_survival(x: float, dof: int) -> float:
+    """P(X >= x) for X ~ chi-square with a positive integer ``dof``.
+
+    Even dof: ``exp(-x/2) * sum_{i < dof/2} (x/2)^i / i!``.  Odd dof:
+    ``erfc(sqrt(x/2))`` plus ``sqrt(2x/pi) * exp(-x/2)`` times
+    ``sum_{1 <= i <= (dof-1)/2} x^(i-1) / (1 * 3 * ... * (2i-1))``.
+    Every term is non-negative, so nothing cancels.
+    """
+    half = x / 2.0
+    total, term = 0.0, 1.0
+    if dof % 2 == 0:
+        for i in range(1, dof // 2 + 1):
+            total += term
+            term *= half / i
+        return math.exp(-half) * total
+    for i in range(1, (dof + 1) // 2):
+        total += term
+        term *= x / (2 * i + 1)
+    return math.erfc(math.sqrt(half)) + math.sqrt(2.0 * x / math.pi) * math.exp(-half) * total

@@ -11,16 +11,21 @@ Only fingerprints shared by at least two distinct devices/applications
 are kept (non-shared fingerprints are removed for readability, exactly
 as the paper does).  Device->fingerprint edges carry a ``dominant`` flag
 (the paper's thick edges); application edges are the "dashed" ones.
+
+networkx is imported where a graph is built or traversed, not at module
+import, so a process that never draws Figure 5 does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import networkx as nx
+from typing import TYPE_CHECKING
 
 from .collect import DeviceFingerprints
 from .database import FingerprintDatabase
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["SharedFingerprintGraph", "build_shared_graph"]
 
@@ -59,6 +64,8 @@ class SharedFingerprintGraph:
 
     def device_clusters(self) -> list[set[str]]:
         """Connected groups of devices (manufacturer clusters in Fig 5)."""
+        import networkx as nx
+
         clusters = []
         for component in nx.connected_components(self.graph):
             devices = {name for kind, name in component if kind == "device"}
@@ -86,6 +93,8 @@ def build_shared_graph(
     collected: list[DeviceFingerprints], database: FingerprintDatabase
 ) -> SharedFingerprintGraph:
     """Assemble the Figure 5 graph from collected device fingerprints."""
+    import networkx as nx
+
     # Who produced each fingerprint?
     producers: dict[str, set[tuple[str, str]]] = {}
     for device in collected:

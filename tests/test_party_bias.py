@@ -2,15 +2,57 @@
 
 from __future__ import annotations
 
+import math
+from datetime import datetime
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.party_bias import (
+    ALPHA,
+    MIN_EFFECT_SIZE,
     PartyBiasResult,
+    _chi2_independence,
     devices_with_multiple_max_versions,
     test_party_bias as run_party_bias,
 )
 from repro.devices.profile import Party
 from repro.testbed.capture import GatewayCapture, TrafficRecord
+from repro.tls import ClientHello, ProtocolVersion
+
+#: Pre-1.3 versions in label order, so a table's rows keep their order.
+_VERSIONS = (
+    ProtocolVersion.SSL_2_0,
+    ProtocolVersion.SSL_3_0,
+    ProtocolVersion.TLS_1_0,
+    ProtocolVersion.TLS_1_1,
+    ProtocolVersion.TLS_1_2,
+)
+
+
+def _capture_from_table(device: str, table: list[list[int]]) -> GatewayCapture:
+    """One record per (version row, party column) cell, weighted by it."""
+    capture = GatewayCapture()
+    for version, row in zip(_VERSIONS, table):
+        hello = ClientHello(legacy_version=version, cipher_codes=(0x002F,))
+        for party, count in zip((Party.FIRST, Party.THIRD), row):
+            capture.add(
+                TrafficRecord(
+                    device=device,
+                    hostname=f"{party.value}.example",
+                    party=party,
+                    month=0,
+                    when=datetime(2019, 1, 1),
+                    client_hello=hello,
+                    established=True,
+                    established_version=version,
+                    established_cipher_code=0x002F,
+                    client_alert=None,
+                    count=count,
+                )
+            )
+    return capture
 
 
 class TestMultipleMaxVersions:
@@ -76,3 +118,59 @@ class TestBiasTest:
         assert isinstance(result, PartyBiasResult)
         assert len(result.table) == len(result.versions)
         assert all(len(row) == 2 for row in result.table)
+
+    @pytest.mark.parametrize(
+        "table, applicable",
+        [([[40, 60], [55, 45], [0, 0]], True), ([[40, 60], [0, 0]], False)],
+        ids=["third-version", "second-version"],
+    )
+    def test_zero_count_version_has_no_row(self, table, applicable):
+        """A caller-built capture may hold a ``count=0`` record; its
+        version contributes no row instead of a zero expected count."""
+        result = run_party_bias(_capture_from_table("Zero Row", table), "Zero Row")
+        positive = [row for row in table if sum(row)]
+        assert result == run_party_bias(_capture_from_table("Zero Row", positive), "Zero Row")
+        assert result.table == tuple(map(tuple, positive))
+        assert (result.p_value is not None) is applicable
+
+
+_CELLS = st.integers(0, 10**5)
+#: k x 2 tables, k in 2..5, with any cell (and so any margin) possibly 0.
+_TABLES = st.integers(2, 5).flatmap(
+    lambda k: st.lists(st.lists(_CELLS, min_size=2, max_size=2), min_size=k, max_size=k)
+)
+#: 2x2 tables [[a, b], [a + d1, b + d2]] with |d| <= 1: every cell lies
+#: within 0.5 of its expected count (|o - e| = |a*d2 - b*d1| / n), so
+#: Yates' correction is clamped at |o - e| rather than 0.5.
+_NEAR_EXPECTED = st.builds(
+    lambda a, b, d1, d2: [[a, b], [a + d1, b + d2]],
+    st.integers(1, 10**5),
+    st.integers(1, 10**5),
+    st.integers(-1, 1),
+    st.integers(-1, 1),
+)
+
+
+@pytest.fixture(scope="module")
+def scipy_stats():
+    return pytest.importorskip("scipy.stats")
+
+
+@given(table=st.one_of(_TABLES, _NEAR_EXPECTED))
+@settings(max_examples=300, deadline=None)
+def test_chi2_matches_scipy(scipy_stats, table):
+    """The closed-form test agrees with ``scipy.stats.chi2_contingency``."""
+    result = run_party_bias(_capture_from_table("Generated", table), "Generated")
+    observed = [row for row in table if sum(row)]
+    if len(observed) < 2 or not all(map(sum, zip(*observed))):
+        assert result.p_value is None and result.cramers_v is None and not result.biased
+        return
+    chi2, p_value, _dof, _expected = scipy_stats.chi2_contingency(observed)
+    cramers_v = math.sqrt(chi2 / sum(map(sum, observed)))
+    assert _chi2_independence(observed)[0] == pytest.approx(chi2, rel=1e-9)
+    assert result.cramers_v == pytest.approx(cramers_v, rel=1e-9)
+    if p_value > 1e-250:
+        assert result.p_value == pytest.approx(p_value, rel=1e-9)
+    else:
+        assert result.p_value < 1e-250
+    assert result.biased == (p_value < ALPHA and cramers_v >= MIN_EFFECT_SIZE)

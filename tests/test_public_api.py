@@ -53,3 +53,25 @@ class TestTopLevelAPI:
             module = importlib.import_module(module_name)
             for exported in getattr(module, "__all__", ()):
                 assert getattr(module, exported, None) is not None, (module_name, exported)
+
+
+class TestColdImport:
+    def test_cli_import_loads_neither_scipy_nor_networkx(self):
+        """A fresh ``import repro.cli`` leaves the statistics and graph
+        libraries unloaded: the §5.1 test is closed-form and networkx is
+        imported only where Figure 5 is built.  A subprocess, because
+        this test process may have imported either already."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        probe = (
+            "import sys, repro.cli; "
+            "print(sorted(m for m in ('scipy', 'networkx') if m in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert completed.stdout.strip() == "[]"
