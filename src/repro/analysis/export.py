@@ -64,19 +64,40 @@ from ..telemetry.schemas import TRACE_STREAM_SCHEMA as STREAM_SCHEMA  # noqa: E4
 #: Exported version label -> version, for :func:`record_from_dict`.
 _VERSION_BY_LABEL = {version.label: version for version in ProtocolVersion}
 
-#: The JSON type of every record field :func:`record_from_dict` reads, so
-#: a mistyped field is an error rather than a silently wrong record.
+#: The exact Python types (those ``json.loads`` returns) every record
+#: field :func:`record_from_dict` reads may have, so a mistyped field is
+#: an error rather than a silently wrong record.  Exact types keep a JSON
+#: boolean (a ``bool``, so an ``int`` subclass) out of the int fields.
 _RECORD_TYPES = {
-    **dict.fromkeys(("device", "hostname", "party", "timestamp", "client_hello_hex"), str),
+    **dict.fromkeys(("device", "hostname", "party", "timestamp", "client_hello_hex"), (str,)),
     **dict.fromkeys(
         ("established_version", "established_cipher", "client_alert"), (str, type(None))
     ),
-    **dict.fromkeys(("established", "downgraded"), bool),
-    **dict.fromkeys(("month", "count"), int),
+    **dict.fromkeys(("established", "downgraded"), (bool,)),
+    **dict.fromkeys(("month", "count"), (int,)),
 }
 
 #: The same for :func:`revocation_event_from_dict`.
-_EVENT_TYPES = {"device": str, "method": str, "url": str, "month": int}
+_EVENT_TYPES = {"device": (str,), "method": (str,), "url": (str,), "month": (int,)}
+
+#: ``json.dumps`` of a bool.
+_JSON_BOOL = {False: "false", True: "true"}
+
+#: The :class:`~repro.testbed.capture.RecordChunk` column of each record
+#: field after ``device``, in the order :func:`_record_row` returns them.
+_CHUNK_COLUMNS = (
+    "hostnames",
+    "parties",
+    "months",
+    "whens",
+    "client_hellos",
+    "establisheds",
+    "established_versions",
+    "established_cipher_codes",
+    "client_alerts",
+    "downgradeds",
+    "counts",
+)
 
 #: Most items (records plus revocation events) one chunk holds when
 #: :func:`fold_stream` reads an artifact back, so the fold's memory stays
@@ -85,24 +106,92 @@ _FOLD_RUN = 1024
 
 
 class _ArtifactCodec(HelloWireCache):
-    """The hello memo of one artifact: the wire cache, plus each hello's
-    exported ``advertised_max_version`` label and cipher names."""
+    """The hello memo of one artifact: the wire cache, plus what each
+    hello fixes in its exported record.
 
-    __slots__ = ("_labels",)
+    Per distinct hello (keyed by identity, holding a reference, like the
+    wire cache): the ``advertised_max_version`` label and cipher names,
+    and two fixed pieces of its record lines in ``sort_keys`` order --
+    the line up to the ``client_alert`` value, and the
+    ``requests_ocsp_staple`` field up to the ``timestamp`` value.
+    """
+
+    __slots__ = ("_hellos", "_timestamps")
 
     def __init__(self) -> None:
         super().__init__()
-        self._labels: dict[int, tuple[ClientHello, str, tuple[str, ...]]] = {}
+        self._hellos: dict[int, tuple[ClientHello, str, tuple[str, ...], str, str]] = {}
+        #: id(when) -> (when, its JSON ``timestamp`` value).  Keyed by
+        #: identity like the hellos: equal aware datetimes in different
+        #: zones would share a key but not an ``isoformat``.
+        self._timestamps: dict[int, tuple[datetime, str]] = {}
+
+    def _exported(self, hello: ClientHello) -> tuple[ClientHello, str, tuple[str, ...], str, str]:
+        entry = self._hellos.get(id(hello))
+        if entry is None:
+            max_version = hello.max_version.label
+            cipher_names = tuple(suite.name for suite in hello.cipher_suites())
+            entry = self._hellos[id(hello)] = (
+                hello,
+                max_version,
+                cipher_names,
+                f'{{"record": {{"advertised_ciphers": {json.dumps(list(cipher_names))}, '
+                f'"advertised_max_version": {json.dumps(max_version)}, "client_alert": ',
+                f', "requests_ocsp_staple": {json.dumps(hello.requests_ocsp_staple)}, '
+                '"timestamp": ',
+            )
+        return entry
 
     def labels(self, hello: ClientHello) -> tuple[str, tuple[str, ...]]:
-        entry = self._labels.get(id(hello))
-        if entry is None:
-            entry = self._labels[id(hello)] = (
-                hello,
-                hello.max_version.label,
-                tuple(suite.name for suite in hello.cipher_suites()),
-            )
+        entry = self._exported(hello)
         return entry[1], entry[2]
+
+    def line(
+        self,
+        device: str,
+        hostname: str,
+        party: Party,
+        month: int,
+        when: datetime,
+        hello: ClientHello,
+        established: bool,
+        established_version: ProtocolVersion | None,
+        established_cipher_code: int | None,
+        client_alert: str | None,
+        downgraded: bool,
+    ) -> tuple[str, str]:
+        """One record's stream line, cut around its ``count`` value.
+
+        ``head + str(count) + tail`` is exactly
+        ``json.dumps({"record": record_to_dict(record, self)},
+        sort_keys=True)`` and a newline: the hello's fixed pieces come
+        from :meth:`_exported`, every string still goes through
+        ``json.dumps``, and only the fields that vary are formatted.
+        """
+        entry = self._exported(hello)
+        dumps = json.dumps
+        timestamp = self._timestamps.get(id(when))
+        if timestamp is None:
+            timestamp = self._timestamps[id(when)] = (when, dumps(when.isoformat()))
+        wire = self.encode_hex(hello, seed=f"{device}:{hostname}:{month}")
+        alert = "null" if client_alert is None else dumps(client_alert)
+        version = (
+            "null" if established_version is None else dumps(established_version.label)
+        )
+        cipher = (
+            "null"
+            if established_cipher_code is None
+            else dumps(hex(established_cipher_code))
+        )
+        head = f'{entry[3]}{alert}, "client_hello_hex": "{wire}", "count": '
+        tail = (
+            f', "device": {dumps(device)}, "downgraded": {_JSON_BOOL[downgraded]}, '
+            f'"established": {_JSON_BOOL[established]}, "established_cipher": {cipher}, '
+            f'"established_version": {version}, "hostname": {dumps(hostname)}, '
+            f'"month": {month!r}, "party": {dumps(party.value)}'
+            f"{entry[4]}{timestamp[1]}}}}}\n"
+        )
+        return head, tail
 
 
 # ----------------------------------------------------------------------
@@ -126,9 +215,9 @@ def record_to_dict(
     return {
         "device": record.device,
         "hostname": record.hostname,
-        "client_hello_hex": codec.encode(
+        "client_hello_hex": codec.encode_hex(
             hello, seed=f"{record.device}:{record.hostname}:{record.month}"
-        ).hex(),
+        ),
         "party": record.party.value,
         "month": record.month,
         "timestamp": record.when.isoformat(),
@@ -161,37 +250,54 @@ def record_from_dict(
     """
     if codec is None:
         codec = HelloWireCache()
+    return TrafficRecord(*_record_row(entry, codec, {}))
+
+
+def _record_row(
+    entry: dict[str, Any], codec: HelloWireCache, whens: dict[str, datetime]
+) -> tuple:
+    """One record object's fields, checked and decoded, in
+    :class:`~repro.testbed.capture.TrafficRecord` field order.
+
+    The one record parser, behind :func:`record_from_dict` and
+    :func:`fold_stream`.  ``whens`` memoises ``datetime.fromisoformat``
+    per timestamp string for one artifact.
+    """
     _check_types(entry, _RECORD_TYPES, "record")
-    return TrafficRecord(
-        device=entry["device"],
-        hostname=entry["hostname"],
-        party=Party(entry["party"]),
-        month=entry["month"],
-        when=datetime.fromisoformat(entry["timestamp"]),
-        client_hello=codec.decode(bytes.fromhex(entry["client_hello_hex"])),
-        established=entry["established"],
-        established_version=(
-            _VERSION_BY_LABEL[entry["established_version"]]
-            if entry["established_version"]
-            else None
-        ),
-        established_cipher_code=(
-            int(entry["established_cipher"], 16) if entry["established_cipher"] else None
-        ),
-        client_alert=entry["client_alert"],
-        downgraded=entry["downgraded"],
-        count=entry["count"],
+    timestamp = entry["timestamp"]
+    when = whens.get(timestamp)
+    if when is None:
+        when = whens[timestamp] = datetime.fromisoformat(timestamp)
+    version = entry["established_version"]
+    cipher = entry["established_cipher"]
+    return (
+        entry["device"],
+        entry["hostname"],
+        Party(entry["party"]),
+        entry["month"],
+        when,
+        codec.decode(bytes.fromhex(entry["client_hello_hex"])),
+        entry["established"],
+        _VERSION_BY_LABEL[version] if version else None,
+        int(cipher, 16) if cipher else None,
+        entry["client_alert"],
+        entry["downgraded"],
+        entry["count"],
     )
 
 
-def _check_types(entry: dict[str, Any], types: dict[str, Any], what: str) -> None:
+def _check_types(
+    entry: dict[str, Any], types: dict[str, tuple[type, ...]], what: str
+) -> None:
+    """Raise ``ValueError`` unless ``entry`` is an object whose every
+    field in ``types`` has one of its exact types.  A missing field
+    raises ``KeyError``."""
     if not isinstance(entry, dict):
         raise ValueError(f"{what} is not an object")
-    for key, kind in types.items():
-        if not isinstance(entry[key], kind):
-            raise ValueError(
-                f"{what} field {key!r} has type {type(entry[key]).__name__}"
-            )
+    for key, kinds in types.items():
+        kind = type(entry[key])
+        if kind not in kinds:
+            raise ValueError(f"{what} field {key!r} has type {kind.__name__}")
 
 
 def revocation_event_to_dict(event: RevocationEvent) -> dict[str, Any]:
@@ -281,9 +387,12 @@ class JsonlStreamWriter:
     Layout: a header line ``{"schema": ..., "metadata": ...}``, then one
     ``{"record": ...}`` or ``{"revocation_event": ...}`` line per item
     in arrival order, then a ``{"summary": ...}`` trailer on close.
-    Nothing is buffered beyond the open file handle and one wire
-    template per distinct hello, so the writer's memory footprint is
-    independent of trace size.
+    Every line is ``json.dumps(payload, sort_keys=True)``; a record line
+    is assembled from its hello's fixed pieces and its varying fields
+    (:meth:`_ArtifactCodec.line`).  Nothing is buffered beyond the open
+    file handle, one line template per distinct hello and one JSON
+    timestamp per distinct record time, so the writer's memory
+    footprint is independent of trace size.
     """
 
     def __init__(self, path: str | Path, *, metadata: dict[str, Any] | None = None) -> None:
@@ -315,7 +424,60 @@ class JsonlStreamWriter:
     def add(self, record: TrafficRecord) -> None:
         self._records_seen += 1
         self._connections_seen += record.count
-        self._write({"record": record_to_dict(record, self._codec)})
+        head, tail = self._codec.line(
+            record.device,
+            record.hostname,
+            record.party,
+            record.month,
+            record.when,
+            record.client_hello,
+            record.established,
+            record.established_version,
+            record.established_cipher_code,
+            record.client_alert,
+            record.downgraded,
+        )
+        self._handle.write(f"{head}{record.count}{tail}")
+
+    def add_batch(self, chunk: RecordChunk) -> None:
+        """Write one columnar chunk, with no record built.
+
+        The bytes equal an :meth:`add` loop over ``chunk.iter_records()``
+        followed by the chunk's revocation events.  A base record that
+        ``chunk.split_cap`` splits is formatted once: its full copies
+        repeat one line, and its remainder gets its own count.
+        """
+        cap = chunk.split_cap
+        line = self._codec.line
+        write = self._handle.write
+        device = chunk.device
+        for count, *fields in zip(
+            chunk.counts,
+            chunk.hostnames,
+            chunk.parties,
+            chunk.months,
+            chunk.whens,
+            chunk.client_hellos,
+            chunk.establisheds,
+            chunk.established_versions,
+            chunk.established_cipher_codes,
+            chunk.client_alerts,
+            chunk.downgradeds,
+        ):
+            head, tail = line(device, *fields)
+            if cap is None or count <= cap:
+                write(f"{head}{count}{tail}")
+                continue
+            full, remainder = divmod(count, cap)
+            capped = f"{head}{cap}{tail}"
+            for _ in range(full):
+                write(capped)
+            if remainder:
+                write(f"{head}{remainder}{tail}")
+        self._records_seen += chunk.record_total()
+        self._connections_seen += chunk.connection_total()
+        for event in chunk.revocation_events:
+            self.add_revocation_event(event)
 
     def add_revocation_event(self, event: RevocationEvent) -> None:
         self._revocation_events_seen += 1
@@ -355,8 +517,11 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     the device changes, when a record follows an event, and after
     ``_FOLD_RUN`` items, so the fold holds at most one bounded run and
     auditing a paper-scale stream is O(1) in the artifact size (plus
-    whatever state the sink itself accumulates).  Hellos are decoded
-    once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`).
+    whatever state the sink itself accumulates).  Each record line is
+    parsed into a row of fields, and a run's rows become the chunk's
+    columns at flush, so no record object is built.  Hellos are decoded
+    once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`)
+    and timestamps once per distinct string.
 
     A damaged artifact raises ``ValueError`` rather than being audited
     as paper drift: a missing header line or header ``metadata`` object,
@@ -367,7 +532,8 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     """
     path = Path(path)
     codec = HelloWireCache()
-    records: list[TrafficRecord] = []
+    whens: dict[str, datetime] = {}
+    rows: list[tuple] = []
     events: list[RevocationEvent] = []
     run_device: str | None = None
     folded = {"flow_records": 0, "connections": 0, "revocation_events": 0}
@@ -375,8 +541,12 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
 
     def flush() -> None:
         if run_device is not None:
-            sink_add_batch(sink, RecordChunk.from_records(run_device, records, events))
-            records.clear()
+            # The run's rows transposed into columns; the first is the device.
+            columns = dict(zip(_CHUNK_COLUMNS, list(zip(*rows))[1:]))
+            sink_add_batch(
+                sink, RecordChunk(run_device, **columns, revocation_events=events)
+            )
+            rows.clear()
             events.clear()
 
     with path.open() as handle:
@@ -399,13 +569,13 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
                 raise ValueError(
                     f"{path}: line {number}: a line follows the summary trailer"
                 )
-            record = event = None
+            row = event = None
             try:
                 payload = json.loads(line)
                 if not isinstance(payload, dict):
                     raise ValueError("not a JSON object")
                 if "record" in payload:
-                    record = record_from_dict(payload["record"], codec)
+                    row = _record_row(payload["record"], codec, whens)
                 elif "revocation_event" in payload:
                     event = revocation_event_from_dict(payload["revocation_event"])
                 elif "summary" in payload:
@@ -417,17 +587,17 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
             except (KeyError, TypeError, ValueError) as exc:
                 detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
                 raise ValueError(f"{path}: line {number}: {detail}") from exc
-            if record is not None:
-                if record.device != run_device or events or len(records) >= _FOLD_RUN:
+            if row is not None:
+                if row[0] != run_device or events or len(rows) >= _FOLD_RUN:
                     flush()
-                    run_device = record.device
-                records.append(record)
+                    run_device = row[0]
+                rows.append(row)
                 folded["flow_records"] += 1
-                folded["connections"] += record.count
+                folded["connections"] += row[-1]
             elif event is not None:
                 if (
                     event.device != run_device
-                    or len(records) + len(events) >= _FOLD_RUN
+                    or len(rows) + len(events) >= _FOLD_RUN
                 ):
                     flush()
                     run_device = event.device

@@ -60,9 +60,9 @@ def _hello_features(hello: ClientHello) -> tuple[int, bool, bool, bool, bool]:
     """(advertised band index, insecure, staple, tls13, rc4) for one hello.
 
     Hellos are frozen and heavily shared across months and destinations,
-    so the pipeline caches this per distinct hello -- the expensive
-    extension/ciphersuite scans run once per hello shape, not once per
-    record.
+    so the pipeline caches this per distinct hello object -- the
+    expensive extension/ciphersuite scans run once per hello, not once
+    per record.
     """
     suites = hello.cipher_suites()
     return (
@@ -103,7 +103,12 @@ class TraceAnalysisPipeline:
         self._records_seen = 0
         self._connections_seen = 0
         self._revocation_events_seen = 0
-        self._hello_cache: dict[ClientHello, tuple[int, bool, bool, bool, bool]] = {}
+        #: id(hello) -> (hello, its features).  Hashing the frozen hello
+        #: dataclass of enums would cost more than the scan it saves; the
+        #: entry holds the hello, so its id is not reused while cached.
+        self._hello_cache: dict[
+            int, tuple[ClientHello, tuple[int, bool, bool, bool, bool]]
+        ] = {}
 
     # -- CaptureSink protocol ------------------------------------------
     @property
@@ -158,12 +163,11 @@ class TraceAnalysisPipeline:
             rc4 = np.empty(n, dtype=bool)
             any_staple = False
             for index, hello in enumerate(chunk.client_hellos):
-                features = cache.get(hello)
-                if features is None:
-                    features = _hello_features(hello)
-                    cache[hello] = features
+                entry = cache.get(id(hello))
+                if entry is None:
+                    entry = cache[id(hello)] = (hello, _hello_features(hello))
                 adv_band[index], insecure[index], staple, tls13[index], rc4[index] = (
-                    features
+                    entry[1]
                 )
                 any_staple = any_staple or staple
 

@@ -53,6 +53,10 @@ class AttackerToolbox:
 
     def __post_init__(self) -> None:
         self._keypair: KeyPair = generate_keypair(seed=b"attacker-toolbox")
+        #: id(target root) -> (target root, its spoofed copy).  A probe
+        #: campaign spoofs the same few hundred roots over and over; the
+        #: entry holds the target, so its id is not reused while cached.
+        self._spoofed_roots: dict[int, tuple[Certificate, Certificate]] = {}
         # The attacker's genuine certificate for its own domain, with the
         # full chain linking to a trusted root (sent during handshake).
         self._own_leaf, self._own_keypair = self.issuing_ca.issue_leaf(
@@ -106,9 +110,15 @@ class AttackerToolbox:
         fails with a signature error; one that lacks it fails with an
         unknown-CA error -- the observable side channel.
         """
-        spoofed_root = CertificateBuilder.spoof_from(target_root, self._keypair.public).sign(
-            self._keypair.private
-        )
+        entry = self._spoofed_roots.get(id(target_root))
+        if entry is None:
+            # The spoof copies the target's serial, so signing it takes
+            # nothing from the serial counter: caching changes no serial.
+            spoofed = CertificateBuilder.spoof_from(
+                target_root, self._keypair.public
+            ).sign(self._keypair.private)
+            entry = self._spoofed_roots[id(target_root)] = (target_root, spoofed)
+        spoofed_root = entry[1]
         leaf = CertificateBuilder(
             subject=DistinguishedName(common_name=hostname),
             issuer=spoofed_root.subject,

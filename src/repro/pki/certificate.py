@@ -212,8 +212,12 @@ class CertificateBuilder:
             ocsp_responder_url=self.ocsp_responder_url,
             must_staple=self.must_staple,
         )
-        signature = signing_key.sign(unsigned.tbs_bytes())
-        return replace(unsigned, signature=signature)
+        tbs = unsigned.tbs_bytes()
+        signed = replace(unsigned, signature=signing_key.sign(tbs))
+        # The signature is not part of the TBS bytes, so the encoding just
+        # computed is the signed certificate's too.
+        object.__setattr__(signed, "_tbs_cache", tbs)
+        return signed
 
 
 class CertificateAuthority:

@@ -231,33 +231,6 @@ class RecordChunk:
         self._count_array = None
         self._month_array = None
 
-    @classmethod
-    def from_records(
-        cls,
-        device: str,
-        records: Sequence[TrafficRecord],
-        revocation_events: Sequence[RevocationEvent] = (),
-        *,
-        split_cap: int | None = None,
-    ) -> "RecordChunk":
-        """Columnarise already-materialised records (tests, adapters)."""
-        return cls(
-            device,
-            hostnames=[r.hostname for r in records],
-            parties=[r.party for r in records],
-            months=[r.month for r in records],
-            whens=[r.when for r in records],
-            client_hellos=[r.client_hello for r in records],
-            establisheds=[r.established for r in records],
-            established_versions=[r.established_version for r in records],
-            established_cipher_codes=[r.established_cipher_code for r in records],
-            client_alerts=[r.client_alert for r in records],
-            downgradeds=[r.downgraded for r in records],
-            counts=[r.count for r in records],
-            revocation_events=revocation_events,
-            split_cap=split_cap,
-        )
-
     # -- size arithmetic ------------------------------------------------
     def __len__(self) -> int:
         """Base (pre-split) record count."""

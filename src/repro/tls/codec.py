@@ -262,6 +262,7 @@ class HelloWireCache:
       out, and splices in the per-record random.  It keys on identity
       and holds a reference to the hello, so the id is never reused;
       an equal hello that is a different object just misses.
+      :meth:`encode_hex` does the same on the wire's hex form.
     * :meth:`decode` keys on the wire with the random cut out.  The
       parser reads the random as opaque bytes, so the decoded hello
       depends on the key alone; records share the frozen result.  Only
@@ -275,17 +276,28 @@ class HelloWireCache:
     __slots__ = ("_templates", "_decoded")
 
     def __init__(self) -> None:
-        self._templates: dict[int, tuple[ClientHello, bytes, bytes]] = {}
+        self._templates: dict[int, tuple[ClientHello, bytes, bytes, str, str]] = {}
         self._decoded: dict[bytes, ClientHello] = {}
 
-    def encode(self, hello: ClientHello, *, seed: str) -> bytes:
-        """``encode_client_hello(hello, seed=seed)``, byte for byte."""
+    def _template(self, hello: ClientHello) -> tuple[ClientHello, bytes, bytes, str, str]:
+        """(hello, head, tail, head hex, tail hex): the wire around the random."""
         template = self._templates.get(id(hello))
         if template is None:
             wire = encode_client_hello(hello)
-            template = (hello, wire[:_RANDOM_START], wire[_RANDOM_END:])
+            head, tail = wire[:_RANDOM_START], wire[_RANDOM_END:]
+            template = (hello, head, tail, head.hex(), tail.hex())
             self._templates[id(hello)] = template
+        return template
+
+    def encode(self, hello: ClientHello, *, seed: str) -> bytes:
+        """``encode_client_hello(hello, seed=seed)``, byte for byte."""
+        template = self._template(hello)
         return template[1] + _deterministic_random(seed) + template[2]
+
+    def encode_hex(self, hello: ClientHello, *, seed: str) -> str:
+        """``encode(hello, seed=seed).hex()``, character for character."""
+        template = self._template(hello)
+        return template[3] + _deterministic_random(seed).hex() + template[4]
 
     def decode(self, wire: bytes) -> ClientHello:
         """``decode_client_hello(wire)``, shared across equal hellos."""

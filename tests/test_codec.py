@@ -147,7 +147,9 @@ class TestHelloWireCache:
     def test_template_splice_matches_encoder(self, hello, seeds):
         cache = HelloWireCache()
         for seed in seeds:
-            assert cache.encode(hello, seed=seed) == encode_client_hello(hello, seed=seed)
+            wire = encode_client_hello(hello, seed=seed)
+            assert cache.encode(hello, seed=seed) == wire
+            assert cache.encode_hex(hello, seed=seed) == wire.hex()
 
     @given(hello=hellos(), seeds=st.lists(SEEDS, min_size=1, max_size=6))
     @settings(max_examples=60)

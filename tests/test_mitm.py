@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.devices.configs import FS_MODERN, RSA_PLAIN
@@ -74,6 +76,16 @@ class TestForgedCredentials:
         chain = toolbox.spoofed_ca_chain(simple_ca.certificate, HOST)
         result = validate_chain(list(chain), victim_store, when=WHEN, hostname=HOST)
         assert result.code is ValidationErrorCode.BAD_SIGNATURE
+
+    def test_spoofed_root_is_signed_once_per_target(self, toolbox, simple_ca):
+        first = toolbox.spoofed_ca_chain(simple_ca.certificate, HOST)
+        second = toolbox.spoofed_ca_chain(simple_ca.certificate, "other.example.com")
+        assert second[1] is first[1]
+        assert second[0].serial != first[0].serial  # each leaf is new
+        spoofed = first[1]
+        assert spoofed.serial == simple_ca.certificate.serial
+        # The TBS encoding carried over from signing is the signed fields'.
+        assert spoofed.tbs_bytes() == replace(spoofed).tbs_bytes()
 
     def test_unknown_ca_chain_triggers_unknown_ca(self, toolbox, victim_store):
         chain = toolbox.unknown_ca_chain(HOST)

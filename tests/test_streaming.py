@@ -11,10 +11,12 @@ stays independent of ``scale``.
 from __future__ import annotations
 
 import json
+import pickle
 import random
 import tempfile
 import tracemalloc
 from dataclasses import replace
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
@@ -30,11 +32,13 @@ from repro.analysis.export import (
     capture_from_stream,
     fold_stream,
     record_from_dict,
+    record_to_dict,
     revocation_event_from_dict,
 )
 from repro.analysis.streaming import TraceAnalysisPipeline
 from repro.cli import main
 from repro.devices.catalog import passive_devices
+from repro.devices.profile import Party
 from repro.longitudinal import (
     PassiveTraceGenerator,
     VersionHeatmapAccumulator,
@@ -51,9 +55,10 @@ from repro.testbed import (
     DiscardSink,
     FlowRecordChunker,
     GatewayCapture,
+    RecordChunk,
     RevocationEvent,
 )
-from repro.tls.versions import VersionBand
+from repro.tls.versions import ProtocolVersion, VersionBand
 
 
 @pytest.fixture(autouse=True)
@@ -349,6 +354,26 @@ class TestDamagedArtifacts:
         with pytest.raises(ValueError, match=f"line 2: {message}"):
             self._fold(tmp_path, [lines[0], damaged, *lines[2:]])
 
+    @pytest.mark.parametrize(
+        "index, kind, key",
+        [(1, "record", "month"), (1, "record", "count"), (6, "revocation_event", "month")],
+        ids=["record-month", "record-count", "event-month"],
+    )
+    def test_boolean_is_not_an_int(self, tmp_path, lines, index, kind, key):
+        payload = json.loads(lines[index])
+        payload[kind][key] = True
+        damaged = [*lines[:index], json.dumps(payload) + "\n", *lines[index + 1 :]]
+        with pytest.raises(
+            ValueError, match=f"line {index + 1}: {kind} field '{key}' has type bool"
+        ):
+            self._fold(tmp_path, damaged)
+
+    def test_record_from_dict_rejects_boolean_count(self, lines):
+        entry = json.loads(lines[1])["record"]
+        record_from_dict(entry)
+        with pytest.raises(ValueError, match="record field 'count' has type bool"):
+            record_from_dict({**entry, "count": True})
+
     def test_header_metadata_must_be_an_object(self, tmp_path, lines):
         header = json.loads(lines[0])
         header["metadata"] = 7
@@ -518,6 +543,106 @@ class TestBatchedFoldEquivalence:
         assert batched.revocation_events == reference.revocation_events
         # Without add_batch, a sink sees the artifact's exact line order.
         assert plain.items == items
+
+
+#: Strings a JSON encoder must escape: quotes, backslashes, control and
+#: non-ASCII characters (outside the BMP too).
+_AWKWARD_TEXT = st.text(
+    st.one_of(st.sampled_from('"\\/\n\t\x00\x1f\x7fé☃\U0001f512'), st.characters()),
+    max_size=8,
+)
+
+
+@st.composite
+def generated_chunks(draw, hellos):
+    """1-3 one-device chunks of arbitrary field values, each viewed
+    through the same generated flow cap (or none)."""
+    split_cap = draw(st.none() | st.integers(1, 6))
+    chunks = []
+    for _ in range(draw(st.integers(1, 3))):
+        size = draw(st.integers(1, 5))
+
+        def column(strategy):
+            return draw(st.lists(strategy, min_size=size, max_size=size))
+
+        chunk = RecordChunk(
+            draw(_AWKWARD_TEXT),
+            hostnames=column(_AWKWARD_TEXT),
+            parties=column(st.sampled_from(Party)),
+            months=column(st.integers(0, 40)),
+            whens=column(
+                st.datetimes(
+                    min_value=datetime(2000, 1, 1),
+                    max_value=datetime(2040, 1, 1),
+                    timezones=st.sampled_from(
+                        [None, timezone.utc, timezone(timedelta(hours=-3, minutes=-30))]
+                    ),
+                )
+            ),
+            client_hellos=column(st.sampled_from(hellos)),
+            establisheds=column(st.booleans()),
+            established_versions=column(st.none() | st.sampled_from(ProtocolVersion)),
+            established_cipher_codes=column(st.none() | st.integers(0, 0xFFFF)),
+            client_alerts=column(st.none() | _AWKWARD_TEXT),
+            downgradeds=column(st.booleans()),
+            counts=column(st.integers(1, 20)),
+        )
+        chunks.append(chunk if split_cap is None else chunk.with_split_cap(split_cap))
+    return chunks
+
+
+class TestWriterEncoding:
+    """The templated writer writes the reference encoding, byte for byte."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_lines_equal_reference_encoding(self, passive_capture, data):
+        hellos = list(
+            {id(r.client_hello): r.client_hello for r in passive_capture.records[:400]}.values()
+        )
+        chunks = data.draw(generated_chunks(hellos))
+        records = [record for chunk in chunks for record in chunk.iter_records()]
+        with tempfile.TemporaryDirectory() as scratch:
+            batched, looped = Path(scratch) / "batched.jsonl", Path(scratch) / "looped.jsonl"
+            with JsonlStreamWriter(batched) as writer:
+                for chunk in chunks:
+                    writer.add_batch(chunk)
+            with JsonlStreamWriter(looped) as writer:
+                for record in records:
+                    writer.add(record)
+            text = batched.read_text()
+            assert looped.read_text() == text
+            assert text.splitlines(keepends=True)[1:-1] == [
+                json.dumps({"record": record_to_dict(record)}, sort_keys=True) + "\n"
+                for record in records
+            ]
+            assert capture_from_stream(batched).records == records
+
+
+class TestHelloFeatureCache:
+    """The pipeline's per-hello features are keyed by identity."""
+
+    def test_equal_hellos_from_a_pickle_fold_alike(self, testbed):
+        generator = PassiveTraceGenerator(testbed, scale=1, seed="hello-identity")
+        chunks = [generator.generate_device_chunk(p) for p in passive_devices()]
+        # A pickle round trip (the spawn-worker hop) gives equal hellos
+        # that are different objects.
+        copies = pickle.loads(pickle.dumps(chunks))
+        assert copies[0].client_hellos[0] == chunks[0].client_hellos[0]
+        assert copies[0].client_hellos[0] is not chunks[0].client_hellos[0]
+
+        half = len(chunks) // 2
+        pipelines = []
+        for fed in (chunks, copies, chunks[:half] + copies[half:]):
+            pipeline = TraceAnalysisPipeline()
+            for chunk in fed:
+                pipeline.add_batch(chunk)
+            for key, (hello, _) in pipeline._hello_cache.items():
+                assert key == id(hello)
+            pipelines.append(pipeline)
+        original, pickled, mixed = (measure_analysis(p.finalize()) for p in pipelines)
+        assert pickled == original
+        assert mixed == original
 
 
 class TestBoundedMemory:
