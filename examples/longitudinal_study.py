@@ -13,14 +13,8 @@ from __future__ import annotations
 
 import sys
 
-from repro.analysis import analyze_revocation, compare_with_prior_work, render_table
-from repro.longitudinal import (
-    PassiveTraceGenerator,
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
-    detect_adoption_events,
-)
+from repro.analysis import analyze_capture, render_table
+from repro.longitudinal import PassiveTraceGenerator
 from repro.tls.versions import VersionBand
 
 
@@ -44,10 +38,11 @@ def main() -> None:
     scale = int(sys.argv[1]) if len(sys.argv) > 1 else 40
     print(f"Generating the 27-month passive trace (scale={scale})...")
     capture = PassiveTraceGenerator(scale=scale).generate()
-    total = sum(record.count for record in capture.records)
-    print(f"captured {total:,} connections from {len(capture.devices())} devices\n")
+    analysis = analyze_capture(capture)
+    print(f"captured {analysis.connections:,} connections "
+          f"from {analysis.dataset.device_count} devices\n")
 
-    versions = build_version_heatmap(capture)
+    versions = analysis.versions
     print(f"Figure 1 -- devices not using TLS 1.2 exclusively "
           f"({len(versions.shown_devices())} shown, {len(versions.hidden_devices())} hidden):")
     for device in versions.shown_devices():
@@ -56,25 +51,25 @@ def main() -> None:
         print(f"  {device:18.18s} older|{_render_series(advertised_old)}| "
               f"1.3|{_render_series(advertised_13)}|")
 
-    insecure = build_insecure_advertised_heatmap(capture)
+    insecure = analysis.insecure
     print(f"\nFigure 2 -- insecure-suite advertisers "
           f"({len(insecure.shown_devices())} shown; clean: {', '.join(insecure.hidden_devices())})")
 
-    strong = build_strong_established_heatmap(capture)
+    strong = analysis.strong
     print(f"\nFigure 3 -- forward-secrecy establishment "
           f"({len(strong.hidden_devices())} always-strong devices hidden)")
 
     print("\nDetected adoption/deprecation events:")
-    for event in detect_adoption_events(capture):
+    for event in analysis.adoption_events:
         print(f"  {event.describe()}")
 
     print("\nTable 8 -- revocation checking:")
-    summary = analyze_revocation(capture)
+    summary = analysis.revocation
     print(render_table(["Method", "Devices (count)"], summary.table8_rows()))
     print(f"devices never checking revocation: {len(summary.non_checking_devices)}")
 
     print("\nPrior-work comparison (§5.1):")
-    print(f"  {compare_with_prior_work(capture).summary()}")
+    print(f"  {analysis.comparison.summary()}")
 
 
 if __name__ == "__main__":

@@ -6,12 +6,8 @@ from .attack_scaling import (
     TargetingOutcome,
     shared_risk_analysis,
 )
-from .comparison import PriorWorkAccumulator, PriorWorkComparison, compare_with_prior_work
-from .datasets import (
-    DatasetStatistics,
-    DatasetStatisticsAccumulator,
-    dataset_statistics,
-)
+from .comparison import PriorWorkAccumulator, PriorWorkComparison
+from .datasets import DatasetStatistics, DatasetStatisticsAccumulator
 from .drift import (
     DriftReport,
     Expectation,
@@ -42,7 +38,7 @@ from .party_bias import (
 )
 from .poodle import PoodleExposure, assess_poodle_exposure
 from .updates import UpdateHygiene, update_vs_store_hygiene
-from .revocation import RevocationAccumulator, RevocationSummary, analyze_revocation
+from .revocation import RevocationAccumulator, RevocationSummary
 from .staleness import DeviceStaleness, distrusted_trusted_by, staleness_by_device
 from .tables import render_table, table1_rows, table3_rows
 
@@ -76,7 +72,6 @@ __all__ = [
     "capture_from_records",
     "capture_from_stream",
     "capture_to_document",
-    "dataset_statistics",
     "devices_with_multiple_max_versions",
     "fold_stream",
     "test_party_bias",
@@ -85,11 +80,9 @@ __all__ = [
     "PriorWorkComparison",
     "RevocationAccumulator",
     "RevocationSummary",
-    "analyze_revocation",
     "assess_poodle_exposure",
     "campaign_to_document",
     "capture_to_records",
-    "compare_with_prior_work",
     "distrusted_trusted_by",
     "probe_report_to_document",
     "render_table",

@@ -8,19 +8,20 @@ Two headline aggregates over the passive capture:
 * the fraction of connections advertising RC4 suites (the paper: ≈60%
   for IoT vs ≈10% in Kotzias et al.'s 4/2018 general-traffic data).
 
-Both fractions are computed over the final study months to mirror the
-comparison dates.
+Both fractions are computed over the final study months (7/2019 onward,
+bracketing the cited measurement dates); the analysis pipeline folds
+them, as ``analyze_capture(capture).comparison``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..testbed.capture import GatewayCapture, TrafficRecord
+from ..testbed.capture import TrafficRecord
 from ..tls.ciphersuites import BulkCipher
 from ..tls.versions import ProtocolVersion
 
-__all__ = ["PriorWorkComparison", "PriorWorkAccumulator", "compare_with_prior_work"]
+__all__ = ["PriorWorkComparison", "PriorWorkAccumulator"]
 
 
 @dataclass(frozen=True)
@@ -76,13 +77,3 @@ class PriorWorkAccumulator:
             rc4_fraction=self._rc4 / self._total,
         )
 
-
-def compare_with_prior_work(
-    capture: GatewayCapture, *, from_month: int = 18
-) -> PriorWorkComparison:
-    """Compute the two aggregates over months >= ``from_month``
-    (default 7/2019 onward, bracketing the cited measurement dates)."""
-    accumulator = PriorWorkAccumulator(from_month=from_month)
-    for record in capture.iter_records():
-        accumulator.add(record)
-    return accumulator.finalize()

@@ -3,8 +3,8 @@
 The study gathered ≈17M TLS connections (per-device average ≈422K,
 median ≈138K) over 27 months, with every device active for at least 6
 months and 32 devices for more than 12.  This module computes the same
-statistics over a generated capture, plus the scale factor needed to
-match the paper's absolute volume.
+statistics over a generated trace (``analyze_capture(capture).dataset``),
+plus the scale factor needed to match the paper's absolute volume.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 import statistics
 from dataclasses import dataclass
 
-from ..testbed.capture import GatewayCapture, TrafficRecord
+from ..testbed.capture import TrafficRecord
 
 __all__ = [
     "DatasetStatistics",
     "DatasetStatisticsAccumulator",
-    "dataset_statistics",
     "PAPER_TOTAL_CONNECTIONS",
 ]
 
@@ -96,9 +95,3 @@ class DatasetStatisticsAccumulator:
             devices_over_12_months=sum(1 for count in month_counts if count > 12),
         )
 
-
-def dataset_statistics(capture: GatewayCapture) -> DatasetStatistics:
-    accumulator = DatasetStatisticsAccumulator()
-    for record in capture.iter_records():
-        accumulator.add(record)
-    return accumulator.finalize()

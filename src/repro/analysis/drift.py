@@ -11,9 +11,10 @@ file (``expected/paper.json``), cell by cell:
   and seed -- counts must match exactly),
 * :func:`measure_all` regenerates everything (passive trace, active
   campaign, fingerprints, library survey, catalog) and returns the
-  measured values; :func:`measure_capture` covers just the
-  capture-derived cells, for auditing a previously exported trace
-  artifact (``iotls check --artifact trace.json``),
+  measured values; :func:`measure_analysis` covers just the
+  capture-derived cells of an analysed trace, and
+  :func:`measure_capture` those of a materialised capture (an exported
+  ``iotls trace --json`` artifact, for ``iotls check --artifact``),
 * :func:`audit` produces a :class:`DriftReport`: per-cell
   match/drift/skipped statuses, a renderable table, a JSON document,
   and one boolean -- :attr:`DriftReport.ok` -- that CI gates on.
@@ -314,14 +315,16 @@ def measure_all(
     """Regenerate everything and measure every checkable cell."""
     from ..core import ActiveExperimentCampaign
     from ..longitudinal import PassiveTraceGenerator
-    from ..testbed import Testbed
+    from ..testbed import CaptureTee, Testbed
+    from .streaming import TraceAnalysisPipeline
 
     testbed = Testbed()
-    capture = PassiveTraceGenerator(testbed, scale=scale, seed=seed).generate(
-        workers=workers
+    pipeline = TraceAnalysisPipeline()
+    PassiveTraceGenerator(testbed, scale=scale, seed=seed).stream_into(
+        CaptureTee(pipeline), workers=workers
     )
     results = ActiveExperimentCampaign(testbed).run(workers=workers)
-    measured = measure_capture(capture)
+    measured = measure_analysis(pipeline.finalize())
     measured.update(_measure_campaign(results, testbed.universe))
     measured.update(_measure_static(testbed))
     return measured

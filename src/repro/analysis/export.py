@@ -26,14 +26,13 @@ from typing import Any
 
 from ..core.audit import CampaignResults
 from ..core.prober import DeviceProbeReport, ProbeOutcome
-from ..devices.profile import Party
+from ..devices.profile import STUDY_MONTHS, Party
 from ..mitm.proxy import AttackMode
 from ..testbed.capture import (
     GatewayCapture,
     RecordChunk,
     RevocationEvent,
     TrafficRecord,
-    sink_add_batch,
 )
 from ..tls.codec import HelloWireCache
 from ..tls.messages import ClientHello
@@ -264,6 +263,9 @@ def _record_row(
     per timestamp string for one artifact.
     """
     _check_types(entry, _RECORD_TYPES, "record")
+    _check_month(entry, "record")
+    if entry["count"] < 1:
+        raise ValueError(f"record field 'count' is {entry['count']}, below 1")
     timestamp = entry["timestamp"]
     when = whens.get(timestamp)
     if when is None:
@@ -300,6 +302,15 @@ def _check_types(
             raise ValueError(f"{what} field {key!r} has type {kind.__name__}")
 
 
+def _check_month(entry: dict[str, Any], what: str) -> None:
+    """Raise ``ValueError`` unless ``entry["month"]`` is a study month."""
+    month = entry["month"]
+    if not 0 <= month < STUDY_MONTHS:
+        raise ValueError(
+            f"{what} field 'month' is {month}, outside 0..{STUDY_MONTHS - 1}"
+        )
+
+
 def revocation_event_to_dict(event: RevocationEvent) -> dict[str, Any]:
     return {
         "device": event.device,
@@ -313,6 +324,7 @@ def revocation_event_from_dict(entry: dict[str, Any]) -> RevocationEvent:
     from ..pki.revocation import RevocationMethod
 
     _check_types(entry, _EVENT_TYPES, "revocation_event")
+    _check_month(entry, "revocation_event")
     return RevocationEvent(
         device=entry["device"],
         method=RevocationMethod(entry["method"]),
@@ -413,14 +425,6 @@ class JsonlStreamWriter:
     def records_seen(self) -> int:
         return self._records_seen
 
-    @property
-    def connections_seen(self) -> int:
-        return self._connections_seen
-
-    @property
-    def revocation_events_seen(self) -> int:
-        return self._revocation_events_seen
-
     def add(self, record: TrafficRecord) -> None:
         self._records_seen += 1
         self._connections_seen += record.count
@@ -510,14 +514,12 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
 
     Returns the header's metadata.  Consecutive records of one device,
     followed by that device's revocation events, are folded as one
-    :class:`~repro.testbed.capture.RecordChunk` through
-    :func:`~repro.testbed.capture.sink_add_batch`: batch-aware sinks
-    (the analysis pipeline, a capture) take the run at once, and any
-    other sink gets the same stream record by record.  A run ends when
-    the device changes, when a record follows an event, and after
-    ``_FOLD_RUN`` items, so the fold holds at most one bounded run and
-    auditing a paper-scale stream is O(1) in the artifact size (plus
-    whatever state the sink itself accumulates).  Each record line is
+    :class:`~repro.testbed.capture.RecordChunk` through the sink's
+    ``add_batch``.  A run ends when the device changes, when a record
+    follows an event, and after ``_FOLD_RUN`` items, so the fold holds
+    at most one bounded run and auditing a paper-scale stream is O(1)
+    in the artifact size (plus whatever state the sink itself
+    accumulates).  Each record line is
     parsed into a row of fields, and a run's rows become the chunk's
     columns at flush, so no record object is built.  Hellos are decoded
     once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`)
@@ -526,8 +528,9 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     A damaged artifact raises ``ValueError`` rather than being audited
     as paper drift: a missing header line or header ``metadata`` object,
     a malformed line (not a JSON object, a missing or mistyped record
-    field, bad hex), a missing or non-final ``summary`` trailer, or
-    trailer counts that differ from what was folded.  A malformed line's
+    field, a month outside the study or a count below 1, bad hex), a
+    missing or non-final ``summary`` trailer, or trailer counts that
+    are not exact ints equal to what was folded.  A malformed line's
     error names its line number.
     """
     path = Path(path)
@@ -543,8 +546,8 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
         if run_device is not None:
             # The run's rows transposed into columns; the first is the device.
             columns = dict(zip(_CHUNK_COLUMNS, list(zip(*rows))[1:]))
-            sink_add_batch(
-                sink, RecordChunk(run_device, **columns, revocation_events=events)
+            sink.add_batch(
+                RecordChunk(run_device, **columns, revocation_events=events)
             )
             rows.clear()
             events.clear()
@@ -606,10 +609,11 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     flush()
     if summary is None:
         raise ValueError(f"{path}: no summary trailer; the artifact is truncated")
+    # An exact int: a JSON boolean or float must not pass for a count.
     mismatched = {
         key: (summary.get(key), count)
         for key, count in folded.items()
-        if summary.get(key) != count
+        if type(summary.get(key)) is not int or summary[key] != count
     }
     if mismatched:
         raise ValueError(

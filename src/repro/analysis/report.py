@@ -14,19 +14,11 @@ from pathlib import Path
 from ..core.audit import CampaignResults
 from ..devices.catalog import device_by_name
 from ..fingerprint import build_reference_database, build_shared_graph, collect_device_fingerprints
-from ..longitudinal import (
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
-    detect_adoption_events,
-)
 from ..roothistory.universe import RootStoreUniverse
-from ..testbed.capture import GatewayCapture
 from ..testbed.infrastructure import Testbed
-from .comparison import compare_with_prior_work
 from .poodle import assess_poodle_exposure
-from .revocation import analyze_revocation
 from .staleness import distrusted_trusted_by, staleness_by_device
+from .streaming import TraceAnalysis
 
 __all__ = ["generate_report", "write_report"]
 
@@ -44,11 +36,11 @@ def _md_table(headers: list[str], rows: list[tuple]) -> str:
 def generate_report(
     testbed: Testbed,
     results: CampaignResults,
-    capture: GatewayCapture,
+    analysis: TraceAnalysis,
     *,
     universe: RootStoreUniverse | None = None,
 ) -> str:
-    """Render the full run as markdown."""
+    """Render the full run (campaign plus analysed trace) as markdown."""
     universe = universe or testbed.universe
     sections: list[str] = ["# IoTLS reproduction report", ""]
 
@@ -122,13 +114,11 @@ def generate_report(
 
     # ------------------------------------------------------------------
     sections.append("\n## Longitudinal study (Figures 1-3)")
-    versions = build_version_heatmap(capture)
-    insecure = build_insecure_advertised_heatmap(capture)
-    strong = build_strong_established_heatmap(capture)
-    total = sum(record.count for record in capture.records)
+    versions, insecure, strong = analysis.versions, analysis.insecure, analysis.strong
+    dataset = analysis.dataset
     sections.append(
-        f"- capture: **{total:,} connections** over {len(capture.months())} months, "
-        f"{len(capture.devices())} devices\n"
+        f"- capture: **{analysis.connections:,} connections** over "
+        f"{dataset.months_covered} months, {dataset.device_count} devices\n"
         f"- Figure 1: {len(versions.shown_devices())} devices shown, "
         f"{len(versions.hidden_devices())} TLS 1.2-exclusive (paper: 12 / 28)\n"
         f"- Figure 2: {len(insecure.shown_devices())} insecure-advertisers "
@@ -137,10 +127,10 @@ def generate_report(
         f"(paper: 18)"
     )
     sections.append("\nAdoption / deprecation events detected:")
-    for event in detect_adoption_events(capture):
+    for event in analysis.adoption_events:
         sections.append(f"- {event.describe()}")
 
-    summary = analyze_revocation(capture)
+    summary = analysis.revocation
     sections.append("\n## Revocation (Table 8)")
     sections.append(
         _md_table(
@@ -153,7 +143,7 @@ def generate_report(
     )
 
     sections.append("\n## Comparison with prior work (§5.1)")
-    sections.append(compare_with_prior_work(capture).summary())
+    sections.append(analysis.comparison.summary())
 
     # ------------------------------------------------------------------
     sections.append("\n## Fingerprints (Figure 5)")
@@ -186,10 +176,10 @@ def generate_report(
 def write_report(
     testbed: Testbed,
     results: CampaignResults,
-    capture: GatewayCapture,
+    analysis: TraceAnalysis,
     path: str | Path,
 ) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(generate_report(testbed, results, capture))
+    path.write_text(generate_report(testbed, results, analysis))
     return path

@@ -7,8 +7,8 @@ The paper detects revocation support by scanning passive traffic for:
 * ``status_request`` extensions in ClientHellos (OCSP stapling), and
 * ``Must-Staple`` extensions in received certificates.
 
-This module applies the same signals to a
-:class:`~repro.testbed.capture.GatewayCapture`.
+This module applies the same signals to the passive trace; the
+analysis pipeline folds them, as ``analyze_capture(capture).revocation``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..pki.revocation import RevocationMethod
-from ..testbed.capture import GatewayCapture, RevocationEvent, TrafficRecord
+from ..testbed.capture import RevocationEvent, TrafficRecord
 
-__all__ = ["RevocationSummary", "RevocationAccumulator", "analyze_revocation"]
+__all__ = ["RevocationSummary", "RevocationAccumulator"]
 
 
 @dataclass
@@ -83,20 +83,10 @@ class RevocationAccumulator:
         summary.crl_devices = sorted(self._crl)
         summary.ocsp_devices = sorted(self._ocsp)
         summary.stapling_devices = sorted(self._stapling)
-        # Non-checkers are defined over devices seen in *traffic* --
-        # revocation events always accompany traffic, so this matches
-        # the batch pass over ``capture.devices()``.
+        # Non-checkers are defined over devices seen in *traffic*;
+        # revocation events always accompany traffic.
         summary.non_checking_devices = sorted(
             self._devices - self._crl - self._ocsp - self._stapling
         )
         return summary
 
-
-def analyze_revocation(capture: GatewayCapture) -> RevocationSummary:
-    """Scan a capture for the Table 8 revocation signals."""
-    accumulator = RevocationAccumulator()
-    for event in capture.iter_revocation_events():
-        accumulator.add_revocation_event(event)
-    for record in capture.iter_records():
-        accumulator.add(record)
-    return accumulator.finalize()

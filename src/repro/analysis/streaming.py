@@ -8,10 +8,14 @@ work comparison.  Its state is O(devices x months) integer tallies, so
 a paper-scale run (~17M connections) streams through it in bounded
 memory -- the records themselves are never materialised.
 
-``analyze_capture`` is the batch entry point: a one-pass fold of a
-materialised :class:`~repro.testbed.capture.GatewayCapture` through the
-same pipeline, which is how the legacy path and the streaming path stay
-equivalent by construction.
+Every run folds its trace through the pipeline chunk by chunk
+(:meth:`TraceAnalysisPipeline.add_batch`): ``iotls trace`` in both
+modes, ``iotls report`` and the ``iotls check`` fresh run.
+:func:`analyze_capture` is the one record-by-record fold
+(:meth:`TraceAnalysisPipeline.add` over a materialised
+:class:`~repro.testbed.capture.GatewayCapture`): the reference the
+chunk fold is tested against, and the entry point for a capture that
+is already in memory.
 """
 
 from __future__ import annotations
@@ -114,14 +118,6 @@ class TraceAnalysisPipeline:
     @property
     def records_seen(self) -> int:
         return self._records_seen
-
-    @property
-    def connections_seen(self) -> int:
-        return self._connections_seen
-
-    @property
-    def revocation_events_seen(self) -> int:
-        return self._revocation_events_seen
 
     def add(self, record: TrafficRecord) -> None:
         self._records_seen += 1
@@ -239,7 +235,7 @@ class TraceAnalysisPipeline:
 
 
 def analyze_capture(capture: GatewayCapture) -> TraceAnalysis:
-    """One-pass batch analysis of a materialised capture."""
+    """Every analysis of a materialised capture, folded record by record."""
     pipeline = TraceAnalysisPipeline()
     for record in capture.iter_records():
         pipeline.add(record)

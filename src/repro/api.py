@@ -24,20 +24,21 @@ here (:class:`UnknownDeviceError`, :class:`DeviceNotProbeableError`,
 :class:`UnknownCommandError`), so programmatic callers can branch on
 them.
 
-The passive trace runs in one of two modes:
+The passive trace runs as one stream: the generator feeds each
+device's chunk through a :class:`~repro.testbed.capture.CaptureTee`
+into the incremental analysis pipeline (and optionally a JSONL
+writer), so peak memory is bounded by the accumulator state,
+independent of ``scale``.  A run is either
 
-* **materialised** (the default): records accumulate in a
-  :class:`~repro.testbed.capture.GatewayCapture`, then every analysis
-  folds over it -- and :attr:`TraceResult.capture` holds the capture,
-* **streaming** (``RunConfig(stream=True)`` or a ``stream_path``): the
-  generator feeds each record straight into the incremental analysis
-  pipeline (and optionally a JSONL writer), so peak memory is bounded
-  by the accumulator state, independent of ``scale``.
+* **materialised** (the default): the tee also feeds a staging
+  :class:`~repro.testbed.capture.GatewayCapture`, which
+  :attr:`TraceResult.capture` holds (and ``--json`` exports), or
+* **streaming** (``RunConfig(stream=True)`` or a ``stream_path``): no
+  capture is kept.
 
-Both modes produce byte-identical run manifests: the analysis results
-are equal by construction (the batch path folds through the same
-accumulators) and the manifest's metrics slice only keeps deterministic
-series that both modes count identically.
+Both modes read their analysis from the same pipeline, and the tee is
+the one stage that counts gateway ingest, so their run manifests are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .analysis.export import (
     probe_report_to_document,
     write_json,
 )
-from .analysis.streaming import TraceAnalysis, TraceAnalysisPipeline, analyze_capture
+from .analysis.streaming import TraceAnalysis, TraceAnalysisPipeline
 from .parallel import pool_session
 
 __all__ = [
@@ -361,7 +362,7 @@ class ReportResult:
 
     path: Path
     results: Any  # CampaignResults
-    capture: Any  # GatewayCapture
+    analysis: TraceAnalysis
     manifest: dict[str, Any]
     manifest_digest: str
     artifacts: dict[str, Path] = field(default_factory=dict)
@@ -738,7 +739,7 @@ def _execute_trace(
     heartbeat_path: str | Path | None = None,
 ) -> TraceResult:
     from .longitudinal import PassiveTraceGenerator
-    from .testbed.capture import CaptureTee, ProgressSink
+    from .testbed.capture import CaptureTee, GatewayCapture
 
     _configure_telemetry(config)
     streaming = config.stream or stream_path is not None
@@ -755,55 +756,44 @@ def _execute_trace(
         with _progress_session(
             config, heartbeat_path, label="trace"
         ) as reporter, pool_session(config.workers) as pool:
-            if streaming:
-                pipeline = TraceAnalysisPipeline()
-                writer = None
-                progress_sink = None
-                sinks: list[Any] = [pipeline]
-                if stream_path is not None:
-                    metadata = {"generator": "iotls trace", **_trace_params(config)}
-                    writer = JsonlStreamWriter(stream_path, metadata=metadata)
-                    sinks.append(writer)
-                if reporter is not None:
-                    # Record-level progress comes from the stream itself; the
-                    # sink is uncounted and cannot perturb manifests.
-                    progress_sink = ProgressSink(reporter)
-                    sinks.append(progress_sink)
-                # The tee is the single counting stage of the chain: it observes
-                # post-flow-cap records exactly like the materialised path's
-                # terminal capture, which keeps the manifest metrics identical.
-                tee = CaptureTee(*sinks)
-                try:
-                    generator.stream_into(tee, workers=config.workers)
-                finally:
-                    if progress_sink is not None:
-                        progress_sink.flush()
-                    if writer is not None:
-                        writer.close()
-                analysis = pipeline.finalize()
-                capture = None
+            pipeline = TraceAnalysisPipeline()
+            sinks: list[Any] = [pipeline]
+            writer = capture = None
+            if stream_path is not None:
+                metadata = {"generator": "iotls trace", **_trace_params(config)}
+                writer = JsonlStreamWriter(stream_path, metadata=metadata)
+                sinks.append(writer)
+            if not streaming:
+                # A materialised run is a stream with a staging capture.
+                capture = GatewayCapture(counted=False)
+                sinks.append(capture)
+            # The tee is the single counting stage of the chain, so the
+            # manifest's metrics are the same in both modes.
+            try:
+                generator.stream_into(CaptureTee(*sinks), workers=config.workers)
+            finally:
                 if writer is not None:
-                    artifacts["records_jsonl"] = writer.path
-            else:
-                capture = generator.generate(workers=config.workers)
-                analysis = analyze_capture(capture)
-                if json_path is not None:
-                    document = capture_to_document(
-                        capture,
-                        metadata={
-                            "generator": "iotls trace",
-                            "seed": config.seed,
-                            "scale": config.scale,
-                            **(
-                                {"flow_cap": config.flow_cap}
-                                if config.flow_cap is not None
-                                else {}
-                            ),
-                            "flow_records": analysis.flow_records,
-                            "connections": analysis.connections,
-                        },
-                    )
-                    artifacts["records_json"] = write_json(document, json_path)
+                    writer.close()
+            analysis = pipeline.finalize()
+            if writer is not None:
+                artifacts["records_jsonl"] = writer.path
+            if json_path is not None:
+                document = capture_to_document(
+                    capture,
+                    metadata={
+                        "generator": "iotls trace",
+                        "seed": config.seed,
+                        "scale": config.scale,
+                        **(
+                            {"flow_cap": config.flow_cap}
+                            if config.flow_cap is not None
+                            else {}
+                        ),
+                        "flow_records": analysis.flow_records,
+                        "connections": analysis.connections,
+                    },
+                )
+                artifacts["records_json"] = write_json(document, json_path)
             note.observe_pool(pool)
         manifest, digest = _build_manifest("trace", _trace_params(config), artifacts)
         health = reporter.summary if reporter is not None else None
@@ -940,7 +930,7 @@ def _execute_report(
     from .analysis.report import write_report
     from .core import ActiveExperimentCampaign
     from .longitudinal import PassiveTraceGenerator
-    from .testbed import Testbed
+    from .testbed import CaptureTee, Testbed
 
     _configure_telemetry(config)
     notify = progress or (lambda message: None)
@@ -960,9 +950,11 @@ def _execute_report(
                 results = ActiveExperimentCampaign(testbed).run(workers=config.workers)
             notify("generating passive trace...")
             with note.phase("trace"):
-                capture = generator.generate(workers=config.workers)
+                pipeline = TraceAnalysisPipeline()
+                generator.stream_into(CaptureTee(pipeline), workers=config.workers)
+                analysis = pipeline.finalize()
             with note.phase("render"):
-                path = write_report(testbed, results, capture, out)
+                path = write_report(testbed, results, analysis, out)
             note.observe_pool(pool)
         artifacts = {"report_md": path}
         manifest, digest = _build_manifest("report", _report_params(config), artifacts)
@@ -976,7 +968,7 @@ def _execute_report(
         return ReportResult(
             path=path,
             results=results,
-            capture=capture,
+            analysis=analysis,
             manifest=manifest,
             manifest_digest=digest,
             artifacts=artifacts,

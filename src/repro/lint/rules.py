@@ -72,12 +72,11 @@ GLOBAL_RNG_CALLS = frozenset(
     }
 )
 
-#: RL010 -- function scopes that form the streaming hot path.  Per the
-#: PR-4 manifest-parity rule these are gauges-only: a counter bumped
-#: here would make streaming and materialised manifests diverge.
-STREAM_PATH_FUNCTIONS = frozenset(
-    {"stream_into", "_stream", "_stream_parallel", "run_trace_chunk"}
-)
+#: RL010 -- function scopes that form the streaming hot path: the
+#: generator's one chunk loop and the pool's chunk task.  They are
+#: gauges-only: a counter bumped here would make streaming and
+#: materialised manifests diverge.
+STREAM_PATH_FUNCTIONS = frozenset({"stream_into", "run_trace_chunk"})
 
 #: RL012 -- the progress boundary: the one module allowed to emit
 #: heartbeat/progress output directly, because every emission there

@@ -3,7 +3,6 @@
 from .adoption import (
     AdoptionEvent,
     AdoptionKind,
-    detect_adoption_events,
     detect_adoption_events_from_heatmaps,
     month_label,
 )
@@ -15,9 +14,6 @@ from .heatmaps import (
     FractionSeriesAccumulator,
     VersionHeatmap,
     VersionHeatmapAccumulator,
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
     insecure_advertised_accumulator,
     strong_established_accumulator,
 )
@@ -33,10 +29,6 @@ __all__ = [
     "PassiveTraceGenerator",
     "VersionHeatmap",
     "VersionHeatmapAccumulator",
-    "build_insecure_advertised_heatmap",
-    "build_strong_established_heatmap",
-    "build_version_heatmap",
-    "detect_adoption_events",
     "detect_adoption_events_from_heatmaps",
     "insecure_advertised_accumulator",
     "month_label",

@@ -4,8 +4,10 @@
 moving to TLS 1.3 in 5/2019; Blink Hub to TLS 1.2 in 7/2018; Blink Hub
 and SmartThings dropping weak ciphers in 5/2019 and 3/2020; five devices
 adopting forward secrecy).  This module re-detects those events from the
-capture alone: a change event is the first month where a device's
-fraction series crosses a threshold and stays across it.
+capture's heatmaps alone: a change event is the first month where a
+device's fraction series crosses a threshold and stays across it.  The
+analysis pipeline runs it once per trace, as
+``analyze_capture(capture).adoption_events``.
 """
 
 from __future__ import annotations
@@ -13,21 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from ..testbed.capture import GatewayCapture
 from ..tls.versions import VersionBand
-from .heatmaps import (
-    DeviceMonthSeries,
-    FractionHeatmap,
-    VersionHeatmap,
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
-)
+from .heatmaps import DeviceMonthSeries, FractionHeatmap, VersionHeatmap
 
 __all__ = [
     "AdoptionKind",
     "AdoptionEvent",
-    "detect_adoption_events",
     "detect_adoption_events_from_heatmaps",
     "month_label",
 ]
@@ -95,26 +88,12 @@ def _sustained_crossing(series: DeviceMonthSeries, *, rising: bool) -> int | Non
     return crossing
 
 
-def detect_adoption_events(capture: GatewayCapture) -> list[AdoptionEvent]:
-    """All sustained majority-behaviour changes in the capture."""
-    return detect_adoption_events_from_heatmaps(
-        build_version_heatmap(capture),
-        build_insecure_advertised_heatmap(capture),
-        build_strong_established_heatmap(capture),
-    )
-
-
 def detect_adoption_events_from_heatmaps(
     versions: VersionHeatmap,
     insecure: FractionHeatmap,
     strong: FractionHeatmap,
 ) -> list[AdoptionEvent]:
-    """Detect events from already-built heatmaps.
-
-    The streaming pipeline builds all three heatmaps incrementally and
-    finalizes them once; this entry point lets it share the detection
-    logic without re-materialising the capture.
-    """
+    """All sustained majority-behaviour changes in the three heatmaps."""
     events: list[AdoptionEvent] = []
 
     for device, series in versions.advertised[VersionBand.TLS_1_3].items():

@@ -32,7 +32,6 @@ from ..testbed.capture import (
     GatewayCapture,
     RecordChunk,
     RevocationEvent,
-    sink_add_batch,
 )
 from ..testbed.infrastructure import Testbed
 
@@ -90,9 +89,9 @@ class PassiveTraceGenerator:
         here, base-record fields land in column lists (no per-flow
         :class:`~repro.testbed.capture.TrafficRecord` construction), and
         revocation side effects (CRL regeneration, OCSP responses) fire
-        at the same month boundaries as always.  Every record-consuming
-        path -- materialise, stream, parallel workers -- folds or
-        expands the returned chunk.
+        at the same month boundaries as always.  Every sink -- serial
+        or fed by parallel workers -- folds or expands the returned
+        chunk.
         """
         device = self.testbed.device(profile)
         window = profile.longitudinal
@@ -162,10 +161,6 @@ class PassiveTraceGenerator:
             revocation_events=events,
         )
 
-    def generate_device(self, profile: DeviceProfile, capture: CaptureSink) -> None:
-        """Replay one device into ``capture`` (records, then events)."""
-        sink_add_batch(capture, self.generate_device_chunk(profile))
-
     def _collect_revocation_events(
         self, profile: DeviceProfile, month: int, events: list[RevocationEvent]
     ) -> None:
@@ -197,7 +192,7 @@ class PassiveTraceGenerator:
     def _device_chunk_instrumented(self, profile: DeviceProfile) -> RecordChunk:
         """:meth:`generate_device_chunk` in the per-device telemetry envelope.
 
-        Every path -- materialise, stream, and the pool's chunk tasks --
+        Every path -- the serial loop and the pool's chunk tasks --
         replays a device through this method, so the span and counter a
         device produces are identical whichever process replays it: the
         property that makes merged parallel counter totals equal the
@@ -218,126 +213,73 @@ class PassiveTraceGenerator:
     def generate(self, *, workers: int = 1) -> GatewayCapture:
         """The full 27-month capture for all 40 devices.
 
-        ``workers=1`` (the default) replays every device in-process.
-        ``workers>1`` replays one device per task on the session pool
-        (:meth:`_chunks`) and folds the chunks in catalog order;
-        because every flow's RNG is keyed by ``(seed, device, hostname,
-        month)``, the capture is byte-identical to the serial one.  Pool
-        workers rebuild the *default* testbed, so a generator
+        :meth:`stream_into` a fresh :class:`GatewayCapture`, returned.
+        Pool workers rebuild the *default* testbed, so a generator
         constructed over a custom universe must run serially.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if not _TELEMETRY.enabled:
-            return self._generate(workers)
-
-        tracer, registry = _TELEMETRY.tracer, _TELEMETRY.registry
-        started = perf_counter()
-        with tracer.span(
-            "trace.generate", scale=self.scale, seed=self.seed, workers=workers
-        ) as root:
-            capture = self._generate(workers)
-            root.annotate(flow_records=len(capture.records))
-        elapsed = perf_counter() - started
-        registry.gauge(
-            "iotls_trace_last_run_seconds", "Wall time of the last full trace generation."
-        ).set(elapsed)
-        throughput = len(capture.records) / elapsed if elapsed > 0 else 0.0
-        registry.gauge(
-            "iotls_trace_records_per_second",
-            "Flow-record throughput of the last full trace generation.",
-        ).set(throughput)
-        return capture
-
-    def _generate(self, workers: int) -> GatewayCapture:
         capture = GatewayCapture()
-        target: CaptureSink = (
-            capture if self.flow_cap is None else FlowRecordChunker(capture, self.flow_cap)
-        )
-        progress = _TELEMETRY.progress
-        with closing(self._chunks(workers)) as chunks:
-            for chunk in chunks:
-                before = target.records_seen
-                sink_add_batch(target, chunk)
-                if progress is not None:
-                    progress.advance(target.records_seen - before, stage="trace.device")
+        self.stream_into(capture, workers=workers)
         return capture
 
-    # ------------------------------------------------------------------
     def stream_into(self, sink: CaptureSink, *, workers: int = 1) -> None:
-        """Stream the full capture into ``sink`` record by record.
+        """Stream the full capture into ``sink``, one device chunk at a time.
 
-        The streaming counterpart of :meth:`generate`: nothing is
-        materialised here -- each device is replayed into one columnar
-        :class:`~repro.testbed.capture.RecordChunk` (so the per-device
-        span/event telemetry stays identical to the materialised path),
-        folded into ``sink`` in records-then-events order via
-        :func:`~repro.testbed.capture.sink_add_batch`, and dropped.
-        Peak memory is one device's chunk, O(devices x months) cells,
-        independent of ``scale`` and ``flow_cap``.
+        The one generator loop: each device is replayed into one
+        columnar :class:`~repro.testbed.capture.RecordChunk`, handed to
+        ``sink.add_batch`` (records, then events) and dropped.  Peak
+        memory is one device's chunk, O(devices x months) cells,
+        independent of ``scale`` and ``flow_cap`` -- unless the sink
+        itself keeps records, as a :class:`GatewayCapture` does.
 
         ``workers>1`` runs one task per device on the session pool
         (:meth:`_chunks`) and folds chunks home in catalog order, so
-        the sink observes exactly the serial arrival order -- streaming
-        output and run manifests are invariant under ``workers``, and
-        match the materialised path's byte for byte.
+        the sink observes exactly the serial arrival order: because
+        every flow's RNG is keyed by ``(seed, device, hostname,
+        month)``, outputs and run manifests are invariant under
+        ``workers``.
 
-        A ``flow_cap`` splits batched records just before ``sink`` --
-        *virtually* on the columnar path: the chunker stamps the cap on
-        each chunk and batch-aware sinks account for split
-        multiplicities arithmetically, while record-by-record sinks see
-        bounded-``count`` records expanded lazily.  Chunks hold
-        pre-split base records and stay scale-independent either way.
+        A ``flow_cap`` splits batched records just before ``sink``
+        (:class:`~repro.testbed.capture.FlowRecordChunker`): the cap is
+        stamped on each chunk and sinks account for split
+        multiplicities arithmetically.  Chunks hold pre-split base
+        records and stay scale-independent either way.
+
+        Progress advances by the sink's ``records_seen`` growth after
+        each device.  With telemetry on, the run is one
+        ``trace.generate`` span, and two gauges record its wall time and
+        its largest chunk; gauges stay out of the manifest's
+        deterministic-metrics slice.
         """
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         target: CaptureSink = (
             sink if self.flow_cap is None else FlowRecordChunker(sink, self.flow_cap)
         )
-        if not _TELEMETRY.enabled:
-            self._stream(target, workers)
-            return
-
-        tracer, registry = _TELEMETRY.tracer, _TELEMETRY.registry
-        before = sink.records_seen
+        progress = _TELEMETRY.progress
+        first = sink.records_seen
+        peak_staged = 0
         started = perf_counter()
-        with tracer.span(
-            "trace.stream", scale=self.scale, seed=self.seed, workers=workers
-        ) as root:
-            peak_staged = self._stream(target, workers)
-            root.annotate(flow_records=sink.records_seen - before)
-        elapsed = perf_counter() - started
-        streamed = sink.records_seen - before
-        throughput = streamed / elapsed if elapsed > 0 else 0.0
-        # Streaming instrumentation is gauges only: gauges are excluded
-        # from the manifest's deterministic-metrics slice, which is what
-        # keeps streaming and materialised manifests byte-identical.
+        with _TELEMETRY.tracer.span(
+            "trace.generate", scale=self.scale, seed=self.seed, workers=workers
+        ) as root, closing(self._chunks(workers)) as chunks:
+            for chunk in chunks:
+                peak_staged = max(peak_staged, len(chunk))
+                before = sink.records_seen
+                target.add_batch(chunk)
+                if progress is not None:
+                    progress.advance(sink.records_seen - before, stage="trace.device")
+            root.annotate(flow_records=sink.records_seen - first)
+        if not _TELEMETRY.enabled:
+            return
+        registry = _TELEMETRY.registry
         registry.gauge(
             "iotls_trace_last_run_seconds", "Wall time of the last full trace generation."
-        ).set(elapsed)
-        registry.gauge(
-            "iotls_stream_records_per_second",
-            "Flow-record throughput of the last streaming trace run.",
-        ).set(throughput)
+        ).set(perf_counter() - started)
         registry.gauge(
             "iotls_stream_peak_staged_records",
-            "Largest per-device staging buffer of the last streaming run "
+            "Largest per-device staging buffer of the last trace run "
             "(the stream's memory high-water mark, in records).",
         ).set(float(peak_staged))
-
-    def _stream(self, target: CaptureSink, workers: int) -> int:
-        """Feed ``target`` device by device; returns the peak staging depth."""
-        peak = 0
-        progress = _TELEMETRY.progress
-        with closing(self._chunks(workers)) as chunks:
-            for chunk in chunks:
-                peak = max(peak, len(chunk))
-                sink_add_batch(target, chunk)
-                # Record counts flow through the stream's ProgressSink;
-                # here only the per-device staging stage is tallied.
-                if progress is not None:
-                    progress.advance(0, stage="trace.device")
-        return peak
 
     # ------------------------------------------------------------------
     def _chunks(self, workers: int) -> Iterator[RecordChunk]:
@@ -348,9 +290,9 @@ class PassiveTraceGenerator:
         ``Pool.imap`` in task order.  The dispatch span wraps task
         fan-out *and* the caller's fold (chunks stream home as they
         finish); its open span path re-parents every worker
-        ``chunk.run`` under the run's root span (``trace.generate`` or
-        ``trace.stream``) and ``parallel.dispatch`` once the workers'
-        telemetry merges, after the last chunk.  Callers consume it
+        ``chunk.run`` under the run's root span (``trace.generate``) and
+        ``parallel.dispatch`` once the workers' telemetry merges, after
+        the last chunk.  Callers consume it
         under ``contextlib.closing`` so a failing fold exits the span
         and the pool session at once, not when the generator is
         collected.

@@ -19,9 +19,10 @@ from Figure 1).
 Every heatmap is built by an *incremental accumulator*
 (:class:`FractionSeriesAccumulator` and the figure-specific wrappers):
 state is O(devices x months) integer tallies, fed one record at a time
-in any order.  The batch ``build_*`` entry points are one-pass folds
-over a materialised capture's record stream, so the streaming pipeline
-and the batch API are equivalent by construction.
+(``add``) or one device chunk at a time (``bulk_tally``/``add_batch``)
+in any order.  :class:`~repro.analysis.streaming.TraceAnalysisPipeline`
+drives them; ``analyze_capture(capture).versions`` / ``.insecure`` /
+``.strong`` are the three figures of a materialised capture.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..devices.profile import STUDY_MONTHS
-from ..testbed.capture import GatewayCapture, TrafficRecord
+from ..testbed.capture import TrafficRecord
 from ..tls.ciphersuites import REGISTRY
 from ..tls.versions import VersionBand
 
@@ -45,9 +46,6 @@ __all__ = [
     "insecure_advertised_accumulator",
     "strong_established_accumulator",
     "month_tally",
-    "build_version_heatmap",
-    "build_insecure_advertised_heatmap",
-    "build_strong_established_heatmap",
 ]
 
 #: Threshold for "vast majority" when filtering devices out of a figure.
@@ -278,13 +276,6 @@ class VersionHeatmapAccumulator:
         )
 
 
-def build_version_heatmap(capture: GatewayCapture) -> VersionHeatmap:
-    accumulator = VersionHeatmapAccumulator()
-    for record in capture.iter_records():
-        accumulator.add(record)
-    return accumulator.finalize()
-
-
 # ---------------------------------------------------------------------------
 # Figures 2 and 3
 # ---------------------------------------------------------------------------
@@ -365,40 +356,24 @@ class FractionHeatmapAccumulator:
 
 
 def insecure_advertised_accumulator() -> FractionHeatmapAccumulator:
-    """Figure 2's accumulator (see :func:`build_insecure_advertised_heatmap`)."""
-    return FractionHeatmapAccumulator(
-        _advertises_insecure, threshold=0.05, hide_when_low=True
-    )
-
-
-def strong_established_accumulator() -> FractionHeatmapAccumulator:
-    """Figure 3's accumulator (see :func:`build_strong_established_heatmap`)."""
-    return FractionHeatmapAccumulator(
-        _established_strong,
-        denominator_predicate=_is_established,
-        threshold=_VAST_MAJORITY,
-        hide_when_low=False,
-    )
-
-
-def _fold(accumulator, capture: GatewayCapture) -> FractionHeatmap:
-    for record in capture.iter_records():
-        accumulator.add(record)
-    return accumulator.finalize()
-
-
-def build_insecure_advertised_heatmap(capture: GatewayCapture) -> FractionHeatmap:
     """Figure 2: devices *advertising* insecure suites (lower is better).
 
     Devices that rarely advertise such suites (max monthly fraction
     under 5%) are not shown, matching the figure's "6 devices ... not
     shown" rule.
     """
-    return _fold(insecure_advertised_accumulator(), capture)
+    return FractionHeatmapAccumulator(
+        _advertises_insecure, threshold=0.05, hide_when_low=True
+    )
 
 
-def build_strong_established_heatmap(capture: GatewayCapture) -> FractionHeatmap:
+def strong_established_accumulator() -> FractionHeatmapAccumulator:
     """Figure 3: devices *establishing* forward-secret suites (higher is
     better).  Devices whose connections are virtually always strong are
     not shown ("18 devices ... not shown")."""
-    return _fold(strong_established_accumulator(), capture)
+    return FractionHeatmapAccumulator(
+        _established_strong,
+        denominator_predicate=_is_established,
+        threshold=_VAST_MAJORITY,
+        hide_when_low=False,
+    )

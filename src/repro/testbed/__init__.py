@@ -6,7 +6,6 @@ from .capture import (
     DiscardSink,
     FlowRecordChunker,
     GatewayCapture,
-    ProgressSink,
     RecordChunk,
     RevocationEvent,
     TrafficRecord,
@@ -31,7 +30,6 @@ __all__ = [
     "HomeNetwork",
     "LanDeviceAttacker",
     "NotRebootableError",
-    "ProgressSink",
     "RecordChunk",
     "RevocationEvent",
     "SmartPlug",

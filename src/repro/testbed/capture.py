@@ -11,26 +11,23 @@ records the side-channel HTTP(S) traffic revocation checking produces
 
 The capture side of the streaming execution core also lives here:
 
-* :class:`CaptureSink` -- the record-stream consumer protocol.  Anything
-  with ``add``/``add_revocation_event``/``records_seen`` can sit at the
-  end of the generator's stream: a :class:`GatewayCapture` (materialise
+* :class:`CaptureSink` -- the chunk-stream consumer protocol.  Anything
+  with ``records_seen``/``add_batch`` can sit at the end of the
+  generator's stream: a :class:`GatewayCapture` (materialise
   everything), an analysis pipeline (fold incrementally), a JSONL
   writer, or a :class:`DiscardSink` (benchmarks).
 * :class:`RecordChunk` -- the columnar batch encoding of one device's
   flow records.  The generator's hot path builds column tuples instead
-  of per-flow :class:`TrafficRecord` objects, and batch-aware sinks
-  (``add_batch``) fold whole chunks without materialising a record per
-  wire connection; :func:`sink_add_batch` dispatches a chunk to any
-  sink, expanding record-by-record only for sinks that lack
-  ``add_batch``.
+  of per-flow :class:`TrafficRecord` objects, and sinks fold whole
+  chunks; only a sink that keeps records (a :class:`GatewayCapture`)
+  expands them.
 * :class:`CaptureTee` -- fans one stream out to several sinks while
   counting gateway ingest exactly once.
 * :class:`FlowRecordChunker` -- splits count-batched flow records into
-  bounded-``count`` chunks before they reach a sink, so downstream
-  memory/IO is proportional to *connections*, not batching luck.  On
-  the columnar path the split is *virtual*: the chunker stamps the cap
-  onto the chunk and downstream sinks account for split multiplicities
-  arithmetically.
+  bounded-``count`` records before they reach a sink, so downstream
+  memory/IO is proportional to *connections*, not batching luck.  The
+  split is *virtual*: the chunker stamps the cap onto the chunk and
+  downstream sinks account for split multiplicities arithmetically.
 
 Exactly one stage of a sink chain counts gateway-ingest telemetry
 (``iotls_capture_records_total`` / ``..._connections_total``): a
@@ -63,7 +60,6 @@ __all__ = [
     "CaptureTee",
     "FlowRecordChunker",
     "DiscardSink",
-    "ProgressSink",
 ]
 
 _TELEMETRY = _telemetry.get()
@@ -164,11 +160,10 @@ class RecordChunk:
     constructing a :class:`TrafficRecord` per record, and batch-aware
     sinks fold the whole chunk at once.  A ``split_cap`` makes flow-cap
     splitting *virtual*: logical (post-split) record multiplicities are
-    derived arithmetically (``record_total``), and only sinks that truly
-    need record objects (a materialising capture, the JSONL writer)
-    expand them via :meth:`iter_records` -- which shares one frozen
-    capped record per base record, exactly like
-    :class:`FlowRecordChunker` does.
+    derived arithmetically (``record_total``), and only a sink that keeps
+    record objects (a materialising capture) expands them via
+    :meth:`iter_records`, which shares one frozen capped record per
+    base record.
 
     Chunks also carry the device's revocation events so a whole device
     batch crosses a process boundary as one picklable value; sinks
@@ -262,7 +257,7 @@ class RecordChunk:
         Without a ``split_cap`` every base record is one logical record;
         with one, a base record of count ``c`` expands to
         ``c // cap + (1 if c % cap else 0)`` bounded records -- the exact
-        multiplicity :class:`FlowRecordChunker` would emit.
+        multiplicity :meth:`iter_records` yields.
         """
         if not self.counts:
             return 0
@@ -348,38 +343,23 @@ class RecordChunk:
 
 
 def sink_add_batch(sink: "CaptureSink", chunk: RecordChunk) -> None:
-    """Feed one columnar chunk to any sink.
-
-    Batch-aware sinks (those exposing ``add_batch``) fold the chunk
-    wholesale; every other sink receives the identical logical stream
-    record by record -- records first, then the chunk's revocation
-    events, matching the documented per-device flush order.
-    """
-    add_batch = getattr(sink, "add_batch", None)
-    if add_batch is not None:
-        add_batch(chunk)
-        return
-    for record in chunk.iter_records():
-        sink.add(record)
-    for event in chunk.revocation_events:
-        sink.add_revocation_event(event)
+    """Feed one columnar chunk to a sink (records, then events)."""
+    sink.add_batch(chunk)
 
 
 @runtime_checkable
 class CaptureSink(Protocol):
-    """A consumer of the gateway record stream.
+    """A consumer of the gateway's chunk stream.
 
-    ``records_seen`` is the number of flow records the sink has ingested
-    so far -- the generator reads it to annotate per-device spans and to
-    compute stream throughput without materialising anything.
+    ``records_seen`` is the number of logical (post-split) flow records
+    the sink has ingested so far -- the generator reads its growth to
+    advance progress and annotate the run's root span.
     """
 
     @property
     def records_seen(self) -> int: ...
 
-    def add(self, record: TrafficRecord) -> None: ...
-
-    def add_revocation_event(self, event: RevocationEvent) -> None: ...
+    def add_batch(self, chunk: RecordChunk) -> None: ...
 
 
 @dataclass
@@ -424,75 +404,44 @@ class GatewayCapture:
     def iter_revocation_events(self) -> Iterator[RevocationEvent]:
         yield from self.revocation_events
 
-    def by_device(self, device: str) -> list[TrafficRecord]:
-        return [record for record in self.records if record.device == device]
-
-    def devices(self) -> list[str]:
-        return sorted({record.device for record in self.records})
-
-    def months(self) -> list[int]:
-        return sorted({record.month for record in self.records})
-
     def __len__(self) -> int:
         return len(self.records)
 
-    def extend(self, other: "GatewayCapture") -> None:
-        self.records.extend(other.records)
-        self.revocation_events.extend(other.revocation_events)
-
 
 class CaptureTee:
-    """Fan one record stream out to several sinks, counting ingest once.
+    """Fan one chunk stream out to several sinks, counting ingest once.
 
-    The tee performs the gateway-ingest counting for the whole fan-out
-    (unless ``counted=False``), so attached sinks must not count
-    themselves -- use ``GatewayCapture(counted=False)`` downstream of a
-    tee.
+    The tee performs the gateway-ingest counting for the whole fan-out,
+    so attached sinks must not count themselves -- use
+    ``GatewayCapture(counted=False)`` downstream of a tee.
     """
 
-    def __init__(self, *sinks: CaptureSink, counted: bool = True) -> None:
+    def __init__(self, *sinks: CaptureSink) -> None:
         self.sinks = tuple(sinks)
-        self.counted = counted
         self.records_seen = 0
-        self.connections_seen = 0
-        self.revocation_events_seen = 0
-
-    def add(self, record: TrafficRecord) -> None:
-        self.records_seen += 1
-        self.connections_seen += record.count
-        if self.counted:
-            _count_record_ingest(record)
-        for sink in self.sinks:
-            sink.add(record)
-
-    def add_revocation_event(self, event: RevocationEvent) -> None:
-        self.revocation_events_seen += 1
-        if self.counted:
-            _count_revocation_ingest(event)
-        for sink in self.sinks:
-            sink.add_revocation_event(event)
 
     def add_batch(self, chunk: RecordChunk) -> None:
         """Fan one chunk out, counting its ingest exactly once."""
         self.records_seen += chunk.record_total()
-        self.connections_seen += chunk.connection_total()
-        self.revocation_events_seen += len(chunk.revocation_events)
-        if self.counted:
-            _count_chunk_ingest(chunk)
+        _count_chunk_ingest(chunk)
         for sink in self.sinks:
-            sink_add_batch(sink, chunk)
+            sink.add_batch(chunk)
 
 
 class FlowRecordChunker:
-    """Split count-batched flow records into ``<= cap``-connection chunks.
+    """Split count-batched flow records into ``<= cap``-connection records.
 
     The generator batches a (device, destination, month) flow's repeats
     into one record, so record volume is independent of scale; a chunker
-    in front of a sink re-linearises that batching into bounded chunks
-    (``dataclasses.replace`` on the frozen record), which makes record
-    volume proportional to connections -- the knob that lets streaming
-    runs exercise paper-scale record counts in bounded memory.  Every
-    count-weighted aggregate is preserved exactly.
+    in front of a sink re-linearises that batching into bounded records,
+    which makes record volume proportional to connections -- the knob
+    that lets streaming runs exercise paper-scale record counts in
+    bounded memory.  Every count-weighted aggregate is preserved
+    exactly.  No records are materialised here: the chunker stamps the
+    cap on each chunk (:meth:`RecordChunk.with_split_cap`) and the
+    downstream sink accounts for split multiplicities arithmetically,
+    or expands them via :meth:`RecordChunk.iter_records` if it keeps
+    records.
 
     ``records_seen`` counts records *emitted* downstream (post-split).
     Counting is the downstream sink's job, as always.
@@ -505,73 +454,10 @@ class FlowRecordChunker:
         self.cap = cap
         self.records_seen = 0
 
-    def add(self, record: TrafficRecord) -> None:
-        if record.count <= self.cap:
-            self.records_seen += 1
-            self.sink.add(record)
-            return
-        full, remainder = divmod(record.count, self.cap)
-        capped = replace(record, count=self.cap)
-        for _ in range(full):
-            self.records_seen += 1
-            self.sink.add(capped)
-        if remainder:
-            self.records_seen += 1
-            self.sink.add(replace(record, count=remainder))
-
-    def add_revocation_event(self, event: RevocationEvent) -> None:
-        self.sink.add_revocation_event(event)
-
     def add_batch(self, chunk: RecordChunk) -> None:
-        """Virtually split one chunk: stamp the cap, forward downstream.
-
-        No records are materialised here -- the downstream sink accounts
-        for split multiplicities arithmetically (or expands them lazily
-        via :meth:`RecordChunk.iter_records` if it must materialise).
-        """
         capped = chunk.with_split_cap(self.cap)
         self.records_seen += capped.record_total()
-        sink_add_batch(self.sink, capped)
-
-
-class ProgressSink:
-    """Feed record arrivals into a ProgressReporter, batched.
-
-    Sits inside a :class:`CaptureTee` fan-out on streaming paths.  The
-    per-record cost is two integer bumps; every ``batch`` records the
-    pending total flows into the reporter's rate-limited
-    ``advance`` (which does the clock read).  Never counts
-    gateway-ingest telemetry and never touches the record itself, so
-    its presence cannot perturb manifests.  Call :meth:`flush` at end
-    of stream so the tail batch is not lost.
-    """
-
-    def __init__(self, reporter, *, batch: int = 512) -> None:
-        self.reporter = reporter
-        self.batch = batch
-        self.records_seen = 0
-        self._pending = 0
-
-    def add(self, record: TrafficRecord) -> None:
-        self.records_seen += 1
-        self._pending += 1
-        if self._pending >= self.batch:
-            self.flush()
-
-    def add_revocation_event(self, event: RevocationEvent) -> None:
-        return None
-
-    def add_batch(self, chunk: RecordChunk) -> None:
-        total = chunk.record_total()
-        self.records_seen += total
-        self._pending += total
-        if self._pending >= self.batch:
-            self.flush()
-
-    def flush(self) -> None:
-        if self._pending:
-            self.reporter.advance(self._pending)
-            self._pending = 0
+        self.sink.add_batch(capped)
 
 
 @dataclass
@@ -581,13 +467,6 @@ class DiscardSink:
     records_seen: int = 0
     connections_seen: int = 0
     revocation_events_seen: int = 0
-
-    def add(self, record: TrafficRecord) -> None:
-        self.records_seen += 1
-        self.connections_seen += record.count
-
-    def add_revocation_event(self, event: RevocationEvent) -> None:
-        self.revocation_events_seen += 1
 
     def add_batch(self, chunk: RecordChunk) -> None:
         # Pure arithmetic: O(base records), no materialisation at all.

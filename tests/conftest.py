@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis import TraceAnalysis, analyze_capture
 from repro.core import ActiveExperimentCampaign, CampaignResults
 from repro.longitudinal import PassiveTraceGenerator
 from repro.pki import CertificateAuthority, DistinguishedName, RootStore
@@ -29,6 +30,12 @@ def testbed(universe) -> Testbed:
 @pytest.fixture(scope="session")
 def passive_capture(testbed) -> GatewayCapture:
     return PassiveTraceGenerator(testbed, scale=10).generate()
+
+
+@pytest.fixture(scope="session")
+def passive_analysis(passive_capture) -> TraceAnalysis:
+    """Every passive-trace analysis of ``passive_capture`` (the per-record fold)."""
+    return analyze_capture(passive_capture)
 
 
 @pytest.fixture(scope="session")

@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+from repro.testbed import GatewayCapture
+
 from repro.analysis import (
-    analyze_revocation,
-    compare_with_prior_work,
+    analyze_capture,
     distrusted_trusted_by,
     render_table,
     staleness_by_device,
@@ -38,8 +39,8 @@ class TestTable3:
 
 
 class TestTable8:
-    def test_paper_exact_device_sets(self, passive_capture):
-        summary = analyze_revocation(passive_capture)
+    def test_paper_exact_device_sets(self, passive_analysis):
+        summary = passive_analysis.revocation
         assert summary.crl_devices == ["Samsung TV"]
         assert summary.ocsp_devices == ["Apple HomePod", "Apple TV", "Samsung TV"]
         assert set(summary.stapling_devices) == {
@@ -57,12 +58,12 @@ class TestTable8:
             "Smartthings Hub",
         }
 
-    def test_twenty_eight_devices_never_check(self, passive_capture):
-        summary = analyze_revocation(passive_capture)
+    def test_twenty_eight_devices_never_check(self, passive_analysis):
+        summary = passive_analysis.revocation
         assert len(summary.non_checking_devices) == 28
 
-    def test_rows_render_counts(self, passive_capture):
-        rows = analyze_revocation(passive_capture).table8_rows()
+    def test_rows_render_counts(self, passive_analysis):
+        rows = passive_analysis.revocation.table8_rows()
         assert rows[0][1].endswith("(1)")
         assert rows[1][1].endswith("(3)")
         assert rows[2][1].endswith("(12)")
@@ -97,8 +98,8 @@ class TestFigure4:
 
 
 class TestComparison:
-    def test_shape_matches_paper(self, passive_capture):
-        comparison = compare_with_prior_work(passive_capture)
+    def test_shape_matches_paper(self, passive_analysis):
+        comparison = passive_analysis.comparison
         # IoT devices lag the web on TLS 1.3 ...
         assert comparison.tls13_fraction < comparison.web_tls13_fraction / 2
         # ... and vastly exceed it on RC4 advertisement.
@@ -106,12 +107,16 @@ class TestComparison:
         assert 0.05 < comparison.tls13_fraction < 0.30
         assert 0.5 < comparison.rc4_fraction < 0.85
 
-    def test_summary_renders(self, passive_capture):
-        text = compare_with_prior_work(passive_capture).summary()
+    def test_summary_renders(self, passive_analysis):
+        text = passive_analysis.comparison.summary()
         assert "TLS 1.3" in text and "RC4" in text
 
     def test_empty_window(self, passive_capture):
-        comparison = compare_with_prior_work(passive_capture, from_month=999)
+        # Only months before 7/2019: the comparison window holds nothing.
+        early = GatewayCapture(
+            records=[record for record in passive_capture.records if record.month < 18]
+        )
+        comparison = analyze_capture(early).comparison
         assert comparison.tls13_fraction == 0.0
 
 

@@ -8,8 +8,10 @@ including the failure modes the CLI renders as exit codes.
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import telemetry
 from repro.api import (
@@ -22,6 +24,7 @@ from repro.api import (
     run_probe,
     run_trace,
 )
+from repro.analysis import analyze_capture, measure_analysis, measure_capture
 from repro.analysis import export as analysis_export
 
 
@@ -33,18 +36,28 @@ def _clean_telemetry():
 
 
 class TestRunTrace:
-    def test_streaming_and_materialised_agree(self):
-        config = RunConfig(scale=1, seed="api-parity", telemetry=True)
+    @given(
+        seed=st.text("abcxyz0123", min_size=1, max_size=6),
+        flow_cap=st.sampled_from([None, 1, 5]),
+    )
+    @example(seed="api-parity", flow_cap=None)
+    @settings(max_examples=8, deadline=None)
+    def test_streaming_and_materialised_agree(self, seed, flow_cap):
+        """Both modes equal each other and the per-record reference fold."""
+        config = RunConfig(scale=1, seed=seed, flow_cap=flow_cap, telemetry=True)
         materialised = run_trace(config)
-        streamed = run_trace(RunConfig(scale=1, seed="api-parity", telemetry=True, stream=True))
+        streamed = run_trace(replace(config, stream=True))
         assert materialised.manifest_digest == streamed.manifest_digest
         assert materialised.capture is not None
         assert streamed.capture is None
-        assert streamed.analysis.flow_records == materialised.analysis.flow_records
-        assert streamed.analysis.connections == materialised.analysis.connections
-        assert (
-            streamed.analysis.adoption_events == materialised.analysis.adoption_events
-        )
+        measured = measure_analysis(materialised.analysis)
+        assert measure_analysis(streamed.analysis) == measured
+        assert measure_capture(materialised.capture) == measured
+        reference = analyze_capture(materialised.capture)
+        for result in (materialised, streamed):
+            assert result.analysis.flow_records == reference.flow_records
+            assert result.analysis.connections == reference.connections
+            assert result.analysis.adoption_events == reference.adoption_events
 
     def test_rejects_streaming_json_document(self, tmp_path):
         with pytest.raises(ValueError):

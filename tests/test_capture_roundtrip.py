@@ -29,19 +29,12 @@ class TestRoundtrip:
             assert loaded.client_alert == original.client_alert
 
     def test_analyses_agree_on_loaded_capture(self, passive_capture, reloaded):
-        from repro.analysis import analyze_revocation, compare_with_prior_work
-        from repro.longitudinal import build_version_heatmap
+        from repro.analysis import analyze_capture
 
-        assert (
-            build_version_heatmap(reloaded).shown_devices()
-            == build_version_heatmap(passive_capture).shown_devices()
-        )
-        assert (
-            analyze_revocation(reloaded).stapling_devices
-            == analyze_revocation(passive_capture).stapling_devices
-        )
-        original_cmp = compare_with_prior_work(passive_capture)
-        loaded_cmp = compare_with_prior_work(reloaded)
+        original, loaded = analyze_capture(passive_capture), analyze_capture(reloaded)
+        assert loaded.versions.shown_devices() == original.versions.shown_devices()
+        assert loaded.revocation.stapling_devices == original.revocation.stapling_devices
+        original_cmp, loaded_cmp = original.comparison, loaded.comparison
         assert loaded_cmp.tls13_fraction == original_cmp.tls13_fraction
         assert loaded_cmp.rc4_fraction == original_cmp.rc4_fraction
 

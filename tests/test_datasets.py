@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis import dataset_statistics
+from repro.analysis import analyze_capture
 from repro.testbed.capture import GatewayCapture
 
 
 class TestDatasetStatistics:
     @pytest.fixture(scope="class")
-    def stats(self, passive_capture):
-        return dataset_statistics(passive_capture)
+    def stats(self, passive_analysis):
+        return passive_analysis.dataset
 
     def test_covers_all_devices_and_months(self, stats):
         assert stats.device_count == 40
@@ -37,6 +37,6 @@ class TestDatasetStatistics:
         assert "skew" in text
 
     def test_empty_capture(self):
-        stats = dataset_statistics(GatewayCapture())
+        stats = analyze_capture(GatewayCapture()).dataset
         assert stats.total_connections == 0
         assert stats.scale_to_paper == float("inf")

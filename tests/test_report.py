@@ -8,8 +8,8 @@ from repro.analysis.report import generate_report, write_report
 
 
 @pytest.fixture(scope="module")
-def report_text(testbed, campaign_results, passive_capture):
-    return generate_report(testbed, campaign_results, passive_capture)
+def report_text(testbed, campaign_results, passive_analysis):
+    return generate_report(testbed, campaign_results, passive_analysis)
 
 
 class TestReport:
@@ -53,7 +53,7 @@ class TestReport:
         assert "Ring Doorbell: establishes forward-secret connections from 4/2018" in report_text
         assert "Apple TV: advertises TLS 1.3 from 5/2019" in report_text
 
-    def test_write_report_creates_file(self, testbed, campaign_results, passive_capture, tmp_path):
-        path = write_report(testbed, campaign_results, passive_capture, tmp_path / "out" / "R.md")
+    def test_write_report_creates_file(self, testbed, campaign_results, passive_analysis, tmp_path):
+        path = write_report(testbed, campaign_results, passive_analysis, tmp_path / "out" / "R.md")
         assert path.exists()
         assert path.read_text().startswith("# IoTLS reproduction report")

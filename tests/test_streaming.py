@@ -38,14 +38,11 @@ from repro.analysis.export import (
 from repro.analysis.streaming import TraceAnalysisPipeline
 from repro.cli import main
 from repro.devices.catalog import passive_devices
-from repro.devices.profile import Party
+from repro.devices.profile import STUDY_MONTHS, Party
 from repro.longitudinal import (
     PassiveTraceGenerator,
     VersionHeatmapAccumulator,
-    build_insecure_advertised_heatmap,
-    build_strong_established_heatmap,
-    build_version_heatmap,
-    detect_adoption_events,
+    detect_adoption_events_from_heatmaps,
     insecure_advertised_accumulator,
     strong_established_accumulator,
 )
@@ -68,27 +65,54 @@ def _clean_telemetry():
     telemetry.configure(enabled=False)
 
 
+def _chunk_of(*records, events=()) -> RecordChunk:
+    """One device's records (and revocation events) as a columnar chunk."""
+    (device,) = {record.device for record in records}
+    return RecordChunk(
+        device,
+        **{
+            name: [getattr(record, field) for record in records]
+            for name, field in (
+                ("hostnames", "hostname"),
+                ("parties", "party"),
+                ("months", "month"),
+                ("whens", "when"),
+                ("client_hellos", "client_hello"),
+                ("establisheds", "established"),
+                ("established_versions", "established_version"),
+                ("established_cipher_codes", "established_cipher_code"),
+                ("client_alerts", "client_alert"),
+                ("downgradeds", "downgraded"),
+                ("counts", "count"),
+            )
+        },
+        revocation_events=events,
+    )
+
+
 class TestSinks:
     def test_capture_satisfies_sink_protocol(self):
         assert isinstance(GatewayCapture(), CaptureSink)
         assert isinstance(DiscardSink(), CaptureSink)
         assert isinstance(CaptureTee(), CaptureSink)
         assert isinstance(FlowRecordChunker(DiscardSink(), 10), CaptureSink)
+        assert isinstance(TraceAnalysisPipeline(), CaptureSink)
 
     def test_chunker_splits_batched_records(self, passive_capture):
         record = replace(passive_capture.records[0], count=7)
         capture = GatewayCapture()
         chunker = FlowRecordChunker(capture, 3)
-        chunker.add(record)
+        chunker.add_batch(_chunk_of(record))
         assert chunker.records_seen == 3
         assert [r.count for r in capture.records] == [3, 3, 1]
         assert sum(r.count for r in capture.records) == 7
+        assert all(replace(r, count=7) == record for r in capture.records)
 
     def test_chunker_passes_small_records_through(self, passive_capture):
         record = replace(passive_capture.records[0], count=3)
         sink = DiscardSink()
         chunker = FlowRecordChunker(sink, 3)
-        chunker.add(record)
+        chunker.add_batch(_chunk_of(record))
         assert sink.records_seen == 1
         assert sink.connections_seen == 3
 
@@ -102,9 +126,7 @@ class TestSinks:
         discard = DiscardSink()
         tee = CaptureTee(staging, discard)
         records = passive_capture.records[:3]
-        for record in records:
-            tee.add(record)
-        tee.add_revocation_event(passive_capture.revocation_events[0])
+        tee.add_batch(_chunk_of(*records, events=passive_capture.revocation_events[:1]))
         assert staging.records == list(records)
         assert discard.records_seen == 3
         assert tee.records_seen == 3
@@ -170,26 +192,48 @@ class TestPipelineEquivalence:
     """The incremental pipeline reproduces every batch analysis exactly."""
 
     def test_pipeline_matches_batch_builders(self, passive_capture):
+        """The chunk fold equals the per-record reference fold, and each
+        figure equals its own accumulator fed the capture record by record."""
         analysis = analyze_capture(passive_capture)
-
-        versions = build_version_heatmap(passive_capture)
-        assert analysis.versions.devices == versions.devices
-        for band in VersionBand:
-            for established in (False, True):
-                np.testing.assert_array_equal(
-                    analysis.versions.matrix(band, established=established),
-                    versions.matrix(band, established=established),
+        chunked = TraceAnalysisPipeline()
+        for device in dict.fromkeys(r.device for r in passive_capture.records):
+            chunked.add_batch(
+                _chunk_of(
+                    *(r for r in passive_capture.records if r.device == device),
+                    events=[
+                        e for e in passive_capture.revocation_events if e.device == device
+                    ],
                 )
-        insecure = build_insecure_advertised_heatmap(passive_capture)
-        np.testing.assert_array_equal(analysis.insecure.matrix(), insecure.matrix())
-        assert analysis.insecure.shown_devices() == insecure.shown_devices()
-        strong = build_strong_established_heatmap(passive_capture)
-        np.testing.assert_array_equal(analysis.strong.matrix(), strong.matrix())
-        assert analysis.strong.shown_devices() == strong.shown_devices()
+            )
+        chunk_analysis = chunked.finalize()
 
-        assert analysis.adoption_events == detect_adoption_events(passive_capture)
-        assert analysis.flow_records == len(passive_capture)
-        assert analysis.connections == sum(r.count for r in passive_capture.records)
+        version_acc = VersionHeatmapAccumulator()
+        insecure_acc = insecure_advertised_accumulator()
+        strong_acc = strong_established_accumulator()
+        for record in passive_capture.records:
+            for accumulator in (version_acc, insecure_acc, strong_acc):
+                accumulator.add(record)
+        versions = version_acc.finalize()
+        insecure = insecure_acc.finalize()
+        strong = strong_acc.finalize()
+        for candidate in (analysis, chunk_analysis):
+            assert candidate.versions.devices == versions.devices
+            for band in VersionBand:
+                for established in (False, True):
+                    np.testing.assert_array_equal(
+                        candidate.versions.matrix(band, established=established),
+                        versions.matrix(band, established=established),
+                    )
+            np.testing.assert_array_equal(candidate.insecure.matrix(), insecure.matrix())
+            assert candidate.insecure.shown_devices() == insecure.shown_devices()
+            np.testing.assert_array_equal(candidate.strong.matrix(), strong.matrix())
+            assert candidate.strong.shown_devices() == strong.shown_devices()
+            assert candidate.adoption_events == detect_adoption_events_from_heatmaps(
+                versions, insecure, strong
+            )
+            assert candidate.flow_records == len(passive_capture)
+            assert candidate.connections == sum(r.count for r in passive_capture.records)
+        assert measure_analysis(chunk_analysis) == measure_analysis(analysis)
 
     def test_measured_cells_identical(self, passive_capture):
         assert measure_capture(passive_capture) == measure_analysis(
@@ -331,6 +375,64 @@ class TestDamagedArtifacts:
         trailer["summary"][key] += 1
         with pytest.raises(ValueError, match=f"disagrees.*{key}"):
             self._fold(tmp_path, lines[:-1] + [json.dumps(trailer) + "\n"])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("flow_records", True),
+            ("revocation_events", True),
+            ("flow_records", 1.0),
+            ("connections", "float"),
+            ("revocation_events", 1.0),
+        ],
+        ids=["records-bool", "events-bool", "records-float", "connections-float", "events-float"],
+    )
+    def test_trailer_counts_must_be_exact_ints(self, tmp_path, lines, key, value):
+        # One record and one event, so the record and event counts are 1.
+        count = json.loads(lines[1])["record"]["count"]
+        summary = {"flow_records": 1, "connections": count, "revocation_events": 1}
+        body = [lines[0], lines[1], lines[6]]
+        self._fold(tmp_path, body + [json.dumps({"summary": summary}) + "\n"])
+        summary[key] = float(count) if value == "float" else value
+        with pytest.raises(ValueError, match=f"disagrees.*{key}"):
+            self._fold(tmp_path, body + [json.dumps({"summary": summary}) + "\n"])
+
+    @pytest.mark.parametrize(
+        "index, kind, key, value, message",
+        [
+            (1, "record", "month", -1, "'month' is -1, outside 0..26"),
+            (1, "record", "month", STUDY_MONTHS, "'month' is 27, outside 0..26"),
+            (1, "record", "count", 0, "'count' is 0, below 1"),
+            (1, "record", "count", -50, "'count' is -50, below 1"),
+            (6, "revocation_event", "month", -1, "'month' is -1, outside 0..26"),
+            (6, "revocation_event", "month", STUDY_MONTHS, "'month' is 27, outside 0..26"),
+        ],
+        ids=[
+            "record-month-negative",
+            "record-month-past-study",
+            "record-count-zero",
+            "record-count-negative",
+            "event-month-negative",
+            "event-month-past-study",
+        ],
+    )
+    def test_out_of_range_field_names_its_line(
+        self, tmp_path, lines, index, kind, key, value, message
+    ):
+        payload = json.loads(lines[index])
+        payload[kind][key] = value
+        damaged = [*lines[:index], json.dumps(payload) + "\n", *lines[index + 1 :]]
+        with pytest.raises(ValueError, match=f"line {index + 1}: {kind} field {message}"):
+            self._fold(tmp_path, damaged)
+
+    @pytest.mark.parametrize("month", [-1, STUDY_MONTHS])
+    def test_check_exits_2_on_out_of_range_month(self, tmp_path, capsys, lines, month):
+        payload = json.loads(lines[1])
+        payload["record"]["month"] = month
+        path = tmp_path / "months.jsonl"
+        path.write_text("".join([lines[0], json.dumps(payload) + "\n", *lines[2:]]))
+        assert main(["check", "--artifact", str(path), "--no-ledger"]) == 2
+        assert "outside 0..26" in capsys.readouterr().err
 
     def test_check_exits_2_on_truncated_artifact(self, tmp_path, capsys, lines):
         path = tmp_path / "trunc.jsonl"
@@ -475,16 +577,14 @@ class _ChunkLoggingPipeline(TraceAnalysisPipeline):
 
 
 class _ItemLog:
-    """A sink without ``add_batch``: it sees the stream item by item."""
+    """A sink that logs each chunk's logical records, then its events."""
 
     def __init__(self) -> None:
         self.items: list = []
 
-    def add(self, record) -> None:
-        self.items.append(record)
-
-    def add_revocation_event(self, event) -> None:
-        self.items.append(event)
+    def add_batch(self, chunk) -> None:
+        self.items.extend(chunk.iter_records())
+        self.items.extend(chunk.revocation_events)
 
 
 _FOLD_SETTINGS = settings(
@@ -541,7 +641,7 @@ class TestBatchedFoldEquivalence:
 
         assert batched.records == reference.records
         assert batched.revocation_events == reference.revocation_events
-        # Without add_batch, a sink sees the artifact's exact line order.
+        # Chunks keep the artifact's exact line order.
         assert plain.items == items
 
 
@@ -569,7 +669,7 @@ def generated_chunks(draw, hellos):
             draw(_AWKWARD_TEXT),
             hostnames=column(_AWKWARD_TEXT),
             parties=column(st.sampled_from(Party)),
-            months=column(st.integers(0, 40)),
+            months=column(st.integers(0, STUDY_MONTHS - 1)),
             whens=column(
                 st.datetimes(
                     min_value=datetime(2000, 1, 1),

@@ -31,7 +31,9 @@ class TestGeneratorTelemetry:
         assert handshakes.total() == len(capture.records)
         connections = registry.get("iotls_capture_connections_total")
         assert connections.total() == sum(record.count for record in capture.records)
-        assert registry.get("iotls_trace_devices_total").total() == len(capture.devices())
+        assert registry.get("iotls_trace_devices_total").total() == len(
+            {record.device for record in capture.records}
+        )
 
     def test_spans_emitted(self, default_telemetry, testbed):
         PassiveTraceGenerator(testbed, scale=1).generate()
