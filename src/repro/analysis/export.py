@@ -34,6 +34,7 @@ from ..testbed.capture import (
     RevocationEvent,
     TrafficRecord,
 )
+from ..tls.ciphersuites import REGISTRY
 from ..tls.codec import HelloWireCache
 from ..tls.messages import ClientHello
 from ..tls.versions import ProtocolVersion
@@ -245,7 +246,8 @@ def record_from_dict(
 
     ``codec`` is the artifact's hello memo; without one, a fresh memo
     is used.  A missing field raises ``KeyError``; a mistyped field, bad
-    hex or an undecodable hello raises ``ValueError``.
+    hex, an undecodable hello, or a version label or cipher codepoint
+    the registries do not know raises ``ValueError``.
     """
     if codec is None:
         codec = HelloWireCache()
@@ -270,8 +272,18 @@ def _record_row(
     when = whens.get(timestamp)
     if when is None:
         when = whens[timestamp] = datetime.fromisoformat(timestamp)
-    version = entry["established_version"]
+    label = entry["established_version"]
+    version = _VERSION_BY_LABEL.get(label) if label else None
+    if label and version is None:
+        raise ValueError(
+            f"record field 'established_version' is {label!r}, not a protocol version"
+        )
     cipher = entry["established_cipher"]
+    code = int(cipher, 16) if cipher else None
+    if code is not None and code not in REGISTRY:
+        raise ValueError(
+            f"record field 'established_cipher' is {cipher!r}, not a registered suite"
+        )
     return (
         entry["device"],
         entry["hostname"],
@@ -280,8 +292,8 @@ def _record_row(
         when,
         codec.decode(bytes.fromhex(entry["client_hello_hex"])),
         entry["established"],
-        _VERSION_BY_LABEL[version] if version else None,
-        int(cipher, 16) if cipher else None,
+        version,
+        code,
         entry["client_alert"],
         entry["downgraded"],
         entry["count"],

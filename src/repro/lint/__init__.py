@@ -1,12 +1,11 @@
 """reprolint: AST-based invariant checks for the reproduction.
 
-The headline guarantees -- byte-identical manifests across
-``--workers 1/2/4``, seeded-RNG determinism for every table/figure
-artifact, the single-counter streaming rule -- hold only as long as the
-*source* keeps a handful of disciplines.  This package checks those
-disciplines statically (stdlib :mod:`ast`, no runtime dependencies), so
-a violation fails CI at parse time instead of surfacing as a flaky
-manifest three PRs later.
+The headline guarantees -- byte-identical artifacts across processes,
+workers and hash seeds, a serve loop that never blocks -- hold only as
+long as the *source* keeps a handful of disciplines.  This package
+checks the ones no test catches statically (stdlib :mod:`ast`, no
+runtime dependencies), so a violation fails CI at parse time instead of
+surfacing as a flaky artifact three PRs later.
 
 Entry points: ``iotls lint`` and ``python -m repro.lint``; library
 callers use :func:`run_lint`.  The rule catalog lives in

@@ -21,8 +21,8 @@ __all__ = ["main", "build_parser", "configure_parser", "run_from_args"]
 
 DESCRIPTION = (
     "reprolint: AST-based invariant checks for determinism, "
-    "telemetry discipline, API hygiene, exception hygiene, and "
-    "(--whole-program) concurrency/stream-contract discipline"
+    "telemetry discipline, API hygiene, exception hygiene and "
+    "concurrency (--whole-program adds the cross-module rules)"
 )
 
 
@@ -79,15 +79,7 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
         "--whole-program",
         action="store_true",
         help="build the project graph and run the project-scope rules "
-        "(RL04x concurrency family, RL022 stream contracts)",
-    )
-    parser.add_argument(
-        "--jobs",
-        metavar="N",
-        type=int,
-        default=None,
-        help="parallelize the per-file pass over N processes "
-        "(default: serial; output is identical either way)",
+        "(RL041 blocking calls in async code, RL022 stream contracts)",
     )
     parser.add_argument(
         "--list-rules",
@@ -117,10 +109,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             print(f"    {rule.rationale}")
         return 0
 
-    if args.jobs is not None and args.jobs < 1:
-        print(f"error: --jobs must be >= 1, got {args.jobs}", file=sys.stderr)
-        return 2
-
     root = Path(args.root) if args.root else Path.cwd()
     paths = [Path(p) for p in args.paths] or None
     if paths:
@@ -148,7 +136,6 @@ def run_from_args(args: argparse.Namespace) -> int:
             select=_codes(args.select),
             ignore=_codes(args.ignore),
             whole_program=args.whole_program,
-            jobs=args.jobs,
         )
     except ValueError as exc:  # unknown rule code in --select/--ignore
         print(f"error: {exc}", file=sys.stderr)

@@ -35,20 +35,6 @@ REGISTRY_MODULE = "repro.telemetry.schemas"
 SCHEMA_ID_PATTERN = re.compile(r"iotls-[a-z][a-z0-9-]*/[0-9]+")
 
 
-def _violation(module: ModuleContext, node: ast.AST, message: str) -> Violation:
-    line = getattr(node, "lineno", 1)
-    return Violation(
-        code="RL022",
-        path=module.path,
-        line=line,
-        col=getattr(node, "col_offset", 0) + 1,
-        message=message,
-        snippet=module.snippet(line),
-        end_line=getattr(node, "end_lineno", None) or 0,
-        end_col=(getattr(node, "end_col_offset", None) or -1) + 1,
-    )
-
-
 def registered_schemas(registry: ModuleContext) -> set[str]:
     """Every schema id the registry AST declares with a literal name/version."""
     out: set[str] = set()
@@ -111,15 +97,17 @@ def check_stream_schema_contract(graph: ProjectGraph) -> Iterator[Violation]:
                 continue
             for match in sorted(set(SCHEMA_ID_PATTERN.findall(node.value))):
                 if match in registered:
-                    yield _violation(
+                    yield Violation.at(
                         module,
+                        "RL022",
                         node,
                         f"registered schema id '{match}' is hard-coded; "
                         f"import its constant from {REGISTRY_MODULE}",
                     )
                 else:
-                    yield _violation(
+                    yield Violation.at(
                         module,
+                        "RL022",
                         node,
                         f"'{match}' is not a registered stream schema; "
                         f"declare it (and its contract) in {REGISTRY_MODULE} "

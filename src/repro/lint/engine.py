@@ -1,22 +1,18 @@
 """The lint driver: discover, parse, check, baseline, report.
 
-Two passes:
+Two passes over one parse of each file:
 
-* the **module pass** runs every ``module``-scope rule over each file
-  independently -- embarrassingly parallel, so ``jobs > 1`` fans it out
-  over a spawn-context process pool (spawn matches the repo's
-  multiprocessing convention and stays fork-safety-agnostic),
-* the **whole-program pass** (``whole_program=True``) parses every file
-  in-process, builds the :class:`~repro.lint.project.ProjectGraph`, and
-  runs the ``project``-scope rules (RL04x, RL022) over it.
+* the **module pass** runs every ``module``-scope rule over each file,
+* the **whole-program pass** (``whole_program=True``) builds the
+  :class:`~repro.lint.project.ProjectGraph` from the same parsed
+  modules and runs the ``project``-scope rules over it.
 
-Output is deterministic regardless of job count: findings are sorted by
-``(path, line, col, code)`` after both passes, so CI diffs stay stable.
+Findings are sorted by ``(path, line, col, code)`` after both passes,
+so CI diffs stay stable.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from pathlib import Path
 
 from .baseline import Baseline
@@ -48,21 +44,6 @@ def _syntax_violation(path: Path, root: Path, exc: SyntaxError) -> Violation:
     )
 
 
-def _check_one_file(args: tuple[str, str, tuple[str, ...]]) -> list[dict]:
-    """Pool worker: module-scope rules over one file (picklable payload)."""
-    path_str, root_str, codes = args
-    path, root = Path(path_str), Path(root_str)
-    rules = [r for r in select_rules(select=list(codes)) if r.scope == "module"]
-    try:
-        module = parse_module(path, root)
-    except SyntaxError as exc:
-        return [_syntax_violation(path, root, exc).to_dict()]
-    found: list[Violation] = []
-    for rule in rules:
-        found.extend(rule.run(module))
-    return [violation.to_dict() for violation in found]
-
-
 def run_lint(
     paths: list[str | Path] | None = None,
     *,
@@ -71,20 +52,16 @@ def run_lint(
     select: list[str] | None = None,
     ignore: list[str] | None = None,
     whole_program: bool = False,
-    jobs: int | None = None,
 ) -> LintReport:
     """Run every selected rule over every Python file under ``paths``.
 
-    ``root`` anchors repo-relative reporting paths and the project-level
-    inputs some rules read (the API-surface baseline); it defaults to
-    the current directory.  A :class:`SyntaxError` in a checked file is
+    ``root`` anchors repo-relative reporting paths and dotted module
+    names; it defaults to the current directory.  A :class:`SyntaxError` in a checked file is
     surfaced as an ``RL000`` violation rather than an exception, so one
     broken file cannot hide findings in the rest of the tree.
 
     ``whole_program=True`` additionally builds the project graph and
-    runs the ``project``-scope rules; ``jobs=N`` (N > 1) parallelizes
-    the per-file module pass across a spawn process pool with output
-    identical to a serial run.
+    runs the ``project``-scope rules.
     """
     root = Path(root) if root is not None else Path.cwd()
     targets = [Path(p) for p in (paths or [root / part for part in DEFAULT_PATHS])]
@@ -95,30 +72,15 @@ def run_lint(
     files = list(iter_python_files(targets))
     violations: list[Violation] = []
     contexts = []
-
-    if jobs is not None and jobs > 1 and files and module_rules:
-        codes = tuple(r.code for r in module_rules)
-        work = [(str(path), str(root), codes) for path in files]
-        context = multiprocessing.get_context("spawn")
-        with context.Pool(processes=min(jobs, len(work))) as pool:
-            for payload in pool.map(_check_one_file, work):
-                violations.extend(Violation(**item) for item in payload)
-        if whole_program:
-            for path in files:
-                try:
-                    contexts.append(parse_module(path, root))
-                except SyntaxError:
-                    continue  # already reported as RL000 by the worker
-    else:
-        for path in files:
-            try:
-                module = parse_module(path, root)
-            except SyntaxError as exc:
-                violations.append(_syntax_violation(path, root, exc))
-                continue
-            contexts.append(module)
-            for rule in module_rules:
-                violations.extend(rule.run(module))
+    for path in files:
+        try:
+            module = parse_module(path, root)
+        except SyntaxError as exc:
+            violations.append(_syntax_violation(path, root, exc))
+            continue
+        contexts.append(module)
+        for rule in module_rules:
+            violations.extend(rule.run(module))
 
     if project_rules:
         from .project import build_graph

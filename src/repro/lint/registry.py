@@ -1,21 +1,17 @@
 """The rule registry: violation records, rule metadata, selection.
 
 A *rule* is a pure function from a parsed module (:class:`ModuleContext`)
-to violations, registered under a stable code (``RL001``, ...) and a
+to violations, registered under a stable code (``RL002``, ...) and a
 *family* that names the invariant class it protects:
 
-* ``determinism``        -- seeded RNGs, no wall-clock reads, ordered
-                            iteration (the byte-identical-manifest
-                            guarantee),
-* ``telemetry``          -- counters only through the registry API and
-                            never in stream paths; spans always close,
-* ``api``                -- no internal callers of deprecated names;
-                            the public surface matches its baseline,
+* ``determinism``        -- no wall-clock reads, ordered iteration (the
+                            byte-identical-manifest guarantee),
+* ``telemetry``          -- spans always close, heartbeats stay
+                            throttled, the ledger has one writer,
+* ``api``                -- stream-schema ids come from the registry,
 * ``exceptions``         -- no bare or silently swallowed exceptions,
-* ``concurrency``        -- lock discipline, async/blocking separation,
-                            spawn-safe worker payloads, stream-schema
-                            contracts (the whole-program RL04x/RL022
-                            pass over the project graph).
+* ``concurrency``        -- no blocking call on the event loop, no
+                            bare lock acquire.
 
 Rules carry their rationale so reports and ``--list-rules`` can say
 *why* a finding matters, not just where it is.
@@ -67,6 +63,24 @@ class Violation:
     #: reporter highlight the exact span instead of just the line.
     end_line: int = 0
     end_col: int = 0
+
+    @classmethod
+    def at(
+        cls, module: "ModuleContext", code: str, node: object, message: str
+    ) -> "Violation":
+        """A finding at ``node`` (an AST node) in ``module``, spanning
+        the node's full extent."""
+        line = getattr(node, "lineno", 1)
+        return cls(
+            code=code,
+            path=module.path,
+            line=line,
+            col=getattr(node, "col_offset", 0) + 1,
+            message=message,
+            snippet=module.snippet(line),
+            end_line=getattr(node, "end_lineno", None) or 0,
+            end_col=(getattr(node, "end_col_offset", None) or -1) + 1,
+        )
 
     def location(self) -> str:
         return f"{self.path}:{self.line}:{self.col}"

@@ -1,18 +1,18 @@
-"""The reprolint rule set: one function per invariant.
+"""The per-file reprolint rules: one function per invariant.
 
-Every rule here encodes a property the reproduction already relies on
--- byte-identical manifests across ``--workers 1/2/4``, seeded-RNG
-determinism for every table/figure artifact, the PR-4 single-counter
-streaming rule -- so a violation is a correctness bug waiting for a
-run to expose it, caught at parse time instead.
+Every rule here encodes a property the reproduction relies on and no
+test catches -- byte-identical artifacts across processes and hash
+seeds, throttled heartbeats, one ledger writer, spans that always
+close, failures that surface -- so a violation is a correctness bug
+waiting for a run to expose it, caught at parse time instead.
 
 Rule codes are grouped by family:
 
 * ``RL00x`` determinism, ``RL01x`` telemetry discipline,
 * ``RL03x`` exception hygiene.
 
-The API-hygiene family (``RL022``) and the concurrency family
-(``RL04x``) are whole-program rules in their own modules.
+The API-hygiene rule (``RL022``) and the concurrency family
+(``RL04x``) live in their own modules.
 """
 
 from __future__ import annotations
@@ -21,13 +21,12 @@ import ast
 from typing import Iterator
 
 from .registry import Violation, rule
-from .walker import ModuleContext, enclosing_functions, parent
+from .walker import ModuleContext, parent
 
 __all__ = [
     "CLOCK_BOUNDARY_PREFIXES",
     "LEDGER_BOUNDARY_PREFIXES",
     "PROGRESS_BOUNDARY_PREFIXES",
-    "STREAM_PATH_FUNCTIONS",
     "WALL_CLOCK_CALLS",
 ]
 
@@ -60,24 +59,6 @@ WALL_CLOCK_CALLS = frozenset(
     }
 )
 
-#: RL001 -- module-level random functions that draw from the global,
-#: unseeded RNG (process-lifetime state no manifest can account for).
-GLOBAL_RNG_CALLS = frozenset(
-    {
-        f"random.{name}"
-        for name in (
-            "random", "randint", "randrange", "choice", "choices",
-            "shuffle", "sample", "uniform", "getrandbits", "seed",
-        )
-    }
-)
-
-#: RL010 -- function scopes that form the streaming hot path: the
-#: generator's one chunk loop and the pool's chunk task.  They are
-#: gauges-only: a counter bumped here would make streaming and
-#: materialised manifests diverge.
-STREAM_PATH_FUNCTIONS = frozenset({"stream_into", "run_trace_chunk"})
-
 #: RL012 -- the progress boundary: the one module allowed to emit
 #: heartbeat/progress output directly, because every emission there
 #: funnels through a Throttle before reaching a stream.
@@ -92,64 +73,10 @@ LEDGER_BOUNDARY_PREFIXES = ("src/repro/telemetry/ledger.py",)
 #: RL003 -- calls that consume an iterable order-sensitively.
 _ORDERED_CONSUMERS = frozenset({"list", "tuple", "enumerate", "iter"})
 
-#: RL003 / RL010 contexts where a set-typed value is order-safe.
-_ORDER_SAFE_CALLS = frozenset(
-    {"sorted", "len", "min", "max", "sum", "any", "all", "set", "frozenset", "bool"}
-)
-
-
-def _violation(
-    module: ModuleContext, code: str, node: ast.AST, message: str
-) -> Violation:
-    line = getattr(node, "lineno", 1)
-    return Violation(
-        code=code,
-        path=module.path,
-        line=line,
-        col=getattr(node, "col_offset", 0) + 1,
-        message=message,
-        snippet=module.snippet(line),
-        end_line=getattr(node, "end_lineno", None) or 0,
-        end_col=(getattr(node, "end_col_offset", None) or -1) + 1,
-    )
-
 
 # ----------------------------------------------------------------------
 # Determinism family (RL00x)
 # ----------------------------------------------------------------------
-@rule(
-    "RL001",
-    "unseeded-rng",
-    "determinism",
-    "Every RNG must be an explicitly seeded random.Random instance (the "
-    "keyed-string pattern); the global RNG carries process-lifetime state "
-    "no run manifest can reproduce.",
-)
-def check_unseeded_rng(module: ModuleContext) -> Iterator[Violation]:
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = module.resolve_call(node.func)
-        if target == "random.Random":
-            if not node.args and not node.keywords:
-                yield _violation(
-                    module,
-                    "RL001",
-                    node,
-                    "random.Random() without an explicit seed argument; key it "
-                    'like random.Random(f"{seed}:{device}:...") so replays are '
-                    "byte-identical",
-                )
-        elif target in GLOBAL_RNG_CALLS:
-            yield _violation(
-                module,
-                "RL001",
-                node,
-                f"{target}() draws from the global unseeded RNG; use an "
-                "explicitly seeded random.Random instance instead",
-            )
-
-
 @rule(
     "RL002",
     "wall-clock-read",
@@ -167,7 +94,7 @@ def check_wall_clock(module: ModuleContext) -> Iterator[Violation]:
             continue
         target = module.resolve_call(node.func)
         if target in WALL_CLOCK_CALLS:
-            yield _violation(
+            yield Violation.at(
                 module,
                 "RL002",
                 node,
@@ -221,7 +148,7 @@ def check_set_iteration(module: ModuleContext) -> Iterator[Violation]:
     for node in ast.walk(module.tree):
         if isinstance(node, ast.expr) and _is_set_typed(node):
             if _iterated_without_order(node):
-                yield _violation(
+                yield Violation.at(
                     module,
                     "RL003",
                     node,
@@ -233,53 +160,6 @@ def check_set_iteration(module: ModuleContext) -> Iterator[Violation]:
 # ----------------------------------------------------------------------
 # Telemetry family (RL01x)
 # ----------------------------------------------------------------------
-@rule(
-    "RL010",
-    "counter-discipline",
-    "telemetry",
-    "Counters exist only through the MetricsRegistry get-or-create API, "
-    "and the streaming hot path is gauges-only: a counter incremented in "
-    "stream_into/chunk-worker scopes breaks the byte-identical-manifest "
-    "parity between streaming and materialised runs.",
-)
-def check_counter_discipline(module: ModuleContext) -> Iterator[Violation]:
-    in_metrics_module = module.module.endswith("telemetry.metrics")
-    for node in ast.walk(module.tree):
-        if not isinstance(node, ast.Call):
-            continue
-        target = module.resolve_call(node.func)
-        if (
-            target is not None
-            and not in_metrics_module
-            and (
-                target.endswith("metrics.Counter")
-                or target.endswith("metrics.Gauge")
-                or target.endswith("metrics.Histogram")
-            )
-        ):
-            yield _violation(
-                module,
-                "RL010",
-                node,
-                f"direct {target.rsplit('.', 1)[1]} construction bypasses the "
-                "MetricsRegistry get-or-create API (merge and export only see "
-                "registry-owned instruments)",
-            )
-            continue
-        if isinstance(node.func, ast.Attribute) and node.func.attr == "counter":
-            scopes = enclosing_functions(node)
-            hot = [name for name in scopes if name in STREAM_PATH_FUNCTIONS]
-            if hot:
-                yield _violation(
-                    module,
-                    "RL010",
-                    node,
-                    f"counter access inside streaming scope {hot[0]}(); the "
-                    "stream path is gauges-only so manifests stay identical "
-                    "to the materialised run",
-                )
-
-
 @rule(
     "RL011",
     "span-context-manager",
@@ -301,7 +181,7 @@ def check_span_usage(module: ModuleContext) -> Iterator[Violation]:
             continue
         # `with a.span(...), b.span(...)` items also land in withitem;
         # anything else (bare call, assignment, argument) is a leak.
-        yield _violation(
+        yield Violation.at(
             module,
             "RL011",
             node,
@@ -328,7 +208,7 @@ def check_heartbeat_throttling(module: ModuleContext) -> Iterator[Violation]:
             and isinstance(node.func, ast.Attribute)
             and node.func.attr == "emit_now"
         ):
-            yield _violation(
+            yield Violation.at(
                 module,
                 "RL012",
                 node,
@@ -416,7 +296,7 @@ def check_ledger_write_boundary(module: ModuleContext) -> Iterator[Violation]:
             continue
         if not _mentions_ledger(node):
             continue
-        yield _violation(
+        yield Violation.at(
             module,
             "RL013",
             node,
@@ -463,7 +343,7 @@ def check_exception_hygiene(module: ModuleContext) -> Iterator[Violation]:
         if not isinstance(node, ast.ExceptHandler):
             continue
         if node.type is None:
-            yield _violation(
+            yield Violation.at(
                 module,
                 "RL030",
                 node,
@@ -471,7 +351,7 @@ def check_exception_hygiene(module: ModuleContext) -> Iterator[Violation]:
                 "name the exception types the code can actually handle",
             )
         elif _is_broad(node.type) and _swallows(node):
-            yield _violation(
+            yield Violation.at(
                 module,
                 "RL030",
                 node,

@@ -20,7 +20,6 @@ __all__ = [
     "iter_python_files",
     "parse_module",
     "dotted_name",
-    "enclosing_functions",
 ]
 
 #: Directory names never descended into.
@@ -56,17 +55,6 @@ def parent(node: ast.AST) -> ast.AST | None:
     return getattr(node, "_reprolint_parent", None)
 
 
-def enclosing_functions(node: ast.AST) -> list[str]:
-    """Names of the def/async-def scopes around ``node``, innermost first."""
-    names = []
-    current = parent(node)
-    while current is not None:
-        if isinstance(current, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            names.append(current.name)
-        current = parent(current)
-    return names
-
-
 def _module_name(relative: Path) -> str:
     """Dotted module name for a repo-relative path (best effort)."""
     parts = list(relative.parts)
@@ -87,9 +75,7 @@ class ModuleContext:
 
     path: str  # repo-relative posix path
     module: str  # dotted module name ("" when underivable)
-    source: str
     tree: ast.Module
-    root: Path  # repo root the lint run is anchored at
     lines: list[str] = field(default_factory=list)
     #: local name -> canonical dotted prefix, from import statements.
     imports: dict[str, str] = field(default_factory=dict)
@@ -161,9 +147,7 @@ def parse_module(path: Path, root: Path) -> ModuleContext:
     return ModuleContext(
         path=relative,
         module=dotted_name(path.resolve(), root.resolve()),
-        source=source,
         tree=tree,
-        root=root,
         lines=source.splitlines(),
         imports=_collect_imports(tree),
     )

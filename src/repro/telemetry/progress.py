@@ -23,7 +23,7 @@ enforces that everywhere else goes through the rate-limited
   without tearing.
 
 Heartbeat data is wall-clock-derived and therefore lives entirely
-outside run manifests: the reporter touches no counters (RL010) and the
+outside run manifests: the reporter touches no counters and the
 heartbeat stream is excluded from the deterministic metrics slice by
 construction.
 """

@@ -120,7 +120,9 @@ class _Reader:
 
 
 def _deterministic_random(seed: str) -> bytes:
-    return hashlib.sha256(f"tls-random:{seed}".encode()).digest()
+    # surrogatepass: a lone surrogate in a device or host name (JSON can
+    # carry one) must seed a random, not crash the writer.
+    return hashlib.sha256(f"tls-random:{seed}".encode("utf-8", "surrogatepass")).digest()
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,14 @@ worker-invariance guarantee (manifests byte-identical across --workers)."""
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import telemetry
 from repro.cli import main
 from repro.telemetry import (
@@ -123,6 +128,30 @@ class TestWorkerInvariance:
             manifests[n] = (out / "manifest.json").read_bytes()
         capsys.readouterr()
         assert manifests["1"] == manifests[workers]
+
+    def test_trace_manifest_independent_of_hash_seed(self, tmp_path):
+        """Set and dict-of-str order follows ``PYTHONHASHSEED``; two
+        interpreters with different hash seeds must still write the same
+        manifest and the same stream artifact, byte for byte.  Separate
+        processes, because the hash seed is fixed at interpreter start."""
+        src = Path(repro.__file__).resolve().parents[1]
+        outputs = {}
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"hash{hash_seed}"
+            out.mkdir()
+            env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=hash_seed)
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "trace", "--scale", "1",
+                    "--telemetry", "--manifest", "manifest.json",
+                    "--stream-out", "trace.jsonl", "--no-ledger",
+                ],
+                cwd=out, env=env, capture_output=True, check=True,
+            )
+            outputs[hash_seed] = [
+                (out / name).read_bytes() for name in ("manifest.json", "trace.jsonl")
+            ]
+        assert outputs["0"] == outputs["1"]
 
     def test_digest_always_printed_without_flag(self, capsys):
         status = main(["trace", "--scale", "1", "--seed", "manifest-print"])

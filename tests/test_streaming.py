@@ -55,6 +55,7 @@ from repro.testbed import (
     RecordChunk,
     RevocationEvent,
 )
+from repro.tls.ciphersuites import REGISTRY
 from repro.tls.versions import ProtocolVersion, VersionBand
 
 
@@ -448,8 +449,24 @@ class TestDamagedArtifacts:
             (lambda payload: {"record": {}}, "missing field 'device'"),
             (lambda payload: {"record": dict(payload["record"], count="3")}, "record field 'count'"),
             (lambda payload: {"record": dict(payload["record"], client_hello_hex="zz")}, "non-hex"),
+            (
+                lambda payload: {"record": dict(payload["record"], established_version="TLS 9.9")},
+                "record field 'established_version' is 'TLS 9.9'",
+            ),
+            (
+                lambda payload: {"record": dict(payload["record"], established_cipher="beef")},
+                "record field 'established_cipher' is 'beef'",
+            ),
         ],
-        ids=["non-object", "record-5", "missing-device", "mistyped-count", "bad-hex"],
+        ids=[
+            "non-object",
+            "record-5",
+            "missing-device",
+            "mistyped-count",
+            "bad-hex",
+            "unknown-version",
+            "unknown-cipher",
+        ],
     )
     def test_malformed_line_names_its_number(self, tmp_path, lines, damage, message):
         damaged = json.dumps(damage(json.loads(lines[1]))) + "\n"
@@ -682,7 +699,7 @@ def generated_chunks(draw, hellos):
             client_hellos=column(st.sampled_from(hellos)),
             establisheds=column(st.booleans()),
             established_versions=column(st.none() | st.sampled_from(ProtocolVersion)),
-            established_cipher_codes=column(st.none() | st.integers(0, 0xFFFF)),
+            established_cipher_codes=column(st.none() | st.sampled_from(sorted(REGISTRY))),
             client_alerts=column(st.none() | _AWKWARD_TEXT),
             downgradeds=column(st.booleans()),
             counts=column(st.integers(1, 20)),
