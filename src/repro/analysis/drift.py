@@ -30,9 +30,12 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from ..testbed.capture import GatewayCapture
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel import WarmWorkerPool
 
 __all__ = [
     "DriftReport",
@@ -310,7 +313,7 @@ def _measure_static(testbed) -> dict[str, float | int]:
 
 
 def measure_all(
-    *, scale: int = 1, seed: str = "iotls-passive", workers: int = 1
+    *, scale: int = 1, seed: str = "iotls-passive", pool: WarmWorkerPool | None = None
 ) -> dict[str, float | int]:
     """Regenerate everything and measure every checkable cell."""
     from ..core import ActiveExperimentCampaign
@@ -321,9 +324,9 @@ def measure_all(
     testbed = Testbed()
     pipeline = TraceAnalysisPipeline()
     PassiveTraceGenerator(testbed, scale=scale, seed=seed).stream_into(
-        CaptureTee(pipeline), workers=workers
+        CaptureTee(pipeline), pool=pool
     )
-    results = ActiveExperimentCampaign(testbed).run(workers=workers)
+    results = ActiveExperimentCampaign(testbed).run(pool=pool)
     measured = measure_analysis(pipeline.finalize())
     measured.update(_measure_campaign(results, testbed.universe))
     measured.update(_measure_static(testbed))
@@ -358,13 +361,13 @@ def audit_fresh_run(
     *,
     scale: int = 1,
     seed: str = "iotls-passive",
-    workers: int = 1,
+    pool: WarmWorkerPool | None = None,
     expectations_path: str | Path | None = None,
 ) -> DriftReport:
     """Run the full pipeline and audit it (the ``iotls check`` default)."""
     return audit(
         load_expectations(expectations_path),
-        measure_all(scale=scale, seed=seed, workers=workers),
+        measure_all(scale=scale, seed=seed, pool=pool),
     )
 
 

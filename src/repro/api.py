@@ -14,7 +14,7 @@ Two layers make up the facade:
   flow cap, ...) and round-trips JSON via
   :meth:`RunRequest.from_document` / :meth:`RunRequest.to_document` --
   it is the wire format of a dispatchable run.  :class:`ExecutionOptions`
-  holds the host-local knobs (workers, warm pool, ledger path,
+  holds the host-local knobs (the warm pool, ledger path,
   telemetry/progress sinks) that never enter a digest or a manifest.
   :class:`RunConfig` composes the two and stays the convenient
   single-object configuration for library callers.
@@ -49,7 +49,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable, Iterator
+from typing import TYPE_CHECKING, Any, Callable, Iterator
 
 from . import telemetry
 from .telemetry import DEFAULT_LEDGER_PATH
@@ -62,7 +62,9 @@ from .analysis.export import (
     write_json,
 )
 from .analysis.streaming import TraceAnalysis, TraceAnalysisPipeline
-from .parallel import pool_session
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from .parallel import WarmWorkerPool
 
 __all__ = [
     "AuditResult",
@@ -191,8 +193,6 @@ class ExecutionOptions:
     service pins server-side while tenants only supply requests.
     """
 
-    #: Worker processes for device sharding; output is identical for any N.
-    workers: int = 1
     #: Enable the telemetry subsystem for this run.
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
@@ -207,6 +207,11 @@ class ExecutionOptions:
     #: ``progress`` is set).  The serve layer points this at its access
     #: log so per-run heartbeats land in one server-wide stream.
     progress_stream: Callable[[str], None] | None = None
+    #: The warm worker pool to shard devices onto (``iotls serve``
+    #: passes its resident one); ``None`` runs in-process.  Output is
+    #: identical either way.  A pooled run carries no telemetry, so
+    #: ``telemetry``/``progress`` with a pool raise ``ValueError``.
+    pool: WarmWorkerPool | None = None
 
 
 @dataclass(frozen=True)
@@ -225,8 +230,6 @@ class RunConfig:
     scale: int = 40
     #: Passive-trace generator seed (``trace`` and ``check`` only).
     seed: str = "iotls-passive"
-    #: Worker processes for device sharding; output is identical for any N.
-    workers: int = 1
     #: Enable the telemetry subsystem for this run.
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
@@ -250,6 +253,8 @@ class RunConfig:
     limit: int | None = None
     #: Progress-line sink override (see :class:`ExecutionOptions`).
     progress_stream: Callable[[str], None] | None = None
+    #: Warm worker pool (see :class:`ExecutionOptions`).
+    pool: WarmWorkerPool | None = None
 
     @property
     def request(self) -> RunRequest:
@@ -532,10 +537,21 @@ def _check_params(request: Any) -> dict[str, Any]:
 # ----------------------------------------------------------------------
 # Internals
 # ----------------------------------------------------------------------
+def _workers(config: RunConfig) -> int:
+    """Processes a run's work spans: the pool's size, or 1 in-process."""
+    return config.pool.workers if config.pool is not None else 1
+
+
 def _configure_telemetry(config: RunConfig) -> None:
     # Progress reporting rides on the telemetry runtime (spans and
     # resource gauges), so --progress implies telemetry.
     if config.telemetry or config.progress:
+        # Refuse before any artifact is opened; the pool itself refuses
+        # dispatch under telemetry for callers that bypass this facade.
+        if config.pool is not None:
+            raise ValueError(
+                "pooled runs carry no telemetry: drop telemetry/progress or the pool"
+            )
         telemetry.configure(enabled=True)
 
 
@@ -579,9 +595,7 @@ def _progress_session(
         interval=config.heartbeat_interval, registry=runtime.registry
     ).start()
     writer = (
-        telemetry.HeartbeatWriter(
-            heartbeat_path, metadata={"label": label, "workers": config.workers}
-        )
+        telemetry.HeartbeatWriter(heartbeat_path, metadata={"label": label})
         if heartbeat_path is not None
         else None
     )
@@ -613,9 +627,10 @@ class _LedgerNote:
     """What one run body reports to its ledger entry.
 
     The run functions fill this in as evidence becomes available --
-    manifest + digest once built, artifacts, the health summary, pool
-    reuse stats, per-phase wall times -- and :func:`_ledger_session`
-    folds it into the final ``iotls-run-ledger/1`` entry on exit.
+    manifest + digest once built, artifacts, the health summary,
+    per-phase wall times -- and :func:`_ledger_session` folds it (with
+    the pool's reuse stats) into the final ``iotls-run-ledger/1`` entry
+    on exit.
     """
 
     def __init__(self) -> None:
@@ -624,7 +639,6 @@ class _LedgerNote:
         self.artifacts: dict[str, Path] = {}
         self.health: dict[str, Any] | None = None
         self.phases: dict[str, float] = {}
-        self.pool: dict[str, Any] | None = None
 
     def record(
         self,
@@ -642,10 +656,6 @@ class _LedgerNote:
             self.artifacts = dict(artifacts)
         if health is not None:
             self.health = health
-
-    def observe_pool(self, pool: Any | None) -> None:
-        if pool is not None:
-            self.pool = pool.stats()
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -683,7 +693,7 @@ def _ledger_session(
                     command,
                     params=params,
                     status="error",
-                    workers=config.workers,
+                    workers=_workers(config),
                     seconds=perf_counter() - started,
                     error=exc,
                 ),
@@ -696,10 +706,10 @@ def _ledger_session(
         telemetry.build_entry(
             command,
             params=params,
-            workers=config.workers,
+            workers=_workers(config),
             seconds=perf_counter() - started,
             phases=note.phases or None,
-            pool=note.pool,
+            pool=config.pool.stats() if config.pool is not None else None,
             manifest=note.manifest,
             manifest_digest=note.manifest_digest,
             artifacts=note.artifacts or None,
@@ -753,9 +763,7 @@ def _execute_trace(
     )
     artifacts: dict[str, Path] = {}
     with _ledger_session(config, "trace", _trace_params(config)) as note:
-        with _progress_session(
-            config, heartbeat_path, label="trace"
-        ) as reporter, pool_session(config.workers) as pool:
+        with _progress_session(config, heartbeat_path, label="trace") as reporter:
             pipeline = TraceAnalysisPipeline()
             sinks: list[Any] = [pipeline]
             writer = capture = None
@@ -770,7 +778,7 @@ def _execute_trace(
             # The tee is the single counting stage of the chain, so the
             # manifest's metrics are the same in both modes.
             try:
-                generator.stream_into(CaptureTee(*sinks), workers=config.workers)
+                generator.stream_into(CaptureTee(*sinks), pool=config.pool)
             finally:
                 if writer is not None:
                     writer.close()
@@ -794,7 +802,6 @@ def _execute_trace(
                     },
                 )
                 artifacts["records_json"] = write_json(document, json_path)
-            note.observe_pool(pool)
         manifest, digest = _build_manifest("trace", _trace_params(config), artifacts)
         health = reporter.summary if reporter is not None else None
         note.record(
@@ -830,18 +837,15 @@ def _execute_audit(
     _configure_telemetry(config)
     params = _audit_params(config)
     with _ledger_session(config, "audit", params) as note:
-        with _progress_session(
-            config, heartbeat_path, label="audit"
-        ) as reporter, pool_session(config.workers) as pool:
+        with _progress_session(config, heartbeat_path, label="audit") as reporter:
             results = ActiveExperimentCampaign().run(
-                include_passthrough=config.include_passthrough, workers=config.workers
+                include_passthrough=config.include_passthrough, pool=config.pool
             )
             artifacts: dict[str, Path] = {}
             if json_path is not None:
                 artifacts["campaign_json"] = write_json(
                     campaign_to_document(results), json_path
                 )
-            note.observe_pool(pool)
         manifest, digest = _build_manifest("audit", params, artifacts)
         health = reporter.summary if reporter is not None else None
         note.record(
@@ -938,24 +942,17 @@ def _execute_report(
     # The report's digest holds no seed: always the default one.
     generator = PassiveTraceGenerator(testbed, scale=config.scale)
     with _ledger_session(config, "report", _report_params(config)) as note:
-        with _progress_session(
-            config, heartbeat_path, label="report"
-        ) as reporter, pool_session(config.workers) as pool:
-            # One pool session spans both phases: the campaign's shards and
-            # the trace's chunks land on the same warm processes, so the
-            # spawn + import + testbed cost is paid once per run, not once
-            # per phase.
+        with _progress_session(config, heartbeat_path, label="report") as reporter:
             notify("running active campaign...")
             with note.phase("campaign"):
-                results = ActiveExperimentCampaign(testbed).run(workers=config.workers)
+                results = ActiveExperimentCampaign(testbed).run(pool=config.pool)
             notify("generating passive trace...")
             with note.phase("trace"):
                 pipeline = TraceAnalysisPipeline()
-                generator.stream_into(CaptureTee(pipeline), workers=config.workers)
+                generator.stream_into(CaptureTee(pipeline), pool=config.pool)
                 analysis = pipeline.finalize()
             with note.phase("render"):
                 path = write_report(testbed, results, analysis, out)
-            note.observe_pool(pool)
         artifacts = {"report_md": path}
         manifest, digest = _build_manifest("report", _report_params(config), artifacts)
         health = reporter.summary if reporter is not None else None
@@ -994,9 +991,7 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
     # The pcap's digest holds no seed: always the default one.
     generator = PassiveTraceGenerator(scale=config.scale)
     with _ledger_session(config, "pcap", params) as note:
-        with pool_session(config.workers) as pool:
-            capture = generator.generate(workers=config.workers)
-            note.observe_pool(pool)
+        capture = generator.generate(pool=config.pool)
         path = write_pcap(capture, out, limit=limit)
         packets = limit if limit is not None else len(capture)
         artifacts = {"pcap": path}
@@ -1036,13 +1031,12 @@ def _execute_check(
         report = audit_artifact(artifact_path, expectations_path=expected_path)
         params["artifact"] = str(artifact_path)
     else:
-        with pool_session(config.workers):
-            report = audit_fresh_run(
-                scale=config.scale,
-                seed=config.seed,
-                workers=config.workers,
-                expectations_path=expected_path,
-            )
+        report = audit_fresh_run(
+            scale=config.scale,
+            seed=config.seed,
+            pool=config.pool,
+            expectations_path=expected_path,
+        )
     drifted = sorted(cell.expectation.id for cell in report.drifted)
     if config.ledger is not None:
         # The drift verdict is run history worth querying later: `iotls
@@ -1053,7 +1047,7 @@ def _execute_check(
                 kind="check",
                 status="ok" if report.ok else "error",
                 params=params,
-                workers=config.workers,
+                workers=_workers(config),
                 drift={"ok": report.ok, "drifted": drifted, "cells": len(report.cells)},
                 error=(
                     None

@@ -99,11 +99,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         action="store_true",
         help="enable the telemetry subsystem (metrics, spans)",
     )),
-    "workers": ("--workers", dict(
-        type=int, default=1, metavar="N",
-        help="worker processes for device sharding (default 1 = in-process); "
-        "output is identical for any N",
-    )),
     "progress": ("--progress", dict(
         action="store_true",
         help="print throttled live-progress heartbeats to stderr "
@@ -191,12 +186,17 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         type=int, default=1, metavar="SECONDS",
         help="Retry-After seconds advertised on 429 responses (default %(default)s)",
     )),
+    "workers": ("--workers", dict(
+        type=int, default=1, metavar="N",
+        help="size of the resident warm worker pool that cache misses shard "
+        "onto (default 1 = in-process); output is identical for any N",
+    )),
 }
 
 _PROFILE = ("profile", "profile_out")
 _PROGRESS = ("progress", "heartbeat_path", "heartbeat_interval")
 _LEDGER = ("ledger", "no_ledger")
-_OBSERVED = ("telemetry", "metrics_out", "workers", "manifest", *_PROFILE, *_PROGRESS)
+_OBSERVED = ("telemetry", "metrics_out", "manifest", *_PROFILE, *_PROGRESS)
 
 #: The flags each subcommand takes (in help order) and the defaults it
 #: overrides.
@@ -213,12 +213,12 @@ _COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     "devices": (("telemetry",), {}),
     "report": (("out", "scale", *_OBSERVED, *_LEDGER), {"out": "REPORT.md"}),
     "pcap": (
-        ("out", "scale", "limit", "telemetry", "workers", "manifest", *_LEDGER),
+        ("out", "scale", "limit", "telemetry", "manifest", *_LEDGER),
         {"out": "iotls.pcap", "scale": 10},
     ),
     "check": (
         ("scale", "seed", "expected_path", "artifact_path", "telemetry",
-         "workers", "json_path", *_LEDGER),
+         "json_path", *_LEDGER),
         {"scale": 1},
     ),
     "serve": (
@@ -564,10 +564,7 @@ def _cmd_check(args) -> int:
     if args.artifact_path:
         print(f"auditing artifact {args.artifact_path} (capture-derived cells only)\n")
     else:
-        print(
-            f"auditing fresh run (scale {args.scale}, seed {args.seed!r}, "
-            f"workers {args.workers})...\n"
-        )
+        print(f"auditing fresh run (scale {args.scale}, seed {args.seed!r})...\n")
     try:
         # Either path is a registered run that appends its own check
         # ledger entry, drift verdict included.
@@ -722,7 +719,7 @@ def _cmd_serve(args) -> int:
     """Run the resident fleet service until interrupted.
 
     Exit codes: 0 = clean shutdown, 2 = usage error (serve needs a
-    ledger: it is the result cache's index).
+    ledger: it is the result cache's index; a pool needs >= 2 workers).
     """
     import asyncio
 
@@ -787,7 +784,7 @@ def _emit_profile(args: argparse.Namespace) -> int:
     """Render/export the run's span profile.  Returns 1 if no spans."""
     from .telemetry import Profiler, render_hot_table
 
-    profiler = Profiler.from_runtime(telemetry.get())
+    profiler = Profiler.from_tracer(telemetry.get_tracer())
     print("\nhot spans:")
     print(render_hot_table(profiler))
     if args.profile_out:
@@ -810,7 +807,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         status = _COMMANDS[args.command](args)
     except (api.RunError, ValueError) as exc:
-        if args.command not in api.command_names():
+        if args.command not in (*api.command_names(), "serve"):
             raise
         print(f"error: {exc}", file=sys.stderr)
         status = 2

@@ -19,7 +19,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .. import telemetry as _telemetry
 from ..devices.catalog import active_devices
@@ -29,6 +29,9 @@ from .downgrade import DeviceDowngradeReport, DowngradeAuditor, OldVersionSuppor
 from .interception import DeviceInterceptionReport, InterceptionAuditor
 from .passthrough import PassthroughExperiment, PassthroughOutcome
 from .prober import DeviceProbeReport, RootStoreProber
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel import WarmWorkerPool
 
 __all__ = ["CampaignResults", "ActiveExperimentCampaign"]
 
@@ -100,25 +103,21 @@ class ActiveExperimentCampaign:
         self.testbed = testbed or Testbed()
 
     def run(
-        self, *, include_passthrough: bool = True, workers: int = 1
+        self, *, include_passthrough: bool = True, pool: WarmWorkerPool | None = None
     ) -> CampaignResults:
-        """Run every phase, optionally sharded across worker processes.
+        """Run every phase, optionally sharded across a worker pool.
 
-        ``workers=1`` (the default) runs the serial phase-major loop
-        in-process.  ``workers>1`` shards the active roster across that
-        many processes, each running all phases device-major, and
-        reassembles the phase-major result lists in catalog order.  The
+        Without a ``pool`` (the default) the serial phase-major loop runs
+        in-process.  With one, the active roster is sharded across its
+        processes, each running all phases device-major, and the
+        phase-major result lists are reassembled in catalog order.  The
         two orders are equivalent because every phase's state is
         per-device.  Workers rebuild the default testbed, so a campaign
-        over a custom testbed must run serially.  Phase wall-time gauges
-        (``iotls_campaign_phase_seconds``) only exist in serial runs;
-        counters, probe results, and headline numbers are identical.
+        over a custom testbed must run serially.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
-        if workers == 1:
+        if pool is None:
             return self._run_serial(include_passthrough)
-        return self._run_parallel(include_passthrough, workers)
+        return self._run_parallel(include_passthrough, pool)
 
     def _run_serial(self, include_passthrough: bool) -> CampaignResults:
         results = CampaignResults()
@@ -176,35 +175,21 @@ class ActiveExperimentCampaign:
 
         return results
 
-    def _run_parallel(self, include_passthrough: bool, workers: int) -> CampaignResults:
-        """Shard the roster onto the session pool, merge in catalog order."""
-        from ..parallel import CampaignShardTask, pool_session, run_campaign_shard
+    def _run_parallel(
+        self, include_passthrough: bool, pool: WarmWorkerPool
+    ) -> CampaignResults:
+        """Shard the roster onto the pool, merge in catalog order."""
+        from ..parallel import CampaignShardTask, run_campaign_shard
 
         order = [profile.name for profile in active_devices()]
-        # Stitching anchor for the campaign: workers' shard.run spans
-        # re-parent under this dispatch span on merge.
-        with _TELEMETRY.tracer.span(
-            "parallel.dispatch", workers=workers, devices=len(order)
-        ), pool_session(workers) as pool:
-            span_parent = _TELEMETRY.tracer.propagation_context()
-            tasks = [
-                CampaignShardTask(
-                    worker_id=worker_id,
-                    device_names=tuple(shard),
-                    include_passthrough=include_passthrough,
-                    telemetry=_TELEMETRY.enabled,
-                    span_parent=span_parent,
-                )
-                for worker_id, shard in enumerate(round_robin_shards(order, workers))
-            ]
-            shard_results = pool.map(run_campaign_shard, tasks)
-        if _TELEMETRY.enabled:
-            _TELEMETRY.merge_worker_states([result.telemetry for result in shard_results])
-        outcomes = {
-            outcome.device: outcome
-            for result in shard_results
-            for outcome in result.devices
-        }
+        tasks = [
+            CampaignShardTask(
+                device_names=tuple(shard), include_passthrough=include_passthrough
+            )
+            for shard in round_robin_shards(order, pool.workers)
+        ]
+        shards = pool.map(run_campaign_shard, tasks)
+        outcomes = {outcome.device: outcome for shard in shards for outcome in shard}
         progress = _TELEMETRY.progress
         results = CampaignResults()
         for name in order:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from contextlib import closing
 from time import perf_counter
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .. import telemetry as _telemetry
 from ..devices.catalog import passive_devices
@@ -34,6 +34,9 @@ from ..testbed.capture import (
     RevocationEvent,
 )
 from ..testbed.infrastructure import Testbed
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..parallel import WarmWorkerPool
 
 __all__ = ["PassiveTraceGenerator", "DEFAULT_SCALE"]
 
@@ -90,7 +93,7 @@ class PassiveTraceGenerator:
         :class:`~repro.testbed.capture.TrafficRecord` construction), and
         revocation side effects (CRL regeneration, OCSP responses) fire
         at the same month boundaries as always.  Every sink -- serial
-        or fed by parallel workers -- folds or expands the returned
+        or fed by pool workers -- folds or expands the returned
         chunk.
         """
         device = self.testbed.device(profile)
@@ -192,12 +195,8 @@ class PassiveTraceGenerator:
     def _device_chunk_instrumented(self, profile: DeviceProfile) -> RecordChunk:
         """:meth:`generate_device_chunk` in the per-device telemetry envelope.
 
-        Every path -- the serial loop and the pool's chunk tasks --
-        replays a device through this method, so the span and counter a
-        device produces are identical whichever process replays it: the
-        property that makes merged parallel counter totals equal the
-        serial ones.  ``flow_records`` is the chunk's base-record
-        count, before any flow-cap splitting.
+        ``flow_records`` is the chunk's base-record count, before any
+        flow-cap splitting.
         """
         if not _TELEMETRY.enabled:
             return self.generate_device_chunk(profile)
@@ -210,7 +209,7 @@ class PassiveTraceGenerator:
         return chunk
 
     # ------------------------------------------------------------------
-    def generate(self, *, workers: int = 1) -> GatewayCapture:
+    def generate(self, *, pool: WarmWorkerPool | None = None) -> GatewayCapture:
         """The full 27-month capture for all 40 devices.
 
         :meth:`stream_into` a fresh :class:`GatewayCapture`, returned.
@@ -218,10 +217,12 @@ class PassiveTraceGenerator:
         constructed over a custom universe must run serially.
         """
         capture = GatewayCapture()
-        self.stream_into(capture, workers=workers)
+        self.stream_into(capture, pool=pool)
         return capture
 
-    def stream_into(self, sink: CaptureSink, *, workers: int = 1) -> None:
+    def stream_into(
+        self, sink: CaptureSink, *, pool: WarmWorkerPool | None = None
+    ) -> None:
         """Stream the full capture into ``sink``, one device chunk at a time.
 
         The one generator loop: each device is replayed into one
@@ -231,12 +232,11 @@ class PassiveTraceGenerator:
         independent of ``scale`` and ``flow_cap`` -- unless the sink
         itself keeps records, as a :class:`GatewayCapture` does.
 
-        ``workers>1`` runs one task per device on the session pool
-        (:meth:`_chunks`) and folds chunks home in catalog order, so
-        the sink observes exactly the serial arrival order: because
-        every flow's RNG is keyed by ``(seed, device, hostname,
-        month)``, outputs and run manifests are invariant under
-        ``workers``.
+        With a ``pool``, each device is one task on it (:meth:`_chunks`)
+        and chunks fold home in catalog order, so the sink observes
+        exactly the serial arrival order: because every flow's RNG is
+        keyed by ``(seed, device, hostname, month)``, outputs and run
+        manifests are the same with or without the pool.
 
         A ``flow_cap`` splits batched records just before ``sink``
         (:class:`~repro.testbed.capture.FlowRecordChunker`): the cap is
@@ -250,8 +250,6 @@ class PassiveTraceGenerator:
         its largest chunk; gauges stay out of the manifest's
         deterministic-metrics slice.
         """
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         target: CaptureSink = (
             sink if self.flow_cap is None else FlowRecordChunker(sink, self.flow_cap)
         )
@@ -260,8 +258,8 @@ class PassiveTraceGenerator:
         peak_staged = 0
         started = perf_counter()
         with _TELEMETRY.tracer.span(
-            "trace.generate", scale=self.scale, seed=self.seed, workers=workers
-        ) as root, closing(self._chunks(workers)) as chunks:
+            "trace.generate", scale=self.scale, seed=self.seed
+        ) as root, closing(self._chunks(pool)) as chunks:
             for chunk in chunks:
                 peak_staged = max(peak_staged, len(chunk))
                 before = sink.records_seen
@@ -282,47 +280,23 @@ class PassiveTraceGenerator:
         ).set(float(peak_staged))
 
     # ------------------------------------------------------------------
-    def _chunks(self, workers: int) -> Iterator[RecordChunk]:
+    def _chunks(self, pool: WarmWorkerPool | None) -> Iterator[RecordChunk]:
         """Every device's chunk, in catalog order.
 
-        ``workers=1`` replays devices in-process.  Otherwise each device
-        is one task on the session pool and chunks come home through
-        ``Pool.imap`` in task order.  The dispatch span wraps task
-        fan-out *and* the caller's fold (chunks stream home as they
-        finish); its open span path re-parents every worker
-        ``chunk.run`` under the run's root span (``trace.generate``) and
-        ``parallel.dispatch`` once the workers' telemetry merges, after
-        the last chunk.  Callers consume it
-        under ``contextlib.closing`` so a failing fold exits the span
-        and the pool session at once, not when the generator is
-        collected.
+        Without a pool, devices replay in-process.  Otherwise each
+        device is one task on the pool and chunks come home through
+        ``Pool.imap`` in task order.  Callers consume it under
+        ``contextlib.closing`` so a failing fold abandons the dispatch at
+        once, not when the generator is collected.
         """
-        if workers == 1:
+        if pool is None:
             for profile in passive_devices():
                 yield self._device_chunk_instrumented(profile)
             return
-        from ..parallel import TraceChunkTask, pool_session, run_trace_chunk
+        from ..parallel import TraceChunkTask, run_trace_chunk
 
-        order = [profile.name for profile in passive_devices()]
-        states = []
-        with _TELEMETRY.tracer.span(
-            "parallel.dispatch", workers=workers, devices=len(order)
-        ), pool_session(workers) as pool:
-            span_parent = _TELEMETRY.tracer.propagation_context()
-            tasks = [
-                TraceChunkTask(
-                    index=index,
-                    device_name=name,
-                    seed=self.seed,
-                    scale=self.scale,
-                    telemetry=_TELEMETRY.enabled,
-                    span_parent=span_parent,
-                )
-                for index, name in enumerate(order)
-            ]
-            for result in pool.imap(run_trace_chunk, tasks):
-                if result.telemetry is not None:
-                    states.append(result.telemetry)
-                yield result.chunk
-        if states:
-            _TELEMETRY.merge_worker_states(states)
+        tasks = [
+            TraceChunkTask(device_name=profile.name, seed=self.seed, scale=self.scale)
+            for profile in passive_devices()
+        ]
+        yield from pool.imap(run_trace_chunk, tasks)

@@ -1,49 +1,35 @@
-"""The session pool: the one way ``--workers N`` work leaves the process.
+"""The warm worker pool: the one way work leaves the process.
 
-Every parallel dispatch -- the campaign's device shards and the trace's
-per-device chunks -- runs on a :class:`WarmWorkerPool`: one ``spawn``
-pool whose processes are started once, warmed by an initializer that
-preloads the device catalog and the default testbed (the two expensive
-pure-function caches worker tasks need), and then reused by every
-``map``/``imap`` batch of the session.
+A :class:`WarmWorkerPool` is one ``spawn`` pool whose processes are
+started once, warmed by an initializer that preloads the device catalog
+and the default testbed (the two expensive pure-function caches worker
+tasks need), and then reused by every ``map``/``imap`` batch.
 
-:func:`pool_session` is the activation point.  Callers write ``with
-pool_session(workers) as pool:`` and dispatch on ``pool`` directly.
-With no session active it opens (and on exit closes) a pool of its
-own; inside an outer session it yields the outer pool, so the API
-layer's one session per run -- or ``iotls serve``'s one session per
-server -- puts a run's trace, audit and report phases on the same warm
-processes and pays spawn + import once.
+Only ``iotls serve`` holds one: the fleet service owns a pool for its
+lifetime and passes it to each run as ``RunConfig(pool=...)``.  One-shot
+commands run serially, because spawning and warming processes costs
+more than a single run saves (``docs/architecture.md`` has the numbers).
 
 Determinism is untouched: ``Pool.map``/``Pool.imap`` return results in
-task order regardless of which process finishes first, and pooled task
-functions reset their telemetry runtime at task start (see
-:mod:`repro.parallel.workers`), so per-task exports stay per-task
-increments whether the process is fresh or reused.
+task order regardless of which process finishes first.  Pool processes
+never enable telemetry, so nothing of theirs comes home but results;
+dispatching while the caller's telemetry is on raises ``ValueError``
+rather than return counters that miss the pooled work.
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import threading
-from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Iterator, Sequence, TypeVar
 
-__all__ = ["WarmWorkerPool", "pool_session"]
+from .. import telemetry
+
+__all__ = ["WarmWorkerPool"]
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
-
-#: The pool of the outermost open :func:`pool_session`.
-_ACTIVE_POOL: "WarmWorkerPool | None" = None
-
-#: Guards session creation/teardown: concurrent server request threads
-#: entering :func:`pool_session` must agree on one pool rather than
-#: racing to spawn several.  (``multiprocessing.Pool`` itself is safe
-#: to dispatch onto from several threads at once.)
-_SESSION_LOCK = threading.Lock()
-
 
 def _warm_worker() -> None:
     """Pool-process initializer: preload the caches every task needs.
@@ -80,7 +66,7 @@ class WarmWorkerPool:
         #: plus imap item waits).  Monotonic-clock accounting for the
         #: run ledger's pool stats; never feeds a manifest.
         self.dispatch_seconds = 0.0
-        #: Several serve executor threads dispatch onto one session pool
+        #: Several serve executor threads dispatch onto the pool
         #: concurrently (Pool itself is thread-safe); the counters above
         #: need the same protection or concurrent += updates lose bumps.
         self._stats_lock = threading.Lock()
@@ -91,6 +77,10 @@ class WarmWorkerPool:
         self._closed = False
 
     def _begin(self, tasks: Sequence) -> None:
+        if telemetry.enabled():
+            raise ValueError(
+                "pooled runs carry no telemetry: run serially to observe a run"
+            )
         with self._stats_lock:
             self.batches += 1
             self.tasks_dispatched += len(tasks)
@@ -166,8 +156,7 @@ class WarmWorkerPool:
         """Shut the processes down; idempotent.
 
         With every dispatch drained there is nothing left to wait for:
-        workers write nothing durable (their telemetry came home inside
-        the results), so ``terminate()`` skips the interpreter-shutdown
+        workers write nothing durable, so ``terminate()`` skips the interpreter-shutdown
         wait a ``join`` pays, as a ``with Pool`` block does on exit.  While
         a dispatch is still outstanding (a serve shutdown with a run in
         flight), ``close()`` + ``join()`` lets its tasks finish instead.
@@ -189,31 +178,3 @@ class WarmWorkerPool:
     def __exit__(self, *exc_info) -> None:
         self.close()
 
-
-@contextmanager
-def pool_session(workers: int):
-    """Hold one warm pool open for a run's worth of parallel dispatches.
-
-    Yields the session's :class:`WarmWorkerPool`, or ``None`` when
-    ``workers < 2`` and no outer session is open (callers then run in
-    process).  A nested session reuses the outer session's pool rather
-    than spawning a second one.
-    """
-    global _ACTIVE_POOL
-    with _SESSION_LOCK:
-        if workers < 2 or _ACTIVE_POOL is not None:
-            owns = False
-            pool = _ACTIVE_POOL
-        else:
-            owns = True
-            pool = WarmWorkerPool(workers)
-            _ACTIVE_POOL = pool
-    if not owns:
-        yield pool
-        return
-    try:
-        yield pool
-    finally:
-        with _SESSION_LOCK:
-            _ACTIVE_POOL = None
-        pool.close()

@@ -115,12 +115,14 @@ async def read_request(reader: StreamReader) -> HttpRequest | None:
     body = b""
     length_header = headers.get("content-length")
     if length_header is not None:
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise HttpError(400, "malformed Content-Length") from None
-        if length > MAX_BODY_BYTES:
+        # RFC 9110 §8.6: 1*DIGIT, so no sign, underscore or non-ASCII digit.
+        if not (length_header.isascii() and length_header.isdigit()):
+            raise HttpError(400, "malformed Content-Length")
+        # Bound the digit count before int(), which refuses huge strings.
+        digits = length_header.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
             raise HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
+        length = int(digits)
         try:
             body = await reader.readexactly(length)
         except IncompleteReadError:

@@ -31,8 +31,8 @@ Request lifecycle (``POST /runs``):
 6. **Execute** on an executor slot: the blocking run goes through
    :func:`repro.api.execute` on a worker thread, sharding onto the
    service's *resident* :class:`~repro.parallel.pool.WarmWorkerPool`
-   (one ``pool_session`` spans the server's lifetime, so every request
-   reuses the same warm processes).  The run's own ``_ledger_session``
+   (one pool spans the server's lifetime, so every request reuses the
+   same warm processes).  The run's own ``_ledger_session``
    appends exactly one ledger entry, which *is* the cache population --
    the next identical tenant hits in step 3.
 
@@ -52,7 +52,7 @@ from pathlib import Path
 from typing import Any
 
 from .. import api, telemetry
-from ..parallel import pool_session
+from ..parallel import WarmWorkerPool
 from ..telemetry import DEFAULT_LEDGER_PATH, AccessLog
 from .http import (
     HttpError,
@@ -84,7 +84,7 @@ class ServeConfig:
     queue_size: int = 8
     #: Concurrent run executors (each drives one blocking run at a time).
     executors: int = 2
-    #: Worker processes per run (the resident warm pool's size).
+    #: The resident warm pool's size; 1 runs every request in-process.
     workers: int = 1
     #: The ledger that is both run history and the result cache's index.
     ledger: str | Path = DEFAULT_LEDGER_PATH
@@ -145,8 +145,7 @@ class FleetService:
         #: Bound port once started (differs from config.port when 0).
         self.port: int | None = None
         self._resident: dict[str, Any] = {}
-        self._pool: Any | None = None
-        self._stack = contextlib.ExitStack()
+        self._pool: WarmWorkerPool | None = None
         self._queue: asyncio.Queue[_Job] | None = None
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._executors: list[asyncio.Task] = []
@@ -181,12 +180,11 @@ class FleetService:
     async def start(self) -> None:
         config = self.config
         await asyncio.to_thread(self._load_resident)
-        # One pool session spans the server's lifetime: every request's
-        # shards land on the same warm processes, so spawn + import +
-        # preload cost is paid once per *server*, not once per request.
-        self._pool = self._stack.enter_context(
-            pool_session(config.workers)
-        )
+        # One pool spans the server's lifetime: every request's shards
+        # land on the same warm processes, so spawn + import + preload
+        # cost is paid once per *server*, not once per request.
+        if config.workers != 1:
+            self._pool = WarmWorkerPool(config.workers)
         self._queue = asyncio.Queue(maxsize=config.queue_size)
         self._executors = [
             asyncio.create_task(self._executor_loop(), name=f"iotls-serve-exec-{i}")
@@ -216,7 +214,8 @@ class FleetService:
             task.cancel()
         await asyncio.gather(*self._executors, return_exceptions=True)
         # Closing the pool joins worker processes; keep the loop free.
-        await asyncio.to_thread(self._stack.close)
+        if self._pool is not None:
+            await asyncio.to_thread(self._pool.close)
         self.access.close(cache=self.cache.to_dict())
 
     # ------------------------------------------------------------------
@@ -277,10 +276,7 @@ class FleetService:
     def _execute_job(self, job: _Job) -> api.RunResult:
         """The blocking half: runs on a worker thread, shards onto the
         resident warm pool, and appends the run's one ledger entry."""
-        options = api.ExecutionOptions(
-            workers=self.config.workers,
-            ledger=self.config.ledger,
-        )
+        options = api.ExecutionOptions(pool=self._pool, ledger=self.config.ledger)
         config = api.RunConfig.merge(job.request, options)
         extras: dict[str, Any] = {}
         if job.command == "trace":

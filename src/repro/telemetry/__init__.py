@@ -8,8 +8,7 @@ same way, with zero external dependencies:
 
 * :class:`MetricsRegistry` -- named counters, gauges, and fixed-bucket
   histograms (:mod:`repro.telemetry.metrics`),
-* :class:`Tracer` -- nested spans with monotonic timing; its open span
-  path is propagated to worker processes for cross-process stitching
+* :class:`Tracer` -- nested spans with monotonic timing
   (:mod:`repro.telemetry.tracing`),
 * run health -- :class:`ResourceSampler` resource snapshots
   (:mod:`repro.telemetry.health`) and :class:`ProgressReporter`

@@ -20,13 +20,14 @@ config, on what host, with what outcome*:
 
 The ledger is deliberately **not** provenance: every entry carries
 wall-clock and host data, so nothing here may ever feed a run manifest
--- manifests stay byte-identical across ``--workers 1/4`` and ledger
-on/off.  The module lives inside the telemetry clock boundary (RL002)
-and is itself the **ledger write boundary** (reprolint rule RL013):
+-- manifests stay byte-identical with or without a worker pool and
+with the ledger on or off.  The module lives inside the telemetry
+clock boundary (RL002) and is itself the **ledger write boundary**
+(reprolint rule RL013):
 ledger files are written only through :func:`append_entry` /
 :func:`rewrite_ledger`, which guarantee whole-line atomicity --
 one ``write()`` syscall per entry on an ``O_APPEND`` handle, so
-concurrent warm-pool phases and parallel workers can never interleave
+concurrent serve executors and bench processes can never interleave
 partial lines.
 
 ``iotls runs`` is the query surface: ``list`` / ``show`` / ``diff`` /
@@ -112,7 +113,6 @@ def build_entry(
     workers: int | None = None,
     seconds: float | None = None,
     phases: dict[str, float] | None = None,
-    shards: dict[int, float] | None = None,
     pool: dict[str, Any] | None = None,
     manifest: dict[str, Any] | None = None,
     manifest_digest: str | None = None,
@@ -159,10 +159,6 @@ def build_entry(
         entry["seconds"] = round(seconds, 4)
     if phases:
         entry["phases"] = {name: round(value, 4) for name, value in sorted(phases.items())}
-    if shards:
-        entry["shards"] = {
-            str(worker): round(value, 4) for worker, value in sorted(shards.items())
-        }
     if pool:
         entry["pool"] = dict(pool)
     metrics = _metric_totals(manifest)
@@ -214,7 +210,7 @@ def append_entry(entry: dict[str, Any], path: str | Path | None = None) -> Path:
     The line is serialised first and written with **one** ``write()``
     call on an ``O_APPEND`` handle: POSIX append semantics then
     guarantee the line lands contiguously even when concurrent
-    processes (warm-pool phases, parallel bench runs) append at the
+    processes (serve executors, parallel bench runs) append at the
     same moment -- no torn or interleaved lines, ever.  If a crashed
     writer left the file without a trailing newline, the new entry
     starts on a fresh line so the torn fragment stays quarantined to
@@ -259,20 +255,19 @@ def load_ledger(path: str | Path | None = None) -> list[dict[str, Any]]:
 
     A torn or corrupt line (a crash mid-append on a non-POSIX
     filesystem, a truncated copy) must never poison the whole store:
-    malformed lines and non-ledger records are skipped.
+    lines that are not UTF-8, not JSON, or not an object are skipped.
+    Lines are decoded one at a time, so a stray byte costs its own line
+    and never the file.
     """
     path = _resolve(path)
     if not path.exists():
         return []
     entries: list[dict[str, Any]] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        line = line.strip()
-        if not line:
-            continue
+    for raw in path.read_bytes().split(b"\n"):
         try:
-            record = json.loads(line)
-        except json.JSONDecodeError:
-            continue  # corrupt trailing line: tolerate, never propagate
+            record = json.loads(raw.decode("utf-8"))
+        except ValueError:
+            continue  # torn, non-UTF-8 or blank line: tolerate, never propagate
         if isinstance(record, dict):
             entries.append(record)
     return entries
@@ -484,8 +479,6 @@ def render_entry(entry: dict[str, Any]) -> str:
         lines.append(f"  wall seconds:    {entry['seconds']}")
     for name, value in sorted((entry.get("phases") or {}).items()):
         lines.append(f"    phase {name}: {value}s")
-    for worker, value in sorted((entry.get("shards") or {}).items()):
-        lines.append(f"    shard {worker}: {value}s")
     if entry.get("params"):
         lines.append(f"  params:          {json.dumps(entry['params'], sort_keys=True)}")
     resources = entry.get("resources")

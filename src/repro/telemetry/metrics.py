@@ -231,60 +231,6 @@ class MetricsRegistry:
         return self._register(Histogram, name, help_text, buckets=buckets)
 
     # ------------------------------------------------------------------
-    # Snapshot merging (parallel workers)
-    # ------------------------------------------------------------------
-    def merge_snapshot(self, snapshot: dict) -> None:
-        """Fold an exported snapshot into this registry.
-
-        ``snapshot`` is the document produced by
-        :func:`repro.telemetry.export.metrics_snapshot` -- the format
-        worker processes ship their registries home in.  Semantics per
-        kind:
-
-        * **counters** -- series values *add*, so merging every worker's
-          snapshot yields exactly the totals a serial run would count,
-        * **histograms** -- bucket counts, sums, and counts add (bucket
-          layouts must match),
-        * **gauges** -- series values are *adopted* (last merge wins);
-          gauges carry run-local readings like wall times, which have no
-          meaningful cross-worker sum.
-
-        Merging is an administrative operation: it applies even when the
-        registry is disabled, so a parent can collect worker telemetry
-        after switching its own instrumentation off.
-        """
-        for name, payload in snapshot.get("counters", {}).items():
-            metric = self.counter(name, payload.get("help", ""))
-            for series in payload.get("series", []):
-                key = _label_key(series.get("labels", {}))
-                metric._series[key] = metric._series.get(key, 0) + series["value"]
-        for name, payload in snapshot.get("gauges", {}).items():
-            metric = self.gauge(name, payload.get("help", ""))
-            for series in payload.get("series", []):
-                metric._series[_label_key(series.get("labels", {}))] = series["value"]
-        for name, payload in snapshot.get("histograms", {}).items():
-            metric = self.histogram(
-                name, payload.get("help", ""), buckets=payload["buckets"]
-            )
-            if tuple(payload["buckets"]) != metric.buckets:
-                raise ValueError(
-                    f"histogram {name!r}: snapshot buckets {payload['buckets']} "
-                    f"do not match registered buckets {list(metric.buckets)}"
-                )
-            for series in payload.get("series", []):
-                key = _label_key(series.get("labels", {}))
-                state = metric._series.get(key)
-                if state is None:
-                    state = metric._series[key] = HistogramSeries(len(metric.buckets))
-                cumulative = series["cumulative_bucket_counts"]
-                previous = 0
-                for slot, running in enumerate(cumulative):
-                    state.bucket_counts[slot] += running - previous
-                    previous = running
-                state.sum += series["sum"]
-                state.count += series["count"]
-
-    # ------------------------------------------------------------------
     # Introspection / lifecycle
     # ------------------------------------------------------------------
     def get(self, name: str) -> Metric | None:

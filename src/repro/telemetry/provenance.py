@@ -8,7 +8,8 @@ The manifest is itself canonically encoded, so its own digest
 (:func:`manifest_digest`) names the run's complete observable output.
 
 The load-bearing guarantee is **worker invariance**: manifests are
-byte-identical across ``--workers 1/2/4`` for the same seed, extending
+byte-identical for the same seed whether a run shards onto a warm
+worker pool of any size or runs in-process, extending
 the parallel-determinism contract (:mod:`repro.parallel`) to the
 observability layer.  Three exclusions make that possible, and each is
 deliberate:
@@ -20,8 +21,7 @@ deliberate:
 * **wall-clock readings** -- gauges (phase/trace wall times) and
   histogram sums/buckets (handshake latencies) vary run to run, so
   :func:`deterministic_metrics` keeps only counter series and histogram
-  *observation counts*, both of which the parallel layer guarantees
-  equal to a serial run's,
+  *observation counts*,
 * **artifact directories** -- artifacts are recorded by basename,
   byte count, and digest; where the bytes landed is not provenance.
 

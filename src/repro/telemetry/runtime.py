@@ -41,7 +41,6 @@ class TelemetryRuntime:
         "enabled",
         "registry",
         "tracer",
-        "worker_profiles",
         "progress",
     )
 
@@ -49,10 +48,6 @@ class TelemetryRuntime:
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(registry=self.registry, enabled=enabled)
-        #: Profile payloads merged in from worker processes
-        #: (:meth:`merge_worker_states`), consumed by
-        #: :meth:`repro.telemetry.profiling.Profiler.from_runtime`.
-        self.worker_profiles: list[dict] = []
         #: The active :class:`~repro.telemetry.progress.ProgressReporter`
         #: for the current run, or ``None``.  Hot paths guard with
         #: ``if runtime.progress is not None`` -- the same one-read
@@ -80,54 +75,7 @@ class TelemetryRuntime:
     def reset(self) -> None:
         self.registry.reset()
         self.tracer.reset()
-        self.worker_profiles.clear()
         self.progress = None
-
-    # ------------------------------------------------------------------
-    # Parallel-worker state transfer
-    # ------------------------------------------------------------------
-    def export_worker_state(
-        self, worker: int, *, span_parent: str | None = None, process: str | None = None
-    ) -> dict:
-        """Everything a worker process ships back to its parent.
-
-        Metrics travel as a :func:`~repro.telemetry.export.metrics_snapshot`
-        document and the worker's span profile as a
-        :meth:`~repro.telemetry.profiling.Profiler.to_payload` document --
-        pure data, so the payload pickles across the ``spawn`` process
-        boundary.  ``span_parent`` is the coordinator's open span path
-        (:meth:`~repro.telemetry.tracing.Tracer.propagation_context`); it
-        rides in the profile payload so merge re-parents this worker's
-        spans under the dispatch span.  ``process`` names
-        the pool process that ran the task (see
-        :meth:`~repro.telemetry.profiling.Profiler.merge_payload`).
-        """
-        from .export import metrics_snapshot
-        from .profiling import Profiler
-
-        return {
-            "worker": worker,
-            "metrics": metrics_snapshot(self.registry),
-            "profile": Profiler.from_tracer(self.tracer).to_payload(
-                worker=worker, span_parent=span_parent, process=process
-            ),
-        }
-
-    def merge_worker_states(self, states: list[dict]) -> None:
-        """Fold worker telemetry into this runtime, keyed by worker id.
-
-        States are merged in ascending worker-id order -- never arrival
-        order -- so counter totals, and therefore exported snapshots, are
-        identical run-to-run.  ``None`` entries
-        (workers that ran without telemetry) are skipped.
-        """
-        for state in sorted(
-            (state for state in states if state is not None),
-            key=lambda state: state["worker"],
-        ):
-            self.registry.merge_snapshot(state["metrics"])
-            if state.get("profile") is not None:
-                self.worker_profiles.append(state["profile"])
 
 
 #: The singleton every instrumented module shares.  Mutated in place,

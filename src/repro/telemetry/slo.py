@@ -8,7 +8,7 @@ entries two ways:
   from a committed policy file (``tools/slo.json``, schema
   :data:`SLO_SCHEMA`) against the newest matching entry per benchmark.
   Each SLO names a benchmark, a metric (any numeric field of the entry,
-  e.g. ``records_per_second``, ``peak_mib``, ``worker_skew``), a
+  e.g. ``records_per_second``, ``peak_mib``, ``peak_rss_kib``), a
   comparison op, a threshold, and a ``level`` -- ``advisory`` (report
   only) or ``blocking`` (gate-failing).  A verdict is ``pass``,
   ``fail``, or ``skip`` when no entry carries the metric -- missing
@@ -192,7 +192,7 @@ def render_verdicts(verdicts: list[dict[str, Any]]) -> str:
 
 
 #: Resource metrics the trend report tracks per benchmark when present.
-_TREND_METRICS = ("records_per_second", "peak_mib", "peak_rss_kib", "worker_skew")
+_TREND_METRICS = ("records_per_second", "peak_mib", "peak_rss_kib")
 
 #: ``latest_over_best`` above this ratio renders as an advisory regression
 #: (wall-clock ratios are too noisy across runners to block on).

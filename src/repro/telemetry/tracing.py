@@ -146,17 +146,6 @@ class Tracer:
         """The innermost open span, if any."""
         return self._stack[-1] if self._stack else None
 
-    def current_path(self) -> str:
-        """The open span stack as a ``;``-joined path (profiler keying)."""
-        return ";".join(span.name for span in self._stack)
-
-    def propagation_context(self) -> str | None:
-        """The open span path to hand to worker processes, so a merge
-        re-parents their spans under it; ``None`` when tracing is off."""
-        if not self.enabled:
-            return None
-        return self.current_path()
-
     def roots(self) -> list[Span]:
         """Finished top-level spans (no parent), oldest first."""
         return [span for span in self.finished if span.parent is None]

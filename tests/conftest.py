@@ -12,6 +12,7 @@ import pytest
 from repro.analysis import TraceAnalysis, analyze_capture
 from repro.core import ActiveExperimentCampaign, CampaignResults
 from repro.longitudinal import PassiveTraceGenerator
+from repro.parallel import WarmWorkerPool
 from repro.pki import CertificateAuthority, DistinguishedName, RootStore
 from repro.roothistory import build_default_universe
 from repro.testbed import GatewayCapture, Testbed
@@ -41,6 +42,25 @@ def passive_analysis(passive_capture) -> TraceAnalysis:
 @pytest.fixture(scope="session")
 def campaign_results(testbed) -> CampaignResults:
     return ActiveExperimentCampaign(testbed).run(include_passthrough=True)
+
+
+@pytest.fixture(scope="session")
+def worker_pool():
+    """``worker_pool(n)``: a warm pool of ``n`` processes, or ``None`` for
+    ``n == 1`` (the in-process path).  Each size opens once and is shared
+    by the whole session, as ``iotls serve`` shares its resident pool."""
+    pools: dict[int, WarmWorkerPool] = {}
+
+    def get(workers: int) -> WarmWorkerPool | None:
+        if workers == 1:
+            return None
+        if workers not in pools:
+            pools[workers] = WarmWorkerPool(workers)
+        return pools[workers]
+
+    yield get
+    for pool in pools.values():
+        pool.close()
 
 
 @pytest.fixture()

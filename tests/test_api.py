@@ -277,14 +277,25 @@ class TestRunRequestSplit:
         config = RunConfig(
             scale=5,
             seed="split",
-            workers=3,
+            stream=True,
             flow_cap=9,
             ledger=None,
             device="LG TV",
             limit=2,
         )
         assert RunConfig.merge(config.request, config.options) == config
-        assert config.options == ExecutionOptions(workers=3, ledger=None)
+        assert config.options == ExecutionOptions(stream=True, ledger=None)
+
+    def test_worker_count_is_not_a_run_option(self):
+        """Parallelism is a resident pool handed in as ``pool=``; a worker
+        count is no longer a field of either half."""
+        from repro.api import ExecutionOptions, RunConfig
+
+        with pytest.raises(TypeError):
+            RunConfig(workers=2)
+        with pytest.raises(TypeError):
+            ExecutionOptions(workers=2)
+        assert RunConfig().pool is None
 
     def test_request_digest_matches_recorded_config_digest(self, tmp_path):
         """The wire request hashes to exactly what a real run records."""

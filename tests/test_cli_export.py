@@ -137,11 +137,11 @@ class _Dispatched(Exception):
 #: for the test's scratch directory.
 _DISPATCH_CASES = [
     (
-        ["audit", "--no-passthrough", "--workers", "2", "--progress",
+        ["audit", "--no-passthrough", "--progress",
          "--heartbeat-out", "{tmp}/hb.jsonl", "--heartbeat-interval", "0.5",
          "--json", "{tmp}/audit.json", "--ledger", "{tmp}/ledger.jsonl"],
         "audit",
-        dict(include_passthrough=False, workers=2, progress=True, telemetry=True,
+        dict(include_passthrough=False, progress=True, telemetry=True,
              heartbeat_interval=0.5, ledger="{tmp}/ledger.jsonl"),
         dict(json_path="{tmp}/audit.json", heartbeat_path="{tmp}/hb.jsonl"),
     ),
@@ -162,25 +162,23 @@ _DISPATCH_CASES = [
         dict(stream_path="{tmp}/t.jsonl"),
     ),
     (
-        ["report", "--scale", "2", "--out", "{tmp}/r.md", "--workers", "2",
-         "--progress", "--no-ledger"],
+        ["report", "--scale", "2", "--out", "{tmp}/r.md", "--progress", "--no-ledger"],
         "report",
-        dict(scale=2, workers=2, progress=True, telemetry=True, ledger=None),
+        dict(scale=2, progress=True, telemetry=True, ledger=None),
         dict(out="{tmp}/r.md", progress=print),
     ),
     (
         ["pcap", "--scale", "1", "--limit", "7", "--out", "{tmp}/x.pcap",
-         "--workers", "2", "--manifest", "{tmp}/man.json"],
+         "--manifest", "{tmp}/man.json"],
         "pcap",
-        dict(scale=1, limit=7, workers=2),
+        dict(scale=1, limit=7),
         dict(out="{tmp}/x.pcap"),
     ),
     (
         ["check", "--scale", "2", "--seed", "s", "--expected", "{tmp}/e.json",
-         "--workers", "2", "--json", "{tmp}/d.json", "--ledger",
-         "{tmp}/ledger.jsonl"],
+         "--json", "{tmp}/d.json", "--ledger", "{tmp}/ledger.jsonl"],
         "check",
-        dict(scale=2, seed="s", workers=2, ledger="{tmp}/ledger.jsonl"),
+        dict(scale=2, seed="s", ledger="{tmp}/ledger.jsonl"),
         dict(expected_path="{tmp}/e.json"),
     ),
     (
@@ -243,6 +241,30 @@ class TestCLIDispatch:
         assert {key: value for key, value in seen_extras.items() if value is not None} == {
             key: self._fill(value, tmp_path) for key, value in extras.items()
         }
+
+
+class TestOneShotCommandsRunSerially:
+    """Only ``iotls serve`` holds a worker pool; one-shot commands have
+    no ``--workers`` flag, so argparse rejects it with exit 2."""
+
+    @pytest.mark.parametrize("command", ["trace", "audit", "report", "pcap", "check"])
+    def test_workers_flag_is_a_usage_error(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--workers", "2"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_serve_keeps_its_pool_size(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--workers", "2"])
+        assert args.workers == 2
+
+    def test_serve_rejects_an_empty_pool(self, tmp_path, capsys):
+        argv = ["serve", "--port", "0", "--workers", "0", "--ledger",
+                str(tmp_path / "l.jsonl"), "--artifact-dir", str(tmp_path / "a")]
+        assert main(argv) == 2
+        assert "error: a worker pool needs >= 2 workers, got 0" in capsys.readouterr().err
 
 
 class TestCLIUsageErrors:

@@ -1,12 +1,10 @@
 """Run-health observability: resource sampling, progress heartbeats,
-cross-worker span stitching, and the SLO-aware bench trajectory.
+and the SLO-aware bench trajectory.
 
 The acceptance criteria pinned here:
 
-* run manifests stay byte-identical across ``--workers 1/2/4`` whether
-  progress/heartbeat/resource sampling is on or off;
-* worker spans re-parent under the coordinator's ``parallel.dispatch``
-  span, in any merge order;
+* run manifests stay byte-identical whether progress/heartbeat/resource
+  sampling is on or off;
 * tracemalloc activation is reference-counted and released on error
   paths without stopping a trace the sampler did not start.
 """
@@ -15,6 +13,7 @@ from __future__ import annotations
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.telemetry import (
     TREND_SCHEMA,
     HeartbeatWriter,
     ProgressReporter,
-    Profiler,
     ResourceSampler,
     SloPolicyError,
     Throttle,
@@ -37,7 +35,7 @@ from repro.telemetry import (
     tracemalloc_holds,
     trend_report,
 )
-from repro.telemetry import TelemetryRuntime
+from repro.telemetry.provenance import canonical_json
 from repro.telemetry.schemas import check_contract
 
 
@@ -282,134 +280,35 @@ class TestResourceSampler:
 
 
 # ----------------------------------------------------------------------
-# Cross-worker span stitching
-# ----------------------------------------------------------------------
-class TestPropagationContext:
-    def test_propagation_context_snapshots_open_path(self):
-        runtime = telemetry.configure(enabled=True)
-        with runtime.tracer.span("outer"):
-            with runtime.tracer.span("dispatch"):
-                span_parent = runtime.tracer.propagation_context()
-        assert span_parent == "outer;dispatch"
-
-    def test_disabled_tracer_yields_none(self):
-        runtime = telemetry.get()
-        assert runtime.tracer.propagation_context() is None
-
-
-class TestSpanStitching:
-    def _parallel_profile(self) -> Profiler:
-        from repro.longitudinal import PassiveTraceGenerator
-
-        telemetry.configure(enabled=True)
-        PassiveTraceGenerator(scale=1, seed="stitch").generate(workers=2)
-        return Profiler.from_runtime(telemetry.get())
-
-    def test_worker_spans_reparent_under_dispatch(self):
-        profiler = self._parallel_profile()
-        paths = {stat.path for stat in profiler.paths()}
-        assert "trace.generate;parallel.dispatch" in paths
-        assert "trace.generate;parallel.dispatch;chunk.run" in paths
-        assert "trace.generate;parallel.dispatch;chunk.run;trace.device" in paths
-
-    def test_shard_skew_attributed(self):
-        profiler = self._parallel_profile()
-        skew = profiler.shard_skew()
-        assert skew is not None
-        assert skew["workers"] == 2
-        assert skew["max_over_mean"] >= 1.0
-        assert skew["slowest_worker"] in (0, 1)
-
-    def test_shard_skew_attributed_streaming(self):
-        """Skew is per pool process, not per chunk task, when streaming."""
-        from repro.longitudinal import PassiveTraceGenerator
-        from repro.testbed.capture import DiscardSink
-
-        telemetry.configure(enabled=True)
-        PassiveTraceGenerator(scale=1, seed="stitch").stream_into(
-            DiscardSink(), workers=2
-        )
-        skew = Profiler.from_runtime(telemetry.get()).shard_skew()
-        assert skew is not None
-        assert skew["workers"] == 2
-        assert skew["max_over_mean"] >= 1.0
-        assert skew["slowest_worker"] in (0, 1)
-
-    def test_merge_is_order_independent(self):
-        """Satellite: out-of-order worker merges produce identical trees."""
-        runtime = telemetry.configure(enabled=True)
-        with runtime.tracer.span("run"):
-            with runtime.tracer.span("parallel.dispatch"):
-                span_parent = runtime.tracer.propagation_context()
-
-        def worker_payload(worker: int) -> dict:
-            worker_runtime = TelemetryRuntime(enabled=True)
-            with worker_runtime.tracer.span("shard.run", worker=worker):
-                with worker_runtime.tracer.span("trace.device", device=f"d{worker}"):
-                    worker_runtime.registry.counter("test_units_total").inc(worker + 1)
-            return worker_runtime.export_worker_state(worker, span_parent=span_parent)
-
-        payloads = [worker_payload(0), worker_payload(1), worker_payload(2)]
-
-        def stitched(order):
-            runtime_n = TelemetryRuntime(enabled=True)
-            runtime_n.merge_worker_states([payloads[i] for i in order])
-            profiler = Profiler.from_runtime(runtime_n)
-            tree = sorted((stat.path, stat.calls) for stat in profiler.paths())
-            shards = sorted(profiler.shards.items())
-            total = runtime_n.registry.get("test_units_total").total()
-            return tree, shards, total
-
-        forward = stitched([0, 1, 2])
-        reversed_ = stitched([2, 1, 0])
-        shuffled = stitched([1, 2, 0])
-        assert forward == reversed_ == shuffled
-        paths = [path for path, _ in forward[0]]
-        assert "run;parallel.dispatch;shard.run;trace.device" in paths
-        assert forward[2] == 6  # 1 + 2 + 3: counters add across workers
-
-
-# ----------------------------------------------------------------------
 # Manifest parity: the tentpole acceptance criterion
 # ----------------------------------------------------------------------
 class TestManifestParity:
     """Progress/heartbeat/resource sampling never perturbs manifests."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_byte_identical_with_and_without_progress(self, tmp_path, workers, capsys):
-        # Baseline uses --telemetry because --progress implies telemetry;
-        # the comparison isolates the health layer itself.
-        base = tmp_path / f"base{workers}"
-        status = main(
-            [
-                "trace", "--scale", "1", "--seed", "health-parity",
-                "--workers", str(workers), "--telemetry",
-                "--manifest", str(base / "manifest.json"),
-            ]
+    def test_byte_identical_with_and_without_progress(self, tmp_path, workers, worker_pool):
+        # In-process, the baseline carries telemetry because progress
+        # implies it; a pooled run carries no telemetry, so there the
+        # health layer is the heartbeat stream alone.  Either way the
+        # comparison isolates the health layer itself.
+        serial = workers == 1
+        config = api.RunConfig(
+            scale=1, seed="health-parity", telemetry=serial, ledger=None,
+            pool=worker_pool(workers),
         )
-        assert status == 0
-        withp = tmp_path / f"progress{workers}"
-        status = main(
-            [
-                "trace", "--scale", "1", "--seed", "health-parity",
-                "--workers", str(workers), "--progress",
-                "--heartbeat-out", str(withp / "run.health.jsonl"),
-                "--manifest", str(withp / "manifest.json"),
-            ]
+        base = api.run_trace(config)
+        withp = api.run_trace(
+            replace(config, progress=serial, progress_stream=lambda line: None),
+            heartbeat_path=tmp_path / "run.health.jsonl",
         )
-        assert status == 0
-        capsys.readouterr()
-        assert (
-            (base / "manifest.json").read_bytes()
-            == (withp / "manifest.json").read_bytes()
-        )
+        assert withp.health["done"] > 0
+        assert canonical_json(withp.manifest) == canonical_json(base.manifest)
 
     def test_heartbeat_stream_written_and_valid(self, tmp_path, capsys):
         path = tmp_path / "run.health.jsonl"
         status = main(
             [
-                "trace", "--scale", "1", "--workers", "2",
-                "--heartbeat-out", str(path),
+                "trace", "--scale", "1", "--heartbeat-out", str(path),
             ]
         )
         assert status == 0

@@ -4,15 +4,17 @@ The ledger is observability, never provenance: the tests here pin both
 halves of that contract -- every ``run_*`` invocation (success and
 typed failure alike) appends exactly one valid ``iotls-run-ledger/1``
 entry, and manifests stay byte-identical whether the ledger is on or
-off and whatever the worker count.
+off and whatever pool the run shards onto.
 """
 
 from __future__ import annotations
 
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.api import RunConfig, UnknownDeviceError, run_probe, run_trace
 from repro.cli import main
@@ -82,6 +84,52 @@ class TestAppendBoundary:
         assert one["config_digest"] != other["config_digest"]
 
 
+class TestDamagedLedgers:
+    """A damaged ledger loses only its damaged lines, never the file."""
+
+    def test_non_utf8_line_is_skipped(self, ledger_path):
+        ledger.append_entry(ledger.build_entry("trace"), ledger_path)
+        with open(ledger_path, "ab") as handle:
+            handle.write(b'{"command": "\xff"}\n')
+        ledger.append_entry(ledger.build_entry("audit"), ledger_path)
+        assert [e["command"] for e in ledger.load_ledger(ledger_path)] == [
+            "trace",
+            "audit",
+        ]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        params=st.lists(
+            st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=6),
+                            max_size=3),
+            max_size=5,
+        ),
+        cut=st.floats(min_value=0.0, max_value=1.0),
+        garbage=st.none() | st.binary(max_size=24).map(
+            lambda tail: b"\xff" + tail.replace(b"\n", b"")
+        ),
+    )
+    def test_truncated_ledger_loads_a_prefix(self, params, cut, garbage):
+        entries = [ledger.build_entry("trace", params=p, seconds=0.5) for p in params]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "ledger.jsonl"
+            for entry in entries:
+                ledger.append_entry(entry, path)
+            raw = path.read_bytes() if entries else b""
+            kept = raw[: round(len(raw) * cut)]
+            path.write_bytes(kept + (garbage or b""))
+
+            loaded = ledger.load_ledger(path)
+            assert loaded == entries[: len(loaded)]
+            assert len(loaded) >= kept.count(b"\n")
+
+            fresh = ledger.build_entry("audit", params={"after": "damage"})
+            ledger.append_entry(fresh, path)
+            reloaded = ledger.load_ledger(path)
+            assert reloaded[-1] == fresh
+            assert reloaded[:-1] == entries[: len(reloaded) - 1]
+
+
 class TestRunWiring:
     def test_each_run_appends_exactly_one_entry(self, ledger_path):
         run_trace(trace_config(ledger_path))
@@ -129,14 +177,14 @@ class TestRunWiring:
         assert Path(artifact["path"]) == json_path.resolve()
         assert artifact["bytes"] == json_path.stat().st_size
 
-    def test_manifest_parity_across_workers_and_ledger(self, ledger_path):
+    def test_manifest_parity_across_workers_and_ledger(self, ledger_path, worker_pool):
         """The acceptance bar: manifests are byte-identical across
-        ``--workers 1/2/4`` x ledger on/off."""
+        pools of 1/2/4 workers x ledger on/off."""
         digests = set()
         for workers in (1, 2, 4):
             for path in (ledger_path, None):
-                result = run_trace(trace_config(ledger_path=path, workers=workers))
-                digests.add(result.manifest_digest)
+                config = trace_config(ledger_path=path, pool=worker_pool(workers))
+                digests.add(run_trace(config).manifest_digest)
         assert len(digests) == 1
         # Ledgered runs recorded that same digest, and nothing else.
         entries = ledger.load_ledger(ledger_path)

@@ -1,8 +1,9 @@
-"""Parallel execution layer: sharding, merging, and serial equivalence.
+"""Parallel execution layer: sharding, the warm pool, and serial equivalence.
 
-The contract under test: for any worker count, a parallel run produces
-*identical* artifacts to the serial one -- same capture JSON, same
-campaign headline numbers, same merged telemetry counter totals.
+The contract under test: a run handed a warm pool produces *identical*
+artifacts to the serial one -- same capture JSON, same campaign headline
+numbers, same manifests -- and a pooled run refuses telemetry, which
+its workers would never ship home.
 """
 
 from __future__ import annotations
@@ -10,22 +11,27 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.analysis.export import capture_to_document
 from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
 from repro.longitudinal.generator import PassiveTraceGenerator
-from repro.parallel import WarmWorkerPool, pool_session
-from repro.parallel import pool as pool_module
-from repro.telemetry.export import metrics_snapshot
-from repro.telemetry.metrics import MetricsRegistry
+from repro.parallel import WarmWorkerPool
 
 SEED = "parallel-equivalence"
 SCALE = 2
 
 
+@pytest.fixture(autouse=True)
+def _clean_telemetry():
+    telemetry.configure(enabled=False)
+    yield
+    telemetry.configure(enabled=False)
+
+
 # ----------------------------------------------------------------------
-# Campaign sharding and worker-count validation
+# Campaign sharding
 # ----------------------------------------------------------------------
 class TestShardedExecutor:
     def test_rejects_zero_workers(self):
@@ -46,14 +52,6 @@ class TestShardedExecutor:
         flattened = [item for shard in shards for item in shard]
         assert sorted(flattened) == sorted(items)
 
-    def test_generator_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            PassiveTraceGenerator(scale=1).generate(workers=0)
-
-    def test_campaign_rejects_zero_workers(self):
-        with pytest.raises(ValueError):
-            ActiveExperimentCampaign().run(workers=0)
-
 
 # ----------------------------------------------------------------------
 # Warm worker pool
@@ -63,20 +61,8 @@ class TestWarmPoolSession:
         with pytest.raises(ValueError):
             WarmWorkerPool(1)
 
-    def test_session_is_noop_for_single_worker(self):
-        with pool_session(1) as pool:
-            assert pool is None
-            assert pool_module._ACTIVE_POOL is None
-
-    def test_nested_session_reuses_outer_pool(self, monkeypatch):
-        sentinel = object()
-        monkeypatch.setattr(pool_module, "_ACTIVE_POOL", sentinel)
-        with pool_session(4) as pool:
-            assert pool is sentinel
-
     def test_warm_pool_reuse_accounting(self):
-        with pool_session(2) as pool:
-            assert pool_module._ACTIVE_POOL is pool
+        with WarmWorkerPool(2) as pool:
             assert pool.map(abs, [-1, -2, -3]) == [1, 2, 3]
             assert list(pool.imap(abs, [-4])) == [4]
             stats = pool.stats()
@@ -90,8 +76,7 @@ class TestWarmPoolSession:
                 "dispatches": 4,
                 "reused_dispatches": 2,
             }
-        assert pool_module._ACTIVE_POOL is None
-        pool.close()  # idempotent after session teardown
+        pool.close()  # idempotent after the with block
 
 
 class TestPoolTeardown:
@@ -128,68 +113,7 @@ class TestPoolTeardown:
 
 
 # ----------------------------------------------------------------------
-# Telemetry merging primitives
-# ----------------------------------------------------------------------
-class TestMergeSnapshot:
-    def _snapshot_of(self, build) -> dict:
-        registry = MetricsRegistry(enabled=True)
-        build(registry)
-        return metrics_snapshot(registry)
-
-    def test_counters_add(self):
-        parent = MetricsRegistry(enabled=True)
-        parent.counter("requests_total").inc(3, route="a")
-        snapshot = self._snapshot_of(
-            lambda r: (r.counter("requests_total").inc(2, route="a"),
-                       r.counter("requests_total").inc(5, route="b"))
-        )
-        parent.merge_snapshot(snapshot)
-        series = parent.get("requests_total").series()
-        assert series[(("route", "a"),)] == 5
-        assert series[(("route", "b"),)] == 5
-
-    def test_gauges_adopt_last_value(self):
-        parent = MetricsRegistry(enabled=True)
-        parent.gauge("wall_seconds").set(1.0)
-        snapshot = self._snapshot_of(lambda r: r.gauge("wall_seconds").set(9.0))
-        parent.merge_snapshot(snapshot)
-        assert parent.get("wall_seconds").series()[()] == 9.0
-
-    def test_histograms_add_buckets_sum_count(self):
-        buckets = (0.1, 1.0)
-
-        def build(registry):
-            h = registry.histogram("latency_seconds", buckets=buckets)
-            h.observe(0.05)
-            h.observe(0.5)
-            h.observe(5.0)
-
-        parent = MetricsRegistry(enabled=True)
-        parent.histogram("latency_seconds", buckets=buckets).observe(0.5)
-        parent.merge_snapshot(self._snapshot_of(build))
-        state = parent.get("latency_seconds").series()[()]
-        assert state.count == 4
-        assert state.sum == pytest.approx(6.05)
-        assert state.cumulative() == [1, 3, 4]
-
-    def test_histogram_bucket_mismatch_rejected(self):
-        parent = MetricsRegistry(enabled=True)
-        parent.histogram("latency_seconds", buckets=(0.1, 1.0)).observe(0.5)
-        snapshot = self._snapshot_of(
-            lambda r: r.histogram("latency_seconds", buckets=(0.5,)).observe(0.2)
-        )
-        with pytest.raises(ValueError):
-            parent.merge_snapshot(snapshot)
-
-    def test_merge_applies_to_disabled_registry(self):
-        parent = MetricsRegistry(enabled=False)
-        snapshot = self._snapshot_of(lambda r: r.counter("requests_total").inc(7))
-        parent.merge_snapshot(snapshot)
-        assert parent.get("requests_total").total() == 7
-
-
-# ----------------------------------------------------------------------
-# Serial-vs-parallel equivalence (the tentpole guarantee)
+# Serial-vs-pooled equivalence
 # ----------------------------------------------------------------------
 def _capture_json(capture) -> str:
     return json.dumps(capture_to_document(capture), indent=2, sort_keys=True)
@@ -226,80 +150,68 @@ def _headline(results) -> tuple:
     )
 
 
-def _counter_totals() -> dict[str, object]:
-    snapshot = metrics_snapshot(telemetry.get_registry())
-    return {
-        name: sorted(
-            (json.dumps(series["labels"], sort_keys=True), series["value"])
-            for series in payload["series"]
-        )
-        for name, payload in snapshot["counters"].items()
-    }
-
-
 @pytest.mark.parametrize(
     "workers, flow_cap",
     [pytest.param(workers, None, id=str(workers)) for workers in (1, 2, 4)]
     + [pytest.param(workers, 5, id=f"{workers}-cap5") for workers in (1, 2, 4)],
 )
-def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json):
+def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json, worker_pool):
     generator = PassiveTraceGenerator(scale=SCALE, seed=SEED, flow_cap=flow_cap)
-    exported = _capture_json(generator.generate(workers=workers))
+    exported = _capture_json(generator.generate(pool=worker_pool(workers)))
     assert exported == serial_capture_json(flow_cap)
 
 
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.text(min_size=1, max_size=12),
+    flow_cap=st.none() | st.integers(min_value=1, max_value=20),
+)
+def test_pooled_trace_matches_serial_for_any_seed(worker_pool, seed, flow_cap):
+    generator = PassiveTraceGenerator(scale=1, seed=seed, flow_cap=flow_cap)
+    serial = _capture_json(generator.generate())
+    assert _capture_json(generator.generate(pool=worker_pool(2))) == serial
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
-def test_campaign_headline_counts_identical(workers, serial_campaign):
-    results = ActiveExperimentCampaign().run(workers=workers)
+def test_campaign_headline_counts_identical(workers, serial_campaign, worker_pool):
+    results = ActiveExperimentCampaign().run(pool=worker_pool(workers))
     assert _headline(results) == _headline(serial_campaign)
 
 
 class TestWarmPoolManifestParity:
     """The warm pool must be invisible in every artifact: a streaming
-    trace run produces the same manifest digest at any worker count."""
+    trace run produces the same manifest digest with or without it."""
 
-    def _digest(self, *, workers: int) -> str:
+    def test_manifests_identical_across_workers(self, worker_pool):
         from repro.api import RunConfig, run_trace
 
-        try:
-            result = run_trace(
-                RunConfig(
-                    scale=1,
-                    seed="warm-parity",
-                    workers=workers,
-                    telemetry=True,
-                    stream=True,
-                )
+        def digest(pool) -> str:
+            config = RunConfig(
+                scale=1, seed="warm-parity", stream=True, ledger=None, pool=pool
             )
-        finally:
-            telemetry.disable()
-        return result.manifest_digest
+            return run_trace(config).manifest_digest
 
-    def test_manifests_identical_across_workers(self):
-        assert self._digest(workers=2) == self._digest(workers=1)
+        assert digest(worker_pool(2)) == digest(None)
 
 
 @pytest.mark.parametrize("flow_cap", [None, 5], ids=["nocap", "cap5"])
 @pytest.mark.parametrize("stream", [False, True], ids=["materialised", "stream"])
-def test_progress_done_identical_across_workers(stream, flow_cap, tmp_path):
-    """The heartbeat summary counts the same records at any worker count."""
+def test_progress_done_identical_across_workers(stream, flow_cap, tmp_path, worker_pool):
+    """The heartbeat summary counts the same records with or without a pool."""
     from repro.api import RunConfig, run_trace
 
     def done(workers: int) -> int:
-        try:
-            result = run_trace(
-                RunConfig(
-                    scale=1,
-                    seed="progress-parity",
-                    workers=workers,
-                    stream=stream,
-                    flow_cap=flow_cap,
-                    ledger=None,
-                ),
-                heartbeat_path=tmp_path / f"w{workers}.health.jsonl",
-            )
-        finally:
-            telemetry.disable()
+        result = run_trace(
+            RunConfig(
+                scale=1,
+                seed="progress-parity",
+                stream=stream,
+                flow_cap=flow_cap,
+                ledger=None,
+                pool=worker_pool(workers),
+            ),
+            heartbeat_path=tmp_path / f"w{workers}.health.jsonl",
+        )
         return result.health["done"]
 
     serial = done(1)
@@ -314,30 +226,29 @@ class _FailingSink:
         raise RuntimeError("sink failed")
 
 
-def test_failing_fold_closes_dispatch_span_and_pool():
-    runtime = telemetry.configure(enabled=True)
-    try:
+def test_failing_fold_leaves_pool_usable():
+    with WarmWorkerPool(2) as pool:
         with pytest.raises(RuntimeError, match="sink failed"):
             PassiveTraceGenerator(scale=1, seed=SEED).stream_into(
-                _FailingSink(), workers=2
+                _FailingSink(), pool=pool
             )
-        assert runtime.tracer.current_path() == ""
-        assert pool_module._ACTIVE_POOL is None
-    finally:
-        telemetry.disable()
+        assert pool.map(abs, [-1, -2]) == [1, 2]
 
 
-@pytest.mark.parametrize("workers", [2, 4])
-def test_merged_telemetry_counters_identical(workers):
-    try:
+class TestPooledRunsCarryNoTelemetry:
+    """Pool processes never ship telemetry home, so a pooled run with
+    telemetry on would report counters missing the pooled work."""
+
+    @pytest.mark.parametrize("flag", ["telemetry", "progress"])
+    def test_run_config_with_pool_raises(self, flag, worker_pool, tmp_path):
+        from repro.api import RunConfig, run_trace
+
+        config = RunConfig(scale=1, ledger=None, pool=worker_pool(2), **{flag: True})
+        with pytest.raises(ValueError, match="no telemetry"):
+            run_trace(config, stream_path=tmp_path / "t.jsonl")
+        assert list(tmp_path.iterdir()) == []  # refused before any artifact opened
+
+    def test_enabled_runtime_refuses_dispatch(self, worker_pool):
         telemetry.configure(enabled=True)
-        PassiveTraceGenerator(scale=SCALE, seed=SEED).generate()
-        serial_totals = _counter_totals()
-
-        telemetry.configure(enabled=True)
-        PassiveTraceGenerator(scale=SCALE, seed=SEED).generate(workers=workers)
-        parallel_totals = _counter_totals()
-    finally:
-        telemetry.disable()
-    assert parallel_totals == serial_totals
-    assert parallel_totals["iotls_trace_devices_total"] == [("{}", 40)]
+        with pytest.raises(ValueError, match="no telemetry"):
+            ActiveExperimentCampaign().run(pool=worker_pool(2))

@@ -1,5 +1,5 @@
-"""Profiler tests: path aggregation, self time, collapsed stacks, worker
-merge, and the CLI --profile surface."""
+"""Profiler tests: path aggregation, self time, collapsed stacks, the
+profile document, and the CLI --profile surface."""
 
 from __future__ import annotations
 
@@ -93,60 +93,38 @@ class TestCollapsedStacks:
         assert Profiler().collapsed_stacks() == ""
 
 
-class TestWorkerMerge:
-    def _payload(self, worker: int, seconds: float) -> dict:
-        def run(tracer):
-            with tracer.span("shard.run"):
-                pass
-
-        profiler = Profiler.from_tracer(_traced(run))
-        payload = profiler.to_payload(worker=worker)
-        payload["shard_seconds"] = seconds  # deterministic for assertions
-        return payload
-
-    def test_merge_accumulates_paths_and_shards(self):
-        merged = Profiler()
-        merged.merge_payload(self._payload(0, 0.5))
-        merged.merge_payload(self._payload(1, 0.25))
-        (stat,) = merged.paths()
-        assert stat.path == "shard.run"
-        assert stat.calls == 2
-        assert merged.shards == {0: 0.5, 1: 0.25}
-
+class TestProfileDocument:
     def test_to_dict_shape(self):
-        profiler = Profiler()
-        profiler.merge_payload(self._payload(0, 0.5))
-        document = profiler.to_dict()
-        assert document["schema"] == PROFILE_SCHEMA
-        assert document["shards"] == {"0": 0.5}
-        assert document["phases"]["shard.run"] > 0
-        json.dumps(document)
+        def run(tracer):
+            with tracer.span("trace.generate"):
+                with tracer.span("trace.device"):
+                    pass
 
-    def test_from_runtime_includes_worker_profiles(self):
-        runtime = telemetry.configure(enabled=True)
-        with runtime.tracer.span("parent.work"):
-            pass
-        runtime.worker_profiles.append(self._payload(3, 0.125))
-        profiler = Profiler.from_runtime(runtime)
-        paths = {stat.path for stat in profiler.paths()}
-        assert {"parent.work", "shard.run"} <= paths
-        assert profiler.shards == {3: 0.125}
+        document = Profiler.from_tracer(_traced(run)).to_dict()
+        assert set(document) == {"schema", "spans", "hot", "phases", "collapsed_stacks"}
+        assert document["schema"] == PROFILE_SCHEMA
+        assert document["phases"]["trace.device"] > 0
+        json.dumps(document)
 
 
 class TestRenderHotTable:
     def test_empty_mentions_telemetry(self):
         assert "telemetry" in render_hot_table(Profiler())
 
-    def test_table_lists_shard_walltimes(self):
-        profiler = Profiler()
-        tracer = Tracer(enabled=True)
-        with tracer.span("shard.run"):
-            pass
-        payload = Profiler.from_tracer(tracer).to_payload(worker=0)
-        profiler.merge_payload(payload)
-        table = render_hot_table(profiler)
-        assert "shard.run" in table
-        assert "per-shard wall time:" in table
+    def test_table_lists_hot_paths(self):
+        def run(tracer):
+            with tracer.span("trace.generate"):
+                with tracer.span("trace.device"):
+                    pass
+
+        table = render_hot_table(Profiler.from_tracer(_traced(run)))
+        header, rule, *rows = table.splitlines()
+        assert header.split() == ["span", "path", "calls", "cum", "(s)", "self", "(s)",
+                                  "mean", "(ms)"]
+        assert set(rule) <= {"-", " "}
+        assert sorted(row.split()[0] for row in rows) == [
+            "trace.generate", "trace.generate;trace.device"
+        ]
 
 
 class TestCliProfile:

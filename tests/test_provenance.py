@@ -1,5 +1,6 @@
 """Run-manifest tests: digests, the deterministic metrics slice, and the
-worker-invariance guarantee (manifests byte-identical across --workers)."""
+worker-invariance guarantee (manifests byte-identical with or without a
+warm worker pool)."""
 
 from __future__ import annotations
 
@@ -101,32 +102,26 @@ class TestManifest:
 
 
 class TestWorkerInvariance:
-    """The acceptance criterion: byte-identical manifests for workers 1/2/4."""
+    """The acceptance criterion: byte-identical manifests whether a run
+    shards onto a warm pool of 2 or 4 processes or runs in-process."""
 
     @pytest.mark.parametrize("workers", ["2", "4"])
-    def test_trace_manifest_byte_identical(self, tmp_path, workers, capsys):
+    def test_trace_manifest_byte_identical(self, tmp_path, workers, worker_pool):
+        from repro.api import RunConfig, run_trace
+
         manifests = {}
         for n in ("1", workers):
             out = tmp_path / f"w{n}"
-            status = main(
-                [
-                    "trace",
-                    "--scale",
-                    "1",
-                    "--seed",
-                    "manifest-invariance",
-                    "--workers",
-                    n,
-                    "--telemetry",
-                    "--manifest",
-                    str(out / "manifest.json"),
-                    "--json",
-                    str(out / "trace.json"),
-                ]
+            result = run_trace(
+                RunConfig(
+                    scale=1,
+                    seed="manifest-invariance",
+                    ledger=None,
+                    pool=worker_pool(int(n)),
+                ),
+                json_path=out / "trace.json",
             )
-            assert status == 0
-            manifests[n] = (out / "manifest.json").read_bytes()
-        capsys.readouterr()
+            manifests[n] = write_manifest(result.manifest, out / "manifest.json").read_bytes()
         assert manifests["1"] == manifests[workers]
 
     def test_trace_manifest_independent_of_hash_seed(self, tmp_path):

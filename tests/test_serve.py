@@ -15,10 +15,11 @@ import threading
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import api, telemetry
 from repro.serve import FleetService, ServeConfig
-from repro.serve.http import HttpError, HttpRequest
+from repro.serve.http import HttpError, HttpRequest, read_request
 from repro.telemetry import ACCESS_LOG_SCHEMA, AccessLog, ledger
 from repro.telemetry.schemas import check_contract
 
@@ -86,7 +87,71 @@ async def with_service(config: ServeConfig, scenario):
 TRACE_BODY = {"command": "trace", "scale": 1, "seed": "serve-test"}
 
 
+def parse(raw: bytes):
+    """``read_request`` over ``raw`` followed by EOF."""
+
+    async def run():
+        reader = asyncio.StreamReader()
+        reader.feed_data(raw)
+        reader.feed_eof()
+        return await read_request(reader)
+
+    return asyncio.run(run())
+
+
 class TestHttpFraming:
+    @pytest.mark.parametrize("value", ["-5", "+3", "1_0", " 7 7", "\xb2", "0x10"])
+    def test_content_length_must_be_digits(self, value):
+        raw = f"POST /runs HTTP/1.1\r\nContent-Length: {value}\r\n\r\n0123456789"
+        with pytest.raises(HttpError) as excinfo:
+            parse(raw.encode("latin-1"))
+        assert excinfo.value.status == 400
+
+    def test_content_length_leading_zeros_and_huge_values(self):
+        request = parse(b"POST /runs HTTP/1.1\r\nContent-Length: 0003\r\n\r\nabc")
+        assert request.body == b"abc"
+        with pytest.raises(HttpError) as excinfo:
+            parse(b"POST /runs HTTP/1.1\r\nContent-Length: " + b"9" * 5000 + b"\r\n\r\n")
+        assert excinfo.value.status == 413
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.one_of(
+            st.binary(max_size=300),
+            st.builds(
+                lambda head, length, body: b"POST /runs HTTP/1.1\r\n" + head
+                + b"Content-Length: " + length + b"\r\n\r\n" + body,
+                st.just(b"") | st.binary(max_size=40),
+                st.from_regex(rb"[-+]?[0-9_ ]{0,8}", fullmatch=True) | st.binary(max_size=12),
+                st.binary(max_size=40),
+            ),
+        )
+    )
+    @example(b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\nbody")
+    @example(b"POST /runs HTTP/1.1\r\nContent-Length: +3\r\n\r\nbody")
+    @example(b"POST /runs HTTP/1.1\r\nContent-Length: 1_0\r\n\r\nbody")
+    def test_any_bytes_parse_or_raise_http_error(self, raw):
+        try:
+            result = parse(raw)
+        except HttpError as exc:
+            assert exc.status in (400, 413)
+        else:
+            assert result is None or isinstance(result, HttpRequest)
+
+    def test_negative_content_length_answers_400(self, tmp_path):
+        async def scenario(service):
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(b"POST /runs HTTP/1.1\r\nContent-Length: -5\r\n\r\n")
+            await writer.drain()
+            response = await reader.read()
+            writer.close()
+            await writer.wait_closed()
+            return response
+
+        response = asyncio.run(with_service(serve_config(tmp_path), scenario))
+        assert response.startswith(b"HTTP/1.1 400 ")
+        assert b"malformed Content-Length" in response
+
     def test_request_json_rejects_garbage(self):
         bad = HttpRequest(method="POST", path="/runs", body=b"{nope")
         with pytest.raises(HttpError) as excinfo:
@@ -135,6 +200,46 @@ class TestHttpFraming:
         assert asyncio.run(with_service(serve_config(tmp_path), scenario))
 
 
+class TestPooledService:
+    """A served miss runs on the resident warm pool and still answers the
+    exact bytes a one-shot serial run writes."""
+
+    def test_pooled_misses_match_one_shot_runs(self, tmp_path):
+        bodies = [
+            {"command": "trace", "scale": 1, "seed": "pooled"},
+            {"command": "trace", "scale": 1, "seed": "pooled", "flow_cap": 5},
+            {"command": "audit", "include_passthrough": False},
+        ]
+
+        async def scenario(service):
+            responses = [await request(service.port, "POST", "/runs", b) for b in bodies]
+            _, _, status = await request(service.port, "GET", "/status")
+            return responses, json.loads(status)["pool"]
+
+        telemetry.configure(enabled=False)
+        responses, pool = asyncio.run(
+            with_service(serve_config(tmp_path, workers=2), scenario)
+        )
+        assert pool["workers"] == 2
+        # 40 trace chunks per trace miss plus one shard per worker for the audit.
+        assert pool["dispatches"] == 40 + 40 + 2
+        for body, (status, headers, content) in zip(bodies, responses):
+            assert (status, headers["x-iotls-cache"]) == (200, "miss"), body
+            request_ = api.RunRequest.from_document(
+                {key: value for key, value in body.items() if key != "command"}
+            )
+            config = api.RunConfig.merge(request_, api.ExecutionOptions(ledger=None))
+            digest = api.request_digest(body["command"], request_)
+            if body["command"] == "trace":
+                stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
+                stream_path.parent.mkdir(exist_ok=True)
+                direct = api.run_trace(config, stream_path=stream_path)
+                assert content == stream_path.read_bytes(), body
+            else:
+                direct = api.run_audit(config)
+            assert headers["x-iotls-manifest-digest"] == direct.manifest_digest, body
+
+
 class TestCacheContract:
     def test_miss_then_hit_identical_bytes_one_ledger_entry(self, tmp_path):
         async def scenario(service):
@@ -166,7 +271,7 @@ class TestCacheContract:
         # Manifests fold in the artifact *basename* (path-free
         # provenance), so the byte-identical direct equivalent uses the
         # service's content-addressed name -- in a different directory.
-        config = api.RunConfig(scale=1, seed="serve-test", workers=1, ledger=None)
+        config = api.RunConfig(scale=1, seed="serve-test", ledger=None)
         digest = api.request_digest("trace", config.request)
         stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
         stream_path.parent.mkdir()
@@ -197,7 +302,7 @@ class TestCacheContract:
         )
         for seed, (status, headers, body) in zip(seeds, responses):
             assert status == 200
-            config = api.RunConfig(scale=1, seed=seed, workers=1, ledger=None)
+            config = api.RunConfig(scale=1, seed=seed, ledger=None)
             digest = api.request_digest("trace", config.request)
             stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
             stream_path.parent.mkdir(exist_ok=True)

@@ -46,6 +46,7 @@ from repro.longitudinal import (
     insecure_advertised_accumulator,
     strong_established_accumulator,
 )
+from repro.telemetry.provenance import canonical_json
 from repro.testbed import (
     CaptureSink,
     CaptureTee,
@@ -265,23 +266,20 @@ class TestStreamEqualsMaterialised:
 
 
 class TestManifestParity:
-    """Streaming and materialised CLI runs write byte-identical manifests."""
+    """Streaming and materialised runs write byte-identical manifests."""
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_stream_manifest_matches_materialised(self, tmp_path, capsys, workers):
-        materialised = tmp_path / "materialised.json"
-        streamed = tmp_path / "streamed.json"
-        base = ["trace", "--scale", "1", "--seed", "stream-manifest", "--telemetry"]
-        assert main(base + ["--manifest", str(materialised)]) == 0
-        assert (
-            main(
-                base
-                + ["--stream", "--workers", str(workers), "--manifest", str(streamed)]
-            )
-            == 0
+    def test_stream_manifest_matches_materialised(self, workers, worker_pool):
+        from repro.api import RunConfig, run_trace
+
+        # Serial runs carry telemetry, so their manifests hold the
+        # tee-counted metrics; pooled runs carry none.
+        config = RunConfig(
+            scale=1, seed="stream-manifest", telemetry=workers == 1, ledger=None
         )
-        capsys.readouterr()
-        assert materialised.read_bytes() == streamed.read_bytes()
+        materialised = run_trace(config)
+        streamed = run_trace(replace(config, stream=True, pool=worker_pool(workers)))
+        assert canonical_json(streamed.manifest) == canonical_json(materialised.manifest)
 
 
 class TestJsonlStream:

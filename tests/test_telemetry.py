@@ -241,10 +241,9 @@ class TestSnapshot:
         assert hist["series"][0]["cumulative_bucket_counts"] == [1, 1, 2]
         json.dumps(snapshot)  # must be serialisable
 
-    def test_snapshot_roundtrip_over_full_catalog(self):
+    def test_snapshot_roundtrip_over_full_catalog(self, tmp_path):
         # Every metric the pipeline emits must survive
-        # snapshot -> merge_snapshot -> snapshot unchanged:
-        # the shape workers use to ship telemetry home.
+        # snapshot -> --metrics-out JSON file -> snapshot unchanged.
         registry = MetricsRegistry()
         registry.counter("iotls_handshakes_total").inc(3, state="established")
         registry.counter("iotls_handshakes_total").inc(1, state="client_rejected")
@@ -259,9 +258,8 @@ class TestSnapshot:
         registry.gauge("iotls_campaign_phase_seconds").set(0.2, phase="interception")
         registry.histogram("iotls_handshake_seconds").observe(0.0001)
         registry.histogram("iotls_span_duration_seconds").observe(0.5, span="trace.generate")
-        rebuilt = MetricsRegistry()
-        rebuilt.merge_snapshot(metrics_snapshot(registry))
-        assert metrics_snapshot(rebuilt) == metrics_snapshot(registry)
+        path = write_snapshot(registry, tmp_path / "m.json")
+        assert json.loads(path.read_text()) == metrics_snapshot(registry)
 
     def test_write_snapshot(self, tmp_path):
         path = write_snapshot(_populated_registry(), tmp_path / "deep" / "m.json")

@@ -242,7 +242,7 @@ class TestBenchHistoryLedger:
         assert entry["schema"] == "iotls-run-ledger/1"
         assert (entry["kind"], entry["status"]) == ("bench", "ok")
         # The workload shape lives in params, so the config digest names it.
-        assert entry["params"] == {"scale": 1, "flow_cap": 50, "workers": 1}
+        assert entry["params"] == {"scale": 1, "flow_cap": 50}
         assert entry["config_digest"] == config_digest("bench", entry["params"], __version__)
         assert isinstance(entry["git_rev"], str) and entry["git_rev"]
         assert entry["date"] == host_date()

@@ -24,7 +24,7 @@ workload shape in ``params`` -- including ``records_per_second`` (the
 Usage::
 
     PYTHONPATH=src python tools/bench_stream.py [--scale 4000] \
-        [--flow-cap 50] [--workers 1] [--skip-heap-probe] [--ledger PATH]
+        [--flow-cap 50] [--skip-heap-probe] [--ledger PATH]
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from time import perf_counter
 
 from repro import telemetry
 from repro.longitudinal import PassiveTraceGenerator
-from repro.parallel import pool_session
 from repro.telemetry import ResourceSampler
 from repro.telemetry.provenance import git_rev
 from repro.testbed import DiscardSink
@@ -58,7 +57,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
     parser.add_argument("--flow-cap", type=int, default=50)
-    parser.add_argument("--workers", type=int, default=1)
     parser.add_argument(
         "--skip-heap-probe",
         action="store_true",
@@ -76,30 +74,27 @@ def main() -> int:
     generator = PassiveTraceGenerator(
         scale=args.scale, seed=SEED, flow_cap=args.flow_cap
     )
-    # One warm pool spans both passes when --workers > 1, mirroring how
-    # the run facade amortises worker spawns across phases.
-    with pool_session(args.workers):
-        # Timing pass: untraced, so the clock sees the real hot path.
-        sink = DiscardSink()
-        with ResourceSampler(trace_heap=False) as sampler:
-            started = perf_counter()
-            generator.stream_into(sink, workers=args.workers)
-            seconds = perf_counter() - started
-        resources = sampler.summary()
+    # Timing pass: untraced, so the clock sees the real hot path.
+    sink = DiscardSink()
+    with ResourceSampler(trace_heap=False) as sampler:
+        started = perf_counter()
+        generator.stream_into(sink)
+        seconds = perf_counter() - started
+    resources = sampler.summary()
 
-        # Heap probe: traced, untimed.  Same workload, so its traced
-        # peak is the timing pass's peak without the observer effect.
-        peak_traced_bytes = 0
-        if not args.skip_heap_probe:
-            with ResourceSampler() as heap_sampler:
-                generator.stream_into(DiscardSink(), workers=args.workers)
-            peak_traced_bytes = heap_sampler.summary()["peak_traced_bytes"]
+    # Heap probe: traced, untimed.  Same workload, so its traced peak is
+    # the timing pass's peak without the observer effect.
+    peak_traced_bytes = 0
+    if not args.skip_heap_probe:
+        with ResourceSampler() as heap_sampler:
+            generator.stream_into(DiscardSink())
+        peak_traced_bytes = heap_sampler.summary()["peak_traced_bytes"]
 
     throughput = safe_rate(sink.records_seen, seconds)
     peak_mib = peak_traced_bytes / (1024 * 1024)
     peak_rss_kib = resources["peak_rss_kib"]
     print(
-        f"scale={args.scale} flow_cap={args.flow_cap} workers={args.workers}: "
+        f"scale={args.scale} flow_cap={args.flow_cap}: "
         f"{seconds:.2f}s -- {sink.records_seen} flow records "
         f"({sink.connections_seen} connections), "
         f"{throughput:,.0f} records/s, peak {peak_mib:.1f} MiB traced, "
@@ -108,7 +103,7 @@ def main() -> int:
     entry = telemetry.build_entry(
         "bench",
         kind="bench",
-        params={"scale": args.scale, "flow_cap": args.flow_cap, "workers": args.workers},
+        params={"scale": args.scale, "flow_cap": args.flow_cap},
         seconds=seconds,
         extra={
             "benchmark": "stream_trace",

@@ -9,12 +9,16 @@ operator) would:
    manifest digests, and **zero** new warm-pool dispatches for the hit,
 3. assert a distinct request misses (the cache is content-addressed,
    not request-order magic),
-4. check the streamed body, the final ``GET /status`` document and the
+4. compare the served trace body byte for byte with what a one-shot
+   serial ``iotls trace --stream-out`` writes for the same request: the
+   server computes its misses on a warm worker pool, and the pool must
+   be invisible in the bytes,
+5. check the streamed body, the final ``GET /status`` document and the
    access log against their registered contracts
    (``iotls-trace-stream/1``, ``iotls-serve-status/1``,
    ``iotls-serve-access/1``) through the one contract checker,
    :func:`repro.telemetry.schemas.check_contract`,
-5. shut the server down and leave the access log and status document
+6. shut the server down and leave the access log and status document
    behind for artifact upload.
 
 Exit codes: 0 = contract holds, 1 = violation, 2 = environment failure
@@ -149,6 +153,19 @@ def main() -> int:
 
         stream_path = workdir / "stream-body.jsonl"
         stream_path.write_bytes(first_body)
+        one_shot = workdir / "one-shot.jsonl"
+        subprocess.run(
+            [
+                sys.executable, "-m", "repro.cli", "trace",
+                "--scale", str(TRACE_REQUEST["scale"]), "--seed", TRACE_REQUEST["seed"],
+                "--stream-out", str(one_shot), "--no-ledger",
+            ],
+            env=env, cwd=workdir, check=True, stdout=subprocess.DEVNULL,
+        )
+        if one_shot.read_bytes() != first_body:
+            failures.append(
+                f"served trace body differs from `iotls trace --stream-out` ({one_shot})"
+            )
         for problem in check_contract(stream_path, TRACE_STREAM_SCHEMA):
             failures.append(f"trace stream: {problem}")
 
