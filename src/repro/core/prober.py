@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .. import telemetry as _telemetry
 from ..devices.device import Device
-from ..devices.profile import ACTIVE_EXPERIMENT_MONTH
 from ..mitm.forge import AttackerToolbox
 from ..mitm.proxy import AttackMode, InterceptionProxy
 from ..pki.certificate import Certificate
@@ -142,31 +141,19 @@ class RootStoreProber:
     # ------------------------------------------------------------------
     # Single-probe mechanics
     # ------------------------------------------------------------------
-    def _intercept_first_boot_connection(
-        self, plug: SmartPlug, proxy: InterceptionProxy
-    ):
-        """Reboot; intercept only the first boot-time connection."""
-        device = plug.device
-        first = device.first_destination()
+    def _observe_alert(self, plug: SmartPlug, proxy: InterceptionProxy) -> tuple[str | None, bool]:
+        """Reboot with ``proxy`` intercepting the first boot-time connection;
+        return (alert name or None, connection-was-accepted).
 
-        def responder_for(destination):
-            if destination.hostname == first.hostname:
-                return proxy
-            return self.testbed.server_for(destination)
-
+        The reboot simulates only that connection: the probe observes
+        nothing else, and a power cycle makes its outcome independent of
+        the connections that would follow it.
+        """
         if _TELEMETRY.enabled:
             _TELEMETRY.registry.counter(
                 "iotls_probe_reboots_total", "Device power-cycles driven by the prober."
-            ).inc(device=device.name)
-        connections = plug.reboot(responder_for, month=ACTIVE_EXPERIMENT_MONTH)
-        for connection in connections:
-            if connection.destination.hostname == first.hostname:
-                return connection
-        raise RuntimeError(f"{device.name}: boot produced no first-destination traffic")
-
-    def _observe_alert(self, plug: SmartPlug, proxy: InterceptionProxy) -> tuple[str | None, bool]:
-        """Return (alert name or None, connection-was-accepted)."""
-        connection = self._intercept_first_boot_connection(plug, proxy)
+            ).inc(device=plug.device.name)
+        connection = plug.reboot_first_connection(proxy)
         result = connection.attempt.attempts[0]
         if result.established:
             return None, True

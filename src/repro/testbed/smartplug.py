@@ -3,7 +3,9 @@
 The paper automates device reboots with TP-Link power plugs to induce
 boot-time TLS traffic for active experiments.  :class:`SmartPlug` plays
 that role: it power-cycles a device and drives its boot sequence against
-a responder chooser, returning the connections the boot produced.
+a responder chooser, returning the connections the boot produced -- or,
+for an experiment that observes only the first boot-time connection (the
+root-store prober), makes just that one.
 
 It also enforces the paper's experimental-design constraint: appliances
 unsuited to repeated power cycling (washer, dryer, thermostat, fridge)
@@ -16,6 +18,7 @@ from datetime import datetime
 
 from ..devices.device import Device, DeviceConnection, ResponderFor
 from ..devices.profile import ACTIVE_EXPERIMENT_MONTH
+from ..tls.engine import Responder
 
 __all__ = ["SmartPlug", "NotRebootableError"]
 
@@ -46,3 +49,18 @@ class SmartPlug:
         """Power the device off and on; return its boot-time connections."""
         self.reboot_count += 1
         return self.device.boot(responder_for, month=month, when=when)
+
+    def reboot_first_connection(self, responder: Responder) -> DeviceConnection:
+        """Power-cycle the device; connect only its first boot destination,
+        in the active-experiment month.
+
+        A power cycle resets every instance's failure state, so the first
+        connection's outcome does not depend on the ones after it: an
+        experiment that observes only that connection need not run them.
+        """
+        self.reboot_count += 1
+        device = self.device
+        device.power_cycle()
+        return device.connect_destination(
+            device.first_destination(), responder, month=ACTIVE_EXPERIMENT_MONTH
+        )

@@ -374,13 +374,17 @@ class HandshakeMemo:
 
     Entries are grouped by responder and dropped when the responder
     dies, so a discarded interception proxy's answers do not outlive it.
-    The memo itself lives on the :class:`~repro.testbed.Testbed`.
+    A ClientHello reads only the client key and the hostname, so hellos
+    are kept once per that pair, across responders: a fresh proxy per
+    probe reuses the hello every earlier proxy was sent.  The memo
+    itself lives on the :class:`~repro.testbed.Testbed`.
     """
 
-    __slots__ = ("_responders", "__weakref__")
+    __slots__ = ("_responders", "_hellos", "__weakref__")
 
     def __init__(self) -> None:
         self._responders: dict[int, tuple[dict[Hashable, _Answer], weakref.ref]] = {}
+        self._hellos: dict[tuple[Hashable, str | None], ClientHello] = {}
 
     def __len__(self) -> int:
         return sum(len(answers) for answers, _ in self._responders.values())
@@ -414,7 +418,10 @@ class HandshakeMemo:
         key = (client_key, hostname, responder.memo_key(when))
         entry = answers.get(key)
         if entry is None:
-            client_hello = client.build_client_hello(hostname)
+            hello_key = (client_key, hostname)
+            client_hello = self._hellos.get(hello_key)
+            if client_hello is None:
+                client_hello = self._hellos[hello_key] = client.build_client_hello(hostname)
             entry = answers[key] = _Answer(
                 client_hello, responder.answer(client_hello, when=when)
             )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro import telemetry
 from repro.core import ProbeOutcome, RootStoreProber
 from repro.core.prober import (
     AmenabilityCalibration,
@@ -19,13 +20,16 @@ from repro.devices import (
     ServerSpec,
     TLSInstanceSpec,
 )
-from repro.devices import device_by_name
+from repro.devices import active_devices, device_by_name
 from repro.devices.configs import FS_MODERN, RSA_PLAIN
 from repro.devices.instance import InstanceConfigSpec
+from repro.devices.policies import ValidationPolicy
+from repro.devices.profile import ACTIVE_EXPERIMENT_MONTH
 from repro.pki import RootStore
-from repro.testbed import SmartPlug
+from repro.testbed import SmartPlug, Testbed
 from repro.tls import ProtocolVersion
 from repro.tls.alerts import AlertDescription
+from repro.tlslib.catalog import OPENSSL
 from repro.tlslib.library import AlertPolicy, TLSLibrary
 
 #: A library that closes silently on unknown-CA chains but alerts on
@@ -40,7 +44,9 @@ SILENT_ON_UNKNOWN_CA = TLSLibrary(
 )
 
 
-def _custom_library_device(testbed, library, name: str) -> Device:
+def _custom_library_device(
+    testbed, library, name: str, *, validation: ValidationPolicy = ValidationPolicy()
+) -> Device:
     """A single-instance device using ``library``, trusting the anchors."""
     anchors = [testbed.anchor(index).certificate for index in range(2)]
     store = RootStore.from_certificates(f"{name} store", anchors)
@@ -52,7 +58,7 @@ def _custom_library_device(testbed, library, name: str) -> Device:
         category=DeviceCategory.HOME_AUTOMATION,
         manufacturer="Synthetic",
         active=True,
-        instances=(TLSInstanceSpec.static("main", library, config),),
+        instances=(TLSInstanceSpec.static("main", library, config, validation=validation),),
         destinations=(
             DestinationSpec(
                 hostname=f"{name.lower().replace(' ', '-')}.example.com",
@@ -236,3 +242,94 @@ class TestDeviceReports:
         names = report.present_deprecated_names()
         # LG TV pins TurkTrust (deprecated 2013) -- the paper's oldest case.
         assert "TURKTRUST Elektronik Sertifika Hizmet Saglayicisi" in names
+
+
+class _FullBootProber(RootStoreProber):
+    """The reference: every probe reboot runs the device's whole boot, the
+    first destination intercepted and the rest sent to their genuine
+    servers, and reads the first destination's connection."""
+
+    def _observe_alert(self, plug, proxy):
+        first = plug.device.first_destination()
+
+        def responder_for(destination):
+            if destination.hostname == first.hostname:
+                return proxy
+            return self.testbed.server_for(destination)
+
+        connections = plug.reboot(responder_for, month=ACTIVE_EXPERIMENT_MONTH)
+        (connection,) = [c for c in connections if c.destination.hostname == first.hostname]
+        result = connection.attempt.attempts[0]
+        if result.established:
+            return None, True
+        alert = result.client_alert
+        return (alert.description.name.lower() if alert else None), False
+
+
+class TestProbeReboot:
+    """A probe reboot simulates only the connection the probe observes."""
+
+    def test_reports_equal_full_boot_reference(self, universe, campaign_results):
+        """A power cycle resets every instance's failure state before the
+        first connection, so the connections after it never change what
+        the probe reads: every report equals the full-boot reference's.
+        Every rebootable device is covered, the probe-eligible ones and
+        the rest (the Yi Camera, whose validation gives up after three
+        failures, among them)."""
+        names = [profile.name for profile in active_devices() if profile.rebootable]
+        assert set(campaign_results.probe_eligible) < set(names)
+        assert "Yi Camera" in names
+        prober = RootStoreProber(Testbed(universe))
+        reference = _FullBootProber(Testbed(universe))
+        for name in names:
+            report = prober.probe_device(prober.testbed.device(name))
+            assert report == reference.probe_device(reference.testbed.device(name)), name
+
+    def test_probe_reboot_resets_failure_state(self, universe):
+        """A device whose validation gives up after three straight failures
+        (the Yi Camera's behaviour) keeps validating across probe reboots,
+        as it does across full boots."""
+        reports = []
+        for prober in (RootStoreProber(Testbed(universe)), _FullBootProber(Testbed(universe))):
+            device = _custom_library_device(
+                prober.testbed,
+                OPENSSL,
+                "Giving-Up Cam",
+                validation=ValidationPolicy(disable_after_failures=3),
+            )
+            reports.append(
+                prober.probe_device(
+                    device,
+                    common=universe.common_records()[:4],
+                    deprecated=universe.deprecated_records()[:4],
+                )
+            )
+        report, reference = reports
+        assert report == reference
+        assert report.calibration.amenable
+        results = report.common_results + report.deprecated_results
+        assert len(results) == 8
+        assert all(result.outcome is not ProbeOutcome.INCONCLUSIVE for result in results)
+
+    @pytest.mark.parametrize(
+        "name, reboots", [("Wink Hub 2", 193), ("D-Link Camera", 3), ("Apple TV", 3)]
+    )
+    def test_one_connection_per_reboot(self, universe, monkeypatch, name, reboots):
+        connects = []
+        original = Device.connect_destination
+
+        def counting(self, destination, responder, **kwargs):
+            connects.append(destination.hostname)
+            return original(self, destination, responder, **kwargs)
+
+        monkeypatch.setattr(Device, "connect_destination", counting)
+        testbed = Testbed(universe)
+        device = testbed.device(name)
+        runtime = telemetry.configure(enabled=True)
+        try:
+            RootStoreProber(testbed).probe_device(device)
+            counted = runtime.registry.get("iotls_probe_reboots_total").value(device=name)
+        finally:
+            telemetry.configure(enabled=False)
+        assert counted == reboots
+        assert connects == [device.first_destination().hostname] * reboots

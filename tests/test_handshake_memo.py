@@ -59,6 +59,11 @@ _ALWAYS = ("Yi Camera", "Roku TV", "Wink Hub 2", "Apple TV", _CRL_DEVICE.name)
 _DESTINATIONS = 3
 
 
+#: Stands in the plan for a proxy built fresh for each handshake, as the
+#: root-store prober builds one per probe.
+_FRESH_PROXY = object()
+
+
 def _unmemoised(client, responder, hostname, when, application_data, memo):
     return engine._handshake_unmemoised(client, responder, hostname, when, application_data)
 
@@ -78,6 +83,7 @@ def _scenario(testbed: Testbed, names: list[str], month: int, seed: int) -> dict
         )
         for mode in AttackMode
     ]
+    fresh_hellos = []
     results, disabled, registries = [], [], {}
     plan = []
     for name in names:
@@ -85,7 +91,7 @@ def _scenario(testbed: Testbed, names: list[str], month: int, seed: int) -> dict
         for destination in device.profile.destinations[:_DESTINATIONS]:
             genuine = testbed.server_for(destination)
             registries[destination.server.anchor_index] = genuine.registry
-            responders = [genuine, *proxies] + [
+            responders = [genuine, *proxies, _FRESH_PROXY] + [
                 VersionProbeResponder(version=version, chain=genuine.chain)
                 for version in (ProtocolVersion.TLS_1_0, ProtocolVersion.TLS_1_1)
             ]
@@ -108,6 +114,11 @@ def _scenario(testbed: Testbed, names: list[str], month: int, seed: int) -> dict
                 # then fetches a CRL and asks an OCSP responder.
                 years = 0
             when = month_to_date(month) + timedelta(days=rng.randrange(28) + 365 * years)
+            if responder is _FRESH_PROXY:
+                responder = InterceptionProxy(
+                    toolbox=toolbox, mode=AttackMode.SPOOFED_CA, target_root=target_root
+                )
+                fresh_hellos.append(responder.observed_hellos)
             connection = device.connect_destination(
                 destination, responder, month=month + round_number, when=when
             )
@@ -127,7 +138,7 @@ def _scenario(testbed: Testbed, names: list[str], month: int, seed: int) -> dict
     return {
         "results": results,
         "disabled": disabled,
-        "observed_hellos": [proxy.observed_hellos for proxy in proxies],
+        "observed_hellos": [proxy.observed_hellos for proxy in proxies] + fresh_hellos,
         "revocation": {
             index: (registry.crl_fetches, registry.ocsp.queries_served)
             for index, registry in sorted(registries.items())
@@ -178,6 +189,36 @@ def test_memoised_equals_unmemoised(seed, extra, month):
     assert any(ocsp for _, ocsp in memoised["revocation"].values())
     assert 0 < memoised["memo_entries"] < handshakes
     assert reference["memo_entries"] == 0
+
+
+def test_fresh_proxies_share_one_client_hello(monkeypatch):
+    """Answers are kept per responder, hellos per client and hostname: a
+    probe campaign's fresh proxy per reboot builds no new ClientHello."""
+    built = []
+    original = library.LibraryClient.build_client_hello
+
+    def counting(self, hostname):
+        built.append(hostname)
+        return original(self, hostname)
+
+    monkeypatch.setattr(library.LibraryClient, "build_client_hello", counting)
+    testbed = Testbed(_UNIVERSE)
+    device = testbed.device("Wink Hub 2")
+    destination = device.first_destination()
+    toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+    hellos = []
+    for record in _UNIVERSE.common_records()[:20]:
+        proxy = InterceptionProxy(
+            toolbox=toolbox, mode=AttackMode.SPOOFED_CA, target_root=record.certificate
+        )
+        connection = device.connect_destination(destination, proxy)
+        assert connection.attempt.final.state is HandshakeState.CLIENT_REJECTED
+        hellos += proxy.observed_hellos
+    assert built == [destination.hostname]
+    assert len(hellos) == 20
+    assert all(hello is hellos[0] for hello in hellos)
+    # Each proxy's answer went with the proxy; the live one's remains.
+    assert len(testbed.handshake_memo) == 1
 
 
 def test_memo_key_covers_every_client_config_field():
