@@ -14,8 +14,8 @@ Two layers make up the facade:
   flow cap, ...) and round-trips JSON via
   :meth:`RunRequest.from_document` / :meth:`RunRequest.to_document` --
   it is the wire format of a dispatchable run.  :class:`ExecutionOptions`
-  holds the host-local knobs (the warm pool, ledger path,
-  telemetry/progress sinks) that never enter a digest or a manifest.
+  holds the host-local knobs (the warm pool, ledger path, telemetry
+  switch) that never enter a digest or a manifest.
   :class:`RunConfig` composes the two and stays the convenient
   single-object configuration for library callers.
 
@@ -43,8 +43,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
-import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -197,20 +195,12 @@ class ExecutionOptions:
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
     stream: bool = False
-    #: Emit throttled live-progress lines (implies telemetry).
-    progress: bool = False
-    #: Seconds between progress heartbeats / resource samples.
-    heartbeat_interval: float = 1.0
     #: Run-ledger file this run appends its entry to (None disables).
     ledger: str | Path | None = DEFAULT_LEDGER_PATH
-    #: Where rendered progress lines go (default: stderr when
-    #: ``progress`` is set).  The serve layer points this at its access
-    #: log so per-run heartbeats land in one server-wide stream.
-    progress_stream: Callable[[str], None] | None = None
     #: The warm worker pool to shard devices onto (``iotls serve``
     #: passes its resident one); ``None`` runs in-process.  Output is
     #: identical either way.  A pooled run carries no telemetry, so
-    #: ``telemetry``/``progress`` with a pool raise ``ValueError``.
+    #: ``telemetry`` with a pool raises ``ValueError``.
     pool: WarmWorkerPool | None = None
 
 
@@ -238,10 +228,6 @@ class RunConfig:
     flow_cap: int | None = None
     #: Include the audit campaign's passthrough pass.
     include_passthrough: bool = True
-    #: Emit throttled live-progress lines to stderr (implies telemetry).
-    progress: bool = False
-    #: Seconds between progress heartbeats / resource samples.
-    heartbeat_interval: float = 1.0
     #: Run-ledger file this run appends its ``iotls-run-ledger/1`` entry
     #: to (success and typed failure alike); ``None`` disables ledgering.
     #: The ledger is observability, never provenance: manifests are
@@ -251,8 +237,6 @@ class RunConfig:
     device: str | None = None
     #: Maximum packets to export (``pcap``).
     limit: int | None = None
-    #: Progress-line sink override (see :class:`ExecutionOptions`).
-    progress_stream: Callable[[str], None] | None = None
     #: Warm worker pool (see :class:`ExecutionOptions`).
     pool: WarmWorkerPool | None = None
 
@@ -328,10 +312,6 @@ class TraceResult:
     manifest: dict[str, Any]
     manifest_digest: str
     artifacts: dict[str, Path] = field(default_factory=dict)
-    #: Run-health summary (progress + resources); ``None`` unless the
-    #: run had progress/heartbeat reporting enabled.  Never part of the
-    #: manifest -- health is wall-clock-derived by nature.
-    health: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -342,8 +322,6 @@ class AuditResult:
     manifest: dict[str, Any]
     manifest_digest: str
     artifacts: dict[str, Path] = field(default_factory=dict)
-    #: See :attr:`TraceResult.health`.
-    health: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -371,8 +349,6 @@ class ReportResult:
     manifest: dict[str, Any]
     manifest_digest: str
     artifacts: dict[str, Path] = field(default_factory=dict)
-    #: See :attr:`TraceResult.health`.
-    health: dict[str, Any] | None = None
 
 
 @dataclass(frozen=True)
@@ -543,101 +519,27 @@ def _workers(config: RunConfig) -> int:
 
 
 def _configure_telemetry(config: RunConfig) -> None:
-    # Progress reporting rides on the telemetry runtime (spans and
-    # resource gauges), so --progress implies telemetry.
-    if config.telemetry or config.progress:
+    if config.telemetry:
         # Refuse before any artifact is opened; the pool itself refuses
         # dispatch under telemetry for callers that bypass this facade.
         if config.pool is not None:
-            raise ValueError(
-                "pooled runs carry no telemetry: drop telemetry/progress or the pool"
-            )
+            raise ValueError("pooled runs carry no telemetry: drop telemetry or the pool")
         telemetry.configure(enabled=True)
-
-
-@contextmanager
-def _progress_session(
-    config: RunConfig,
-    heartbeat_path: str | Path | None,
-    *,
-    label: str,
-    total: int | None = None,
-) -> Iterator[Any | None]:
-    """The run-health envelope around one run body.
-
-    When the run asks for progress (``config.progress``, a
-    ``progress_stream`` sink) or a heartbeat stream (``heartbeat_path``),
-    this wires up the full chain -- a
-    :class:`~repro.telemetry.health.ResourceSampler` (gauges into the
-    run registry), an optional
-    :class:`~repro.telemetry.progress.HeartbeatWriter`, and a
-    :class:`~repro.telemetry.progress.ProgressReporter` attached as
-    ``runtime.progress`` for hot paths to feed -- and tears it all down
-    on exit, error paths included.  Yields ``None`` (and costs nothing)
-    when neither is requested.
-
-    The heartbeat JSONL is deliberately **not** a manifest artifact:
-    every line is wall-clock-derived, and digesting it would break the
-    on/off manifest parity the telemetry layer guarantees.
-    """
-    interval = config.heartbeat_interval
-    if not (math.isfinite(interval) and interval >= 0):
-        raise ValueError(f"heartbeat_interval must be finite and >= 0, got {interval}")
-    if not (
-        config.progress
-        or config.progress_stream is not None
-        or heartbeat_path is not None
-    ):
-        yield None
-        return
-    runtime = telemetry.get()
-    sampler = telemetry.ResourceSampler(
-        interval=config.heartbeat_interval, registry=runtime.registry
-    ).start()
-    writer = (
-        telemetry.HeartbeatWriter(heartbeat_path, metadata={"label": label})
-        if heartbeat_path is not None
-        else None
-    )
-    if config.progress_stream is not None:
-        stream = config.progress_stream
-    elif config.progress:
-        stream = lambda line: print(line, file=sys.stderr)  # noqa: E731
-    else:
-        stream = None
-    reporter = telemetry.ProgressReporter(
-        label=label,
-        total=total,
-        interval=config.heartbeat_interval,
-        stream=stream,
-        heartbeat=writer,
-        sampler=sampler,
-    )
-    runtime.progress = reporter
-    try:
-        yield reporter
-    finally:
-        runtime.progress = None
-        # finish() is idempotent and closes the writer + sampler even
-        # when the run body raised.
-        reporter.finish()
 
 
 class _LedgerNote:
     """What one run body reports to its ledger entry.
 
     The run functions fill this in as evidence becomes available --
-    manifest + digest once built, artifacts, the health summary,
-    per-phase wall times -- and :func:`_ledger_session` folds it (with
-    the pool's reuse stats) into the final ``iotls-run-ledger/1`` entry
-    on exit.
+    manifest + digest once built, artifacts, per-phase wall times -- and
+    :func:`_ledger_session` folds it (with the pool's reuse stats) into
+    the final ``iotls-run-ledger/1`` entry on exit.
     """
 
     def __init__(self) -> None:
         self.manifest: dict[str, Any] | None = None
         self.manifest_digest: str | None = None
         self.artifacts: dict[str, Path] = {}
-        self.health: dict[str, Any] | None = None
         self.phases: dict[str, float] = {}
 
     def record(
@@ -646,7 +548,6 @@ class _LedgerNote:
         manifest: dict[str, Any] | None = None,
         manifest_digest: str | None = None,
         artifacts: dict[str, Path] | None = None,
-        health: dict[str, Any] | None = None,
     ) -> None:
         if manifest is not None:
             self.manifest = manifest
@@ -654,8 +555,6 @@ class _LedgerNote:
             self.manifest_digest = manifest_digest
         if artifacts:
             self.artifacts = dict(artifacts)
-        if health is not None:
-            self.health = health
 
     @contextmanager
     def phase(self, name: str) -> Iterator[None]:
@@ -713,7 +612,6 @@ def _ledger_session(
             manifest=note.manifest,
             manifest_digest=note.manifest_digest,
             artifacts=note.artifacts or None,
-            health=note.health,
         ),
         config.ledger,
     )
@@ -737,7 +635,7 @@ def _build_manifest(
 @_register(
     "trace",
     params=_trace_params,
-    extras=("json_path", "stream_path", "heartbeat_path"),
+    extras=("json_path", "stream_path"),
     stream_role="records_jsonl",
     summary="generate the 27-month passive capture and run every analysis",
 )
@@ -746,7 +644,6 @@ def _execute_trace(
     *,
     json_path: str | Path | None = None,
     stream_path: str | Path | None = None,
-    heartbeat_path: str | Path | None = None,
 ) -> TraceResult:
     from .longitudinal import PassiveTraceGenerator
     from .testbed.capture import CaptureTee, GatewayCapture
@@ -763,103 +660,84 @@ def _execute_trace(
     )
     artifacts: dict[str, Path] = {}
     with _ledger_session(config, "trace", _trace_params(config)) as note:
-        with _progress_session(config, heartbeat_path, label="trace") as reporter:
-            pipeline = TraceAnalysisPipeline()
-            sinks: list[Any] = [pipeline]
-            writer = capture = None
-            if stream_path is not None:
-                metadata = {"generator": "iotls trace", **_trace_params(config)}
-                writer = JsonlStreamWriter(stream_path, metadata=metadata)
-                sinks.append(writer)
-            if not streaming:
-                # A materialised run is a stream with a staging capture.
-                capture = GatewayCapture(counted=False)
-                sinks.append(capture)
-            # The tee is the single counting stage of the chain, so the
-            # manifest's metrics are the same in both modes.
-            try:
-                generator.stream_into(CaptureTee(*sinks), pool=config.pool)
-            finally:
-                if writer is not None:
-                    writer.close()
-            analysis = pipeline.finalize()
+        pipeline = TraceAnalysisPipeline()
+        sinks: list[Any] = [pipeline]
+        writer = capture = None
+        if stream_path is not None:
+            metadata = {"generator": "iotls trace", **_trace_params(config)}
+            writer = JsonlStreamWriter(stream_path, metadata=metadata)
+            sinks.append(writer)
+        if not streaming:
+            # A materialised run is a stream with a staging capture.
+            capture = GatewayCapture(counted=False)
+            sinks.append(capture)
+        # The tee is the single counting stage of the chain, so the
+        # manifest's metrics are the same in both modes.
+        try:
+            generator.stream_into(CaptureTee(*sinks), pool=config.pool)
+        finally:
             if writer is not None:
-                artifacts["records_jsonl"] = writer.path
-            if json_path is not None:
-                document = capture_to_document(
-                    capture,
-                    metadata={
-                        "generator": "iotls trace",
-                        "seed": config.seed,
-                        "scale": config.scale,
-                        **(
-                            {"flow_cap": config.flow_cap}
-                            if config.flow_cap is not None
-                            else {}
-                        ),
-                        "flow_records": analysis.flow_records,
-                        "connections": analysis.connections,
-                    },
-                )
-                artifacts["records_json"] = write_json(document, json_path)
+                writer.close()
+        analysis = pipeline.finalize()
+        if writer is not None:
+            artifacts["records_jsonl"] = writer.path
+        if json_path is not None:
+            document = capture_to_document(
+                capture,
+                metadata={
+                    "generator": "iotls trace",
+                    "seed": config.seed,
+                    "scale": config.scale,
+                    **(
+                        {"flow_cap": config.flow_cap}
+                        if config.flow_cap is not None
+                        else {}
+                    ),
+                    "flow_records": analysis.flow_records,
+                    "connections": analysis.connections,
+                },
+            )
+            artifacts["records_json"] = write_json(document, json_path)
         manifest, digest = _build_manifest("trace", _trace_params(config), artifacts)
-        health = reporter.summary if reporter is not None else None
-        note.record(
-            manifest=manifest,
-            manifest_digest=digest,
-            artifacts=artifacts,
-            health=health,
-        )
+        note.record(manifest=manifest, manifest_digest=digest, artifacts=artifacts)
         return TraceResult(
             analysis=analysis,
             capture=capture,
             manifest=manifest,
             manifest_digest=digest,
             artifacts=artifacts,
-            health=health,
         )
 
 
 @_register(
     "audit",
     params=_audit_params,
-    extras=("json_path", "heartbeat_path"),
+    extras=("json_path",),
     summary="run the full active-experiment campaign (Tables 5/6/7/9)",
 )
 def _execute_audit(
-    config: RunConfig,
-    *,
-    json_path: str | Path | None = None,
-    heartbeat_path: str | Path | None = None,
+    config: RunConfig, *, json_path: str | Path | None = None
 ) -> AuditResult:
     from .core import ActiveExperimentCampaign
 
     _configure_telemetry(config)
     params = _audit_params(config)
     with _ledger_session(config, "audit", params) as note:
-        with _progress_session(config, heartbeat_path, label="audit") as reporter:
-            results = ActiveExperimentCampaign().run(
-                include_passthrough=config.include_passthrough, pool=config.pool
-            )
-            artifacts: dict[str, Path] = {}
-            if json_path is not None:
-                artifacts["campaign_json"] = write_json(
-                    campaign_to_document(results), json_path
-                )
-        manifest, digest = _build_manifest("audit", params, artifacts)
-        health = reporter.summary if reporter is not None else None
-        note.record(
-            manifest=manifest,
-            manifest_digest=digest,
-            artifacts=artifacts,
-            health=health,
+        results = ActiveExperimentCampaign().run(
+            include_passthrough=config.include_passthrough, pool=config.pool
         )
+        artifacts: dict[str, Path] = {}
+        if json_path is not None:
+            artifacts["campaign_json"] = write_json(
+                campaign_to_document(results), json_path
+            )
+        manifest, digest = _build_manifest("audit", params, artifacts)
+        note.record(manifest=manifest, manifest_digest=digest, artifacts=artifacts)
         return AuditResult(
             results=results,
             manifest=manifest,
             manifest_digest=digest,
             artifacts=artifacts,
-            health=health,
         )
 
 
@@ -921,7 +799,7 @@ def _execute_probe(
 @_register(
     "report",
     params=_report_params,
-    extras=("out", "progress", "heartbeat_path"),
+    extras=("out", "progress"),
     summary="run everything and write the full markdown report",
 )
 def _execute_report(
@@ -929,7 +807,6 @@ def _execute_report(
     *,
     out: str | Path = "REPORT.md",
     progress: Callable[[str], None] | None = None,
-    heartbeat_path: str | Path | None = None,
 ) -> ReportResult:
     from .analysis.report import write_report
     from .core import ActiveExperimentCampaign
@@ -942,26 +819,19 @@ def _execute_report(
     # The report's digest holds no seed: always the default one.
     generator = PassiveTraceGenerator(testbed, scale=config.scale)
     with _ledger_session(config, "report", _report_params(config)) as note:
-        with _progress_session(config, heartbeat_path, label="report") as reporter:
-            notify("running active campaign...")
-            with note.phase("campaign"):
-                results = ActiveExperimentCampaign(testbed).run(pool=config.pool)
-            notify("generating passive trace...")
-            with note.phase("trace"):
-                pipeline = TraceAnalysisPipeline()
-                generator.stream_into(CaptureTee(pipeline), pool=config.pool)
-                analysis = pipeline.finalize()
-            with note.phase("render"):
-                path = write_report(testbed, results, analysis, out)
+        notify("running active campaign...")
+        with note.phase("campaign"):
+            results = ActiveExperimentCampaign(testbed).run(pool=config.pool)
+        notify("generating passive trace...")
+        with note.phase("trace"):
+            pipeline = TraceAnalysisPipeline()
+            generator.stream_into(CaptureTee(pipeline), pool=config.pool)
+            analysis = pipeline.finalize()
+        with note.phase("render"):
+            path = write_report(testbed, results, analysis, out)
         artifacts = {"report_md": path}
         manifest, digest = _build_manifest("report", _report_params(config), artifacts)
-        health = reporter.summary if reporter is not None else None
-        note.record(
-            manifest=manifest,
-            manifest_digest=digest,
-            artifacts=artifacts,
-            health=health,
-        )
+        note.record(manifest=manifest, manifest_digest=digest, artifacts=artifacts)
         return ReportResult(
             path=path,
             results=results,
@@ -969,7 +839,6 @@ def _execute_report(
             manifest=manifest,
             manifest_digest=digest,
             artifacts=artifacts,
-            health=health,
         )
 
 
@@ -1073,7 +942,6 @@ def run_trace(
     *,
     json_path: str | Path | None = None,
     stream_path: str | Path | None = None,
-    heartbeat_path: str | Path | None = None,
 ) -> TraceResult:
     """Generate the 27-month passive capture and run every analysis.
 
@@ -1081,28 +949,16 @@ def run_trace(
     ``stream_path`` exports the JSONL stream artifact (and implies
     streaming mode, as does ``config.stream``).  The two exports are
     mutually exclusive: a streaming run never materialises the capture
-    the document shape requires.  ``heartbeat_path`` writes the
-    machine-readable run-health stream (``iotls-health-stream/1``); it
-    is telemetry about the run, not an artifact of it, so it never
-    enters the manifest.
+    the document shape requires.
     """
-    return execute(
-        "trace",
-        config,
-        json_path=json_path,
-        stream_path=stream_path,
-        heartbeat_path=heartbeat_path,
-    )
+    return execute("trace", config, json_path=json_path, stream_path=stream_path)
 
 
 def run_audit(
-    config: RunConfig = RunConfig(),
-    *,
-    json_path: str | Path | None = None,
-    heartbeat_path: str | Path | None = None,
+    config: RunConfig = RunConfig(), *, json_path: str | Path | None = None
 ) -> AuditResult:
     """Run the full active-experiment campaign (Tables 5/6/7/9)."""
-    return execute("audit", config, json_path=json_path, heartbeat_path=heartbeat_path)
+    return execute("audit", config, json_path=json_path)
 
 
 def run_probe(
@@ -1127,18 +983,13 @@ def run_report(
     *,
     out: str | Path = "REPORT.md",
     progress: Callable[[str], None] | None = None,
-    heartbeat_path: str | Path | None = None,
 ) -> ReportResult:
     """Run everything and write the full markdown report.
 
     ``progress`` receives coarse phase announcements (the CLI prints
-    them); pass ``None`` for a silent run.  Live heartbeats are separate:
-    ``config.progress`` / ``heartbeat_path`` wire the same run-health
-    envelope the other run functions use.
+    them); pass ``None`` for a silent run.
     """
-    return execute(
-        "report", config, out=out, progress=progress, heartbeat_path=heartbeat_path
-    )
+    return execute("report", config, out=out, progress=progress)
 
 
 def run_pcap(

@@ -28,8 +28,8 @@ flag is declared once, in :data:`_FLAGS`, under the ``dest`` it feeds:
   probe positional -> ``device``, ``--flow-cap`` -> ``flow_cap``, ...;
 * an extra of the command's :class:`repro.api.CommandSpec` --
   ``--json`` -> ``json_path``, ``--stream-out`` -> ``stream_path``,
-  ``--heartbeat-out`` -> ``heartbeat_path``, ``--out``, ``--expected``
-  -> ``expected_path``, ``--artifact`` -> ``artifact_path``;
+  ``--out``, ``--expected`` -> ``expected_path``, ``--artifact`` ->
+  ``artifact_path``;
 * or a CLI-only setting the CLI handles around the run --
   ``--metrics-out``, ``--manifest``, ``--profile``, ``--profile-out``,
   ``--no-ledger``.
@@ -99,15 +99,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         action="store_true",
         help="enable the telemetry subsystem (metrics, spans)",
     )),
-    "progress": ("--progress", dict(
-        action="store_true",
-        help="print throttled live-progress heartbeats to stderr "
-        "(implies --telemetry)",
-    )),
-    "heartbeat_interval": ("--heartbeat-interval", dict(
-        type=float, default=1.0, metavar="SECONDS",
-        help="seconds between heartbeats / resource samples (default %(default)s)",
-    )),
     "ledger": ("--ledger", dict(
         metavar="PATH", default=None,
         help=f"append this run's {telemetry.LEDGER_SCHEMA} entry to PATH "
@@ -119,11 +110,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         metavar="PATH",
         help="export the record stream as JSON Lines (implies --stream); "
         "audit it later with `iotls check --artifact PATH`",
-    )),
-    "heartbeat_path": ("--heartbeat-out", dict(
-        metavar="PATH",
-        help="write the machine-readable run-health stream as JSONL "
-        f"(schema {telemetry.HEALTH_STREAM_SCHEMA}; implies --telemetry)",
     )),
     "out": ("--out", dict(help="output path (default %(default)s)")),
     "expected_path": ("--expected", dict(
@@ -182,6 +168,11 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         metavar="PATH",
         help=f"write the {telemetry.ACCESS_LOG_SCHEMA} access log as JSONL",
     )),
+    "heartbeat_interval": ("--heartbeat-interval", dict(
+        type=float, default=1.0, metavar="SECONDS",
+        help="seconds between the request.heartbeat access-log events of a "
+        "running request (default %(default)s)",
+    )),
     "retry_after": ("--retry-after", dict(
         type=int, default=1, metavar="SECONDS",
         help="Retry-After seconds advertised on 429 responses (default %(default)s)",
@@ -194,9 +185,8 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 }
 
 _PROFILE = ("profile", "profile_out")
-_PROGRESS = ("progress", "heartbeat_path", "heartbeat_interval")
 _LEDGER = ("ledger", "no_ledger")
-_OBSERVED = ("telemetry", "metrics_out", "manifest", *_PROFILE, *_PROGRESS)
+_OBSERVED = ("telemetry", "metrics_out", "manifest", *_PROFILE)
 
 #: The flags each subcommand takes (in help order) and the defaults it
 #: overrides.
@@ -324,9 +314,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="also evaluate the SLO policy against the ledger's bench entries; "
         "a failing blocking SLO exits 1",
     )
-    runs_trend.add_argument(
-        "--json", metavar="PATH", help=f"write the {telemetry.TREND_SCHEMA} report as JSON"
-    )
 
     runs_lookup = runs_sub.add_parser(
         "lookup",
@@ -367,20 +354,14 @@ def _execute(args: argparse.Namespace, **extras: Any) -> api.RunResult:
 
     Flags named after a :class:`~repro.api.RunConfig` field build the
     config; flags named after one of the command's extras are passed as
-    keyword arguments, and explicit ``extras`` override them.  A name
-    that is a config field never doubles as an extra: ``report``'s
-    ``progress`` callback is passed explicitly.
+    keyword arguments, and explicit ``extras`` (``report``'s ``progress``
+    callback) join them.
     """
-    config = _config_fields(api.RunConfig, args)
+    config = api.RunConfig(**_config_fields(api.RunConfig, args))
     given = vars(args)
-    from_flags = {
-        name: given[name]
-        for name in api.command_spec(args.command).extras
-        if name in given and name not in config
-    }
-    return api.execute(
-        args.command, api.RunConfig(**config), **{**from_flags, **extras}
-    )
+    spec = api.command_spec(args.command)
+    from_flags = {name: given[name] for name in spec.extras if name in given}
+    return api.execute(args.command, config, **from_flags, **extras)
 
 
 def _print_manifest(result, args: argparse.Namespace) -> None:
@@ -389,26 +370,6 @@ def _print_manifest(result, args: argparse.Namespace) -> None:
     if args.manifest:
         path = telemetry.write_manifest(result.manifest, args.manifest)
         print(f"wrote run manifest {path}")
-
-
-def _print_health(result, args: argparse.Namespace) -> None:
-    """One-line run-health summary for progress/heartbeat runs."""
-    health = getattr(result, "health", None)
-    if health is None:
-        return
-    line = (
-        f"\nrun health: {health['done']:,} units in {health['seconds']:.2f}s "
-        f"({health['rate']:,.0f}/s, {health['heartbeats']} heartbeat(s))"
-    )
-    resources = health.get("resources")
-    if resources:
-        line += (
-            f"; peak RSS {resources['peak_rss_kib']:,} KiB, "
-            f"peak traced heap {resources['peak_traced_bytes']:,} B"
-        )
-    print(line)
-    if args.heartbeat_path:
-        print(f"wrote run-health stream {args.heartbeat_path}")
 
 
 def _cmd_audit(args) -> int:
@@ -448,7 +409,6 @@ def _cmd_audit(args) -> int:
               f"{sum(o.new_validation_failures for o in results.passthrough)} new failures")
     if "campaign_json" in result.artifacts:
         print(f"\nwrote {result.artifacts['campaign_json']}")
-    _print_health(result, args)
     _print_manifest(result, args)
     return 0
 
@@ -505,7 +465,6 @@ def _cmd_trace(args) -> int:
         print(f"wrote {result.artifacts['records_json']}")
     if "records_jsonl" in result.artifacts:
         print(f"wrote {result.artifacts['records_jsonl']}")
-    _print_health(result, args)
     _print_manifest(result, args)
     return 0
 
@@ -538,11 +497,9 @@ def _cmd_devices(_args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # `progress` is both a RunConfig field (--progress) and the report
-    # runner's phase-announcement callback: the CLI prints the phases.
+    # The report runner announces its phases; the CLI prints them.
     result = _execute(args, progress=print)
     print(f"wrote {result.path}")
-    _print_health(result, args)
     _print_manifest(result, args)
     return 0
 
@@ -675,9 +632,6 @@ def _runs_trend(args, entries) -> int:
     if verdicts:
         print("\nSLO verdicts:")
         print(telemetry.render_verdicts(verdicts))
-    if args.json:
-        path = write_json(report, args.json)
-        print(f"\nwrote trend report {path}")
     if any(v["status"] == "fail" and v["blocking"] for v in verdicts):
         return 1
     return 0
@@ -719,7 +673,9 @@ def _cmd_serve(args) -> int:
     """Run the resident fleet service until interrupted.
 
     Exit codes: 0 = clean shutdown, 2 = usage error (serve needs a
-    ledger: it is the result cache's index; a pool needs >= 2 workers).
+    ledger: it is the result cache's index; a pool needs >= 2 workers;
+    :class:`~repro.serve.ServeConfig` rejects values that would hang or
+    disable the service).
     """
     import asyncio
 
@@ -800,7 +756,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     telemetry_on = (
         profile_on
         or given.get("metrics_out") is not None
-        or any(given.get(name) for name in ("telemetry", "progress", "heartbeat_path"))
+        or given.get("telemetry")
     )
     if telemetry_on:
         telemetry.configure(enabled=True)

@@ -125,7 +125,6 @@ class ActiveExperimentCampaign:
         downgrade_auditor = DowngradeAuditor(self.testbed)
         prober = RootStoreProber(self.testbed)
 
-        progress = _TELEMETRY.progress
         with _phase("audit"):
             for profile in active_devices():
                 device = self.testbed.device(profile)
@@ -137,8 +136,6 @@ class ActiveExperimentCampaign:
                         "iotls_campaign_devices_total",
                         "Devices processed by the active campaign's audit phase.",
                     ).inc()
-                if progress is not None:
-                    progress.advance(1, stage="campaign.audit")
 
         # Probe eligibility per §5.2: rebootable devices that validated
         # at least one connection during the interception audit.
@@ -160,8 +157,6 @@ class ActiveExperimentCampaign:
             for name in results.probe_eligible:
                 device = self.testbed.device(name)
                 results.probes.append(prober.probe_device(device))
-                if progress is not None:
-                    progress.advance(1, stage="campaign.probe")
 
         if include_passthrough:
             with _phase("passthrough"):
@@ -170,8 +165,6 @@ class ActiveExperimentCampaign:
                     device = self.testbed.device(profile)
                     baseline = results.interception_report(profile.name)
                     results.passthrough.append(experiment.run_device(device, baseline))
-                    if progress is not None:
-                        progress.advance(1, stage="campaign.passthrough")
 
         return results
 
@@ -190,12 +183,9 @@ class ActiveExperimentCampaign:
         ]
         shards = pool.map(run_campaign_shard, tasks)
         outcomes = {outcome.device: outcome for shard in shards for outcome in shard}
-        progress = _TELEMETRY.progress
         results = CampaignResults()
         for name in order:
             outcome = outcomes[name]
-            if progress is not None:
-                progress.advance(1, stage="campaign.device")
             results.interception.append(outcome.interception)
             results.downgrade.append(outcome.downgrade)
             results.old_versions.append(outcome.old_versions)

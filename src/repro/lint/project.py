@@ -11,7 +11,7 @@ builds
 * per-module alias maps that, unlike the module-scope import map,
   resolve **relative** imports (``from .. import telemetry``) and
   follow one level of package re-exports (``repro.telemetry.AccessLog``
-  -> ``repro.telemetry.progress.AccessLog``),
+  -> ``repro.telemetry.access.AccessLog``),
 * a call graph over those qualnames, with ``self.method()`` resolved
   inside the enclosing class and ``Class(...)`` instantiation edged to
   ``Class.__init__``.
@@ -69,8 +69,8 @@ class ProjectGraph:
         """Map a dotted name to a known qualname, following re-exports.
 
         ``repro.telemetry.AccessLog`` resolves through the package's
-        ``from .progress import AccessLog`` to
-        ``repro.telemetry.progress.AccessLog``.  Depth-limited so alias
+        ``from .access import AccessLog`` to
+        ``repro.telemetry.access.AccessLog``.  Depth-limited so alias
         cycles cannot loop.
         """
         if dotted in self.functions or dotted in self.classes:

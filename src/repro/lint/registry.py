@@ -6,8 +6,8 @@ to violations, registered under a stable code (``RL002``, ...) and a
 
 * ``determinism``        -- no wall-clock reads, ordered iteration (the
                             byte-identical-manifest guarantee),
-* ``telemetry``          -- spans always close, heartbeats stay
-                            throttled, the ledger has one writer,
+* ``telemetry``          -- spans always close, the ledger has one
+                            writer,
 * ``api``                -- stream-schema ids come from the registry,
 * ``exceptions``         -- no bare or silently swallowed exceptions,
 * ``concurrency``        -- no blocking call on the event loop, no

@@ -2,8 +2,8 @@
 
 Every rule here encodes a property the reproduction relies on and no
 test catches -- byte-identical artifacts across processes and hash
-seeds, throttled heartbeats, one ledger writer, spans that always
-close, failures that surface -- so a violation is a correctness bug
+seeds, one ledger writer, spans that always close, failures that
+surface -- so a violation is a correctness bug
 waiting for a run to expose it, caught at parse time instead.
 
 Rule codes are grouped by family:
@@ -26,7 +26,6 @@ from .walker import ModuleContext, parent
 __all__ = [
     "CLOCK_BOUNDARY_PREFIXES",
     "LEDGER_BOUNDARY_PREFIXES",
-    "PROGRESS_BOUNDARY_PREFIXES",
     "WALL_CLOCK_CALLS",
 ]
 
@@ -58,11 +57,6 @@ WALL_CLOCK_CALLS = frozenset(
         "random.SystemRandom",
     }
 )
-
-#: RL012 -- the progress boundary: the one module allowed to emit
-#: heartbeat/progress output directly, because every emission there
-#: funnels through a Throttle before reaching a stream.
-PROGRESS_BOUNDARY_PREFIXES = ("src/repro/telemetry/progress.py",)
 
 #: RL013 -- the ledger-write boundary: the one module allowed to open
 #: the run ledger for writing.  Its single-``write()`` O_APPEND append
@@ -188,34 +182,6 @@ def check_span_usage(module: ModuleContext) -> Iterator[Violation]:
             ".span(...) outside a `with` statement; spans must be context-"
             "managed so they always close",
         )
-
-
-@rule(
-    "RL012",
-    "unthrottled-heartbeat",
-    "telemetry",
-    "Progress and heartbeat emission must flow through the throttled "
-    "ProgressReporter in repro.telemetry.progress; a direct emit_now() "
-    "call elsewhere bypasses rate limiting and can flood stderr and every "
-    "--heartbeat-out consumer at per-record rates.",
-)
-def check_heartbeat_throttling(module: ModuleContext) -> Iterator[Violation]:
-    if module.path.startswith(PROGRESS_BOUNDARY_PREFIXES):
-        return
-    for node in ast.walk(module.tree):
-        if (
-            isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr == "emit_now"
-        ):
-            yield Violation.at(
-                module,
-                "RL012",
-                node,
-                ".emit_now() outside the progress boundary bypasses the "
-                "heartbeat throttle; call reporter.advance(...) and let the "
-                "Throttle decide when to emit",
-            )
 
 
 #: RL013 -- ``open``-style mode characters that create or mutate.

@@ -244,16 +244,13 @@ class PassiveTraceGenerator:
         multiplicities arithmetically.  Chunks hold pre-split base
         records and stay scale-independent either way.
 
-        Progress advances by the sink's ``records_seen`` growth after
-        each device.  With telemetry on, the run is one
-        ``trace.generate`` span, and two gauges record its wall time and
-        its largest chunk; gauges stay out of the manifest's
-        deterministic-metrics slice.
+        With telemetry on, the run is one ``trace.generate`` span, and two
+        gauges record its wall time and its largest chunk; gauges stay out
+        of the manifest's deterministic-metrics slice.
         """
         target: CaptureSink = (
             sink if self.flow_cap is None else FlowRecordChunker(sink, self.flow_cap)
         )
-        progress = _TELEMETRY.progress
         first = sink.records_seen
         peak_staged = 0
         started = perf_counter()
@@ -262,10 +259,7 @@ class PassiveTraceGenerator:
         ) as root, closing(self._chunks(pool)) as chunks:
             for chunk in chunks:
                 peak_staged = max(peak_staged, len(chunk))
-                before = sink.records_seen
                 target.add_batch(chunk)
-                if progress is not None:
-                    progress.advance(sink.records_seen - before, stage="trace.device")
             root.annotate(flow_records=sink.records_seen - first)
         if not _TELEMETRY.enabled:
             return

@@ -37,16 +37,17 @@ Request lifecycle (``POST /runs``):
    the next identical tenant hits in step 3.
 
 While a run executes, the executor emits ``request.heartbeat`` events
-into the server-wide :class:`~repro.telemetry.progress.AccessLog`
-(schema ``iotls-serve-access/1``) -- per-request liveness in one
-tail-able stream, replacing the per-run stderr progress that makes no
-sense on a server.
+every ``heartbeat_interval`` seconds into the server-wide
+:class:`~repro.telemetry.access.AccessLog` (schema
+``iotls-serve-access/1``) -- per-request liveness in one tail-able
+stream, emitted by the event loop whether or not the run makes progress.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -96,6 +97,21 @@ class ServeConfig:
     heartbeat_interval: float = 1.0
     #: ``Retry-After`` seconds advertised on 429 responses.
     retry_after: int = 1
+
+    def __post_init__(self) -> None:
+        # Each of these would hang or silently disable the service: with
+        # no executor a queued request never answers, ``asyncio.Queue(0)``
+        # is unbounded (no 429 ever), and a zero interval floods the
+        # access log.
+        if self.executors < 1:
+            raise ValueError(f"executors must be >= 1, got {self.executors}")
+        if self.queue_size < 1:
+            raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
+        if self.retry_after < 0:
+            raise ValueError(f"retry_after must be >= 0, got {self.retry_after}")
+        interval = self.heartbeat_interval
+        if not (math.isfinite(interval) and interval > 0):
+            raise ValueError(f"heartbeat_interval must be finite and > 0, got {interval}")
 
 
 @dataclass
@@ -505,8 +521,6 @@ class FleetService:
             "manifest_digest": manifest_digest,
             "seconds": entry.get("seconds"),
             "phases": entry.get("phases"),
-            "heartbeats": entry.get("heartbeats"),
-            "resources": entry.get("resources"),
             "artifacts": {
                 role: info.get("path") for role, info in sorted(artifacts.items())
             },
@@ -533,7 +547,6 @@ class FleetService:
             "cached": cache_state != "miss",
             "config_digest": digest,
             "manifest_digest": manifest_digest,
-            "health": getattr(result, "health", None),
             "artifacts": {
                 role: str(path)
                 for role, path in sorted(getattr(result, "artifacts", {}).items())

@@ -10,9 +10,7 @@ same way, with zero external dependencies:
   histograms (:mod:`repro.telemetry.metrics`),
 * :class:`Tracer` -- nested spans with monotonic timing
   (:mod:`repro.telemetry.tracing`),
-* run health -- :class:`ResourceSampler` resource snapshots
-  (:mod:`repro.telemetry.health`) and :class:`ProgressReporter`
-  throttled heartbeats (:mod:`repro.telemetry.progress`),
+* the fleet service's :class:`AccessLog` (:mod:`repro.telemetry.access`),
 * declarative benchmark SLOs over the trajectory
   (:mod:`repro.telemetry.slo`),
 * exporters -- JSON snapshots and a human summary table
@@ -23,6 +21,7 @@ same way, with zero external dependencies:
 See ``docs/observability.md`` for the metric catalog and span taxonomy.
 """
 
+from .access import ACCESS_LOG_SCHEMA, AccessLog
 from .export import (
     SNAPSHOT_SCHEMA,
     metrics_snapshot,
@@ -48,12 +47,6 @@ from .ledger import (
     render_entry,
     rewrite_ledger,
 )
-from .health import (
-    RESOURCE_SUMMARY_SCHEMA,
-    ResourceSampler,
-    ResourceSnapshot,
-    tracemalloc_holds,
-)
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
@@ -62,16 +55,6 @@ from .metrics import (
     MetricsRegistry,
 )
 from .profiling import PathStat, Profiler, render_hot_table
-from .progress import (
-    ACCESS_LOG_SCHEMA,
-    DEFAULT_HEARTBEAT_INTERVAL,
-    HEALTH_STREAM_SCHEMA,
-    AccessLog,
-    HeartbeatWriter,
-    ProgressReporter,
-    Throttle,
-    render_progress_line,
-)
 from .provenance import (
     MANIFEST_SCHEMA,
     artifact_digest,
@@ -109,7 +92,6 @@ from .runtime import (
 )
 from .slo import (
     SLO_SCHEMA,
-    TREND_SCHEMA,
     Slo,
     SloPolicyError,
     evaluate_slos,
@@ -126,13 +108,10 @@ __all__ = [
     "AccessLog",
     "Counter",
     "DEFAULT_BUCKETS",
-    "DEFAULT_HEARTBEAT_INTERVAL",
     "DEFAULT_LEDGER_PATH",
     "DRIFT_REPORT_SCHEMA",
     "EXPECTATIONS_SCHEMA",
     "Gauge",
-    "HEALTH_STREAM_SCHEMA",
-    "HeartbeatWriter",
     "Histogram",
     "LEDGER_SCHEMA",
     "MANIFEST_SCHEMA",
@@ -141,10 +120,6 @@ __all__ = [
     "PROFILE_SCHEMA",
     "PathStat",
     "Profiler",
-    "ProgressReporter",
-    "RESOURCE_SUMMARY_SCHEMA",
-    "ResourceSampler",
-    "ResourceSnapshot",
     "SLO_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "STATUS_SCHEMA",
@@ -154,9 +129,7 @@ __all__ = [
     "Span",
     "StreamSchema",
     "TRACE_STREAM_SCHEMA",
-    "TREND_SCHEMA",
     "TelemetryRuntime",
-    "Throttle",
     "Tracer",
     "all_schemas",
     "append_entry",
@@ -185,12 +158,10 @@ __all__ = [
     "render_entries",
     "render_entry",
     "render_hot_table",
-    "render_progress_line",
     "render_trend_report",
     "render_verdicts",
     "rewrite_ledger",
     "schema_id",
-    "tracemalloc_holds",
     "trend_report",
     "write_manifest",
     "disable",

@@ -2,10 +2,9 @@
 
 A :class:`Spec` on a :mod:`repro.telemetry.schemas` entry is data that
 :func:`check_spec` reads.  ``fields`` map a dotted path to a type name
-(``any`` = present, ``int``, ``number``, ``str``, ``object``, ``array``)
-or to a tuple of allowed values; a ``*`` segment means every value of an
-object, a trailing ``?`` lets the field be absent, and a path under an
-absent or non-object parent is left to the parent's own rule.  A
+(``any`` = present, ``int``, ``number``, ``str``, ``object``) or to a
+tuple of allowed values; a path under an absent or non-object parent is
+left to the parent's own rule.  A
 :class:`When` adds fields while a guard holds for one field's value.  A
 JSONL stream declares one :class:`Kind` per line ``kind`` (fields, how
 many lines, strictly increasing ``seq``, must be last), and opens with
@@ -23,8 +22,7 @@ from typing import Any, Callable, Iterator, Mapping
 
 __all__ = ["Kind", "Spec", "When", "check_spec"]
 
-_TYPES = {"any": object, "int": int, "number": (int, float), "str": str,
-          "object": dict, "array": list}
+_TYPES = {"any": object, "int": int, "number": (int, float), "str": str, "object": dict}
 _MISSING = object()
 
 
@@ -62,10 +60,7 @@ def _lookup(value: Any, parts: list[str], label: str = "") -> Iterator[tuple[str
         yield label, value
     elif isinstance(value, dict):
         head, rest = parts[0], parts[1:]
-        if head == "*":
-            for key in sorted(value):
-                yield from _lookup(value[key], rest, f"{label}[{key!r}]")
-        elif head in value:
+        if head in value:
             yield from _lookup(value[head], rest, f"{label}.{head}".lstrip("."))
         elif not rest:
             yield f"{label}.{head}".lstrip("."), _MISSING
@@ -75,10 +70,9 @@ def _field_errors(value: dict, fields: Mapping[str, Any], where: str) -> Iterato
     for path, expected in fields.items():
         enum = isinstance(expected, tuple)
         want = f"one of {expected}" if enum else "field" if expected == "any" else expected
-        for label, found in _lookup(value, path.rstrip("?").split(".")):
+        for label, found in _lookup(value, path.split(".")):
             if found is _MISSING:
-                if not path.endswith("?"):
-                    yield f"{where}{label!r} {want} required"
+                yield f"{where}{label!r} {want} required"
             elif not (found in expected if enum else isinstance(found, _TYPES[expected])):
                 got = repr(found) if enum else type(found).__name__
                 yield f"{where}{label!r} {want} required, got {got}"

@@ -11,8 +11,7 @@ config, on what host, with what outcome*:
   the lookup halves of the planned ``iotls serve`` result cache:
   ``config digest -> most recent manifest digest + artifact paths``,
 * :func:`~repro.telemetry.provenance.host_fingerprint` and the wall /
-  per-phase durations, resource peaks, and heartbeat totals from the
-  run-health layer (PR 6),
+  per-phase durations,
 * drift verdicts (``iotls check``) and SLO verdicts when those ran,
 * :func:`~repro.telemetry.provenance.artifact_digest`-identified output
   paths (unlike manifests, the ledger *does* record where bytes landed
@@ -117,7 +116,6 @@ def build_entry(
     manifest: dict[str, Any] | None = None,
     manifest_digest: str | None = None,
     artifacts: dict[str, str | Path] | None = None,
-    health: dict[str, Any] | None = None,
     drift: dict[str, Any] | None = None,
     slo_verdicts: list[dict[str, Any]] | None = None,
     error: BaseException | dict[str, Any] | None = None,
@@ -172,21 +170,6 @@ def build_entry(
             }
             for role, path in sorted(artifacts.items())
         }
-    if health:
-        entry["heartbeats"] = health.get("heartbeats")
-        resources = health.get("resources")
-        if resources:
-            entry["resources"] = {
-                key: resources[key]
-                for key in (
-                    "peak_rss_kib",
-                    "peak_traced_bytes",
-                    "gc_collections",
-                    "cpu_user_seconds",
-                    "cpu_system_seconds",
-                )
-                if key in resources
-            }
     if drift:
         entry["drift"] = dict(drift)
     if slo_verdicts:
@@ -411,11 +394,10 @@ def ledger_trend(
 ) -> dict[str, Any]:
     """Cross-run trajectories per host fingerprint (``runs trend``).
 
-    Reuses :func:`repro.telemetry.slo.trend_report` (so the document is
-    a superset of ``iotls-bench-trend/1``) and, per host fingerprint,
-    adds the records/s and peak-RSS series the fleet-scale directions
-    care about.  ``slos`` additionally evaluates the policy against the
-    bench entries, folding the verdicts into the report.
+    Reuses :func:`repro.telemetry.slo.trend_report` and, per host
+    fingerprint, adds the records/s and peak-RSS series the fleet-scale
+    directions care about.  ``slos`` additionally evaluates the policy
+    against the bench entries, folding the verdicts into the report.
     """
     bench = [
         entry
@@ -481,14 +463,6 @@ def render_entry(entry: dict[str, Any]) -> str:
         lines.append(f"    phase {name}: {value}s")
     if entry.get("params"):
         lines.append(f"  params:          {json.dumps(entry['params'], sort_keys=True)}")
-    resources = entry.get("resources")
-    if resources:
-        lines.append(
-            "  resources:       "
-            + ", ".join(f"{key}={value}" for key, value in sorted(resources.items()))
-        )
-    if entry.get("heartbeats") is not None:
-        lines.append(f"  heartbeats:      {entry['heartbeats']}")
     for role, info in sorted((entry.get("artifacts") or {}).items()):
         lines.append(
             f"  artifact {role}: {info.get('path')} "

@@ -41,18 +41,12 @@ class TelemetryRuntime:
         "enabled",
         "registry",
         "tracer",
-        "progress",
     )
 
     def __init__(self, *, enabled: bool = False) -> None:
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
         self.tracer = Tracer(registry=self.registry, enabled=enabled)
-        #: The active :class:`~repro.telemetry.progress.ProgressReporter`
-        #: for the current run, or ``None``.  Hot paths guard with
-        #: ``if runtime.progress is not None`` -- the same one-read
-        #: contract as ``enabled``.
-        self.progress = None
 
     def configure(
         self,
@@ -75,7 +69,6 @@ class TelemetryRuntime:
     def reset(self) -> None:
         self.registry.reset()
         self.tracer.reset()
-        self.progress = None
 
 
 #: The singleton every instrumented module shares.  Mutated in place,

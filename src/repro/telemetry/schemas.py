@@ -7,11 +7,11 @@ source of truth for those identifiers and for what each one promises:
 * every schema is declared **once** here, with its kind (JSONL stream
   vs. single JSON document), a one-line description, and -- when the
   contract is externally consumed -- the contract itself, on the entry:
-  a declarative :class:`~repro.telemetry.contracts.Spec` (health
-  stream, access log, run ledger, trend, status and resources
-  documents), or the strict loader in ``src/`` that already reads the
-  format (the trace artifact's ``fold_stream``, which is what ``iotls
-  check --artifact`` runs, and the SLO gate's ``load_slo_policy``),
+  a declarative :class:`~repro.telemetry.contracts.Spec` (access log,
+  run ledger and status document), or the strict loader in ``src/``
+  that already reads the format (the trace artifact's ``fold_stream``,
+  which is what ``iotls check --artifact`` runs, and the SLO gate's
+  ``load_slo_policy``),
 * :func:`check_contract` is the one checker: ``tools/validate_streams.py``,
   ``tools/serve_smoke.py`` and the tests all go through it,
 * every producer imports its identifier from here (the module-level
@@ -39,18 +39,15 @@ __all__ = [
     "ENTRY_KINDS",
     "ENTRY_STATUSES",
     "EXPECTATIONS_SCHEMA",
-    "HEALTH_STREAM_SCHEMA",
     "LEDGER_SCHEMA",
     "MANIFEST_SCHEMA",
     "PROFILE_SCHEMA",
-    "RESOURCE_SUMMARY_SCHEMA",
     "SLO_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "STATUS_SCHEMA",
     "STREAM_SCHEMA_PREFIX",
     "StreamSchema",
     "TRACE_STREAM_SCHEMA",
-    "TREND_SCHEMA",
     "all_schemas",
     "check_contract",
     "get_schema",
@@ -103,8 +100,6 @@ def _load_slo_policy(path: Path) -> None:
 ENTRY_STATUSES = ("ok", "error")
 
 _RUN_ENTRY = Kind({"command": "str", "params": "object", "config_digest": "str"})
-_HEARTBEAT = dict.fromkeys(("label", "done", "elapsed_seconds", "rate", "ewma_rate"), "any")
-_HEALTH_SUMMARY = dict.fromkeys(("label", "done", "seconds", "rate", "heartbeats"), "any")
 _STATUS_INTS = ("queue.depth", "queue.capacity", "queue.executors", "queue.inflight",
                 "cache.hits", "cache.misses", "cache.coalesced")
 
@@ -135,20 +130,6 @@ REGISTRY: tuple[StreamSchema, ...] = (
         ),
     ),
     StreamSchema(
-        name="health-stream",
-        version=1,
-        kind="jsonl-stream",
-        description="run-health heartbeat stream: header, seq-monotonic "
-        "heartbeats, one trailing summary (--heartbeat-out)",
-        contract=Spec(
-            kinds={
-                "header": Kind(count=(1, 1)),
-                "heartbeat": Kind(_HEARTBEAT | {"seq": "int"}, count=(1, None), seq=True),
-                "summary": Kind(_HEALTH_SUMMARY, count=(1, 1), final=True),
-            },
-        ),
-    ),
-    StreamSchema(
         name="serve-access",
         version=1,
         kind="jsonl-stream",
@@ -160,21 +141,6 @@ REGISTRY: tuple[StreamSchema, ...] = (
                 "event": Kind({"seq": "int", "event": "any", "elapsed_seconds": "any"}, seq=True),
                 "summary": Kind({"counts": "object"}, count=(0, 1), final=True),
             },
-        ),
-    ),
-    StreamSchema(
-        name="bench-trend",
-        version=1,
-        kind="document",
-        description="benchmark trajectory report over the run ledger's "
-        "bench entries (iotls runs trend --json)",
-        contract=Spec(
-            fields={"entries": "int", "benchmarks": "object", "benchmarks.*": "object"}
-            | dict.fromkeys(
-                ("benchmarks.*.runs", "benchmarks.*.best_seconds", "benchmarks.*.latest_seconds"),
-                "any",
-            )
-            | {"hosts?": "object"}
         ),
     ),
     StreamSchema(
@@ -193,24 +159,6 @@ REGISTRY: tuple[StreamSchema, ...] = (
         contract=Spec(
             fields={"queue": "object", "cache": "object", "resident": "object", "access": "object"}
             | dict.fromkeys(_STATUS_INTS, "int")
-        ),
-    ),
-    StreamSchema(
-        name="resources",
-        version=1,
-        kind="document",
-        description="ResourceSampler summary: peak heap/RSS, gc and CPU "
-        "readings for one run",
-        contract=Spec(
-            fields={"samples": "int"},
-            when=(
-                When(
-                    "samples",
-                    lambda samples: isinstance(samples, int) and samples > 0,
-                    dict.fromkeys(("seconds", "peak_rss_kib", "peak_traced_bytes"), "number")
-                    | {"stages?": "array"},
-                ),
-            ),
         ),
     ),
     StreamSchema(
@@ -311,12 +259,9 @@ ENTRY_KINDS = tuple(_BY_NAME["run-ledger"].contract.kinds)
 # ----------------------------------------------------------------------
 TRACE_STREAM_SCHEMA = schema_id("trace-stream")
 LEDGER_SCHEMA = schema_id("run-ledger")
-HEALTH_STREAM_SCHEMA = schema_id("health-stream")
 ACCESS_LOG_SCHEMA = schema_id("serve-access")
-TREND_SCHEMA = schema_id("bench-trend")
 SLO_SCHEMA = schema_id("slo")
 STATUS_SCHEMA = schema_id("serve-status")
-RESOURCE_SUMMARY_SCHEMA = schema_id("resources")
 MANIFEST_SCHEMA = schema_id("manifest")
 SNAPSHOT_SCHEMA = schema_id("telemetry")
 PROFILE_SCHEMA = schema_id("profile")

@@ -36,7 +36,6 @@ from typing import Any
 
 __all__ = [
     "SLO_SCHEMA",
-    "TREND_SCHEMA",
     "Slo",
     "SloPolicyError",
     "evaluate_slos",
@@ -46,9 +45,9 @@ __all__ = [
     "trend_report",
 ]
 
-# Schema tags of the policy file and the trend report document,
-# registered centrally in repro.telemetry.schemas.
-from .schemas import SLO_SCHEMA, TREND_SCHEMA  # noqa: E402
+# Schema tag of the policy file, registered centrally in
+# repro.telemetry.schemas.
+from .schemas import SLO_SCHEMA  # noqa: E402
 
 _OPS = {
     "<=": lambda value, threshold: value <= threshold,
@@ -208,7 +207,7 @@ def _comparable(run: dict[str, Any], latest: dict[str, Any]) -> bool:
 
 
 def trend_report(entries: list[dict[str, Any]]) -> dict[str, Any]:
-    """Per-benchmark trajectory summary (schema :data:`TREND_SCHEMA`).
+    """Per-benchmark trajectory summary.
 
     ``best_seconds`` is the fastest run comparable with the latest one
     (:func:`_comparable`), so a ``--scale 4000`` run is never measured
@@ -250,7 +249,6 @@ def trend_report(entries: list[dict[str, Any]]) -> dict[str, Any]:
             summary["latest_metrics"] = metrics
         benchmarks[benchmark] = summary
     return {
-        "schema": TREND_SCHEMA,
         "entries": len(entries),
         "benchmarks": benchmarks,
     }

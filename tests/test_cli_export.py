@@ -137,13 +137,11 @@ class _Dispatched(Exception):
 #: for the test's scratch directory.
 _DISPATCH_CASES = [
     (
-        ["audit", "--no-passthrough", "--progress",
-         "--heartbeat-out", "{tmp}/hb.jsonl", "--heartbeat-interval", "0.5",
-         "--json", "{tmp}/audit.json", "--ledger", "{tmp}/ledger.jsonl"],
+        ["audit", "--no-passthrough", "--json", "{tmp}/audit.json",
+         "--ledger", "{tmp}/ledger.jsonl"],
         "audit",
-        dict(include_passthrough=False, progress=True, telemetry=True,
-             heartbeat_interval=0.5, ledger="{tmp}/ledger.jsonl"),
-        dict(json_path="{tmp}/audit.json", heartbeat_path="{tmp}/hb.jsonl"),
+        dict(include_passthrough=False, ledger="{tmp}/ledger.jsonl"),
+        dict(json_path="{tmp}/audit.json"),
     ),
     (
         ["probe", "Wink Hub 2", "--telemetry", "--json", "{tmp}/probe.json",
@@ -162,9 +160,9 @@ _DISPATCH_CASES = [
         dict(stream_path="{tmp}/t.jsonl"),
     ),
     (
-        ["report", "--scale", "2", "--out", "{tmp}/r.md", "--progress", "--no-ledger"],
+        ["report", "--scale", "2", "--out", "{tmp}/r.md", "--no-ledger"],
         "report",
-        dict(scale=2, progress=True, telemetry=True, ledger=None),
+        dict(scale=2, ledger=None),
         dict(out="{tmp}/r.md", progress=print),
     ),
     (
@@ -266,6 +264,43 @@ class TestOneShotCommandsRunSerially:
         assert main(argv) == 2
         assert "error: a worker pool needs >= 2 workers, got 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag,value,message",
+        [
+            ("--executors", "0", "executors must be >= 1"),
+            ("--queue-size", "0", "queue_size must be >= 1"),
+            ("--heartbeat-interval", "0", "heartbeat_interval must be finite and > 0"),
+            ("--retry-after", "-1", "retry_after must be >= 0"),
+        ],
+    )
+    def test_serve_rejects_a_config_that_hangs_or_disables_it(
+        self, tmp_path, capsys, flag, value, message
+    ):
+        # ServeConfig refuses at construction: no server ever starts.
+        argv = ["serve", "--port", "0", flag, value, "--ledger",
+                str(tmp_path / "l.jsonl"), "--artifact-dir", str(tmp_path / "a")]
+        assert main(argv) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", ["trace", "audit", "report"])
+    @pytest.mark.parametrize(
+        "flags",
+        [["--progress"], ["--heartbeat-out", "h.jsonl"], ["--heartbeat-interval", "0.5"]],
+        ids=["progress", "heartbeat-out", "heartbeat-interval"],
+    )
+    def test_run_health_flags_are_usage_errors(self, command, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *flags])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+    def test_serve_keeps_its_heartbeat_interval(self):
+        from repro.cli import build_parser
+
+        args = build_parser().parse_args(["serve", "--heartbeat-interval", "0.5"])
+        assert args.heartbeat_interval == 0.5
+
 
 class TestCLIUsageErrors:
     """A ``ValueError`` from a run is a usage error: ``error: ...``, exit 2,
@@ -283,14 +318,6 @@ class TestCLIUsageErrors:
                 "scale must be >= 1",
             ),
             (["pcap", "--scale", "-1", "--out", "{tmp}/x.pcap"], "scale must be >= 1"),
-            (
-                ["trace", "--heartbeat-out", "{tmp}/h.jsonl", "--heartbeat-interval", "-1"],
-                "heartbeat_interval must be finite and >= 0",
-            ),
-            (
-                ["trace", "--heartbeat-out", "{tmp}/h.jsonl", "--heartbeat-interval", "nan"],
-                "heartbeat_interval must be finite and >= 0",
-            ),
         ],
         ids=[
             "pcap-negative-limit",
@@ -299,8 +326,6 @@ class TestCLIUsageErrors:
             "trace-zero-scale",
             "trace-zero-scale-metrics-out",
             "pcap-negative-scale",
-            "trace-negative-heartbeat-interval",
-            "trace-nan-heartbeat-interval",
         ],
     )
     def test_value_error_exits_2(self, capsys, tmp_path, argv, message):

@@ -15,19 +15,11 @@ from hypothesis import strategies as st
 
 from repro.analysis.export import JsonlStreamWriter
 from repro.serve.service import FleetService, ServeConfig
-from repro.telemetry import (
-    AccessLog,
-    HeartbeatWriter,
-    ProgressReporter,
-    ResourceSampler,
-    append_entry,
-    build_entry,
-    ledger_trend,
-)
+from repro.telemetry import AccessLog, append_entry, build_entry
 from repro.telemetry.schemas import check_contract, get_schema, schema_id
 
 DROP = object()
-STREAMS = ("health-stream", "serve-access", "run-ledger", "trace-stream")
+STREAMS = ("serve-access", "run-ledger", "trace-stream")
 
 
 def at(path, value, line=None):
@@ -54,31 +46,22 @@ def without(kind):
 
 CASES = [
     # Every line is JSON, and an object; a document is one object.
-    ("health-stream", lambda items: items[:1] + ["not json"] + items[1:], "not valid JSON"),
+    ("serve-access", lambda items: items[:1] + ["not json"] + items[1:], "not valid JSON"),
     ("serve-access", lambda items: items[:1] + ["[1]"] + items[1:], "not a JSON object"),
     ("run-ledger", lambda items: items + ["5"], "not a JSON object"),
+    ("serve-status", lambda doc: "{", "not valid JSON"),
     ("serve-status", lambda doc: "[]", "document is not an object"),
-    ("bench-trend", lambda doc: "{", "not valid JSON"),
     # Header first, with the right schema.
-    ("health-stream", lambda items: [items[1], items[0], *items[2:]], "start with a header"),
     ("serve-access", lambda items: [items[1], items[0], *items[2:]], "start with a header"),
-    ("health-stream", at("schema", "iotls-other/1", 0), "schema 'iotls-other/1'"),
     ("serve-access", at("schema", "iotls-other/1", 0), "schema 'iotls-other/1'"),
     ("trace-stream", lambda items: items[1:], "no stream header"),
     ("trace-stream", at("schema", "iotls-other/1", 0), "unexpected stream schema"),
-    # Heartbeat/event fields, at least one heartbeat, strictly increasing seq.
-    ("health-stream", at("rate", DROP, 1), "'rate' field required"),
-    ("health-stream", without("heartbeat"), "0 heartbeat lines (expected at least 1)"),
-    ("health-stream", at("seq", 9, 1), "not strictly after 9"),
+    # Event fields, strictly increasing seq.
     ("serve-access", at("event", DROP, 1), "'event' field required"),
     ("serve-access", at("seq", 2, 1), "seq 2 not strictly after 2"),
-    # Health: exactly one final summary, with its fields.
-    ("health-stream", without("summary"), "0 summary lines (expected exactly 1)"),
-    ("health-stream", lambda items: items[:-2] + items[:-3:-1], "summary is not the final"),
-    ("health-stream", lambda items: items + items[-1:], "summary"),
-    ("health-stream", lambda items: items[:2] + items[:1] + items[2:], "2 header lines"),
-    ("health-stream", at("heartbeats", DROP, -1), "'heartbeats' field required"),
-    # Access: at most one final summary with counts; unknown kinds rejected.
+    # Access: exactly one header; at most one final summary with counts;
+    # unknown kinds rejected.
+    ("serve-access", lambda items: items[:2] + items[:1] + items[2:], "2 header lines"),
     ("serve-access", lambda items: items[:-2] + items[:-3:-1], "summary is not the final"),
     ("serve-access", lambda items: items + items[-1:], "summary"),
     ("serve-access", at("counts", [], -1), "'counts' object required, got list"),
@@ -90,20 +73,12 @@ CASES = [
     ("run-ledger", at("command", 5, 0), "'command' str required, got int"),
     ("run-ledger", at("seconds", "1", 1), "'seconds' number required, got str"),
     ("run-ledger", at("error.type", DROP, 2), "'error.type' field required"),
-    # Trend: entries, benchmarks.* fields, hosts.
-    ("bench-trend", at("entries", "2"), "'entries' int required, got str"),
-    ("bench-trend", at("benchmarks.b.runs", DROP), "\"benchmarks['b'].runs\" field required"),
-    ("bench-trend", at("hosts", []), "'hosts' object required, got list"),
     # Status: queue.*/cache.* ints, resident/access objects.
     ("serve-status", at("queue", []), "'queue' object required, got list"),
     ("serve-status", at("queue.depth", "0"), "'queue.depth' int required, got str"),
     ("serve-status", at("cache.hits", None), "'cache.hits' int required, got NoneType"),
     ("serve-status", at("resident", []), "'resident' object required, got list"),
     ("serve-status", at("access", DROP), "'access' object required"),
-    # Resources: samples, and its readings when samples > 0.
-    ("resources", at("samples", "2"), "'samples' int required, got str"),
-    ("resources", at("peak_rss_kib", DROP), "'peak_rss_kib' number required"),
-    ("resources", at("stages", {}), "'stages' array required, got dict"),
     # Trace: a header metadata object; one final summary whose counts match.
     ("trace-stream", at("metadata", 7, 0), "header needs a 'metadata' object"),
     ("trace-stream", lambda items: items[:-1], "no summary trailer"),
@@ -116,12 +91,6 @@ CASES = [
 def valid(tmp_path_factory, passive_capture):
     """Contract name -> the text of a valid file, from the real writer."""
     root = tmp_path_factory.mktemp("contracts")
-    reporter = ProgressReporter(
-        label="gen", interval=0.0, heartbeat=HeartbeatWriter(root / "health-stream")
-    )
-    for _ in range(3):
-        reporter.advance(2, stage="s")
-    reporter.finish()
     with AccessLog(root / "serve-access") as log:
         for event in ("accepted", "started", "finished"):
             log.record(event, request_id=1)
@@ -137,15 +106,9 @@ def valid(tmp_path_factory, passive_capture):
             writer.add(record)
         for event in passive_capture.revocation_events[:2]:
             writer.add_revocation_event(event)
-    with ResourceSampler(trace_heap=False) as sampler:
-        sampler.sample()
-    documents = {
-        "bench-trend": ledger_trend(entries[1:2]),
-        "serve-status": FleetService(ServeConfig()).status_document(),
-        "resources": sampler.summary(),
-    }
     texts = {name: (root / name).read_text() for name in STREAMS}
-    return texts | {name: json.dumps(doc) for name, doc in documents.items()}
+    status = FleetService(ServeConfig()).status_document()
+    return texts | {"serve-status": json.dumps(status)}
 
 
 def _check(tmp_path, name, text):
@@ -177,14 +140,10 @@ def test_each_rule_is_enforced(tmp_path, valid, name, mutate, needle):
 def test_optional_parts_may_be_absent(tmp_path, valid):
     lines = valid["serve-access"].splitlines(keepends=True)
     assert _check(tmp_path, "serve-access", "".join(lines[:-1])) == []
-    for name, field in (("bench-trend", "hosts"), ("resources", "stages")):
-        document = json.loads(valid[name])
-        del document[field]
-        assert _check(tmp_path, name, json.dumps(document)) == []
 
 
 #: Streams whose final summary the contract requires.
-SUMMARY_REQUIRED = ("health-stream", "trace-stream")
+SUMMARY_REQUIRED = ("trace-stream",)
 
 
 @settings(

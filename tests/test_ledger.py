@@ -16,9 +16,17 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import RunConfig, UnknownDeviceError, run_probe, run_trace
+from repro.api import (
+    RunConfig,
+    RunRequest,
+    UnknownDeviceError,
+    request_digest,
+    run_probe,
+    run_trace,
+)
 from repro.cli import main
 from repro.telemetry import ledger
+from repro.telemetry.schemas import check_contract
 
 
 @pytest.fixture
@@ -266,7 +274,6 @@ class TestQueries:
     def test_trend_groups_bench_entries_by_host(self):
         entries = self._seed_entries()
         report = ledger.ledger_trend(entries)
-        assert report["schema"] == "iotls-bench-trend/1"
         assert report["entries"] == 1  # only the bench entry counts
         assert "stream_trace" in report["benchmarks"]
         (host,) = report["hosts"].values()
@@ -456,6 +463,89 @@ class TestCacheLiveness:
         )
         assert ledger.artifacts_live(entry)
         assert ledger.lookup_config([entry], entry["config_digest"]) is entry
+
+
+#: A ``trace --scale 1 --progress`` entry as the release with run-health
+#: sampling wrote it: it carries the ``heartbeats`` and ``resources``
+#: fields that later releases no longer write.
+OLDER_ENTRY = {
+    "command": "trace",
+    "config_digest": "6fcefa57f49b8909ec0f73be9b6fb208",
+    "date": "2026-10-18",
+    "heartbeats": 3,
+    "host": {"cpu_count": 2, "machine": "x86_64", "platform": "linux"},
+    "kind": "run",
+    "manifest_digest": "4f7f42bae788c00ecab86bd3aa540a20",
+    "metrics_totals": {
+        "iotls_capture_connections_total": 10697,
+        "iotls_capture_records_total": 3866,
+        "iotls_capture_revocation_events_total": 78,
+        "iotls_handshake_alerts_total": 0,
+        "iotls_handshakes_total": 3866,
+        "iotls_negotiated_versions_total": 3866,
+        "iotls_trace_device_months_total": 958,
+        "iotls_trace_devices_total": 40,
+    },
+    "params": {"scale": 1, "seed": "iotls-passive"},
+    "resources": {
+        "cpu_system_seconds": 0.078,
+        "cpu_user_seconds": 1.7187,
+        "gc_collections": 52,
+        "peak_rss_kib": 52444,
+        "peak_traced_bytes": 5516084,
+    },
+    "schema": "iotls-run-ledger/1",
+    "seconds": 1.3292,
+    "status": "ok",
+    "workers": 1,
+}
+
+#: ``request_digest`` per command as that release recorded it, for the
+#: default request and for one that sets every request field.  A moved
+#: digest would turn every cached serve result into a miss.
+_FULL_REQUEST = dict(
+    scale=3, seed="s", flow_cap=5, include_passthrough=False, device="Wink Hub 2", limit=7
+)
+OLDER_DIGESTS = {
+    "audit": ("164e2e53106f3afe16bbb48c8466f4f9", "0eda0b62721622e808c8a4d15736f5c6"),
+    "check": ("7dac8e361359d2b4ad9fc5218db378b6", "66bc2960e4fab31b38e1cdf4fdb2433e"),
+    "pcap": ("e80fb570538a7d697fdec2670b20181d", "143c37e6774bbcebfd519bb50531815f"),
+    "probe": ("a2ce881e073f0ccdb77227da2873cd5b", "5e806e490fc4ab7de6626049ab93aa20"),
+    "report": ("ce1c98d960be8bd9ed86637b98987d7c", "2c9cca6776044cfe1892e41157f4b727"),
+    "trace": ("1515d8fa567ec2b85325b6f7061cdc63", "93eb3f67c6216f5700cca10a917b19e2"),
+}
+
+
+class TestOlderLedgersStillRead:
+    """A ledger written before run-health sampling was retired keeps
+    validating, rendering and serving as a cache index."""
+
+    @pytest.fixture
+    def older_ledger(self, tmp_path):
+        path = tmp_path / "ledger.jsonl"
+        path.write_text(json.dumps(OLDER_ENTRY, sort_keys=True) + "\n")
+        return path
+
+    def test_entry_meets_the_ledger_contract(self, older_ledger):
+        assert check_contract(older_ledger, ledger.LEDGER_SCHEMA) == []
+
+    def test_runs_show_renders_it(self, older_ledger, capsys):
+        assert main(["runs", "--ledger", str(older_ledger), "show", "4f7f42ba"]) == 0
+        out = capsys.readouterr().out
+        assert "trace [run] -- ok on 2026-10-18" in out
+        assert '"seed": "iotls-passive"' in out
+
+    def test_lookup_config_finds_it(self, older_ledger):
+        entries = ledger.load_ledger(older_ledger)
+        digest = request_digest("trace", RunRequest(scale=1))
+        assert digest == OLDER_ENTRY["config_digest"]
+        assert ledger.lookup_config(entries, digest) == OLDER_ENTRY
+
+    @pytest.mark.parametrize("command", sorted(OLDER_DIGESTS))
+    def test_request_digests_unchanged(self, command):
+        default, full = OLDER_DIGESTS[command]
+        assert request_digest(command, RunRequest()) == default
+        assert request_digest(command, RunRequest(**_FULL_REQUEST)) == full
 
 
 class TestConcurrentAppends:

@@ -125,28 +125,6 @@ class TestRL011SpanContextManager:
         assert codes(lint_source(tmp_path, source)) == []
 
 
-class TestRL012UnthrottledHeartbeat:
-    def test_bad_emit_now_outside_boundary(self, tmp_path):
-        source = "def run(reporter):\n    reporter.emit_now(reason='manual')\n"
-        assert codes(lint_source(tmp_path, source)) == ["RL012"]
-
-    def test_good_advance_through_reporter(self, tmp_path):
-        source = (
-            "def run(reporter):\n"
-            "    reporter.advance(1, stage='trace.device')\n"
-            "    reporter.finish()\n"
-        )
-        assert codes(lint_source(tmp_path, source)) == []
-
-    def test_progress_boundary_module_is_exempt(self, tmp_path):
-        boundary = tmp_path / "src" / "repro" / "telemetry"
-        boundary.mkdir(parents=True)
-        target = boundary / "progress.py"
-        target.write_text("def beat(self):\n    self.emit_now(reason='interval')\n")
-        report = run_lint([target], root=tmp_path)
-        assert codes(report) == []
-
-
 class TestRL013LedgerWriteBoundary:
     @pytest.mark.parametrize(
         "source",

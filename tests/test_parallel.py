@@ -194,31 +194,6 @@ class TestWarmPoolManifestParity:
         assert digest(worker_pool(2)) == digest(None)
 
 
-@pytest.mark.parametrize("flow_cap", [None, 5], ids=["nocap", "cap5"])
-@pytest.mark.parametrize("stream", [False, True], ids=["materialised", "stream"])
-def test_progress_done_identical_across_workers(stream, flow_cap, tmp_path, worker_pool):
-    """The heartbeat summary counts the same records with or without a pool."""
-    from repro.api import RunConfig, run_trace
-
-    def done(workers: int) -> int:
-        result = run_trace(
-            RunConfig(
-                scale=1,
-                seed="progress-parity",
-                stream=stream,
-                flow_cap=flow_cap,
-                ledger=None,
-                pool=worker_pool(workers),
-            ),
-            heartbeat_path=tmp_path / f"w{workers}.health.jsonl",
-        )
-        return result.health["done"]
-
-    serial = done(1)
-    assert serial > 0
-    assert done(2) == serial
-
-
 class _FailingSink:
     records_seen = 0
 
@@ -239,7 +214,7 @@ class TestPooledRunsCarryNoTelemetry:
     """Pool processes never ship telemetry home, so a pooled run with
     telemetry on would report counters missing the pooled work."""
 
-    @pytest.mark.parametrize("flag", ["telemetry", "progress"])
+    @pytest.mark.parametrize("flag", ["telemetry"])
     def test_run_config_with_pool_raises(self, flag, worker_pool, tmp_path):
         from repro.api import RunConfig, run_trace
 

@@ -99,6 +99,32 @@ def parse(raw: bytes):
     return asyncio.run(run())
 
 
+class TestServeConfig:
+    """Values that would hang or silently disable the service are
+    refused at construction; no test here starts a server."""
+
+    @pytest.mark.parametrize(
+        "field,value,message",
+        [
+            ("executors", 0, "executors must be >= 1"),
+            ("executors", -1, "executors must be >= 1"),
+            ("queue_size", 0, "queue_size must be >= 1"),
+            ("retry_after", -1, "retry_after must be >= 0"),
+            ("heartbeat_interval", 0, "heartbeat_interval must be finite and > 0"),
+            ("heartbeat_interval", -0.5, "heartbeat_interval must be finite and > 0"),
+            ("heartbeat_interval", float("nan"), "heartbeat_interval must be finite"),
+            ("heartbeat_interval", float("inf"), "heartbeat_interval must be finite"),
+        ],
+    )
+    def test_bad_values_raise(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            ServeConfig(**{field: value})
+
+    def test_smallest_valid_values_construct(self):
+        config = ServeConfig(executors=1, queue_size=1, retry_after=0, heartbeat_interval=0.01)
+        assert (config.executors, config.queue_size, config.retry_after) == (1, 1, 0)
+
+
 class TestHttpFraming:
     @pytest.mark.parametrize("value", ["-5", "+3", "1_0", " 7 7", "\xb2", "0x10"])
     def test_content_length_must_be_digits(self, value):
@@ -343,6 +369,7 @@ class TestCacheContract:
         assert headers2["x-iotls-cache"] == "miss"  # probes always execute
         assert envelope["command"] == "probe"
         assert envelope["amenable"] is True
+        assert not {"health", "heartbeats", "resources"} & envelope.keys()
 
 
 class TestQueueAndCoalescing:
@@ -358,7 +385,6 @@ class TestQueueAndCoalescing:
             return SimpleNamespace(
                 manifest_digest="feedfeedfeedfeed",
                 artifacts={"records_jsonl": stream_file},
-                health=None,
             )
 
         return fake_execute, calls

@@ -5,13 +5,12 @@ Streams the full 27-month capture into a count-only sink at a large
 volume -- 100x the analysis default) with a ``--flow-cap`` so record
 volume tracks connection volume.  Two passes:
 
-1. a **timing pass** with the tracemalloc hold disabled
-   (``ResourceSampler(trace_heap=False)``) -- tracemalloc instruments
-   every allocation and used to put a hard multi-second floor under the
-   measurement, hiding real hot-path wins -- which produces the
-   throughput figure and the RSS peak, then
-2. a **heap probe** with tracing on, which produces the traced-heap
-   peak; its wall time is never recorded.
+1. a **timing pass** without tracemalloc -- it instruments every
+   allocation and would put a multi-second floor under the measurement,
+   hiding real hot-path wins -- which produces the throughput figure
+   and the peak RSS (``resource.getrusage``), then
+2. a **heap probe** under ``tracemalloc``, which produces the
+   traced-heap peak; its wall time is never recorded.
 
 The point of the memory measurement: peak memory must stay flat while
 connection volume grows, because nothing is materialised.  Each run
@@ -30,11 +29,13 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import resource
+import sys
+import tracemalloc
 from time import perf_counter
 
 from repro import telemetry
 from repro.longitudinal import PassiveTraceGenerator
-from repro.telemetry import ResourceSampler
 from repro.telemetry.provenance import git_rev
 from repro.testbed import DiscardSink
 
@@ -51,6 +52,13 @@ def safe_rate(count: int, seconds: float, *, floor: float = 1e-9) -> float:
     downstream trend statistic and SLO comparison over the series.
     """
     return count / max(seconds, floor)
+
+
+def peak_rss_kib() -> int:
+    """This process's peak resident set size in KiB (``ru_maxrss`` is
+    KiB on Linux but bytes on macOS)."""
+    raw = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return raw // 1024 if sys.platform == "darwin" else raw
 
 
 def main() -> int:
@@ -76,29 +84,30 @@ def main() -> int:
     )
     # Timing pass: untraced, so the clock sees the real hot path.
     sink = DiscardSink()
-    with ResourceSampler(trace_heap=False) as sampler:
-        started = perf_counter()
-        generator.stream_into(sink)
-        seconds = perf_counter() - started
-    resources = sampler.summary()
+    started = perf_counter()
+    generator.stream_into(sink)
+    seconds = perf_counter() - started
+    rss_kib = peak_rss_kib()
 
     # Heap probe: traced, untimed.  Same workload, so its traced peak is
     # the timing pass's peak without the observer effect.
     peak_traced_bytes = 0
     if not args.skip_heap_probe:
-        with ResourceSampler() as heap_sampler:
+        tracemalloc.start()
+        try:
             generator.stream_into(DiscardSink())
-        peak_traced_bytes = heap_sampler.summary()["peak_traced_bytes"]
+            _, peak_traced_bytes = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
 
     throughput = safe_rate(sink.records_seen, seconds)
     peak_mib = peak_traced_bytes / (1024 * 1024)
-    peak_rss_kib = resources["peak_rss_kib"]
     print(
         f"scale={args.scale} flow_cap={args.flow_cap}: "
         f"{seconds:.2f}s -- {sink.records_seen} flow records "
         f"({sink.connections_seen} connections), "
         f"{throughput:,.0f} records/s, peak {peak_mib:.1f} MiB traced, "
-        f"RSS {peak_rss_kib:,} KiB"
+        f"RSS {rss_kib:,} KiB"
     )
     entry = telemetry.build_entry(
         "bench",
@@ -112,7 +121,7 @@ def main() -> int:
             "connections": sink.connections_seen,
             "records_per_second": round(throughput, 1),
             "peak_mib": round(peak_mib, 2),
-            "peak_rss_kib": peak_rss_kib,
+            "peak_rss_kib": rss_kib,
         },
     )
     telemetry.append_entry(entry, args.ledger)
