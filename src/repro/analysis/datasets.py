@@ -75,10 +75,9 @@ class DatasetStatisticsAccumulator:
         self._device_months.setdefault(record.device, set()).add(record.month)
         self._months.add(record.month)
 
-    def bulk_add(self, device: str, connections: int, months) -> None:
+    def bulk_add(self, device: str, connections: int, months: set[int]) -> None:
         """Fold one device chunk: total connections plus months present."""
         self._per_device[device] = self._per_device.get(device, 0) + connections
-        months = {int(month) for month in months}
         self._device_months.setdefault(device, set()).update(months)
         self._months.update(months)
 

@@ -22,15 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
+from ..devices.profile import STUDY_MONTHS
 from ..longitudinal.adoption import AdoptionEvent, detect_adoption_events_from_heatmaps
 from ..longitudinal.heatmaps import (
     FractionHeatmap,
     VersionHeatmap,
     VersionHeatmapAccumulator,
     insecure_advertised_accumulator,
-    month_tally,
     strong_established_accumulator,
 )
 from ..testbed.capture import (
@@ -49,7 +47,7 @@ from .revocation import RevocationAccumulator, RevocationSummary
 __all__ = ["TraceAnalysis", "TraceAnalysisPipeline", "analyze_capture"]
 
 #: VersionBand -> index into ``list(VersionBand)`` (the band encoding the
-#: vectorised chunk path shares with the heatmap accumulators).
+#: chunk fold shares with the heatmap accumulators).
 _BAND_INDEX = {band: index for index, band in enumerate(VersionBand)}
 #: ProtocolVersion -> band index, precomputed for the per-record loop.
 _VERSION_BAND = {
@@ -136,9 +134,10 @@ class TraceAnalysisPipeline:
     def add_batch(self, chunk: RecordChunk) -> None:
         """Fold one columnar device chunk into every accumulator at once.
 
-        Per-record features are extracted in a single pass (with the
-        expensive ClientHello scans cached per distinct hello) into flat
-        arrays, then folded as integer month tallies -- no
+        One pass over the chunk's columns (with the expensive
+        ClientHello scans cached per distinct hello) fills
+        length-``STUDY_MONTHS`` integer tallies, which are then folded
+        into every accumulator -- no
         :class:`~repro.testbed.capture.TrafficRecord` is materialised
         and no per-record method dispatch happens.  Every tally is
         count-weighted, so folding base records with their full counts
@@ -146,70 +145,59 @@ class TraceAnalysisPipeline:
         result is byte-identical to a :meth:`add` loop over
         ``chunk.iter_records()``, at any ``split_cap``.
         """
-        n = len(chunk)
-        if n:
+        if chunk.counts:
             device = chunk.device
-            months = chunk.month_array()
-            counts = chunk.count_array()
-
             cache = self._hello_cache
-            adv_band = np.empty(n, dtype=np.int64)
-            insecure = np.empty(n, dtype=bool)
-            tls13 = np.empty(n, dtype=bool)
-            rc4 = np.empty(n, dtype=bool)
+            version_band = _VERSION_BAND
+            forward_secret = _FORWARD_SECRET
+            from_month = self._comparison.from_month
+            adv_totals = [0] * STUDY_MONTHS
+            est_totals = [0] * STUDY_MONTHS
+            adv_hits = [[0] * STUDY_MONTHS for _ in VersionBand]
+            est_hits = [[0] * STUDY_MONTHS for _ in VersionBand]
+            insecure_hits = [0] * STUDY_MONTHS
+            strong_hits = [0] * STUDY_MONTHS
+            late = late_tls13 = late_rc4 = 0
             any_staple = False
-            for index, hello in enumerate(chunk.client_hellos):
+            for month, count, hello, established, version, code in zip(
+                chunk.months,
+                chunk.counts,
+                chunk.client_hellos,
+                chunk.establisheds,
+                chunk.established_versions,
+                chunk.established_cipher_codes,
+            ):
                 entry = cache.get(id(hello))
                 if entry is None:
                     entry = cache[id(hello)] = (hello, _hello_features(hello))
-                adv_band[index], insecure[index], staple, tls13[index], rc4[index] = (
-                    entry[1]
-                )
+                band, insecure, staple, tls13, rc4 = entry[1]
+                adv_totals[month] += count
+                adv_hits[band][month] += count
+                if insecure:
+                    insecure_hits[month] += count
                 any_staple = any_staple or staple
+                if established:
+                    est_totals[month] += count
+                    if version is not None:
+                        est_hits[version_band[version]][month] += count
+                    if code is not None and forward_secret[code]:
+                        strong_hits[month] += count
+                if month >= from_month:
+                    late += count
+                    if tls13:
+                        late_tls13 += count
+                    if rc4:
+                        late_rc4 += count
 
-            version_band = _VERSION_BAND
-            est_band = np.fromiter(
-                (
-                    -1 if version is None else version_band[version]
-                    for version in chunk.established_versions
-                ),
-                dtype=np.int64,
-                count=n,
-            )
-            est_mask = np.fromiter(chunk.establisheds, dtype=bool, count=n)
-            forward_secret = _FORWARD_SECRET
-            strong = np.fromiter(
-                (
-                    code is not None and forward_secret[code]
-                    for code in chunk.established_cipher_codes
-                ),
-                dtype=bool,
-                count=n,
-            )
-
+            connections = chunk.connection_total()
             self._records_seen += chunk.record_total()
-            self._connections_seen += chunk.connection_total()
-            self._versions.add_batch(device, months, counts, adv_band, est_mask, est_band)
-            self._insecure.bulk_tally(
-                device,
-                month_tally(months, counts),
-                month_tally(months, counts, insecure),
-            )
-            self._strong.bulk_tally(
-                device,
-                month_tally(months, counts, est_mask),
-                month_tally(months, counts, est_mask & strong),
-            )
+            self._connections_seen += connections
+            self._versions.add_batch(device, adv_totals, adv_hits, est_totals, est_hits)
+            self._insecure.bulk_tally(device, adv_totals, insecure_hits)
+            self._strong.bulk_tally(device, est_totals, strong_hits)
             self._revocation.bulk_add(device, any_staple=any_staple)
-            self._dataset.bulk_add(
-                device, chunk.connection_total(), np.unique(months)
-            )
-            late = months >= self._comparison.from_month
-            self._comparison.bulk_add(
-                int(counts[late].sum()),
-                int(counts[late & tls13].sum()),
-                int(counts[late & rc4].sum()),
-            )
+            self._dataset.bulk_add(device, connections, set(chunk.months))
+            self._comparison.bulk_add(late, late_tls13, late_rc4)
         for event in chunk.revocation_events:
             self.add_revocation_event(event)
 

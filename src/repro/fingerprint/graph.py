@@ -12,29 +12,34 @@ are kept (non-shared fingerprints are removed for readability, exactly
 as the paper does).  Device->fingerprint edges carry a ``dominant`` flag
 (the paper's thick edges); application edges are the "dashed" ones.
 
-networkx is imported where a graph is built or traversed, not at module
-import, so a process that never draws Figure 5 does not load it.
+The graph is a plain adjacency dict: nodes in insertion order, each
+mapped to the set of its neighbours.  Node order fixes the order of
+:meth:`SharedFingerprintGraph.device_clusters`, which ``iotls report``
+and ``iotls fingerprint`` print sorted by size with ties left in it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .collect import DeviceFingerprints
 from .database import FingerprintDatabase
 
-if TYPE_CHECKING:
-    import networkx as nx
-
 __all__ = ["SharedFingerprintGraph", "build_shared_graph"]
+
+#: A graph node: ``(kind, name)`` with kind ``device``, ``application``
+#: or ``fingerprint``.
+Node = tuple[str, str]
 
 
 @dataclass
 class SharedFingerprintGraph:
     """The Figure 5 graph plus the §5.3 summary statistics."""
 
-    graph: nx.Graph
+    #: node -> neighbours, in node insertion order.
+    adjacency: dict[Node, set[Node]]
+    #: (device node, fingerprint node) pairs of the paper's thick edges.
+    dominant_edges: set[tuple[Node, Node]]
     device_names: set[str]
     application_labels: set[str]
 
@@ -44,30 +49,36 @@ class SharedFingerprintGraph:
     def sharing_devices(self) -> set[str]:
         """Devices that share >=1 fingerprint with another device/app."""
         return {
-            name
-            for name in self.device_names
-            if self.graph.has_node(("device", name)) and self.graph.degree(("device", name)) > 0
+            name for name in self.device_names if self.adjacency.get(("device", name))
         }
 
     def devices_sharing_with_application(self, label: str) -> set[str]:
         """Devices sharing a fingerprint with a labelled application."""
-        app_node = ("application", label)
-        if not self.graph.has_node(app_node):
-            return set()
         devices = set()
-        for fp_node in self.graph.neighbors(app_node):
-            for neighbor in self.graph.neighbors(fp_node):
-                kind, name = neighbor
+        for fp_node in self.adjacency.get(("application", label), ()):
+            for kind, name in self.adjacency[fp_node]:
                 if kind == "device":
                     devices.add(name)
         return devices
 
     def device_clusters(self) -> list[set[str]]:
-        """Connected groups of devices (manufacturer clusters in Fig 5)."""
-        import networkx as nx
+        """Connected groups of devices (manufacturer clusters in Fig 5).
 
+        Components come out in the order of their first node, so the
+        list is deterministic for a given graph.
+        """
+        seen: set[Node] = set()
         clusters = []
-        for component in nx.connected_components(self.graph):
+        for start in self.adjacency:
+            if start in seen:
+                continue
+            seen.add(start)
+            component = [start]
+            for node in component:  # breadth-first: appends extend the walk
+                for neighbor in self.adjacency[node]:
+                    if neighbor not in seen:
+                        seen.add(neighbor)
+                        component.append(neighbor)
             devices = {name for kind, name in component if kind == "device"}
             if len(devices) >= 2:
                 clusters.append(devices)
@@ -76,14 +87,11 @@ class SharedFingerprintGraph:
     def dominant_fingerprint_label(self, device: str) -> set[str]:
         """Application labels matching a device's dominant fingerprint."""
         device_node = ("device", device)
-        if not self.graph.has_node(device_node):
-            return set()
         labels = set()
-        for fp_node in self.graph.neighbors(device_node):
-            if not self.graph.edges[device_node, fp_node].get("dominant"):
+        for fp_node in self.adjacency.get(device_node, ()):
+            if (device_node, fp_node) not in self.dominant_edges:
                 continue
-            for neighbor in self.graph.neighbors(fp_node):
-                kind, name = neighbor
+            for kind, name in self.adjacency[fp_node]:
                 if kind == "application":
                     labels.add(name)
         return labels
@@ -93,10 +101,8 @@ def build_shared_graph(
     collected: list[DeviceFingerprints], database: FingerprintDatabase
 ) -> SharedFingerprintGraph:
     """Assemble the Figure 5 graph from collected device fingerprints."""
-    import networkx as nx
-
     # Who produced each fingerprint?
-    producers: dict[str, set[tuple[str, str]]] = {}
+    producers: dict[str, set[Node]] = {}
     for device in collected:
         for digest in device.distinct:
             producers.setdefault(digest, set()).add(("device", device.device))
@@ -104,7 +110,7 @@ def build_shared_graph(
         for label in labels:
             producers.setdefault(digest, set()).add(("application", label))
 
-    graph = nx.Graph()
+    adjacency: dict[Node, set[Node]] = {}
     used_labels: set[str] = set()
     for digest, nodes in producers.items():
         if len(nodes) < 2:
@@ -114,26 +120,28 @@ def build_shared_graph(
         if not any(kind == "device" for kind, _ in nodes):
             continue
         fp_node = ("fingerprint", digest)
-        graph.add_node(fp_node)
+        fp_neighbors = adjacency.setdefault(fp_node, set())
         for node in nodes:
-            graph.add_node(node)
             kind, name = node
             if kind == "application":
                 used_labels.add(name)
-            graph.add_edge(node, fp_node)
+            adjacency.setdefault(node, set()).add(fp_node)
+            fp_neighbors.add(node)
 
     # Flag dominant edges (the paper's thick edges).
+    dominant_edges = set()
     for device in collected:
         dominant = device.dominant
         if dominant is None:
             continue
         device_node = ("device", device.device)
         fp_node = ("fingerprint", dominant)
-        if graph.has_edge(device_node, fp_node):
-            graph.edges[device_node, fp_node]["dominant"] = True
+        if fp_node in adjacency.get(device_node, ()):
+            dominant_edges.add((device_node, fp_node))
 
     return SharedFingerprintGraph(
-        graph=graph,
+        adjacency=adjacency,
+        dominant_edges=dominant_edges,
         device_names={device.device for device in collected},
         application_labels=used_labels,
     )

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..devices.profile import STUDY_MONTHS
 from ..testbed.capture import TrafficRecord
 from ..tls.ciphersuites import REGISTRY
@@ -45,7 +43,6 @@ __all__ = [
     "FractionHeatmapAccumulator",
     "insecure_advertised_accumulator",
     "strong_established_accumulator",
-    "month_tally",
 ]
 
 #: Threshold for "vast majority" when filtering devices out of a figure.
@@ -64,22 +61,6 @@ def _crosses(value: float, threshold: float, *, from_below: bool = True) -> bool
     its threshold; a device sitting exactly on the threshold is shown.
     """
     return value >= threshold if from_below else value <= threshold
-
-
-def month_tally(months, counts, mask=None) -> np.ndarray:
-    """Count-weighted per-month sums: int64, length ``STUDY_MONTHS``.
-
-    ``months``/``counts`` are parallel int64 arrays (one slot per base
-    record); ``mask`` restricts the tally to the records it selects.
-    Integer scatter-adds, so the sums are exact -- the vectorised
-    equivalent of the accumulators' dict tallies.
-    """
-    tally = np.zeros(STUDY_MONTHS, dtype=np.int64)
-    if mask is not None:
-        months = months[mask]
-        counts = counts[mask]
-    np.add.at(tally, months, counts)
-    return tally
 
 
 @dataclass
@@ -140,24 +121,27 @@ class FractionSeriesAccumulator:
         if self._predicate(record):
             self._hits[key] = self._hits.get(key, 0) + record.count
 
-    def bulk_tally(self, device: str, totals, hits) -> None:
-        """Fold one device's per-month weight arrays in one call.
+    def bulk_tally(
+        self, device: str, totals: list[int], hits: list[int]
+    ) -> None:
+        """Fold one device's per-month weights in one call.
 
-        ``totals`` and ``hits`` are length-``STUDY_MONTHS`` integer
-        arrays of count-weighted sums, already filtered through this
+        ``totals`` and ``hits`` are length-``STUDY_MONTHS`` lists of
+        count-weighted sums, already filtered through this
         accumulator's denominator and predicate by the caller (the
-        vectorised chunk path).  Months with zero total leave their
-        cell untouched, exactly like a run of :meth:`add` calls that
-        never passed the denominator.
+        chunk fold).  Months with zero total leave their cell
+        untouched, exactly like a run of :meth:`add` calls that never
+        passed the denominator.
         """
         self._device_names.add(device)
         t, h = self._totals, self._hits
-        for month in np.flatnonzero(totals):
-            key = (device, int(month))
-            t[key] = t.get(key, 0) + int(totals[month])
-            hit = int(hits[month])
-            if hit:
-                h[key] = h.get(key, 0) + hit
+        for month, total in enumerate(totals):
+            if total:
+                key = (device, month)
+                t[key] = t.get(key, 0) + total
+                hit = hits[month]
+                if hit:
+                    h[key] = h.get(key, 0) + hit
 
     @property
     def devices(self) -> list[str]:
@@ -203,15 +187,6 @@ class VersionHeatmap:
         shown = set(self.shown_devices())
         return [device for device in self.devices if device not in shown]
 
-    def matrix(self, band: VersionBand, *, established: bool) -> np.ndarray:
-        """(device x month) array with NaN for no-traffic cells."""
-        table = self.established if established else self.advertised
-        rows = []
-        for device in self.devices:
-            series = table[band].get(device, DeviceMonthSeries(device))
-            rows.append([np.nan if v is None else v for v in series.values])
-        return np.array(rows, dtype=float)
-
 
 def _is_established(record: TrafficRecord) -> bool:
     return record.established
@@ -245,28 +220,25 @@ class VersionHeatmapAccumulator:
             accumulator.add(record)
 
     def add_batch(
-        self, device: str, months, counts, adv_band, est_mask, est_band
+        self,
+        device: str,
+        adv_totals: list[int],
+        adv_hits: list[list[int]],
+        est_totals: list[int],
+        est_hits: list[list[int]],
     ) -> None:
-        """Fold one device chunk's worth of pre-extracted version features.
+        """Fold one device chunk's per-month version tallies.
 
-        ``adv_band``/``est_band`` hold each base record's advertised /
-        established :class:`VersionBand` as an index into
-        ``list(VersionBand)`` (-1 for not-established); ``est_mask`` is
-        the established denominator.  Tallies land exactly where
-        per-record :meth:`add` calls would put them.
+        ``adv_totals``/``est_totals`` are the count-weighted monthly
+        sums over all / established records; ``adv_hits[i]`` and
+        ``est_hits[i]`` are those of records whose advertised /
+        established band is ``list(VersionBand)[i]``.  Tallies land
+        exactly where per-record :meth:`add` calls would put them.
         """
         self._device_names.add(device)
-        adv_totals = month_tally(months, counts)
-        est_totals = month_tally(months, counts, est_mask)
         for index, band in enumerate(VersionBand):
-            self._advertised[band].bulk_tally(
-                device, adv_totals, month_tally(months, counts, adv_band == index)
-            )
-            self._established[band].bulk_tally(
-                device,
-                est_totals,
-                month_tally(months, counts, est_mask & (est_band == index)),
-            )
+            self._advertised[band].bulk_tally(device, adv_totals, adv_hits[index])
+            self._established[band].bulk_tally(device, est_totals, est_hits[index])
 
     def finalize(self) -> VersionHeatmap:
         return VersionHeatmap(
@@ -310,13 +282,6 @@ class FractionHeatmap:
         shown = set(self.shown_devices())
         return [device for device in self.devices if device not in shown]
 
-    def matrix(self) -> np.ndarray:
-        rows = []
-        for device in self.devices:
-            series = self.series.get(device, DeviceMonthSeries(device))
-            rows.append([np.nan if v is None else v for v in series.values])
-        return np.array(rows, dtype=float)
-
 
 def _advertises_insecure(record: TrafficRecord) -> bool:
     return record.client_hello.advertises_insecure_cipher
@@ -342,7 +307,9 @@ class FractionHeatmapAccumulator:
     def add(self, record: TrafficRecord) -> None:
         self._accumulator.add(record)
 
-    def bulk_tally(self, device: str, totals, hits) -> None:
+    def bulk_tally(
+        self, device: str, totals: list[int], hits: list[int]
+    ) -> None:
         """See :meth:`FractionSeriesAccumulator.bulk_tally`."""
         self._accumulator.bulk_tally(device, totals, hits)
 

@@ -97,21 +97,30 @@ def host_fingerprint() -> dict[str, Any]:
 
 
 def git_rev(repo_root: str | Path | None = None) -> str:
-    """The current short git revision, or ``"unknown"`` outside a checkout."""
+    """The current short git revision, or ``"unknown"`` outside a checkout.
+
+    A tree with uncommitted changes to tracked files reads
+    ``<rev>-dirty``, so a measurement of work in progress is not
+    recorded under the revision it started from.
+    """
     import subprocess
 
-    try:
-        completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
-            cwd=repo_root or Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=10,
+    cwd = repo_root or Path(__file__).resolve().parent
+
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(
+            ["git", *args], cwd=cwd, capture_output=True, text=True, timeout=10
         )
+
+    try:
+        completed = git("rev-parse", "--short", "HEAD")
+        rev = completed.stdout.strip()
+        if completed.returncode != 0 or not rev:
+            return "unknown"
+        status = git("status", "--porcelain", "--untracked-files=no")
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    rev = completed.stdout.strip()
-    return rev if completed.returncode == 0 and rev else "unknown"
+    return f"{rev}-dirty" if status.stdout.strip() else rev
 
 
 def canonical_json(payload: Any) -> str:

@@ -185,8 +185,6 @@ class RecordChunk:
         "counts",
         "revocation_events",
         "split_cap",
-        "_count_array",
-        "_month_array",
     )
 
     def __init__(
@@ -223,33 +221,15 @@ class RecordChunk:
         self.counts = tuple(counts)
         self.revocation_events = tuple(revocation_events)
         self.split_cap = split_cap
-        self._count_array = None
-        self._month_array = None
 
     # -- size arithmetic ------------------------------------------------
     def __len__(self) -> int:
         """Base (pre-split) record count."""
         return len(self.counts)
 
-    def count_array(self):
-        """Per-base-record connection counts as an int64 numpy array."""
-        import numpy as np
-
-        if self._count_array is None:
-            self._count_array = np.asarray(self.counts, dtype=np.int64)
-        return self._count_array
-
-    def month_array(self):
-        """Per-base-record months as an int64 numpy array."""
-        import numpy as np
-
-        if self._month_array is None:
-            self._month_array = np.asarray(self.months, dtype=np.int64)
-        return self._month_array
-
     def connection_total(self) -> int:
         """Count-weighted wire connections in this chunk."""
-        return int(self.count_array().sum()) if self.counts else 0
+        return sum(self.counts)
 
     def record_total(self) -> int:
         """Logical (post-split) record count this chunk stands for.
@@ -259,12 +239,10 @@ class RecordChunk:
         ``c // cap + (1 if c % cap else 0)`` bounded records -- the exact
         multiplicity :meth:`iter_records` yields.
         """
-        if not self.counts:
-            return 0
-        if self.split_cap is None:
+        cap = self.split_cap
+        if cap is None:
             return len(self.counts)
-        counts = self.count_array()
-        return int((counts // self.split_cap).sum() + (counts % self.split_cap != 0).sum())
+        return sum(count // cap + (count % cap != 0) for count in self.counts)
 
     def with_split_cap(self, cap: int) -> "RecordChunk":
         """The same columns viewed through a flow cap (columns shared)."""
@@ -283,8 +261,6 @@ class RecordChunk:
             "downgradeds",
             "counts",
             "revocation_events",
-            "_count_array",
-            "_month_array",
         ):
             setattr(clone, name, getattr(self, name))
         if cap < 1:
@@ -325,21 +301,6 @@ class RecordChunk:
                 yield capped
             if remainder:
                 yield replace(record, count=remainder)
-
-    def __getstate__(self):
-        # Cached numpy arrays are derived state; keep pickles lean for
-        # the worker -> coordinator hop.
-        return {
-            name: getattr(self, name)
-            for name in self.__slots__
-            if name not in ("_count_array", "_month_array")
-        }
-
-    def __setstate__(self, state) -> None:
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._count_array = None
-        self._month_array = None
 
 
 def sink_add_batch(sink: "CaptureSink", chunk: RecordChunk) -> None:

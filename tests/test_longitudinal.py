@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.devices import STUDY_MONTHS, device_by_name
@@ -94,10 +93,11 @@ class TestFigure1:
         assert series.first_month_reaching(0.5) == 6  # 7/2018
 
     def test_matrix_shape_and_nan_for_gray_cells(self, heatmap):
-        matrix = heatmap.matrix(VersionBand.TLS_1_2, established=False)
-        assert matrix.shape == (40, STUDY_MONTHS)
-        blink_row = heatmap.devices.index("Blink Camera")
-        assert np.isnan(matrix[blink_row, 20])  # after Blink Camera died
+        table = heatmap.advertised[VersionBand.TLS_1_2]
+        rows = [table[device].values for device in heatmap.devices]
+        assert len(rows) == 40
+        assert all(len(row) == STUDY_MONTHS for row in rows)
+        assert table["Blink Camera"].values[20] is None  # after Blink Camera died
 
     def test_exact_five_percent_non_tls12_is_shown(self):
         """Regression: a device with exactly 5% non-TLS-1.2 traffic sits

@@ -24,7 +24,7 @@ from repro.telemetry import (
     manifest_digest,
     write_manifest,
 )
-from repro.telemetry.provenance import canonical_json, config_digest
+from repro.telemetry.provenance import canonical_json, config_digest, git_rev
 
 
 @pytest.fixture(autouse=True)
@@ -152,3 +152,32 @@ class TestWorkerInvariance:
         status = main(["trace", "--scale", "1", "--seed", "manifest-print"])
         assert status == 0
         assert "run manifest digest: " in capsys.readouterr().out
+
+
+class TestGitRev:
+    """A bench entry's ``git_rev`` names the tree it measured."""
+
+    def _git(self, repo, *args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+            cwd=repo, capture_output=True, text=True, check=True,
+        ).stdout.strip()
+
+    def test_clean_dirty_and_outside_a_checkout(self, tmp_path):
+        repo = tmp_path / "repo"
+        repo.mkdir()
+        self._git(repo, "init", "-q")
+        (repo / "tracked.txt").write_text("one\n")
+        self._git(repo, "add", "tracked.txt")
+        self._git(repo, "commit", "-q", "-m", "initial")
+        head = self._git(repo, "rev-parse", "--short", "HEAD")
+
+        assert git_rev(repo) == head
+        (repo / "untracked.txt").write_text("ignored\n")
+        assert git_rev(repo) == head
+        (repo / "tracked.txt").write_text("two\n")
+        assert git_rev(repo) == f"{head}-dirty"
+
+        outside = tmp_path / "plain"
+        outside.mkdir()
+        assert git_rev(outside) == "unknown"

@@ -20,7 +20,6 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
 
-import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -149,15 +148,24 @@ class TestSinks:
         assert registry.counter("iotls_capture_revocation_events_total").total() == 0
 
 
+def _cells(table):
+    """``{device: monthly values}`` of one heatmap table (None = gray cell)."""
+    return {device: series.values for device, series in table.items()}
+
+
+def _version_cells(versions):
+    """Figure 1's cells, per band and advertised/established table."""
+    return {
+        (band, established): _cells(
+            (versions.established if established else versions.advertised)[band]
+        )
+        for band in VersionBand
+        for established in (False, True)
+    }
+
+
 class TestAccumulators:
     """Accumulators are order-independent count-weighted tallies."""
-
-    def _matrices(self, versions):
-        return [
-            versions.matrix(band, established=established)
-            for band in VersionBand
-            for established in (False, True)
-        ]
 
     def test_version_accumulator_order_invariant(self, passive_capture):
         records = list(passive_capture.records[:500])
@@ -171,8 +179,7 @@ class TestAccumulators:
             backward.add(record)
         left, right = forward.finalize(), backward.finalize()
         assert left.devices == right.devices
-        for a, b in zip(self._matrices(left), self._matrices(right)):
-            np.testing.assert_array_equal(a, b)
+        assert _version_cells(left) == _version_cells(right)
 
     def test_fraction_accumulators_order_invariant(self, passive_capture):
         records = list(passive_capture.records[:500])
@@ -187,7 +194,7 @@ class TestAccumulators:
             left, right = forward.finalize(), backward.finalize()
             assert left.devices == right.devices
             assert left.shown_devices() == right.shown_devices()
-            np.testing.assert_array_equal(left.matrix(), right.matrix())
+            assert _cells(left.series) == _cells(right.series)
 
 
 class TestPipelineEquivalence:
@@ -220,15 +227,10 @@ class TestPipelineEquivalence:
         strong = strong_acc.finalize()
         for candidate in (analysis, chunk_analysis):
             assert candidate.versions.devices == versions.devices
-            for band in VersionBand:
-                for established in (False, True):
-                    np.testing.assert_array_equal(
-                        candidate.versions.matrix(band, established=established),
-                        versions.matrix(band, established=established),
-                    )
-            np.testing.assert_array_equal(candidate.insecure.matrix(), insecure.matrix())
+            assert _version_cells(candidate.versions) == _version_cells(versions)
+            assert _cells(candidate.insecure.series) == _cells(insecure.series)
             assert candidate.insecure.shown_devices() == insecure.shown_devices()
-            np.testing.assert_array_equal(candidate.strong.matrix(), strong.matrix())
+            assert _cells(candidate.strong.series) == _cells(strong.series)
             assert candidate.strong.shown_devices() == strong.shown_devices()
             assert candidate.adoption_events == detect_adoption_events_from_heatmaps(
                 versions, insecure, strong
@@ -637,8 +639,8 @@ class TestBatchedFoldEquivalence:
             right.connections,
             right.revocation_event_count,
         )
-        np.testing.assert_array_equal(left.insecure.matrix(), right.insecure.matrix())
-        np.testing.assert_array_equal(left.strong.matrix(), right.strong.matrix())
+        assert _cells(left.insecure.series) == _cells(right.insecure.series)
+        assert _cells(left.strong.series) == _cells(right.strong.series)
 
     @given(data=st.data())
     @_FOLD_SETTINGS
