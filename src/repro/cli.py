@@ -175,7 +175,8 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     )),
     "retry_after": ("--retry-after", dict(
         type=int, default=1, metavar="SECONDS",
-        help="Retry-After seconds advertised on 429 responses (default %(default)s)",
+        help="Retry-After seconds advertised on 429 and 503 responses "
+        "(default %(default)s)",
     )),
     "workers": ("--workers", dict(
         type=int, default=1, metavar="N",

@@ -3,7 +3,8 @@
 The fleet service speaks plain HTTP/1.1 with no dependency beyond the
 standard library: this module owns the wire details --
 request-line/header/body parsing on the way in, status lines, JSON
-envelopes, and chunked transfer encoding on the way out -- so
+envelopes, and stored files as ``Content-Length`` + sendfile bodies on
+the way out -- so
 :mod:`repro.serve.service` deals only in parsed :class:`HttpRequest`
 objects and response helpers.
 
@@ -22,18 +23,18 @@ Deliberate simplifications (documented, not accidental):
 from __future__ import annotations
 
 import json
-from asyncio import IncompleteReadError, LimitOverrunError, StreamReader, StreamWriter
+import os
+from asyncio import IncompleteReadError, LimitOverrunError, StreamReader
+from asyncio import StreamWriter, get_running_loop
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, BinaryIO
 
 __all__ = [
     "HttpError",
     "HttpRequest",
     "MAX_BODY_BYTES",
     "read_request",
-    "send_chunked_header",
-    "send_chunk",
-    "finish_chunked",
+    "send_file",
     "send_json",
 ]
 
@@ -130,14 +131,11 @@ async def read_request(reader: StreamReader) -> HttpRequest | None:
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 
-def _head(
-    status: int, headers: dict[str, str], *, content_length: int | None
-) -> bytes:
+def _head(status: int, headers: dict[str, str], content_length: int) -> bytes:
     lines = [f"HTTP/1.1 {status} {_REASONS.get(status, 'Unknown')}"]
     for name, value in headers.items():
         lines.append(f"{name}: {value}")
-    if content_length is not None:
-        lines.append(f"Content-Length: {content_length}")
+    lines.append(f"Content-Length: {content_length}")
     lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
@@ -152,34 +150,25 @@ async def send_json(
     """One complete JSON response (sorted keys, Content-Length framing)."""
     body = (json.dumps(document, sort_keys=True, default=str) + "\n").encode("utf-8")
     head = {"Content-Type": "application/json", **(headers or {})}
-    writer.write(_head(status, head, content_length=len(body)) + body)
+    writer.write(_head(status, head, len(body)) + body)
     await writer.drain()
 
 
-async def send_chunked_header(
-    writer: StreamWriter,
-    status: int,
-    *,
-    content_type: str = "application/x-ndjson",
-    headers: dict[str, str] | None = None,
+async def send_file(
+    writer: StreamWriter, handle: BinaryIO, headers: dict[str, str]
 ) -> None:
-    """Open a chunked response (the trace-stream body path)."""
-    head = {
-        "Content-Type": content_type,
-        "Transfer-Encoding": "chunked",
-        **(headers or {}),
-    }
-    writer.write(_head(status, head, content_length=None))
-    await writer.drain()
+    """A ``200`` whose body is a whole JSONL file: ``Content-Length`` from
+    ``fstat``, then one ``loop.sendfile`` (a kernel copy, no read loop)."""
+    size = os.fstat(handle.fileno()).st_size
+    head = {"Content-Type": "application/x-ndjson", **headers}
+    writer.write(_head(200, head, size))
+    await writer.drain()  # raises ConnectionResetError if the client left
+    await get_running_loop().sendfile(writer.transport, handle, 0, size)
 
 
+# No response uses it; bench/layers.py wraps it by name, so it stays importable.
 async def send_chunk(writer: StreamWriter, data: bytes) -> None:
     if not data:
         return
     writer.write(f"{len(data):x}\r\n".encode("latin-1") + data + b"\r\n")
-    await writer.drain()
-
-
-async def finish_chunked(writer: StreamWriter) -> None:
-    writer.write(b"0\r\n\r\n")
     await writer.drain()

@@ -19,10 +19,10 @@ Request lifecycle (``POST /runs``):
    nothing.
 3. **Consult the cache**: :func:`repro.telemetry.ledger.lookup_config`
    over the service's ledger.  A hit (newest successful entry with
-   *live* artifacts) is served straight from disk -- chunked
-   ``iotls-trace-stream/1`` JSONL for trace bodies, the ledger entry's
-   envelope for the rest -- with ``X-IoTLS-Cache: hit`` and **zero**
-   pool dispatches.
+   *live* artifacts) is served straight from disk -- trace bodies as
+   ``iotls-trace-stream/1`` JSONL with ``Content-Length`` + one sendfile,
+   the ledger entry's envelope for the rest -- with
+   ``X-IoTLS-Cache: hit`` and **zero** pool dispatches.
 4. **Coalesce**: an identical request already computing shares its
    in-flight future (``X-IoTLS-Cache: coalesced``) instead of
    recomputing or double-writing artifacts.
@@ -55,23 +55,16 @@ from typing import Any
 from .. import api, telemetry
 from ..parallel import WarmWorkerPool
 from ..telemetry import DEFAULT_LEDGER_PATH, AccessLog
-from .http import (
-    HttpError,
-    HttpRequest,
-    finish_chunked,
-    read_request,
-    send_chunk,
-    send_chunked_header,
-    send_json,
-)
+from .http import HttpError, HttpRequest, read_request, send_file, send_json
 
 __all__ = ["ServeConfig", "FleetService", "serve"]
 
 #: Schema tag of the ``GET /status`` document (central registry).
 from ..telemetry.schemas import STATUS_SCHEMA  # noqa: E402
 
-#: File-read chunk size for streamed trace bodies.
-_CHUNK_BYTES = 64 * 1024
+#: Seconds :meth:`FleetService.stop` lets open connections finish their
+#: response and its access-log record before it cancels them.
+_DRAIN_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,7 @@ class ServeConfig:
     access_log: str | Path | None = None
     #: Seconds between ``request.heartbeat`` access-log events per run.
     heartbeat_interval: float = 1.0
-    #: ``Retry-After`` seconds advertised on 429 responses.
+    #: ``Retry-After`` seconds advertised on 429 and 503 responses.
     retry_after: int = 1
 
     def __post_init__(self) -> None:
@@ -165,6 +158,7 @@ class FleetService:
         self._queue: asyncio.Queue[_Job] | None = None
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._executors: list[asyncio.Task] = []
+        self._clients: set[asyncio.Task] = set()
         self._server: asyncio.AbstractServer | None = None
         self._job_ids = 0
 
@@ -225,6 +219,14 @@ class FleetService:
     async def stop(self) -> None:
         if self._server is not None:
             self._server.close()
+            # A client can finish reading a Content-Length body before its
+            # handler resumes to log it, so drain handlers before the log
+            # closes (and before wait_closed, which may wait on them).
+            if self._clients:
+                _, late = await asyncio.wait(self._clients, timeout=_DRAIN_SECONDS)
+                for task in late:
+                    task.cancel()
+                await asyncio.gather(*late, return_exceptions=True)
             await self._server.wait_closed()
         for task in self._executors:
             task.cancel()
@@ -315,34 +317,31 @@ class FleetService:
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         request: HttpRequest | None = None
+        task = asyncio.current_task()
+        self._clients.add(task)
+        task.add_done_callback(self._clients.discard)
         try:
             request = await read_request(reader)
             if request is None:
                 return
             try:
                 await self._route(request, writer)
+                return
+            except ConnectionError as exc:  # the client left: nothing to answer
+                event, status, error = "request.disconnect", None, type(exc).__name__
             except HttpError as exc:
-                await send_json(
-                    writer, exc.status, {"error": exc.message}, headers=exc.headers
-                )
-                self.access.record(
-                    "request.error",
-                    method=request.method,
-                    path=request.path,
-                    status=exc.status,
-                    error=exc.message,
-                )
+                event, status, error = "request.error", exc.status, exc.message
+                await send_json(writer, status, {"error": error}, headers=exc.headers)
             except Exception as exc:  # a server bug, not a request outcome
-                await send_json(
-                    writer, 500, {"error": f"{type(exc).__name__}: {exc}"}
-                )
-                self.access.record(
-                    "request.error",
-                    method=request.method,
-                    path=request.path,
-                    status=500,
-                    error=type(exc).__name__,
-                )
+                event, status, error = "request.error", 500, type(exc).__name__
+                await send_json(writer, status, {"error": f"{error}: {exc}"})
+            self.access.record(
+                event,
+                method=request.method,
+                path=request.path,
+                status=status,
+                error=error,
+            )
         except HttpError as exc:  # framing failed before a request existed
             with contextlib.suppress(ConnectionError, OSError):
                 await send_json(writer, exc.status, {"error": exc.message})
@@ -510,7 +509,7 @@ class FleetService:
         headers = self._headers(digest, "hit", manifest_digest)
         if spec.stream_role is not None:
             path = Path(entry["artifacts"][spec.stream_role]["path"])
-            await self._stream_file(writer, path, headers)
+            await self._send_artifact(writer, path, headers)
             return
         artifacts = entry.get("artifacts") or {}
         envelope = {
@@ -539,7 +538,7 @@ class FleetService:
         headers = self._headers(digest, cache_state, manifest_digest)
         if spec.stream_role is not None:
             path = Path(getattr(result, "artifacts")[spec.stream_role])
-            await self._stream_file(writer, path, headers)
+            await self._send_artifact(writer, path, headers)
             return
         envelope: dict[str, Any] = {
             "command": spec.name,
@@ -562,24 +561,24 @@ class FleetService:
             envelope["cells"] = result.cells
         await send_json(writer, 200, envelope, headers=headers)
 
-    async def _stream_file(
-        self,
-        writer: asyncio.StreamWriter,
-        path: Path,
-        headers: dict[str, str],
+    async def _send_artifact(
+        self, writer: asyncio.StreamWriter, path: Path, headers: dict[str, str]
     ) -> None:
-        """Chunk a stored ``iotls-trace-stream/1`` body down the wire."""
-        await send_chunked_header(writer, 200, headers=headers)
-        handle = await asyncio.to_thread(path.open, "rb")
+        """Send a stored ``iotls-trace-stream/1`` body, opened before any
+        byte goes out so a vanished file still gets a clean error."""
         try:
-            while True:
-                chunk = await asyncio.to_thread(handle.read, _CHUNK_BYTES)
-                if not chunk:
-                    break
-                await send_chunk(writer, chunk)
+            handle = await asyncio.to_thread(path.open, "rb")
+        except FileNotFoundError:
+            # A retry recomputes: lookup_config skips dangling artifacts.
+            raise HttpError(
+                503,
+                f"artifact vanished before it was sent: {path.name}",
+                headers={"Retry-After": str(self.config.retry_after)},
+            ) from None
+        try:
+            await send_file(writer, handle, headers)
         finally:
-            await asyncio.to_thread(handle.close)
-        await finish_chunked(writer)
+            handle.close()
 
 
 async def serve(config: ServeConfig = ServeConfig()) -> None:

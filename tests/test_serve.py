@@ -2,9 +2,9 @@
 
 Each test boots a real :class:`~repro.serve.FleetService` on an
 ephemeral port inside its own event loop and speaks actual HTTP/1.1 at
-it (including chunked-transfer decoding), so the wire contract the
-README's curl example relies on is what gets pinned -- not an internal
-shortcut around it.
+it (trace bodies framed by ``Content-Length`` and sent with sendfile),
+so the wire contract the README's curl example relies on is what gets
+pinned -- not an internal shortcut around it.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -39,7 +40,19 @@ def serve_config(tmp_path, **overrides) -> ServeConfig:
 async def request(
     port: int, method: str, path: str, body: dict | None = None
 ) -> tuple[int, dict[str, str], bytes]:
-    """A real HTTP/1.1 exchange, chunked transfer decoding included."""
+    """A real HTTP/1.1 exchange; the body is read to its Content-Length."""
+    reader, writer = await open_request(port, method, path, body)
+    status, headers = await read_head(reader)
+    content = await reader.readexactly(int(headers["content-length"]))
+    writer.close()
+    await writer.wait_closed()
+    return status, headers, content
+
+
+async def open_request(
+    port: int, method: str, path: str, body: dict | None = None
+) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    """Connect and send one request; the response is left unread."""
     reader, writer = await asyncio.open_connection("127.0.0.1", port)
     payload = json.dumps(body).encode() if body is not None else b""
     head = f"{method} {path} HTTP/1.1\r\nHost: test\r\n"
@@ -47,32 +60,19 @@ async def request(
         head += f"Content-Length: {len(payload)}\r\n"
     writer.write(head.encode() + b"\r\n" + payload)
     await writer.drain()
-    status_line = await reader.readline()
-    status = int(status_line.split()[1])
+    return reader, writer
+
+
+async def read_head(reader: asyncio.StreamReader) -> tuple[int, dict[str, str]]:
+    """The status code and lower-cased headers of one response."""
+    status = int((await reader.readline()).split()[1])
     headers: dict[str, str] = {}
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b""):
-            break
+            return status, headers
         name, _, value = line.decode("latin-1").partition(":")
         headers[name.strip().lower()] = value.strip()
-    if headers.get("transfer-encoding") == "chunked":
-        chunks = []
-        while True:
-            size = int((await reader.readline()).strip(), 16)
-            if size == 0:
-                await reader.readline()
-                break
-            chunks.append(await reader.readexactly(size))
-            await reader.readexactly(2)  # the chunk's trailing CRLF
-        content = b"".join(chunks)
-    elif "content-length" in headers:
-        content = await reader.readexactly(int(headers["content-length"]))
-    else:
-        content = await reader.read()
-    writer.close()
-    await writer.wait_closed()
-    return status, headers, content
 
 
 async def with_service(config: ServeConfig, scenario):
@@ -280,13 +280,19 @@ class TestCacheContract:
                 == headers2["x-iotls-manifest-digest"]
             )
             assert body1 == body2
-            return headers1
+            return (headers1, body1), (headers2, body2)
 
-        headers = asyncio.run(with_service(serve_config(tmp_path), scenario))
+        responses = asyncio.run(with_service(serve_config(tmp_path), scenario))
         entries = telemetry.load_ledger(tmp_path / "ledger.jsonl")
         # The hit computed nothing: one run, one entry.
         assert [entry["command"] for entry in entries] == ["trace"]
-        assert entries[0]["manifest_digest"] == headers["x-iotls-manifest-digest"]
+        assert entries[0]["manifest_digest"] == responses[0][0]["x-iotls-manifest-digest"]
+        # Both bodies are the artifact file, framed by its exact size.
+        artifact = Path(entries[0]["artifacts"]["records_jsonl"]["path"]).read_bytes()
+        for headers, body in responses:
+            assert "transfer-encoding" not in headers
+            assert int(headers["content-length"]) == len(artifact)
+            assert body == artifact
 
     def test_served_stream_matches_direct_single_worker_run(self, tmp_path):
         async def scenario(service):
@@ -370,6 +376,124 @@ class TestCacheContract:
         assert envelope["command"] == "probe"
         assert envelope["amenable"] is True
         assert not {"health", "heartbeats", "resources"} & envelope.keys()
+
+
+class TestFailuresAreAttributed:
+    """A vanished artifact, a client that leaves mid-body and a stop
+    during a body each end in a typed access-log record, never a hang."""
+
+    BIG_BODY_BYTES = 16 << 20  # well past the loopback socket buffers
+
+    def _big_artifact(self, tmp_path, monkeypatch) -> Path:
+        """Serve every trace miss from one large artifact, without a run."""
+        stream_file = tmp_path / "big.jsonl"
+        stream_file.write_bytes(b"x" * self.BIG_BODY_BYTES)
+        result = SimpleNamespace(
+            manifest_digest="feedfeedfeedfeed",
+            artifacts={"records_jsonl": stream_file},
+        )
+        monkeypatch.setattr(api, "execute", lambda command, config, **extras: result)
+        return stream_file
+
+    @staticmethod
+    def _events(tmp_path) -> list[dict]:
+        lines = (tmp_path / "access.jsonl").read_text().splitlines()
+        return [line for line in map(json.loads, lines) if line["kind"] == "event"]
+
+    def test_artifact_vanishing_after_lookup_answers_503(self, tmp_path, monkeypatch):
+        real_lookup = telemetry.lookup_config
+
+        def lookup_then_delete(entries, digest):
+            hit = real_lookup(entries, digest)
+            for info in (hit or {}).get("artifacts", {}).values():
+                Path(info["path"]).unlink()
+            return hit
+
+        async def scenario(service):
+            port = service.port
+            _, first, _ = await request(port, "POST", "/runs", TRACE_BODY)
+            monkeypatch.setattr(telemetry, "lookup_config", lookup_then_delete)
+            vanished = await request(port, "POST", "/runs", TRACE_BODY)
+            again = await request(port, "POST", "/runs", TRACE_BODY)
+            return first, vanished, again
+
+        first, (status, headers, content), (status3, headers3, body3) = asyncio.run(
+            with_service(serve_config(tmp_path), scenario)
+        )
+        assert first["x-iotls-cache"] == "miss"
+        # Nothing went out before the open failed: a clean JSON 503.
+        assert status == 503
+        assert headers["content-type"] == "application/json"
+        assert headers["retry-after"] == str(ServeConfig.retry_after)
+        assert "vanished" in json.loads(content)["error"]
+        errors = [e for e in self._events(tmp_path) if e["event"] == "request.error"]
+        assert [e["status"] for e in errors] == [503]
+        # The retry recomputes: lookup_config skips the dangling entry.
+        assert (status3, headers3["x-iotls-cache"]) == (200, "miss")
+        assert body3.splitlines()[-1].startswith(b'{"summary"')
+
+    def test_client_leaving_mid_body_is_not_a_server_error(self, tmp_path, monkeypatch):
+        stream_file = self._big_artifact(tmp_path, monkeypatch)
+        opened = []
+        real_open = Path.open
+
+        def spy_open(path, *args, **kwargs):
+            handle = real_open(path, *args, **kwargs)
+            if path == stream_file:
+                opened.append(handle)
+            return handle
+
+        monkeypatch.setattr(Path, "open", spy_open)
+
+        async def scenario(service):
+            reader, writer = await open_request(service.port, "POST", "/runs", TRACE_BODY)
+            try:
+                status, headers = await read_head(reader)
+                await reader.readexactly(16)
+            finally:
+                writer.close()  # unread bytes left behind: the kernel resets
+                await writer.wait_closed()
+            return status, headers, await request(service.port, "POST", "/runs", TRACE_BODY)
+
+        status, headers, (status2, _, body) = asyncio.run(
+            with_service(serve_config(tmp_path), scenario)
+        )
+        assert (status, headers.get("content-length")) == (200, str(self.BIG_BODY_BYTES))
+        assert status2 == 200 and len(body) == self.BIG_BODY_BYTES
+        assert len(opened) == 2 and all(handle.closed for handle in opened)
+        events = self._events(tmp_path)
+        assert not [e for e in events if e.get("status") == 500]
+        disconnects = [e for e in events if e["event"] == "request.disconnect"]
+        assert [e["path"] for e in disconnects] == ["/runs"]
+        assert [e["status"] for e in events if e["event"] == "request"] == [200]
+
+    def test_stop_waits_for_a_body_in_flight_to_be_logged(self, tmp_path, monkeypatch):
+        self._big_artifact(tmp_path, monkeypatch)
+
+        async def scenario():
+            service = FleetService(serve_config(tmp_path))
+            await service.start()
+            reader, writer = await open_request(service.port, "POST", "/runs", TRACE_BODY)
+            try:
+                status, headers = await read_head(reader)
+                stopping = asyncio.create_task(service.stop())
+                await asyncio.sleep(0.2)
+                sending = not stopping.done()
+                received = 0
+                while chunk := await reader.read(1 << 20):
+                    received += len(chunk)
+            finally:
+                writer.close()
+                await writer.wait_closed()
+            await stopping
+            return sending, status, headers.get("content-length"), received
+
+        sending, status, length, received = asyncio.run(asyncio.wait_for(scenario(), 120))
+        assert sending  # stop() waited while the handler was still sending
+        assert (status, length) == (200, str(self.BIG_BODY_BYTES))
+        assert received == self.BIG_BODY_BYTES
+        requests = [e for e in self._events(tmp_path) if e["event"] == "request"]
+        assert [(e["cache"], e["status"]) for e in requests] == [("miss", 200)]
 
 
 class TestQueueAndCoalescing:

@@ -5,7 +5,8 @@ operator) would:
 
 1. start the server on an ephemeral-ish port with a fresh ledger,
 2. ``POST /runs`` the same trace request twice and assert the cache
-   contract: ``miss`` then ``hit``, byte-identical stream bodies, equal
+   contract: ``miss`` then ``hit``, byte-identical stream bodies, each
+   framed by a ``Content-Length`` equal to the bytes received, equal
    manifest digests, and **zero** new warm-pool dispatches for the hit,
 3. assert a distinct request misses (the cache is content-addressed,
    not request-order magic),
@@ -141,6 +142,15 @@ def main() -> int:
             failures.append(f"manifest digests differ across identical requests: {digest_a} vs {digest_b}")
         if first_body != second_body:
             failures.append("cached stream body differs from the computed one")
+        for name, headers, body in (
+            ("first", first_headers, first_body),
+            ("second", second_headers, second_body),
+        ):
+            if headers.get("Content-Length") != str(len(body)):
+                failures.append(
+                    f"{name} request: Content-Length {headers.get('Content-Length')!r}, "
+                    f"received {len(body)} bytes"
+                )
         if dispatches_after_hit != dispatches_after_miss:
             failures.append(
                 f"cache hit dispatched work: pool dispatches {dispatches_after_miss} "
