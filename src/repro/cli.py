@@ -13,8 +13,6 @@ Subcommands map one-to-one onto the paper's experiments:
 * ``pcap``         -- export the capture's ClientHellos as a pcap file
 * ``check``        -- audit a run against the paper's published values
                       (drift report; non-zero exit on drift)
-* ``lint``         -- reprolint: static invariant checks over the
-                      repo's own source (see ``docs/static-analysis.md``)
 * ``serve``        -- the resident fleet service (:mod:`repro.serve`)
 * ``runs``         -- query the run ledger: ``list``/``show``/``diff``/
                       ``trend``/``lookup``/``gc`` over every recorded run
@@ -247,18 +245,11 @@ def build_parser() -> argparse.ArgumentParser:
         "report": "run everything and write a full markdown report",
         "pcap": "export the passive capture's ClientHellos as a pcap file",
         "check": "audit the reproduction against the paper's published values",
-        "lint": "run reprolint's static invariant checks over the repo source",
         "serve": "run the resident fleet service (HTTP/JSON, content-addressed "
         "result cache over the run ledger)",
     }
     for command, help_text in helps.items():
-        sub = subparsers.add_parser(command, help=help_text)
-        if command == "lint":
-            from .lint.cli import configure_parser as configure_lint_parser
-
-            configure_lint_parser(sub)
-        else:
-            _add_flags(sub, command)
+        _add_flags(subparsers.add_parser(command, help=help_text), command)
 
     runs = subparsers.add_parser(
         "runs",
@@ -542,13 +533,6 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_lint(args) -> int:
-    """Run reprolint; exit 0 clean, 1 violations, 2 usage error."""
-    from .lint.cli import run_from_args
-
-    return run_from_args(args)
-
-
 def _runs_list(args, entries) -> int:
     selected = telemetry.filter_entries(
         entries,
@@ -731,7 +715,6 @@ _COMMANDS = {
     "fingerprint": _cmd_fingerprint,
     "devices": _cmd_devices,
     "check": _cmd_check,
-    "lint": _cmd_lint,
     "runs": _cmd_runs,
     "serve": _cmd_serve,
 }

@@ -21,8 +21,8 @@ The ledger is deliberately **not** provenance: every entry carries
 wall-clock and host data, so nothing here may ever feed a run manifest
 -- manifests stay byte-identical with or without a worker pool and
 with the ledger on or off.  The module lives inside the telemetry
-clock boundary (RL002) and is itself the **ledger write boundary**
-(reprolint rule RL013):
+clock boundary and is itself the **ledger write boundary**
+(``tests/test_source_invariants.py::test_only_the_ledger_module_writes_the_ledger``):
 ledger files are written only through :func:`append_entry` /
 :func:`rewrite_ledger`, which guarantee whole-line atomicity --
 one ``write()`` syscall per entry on an ``O_APPEND`` handle, so
@@ -185,7 +185,7 @@ def build_entry(
 
 
 # ----------------------------------------------------------------------
-# The write boundary (RL013): every ledger byte goes through here.
+# The write boundary: every ledger byte goes through here.
 # ----------------------------------------------------------------------
 def append_entry(entry: dict[str, Any], path: str | Path | None = None) -> Path:
     """Append one entry as a single atomic line and return the path.

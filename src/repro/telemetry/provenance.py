@@ -71,7 +71,8 @@ def host_date() -> str:
     """Today's calendar date on the host, ISO-formatted.
 
     The telemetry package is the repo's one sanctioned clock boundary
-    (reprolint rule RL002): code that *deliberately* records wall-clock
+    (``tests/test_source_invariants.py::test_no_wall_clock_read_outside_the_clock_boundary``):
+    code that *deliberately* records wall-clock
     provenance -- the benchmark trajectory's per-entry date stamp --
     must read it through this helper rather than calling
     ``date.today()`` at the call site.  Nothing returned here may feed

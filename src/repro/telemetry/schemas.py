@@ -16,12 +16,9 @@ source of truth for those identifiers and for what each one promises:
   ``tools/serve_smoke.py`` and the tests all go through it,
 * every producer imports its identifier from here (the module-level
   ``*_SCHEMA`` constants keep the historical names), and
-* reprolint rule **RL022** (``stream-schema-contract``) rejects an
-  ``iotls-*/N`` literal anywhere else in ``src``/``tools``.
-
-The registration calls below keep ``name`` and ``version`` **literal**:
-RL022 reads this file's AST, so the identifiers must be statically
-evaluable without importing the package.
+* ``tests/test_source_invariants.py::test_every_schema_id_comes_from_the_registry``
+  rejects an ``iotls-*/N`` literal anywhere else in ``src``/``tools``,
+  asking :func:`is_registered` which message it gets.
 """
 
 from __future__ import annotations
@@ -103,7 +100,7 @@ _RUN_ENTRY = Kind({"command": "str", "params": "object", "config_digest": "str"}
 _STATUS_INTS = ("queue.depth", "queue.capacity", "queue.executors", "queue.inflight",
                 "cache.hits", "cache.misses", "cache.coalesced")
 
-#: The registry.  Keep ``name``/``version`` literal -- RL022 parses this file.
+#: The registry.
 REGISTRY: tuple[StreamSchema, ...] = (
     StreamSchema(
         name="trace-stream",

@@ -257,6 +257,37 @@ class TestBenchHistoryLedger:
         assert len(load_ledger(tmp_path / "out" / "l.jsonl")) == 1
 
 
+class TestBenchClockBoundary:
+    def test_host_date_is_the_clock_boundary(self):
+        """Bench date stamps go through repro.telemetry.host_date (RL002)."""
+        from datetime import date
+
+        from repro.telemetry import host_date
+
+        assert host_date() == date.today().isoformat()
+
+    def test_bench_history_stamps_via_host_date(self, tmp_path, monkeypatch):
+        import importlib.util
+        import sys
+
+        from repro.telemetry import host_date, load_ledger
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_stream_lint_check", REPO_ROOT / "tools" / "bench_stream.py"
+        )
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        path = tmp_path / "ledger.jsonl"
+        monkeypatch.setattr(
+            sys,
+            "argv",
+            ["bench_stream.py", "--scale", "1", "--skip-heap-probe", "--ledger", str(path)],
+        )
+        assert module.main() == 0
+        (entry,) = load_ledger(path)
+        assert entry["date"] == host_date()
+
+
 class TestBenchGateLegacyTag:
     def test_legacy_tagged_entries_never_baseline(self):
         # A pre-ledger row (no host, no config digest) is never a
@@ -329,5 +360,5 @@ class TestApiSurfaceDiff:
         tool = _load_tool("api_surface")
         baseline = tool.build_surface()
         current = json.loads(json.dumps(baseline))
-        current["modules"]["repro.lint"].append("new_thing")
-        assert tool._diff(baseline, current) == ["repro.lint: added 'new_thing'"]
+        current["modules"]["repro.serve"].append("new_thing")
+        assert tool._diff(baseline, current) == ["repro.serve: added 'new_thing'"]

@@ -39,7 +39,6 @@ MODULES = [
     "repro.core",
     "repro.devices",
     "repro.fingerprint",
-    "repro.lint",
     "repro.longitudinal",
     "repro.mitm",
     "repro.parallel",

@@ -19,8 +19,10 @@ operator) would:
    (``iotls-trace-stream/1``, ``iotls-serve-status/1``,
    ``iotls-serve-access/1``) through the one contract checker,
    :func:`repro.telemetry.schemas.check_contract`,
-6. shut the server down and leave the access log and status document
-   behind for artifact upload.
+6. shut the server down.  With ``--keep DIR`` the ledger, artifacts,
+   access log and status document stay in DIR for artifact upload;
+   otherwise they live in a temp dir that is deleted on success and
+   kept, with its path printed, on failure.
 
 Exit codes: 0 = contract holds, 1 = violation, 2 = environment failure
 (server would not start).
@@ -35,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -82,22 +85,10 @@ def wait_healthy(base: str, deadline: float) -> bool:
     return False
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--port", type=int, default=8753)
-    parser.add_argument("--workers", type=int, default=2)
-    parser.add_argument(
-        "--keep",
-        metavar="DIR",
-        help="run inside DIR and keep ledger/artifacts/access log "
-        "(default: a temp dir, deleted on success)",
-    )
-    args = parser.parse_args()
-
-    workdir = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="iotls-serve-"))
-    workdir.mkdir(parents=True, exist_ok=True)
+def smoke(workdir: Path, port: int, workers: int) -> int:
+    """Run the round trip inside ``workdir``; the exit code of :func:`main`."""
     access_log = workdir / "access.jsonl"
-    base = f"http://127.0.0.1:{args.port}"
+    base = f"http://127.0.0.1:{port}"
     env = dict(os.environ)
     src = Path(__file__).resolve().parent.parent / "src"
     env["PYTHONPATH"] = f"{src}{os.pathsep}{env['PYTHONPATH']}" if env.get("PYTHONPATH") else str(src)
@@ -108,9 +99,9 @@ def main() -> int:
             "repro.cli",
             "serve",
             "--port",
-            str(args.port),
+            str(port),
             "--workers",
-            str(args.workers),
+            str(workers),
             "--ledger",
             str(workdir / "ledger.jsonl"),
             "--artifact-dir",
@@ -203,8 +194,33 @@ def main() -> int:
         for failure in failures:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
-    print(f"serve smoke ok (access log: {access_log})")
+    print("serve smoke ok")
     return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--port", type=int, default=8753)
+    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument(
+        "--keep",
+        metavar="DIR",
+        help="run inside DIR and keep ledger/artifacts/access log "
+        "(default: a temp dir, deleted on success)",
+    )
+    args = parser.parse_args()
+
+    workdir = Path(args.keep) if args.keep else Path(tempfile.mkdtemp(prefix="iotls-serve-"))
+    workdir.mkdir(parents=True, exist_ok=True)
+    status = 1
+    try:
+        status = smoke(workdir, args.port, args.workers)
+    finally:
+        if status != 0:
+            print(f"work directory kept: {workdir}", file=sys.stderr)
+        elif not args.keep:
+            shutil.rmtree(workdir)
+    return status
 
 
 if __name__ == "__main__":
