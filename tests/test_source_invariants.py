@@ -582,6 +582,16 @@ def good(rule, sources, id: str):
     return pytest.param(rule, sources, None, id=f"{id}-good")
 
 
+#: A fixture package: a method, a ``self`` call, a relative import and
+#: a package re-export between an async handler and a blocking leaf.
+MINI_PACKAGE = {
+    "src/pkg/__init__.py": "from .util import helper\n",
+    "src/pkg/util.py": "def helper():\n    return leaf()\ndef leaf():\n    return open('x')\n",
+    "src/pkg/app.py": "from . import util\nfrom pkg import helper\n"
+    "class Service:\n    async def run(self):\n        return self._load()\n"
+    "    def _load(self):\n        return helper()\n",
+}
+
 _TELEMETRY_CLOCK = "src/repro/telemetry/clock.py"
 _SIMCRYPTO = "src/repro/pki/simcrypto.py"
 
@@ -677,13 +687,7 @@ SNIPPETS = [
     ),
     bad(
         blocking_calls_in_async,
-        {
-            "src/pkg/__init__.py": "from .util import helper\n",
-            "src/pkg/util.py": "def helper():\n    return leaf()\ndef leaf():\n    return open('x')\n",
-            "src/pkg/app.py": "from . import util\nfrom pkg import helper\n"
-            "class Service:\n    async def run(self):\n        return self._load()\n"
-            "    def _load(self):\n        return helper()\n",
-        },
+        MINI_PACKAGE,
         "'pkg.app.Service._load' blocks: calls blocking 'pkg.util.helper'",
         "RL041-through-self-and-reexport",
     ),
@@ -745,3 +749,44 @@ def test_rule_on_snippet(rule, sources, expected):
         assert offenders == []
     else:
         assert len(offenders) == 1 and expected in offenders[0], offenders
+
+
+# ----------------------------------------------------------------------
+# The helpers under the rules
+# ----------------------------------------------------------------------
+def test_clock_opt_outs_are_not_stale():
+    """An opt-out whose call is gone would silently exempt a new one."""
+    reads = {
+        (module.path, module.dotted(call.func)) for module in source_tree() for call in calls(module.tree)
+    }
+    assert sorted(CLOCK_OPT_OUTS - reads) == []
+
+
+def test_bench_tools_have_no_wall_clock_reads():
+    bench_tools = [module for module in source_tree() if module.path.startswith("tools/bench_")]
+    assert bench_tools
+    assert wall_clock_reads(bench_tools) == []
+
+
+@pytest.fixture()
+def mini_graph():
+    return CallGraph([parse(path, source) for path, source in MINI_PACKAGE.items()])
+
+
+def test_call_graph_symbol_table(mini_graph):
+    assert sorted(mini_graph.functions) == [
+        "pkg.app.Service._load",
+        "pkg.app.Service.run",
+        "pkg.util.helper",
+        "pkg.util.leaf",
+    ]
+    assert mini_graph.functions["pkg.app.Service._load"][2] == "pkg.app.Service"
+    assert mini_graph.is_async("pkg.app.Service.run")
+    assert not mini_graph.is_async("pkg.util.helper")
+
+
+def test_call_graph_follows_reexport_alias(mini_graph):
+    # `from pkg import helper` lands on the definition re-exported by
+    # pkg/__init__.py.
+    assert mini_graph.canonical("pkg.helper") == "pkg.util.helper"
+    assert mini_graph.calls["pkg.app.Service._load"] == {"pkg.util.helper"}
