@@ -95,7 +95,7 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     "limit": ("--limit", dict(type=int, default=None, help="max packets")),
     "telemetry": ("--telemetry", dict(
         action="store_true",
-        help="enable the telemetry subsystem (metrics, spans)",
+        help="enable the telemetry subsystem (metrics)",
     )),
     "ledger": ("--ledger", dict(
         metavar="PATH", default=None,
@@ -133,10 +133,11 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
     )),
     "profile": ("--profile", dict(
         action="store_true",
-        help="print a hot-span profile after the run (implies --telemetry)",
+        help="run under cProfile and print self time per repro module and "
+        "the hottest functions",
     )),
     "profile_out": ("--profile-out", dict(
-        metavar="PATH", help="write the profile as JSON (implies --profile)"
+        metavar="PATH", help="write that profile as JSON (implies --profile)"
     )),
     "no_ledger": ("--no-ledger", dict(
         action="store_true", help="do not record this run in the run ledger"
@@ -720,32 +721,35 @@ _COMMANDS = {
 }
 
 
-def _emit_profile(args: argparse.Namespace) -> int:
-    """Render/export the run's span profile.  Returns 1 if no spans."""
-    from .telemetry import Profiler, render_hot_table
-
-    profiler = Profiler.from_tracer(telemetry.get_tracer())
-    print("\nhot spans:")
-    print(render_hot_table(profiler))
+def _run_profiled(args: argparse.Namespace) -> int:
+    """Run the command under cProfile; print where its time went, per
+    ``repro`` module, and write the document with ``--profile-out``."""
+    status, document = telemetry.profile_call(args.command, _COMMANDS[args.command], args)
+    print(f"\nprofile: {document['total_seconds']:.3f} s, coverage {document['coverage']:.2f}")
+    tables = [
+        render_table(
+            [key, "calls", "self (s)", "share"],
+            [(row[key], row["calls"], f"{row['self_seconds']:.4f}", f"{row['share']:.1%}")
+             for row in rows],
+        )
+        for key, rows in (("module", document["modules"]), ("function", document["functions"][:10]))
+    ]
+    print("\n\n".join(tables))
     if args.profile_out:
-        path = write_json(profiler.to_dict(), args.profile_out)
+        path = write_json(document, args.profile_out)
         print(f"wrote profile {path}")
-    return 0 if len(profiler) else 1
+    return status
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)
-    profile_on = any(given.get(name) for name in _PROFILE)
-    telemetry_on = (
-        profile_on
-        or given.get("metrics_out") is not None
-        or given.get("telemetry")
-    )
+    telemetry_on = given.get("metrics_out") is not None or given.get("telemetry")
     if telemetry_on:
         telemetry.configure(enabled=True)
+    profiled = any(given.get(name) for name in _PROFILE)
     try:
-        status = _COMMANDS[args.command](args)
+        status = (_run_profiled if profiled else _COMMANDS[args.command])(args)
     except (api.RunError, ValueError) as exc:
         if args.command not in (*api.command_names(), "serve"):
             raise
@@ -760,8 +764,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote metrics snapshot {path}")
         print("\ntelemetry summary:")
         print(telemetry.summary_table(registry))
-    if status == 0 and profile_on:
-        status = _emit_profile(args)
     return status
 
 

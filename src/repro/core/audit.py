@@ -16,9 +16,7 @@ benchmark layers consume.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from time import perf_counter
 from typing import TYPE_CHECKING, Sequence
 
 from .. import telemetry as _telemetry
@@ -36,21 +34,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["CampaignResults", "ActiveExperimentCampaign"]
 
 _TELEMETRY = _telemetry.get()
-
-
-@contextmanager
-def _phase(name: str):
-    """Time one campaign phase: a span plus a per-phase gauge."""
-    if not _TELEMETRY.enabled:
-        yield
-        return
-    started = perf_counter()
-    with _TELEMETRY.tracer.span("campaign.phase", phase=name):
-        yield
-    elapsed = perf_counter() - started
-    _TELEMETRY.registry.gauge(
-        "iotls_campaign_phase_seconds", "Wall time of the last run's campaign phases."
-    ).set(elapsed, phase=name)
 
 
 @dataclass
@@ -125,46 +108,42 @@ class ActiveExperimentCampaign:
         downgrade_auditor = DowngradeAuditor(self.testbed)
         prober = RootStoreProber(self.testbed)
 
-        with _phase("audit"):
-            for profile in active_devices():
-                device = self.testbed.device(profile)
-                results.interception.append(interception_auditor.audit_device(device))
-                results.downgrade.append(downgrade_auditor.audit_device_downgrade(device))
-                results.old_versions.append(downgrade_auditor.audit_device_old_versions(device))
-                if _TELEMETRY.enabled:
-                    _TELEMETRY.registry.counter(
-                        "iotls_campaign_devices_total",
-                        "Devices processed by the active campaign's audit phase.",
-                    ).inc()
+        for profile in active_devices():
+            device = self.testbed.device(profile)
+            results.interception.append(interception_auditor.audit_device(device))
+            results.downgrade.append(downgrade_auditor.audit_device_downgrade(device))
+            results.old_versions.append(downgrade_auditor.audit_device_old_versions(device))
+            if _TELEMETRY.enabled:
+                _TELEMETRY.registry.counter(
+                    "iotls_campaign_devices_total",
+                    "Devices processed by the active campaign's audit phase.",
+                ).inc()
 
         # Probe eligibility per §5.2: rebootable devices that validated
         # at least one connection during the interception audit.
-        with _phase("probe_eligibility"):
-            for profile in active_devices():
-                if not profile.rebootable:
-                    continue
-                report = results.interception_report(profile.name)
-                # A device "did not validate certificates in any of its TLS
-                # connections" when every destination fell to NoValidation.
-                all_novalidation = all(
-                    d.intercepted_by(AttackMode.NO_VALIDATION) for d in report.destinations
-                )
-                if all_novalidation:
-                    continue
-                results.probe_eligible.append(profile.name)
+        for profile in active_devices():
+            if not profile.rebootable:
+                continue
+            report = results.interception_report(profile.name)
+            # A device "did not validate certificates in any of its TLS
+            # connections" when every destination fell to NoValidation.
+            all_novalidation = all(
+                d.intercepted_by(AttackMode.NO_VALIDATION) for d in report.destinations
+            )
+            if all_novalidation:
+                continue
+            results.probe_eligible.append(profile.name)
 
-        with _phase("probe"):
-            for name in results.probe_eligible:
-                device = self.testbed.device(name)
-                results.probes.append(prober.probe_device(device))
+        for name in results.probe_eligible:
+            device = self.testbed.device(name)
+            results.probes.append(prober.probe_device(device))
 
         if include_passthrough:
-            with _phase("passthrough"):
-                experiment = PassthroughExperiment(self.testbed)
-                for profile in active_devices():
-                    device = self.testbed.device(profile)
-                    baseline = results.interception_report(profile.name)
-                    results.passthrough.append(experiment.run_device(device, baseline))
+            experiment = PassthroughExperiment(self.testbed)
+            for profile in active_devices():
+                device = self.testbed.device(profile)
+                baseline = results.interception_report(profile.name)
+                results.passthrough.append(experiment.run_device(device, baseline))
 
         return results
 

@@ -284,19 +284,8 @@ class RootStoreProber:
         deprecated: Sequence[RootCARecord] | None = None,
     ) -> DeviceProbeReport:
         """Calibrate, then sweep the common and deprecated probe sets."""
-        with _TELEMETRY.tracer.span("probe.device", device=device.name):
-            return self._probe_device(device, common=common, deprecated=deprecated)
-
-    def _probe_device(
-        self,
-        device: Device,
-        *,
-        common: Sequence[RootCARecord] | None = None,
-        deprecated: Sequence[RootCARecord] | None = None,
-    ) -> DeviceProbeReport:
         plug = SmartPlug(device)
-        with _TELEMETRY.tracer.span("probe.calibrate", device=device.name):
-            calibration = self.calibrate(plug)
+        calibration = self.calibrate(plug)
         report = DeviceProbeReport(device=device.name, calibration=calibration)
         if not calibration.amenable:
             return report

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import random
 from contextlib import closing
-from time import perf_counter
 from typing import TYPE_CHECKING, Iterator
 
 from .. import telemetry as _telemetry
@@ -193,19 +192,12 @@ class PassiveTraceGenerator:
             )
 
     def _device_chunk_instrumented(self, profile: DeviceProfile) -> RecordChunk:
-        """:meth:`generate_device_chunk` in the per-device telemetry envelope.
-
-        ``flow_records`` is the chunk's base-record count, before any
-        flow-cap splitting.
-        """
-        if not _TELEMETRY.enabled:
-            return self.generate_device_chunk(profile)
-        with _TELEMETRY.tracer.span("trace.device", device=profile.name) as span:
-            chunk = self.generate_device_chunk(profile)
-            span.annotate(flow_records=len(chunk))
-        _TELEMETRY.registry.counter(
-            "iotls_trace_devices_total", "Devices replayed by the trace generator."
-        ).inc()
+        """:meth:`generate_device_chunk`, counted when telemetry is on."""
+        chunk = self.generate_device_chunk(profile)
+        if _TELEMETRY.enabled:
+            _TELEMETRY.registry.counter(
+                "iotls_trace_devices_total", "Devices replayed by the trace generator."
+            ).inc()
         return chunk
 
     # ------------------------------------------------------------------
@@ -243,35 +235,13 @@ class PassiveTraceGenerator:
         stamped on each chunk and sinks account for split
         multiplicities arithmetically.  Chunks hold pre-split base
         records and stay scale-independent either way.
-
-        With telemetry on, the run is one ``trace.generate`` span, and two
-        gauges record its wall time and its largest chunk; gauges stay out
-        of the manifest's deterministic-metrics slice.
         """
         target: CaptureSink = (
             sink if self.flow_cap is None else FlowRecordChunker(sink, self.flow_cap)
         )
-        first = sink.records_seen
-        peak_staged = 0
-        started = perf_counter()
-        with _TELEMETRY.tracer.span(
-            "trace.generate", scale=self.scale, seed=self.seed
-        ) as root, closing(self._chunks(pool)) as chunks:
+        with closing(self._chunks(pool)) as chunks:
             for chunk in chunks:
-                peak_staged = max(peak_staged, len(chunk))
                 target.add_batch(chunk)
-            root.annotate(flow_records=sink.records_seen - first)
-        if not _TELEMETRY.enabled:
-            return
-        registry = _TELEMETRY.registry
-        registry.gauge(
-            "iotls_trace_last_run_seconds", "Wall time of the last full trace generation."
-        ).set(perf_counter() - started)
-        registry.gauge(
-            "iotls_stream_peak_staged_records",
-            "Largest per-device staging buffer of the last trace run "
-            "(the stream's memory high-water mark, in records).",
-        ).set(float(peak_staged))
 
     # ------------------------------------------------------------------
     def _chunks(self, pool: WarmWorkerPool | None) -> Iterator[RecordChunk]:

@@ -1,4 +1,4 @@
-"""Observability for the IoTLS reproduction: metrics and traces.
+"""Observability for the IoTLS reproduction: metrics, manifests, profiles.
 
 The paper's pipeline is a *measurement system* -- ≈17M passive
 connections over 27 months plus the active probing campaigns -- and
@@ -6,10 +6,10 @@ real TLS measurement tooling treats per-handshake telemetry as a
 first-class artifact.  This package instruments the reproduction the
 same way, with zero external dependencies:
 
-* :class:`MetricsRegistry` -- named counters, gauges, and fixed-bucket
+* :class:`MetricsRegistry` -- named counters and fixed-bucket
   histograms (:mod:`repro.telemetry.metrics`),
-* :class:`Tracer` -- nested spans with monotonic timing
-  (:mod:`repro.telemetry.tracing`),
+* :func:`profile_call` -- a per-module ``cProfile`` profile of one
+  command (:mod:`repro.telemetry.profiling`),
 * the fleet service's :class:`AccessLog` (:mod:`repro.telemetry.access`),
 * declarative benchmark SLOs over the trajectory
   (:mod:`repro.telemetry.slo`),
@@ -18,7 +18,7 @@ same way, with zero external dependencies:
 * a process-wide opt-in runtime (:mod:`repro.telemetry.runtime`);
   disabled by default and no-op cheap when off.
 
-See ``docs/observability.md`` for the metric catalog and span taxonomy.
+See ``docs/observability.md`` for the metric catalog and the profile.
 """
 
 from .access import ACCESS_LOG_SCHEMA, AccessLog
@@ -50,11 +50,10 @@ from .ledger import (
 from .metrics import (
     DEFAULT_BUCKETS,
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
 )
-from .profiling import PathStat, Profiler, render_hot_table
+from .profiling import profile_call, profile_document
 from .provenance import (
     MANIFEST_SCHEMA,
     artifact_digest,
@@ -87,7 +86,6 @@ from .runtime import (
     enabled,
     get,
     get_registry,
-    get_tracer,
     reset,
 )
 from .slo import (
@@ -100,7 +98,6 @@ from .slo import (
     render_verdicts,
     trend_report,
 )
-from .tracing import NULL_SPAN, Span, Tracer
 
 __all__ = [
     "ACCESS_LOG_SCHEMA",
@@ -111,26 +108,20 @@ __all__ = [
     "DEFAULT_LEDGER_PATH",
     "DRIFT_REPORT_SCHEMA",
     "EXPECTATIONS_SCHEMA",
-    "Gauge",
     "Histogram",
     "LEDGER_SCHEMA",
     "MANIFEST_SCHEMA",
     "MetricsRegistry",
-    "NULL_SPAN",
     "PROFILE_SCHEMA",
-    "PathStat",
-    "Profiler",
     "SLO_SCHEMA",
     "SNAPSHOT_SCHEMA",
     "STATUS_SCHEMA",
     "STREAM_SCHEMA_PREFIX",
     "Slo",
     "SloPolicyError",
-    "Span",
     "StreamSchema",
     "TRACE_STREAM_SCHEMA",
     "TelemetryRuntime",
-    "Tracer",
     "all_schemas",
     "append_entry",
     "artifact_digest",
@@ -154,10 +145,11 @@ __all__ = [
     "load_slo_policy",
     "lookup_config",
     "manifest_digest",
+    "profile_call",
+    "profile_document",
     "render_diff",
     "render_entries",
     "render_entry",
-    "render_hot_table",
     "render_trend_report",
     "render_verdicts",
     "rewrite_ledger",
@@ -169,7 +161,6 @@ __all__ = [
     "enabled",
     "get",
     "get_registry",
-    "get_tracer",
     "metrics_snapshot",
     "reset",
     "summary_table",

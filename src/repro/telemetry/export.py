@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 from typing import Any
 
-from .metrics import Counter, Gauge, Histogram, LabelKey, MetricsRegistry
+from .metrics import Counter, Histogram, LabelKey, MetricsRegistry
 
 __all__ = [
     "SNAPSHOT_SCHEMA",
@@ -39,21 +39,12 @@ def metrics_snapshot(
 ) -> dict[str, Any]:
     """The registry as one JSON-serialisable document."""
     counters: dict[str, Any] = {}
-    gauges: dict[str, Any] = {}
     histograms: dict[str, Any] = {}
     for metric in registry.metrics():
         if isinstance(metric, Counter):
             counters[metric.name] = {
                 "help": metric.help,
                 "total": metric.total(),
-                "series": [
-                    {"labels": _labels_dict(key), "value": value}
-                    for key, value in sorted(metric.series().items())
-                ],
-            }
-        elif isinstance(metric, Gauge):
-            gauges[metric.name] = {
-                "help": metric.help,
                 "series": [
                     {"labels": _labels_dict(key), "value": value}
                     for key, value in sorted(metric.series().items())
@@ -76,7 +67,6 @@ def metrics_snapshot(
     snapshot: dict[str, Any] = {
         "schema": SNAPSHOT_SCHEMA,
         "counters": counters,
-        "gauges": gauges,
         "histograms": histograms,
     }
     if extra:

@@ -1,4 +1,4 @@
-"""Metric primitives: counters, gauges, and fixed-bucket histograms.
+"""Metric primitives: counters and fixed-bucket histograms.
 
 A :class:`MetricsRegistry` owns every metric by name.  Instruments are
 get-or-create (``registry.counter("iotls_handshakes_total")`` returns
@@ -21,7 +21,6 @@ from typing import Iterable, Iterator
 __all__ = [
     "DEFAULT_BUCKETS",
     "Counter",
-    "Gauge",
     "Histogram",
     "HistogramSeries",
     "Metric",
@@ -94,32 +93,6 @@ class Counter(Metric):
 
     def total(self) -> int | float:
         return sum(self._series.values())
-
-    def series(self) -> dict[LabelKey, int | float]:
-        return dict(self._series)
-
-
-class Gauge(Metric):
-    """A value that can go up and down (phase timings, throughput, ...)."""
-
-    kind = "gauge"
-
-    def set(self, value: int | float, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        self._series[_label_key(labels)] = value
-
-    def inc(self, amount: int | float = 1, **labels: object) -> None:
-        if not self._registry.enabled:
-            return
-        key = _label_key(labels)
-        self._series[key] = self._series.get(key, 0) + amount
-
-    def dec(self, amount: int | float = 1, **labels: object) -> None:
-        self.inc(-amount, **labels)
-
-    def value(self, **labels: object) -> int | float:
-        return self._series.get(_label_key(labels), 0)
 
     def series(self) -> dict[LabelKey, int | float]:
         return dict(self._series)
@@ -221,9 +194,6 @@ class MetricsRegistry:
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         return self._register(Counter, name, help_text)
-
-    def gauge(self, name: str, help_text: str = "") -> Gauge:
-        return self._register(Gauge, name, help_text)
 
     def histogram(
         self, name: str, help_text: str = "", *, buckets: Iterable[float] = DEFAULT_BUCKETS

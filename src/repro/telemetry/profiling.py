@@ -1,190 +1,122 @@
-"""Profiling over the span tracer: hot spans, phases, flames.
+"""Where a run's time went, per ``repro`` module: a stdlib profile.
 
-The :class:`~repro.telemetry.tracing.Tracer` already records every
-instrumented interval; this module turns those finished spans into a
-profile after the run, so profiling adds **zero** hot-path cost beyond
-the tracing that telemetry already pays -- and when telemetry is off,
-the disabled path is still the tracer's single boolean read.
+``--profile`` and ``--profile-out`` run the command under
+:class:`cProfile.Profile`, which times every function, so no list of
+instrumented functions has to keep in step with the code.
+:func:`profile_document` folds the profile into one row per ``repro``
+module (``tls.engine``, ``analysis.streaming``, ``core.prober``, ...):
+the calls whose self time the row holds, those seconds, and their share
+of the profiled time.
 
-A :class:`Profiler` aggregates spans by *stack path* (the ``;``-joined
-chain of span names from root to leaf, the classic collapsed-stack
-key):
+A function outside the package (a builtin, ``json``, ``hashlib``) is
+charged to its *direct* ``repro`` caller: ``pstats`` records its self
+time per caller.  What is left (the standard library calling itself,
+the profiler's own exit) is one ``(other)`` row, and ``coverage`` is one
+minus that row's share.
 
-* **cumulative time** -- total wall time spent inside the span,
-* **self time** -- cumulative minus the time spent in child spans,
-* **calls / min / max** -- per-path call statistics.
-
-Three render targets:
-
-* :meth:`Profiler.hot_spans` / :func:`render_hot_table` -- the top-N
-  table ``iotls trace --profile`` prints,
-* :meth:`Profiler.collapsed_stacks` -- ``stack;path <microseconds>``
-  lines, directly consumable by flamegraph tooling
-  (``flamegraph.pl --countname us``),
-* :meth:`Profiler.to_dict` -- the machine-readable document behind
-  ``--profile-out``.
+Nothing here runs without the flags: no profiler hook is installed, and
+:mod:`cProfile` and :mod:`pstats` are imported only inside
+:func:`profile_call` and :func:`profile_document`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable
+import os
+import re
+from pathlib import Path
+from typing import Any, Callable
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .tracing import Span, Tracer
-
-__all__ = ["PathStat", "Profiler", "render_hot_table"]
+__all__ = ["PROFILE_SCHEMA", "profile_call", "profile_document"]
 
 from .schemas import PROFILE_SCHEMA  # registered in repro.telemetry.schemas
 
+#: The directory whose ``.py`` files are the ``repro`` modules.
+PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
-class PathStat:
-    """Aggregate statistics for one stack path."""
+#: The row for time no ``repro`` function spent or directly called.
+OTHER = "(other)"
 
-    __slots__ = ("path", "calls", "cumulative", "self_time", "min", "max")
-
-    def __init__(self, path: str) -> None:
-        self.path = path
-        self.calls = 0
-        self.cumulative = 0.0
-        self.self_time = 0.0
-        self.min = float("inf")
-        self.max = 0.0
-
-    @property
-    def name(self) -> str:
-        """The leaf span name of this path."""
-        return self.path.rsplit(";", 1)[-1]
-
-    @property
-    def mean(self) -> float:
-        return self.cumulative / self.calls if self.calls else 0.0
-
-    def add(self, duration: float, self_time: float) -> None:
-        self.calls += 1
-        self.cumulative += duration
-        self.self_time += self_time
-        self.min = min(self.min, duration)
-        self.max = max(self.max, duration)
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "path": self.path,
-            "calls": self.calls,
-            "cumulative_seconds": self.cumulative,
-            "self_seconds": self.self_time,
-            "min_seconds": self.min if self.calls else 0.0,
-            "max_seconds": self.max,
-        }
+_TOP_FUNCTIONS = 20
 
 
-def _span_path(span: "Span") -> str:
-    names = [span.name]
-    node = span.parent
-    while node is not None:
-        names.append(node.name)
-        node = node.parent
-    return ";".join(reversed(names))
+def profile_call(
+    command: str, fn: Callable[..., Any], *args: Any
+) -> tuple[Any, dict[str, Any]]:
+    """``fn(*args)`` run under :class:`cProfile.Profile`: its result and
+    the ``command``'s profile document."""
+    import cProfile
+
+    profiler = cProfile.Profile()
+    result = profiler.runcall(fn, *args)
+    return result, profile_document(profiler, command)
 
 
-class Profiler:
-    """Aggregates finished spans by path."""
+def profile_document(profiler: Any, command: str) -> dict[str, Any]:
+    """The ``iotls-profile/2`` document of a finished ``cProfile`` run.
 
-    def __init__(self) -> None:
-        self._paths: dict[str, PathStat] = {}
+    Modules are the ``.py`` files under :data:`PACKAGE_ROOT`, named by
+    their dotted path relative to it.
+    """
+    import pstats
 
-    # ------------------------------------------------------------------
-    # Ingestion
-    # ------------------------------------------------------------------
-    def add_spans(self, spans: Iterable["Span"]) -> "Profiler":
-        """Fold finished spans in, computing self time from children."""
-        for span in spans:
-            if span.duration is None:
-                continue
-            child_time = sum(
-                child.duration for child in span.children if child.duration is not None
+    stats = pstats.Stats(profiler).stats
+    prefix = str(PACKAGE_ROOT) + os.sep
+    names: dict[str, str | None] = {}
+
+    def module_of(filename: str) -> str | None:
+        if filename not in names:
+            path = os.path.abspath(filename)
+            names[filename] = (
+                ".".join(Path(path[len(prefix):]).with_suffix("").parts)
+                if path.startswith(prefix) and path.endswith(".py")
+                else None
             )
-            stat = self._stat(_span_path(span))
-            stat.add(span.duration, max(0.0, span.duration - child_time))
-        return self
+        return names[filename]
 
-    @classmethod
-    def from_tracer(cls, tracer: "Tracer") -> "Profiler":
-        return cls().add_spans(tracer.finished)
+    rows: dict[str, list] = {}  # module -> [calls, self seconds]
 
-    def _stat(self, path: str) -> PathStat:
-        stat = self._paths.get(path)
-        if stat is None:
-            stat = self._paths[path] = PathStat(path)
-        return stat
+    def charge(module: str, calls: int, seconds: float) -> None:
+        row = rows.setdefault(module, [0, 0.0])
+        row[0] += calls
+        row[1] += seconds
 
-    # ------------------------------------------------------------------
-    # Views
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._paths)
+    for (filename, _, _), (_, calls, self_time, _, callers) in stats.items():
+        module = module_of(filename)
+        if module is not None:
+            charge(module, calls, self_time)
+        elif callers:
+            for (caller_file, _, _), (caller_calls, _, caller_self, _) in callers.items():
+                charge(module_of(caller_file) or OTHER, caller_calls, caller_self)
+        else:
+            charge(OTHER, calls, self_time)
 
-    def paths(self) -> list[PathStat]:
-        return sorted(self._paths.values(), key=lambda s: s.path)
+    total = sum(seconds for _, seconds in rows.values())
 
-    def hot_spans(self, n: int = 10, *, by: str = "cumulative") -> list[PathStat]:
-        """The top-N paths by ``cumulative`` (default) or ``self`` time."""
-        if by not in ("cumulative", "self"):
-            raise ValueError(f"unknown sort key {by!r}; expected cumulative or self")
-        key = (lambda s: s.cumulative) if by == "cumulative" else (lambda s: s.self_time)
-        return sorted(self._paths.values(), key=key, reverse=True)[:n]
+    def row(key: str, name: str, calls: int, seconds: float) -> dict[str, Any]:
+        share = round(seconds / total, 4) if total else 0.0
+        return {key: name, "calls": calls, "self_seconds": round(seconds, 6), "share": share}
 
-    def phases(self) -> dict[str, float]:
-        """Cumulative seconds per leaf span name (the phase view)."""
-        totals: dict[str, float] = {}
-        for stat in self._paths.values():
-            totals[stat.name] = totals.get(stat.name, 0.0) + stat.cumulative
-        return dict(sorted(totals.items()))
+    def function_name(key: tuple[str, int, str]) -> str:
+        module = module_of(key[0])
+        if module:
+            return f"{module}:{key[2]}"
+        # A C-level function's name carries its address; drop it so two
+        # profiles of one command name the same functions.
+        return re.sub(r" at 0x[0-9a-f]+", "", pstats.func_std_string(key))
 
-    def collapsed_stacks(self) -> str:
-        """Collapsed-stack lines (``path <microseconds>``), flamegraph-ready.
-
-        Self time, not cumulative -- the flamegraph convention, so parent
-        frames don't double-count their children."""
-        lines = [
-            f"{stat.path} {max(0, round(stat.self_time * 1e6))}"
-            for stat in self.paths()
-        ]
-        return "\n".join(lines) + ("\n" if lines else "")
-
-    def to_dict(self, *, top: int = 10) -> dict[str, Any]:
-        """The machine-readable profile document (``--profile-out``)."""
-        return {
-            "schema": PROFILE_SCHEMA,
-            "spans": [stat.to_dict() for stat in self.paths()],
-            "hot": [stat.to_dict() for stat in self.hot_spans(top)],
-            "phases": self.phases(),
-            "collapsed_stacks": self.collapsed_stacks(),
-        }
-
-
-def render_hot_table(profiler: Profiler, *, top: int = 10) -> str:
-    """The aligned top-N hot-span table ``--profile`` prints."""
-    stats = profiler.hot_spans(top)
-    if not stats:
-        return "(no spans recorded -- was telemetry enabled?)"
-    headers = ("span path", "calls", "cum (s)", "self (s)", "mean (ms)")
-    rows = [
-        (
-            stat.path,
-            str(stat.calls),
-            f"{stat.cumulative:.4f}",
-            f"{stat.self_time:.4f}",
-            f"{stat.mean * 1e3:.3f}",
-        )
-        for stat in stats
-    ]
-    widths = [
-        max(len(headers[i]), *(len(row[i]) for row in rows)) for i in range(len(headers))
-    ]
-
-    def fmt(row: tuple[str, ...]) -> str:
-        return "  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
-
-    lines = [fmt(headers), fmt(tuple("-" * width for width in widths))]
-    lines.extend(fmt(row) for row in rows)
-    return "\n".join(lines)
+    hottest = sorted(stats.items(), key=lambda item: (-item[1][2], item[0]))
+    by_seconds = sorted(rows.items(), key=lambda item: (-item[1][1], item[0]))
+    other = rows.get(OTHER, [0, 0.0])[1]
+    return {
+        "schema": PROFILE_SCHEMA,
+        "command": command,
+        "total_seconds": round(total, 6),
+        "coverage": round(1 - other / total, 4) if total else 0.0,
+        "modules": [
+            row("module", module, calls, seconds) for module, (calls, seconds) in by_seconds
+        ],
+        "functions": [
+            row("function", function_name(key), value[1], value[2])
+            for key, value in hottest[:_TOP_FUNCTIONS]
+        ],
+    }

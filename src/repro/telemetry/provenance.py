@@ -18,10 +18,9 @@ deliberate:
   *output*, and the output is worker-invariant; recording the schedule
   would break the byte-identity that makes manifests diffable
   (``determinism.workers_invariant`` records the guarantee instead),
-* **wall-clock readings** -- gauges (phase/trace wall times) and
-  histogram sums/buckets (handshake latencies) vary run to run, so
-  :func:`deterministic_metrics` keeps only counter series and histogram
-  *observation counts*,
+* **wall-clock readings** -- histogram sums/buckets (handshake
+  latencies) vary run to run, so :func:`deterministic_metrics` keeps
+  only counter series and histogram *observation counts*,
 * **artifact directories** -- artifacts are recorded by basename,
   byte count, and digest; where the bytes landed is not provenance.
 
@@ -41,7 +40,6 @@ from pathlib import Path
 from typing import Any
 
 from .metrics import Histogram, MetricsRegistry
-from .tracing import SPAN_DURATION_METRIC
 
 __all__ = [
     "MANIFEST_SCHEMA",
@@ -154,17 +152,12 @@ def deterministic_metrics(registry: MetricsRegistry) -> dict[str, Any]:
 
     Includes counter series (event counts -- the parallel layer
     guarantees merged totals equal a serial run's) and histogram
-    *observation counts* per series.  Excludes gauges (wall-clock
-    readings), histogram sums and bucket placements (latency-dependent),
-    and the span-duration histogram entirely (serial and parallel runs
-    legitimately produce different span populations -- e.g. the serial
-    campaign's phase-major spans have no parallel counterpart).
+    *observation counts* per series.  Excludes histogram sums and bucket
+    placements (latency-dependent).
     """
     counters: dict[str, Any] = {}
     histogram_counts: dict[str, Any] = {}
     for metric in registry.metrics():
-        if metric.name == SPAN_DURATION_METRIC:
-            continue
         if metric.kind == "counter":
             counters[metric.name] = {
                 "total": metric.total(),
@@ -219,6 +212,9 @@ def build_manifest(
         },
         "determinism": {
             "workers_invariant": True,
+            # Manifest bytes: the wording still names the gauges and
+            # spans telemetry no longer has, so old and new manifests of
+            # one run stay identical.
             "excluded": [
                 "worker count",
                 "wall-clock timings (gauges, histogram sums/buckets, spans)",

@@ -1,4 +1,4 @@
-"""The process-wide telemetry runtime: one registry and one tracer.
+"""The process-wide telemetry runtime: one registry behind one switch.
 
 Instrumented hot paths share a single :class:`TelemetryRuntime`
 singleton, obtained once at import time via :func:`get` -- the object's
@@ -19,7 +19,6 @@ enables it.
 from __future__ import annotations
 
 from .metrics import MetricsRegistry
-from .tracing import Tracer
 
 __all__ = [
     "TelemetryRuntime",
@@ -29,24 +28,18 @@ __all__ = [
     "enabled",
     "get",
     "get_registry",
-    "get_tracer",
     "reset",
 ]
 
 
 class TelemetryRuntime:
-    """A registry + tracer behind one enable switch."""
+    """A metrics registry behind one enable switch."""
 
-    __slots__ = (
-        "enabled",
-        "registry",
-        "tracer",
-    )
+    __slots__ = ("enabled", "registry")
 
     def __init__(self, *, enabled: bool = False) -> None:
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
-        self.tracer = Tracer(registry=self.registry, enabled=enabled)
 
     def configure(
         self,
@@ -56,19 +49,17 @@ class TelemetryRuntime:
     ) -> "TelemetryRuntime":
         """Switch telemetry on or off, optionally resetting state.
 
-        ``reset=True`` (the default) zeroes metrics and finished spans so
-        a run's snapshot covers exactly that run.
+        ``reset=True`` (the default) zeroes metrics so a run's snapshot
+        covers exactly that run.
         """
         if reset:
             self.reset()
         self.enabled = enabled
         self.registry.enabled = enabled
-        self.tracer.enabled = enabled
         return self
 
     def reset(self) -> None:
         self.registry.reset()
-        self.tracer.reset()
 
 
 #: The singleton every instrumented module shares.  Mutated in place,
@@ -82,10 +73,6 @@ def get() -> TelemetryRuntime:
 
 def get_registry() -> MetricsRegistry:
     return _RUNTIME.registry
-
-
-def get_tracer() -> Tracer:
-    return _RUNTIME.tracer
 
 
 def enabled() -> bool:

@@ -167,15 +167,15 @@ REGISTRY: tuple[StreamSchema, ...] = (
     ),
     StreamSchema(
         name="telemetry",
-        version=1,
+        version=2,
         kind="document",
-        description="metrics snapshot export (counters/gauges/histograms)",
+        description="metrics snapshot export (counters/histograms)",
     ),
     StreamSchema(
         name="profile",
-        version=1,
+        version=2,
         kind="document",
-        description="span-based profile aggregation (--profile-out)",
+        description="per-module cProfile self time and coverage (--profile-out)",
     ),
     StreamSchema(
         name="paper-expectations",

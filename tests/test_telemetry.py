@@ -1,4 +1,4 @@
-"""Unit tests for the telemetry subsystem: metrics, spans, exporters."""
+"""Unit tests for the telemetry subsystem: metrics and exporters."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import pytest
 
 from repro.telemetry import (
     MetricsRegistry,
-    NULL_SPAN,
-    Tracer,
     metrics_snapshot,
     summary_table,
     write_snapshot,
@@ -17,7 +15,7 @@ from repro.telemetry import (
 
 
 # ----------------------------------------------------------------------
-# Counters / gauges / histograms
+# Counters / histograms
 # ----------------------------------------------------------------------
 class TestCounters:
     def test_inc_and_value(self):
@@ -60,27 +58,11 @@ class TestCounters:
         registry = MetricsRegistry()
         registry.counter("x_total")
         with pytest.raises(ValueError, match="already registered"):
-            registry.gauge("x_total")
+            registry.histogram("x_total")
 
     def test_invalid_name_rejected(self):
         with pytest.raises(ValueError, match="invalid metric name"):
             MetricsRegistry().counter("bad name!")
-
-
-class TestGauges:
-    def test_set_inc_dec(self):
-        gauge = MetricsRegistry().gauge("inflight")
-        gauge.set(10)
-        gauge.inc(5)
-        gauge.dec(2)
-        assert gauge.value() == 13
-
-    def test_labelled(self):
-        gauge = MetricsRegistry().gauge("phase_seconds")
-        gauge.set(1.5, phase="audit")
-        gauge.set(0.5, phase="probe")
-        assert gauge.value(phase="audit") == 1.5
-        assert gauge.value(phase="probe") == 0.5
 
 
 class TestHistograms:
@@ -120,13 +102,10 @@ class TestDisabledRegistry:
     def test_all_instruments_noop(self):
         registry = MetricsRegistry(enabled=False)
         counter = registry.counter("c_total")
-        gauge = registry.gauge("g")
         hist = registry.histogram("h", buckets=(1.0,))
         counter.inc(5, state="x")
-        gauge.set(3)
         hist.observe(0.5)
         assert counter.total() == 0
-        assert gauge.value() == 0
         assert hist.count() == 0
         assert counter.series() == {}
 
@@ -147,70 +126,6 @@ class TestDisabledRegistry:
 
 
 # ----------------------------------------------------------------------
-# Spans
-# ----------------------------------------------------------------------
-class TestTracer:
-    def test_span_times_and_finishes(self):
-        tracer = Tracer()
-        with tracer.span("work", device="LG TV") as span:
-            assert not span.finished
-        assert span.finished
-        assert span.duration >= 0
-        assert span.attributes == {"device": "LG TV"}
-        assert list(tracer.finished) == [span]
-
-    def test_nesting_builds_parent_child_links(self):
-        tracer = Tracer()
-        with tracer.span("outer") as outer:
-            with tracer.span("inner") as inner:
-                assert tracer.current() is inner
-            assert tracer.current() is outer
-        assert inner.parent is outer
-        assert outer.children == [inner]
-        assert inner.depth() == 1
-        # Children complete (and are buffered) before their parents.
-        assert list(tracer.finished) == [inner, outer]
-        assert tracer.roots() == [outer]
-
-    def test_annotate_mid_span(self):
-        tracer = Tracer()
-        with tracer.span("work") as span:
-            span.annotate(flow_records=7)
-        assert span.attributes["flow_records"] == 7
-
-    def test_exception_still_closes_span(self):
-        tracer = Tracer()
-        with pytest.raises(RuntimeError):
-            with tracer.span("broken") as span:
-                raise RuntimeError("boom")
-        assert span.finished
-        assert tracer.current() is None
-
-    def test_disabled_tracer_yields_null_span(self):
-        tracer = Tracer(enabled=False)
-        with tracer.span("work", x=1) as span:
-            assert span is NULL_SPAN
-            span.annotate(y=2)  # must not raise or record
-        assert len(tracer.finished) == 0
-
-    def test_registry_histogram_fed_by_spans(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(registry=registry)
-        with tracer.span("handshake"):
-            pass
-        hist = registry.get("iotls_span_duration_seconds")
-        assert hist is not None
-        assert hist.count(span="handshake") == 1
-
-    def test_finished_buffer_is_bounded(self):
-        tracer = Tracer(keep=3)
-        for index in range(5):
-            with tracer.span(f"s{index}"):
-                pass
-        assert [span.name for span in tracer.finished] == ["s2", "s3", "s4"]
-
-
-# ----------------------------------------------------------------------
 # Exporters
 # ----------------------------------------------------------------------
 def _populated_registry() -> MetricsRegistry:
@@ -218,7 +133,7 @@ def _populated_registry() -> MetricsRegistry:
     counter = registry.counter("iotls_handshakes_total", "Handshakes by state.")
     counter.inc(3, state="established")
     counter.inc(1, state="client_rejected")
-    registry.gauge("iotls_trace_records_per_second").set(1234.5)
+    registry.counter("iotls_trace_devices_total").inc(40)
     hist = registry.histogram("iotls_handshake_seconds", buckets=(0.001, 0.01))
     hist.observe(0.0005)
     hist.observe(0.5)
@@ -228,7 +143,8 @@ def _populated_registry() -> MetricsRegistry:
 class TestSnapshot:
     def test_shape_and_serialisable(self):
         snapshot = metrics_snapshot(_populated_registry(), extra={"command": "trace"})
-        assert snapshot["schema"] == "iotls-telemetry/1"
+        assert snapshot["schema"] == "iotls-telemetry/2"
+        assert set(snapshot) == {"schema", "meta", "counters", "histograms"}
         assert snapshot["meta"] == {"command": "trace"}
         handshakes = snapshot["counters"]["iotls_handshakes_total"]
         assert handshakes["total"] == 4
@@ -253,11 +169,9 @@ class TestSnapshot:
         registry.counter("iotls_negotiated_versions_total").inc(5, version="TLS 1.2")
         registry.counter("iotls_campaign_devices_total").inc(32)
         registry.counter("iotls_probe_certificates_total").inc(9, outcome="present")
-        registry.gauge("iotls_trace_last_run_seconds").set(0.52)
-        registry.gauge("iotls_trace_records_per_second").set(7432.1)
-        registry.gauge("iotls_campaign_phase_seconds").set(0.2, phase="interception")
+        registry.counter("iotls_trace_devices_total").inc(40)
+        registry.counter("iotls_interception_attempts_total").inc(6, mode="invalid_bc")
         registry.histogram("iotls_handshake_seconds").observe(0.0001)
-        registry.histogram("iotls_span_duration_seconds").observe(0.5, span="trace.generate")
         path = write_snapshot(registry, tmp_path / "m.json")
         assert json.loads(path.read_text()) == metrics_snapshot(registry)
 

@@ -35,20 +35,12 @@ class TestGeneratorTelemetry:
             {record.device for record in capture.records}
         )
 
-    def test_spans_emitted(self, default_telemetry, testbed):
-        PassiveTraceGenerator(testbed, scale=1).generate()
-        tracer = default_telemetry.tracer
-        roots = tracer.roots()
-        assert [span.name for span in roots] == ["trace.generate"]
-        assert len(roots[0].children) == 40  # one child span per device
-
     def test_disabled_runtime_records_nothing(self, testbed):
         telemetry.configure(enabled=False)
         PassiveTraceGenerator(testbed, scale=1).generate()
         handshakes = telemetry.get_registry().get("iotls_handshakes_total")
         # Registrations may linger from earlier enabled runs; values must not.
         assert handshakes is None or handshakes.total() == 0
-        assert len(telemetry.get_tracer().finished) == 0
 
 
 class TestCliTelemetry:
@@ -134,7 +126,6 @@ class TestProbeTelemetry:
         assert iterations.total() == total_probes
         conclusive = iterations.value(outcome="present") + iterations.value(outcome="absent")
         assert conclusive == report.common_tally[1] + report.deprecated_tally[1]
-        assert [span.name for span in default_telemetry.tracer.roots()] == ["probe.device"]
 
 
 #: The catalog's probe-amenable devices (the Table 9 rows).

@@ -5,7 +5,10 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import socket
+import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -362,3 +365,21 @@ class TestApiSurfaceDiff:
         current = json.loads(json.dumps(baseline))
         current["modules"]["repro.serve"].append("new_thing")
         assert tool._diff(baseline, current) == ["repro.serve: added 'new_thing'"]
+
+
+class TestServeSmokeWaitHealthy:
+    """``tools/serve_smoke.py`` gives up on a server that has exited."""
+
+    def test_exited_server_fails_at_once(self):
+        tool = _load_tool("serve_smoke")
+        with socket.socket() as probe:  # a port nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        server = subprocess.Popen([sys.executable, "-c", "raise SystemExit(2)"])
+        started = time.monotonic()
+        try:
+            assert not tool.wait_healthy(f"http://127.0.0.1:{port}", server, started + 60)
+        finally:
+            server.wait()
+        assert time.monotonic() - started < 5
+        assert server.returncode == 2

@@ -75,13 +75,17 @@ def post_run(base: str, body: dict) -> tuple[dict, bytes]:
         return dict(response.headers), response.read()
 
 
-def wait_healthy(base: str, deadline: float) -> bool:
-    while time.monotonic() < deadline:
+def wait_healthy(base: str, server: subprocess.Popen, deadline: float) -> bool:
+    """Poll ``/healthz`` until it answers ``ok``.  ``False`` as soon as
+    ``server`` has exited, or once the monotonic ``deadline`` passes."""
+    while time.monotonic() < deadline and server.poll() is None:
         try:
-            if get(base, "/healthz").get("status") == "ok":
-                return True
+            healthy = get(base, "/healthz").get("status") == "ok"
         except (urllib.error.URLError, ConnectionError, OSError):
-            time.sleep(0.2)
+            healthy = False
+        if healthy:
+            return True
+        time.sleep(0.2)
     return False
 
 
@@ -114,8 +118,10 @@ def smoke(workdir: Path, port: int, workers: int) -> int:
     )
     failures: list[str] = []
     try:
-        if not wait_healthy(base, time.monotonic() + 60):
-            print("error: server never became healthy", file=sys.stderr)
+        if not wait_healthy(base, server, time.monotonic() + 60):
+            exited = server.poll()
+            reason = "never became healthy" if exited is None else f"exited {exited}"
+            print(f"error: server {reason}", file=sys.stderr)
             return 2
 
         first_headers, first_body = post_run(base, TRACE_REQUEST)
