@@ -1,23 +1,20 @@
 """The unified run facade: one dispatchable entry point per experiment.
 
-Two layers make up the facade:
+Each experiment is one function of one :class:`RunConfig` --
+:func:`run_trace`, :func:`run_audit`, :func:`run_probe`,
+:func:`run_report`, :func:`run_pcap`, :func:`run_check` -- registered
+as a :class:`CommandSpec` under its CLI name (``trace`` / ``audit`` /
+``probe`` / ``report`` / ``pcap`` / ``check``).  :func:`execute`
+dispatches to it *by name*, the shape queue consumers and the resident
+fleet service (:mod:`repro.serve`) need; a command's extras (artifact
+paths, the report's ``progress`` callback) are its function's
+keyword-only parameters.
 
-* **The command registry.**  Every experiment is registered as a
-  :class:`CommandSpec` under its CLI name (``trace`` / ``audit`` /
-  ``probe`` / ``report`` / ``pcap`` / ``check``) and dispatched through
-  :func:`execute`, which takes the command *by name* -- the shape queue
-  consumers and the resident fleet service (:mod:`repro.serve`) need.
-  The classic ``run_*`` functions remain as thin typed wrappers over
-  the registry, so existing callers keep their signatures.
-* **The request/options split.**  :class:`RunRequest` holds exactly the
-  fields hashed into a run's *config digest* (device, scale, seed,
-  flow cap, ...) and round-trips JSON via
-  :meth:`RunRequest.from_document` / :meth:`RunRequest.to_document` --
-  it is the wire format of a dispatchable run.  :class:`ExecutionOptions`
-  holds the host-local knobs (the warm pool, ledger path, telemetry
-  switch) that never enter a digest or a manifest.
-  :class:`RunConfig` composes the two and stays the convenient
-  single-object configuration for library callers.
+Six of :class:`RunConfig`'s fields travel on the wire:
+:meth:`RunConfig.from_document` parses exactly those (the ``POST /runs``
+body) and refuses the host-local rest.  Each command's params builder
+picks what enters its config digest, so :func:`request_digest` is a
+pure function of (command, config) that no host-local field reaches.
 
 Failure modes that the CLI turns into exit codes are typed exceptions
 here (:class:`UnknownDeviceError`, :class:`DeviceNotProbeableError`,
@@ -43,8 +40,9 @@ byte-identical.
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
 from typing import TYPE_CHECKING, Any, Callable, Iterator
@@ -69,13 +67,11 @@ __all__ = [
     "CheckResult",
     "CommandSpec",
     "DeviceNotProbeableError",
-    "ExecutionOptions",
     "PcapResult",
     "ProbeResult",
     "ReportResult",
     "RunConfig",
     "RunError",
-    "RunRequest",
     "RunResult",
     "TraceResult",
     "UnknownCommandError",
@@ -94,22 +90,19 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# The dispatchable request (the serializable half of a run)
+# The run configuration
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class RunRequest:
-    """What a run computes: exactly the fields hashed into its config
-    digest, and nothing host-local.
+class RunConfig:
+    """Everything one experiment run is configured by.
 
-    Two requests with equal fields name the same deterministic
-    computation -- :func:`request_digest` is a pure function of this
-    object plus the command name and package version, which is what
-    makes the run ledger's ``config_digest`` index (and the fleet
-    service's result cache on top of it) content-addressed.
-
-    The JSON document shape (:meth:`to_document` / :meth:`from_document`)
-    is the ``POST /runs`` body of :mod:`repro.serve`, minus the
-    ``command`` key the service routes on.
+    Fields that a given command does not use are ignored (e.g.
+    ``scale`` for ``audit``), so one config can drive a whole session.
+    Six fields travel on the wire (:meth:`from_document`): ``scale``,
+    ``seed``, ``flow_cap``, ``include_passthrough``, ``device`` and
+    ``limit``.  The other four -- ``telemetry``, ``stream``, ``ledger``
+    and ``pool`` -- are host-local: they never enter a config digest or
+    a run manifest, and a tenant of :mod:`repro.serve` cannot set them.
     """
 
     #: Connections per unit of destination weight per month.
@@ -118,38 +111,40 @@ class RunRequest:
     #: ``trace`` and ``check`` read it; ``report`` and ``pcap`` always
     #: build the generator's default-seed trace.
     seed: str = "iotls-passive"
+    #: Telemetry for this run: every run sets the process-wide runtime to
+    #: this switch, zeroed, so no count leaks in from an earlier run.
+    telemetry: bool = False
+    #: Run the passive trace in streaming mode (bounded memory).
+    stream: bool = False
     #: Maximum connections per emitted flow record (None = classic batching).
     flow_cap: int | None = None
     #: Include the audit campaign's passthrough pass.
     include_passthrough: bool = True
+    #: Run-ledger file this run appends its ``iotls-run-ledger/1`` entry
+    #: to (success and typed failure alike); ``None`` disables ledgering.
+    #: The ledger is observability, never provenance: manifests are
+    #: byte-identical whether it is on or off.
+    ledger: str | Path | None = DEFAULT_LEDGER_PATH
     #: Device under test (``probe`` runs only).
     device: str | None = None
     #: Maximum packets to export (``pcap`` runs only; part of the digest
     #: because it changes the artifact).
     limit: int | None = None
-
-    def to_document(self) -> dict[str, Any]:
-        """The JSON-serializable request document (None fields omitted)."""
-        document: dict[str, Any] = {
-            "scale": self.scale,
-            "seed": self.seed,
-            "include_passthrough": self.include_passthrough,
-        }
-        if self.flow_cap is not None:
-            document["flow_cap"] = self.flow_cap
-        if self.device is not None:
-            document["device"] = self.device
-        if self.limit is not None:
-            document["limit"] = self.limit
-        return document
+    #: The warm worker pool to shard devices onto (``iotls serve``
+    #: passes its resident one); ``None`` runs in-process.  Output is
+    #: identical either way.  A pooled run carries no telemetry, so
+    #: ``telemetry`` with a pool raises ``ValueError``.
+    pool: WarmWorkerPool | None = None
 
     @classmethod
-    def from_document(cls, document: dict[str, Any]) -> "RunRequest":
-        """Parse and validate a request document (the service's body).
+    def from_document(cls, document: dict[str, Any]) -> "RunConfig":
+        """Parse and validate a run-request document (the service's body,
+        minus the ``command`` key it routes on).
 
-        Unknown keys and mistyped values raise ``ValueError`` so the
-        service can answer 400 instead of silently computing something
-        the client did not ask for.
+        Only the six wire fields are accepted.  Unknown keys -- the
+        host-local fields among them -- and mistyped values raise
+        ``ValueError`` so the service can answer 400 instead of silently
+        computing something the client did not ask for.
         """
         if not isinstance(document, dict):
             raise ValueError("run request must be a JSON object")
@@ -179,94 +174,6 @@ class RunRequest:
                 )
             fields[key] = value
         return cls(**fields)
-
-
-@dataclass(frozen=True)
-class ExecutionOptions:
-    """How (and where) a run executes: the host-local half of a config.
-
-    Nothing here enters a config digest or a run manifest -- two hosts
-    executing the same :class:`RunRequest` under different options
-    produce byte-identical manifests.  This is the half the fleet
-    service pins server-side while tenants only supply requests.
-    """
-
-    #: Enable the telemetry subsystem for this run.
-    telemetry: bool = False
-    #: Run the passive trace in streaming mode (bounded memory).
-    stream: bool = False
-    #: Run-ledger file this run appends its entry to (None disables).
-    ledger: str | Path | None = DEFAULT_LEDGER_PATH
-    #: The warm worker pool to shard devices onto (``iotls serve``
-    #: passes its resident one); ``None`` runs in-process.  Output is
-    #: identical either way.  A pooled run carries no telemetry, so
-    #: ``telemetry`` with a pool raises ``ValueError``.
-    pool: WarmWorkerPool | None = None
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Shared knobs for every experiment run: one convenient object
-    composing a :class:`RunRequest` with :class:`ExecutionOptions`.
-
-    Fields that a given command does not use are ignored (e.g.
-    ``scale`` for ``audit``), so one config can drive a whole session.
-    :attr:`request` / :attr:`options` split the config into its
-    serializable and host-local halves; :meth:`merge` recombines them
-    (the fleet service's path: wire request + server options).
-    """
-
-    #: Connections per unit of destination weight per month.
-    scale: int = 40
-    #: Passive-trace generator seed (``trace`` and ``check`` only).
-    seed: str = "iotls-passive"
-    #: Enable the telemetry subsystem for this run.
-    telemetry: bool = False
-    #: Run the passive trace in streaming mode (bounded memory).
-    stream: bool = False
-    #: Maximum connections per emitted flow record (None = classic batching).
-    flow_cap: int | None = None
-    #: Include the audit campaign's passthrough pass.
-    include_passthrough: bool = True
-    #: Run-ledger file this run appends its ``iotls-run-ledger/1`` entry
-    #: to (success and typed failure alike); ``None`` disables ledgering.
-    #: The ledger is observability, never provenance: manifests are
-    #: byte-identical whether it is on or off.
-    ledger: str | Path | None = DEFAULT_LEDGER_PATH
-    #: Device under test (``probe``; the ``run_probe`` wrapper fills it).
-    device: str | None = None
-    #: Maximum packets to export (``pcap``).
-    limit: int | None = None
-    #: Warm worker pool (see :class:`ExecutionOptions`).
-    pool: WarmWorkerPool | None = None
-
-    @property
-    def request(self) -> RunRequest:
-        """The serializable half: what this config asks to compute."""
-        return RunRequest(**{name: getattr(self, name) for name in _REQUEST_FIELDS})
-
-    @property
-    def options(self) -> ExecutionOptions:
-        """The host-local half: how this config executes."""
-        return ExecutionOptions(
-            **{name: getattr(self, name) for name in _OPTION_FIELDS}
-        )
-
-    @classmethod
-    def merge(
-        cls, request: RunRequest, options: ExecutionOptions = ExecutionOptions()
-    ) -> "RunConfig":
-        """Recombine a wire request with host-local execution options."""
-        return cls(
-            **{name: getattr(request, name) for name in _REQUEST_FIELDS},
-            **{name: getattr(options, name) for name in _OPTION_FIELDS},
-        )
-
-
-#: The two halves :class:`RunConfig` splits into; together they are
-#: exactly its fields.
-_REQUEST_FIELDS = tuple(f.name for f in fields(RunRequest))
-_OPTION_FIELDS = tuple(f.name for f in fields(ExecutionOptions))
 
 
 class RunError(Exception):
@@ -395,9 +302,9 @@ class CommandSpec:
     runner: Callable[..., "RunResult"]
     #: Digest-params builder: the exact dict hashed into the config
     #: digest (and recorded in the manifest/ledger) for this command.
-    params: Callable[[Any], dict[str, Any]]
-    #: Host-local keyword arguments the runner accepts (artifact paths,
-    #: notification callbacks) -- never part of the request.
+    params: Callable[[RunConfig], dict[str, Any]]
+    #: The runner's keyword-only parameters: host-local arguments
+    #: (artifact paths, notification callbacks), never on the wire.
     extras: frozenset[str] = frozenset()
     #: Whether successful runs carry a manifest digest -- the
     #: requirement for content-addressed result caching.
@@ -405,7 +312,6 @@ class CommandSpec:
     #: Artifact role whose bytes *are* the run's body (``trace`` ->
     #: ``records_jsonl``); None means results are envelope-only.
     stream_role: str | None = None
-    summary: str = ""
 
 
 _COMMANDS: dict[str, CommandSpec] = {}
@@ -414,23 +320,21 @@ _COMMANDS: dict[str, CommandSpec] = {}
 def _register(
     name: str,
     *,
-    params: Callable[[Any], dict[str, Any]],
-    extras: tuple[str, ...] = (),
+    params: Callable[[RunConfig], dict[str, Any]],
     cacheable: bool = True,
     stream_role: str | None = None,
-    summary: str = "",
 ) -> Callable[[Callable[..., Any]], Callable[..., Any]]:
     """Register a runner under ``name`` (module-import time, fixed order)."""
 
     def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
+        parameters = inspect.signature(fn).parameters.values()
         _COMMANDS[name] = CommandSpec(
             name=name,
             runner=fn,
             params=params,
-            extras=frozenset(extras),
+            extras=frozenset(p.name for p in parameters if p.kind is p.KEYWORD_ONLY),
             cacheable=cacheable,
             stream_role=stream_role,
-            summary=summary,
         )
         return fn
 
@@ -451,14 +355,14 @@ def command_spec(command: str) -> CommandSpec:
         raise UnknownCommandError(command) from None
 
 
-def request_digest(command: str, request: RunRequest) -> str:
-    """The config digest a run of ``command`` over ``request`` will
+def request_digest(command: str, config: RunConfig) -> str:
+    """The config digest a run of ``command`` under ``config`` will
     record -- the content address of the computation.  Pure function of
-    (command, request, package version), so cache lookups can happen
-    before any work is dispatched."""
+    (command, the config's wire fields, package version), so cache
+    lookups can happen before any work is dispatched."""
     from . import __version__
 
-    return _config_digest(command, command_spec(command).params(request), __version__)
+    return _config_digest(command, command_spec(command).params(config), __version__)
 
 
 def execute(command: str, config: RunConfig = RunConfig(), **extras: Any) -> RunResult:
@@ -481,33 +385,33 @@ def execute(command: str, config: RunConfig = RunConfig(), **extras: Any) -> Run
 # ----------------------------------------------------------------------
 # Digest-params builders (shared by runners, manifests, and the cache)
 # ----------------------------------------------------------------------
-def _trace_params(request: Any) -> dict[str, Any]:
-    params: dict[str, Any] = {"scale": request.scale, "seed": request.seed}
-    if request.flow_cap is not None:
-        params["flow_cap"] = request.flow_cap
+def _trace_params(config: RunConfig) -> dict[str, Any]:
+    params: dict[str, Any] = {"scale": config.scale, "seed": config.seed}
+    if config.flow_cap is not None:
+        params["flow_cap"] = config.flow_cap
     return params
 
 
-def _audit_params(request: Any) -> dict[str, Any]:
-    return {"include_passthrough": request.include_passthrough}
+def _audit_params(config: RunConfig) -> dict[str, Any]:
+    return {"include_passthrough": config.include_passthrough}
 
 
-def _probe_params(request: Any) -> dict[str, Any]:
-    return {"device": request.device}
+def _probe_params(config: RunConfig) -> dict[str, Any]:
+    return {"device": config.device}
 
 
-def _report_params(request: Any) -> dict[str, Any]:
-    return {"scale": request.scale}
+def _report_params(config: RunConfig) -> dict[str, Any]:
+    return {"scale": config.scale}
 
 
-def _pcap_params(request: Any) -> dict[str, Any]:
-    return {"scale": request.scale, "limit": request.limit}
+def _pcap_params(config: RunConfig) -> dict[str, Any]:
+    return {"scale": config.scale, "limit": config.limit}
 
 
-def _check_params(request: Any) -> dict[str, Any]:
+def _check_params(config: RunConfig) -> dict[str, Any]:
     # `artifact` is None for a fresh run; an artifact audit records the
-    # artifact's path there instead (see `_execute_check`).
-    return {"scale": request.scale, "seed": request.seed, "artifact": None}
+    # artifact's path there instead (see `run_check`).
+    return {"scale": config.scale, "seed": config.seed, "artifact": None}
 
 
 # ----------------------------------------------------------------------
@@ -519,12 +423,13 @@ def _workers(config: RunConfig) -> int:
 
 
 def _configure_telemetry(config: RunConfig) -> None:
-    if config.telemetry:
-        # Refuse before any artifact is opened; the pool itself refuses
-        # dispatch under telemetry for callers that bypass this facade.
-        if config.pool is not None:
-            raise ValueError("pooled runs carry no telemetry: drop telemetry or the pool")
-        telemetry.configure(enabled=True)
+    """Switch the process-wide runtime to ``config.telemetry``, zeroed:
+    a run's counts are its own, whatever ran before it in the process."""
+    # Refuse before any artifact is opened; the pool itself refuses
+    # dispatch under telemetry for callers that bypass this facade.
+    if config.telemetry and config.pool is not None:
+        raise ValueError("pooled runs carry no telemetry: drop telemetry or the pool")
+    telemetry.configure(enabled=config.telemetry)
 
 
 class _LedgerNote:
@@ -632,19 +537,21 @@ def _build_manifest(
 # ----------------------------------------------------------------------
 # Registered runners
 # ----------------------------------------------------------------------
-@_register(
-    "trace",
-    params=_trace_params,
-    extras=("json_path", "stream_path"),
-    stream_role="records_jsonl",
-    summary="generate the 27-month passive capture and run every analysis",
-)
-def _execute_trace(
-    config: RunConfig,
+@_register("trace", params=_trace_params, stream_role="records_jsonl")
+def run_trace(
+    config: RunConfig = RunConfig(),
     *,
     json_path: str | Path | None = None,
     stream_path: str | Path | None = None,
 ) -> TraceResult:
+    """Generate the 27-month passive capture and run every analysis.
+
+    ``json_path`` exports the materialised document artifact;
+    ``stream_path`` exports the JSONL stream artifact (and implies
+    streaming mode, as does ``config.stream``).  The two exports are
+    mutually exclusive: a streaming run never materialises the capture
+    the document shape requires.
+    """
     from .longitudinal import PassiveTraceGenerator
     from .testbed.capture import CaptureTee, GatewayCapture
 
@@ -709,15 +616,11 @@ def _execute_trace(
         )
 
 
-@_register(
-    "audit",
-    params=_audit_params,
-    extras=("json_path",),
-    summary="run the full active-experiment campaign (Tables 5/6/7/9)",
-)
-def _execute_audit(
-    config: RunConfig, *, json_path: str | Path | None = None
+@_register("audit", params=_audit_params)
+def run_audit(
+    config: RunConfig = RunConfig(), *, json_path: str | Path | None = None
 ) -> AuditResult:
+    """Run the full active-experiment campaign (Tables 5/6/7/9)."""
     from .core import ActiveExperimentCampaign
 
     _configure_telemetry(config)
@@ -744,19 +647,23 @@ def _execute_audit(
 @_register(
     "probe",
     params=_probe_params,
-    extras=("json_path",),
     cacheable=False,  # probe runs record no manifest digest
-    summary="probe one device's root store (a Table 9 row)",
 )
-def _execute_probe(
-    config: RunConfig, *, json_path: str | Path | None = None
-) -> ProbeResult:
+def run_probe(config: RunConfig, *, json_path: str | Path | None = None) -> ProbeResult:
+    """Probe ``config.device``'s root store (a Table 9 row).
+
+    Raises :class:`UnknownDeviceError` for names outside the catalog and
+    :class:`DeviceNotProbeableError` for devices the methodology cannot
+    probe (non-rebootable or passive-only).  A device that *can* be
+    probed but turns out non-amenable is a normal result
+    (``ProbeResult.amenable`` is False).
+    """
     from .core import RootStoreProber
     from .devices import device_by_name
     from .testbed import Testbed
 
     if config.device is None:
-        raise ValueError("probe runs need RunConfig.device (or RunRequest.device)")
+        raise ValueError("probe runs need RunConfig.device")
     device = config.device
     _configure_telemetry(config)
     with _ledger_session(config, "probe", _probe_params(config)) as note:
@@ -796,18 +703,18 @@ def _execute_probe(
         )
 
 
-@_register(
-    "report",
-    params=_report_params,
-    extras=("out", "progress"),
-    summary="run everything and write the full markdown report",
-)
-def _execute_report(
-    config: RunConfig,
+@_register("report", params=_report_params)
+def run_report(
+    config: RunConfig = RunConfig(),
     *,
     out: str | Path = "REPORT.md",
     progress: Callable[[str], None] | None = None,
 ) -> ReportResult:
+    """Run everything and write the full markdown report.
+
+    ``progress`` receives coarse phase announcements (the CLI prints
+    them); pass ``None`` for a silent run.
+    """
     from .analysis.report import write_report
     from .core import ActiveExperimentCampaign
     from .longitudinal import PassiveTraceGenerator
@@ -842,13 +749,12 @@ def _execute_report(
         )
 
 
-@_register(
-    "pcap",
-    params=_pcap_params,
-    extras=("out",),
-    summary="export the passive capture's ClientHellos as a pcap file",
-)
-def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapResult:
+@_register("pcap", params=_pcap_params)
+def run_pcap(
+    config: RunConfig = RunConfig(), *, out: str | Path = "iotls.pcap"
+) -> PcapResult:
+    """Export the passive capture's ClientHellos as a pcap file
+    (``config.limit`` caps the packet count)."""
     from .longitudinal import PassiveTraceGenerator
     from .testbed.pcap import write_pcap
 
@@ -879,19 +785,17 @@ def _execute_pcap(config: RunConfig, *, out: str | Path = "iotls.pcap") -> PcapR
 @_register(
     "check",
     params=_check_params,
-    extras=("expected_path", "artifact_path"),
     cacheable=False,  # the drift verdict carries no manifest
-    summary="audit a fresh run (or an exported trace artifact) against "
-    "the paper's published values",
 )
-def _execute_check(
-    config: RunConfig,
+def run_check(
+    config: RunConfig = RunConfig(),
     *,
     expected_path: str | Path | None = None,
     artifact_path: str | Path | None = None,
 ) -> CheckResult:
-    """A fresh run's drift audit, or with ``artifact_path`` the audit of
-    an exported trace artifact (capture-derived cells only)."""
+    """Audit a fresh run against the paper's published values (the
+    ``iotls check`` path), or with ``artifact_path`` an exported trace
+    artifact (capture-derived cells only)."""
     from .analysis.drift import audit_artifact, audit_fresh_run
 
     _configure_telemetry(config)
@@ -932,85 +836,3 @@ def _execute_check(
     return CheckResult(
         report=report, ok=report.ok, drifted=drifted, cells=len(report.cells)
     )
-
-
-# ----------------------------------------------------------------------
-# The classic run functions: thin wrappers over the registry
-# ----------------------------------------------------------------------
-def run_trace(
-    config: RunConfig = RunConfig(),
-    *,
-    json_path: str | Path | None = None,
-    stream_path: str | Path | None = None,
-) -> TraceResult:
-    """Generate the 27-month passive capture and run every analysis.
-
-    ``json_path`` exports the materialised document artifact;
-    ``stream_path`` exports the JSONL stream artifact (and implies
-    streaming mode, as does ``config.stream``).  The two exports are
-    mutually exclusive: a streaming run never materialises the capture
-    the document shape requires.
-    """
-    return execute("trace", config, json_path=json_path, stream_path=stream_path)
-
-
-def run_audit(
-    config: RunConfig = RunConfig(), *, json_path: str | Path | None = None
-) -> AuditResult:
-    """Run the full active-experiment campaign (Tables 5/6/7/9)."""
-    return execute("audit", config, json_path=json_path)
-
-
-def run_probe(
-    device: str,
-    config: RunConfig = RunConfig(),
-    *,
-    json_path: str | Path | None = None,
-) -> ProbeResult:
-    """Probe one device's root store (a Table 9 row).
-
-    Raises :class:`UnknownDeviceError` for names outside the catalog and
-    :class:`DeviceNotProbeableError` for devices the methodology cannot
-    probe (non-rebootable or passive-only).  A device that *can* be
-    probed but turns out non-amenable is a normal result
-    (``ProbeResult.amenable`` is False).
-    """
-    return execute("probe", replace(config, device=device), json_path=json_path)
-
-
-def run_report(
-    config: RunConfig = RunConfig(),
-    *,
-    out: str | Path = "REPORT.md",
-    progress: Callable[[str], None] | None = None,
-) -> ReportResult:
-    """Run everything and write the full markdown report.
-
-    ``progress`` receives coarse phase announcements (the CLI prints
-    them); pass ``None`` for a silent run.
-    """
-    return execute("report", config, out=out, progress=progress)
-
-
-def run_pcap(
-    config: RunConfig = RunConfig(),
-    *,
-    out: str | Path = "iotls.pcap",
-    limit: int | None = None,
-) -> PcapResult:
-    """Export the passive capture's ClientHellos as a pcap file.
-
-    ``limit`` overrides ``config.limit`` when given; the config field is
-    the canonical (digest-entering) location.
-    """
-    if limit is not None:
-        config = replace(config, limit=limit)
-    return execute("pcap", config, out=out)
-
-
-def run_check(
-    config: RunConfig = RunConfig(), *, expected_path: str | Path | None = None
-) -> CheckResult:
-    """Audit a fresh run against the paper's published values
-    (the programmatic ``iotls check`` fresh-run path)."""
-    return execute("check", config, expected_path=expected_path)

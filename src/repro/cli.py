@@ -659,7 +659,7 @@ def _cmd_serve(args) -> int:
     """Run the resident fleet service until interrupted.
 
     Exit codes: 0 = clean shutdown, 2 = usage error (serve needs a
-    ledger: it is the result cache's index; a pool needs >= 2 workers;
+    ledger: it is the result cache's index;
     :class:`~repro.serve.ServeConfig` rejects values that would hang or
     disable the service).
     """
@@ -744,7 +744,9 @@ def _run_profiled(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)
-    telemetry_on = given.get("metrics_out") is not None or given.get("telemetry")
+    if given.get("metrics_out") is not None:
+        args.telemetry = True  # --metrics-out implies --telemetry
+    telemetry_on = given.get("telemetry")
     if telemetry_on:
         telemetry.configure(enabled=True)
     profiled = any(given.get(name) for name in _PROFILE)

@@ -11,9 +11,10 @@ whether the computation exists at all.
 Request lifecycle (``POST /runs``):
 
 1. **Parse** the JSON body into a command name plus a
-   :class:`repro.api.RunRequest` (the serializable half of a run);
-   unknown commands and malformed fields answer 400 without touching
-   the queue.
+   :class:`repro.api.RunConfig` via :meth:`~repro.api.RunConfig.from_document`
+   (the six wire fields; the service pins the pool and ledger itself);
+   unknown commands, malformed fields and host-local fields answer 400
+   without touching the queue.
 2. **Canonicalise** to ``config_digest`` via
    :func:`repro.api.request_digest` -- a pure function, so this costs
    nothing.
@@ -48,7 +49,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
 
@@ -93,11 +94,14 @@ class ServeConfig:
 
     def __post_init__(self) -> None:
         # Each of these would hang or silently disable the service: with
-        # no executor a queued request never answers, ``asyncio.Queue(0)``
-        # is unbounded (no 429 ever), and a zero interval floods the
-        # access log.
+        # no executor a queued request never answers, with no worker no
+        # run has a process to execute on, ``asyncio.Queue(0)`` is
+        # unbounded (no 429 ever), and a zero interval floods the access
+        # log.  Refusing here comes before the access log opens.
         if self.executors < 1:
             raise ValueError(f"executors must be >= 1, got {self.executors}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
         if self.queue_size < 1:
             raise ValueError(f"queue_size must be >= 1, got {self.queue_size}")
         if self.retry_after < 0:
@@ -113,7 +117,7 @@ class _Job:
 
     id: int
     command: str
-    request: api.RunRequest
+    config: api.RunConfig
     digest: str
     future: asyncio.Future
     #: In-flight coalescing key; ``None`` for uncacheable commands.
@@ -294,8 +298,6 @@ class FleetService:
     def _execute_job(self, job: _Job) -> api.RunResult:
         """The blocking half: runs on a worker thread, shards onto the
         resident warm pool, and appends the run's one ledger entry."""
-        options = api.ExecutionOptions(pool=self._pool, ledger=self.config.ledger)
-        config = api.RunConfig.merge(job.request, options)
         extras: dict[str, Any] = {}
         if job.command == "trace":
             extras["stream_path"] = self._artifact_path(job.digest, "records.jsonl")
@@ -303,7 +305,7 @@ class FleetService:
             extras["out"] = self._artifact_path(job.digest, "report.md")
         elif job.command == "pcap":
             extras["out"] = self._artifact_path(job.digest, "pcap")
-        return api.execute(job.command, config, **extras)
+        return api.execute(job.command, job.config, **extras)
 
     def _artifact_path(self, digest: str, suffix: str) -> Path:
         root = Path(self.config.artifact_dir)
@@ -400,12 +402,16 @@ class FleetService:
         except api.UnknownCommandError as exc:
             raise HttpError(400, str(exc)) from None
         try:
-            run_request = api.RunRequest.from_document(payload)
+            config = replace(
+                api.RunConfig.from_document(payload),
+                pool=self._pool,
+                ledger=self.config.ledger,
+            )
         except ValueError as exc:
             raise HttpError(400, str(exc)) from None
-        if command == "probe" and run_request.device is None:
+        if command == "probe" and config.device is None:
             raise HttpError(400, "probe requests need a device")
-        digest = api.request_digest(command, run_request)
+        digest = api.request_digest(command, config)
         loop = asyncio.get_running_loop()
         started = loop.time()
 
@@ -434,7 +440,7 @@ class FleetService:
             job = _Job(
                 id=self._job_ids,
                 command=command,
-                request=run_request,
+                config=config,
                 digest=digest,
                 future=future,
                 key=key,

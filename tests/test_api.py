@@ -83,30 +83,30 @@ class TestRunTrace:
 class TestRunProbe:
     def test_unknown_device(self):
         with pytest.raises(UnknownDeviceError) as excinfo:
-            run_probe("Nonexistent Toaster")
+            run_probe(RunConfig(device="Nonexistent Toaster"))
         assert excinfo.value.device == "Nonexistent Toaster"
         assert isinstance(excinfo.value, RunError)
 
     def test_non_rebootable_device(self):
         with pytest.raises(DeviceNotProbeableError) as excinfo:
-            run_probe("Samsung Fridge")
+            run_probe(RunConfig(device="Samsung Fridge"))
         assert "reboot" in excinfo.value.reason
 
     def test_passive_only_device(self):
         with pytest.raises(DeviceNotProbeableError) as excinfo:
-            run_probe("Samsung TV")
+            run_probe(RunConfig(device="Samsung TV"))
         assert "passive-only" in excinfo.value.reason
 
     def test_amenable_device_writes_json(self, tmp_path):
         json_path = tmp_path / "probe.json"
-        result = run_probe("Wink Hub 2", json_path=json_path)
+        result = run_probe(RunConfig(device="Wink Hub 2"), json_path=json_path)
         assert result.amenable
         assert result.artifacts["probe_json"] == json_path
         assert json.loads(json_path.read_text())["device"] == "Wink Hub 2"
 
     def test_non_amenable_device_skips_json(self, tmp_path):
         json_path = tmp_path / "probe.json"
-        result = run_probe("Apple TV", json_path=json_path)
+        result = run_probe(RunConfig(device="Apple TV"), json_path=json_path)
         assert not result.amenable
         assert result.artifacts == {}
         assert not json_path.exists()
@@ -128,7 +128,7 @@ class TestRunAudit:
 
 class TestRunPcap:
     def test_pcap_export(self, tmp_path):
-        result = run_pcap(RunConfig(scale=1), out=tmp_path / "trace.pcap", limit=10)
+        result = run_pcap(RunConfig(scale=1, limit=10), out=tmp_path / "trace.pcap")
         assert result.packets_written == 10
         assert result.path.exists()
         assert result.size_bytes == result.path.stat().st_size
@@ -194,13 +194,17 @@ class TestCommandRegistry:
         assert isinstance(excinfo.value, RunError)
         assert excinfo.value.command == "frobnicate"
 
-    def test_execute_matches_wrapper(self, tmp_path):
+    def test_execute_dispatches_to_the_registered_runner(self):
+        """Each ``run_*`` function is its command's one entry point, and
+        its keyword-only parameters are the command's extras."""
         from repro import api
 
+        for name in api.command_names():
+            assert api.command_spec(name).runner is getattr(api, f"run_{name}")
+        assert api.command_spec("trace").extras == {"json_path", "stream_path"}
+        assert api.command_spec("report").extras == {"out", "progress"}
         config = RunConfig(scale=1, seed="registry-parity", ledger=None)
-        via_registry = api.execute("trace", config)
-        via_wrapper = run_trace(config)
-        assert via_registry.manifest_digest == via_wrapper.manifest_digest
+        assert api.execute("trace", config).manifest_digest == run_trace(config).manifest_digest
 
     def test_execute_rejects_unknown_extras(self):
         from repro import api
@@ -208,15 +212,14 @@ class TestCommandRegistry:
         with pytest.raises(TypeError, match="unexpected keyword"):
             api.execute("trace", RunConfig(ledger=None), bogus_path="x")
 
-    def test_probe_wrapper_fills_request_device(self):
+    def test_probe_reads_its_device_from_the_config(self):
         from repro import api
 
-        result = api.execute(
-            "probe", RunConfig(device="Google Home Mini", ledger=None)
-        )
-        wrapped = run_probe("Google Home Mini", RunConfig(ledger=None))
-        assert result.device == wrapped.device
-        assert result.amenable == wrapped.amenable
+        config = RunConfig(device="Google Home Mini", ledger=None)
+        result = api.execute("probe", config)
+        assert result.device == run_probe(config).device == "Google Home Mini"
+        with pytest.raises(ValueError, match="RunConfig.device"):
+            run_probe(RunConfig(ledger=None))
 
     def test_stream_role_marks_trace_only(self):
         from repro import api
@@ -234,67 +237,47 @@ class TestCommandRegistry:
 
 
 class TestRunRequestSplit:
-    """RunRequest (serializable) + ExecutionOptions (host-local)."""
+    """A run request on the wire is :meth:`RunConfig.from_document`:
+    the six wire fields, and never a host-local one."""
 
-    def test_document_round_trip(self):
-        from repro.api import RunRequest
-
-        request = RunRequest(
-            scale=3, seed="wire", flow_cap=7, device="LG TV", limit=5
-        )
-        assert RunRequest.from_document(request.to_document()) == request
-        assert RunRequest.from_document(RunRequest().to_document()) == RunRequest()
-
-    def test_document_omits_unset_optionals(self):
-        from repro.api import RunRequest
-
-        document = RunRequest(scale=2, seed="wire").to_document()
-        assert document == {
-            "scale": 2,
+    def test_from_document_sets_only_the_wire_fields(self):
+        document = {
+            "scale": 3,
             "seed": "wire",
-            "include_passthrough": True,
+            "flow_cap": 7,
+            "include_passthrough": False,
+            "device": "LG TV",
+            "limit": 5,
         }
+        assert RunConfig.from_document(document) == RunConfig(**document)
+        assert RunConfig.from_document({}) == RunConfig()
 
     def test_from_document_rejects_unknown_fields(self):
-        from repro.api import RunRequest
-
-        with pytest.raises(ValueError, match="unknown run-request field"):
-            RunRequest.from_document({"scale": 1, "workers": 4})
+        # The host-local fields are unknown on the wire: a tenant sets
+        # none of them.
+        for key, value in [
+            ("workers", 4),
+            ("telemetry", True),
+            ("stream", True),
+            ("ledger", "elsewhere.jsonl"),
+            ("pool", None),
+        ]:
+            with pytest.raises(ValueError, match=f"unknown run-request field.*{key}"):
+                RunConfig.from_document({"scale": 1, key: value})
 
     def test_from_document_rejects_mistyped_fields(self):
-        from repro.api import RunRequest
-
         with pytest.raises(ValueError, match="'scale' must be"):
-            RunRequest.from_document({"scale": "big"})
+            RunConfig.from_document({"scale": "big"})
         with pytest.raises(ValueError, match="must be an integer"):
-            RunRequest.from_document({"scale": True})
+            RunConfig.from_document({"scale": True})
         with pytest.raises(ValueError, match="must be a JSON object"):
-            RunRequest.from_document(["scale", 1])
-
-    def test_config_splits_and_merges_losslessly(self):
-        from repro.api import ExecutionOptions, RunConfig
-
-        config = RunConfig(
-            scale=5,
-            seed="split",
-            stream=True,
-            flow_cap=9,
-            ledger=None,
-            device="LG TV",
-            limit=2,
-        )
-        assert RunConfig.merge(config.request, config.options) == config
-        assert config.options == ExecutionOptions(stream=True, ledger=None)
+            RunConfig.from_document(["scale", 1])
 
     def test_worker_count_is_not_a_run_option(self):
         """Parallelism is a resident pool handed in as ``pool=``; a worker
-        count is no longer a field of either half."""
-        from repro.api import ExecutionOptions, RunConfig
-
+        count is not a field of the config."""
         with pytest.raises(TypeError):
             RunConfig(workers=2)
-        with pytest.raises(TypeError):
-            ExecutionOptions(workers=2)
         assert RunConfig().pool is None
 
     def test_request_digest_matches_recorded_config_digest(self, tmp_path):
@@ -305,9 +288,35 @@ class TestRunRequestSplit:
         config = RunConfig(scale=1, seed="digest-parity", ledger=ledger)
         run_trace(config)
         (entry,) = telemetry.load_ledger(ledger)
-        assert entry["config_digest"] == api.request_digest(
-            "trace", config.request
-        )
-        # A request rebuilt from its own wire document hashes the same.
-        rebuilt = api.RunRequest.from_document(config.request.to_document())
+        assert entry["config_digest"] == api.request_digest("trace", config)
+        # The same request parsed from the wire hashes the same: no
+        # host-local field reaches the digest.
+        rebuilt = RunConfig.from_document({"scale": 1, "seed": "digest-parity"})
         assert api.request_digest("trace", rebuilt) == entry["config_digest"]
+
+
+class TestTelemetryIsPerRun:
+    """Each run sets the telemetry runtime to its own config, zeroed."""
+
+    def test_plain_run_after_a_telemetry_run_matches_a_fresh_process(self):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        from repro import api
+
+        config = RunConfig(scale=1, ledger=None)
+        src = Path(api.__file__).resolve().parents[1]
+        fresh = subprocess.run(
+            [sys.executable, "-c",
+             "from repro import api; print(api.execute('trace', "
+             "api.RunConfig(scale=1, ledger=None)).manifest_digest)"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        api.execute("trace", replace(config, telemetry=True))
+        after = api.execute("trace", config)
+        assert after.manifest_digest == fresh
+        assert after.manifest["metrics"]["counters"] == {}
+        assert not telemetry.enabled()

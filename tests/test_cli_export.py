@@ -259,15 +259,20 @@ class TestOneShotCommandsRunSerially:
         assert args.workers == 2
 
     def test_serve_rejects_an_empty_pool(self, tmp_path, capsys):
+        # Refused by ServeConfig, before the access log opens: no
+        # header-only log is left behind.
         argv = ["serve", "--port", "0", "--workers", "0", "--ledger",
-                str(tmp_path / "l.jsonl"), "--artifact-dir", str(tmp_path / "a")]
+                str(tmp_path / "l.jsonl"), "--artifact-dir", str(tmp_path / "a"),
+                "--access-log", str(tmp_path / "access.jsonl")]
         assert main(argv) == 2
-        assert "error: a worker pool needs >= 2 workers, got 0" in capsys.readouterr().err
+        assert "error: workers must be >= 1, got 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "flag,value,message",
         [
             ("--executors", "0", "executors must be >= 1"),
+            ("--workers", "0", "workers must be >= 1"),
             ("--queue-size", "0", "queue_size must be >= 1"),
             ("--heartbeat-interval", "0", "heartbeat_interval must be finite and > 0"),
             ("--retry-after", "-1", "retry_after must be >= 0"),

@@ -18,7 +18,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.api import (
     RunConfig,
-    RunRequest,
     UnknownDeviceError,
     request_digest,
     run_probe,
@@ -159,7 +158,7 @@ class TestRunWiring:
 
     def test_failed_probe_appends_error_entry(self, ledger_path):
         with pytest.raises(UnknownDeviceError):
-            run_probe("Nonexistent Toaster", RunConfig(ledger=ledger_path))
+            run_probe(RunConfig(device="Nonexistent Toaster", ledger=ledger_path))
         (entry,) = ledger.load_ledger(ledger_path)
         assert entry["status"] == "error"
         assert entry["command"] == "probe"
@@ -537,15 +536,15 @@ class TestOlderLedgersStillRead:
 
     def test_lookup_config_finds_it(self, older_ledger):
         entries = ledger.load_ledger(older_ledger)
-        digest = request_digest("trace", RunRequest(scale=1))
+        digest = request_digest("trace", RunConfig(scale=1))
         assert digest == OLDER_ENTRY["config_digest"]
         assert ledger.lookup_config(entries, digest) == OLDER_ENTRY
 
     @pytest.mark.parametrize("command", sorted(OLDER_DIGESTS))
     def test_request_digests_unchanged(self, command):
         default, full = OLDER_DIGESTS[command]
-        assert request_digest(command, RunRequest()) == default
-        assert request_digest(command, RunRequest(**_FULL_REQUEST)) == full
+        assert request_digest(command, RunConfig()) == default
+        assert request_digest(command, RunConfig(**_FULL_REQUEST)) == full
 
 
 class TestConcurrentAppends:

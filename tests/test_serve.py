@@ -12,6 +12,7 @@ from __future__ import annotations
 import asyncio
 import json
 import threading
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +109,7 @@ class TestServeConfig:
         [
             ("executors", 0, "executors must be >= 1"),
             ("executors", -1, "executors must be >= 1"),
+            ("workers", 0, "workers must be >= 1"),
             ("queue_size", 0, "queue_size must be >= 1"),
             ("retry_after", -1, "retry_after must be >= 0"),
             ("heartbeat_interval", 0, "heartbeat_interval must be finite and > 0"),
@@ -225,6 +227,19 @@ class TestHttpFraming:
 
         assert asyncio.run(with_service(serve_config(tmp_path), scenario))
 
+    def test_tenant_cannot_choose_the_ledger(self, tmp_path):
+        elsewhere = tmp_path / "elsewhere.jsonl"
+
+        async def scenario(service):
+            body = {"command": "trace", "scale": 1, "ledger": str(elsewhere)}
+            status, _, content = await request(service.port, "POST", "/runs", body)
+            return status, json.loads(content)
+
+        status, document = asyncio.run(with_service(serve_config(tmp_path), scenario))
+        assert status == 400
+        assert "ledger" in document["error"]
+        assert not elsewhere.exists()
+
 
 class TestPooledService:
     """A served miss runs on the resident warm pool and still answers the
@@ -251,11 +266,13 @@ class TestPooledService:
         assert pool["dispatches"] == 40 + 40 + 2
         for body, (status, headers, content) in zip(bodies, responses):
             assert (status, headers["x-iotls-cache"]) == (200, "miss"), body
-            request_ = api.RunRequest.from_document(
-                {key: value for key, value in body.items() if key != "command"}
+            config = replace(
+                api.RunConfig.from_document(
+                    {key: value for key, value in body.items() if key != "command"}
+                ),
+                ledger=None,
             )
-            config = api.RunConfig.merge(request_, api.ExecutionOptions(ledger=None))
-            digest = api.request_digest(body["command"], request_)
+            digest = api.request_digest(body["command"], config)
             if body["command"] == "trace":
                 stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
                 stream_path.parent.mkdir(exist_ok=True)
@@ -304,7 +321,7 @@ class TestCacheContract:
         # provenance), so the byte-identical direct equivalent uses the
         # service's content-addressed name -- in a different directory.
         config = api.RunConfig(scale=1, seed="serve-test", ledger=None)
-        digest = api.request_digest("trace", config.request)
+        digest = api.request_digest("trace", config)
         stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
         stream_path.parent.mkdir()
         direct = api.run_trace(config, stream_path=stream_path)
@@ -335,7 +352,7 @@ class TestCacheContract:
         for seed, (status, headers, body) in zip(seeds, responses):
             assert status == 200
             config = api.RunConfig(scale=1, seed=seed, ledger=None)
-            digest = api.request_digest("trace", config.request)
+            digest = api.request_digest("trace", config)
             stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
             stream_path.parent.mkdir(exist_ok=True)
             direct = api.run_trace(config, stream_path=stream_path)
@@ -631,11 +648,9 @@ class TestLedgerIsTheCacheIndex:
 
         assert asyncio.run(with_service(serve_config(tmp_path), scenario))
         entries = telemetry.load_ledger(tmp_path / "ledger.jsonl")
-        run_request = api.RunRequest.from_document(
+        config = api.RunConfig.from_document(
             {k: v for k, v in TRACE_BODY.items() if k != "command"}
         )
-        hit = ledger.lookup_config(
-            entries, api.request_digest("trace", run_request)
-        )
+        hit = ledger.lookup_config(entries, api.request_digest("trace", config))
         assert hit is not None
         assert hit["manifest_digest"] == entries[0]["manifest_digest"]

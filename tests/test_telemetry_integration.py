@@ -143,7 +143,6 @@ _AMENABLE = (
 
 def _exported_bytes(command: str, on: bool, **fields) -> bytes:
     """One run's ``json_path`` export with telemetry switched ``on``/off."""
-    telemetry.configure(enabled=on)
     try:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "out.json"
