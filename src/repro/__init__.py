@@ -11,7 +11,10 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for
 paper-vs-measured results.
 """
 
-__version__ = "1.0.0"
+#: Part of every config digest, the key of the run ledger's result cache
+#: (``iotls serve``).  Bump it whenever a run's output moves on purpose,
+#: so that results the previous release cached stop being served.
+__version__ = "1.1.0"
 
 
 def __getattr__(name):

@@ -916,11 +916,14 @@ def _tvs() -> list[DeviceProfile]:
     # Roku TV: very wide cipher offer that collapses to a single RC4
     # suite on *both* failure types (Table 5: 8/15); probe-amenable via
     # MbedTLS (Table 9); one legacy destination establishes old versions
-    # so Roku appears in Fig 1.
+    # so Roku appears in Fig 1.  The paper gives no per-destination
+    # volumes; weight 1.5 is the smallest half step that keeps Roku's
+    # peak established pre-1.2 share clear of the 0.05 "shown" residual
+    # at any trace seed (at weight 1 it lands on 1/20 or 1/21).
     roku_dests = (
         [
             _dest("scribe.logs.roku.com", "roku-main", srv_rsa_pref(), weight=3.0),
-            _dest("legacy.api.roku.com", "roku-main", srv_old_11(anchor_index=1)),
+            _dest("legacy.api.roku.com", "roku-main", srv_old_11(anchor_index=1), weight=1.5),
         ]
         + _fanout("channel{}.roku.com", 6, "roku-main", srv_rsa_pref, weight=2.0)
         + _fanout("ad{}.roku.com", 7, "roku-apps", srv_rsa_pref, party=Party.THIRD, fallback=False)
@@ -1341,6 +1344,12 @@ def _appliances() -> list[DeviceProfile]:
         )
     )
 
+    # Samsung Fridge: the paper dates no Fridge change (§5.1) and gives
+    # no per-destination volumes.  At equal weights its insecure-
+    # advertised share sits at 0.5, where flow jitter fakes an
+    # "increases insecure-ciphersuite advertisement" event.  Weight 2 on
+    # the Family Hub apps, the smallest half step that holds, keeps the
+    # share at or under 0.5, below the hysteresis band's top (0.65).
     devices.append(
         DeviceProfile(
             name="Samsung Fridge",
@@ -1362,7 +1371,12 @@ def _appliances() -> list[DeviceProfile]:
             ),
             destinations=(
                 _dest("fridge.samsungiotcloud.com", "samsung-appliance", srv_old_11()),
-                _dest("familyhub.samsungiotcloud.com", "fridge-apps", srv_rsa_pref(anchor_index=1, stapling=True)),
+                _dest(
+                    "familyhub.samsungiotcloud.com",
+                    "fridge-apps",
+                    srv_rsa_pref(anchor_index=1, stapling=True),
+                    weight=2.0,
+                ),
             ),
             revocation=RevocationBehavior.of(RevocationMethod.OCSP_STAPLING),
             units_sold_millions=2,

@@ -15,8 +15,8 @@ fast, while benchmarks raise it toward the study's full volume.
 
 from __future__ import annotations
 
-import random
 from contextlib import closing
+from hashlib import blake2s
 from typing import TYPE_CHECKING, Iterator
 
 from .. import telemetry as _telemetry
@@ -73,8 +73,13 @@ class PassiveTraceGenerator:
 
     # ------------------------------------------------------------------
     def _flow_count(self, device: str, hostname: str, month: int, weight: float) -> int:
-        rng = random.Random(f"{self.seed}:{device}:{hostname}:{month}")
-        jitter = 0.7 + 0.6 * rng.random()
+        # The volume jitter, in [0.7, 1.3), is a pure function of the
+        # flow's key: the top 53 bits of a keyed blake2s digest scaled to
+        # [0, 1), so any process computes it in any order without seeding
+        # a PRNG per flow.
+        key = f"{self.seed}:{device}:{hostname}:{month}".encode()
+        digest = blake2s(key, digest_size=8).digest()
+        jitter = 0.7 + 0.6 * ((int.from_bytes(digest, "big") >> 11) * 2.0**-53)
         return max(1, round(weight * self.scale * jitter))
 
     def _destination_active(self, destination: DestinationSpec, month: int) -> bool:
@@ -226,9 +231,10 @@ class PassiveTraceGenerator:
 
         With a ``pool``, each device is one task on it (:meth:`_chunks`)
         and chunks fold home in catalog order, so the sink observes
-        exactly the serial arrival order: because every flow's RNG is
-        keyed by ``(seed, device, hostname, month)``, outputs and run
-        manifests are the same with or without the pool.
+        exactly the serial arrival order: because every flow's jitter is
+        a keyed hash of ``(seed, device, hostname, month)``
+        (:meth:`_flow_count`), outputs and run manifests are the same
+        with or without the pool.
 
         A ``flow_cap`` splits batched records just before ``sink``
         (:class:`~repro.testbed.capture.FlowRecordChunker`): the cap is

@@ -30,7 +30,8 @@ Request lifecycle (``POST /runs``):
 5. **Queue** a miss into the bounded run queue; a full queue answers
    ``429`` with ``Retry-After`` instead of accepting unbounded work.
 6. **Execute** on an executor slot: the blocking run goes through
-   :func:`repro.api.execute` on a worker thread, sharding onto the
+   :func:`repro.api.execute` on one of the service's own run threads
+   (``executors`` of them, reused for its lifetime), sharding onto the
    service's *resident* :class:`~repro.parallel.pool.WarmWorkerPool`
    (one pool spans the server's lifetime, so every request reuses the
    same warm processes).  The run's own ``_ledger_session``
@@ -49,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any
@@ -159,6 +161,7 @@ class FleetService:
         self.port: int | None = None
         self._resident: dict[str, Any] = {}
         self._pool: WarmWorkerPool | None = None
+        self._run_threads: ThreadPoolExecutor | None = None
         self._queue: asyncio.Queue[_Job] | None = None
         self._inflight: dict[tuple[str, str], asyncio.Future] = {}
         self._executors: list[asyncio.Task] = []
@@ -199,6 +202,15 @@ class FleetService:
         # cost is paid once per *server*, not once per request.
         if config.workers != 1:
             self._pool = WarmWorkerPool(config.workers)
+        # Runs get threads of their own rather than the loop's default
+        # executor, whose file-I/O threads would take them in no fixed
+        # order.  glibc gives each thread its own malloc arena, so a run
+        # on a thread that has not run one before grows the heap by a
+        # run's working set again.  Under a serial load every run now
+        # reuses the first run thread.
+        self._run_threads = ThreadPoolExecutor(
+            max_workers=config.executors, thread_name_prefix="iotls-serve-run"
+        )
         self._queue = asyncio.Queue(maxsize=config.queue_size)
         self._executors = [
             asyncio.create_task(self._executor_loop(), name=f"iotls-serve-exec-{i}")
@@ -235,6 +247,9 @@ class FleetService:
         for task in self._executors:
             task.cancel()
         await asyncio.gather(*self._executors, return_exceptions=True)
+        # A run whose executor was cancelled still finishes on its thread.
+        if self._run_threads is not None:
+            await asyncio.to_thread(self._run_threads.shutdown)
         # Closing the pool joins worker processes; keep the loop free.
         if self._pool is not None:
             await asyncio.to_thread(self._pool.close)
@@ -257,7 +272,7 @@ class FleetService:
         loop = asyncio.get_running_loop()
         started = loop.time()
         self.access.record("run.start", id=job.id, command=job.command, digest=job.digest)
-        task = asyncio.ensure_future(asyncio.to_thread(self._execute_job, job))
+        task = loop.run_in_executor(self._run_threads, self._execute_job, job)
         while True:
             done, _ = await asyncio.wait({task}, timeout=self.config.heartbeat_interval)
             if done:
@@ -296,7 +311,7 @@ class FleetService:
                 job.future.set_result(result)
 
     def _execute_job(self, job: _Job) -> api.RunResult:
-        """The blocking half: runs on a worker thread, shards onto the
+        """The blocking half: runs on a run thread, shards onto the
         resident warm pool, and appends the run's one ledger entry."""
         extras: dict[str, Any] = {}
         if job.command == "trace":

@@ -212,12 +212,9 @@ def build_manifest(
         },
         "determinism": {
             "workers_invariant": True,
-            # Manifest bytes: the wording still names the gauges and
-            # spans telemetry no longer has, so old and new manifests of
-            # one run stay identical.
             "excluded": [
                 "worker count",
-                "wall-clock timings (gauges, histogram sums/buckets, spans)",
+                "wall-clock timings (histogram sums/buckets)",
                 "artifact directories",
             ],
         },

@@ -19,12 +19,14 @@ from hypothesis import given, settings, strategies as st
 from repro.api import (
     RunConfig,
     UnknownDeviceError,
+    command_spec,
     request_digest,
     run_probe,
     run_trace,
 )
 from repro.cli import main
 from repro.telemetry import ledger
+from repro.telemetry.provenance import config_digest
 from repro.telemetry.schemas import check_contract
 
 
@@ -499,12 +501,23 @@ OLDER_ENTRY = {
     "workers": 1,
 }
 
-#: ``request_digest`` per command as that release recorded it, for the
-#: default request and for one that sets every request field.  A moved
-#: digest would turn every cached serve result into a miss.
+#: ``request_digest`` per command, for the default request and for one
+#: that sets every request field.  A digest that moves by accident turns
+#: every cached serve result into a miss; one that moves on purpose (the
+#: package version bumped because output moved) is pinned here anew.
 _FULL_REQUEST = dict(
     scale=3, seed="s", flow_cap=5, include_passthrough=False, device="Wink Hub 2", limit=7
 )
+REQUEST_DIGESTS = {
+    "audit": ("c54182e7a8582dde9ec9e701291746ed", "b56733e0e11653042e6da1f6b06d75f6"),
+    "check": ("18fb070c4a6da2dabe61f5b2863f891d", "ac399119a8bbc473353a00764360b7cb"),
+    "pcap": ("dbad264f3daf3a543956a6d8c6617b16", "5cd87fefde76c5b243d6656f1155bbc3"),
+    "probe": ("5cb9fa76c98f1c7b295927009707cf8c", "54bf967550a01c89aa2437a95b31fd41"),
+    "report": ("999aba8d8f192eaef87099d8bcc2c5d1", "6fbb44ee37b194116162842864200635"),
+    "trace": ("a138984c95fe99a071d35b2c450f0583", "a3d0915efe2adf4abf4d7ab6a973d0a9"),
+}
+#: The same digests as release 1.0.0 recorded them, before the keyed
+#: flow jitter moved every trace's flow counts.
 OLDER_DIGESTS = {
     "audit": ("164e2e53106f3afe16bbb48c8466f4f9", "0eda0b62721622e808c8a4d15736f5c6"),
     "check": ("7dac8e361359d2b4ad9fc5218db378b6", "66bc2960e4fab31b38e1cdf4fdb2433e"),
@@ -516,8 +529,9 @@ OLDER_DIGESTS = {
 
 
 class TestOlderLedgersStillRead:
-    """A ledger written before run-health sampling was retired keeps
-    validating, rendering and serving as a cache index."""
+    """A ledger release 1.0.0 wrote, before run-health sampling was
+    retired, keeps validating and rendering; its results are no longer
+    served, because trace output moved after that release."""
 
     @pytest.fixture
     def older_ledger(self, tmp_path):
@@ -536,15 +550,29 @@ class TestOlderLedgersStillRead:
 
     def test_lookup_config_finds_it(self, older_ledger):
         entries = ledger.load_ledger(older_ledger)
-        digest = request_digest("trace", RunConfig(scale=1))
+        digest = config_digest("trace", OLDER_ENTRY["params"], "1.0.0")
         assert digest == OLDER_ENTRY["config_digest"]
         assert ledger.lookup_config(entries, digest) == OLDER_ENTRY
 
-    @pytest.mark.parametrize("command", sorted(OLDER_DIGESTS))
+    def test_the_same_request_now_misses_it(self, older_ledger):
+        entries = ledger.load_ledger(older_ledger)
+        assert ledger.lookup_config(entries, request_digest("trace", RunConfig(scale=1))) is None
+
+    @pytest.mark.parametrize("command", sorted(REQUEST_DIGESTS))
     def test_request_digests_unchanged(self, command):
-        default, full = OLDER_DIGESTS[command]
+        default, full = REQUEST_DIGESTS[command]
         assert request_digest(command, RunConfig()) == default
         assert request_digest(command, RunConfig(**_FULL_REQUEST)) == full
+
+    @pytest.mark.parametrize("command", sorted(OLDER_DIGESTS))
+    def test_only_the_version_moved_the_digests(self, command):
+        params = command_spec(command).params
+        older = tuple(
+            config_digest(command, params(config), "1.0.0")
+            for config in (RunConfig(), RunConfig(**_FULL_REQUEST))
+        )
+        assert older == OLDER_DIGESTS[command]
+        assert not set(older) & set(REQUEST_DIGESTS[command])
 
 
 class TestConcurrentAppends:

@@ -23,6 +23,7 @@ from repro import api, telemetry
 from repro.serve import FleetService, ServeConfig
 from repro.serve.http import HttpError, HttpRequest, read_request
 from repro.telemetry import ACCESS_LOG_SCHEMA, AccessLog, ledger
+from repro.telemetry.provenance import config_digest
 from repro.telemetry.schemas import check_contract
 
 
@@ -376,6 +377,26 @@ class TestCacheContract:
         body = asyncio.run(with_service(serve_config(tmp_path), scenario))
         assert body.splitlines()[-1].startswith(b'{"summary"')
 
+    def test_an_older_release_result_is_not_served(self, tmp_path):
+        """Release 1.0.0 drew trace flow counts differently; its cached
+        results carry its version in their config digest and must miss."""
+
+        async def scenario(service):
+            port = service.port
+            _, first, _ = await request(port, "POST", "/runs", TRACE_BODY)
+            assert first["x-iotls-cache"] == "miss"
+            # Re-record the live entry as release 1.0.0 would have.
+            ledger_path = service.config.ledger
+            (entry,) = telemetry.load_ledger(ledger_path)
+            entry["config_digest"] = config_digest("trace", entry["params"], "1.0.0")
+            ledger_path.write_text(json.dumps(entry, sort_keys=True) + "\n")
+            _, again, _ = await request(port, "POST", "/runs", TRACE_BODY)
+            return again
+
+        again = asyncio.run(with_service(serve_config(tmp_path), scenario))
+        assert again["x-iotls-cache"] == "miss"
+        assert len(telemetry.load_ledger(tmp_path / "ledger.jsonl")) == 2
+
     def test_probe_envelope_is_not_cached(self, tmp_path):
         body = {"command": "probe", "device": "Google Home Mini"}
 
@@ -594,6 +615,35 @@ class TestQueueAndCoalescing:
 
         assert asyncio.run(with_service(serve_config(tmp_path), scenario))
         assert len(calls) == 1  # one computation served both tenants
+
+    def test_serial_runs_reuse_one_run_thread(self, tmp_path, monkeypatch):
+        """Each thread has its own malloc arena, so runs that hopped
+        between the default executor's file-I/O threads made the peak
+        RSS of one serial load differ from server to server."""
+        stream_file = tmp_path / "fake.jsonl"
+        stream_file.write_text('{"summary": {}}\n')
+        threads: list[threading.Thread] = []
+
+        def fake_execute(command, config=api.RunConfig(), **extras):
+            threads.append(threading.current_thread())
+            return SimpleNamespace(
+                manifest_digest="feedfeedfeedfeed",
+                artifacts={"records_jsonl": stream_file},
+            )
+
+        monkeypatch.setattr(api, "execute", fake_execute)
+
+        async def scenario(service):
+            for index in range(4):
+                body = dict(TRACE_BODY, seed=f"thread-{index}")
+                status, headers, _ = await request(service.port, "POST", "/runs", body)
+                assert (status, headers["x-iotls-cache"]) == (200, "miss")
+            return True
+
+        assert asyncio.run(with_service(serve_config(tmp_path), scenario))
+        assert len(threads) == 4
+        assert len(set(threads)) == 1
+        assert threads[0].name.startswith("iotls-serve-run")
 
 
 class TestAccessLog:
