@@ -22,7 +22,6 @@ from enum import Enum
 
 from ..devices.device import Device
 from ..devices.profile import ACTIVE_EXPERIMENT_MONTH, DestinationSpec
-from ..mitm.forge import AttackerToolbox
 from ..mitm.proxy import AttackMode, InterceptionProxy, VersionProbeResponder
 from ..testbed.infrastructure import Testbed
 from ..tls.messages import ClientHello
@@ -175,7 +174,7 @@ class DowngradeAuditor:
 
     def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
-        self.toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+        self.toolbox = testbed.attacker()
 
     # ------------------------------------------------------------------
     # Table 5: downgrade on failure

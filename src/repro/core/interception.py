@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from .. import telemetry as _telemetry
 from ..devices.device import Device
 from ..devices.profile import ACTIVE_EXPERIMENT_MONTH, DestinationSpec
-from ..mitm.forge import AttackerToolbox
 from ..mitm.proxy import AttackMode, InterceptionProxy
 from ..testbed.infrastructure import Testbed
 
@@ -123,7 +122,7 @@ class InterceptionAuditor:
 
     def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
-        self.toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+        self.toolbox = testbed.attacker()
 
     def attack_destination(
         self, device: Device, destination: DestinationSpec, attack: AttackMode

@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 
 from ..devices.device import Device
 from ..devices.profile import ACTIVE_EXPERIMENT_MONTH, DestinationSpec
-from ..mitm.forge import AttackerToolbox
 from ..mitm.passthrough import PassthroughResponder
 from ..mitm.proxy import AttackMode, InterceptionProxy
 from ..testbed.infrastructure import Testbed
@@ -75,7 +74,7 @@ class PassthroughExperiment:
     def __init__(self, testbed: Testbed) -> None:
         self.testbed = testbed
         self.auditor = InterceptionAuditor(testbed)
-        self.toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+        self.toolbox = testbed.attacker()
 
     def _failed_hostnames(self, report: DeviceInterceptionReport) -> frozenset[str]:
         """Destinations where every attack failed (candidates to pass through)."""

@@ -31,7 +31,6 @@ from typing import Sequence
 
 from .. import telemetry as _telemetry
 from ..devices.device import Device
-from ..mitm.forge import AttackerToolbox
 from ..mitm.proxy import AttackMode, InterceptionProxy
 from ..pki.certificate import Certificate
 from ..roothistory.records import RootCARecord
@@ -136,7 +135,7 @@ class RootStoreProber:
     def __init__(self, testbed: Testbed, *, universe: RootStoreUniverse | None = None) -> None:
         self.testbed = testbed
         self.universe = universe or testbed.universe
-        self.toolbox = AttackerToolbox(issuing_ca=testbed.anchor(0))
+        self.toolbox = testbed.attacker()
 
     # ------------------------------------------------------------------
     # Single-probe mechanics

@@ -18,12 +18,17 @@ Everything an on-path attacker without CA compromise can present
 The attacker holds only its own keys; the signature oracle guarantees
 that spoofed chains fail verification exactly as they would with real
 cryptography.
+
+One toolbox is one attacker: like interception tooling, it forges each
+hostname's credentials once and keeps them, and it answers a ClientHello
+it has already answered from what it negotiated the first time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
+from typing import Callable
 
 from ..pki.certificate import (
     BasicConstraints,
@@ -33,11 +38,43 @@ from ..pki.certificate import (
     KeyUsage,
 )
 from ..pki.name import DistinguishedName
-from ..pki.simcrypto import KeyPair, generate_keypair
+from ..pki.simcrypto import KeyPair, PublicKey, generate_keypair
+from ..tls.ciphersuites import REGISTRY
+from ..tls.engine import negotiate
+from ..tls.messages import ClientHello, ServerHello
+from ..tls.versions import ProtocolVersion
 
 __all__ = ["AttackerToolbox", "ATTACKER_DOMAIN"]
 
 ATTACKER_DOMAIN = "attacker-owned.example"
+
+#: Everything an attacker's TLS stack can negotiate (all legacy + 1.3).
+ATTACKER_VERSIONS = frozenset(
+    {
+        ProtocolVersion.SSL_3_0,
+        ProtocolVersion.TLS_1_0,
+        ProtocolVersion.TLS_1_1,
+        ProtocolVersion.TLS_1_2,
+        ProtocolVersion.TLS_1_3,
+    }
+)
+ATTACKER_CIPHERS = tuple(sorted(REGISTRY))
+
+_Forge = Callable[["AttackerToolbox", str], tuple[Certificate, ...]]
+
+
+def _per_hostname(forge: _Forge) -> _Forge:
+    """Forge a credential once per toolbox and hostname, then keep it."""
+
+    @wraps(forge)
+    def cached(self: "AttackerToolbox", hostname: str) -> tuple[Certificate, ...]:
+        key = (forge.__name__, hostname)
+        chain = self._chains.get(key)
+        if chain is None:
+            chain = self._chains[key] = forge(self, hostname)
+        return chain
+
+    return cached
 
 
 @dataclass
@@ -57,15 +94,33 @@ class AttackerToolbox:
         #: campaign spoofs the same few hundred roots over and over; the
         #: entry holds the target, so its id is not reused while cached.
         self._spoofed_roots: dict[int, tuple[Certificate, Certificate]] = {}
+        #: (credential, hostname) -> forged chain, for every credential but
+        #: the spoofed CA's (whose chain depends on the target root too).
+        self._chains: dict[tuple[str, str], tuple[Certificate, ...]] = {}
+        #: hostname -> the key of the leaf under every spoofed root.
+        self._spoof_leaf_keys: dict[str, PublicKey] = {}
+        #: id(hello) -> (hello, what the attacker negotiates for it).  The
+        #: entry holds the hello, so its id is not reused while cached.
+        self._negotiated: dict[int, tuple[ClientHello, ServerHello | None]] = {}
         # The attacker's genuine certificate for its own domain, with the
         # full chain linking to a trusted root (sent during handshake).
         self._own_leaf, self._own_keypair = self.issuing_ca.issue_leaf(
             ATTACKER_DOMAIN, seed=b"attacker-own-leaf"
         )
+        self._own_chain = (self._own_leaf, self.issuing_ca.certificate)
+
+    def negotiated(self, client_hello: ClientHello) -> ServerHello | None:
+        """What the attacker's stack negotiates for ``client_hello``."""
+        entry = self._negotiated.get(id(client_hello))
+        if entry is None:
+            server_hello = negotiate(client_hello, ATTACKER_VERSIONS, ATTACKER_CIPHERS)
+            entry = self._negotiated[id(client_hello)] = (client_hello, server_hello)
+        return entry[1]
 
     # ------------------------------------------------------------------
     # Table 2 attack credentials
     # ------------------------------------------------------------------
+    @_per_hostname
     def self_signed_for(self, hostname: str) -> tuple[Certificate, ...]:
         """NoValidation: a self-signed certificate for the target name."""
         certificate, _ = CertificateAuthority.self_signed_leaf(
@@ -75,8 +130,9 @@ class AttackerToolbox:
 
     def wrong_hostname_chain(self) -> tuple[Certificate, ...]:
         """WrongHostname: the attacker's *valid* chain for its own domain."""
-        return (self._own_leaf, self.issuing_ca.certificate)
+        return self._own_chain
 
+    @_per_hostname
     def invalid_basic_constraints_chain(self, hostname: str) -> tuple[Certificate, ...]:
         """InvalidBasicConstraints: the attacker's leaf used as an issuer.
 
@@ -112,23 +168,29 @@ class AttackerToolbox:
         """
         entry = self._spoofed_roots.get(id(target_root))
         if entry is None:
-            # The spoof copies the target's serial, so signing it takes
-            # nothing from the serial counter: caching changes no serial.
+            # The spoof copies the target's serial, so signing it draws
+            # nothing from the serial counter; each leaf below it draws one.
             spoofed = CertificateBuilder.spoof_from(
                 target_root, self._keypair.public
             ).sign(self._keypair.private)
             entry = self._spoofed_roots[id(target_root)] = (target_root, spoofed)
         spoofed_root = entry[1]
+        leaf_key = self._spoof_leaf_keys.get(hostname)
+        if leaf_key is None:
+            leaf_key = self._spoof_leaf_keys[hostname] = generate_keypair(
+                seed=f"spoof-leaf:{hostname}".encode()
+            ).public
         leaf = CertificateBuilder(
             subject=DistinguishedName(common_name=hostname),
             issuer=spoofed_root.subject,
-            public_key=generate_keypair(seed=f"spoof-leaf:{hostname}".encode()).public,
+            public_key=leaf_key,
             subject_alt_names=(hostname,),
             not_before=target_root.not_before,
             not_after=target_root.not_after,
         ).sign(self._keypair.private)
         return (leaf, spoofed_root)
 
+    @_per_hostname
     def unknown_ca_chain(self, hostname: str) -> tuple[Certificate, ...]:
         """A chain under a self-signed root with an arbitrary subject."""
         root = _arbitrary_root(self._keypair)

@@ -20,25 +20,12 @@ from enum import Enum
 
 from .. import telemetry as _telemetry
 from ..pki.certificate import Certificate
-from ..tls.ciphersuites import REGISTRY
 from ..tls.engine import MemoizableResponder, negotiate
 from ..tls.messages import ClientHello, ServerResponse
 from ..tls.versions import ProtocolVersion
-from .forge import AttackerToolbox
+from .forge import ATTACKER_CIPHERS, AttackerToolbox
 
 __all__ = ["AttackMode", "InterceptionProxy", "VersionProbeResponder"]
-
-#: Everything an attacker's TLS stack can negotiate (all legacy + 1.3).
-_ATTACKER_VERSIONS = frozenset(
-    {
-        ProtocolVersion.SSL_3_0,
-        ProtocolVersion.TLS_1_0,
-        ProtocolVersion.TLS_1_1,
-        ProtocolVersion.TLS_1_2,
-        ProtocolVersion.TLS_1_3,
-    }
-)
-_ATTACKER_CIPHERS = tuple(sorted(REGISTRY))
 
 _TELEMETRY = _telemetry.get()
 
@@ -59,10 +46,11 @@ class AttackMode(Enum):
 class InterceptionProxy(MemoizableResponder):
     """An on-path TLS interceptor.
 
-    It forges each hostname's chain once and keeps it, as interception
-    tools keep a per-host certificate cache, so its answer is a pure
-    function of the hello; logging the hello is the part replayed on
-    every handshake.
+    Its toolbox forges each hostname's chain once and keeps it, as
+    interception tools keep a per-host certificate cache, so its answer
+    is a pure function of the hello; logging the hello is the part
+    replayed on every handshake.  A spoofed-CA chain also depends on the
+    target root, so that proxy keeps its own.
     """
 
     toolbox: AttackerToolbox
@@ -71,7 +59,7 @@ class InterceptionProxy(MemoizableResponder):
     target_root: Certificate | None = None
     #: ClientHellos seen (interception tooling logs these).
     observed_hellos: list[ClientHello] = field(default_factory=list)
-    _chains: dict[str, tuple[Certificate, ...]] = field(
+    _spoofed_chains: dict[str, tuple[Certificate, ...]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
@@ -82,11 +70,8 @@ class InterceptionProxy(MemoizableResponder):
         if self.mode is AttackMode.INCOMPLETE_HANDSHAKE:
             return ServerResponse(incomplete=True)
 
-        hostname = client_hello.server_name or "unknown.host"
-        chain = self._chains.get(hostname)
-        if chain is None:
-            chain = self._chains[hostname] = self._chain_for(hostname)
-        server_hello = negotiate(client_hello, _ATTACKER_VERSIONS, _ATTACKER_CIPHERS)
+        chain = self._chain_for(client_hello.server_name or "unknown.host")
+        server_hello = self.toolbox.negotiated(client_hello)
         if server_hello is None:
             # The attacker supports everything; reaching here means the
             # hello offered no suites we recognise.
@@ -114,7 +99,12 @@ class InterceptionProxy(MemoizableResponder):
         if self.mode is AttackMode.SPOOFED_CA:
             if self.target_root is None:
                 raise ValueError("SPOOFED_CA mode requires target_root")
-            return self.toolbox.spoofed_ca_chain(self.target_root, hostname)
+            chain = self._spoofed_chains.get(hostname)
+            if chain is None:
+                chain = self._spoofed_chains[hostname] = self.toolbox.spoofed_ca_chain(
+                    self.target_root, hostname
+                )
+            return chain
         if self.mode is AttackMode.UNKNOWN_CA:
             return self.toolbox.unknown_ca_chain(hostname)
         raise AssertionError(f"unhandled mode {self.mode}")  # pragma: no cover
@@ -137,7 +127,7 @@ class VersionProbeResponder(MemoizableResponder):
         return self.answer(client_hello, when=when)
 
     def answer(self, client_hello: ClientHello, *, when: datetime) -> ServerResponse:
-        server_hello = negotiate(client_hello, frozenset({self.version}), _ATTACKER_CIPHERS)
+        server_hello = negotiate(client_hello, frozenset({self.version}), ATTACKER_CIPHERS)
         if server_hello is None:
             return ServerResponse(incomplete=True)
         return ServerResponse(server_hello=server_hello, certificate_chain=self.chain)

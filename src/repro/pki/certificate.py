@@ -20,7 +20,7 @@ or the higher-level :class:`CertificateAuthority`.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .name import DistinguishedName
@@ -143,6 +143,14 @@ class Certificate:
         )
 
 
+_DEFAULT_NOT_BEFORE = utc(2018)
+_DEFAULT_NOT_AFTER = utc(2030)
+_LEAF_CONSTRAINTS = BasicConstraints(ca=False)
+_DEFAULT_KEY_USAGE = KeyUsage()
+#: The placeholder a certificate carries while its TBS bytes are encoded.
+_UNSIGNED = Signature(key_id="", tag="")
+
+
 @dataclass
 class CertificateBuilder:
     """Step-by-step construction of a certificate, then ``sign``.
@@ -155,11 +163,11 @@ class CertificateBuilder:
     subject: DistinguishedName | None = None
     issuer: DistinguishedName | None = None
     serial: int | None = None
-    not_before: datetime = field(default_factory=lambda: utc(2018))
-    not_after: datetime = field(default_factory=lambda: utc(2030))
+    not_before: datetime = _DEFAULT_NOT_BEFORE
+    not_after: datetime = _DEFAULT_NOT_AFTER
     public_key: PublicKey | None = None
-    basic_constraints: BasicConstraints = field(default_factory=lambda: BasicConstraints(ca=False))
-    key_usage: KeyUsage = field(default_factory=KeyUsage)
+    basic_constraints: BasicConstraints = _LEAF_CONSTRAINTS
+    key_usage: KeyUsage = _DEFAULT_KEY_USAGE
     subject_alt_names: tuple[str, ...] = ()
     crl_distribution_point: str | None = None
     ocsp_responder_url: str | None = None
@@ -197,7 +205,7 @@ class CertificateBuilder:
             raise ValueError("certificate requires a public key")
         issuer = issuer_name or self.issuer or self.subject
         serial = self.serial if self.serial is not None else next(_SERIAL_COUNTER)
-        unsigned = Certificate(
+        certificate = Certificate(
             subject=self.subject,
             issuer=issuer,
             serial=serial,
@@ -206,18 +214,19 @@ class CertificateBuilder:
             public_key=self.public_key,
             basic_constraints=self.basic_constraints,
             key_usage=self.key_usage,
-            signature=Signature(key_id="", tag=""),
+            signature=_UNSIGNED,
             subject_alt_names=self.subject_alt_names,
             crl_distribution_point=self.crl_distribution_point,
             ocsp_responder_url=self.ocsp_responder_url,
             must_staple=self.must_staple,
         )
-        tbs = unsigned.tbs_bytes()
-        signed = replace(unsigned, signature=signing_key.sign(tbs))
-        # The signature is not part of the TBS bytes, so the encoding just
-        # computed is the signed certificate's too.
-        object.__setattr__(signed, "_tbs_cache", tbs)
-        return signed
+        # The signature is not part of the TBS bytes, so the encoding
+        # cached here stays the signed certificate's.  Nothing has seen
+        # the instance yet, so setting the frozen field changes no hash.
+        object.__setattr__(
+            certificate, "signature", signing_key.sign(certificate.tbs_bytes())
+        )
+        return certificate
 
 
 class CertificateAuthority:

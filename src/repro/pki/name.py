@@ -11,7 +11,7 @@ signature validation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = ["DistinguishedName"]
@@ -32,6 +32,9 @@ class DistinguishedName:
     """A simplified X.500 distinguished name.
 
     Instances are immutable and hashable so they can key root-store sets.
+    Each caches its RFC 4514 rendering and normalised key on first use:
+    chain building asks for them tens of thousands of times per run.
+    Equality and hashing read the fields only, never the caches.
     """
 
     common_name: str
@@ -45,32 +48,35 @@ class DistinguishedName:
 
     def rfc4514(self) -> str:
         """Render in RFC 4514 string form, most-specific attribute first."""
-        parts = [f"CN={self.common_name}"]
-        if self.organizational_unit:
-            parts.append(f"OU={self.organizational_unit}")
-        if self.organization:
-            parts.append(f"O={self.organization}")
-        if self.country:
-            parts.append(f"C={self.country}")
-        return ",".join(parts)
+        cached = self.__dict__.get("_rfc4514")
+        if cached is None:
+            parts = [f"CN={self.common_name}"]
+            if self.organizational_unit:
+                parts.append(f"OU={self.organizational_unit}")
+            if self.organization:
+                parts.append(f"O={self.organization}")
+            if self.country:
+                parts.append(f"C={self.country}")
+            cached = ",".join(parts)
+            object.__setattr__(self, "_rfc4514", cached)
+        return cached
 
     def matches(self, other: "DistinguishedName") -> bool:
         """RFC 5280-style name comparison (case/whitespace-insensitive)."""
-        return (
-            _norm(self.common_name) == _norm(other.common_name)
-            and _norm(self.organization) == _norm(other.organization)
-            and _norm(self.organizational_unit) == _norm(other.organizational_unit)
-            and _norm(self.country) == _norm(other.country)
-        )
+        return self.normalized_key() == other.normalized_key()
 
     def normalized_key(self) -> tuple[str, str, str, str]:
         """Hashable normalised form, used to index issuer lookup tables."""
-        return (
-            _norm(self.common_name),
-            _norm(self.organization),
-            _norm(self.organizational_unit),
-            _norm(self.country),
-        )
+        cached = self.__dict__.get("_normalized_key")
+        if cached is None:
+            cached = (
+                _norm(self.common_name),
+                _norm(self.organization),
+                _norm(self.organizational_unit),
+                _norm(self.country),
+            )
+            object.__setattr__(self, "_normalized_key", cached)
+        return cached
 
     def __str__(self) -> str:  # pragma: no cover - convenience only
         return self.rfc4514()

@@ -12,7 +12,10 @@
 * a :class:`~repro.testbed.capture.GatewayCapture` recording everything
   that flows through :meth:`record_connection`,
 * the :class:`~repro.tls.engine.HandshakeMemo` its devices share, so
-  the pure work of a repeated handshake is done once per testbed.
+  the pure work of a repeated handshake is done once per testbed,
+* one :class:`~repro.mitm.forge.AttackerToolbox`, the on-path attacker
+  every active audit on the testbed shares, so each forged chain is
+  forged once per testbed.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from ..devices.catalog import build_catalog
 from ..devices.device import Device, DeviceConnection
 from ..devices.profile import DestinationSpec, DeviceProfile
 from ..devices.rootstores import anchor_records
+from ..mitm.forge import AttackerToolbox
 from ..pki.certificate import CertificateAuthority
 from ..pki.name import DistinguishedName
 from ..pki.revocation import RevocationRegistry, RevocationStatus
@@ -50,6 +54,7 @@ class Testbed:
         self._registries: dict[int, RevocationRegistry] = {}
         self._servers: dict[str, CloudServer] = {}
         self._devices: dict[str, Device] = {}
+        self._attacker: AttackerToolbox | None = None
         self.handshake_memo = HandshakeMemo()
 
     # ------------------------------------------------------------------
@@ -95,6 +100,13 @@ class Testbed:
                 self.registry(index),
             )
         return self._servers[destination.hostname]
+
+    def attacker(self) -> AttackerToolbox:
+        """The (cached) on-path attacker, holding a genuine chain from
+        anchor 0 for its own domain."""
+        if self._attacker is None:
+            self._attacker = AttackerToolbox(issuing_ca=self.anchor(0))
+        return self._attacker
 
     # ------------------------------------------------------------------
     # Devices

@@ -64,19 +64,26 @@ class AlertPolicy:
     on_bad_constraints: AlertDescription | None = AlertDescription.BAD_CERTIFICATE
     on_other: AlertDescription | None = AlertDescription.CERTIFICATE_UNKNOWN
 
+    def __post_init__(self) -> None:
+        # Frozen, so the code -> alert table is built once per policy.
+        object.__setattr__(
+            self,
+            "_by_code",
+            {
+                ValidationErrorCode.UNKNOWN_CA: self.on_unknown_ca,
+                ValidationErrorCode.BAD_SIGNATURE: self.on_bad_signature,
+                ValidationErrorCode.EXPIRED: self.on_expired,
+                ValidationErrorCode.NOT_YET_VALID: self.on_expired,
+                ValidationErrorCode.HOSTNAME_MISMATCH: self.on_hostname_mismatch,
+                ValidationErrorCode.INVALID_BASIC_CONSTRAINTS: self.on_bad_constraints,
+                ValidationErrorCode.PATHLEN_EXCEEDED: self.on_bad_constraints,
+                ValidationErrorCode.KEY_USAGE: self.on_bad_constraints,
+            },
+        )
+
     def alert_for(self, code: ValidationErrorCode) -> AlertDescription | None:
         """Map a typed validation failure to this library's alert choice."""
-        mapping = {
-            ValidationErrorCode.UNKNOWN_CA: self.on_unknown_ca,
-            ValidationErrorCode.BAD_SIGNATURE: self.on_bad_signature,
-            ValidationErrorCode.EXPIRED: self.on_expired,
-            ValidationErrorCode.NOT_YET_VALID: self.on_expired,
-            ValidationErrorCode.HOSTNAME_MISMATCH: self.on_hostname_mismatch,
-            ValidationErrorCode.INVALID_BASIC_CONSTRAINTS: self.on_bad_constraints,
-            ValidationErrorCode.PATHLEN_EXCEEDED: self.on_bad_constraints,
-            ValidationErrorCode.KEY_USAGE: self.on_bad_constraints,
-        }
-        return mapping.get(code, self.on_other)
+        return self._by_code.get(code, self.on_other)
 
     @property
     def distinguishes_unknown_ca(self) -> bool:
@@ -211,7 +218,8 @@ class _StaticKey:
 class LibraryClient(ClientBehavior):
     """A concrete TLS instance (library + configuration).
 
-    Frozen, so the static part of :meth:`memo_key` is computed once.
+    Frozen, so the static part of :meth:`memo_key` and the versions a
+    server may pick are computed once.
     """
 
     library: TLSLibrary
@@ -221,6 +229,7 @@ class LibraryClient(ClientBehavior):
         object.__setattr__(
             self, "_static_key", _StaticKey((self.library, _memo_fields(self.config)))
         )
+        object.__setattr__(self, "_acceptable", self._acceptable_versions())
 
     def memo_key(self) -> Hashable:
         # The store's contents can change under a live client: read them now.
@@ -290,7 +299,7 @@ class LibraryClient(ClientBehavior):
 
         # Refuse versions/ciphers the instance never offered; a correct
         # client does not let a ServerHello pick parameters unilaterally.
-        if server_hello.version not in self._acceptable_versions():
+        if server_hello.version not in self._acceptable:
             return ClientVerdict(
                 accept=False,
                 alert=self._alert(AlertDescription.PROTOCOL_VERSION),

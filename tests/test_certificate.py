@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+from dataclasses import fields, replace
+
 import pytest
 
 from repro.pki import (
     BasicConstraints,
+    Certificate,
     CertificateAuthority,
     CertificateBuilder,
     DistinguishedName,
     generate_keypair,
     utc,
 )
+from repro.pki.simcrypto import Signature
 
 
 class TestCertificateAuthority:
@@ -86,6 +90,52 @@ class TestCertificateBuilder:
         leaf, _ = simple_ca.issue_leaf("api.example.com")
         tampered = replace(leaf, subject_alt_names=("evil.example.com",))
         assert not tampered.verify_signature(simple_ca.keypair.public)
+
+
+class TestSignCaches:
+    """``sign`` builds one certificate and keeps its TBS encoding."""
+
+    def test_sign_equals_the_two_step_path(self, simple_ca):
+        builder = CertificateBuilder(
+            subject=DistinguishedName(common_name="two-step.example.com"),
+            issuer=simple_ca.name,
+            serial=4242,
+            public_key=generate_keypair(seed=b"two-step").public,
+            subject_alt_names=("two-step.example.com",),
+            ocsp_responder_url="http://ocsp.example",
+        )
+        signed = builder.sign(simple_ca.keypair.private)
+        # The path ``sign`` replaces: an unsigned certificate, then a copy
+        # of it carrying the signature over the unsigned one's TBS bytes.
+        unsigned = Certificate(
+            **{field.name: getattr(signed, field.name) for field in fields(Certificate)}
+            | {"signature": Signature(key_id="", tag="")}
+        )
+        signature = simple_ca.keypair.private.sign(unsigned.tbs_bytes())
+        two_step = replace(unsigned, signature=signature)
+        assert signed.tbs_bytes() == two_step.tbs_bytes() == replace(signed).tbs_bytes()
+        assert signed.signature == two_step.signature
+        assert signed == two_step and hash(signed) == hash(two_step)
+        assert signed.verify_signature(simple_ca.keypair.public)
+
+    def test_replace_recomputes_the_tbs_bytes(self, simple_ca):
+        leaf, _ = simple_ca.issue_leaf("stale.example.com")
+        cached = leaf.tbs_bytes()
+        moved = replace(leaf, serial=leaf.serial + 1)
+        assert moved.tbs_bytes() != cached
+        assert str(leaf.serial + 1).encode() in moved.tbs_bytes().split(b"\x1f")
+        assert not moved.verify_signature(simple_ca.keypair.public)
+        assert leaf.verify_signature(simple_ca.keypair.public)
+
+    def test_builder_defaults_are_shared_constants(self):
+        key = generate_keypair(seed=b"defaults")
+        first, second = (
+            CertificateBuilder(subject=DistinguishedName(common_name=name), public_key=key.public)
+            for name in ("a", "b")
+        )
+        assert first.not_before == utc(2018) and first.not_after == utc(2030)
+        assert first.basic_constraints == BasicConstraints(ca=False)
+        assert first.key_usage is second.key_usage
 
 
 class TestValidityWindow:

@@ -25,6 +25,8 @@ from unittest import mock
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro import api, telemetry
+from repro.analysis.export import campaign_to_document
+from repro.core import ActiveExperimentCampaign
 from repro.devices import build_catalog, device_by_name
 from repro.devices.profile import STUDY_MONTHS, month_to_date
 from repro.devices.policies import RevocationBehavior
@@ -219,6 +221,28 @@ def test_fresh_proxies_share_one_client_hello(monkeypatch):
     assert all(hello is hellos[0] for hello in hellos)
     # Each proxy's answer went with the proxy; the live one's remains.
     assert len(testbed.handshake_memo) == 1
+
+
+def test_one_attacker_per_testbed_changes_no_campaign(monkeypatch):
+    """Every auditor shares the testbed's attacker, and with it its forged
+    chains, negotiations and spoof leaf keys; a toolbox per auditor, as
+    each auditor once built its own, gives the same campaign."""
+    built = []
+    original_init = AttackerToolbox.__post_init__
+
+    def counting(self):
+        built.append(self)
+        original_init(self)
+
+    monkeypatch.setattr(AttackerToolbox, "__post_init__", counting)
+    shared = campaign_to_document(ActiveExperimentCampaign(Testbed(_UNIVERSE)).run())
+    assert len(built) == 1
+    monkeypatch.setattr(
+        Testbed, "attacker", lambda self: AttackerToolbox(issuing_ca=self.anchor(0))
+    )
+    fresh = campaign_to_document(ActiveExperimentCampaign(Testbed(_UNIVERSE)).run())
+    assert len(built) == 1 + 5  # three auditors, the passthrough and its auditor
+    assert shared == fresh
 
 
 def test_memo_key_covers_every_client_config_field():

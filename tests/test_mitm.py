@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.devices.configs import FS_MODERN, RSA_PLAIN
 from repro.mitm import (
@@ -15,8 +16,17 @@ from repro.mitm import (
     PassthroughResponder,
     VersionProbeResponder,
 )
-from repro.pki import RootStore, ValidationErrorCode, utc, validate_chain
-from repro.tls import ClientHello, ProtocolVersion, sni
+from repro.mitm.forge import ATTACKER_CIPHERS, ATTACKER_VERSIONS
+from repro.pki import (
+    CertificateAuthority,
+    DistinguishedName,
+    RootStore,
+    ValidationErrorCode,
+    utc,
+    validate_chain,
+)
+from repro.tls import ClientHello, ProtocolVersion, negotiate, sni, supported_versions_ext
+from repro.tls.ciphersuites import REGISTRY
 
 WHEN = utc(2021, 3)
 HOST = "victim.example.com"
@@ -162,3 +172,109 @@ class TestPassthroughResponder:
         assert intercepted.certificate_chain[0].is_self_signed
         assert responder.passed_through == [destination.hostname]
         assert responder.intercepted == ["somewhere.else"]
+
+
+# ----------------------------------------------------------------------
+# One attacker shared by every proxy: its caches change no answer
+# ----------------------------------------------------------------------
+_ROOTS = [
+    CertificateAuthority(
+        DistinguishedName(common_name=f"Property Root {index}", organization="Property"),
+        seed=f"property-root:{index}".encode(),
+    )
+    for index in range(3)
+]
+#: The attacker every generated example shares, as one testbed's auditors do.
+_SHARED = AttackerToolbox(issuing_ca=_ROOTS[0])
+_STORE = RootStore.from_certificates("property", [_ROOTS[0].certificate])
+
+_HOSTNAMES = st.from_regex(r"[a-z0-9]{1,10}(\.[a-z0-9]{1,8}){1,2}", fullmatch=True)
+_FORGED_MODES = [
+    AttackMode.NO_VALIDATION,
+    AttackMode.FAILED_HANDSHAKE,
+    AttackMode.WRONG_HOSTNAME,
+    AttackMode.INVALID_BASIC_CONSTRAINTS,
+    AttackMode.UNKNOWN_CA,
+]
+
+
+@st.composite
+def _hellos(draw) -> ClientHello:
+    versions = draw(st.sets(st.sampled_from(sorted(ATTACKER_VERSIONS)), min_size=1))
+    codes = tuple(
+        draw(st.lists(st.sampled_from(sorted(REGISTRY)), min_size=1, max_size=8, unique=True))
+    )
+    hostname = draw(st.none() | _HOSTNAMES)
+    extensions = (sni(hostname),) if hostname else ()
+    if ProtocolVersion.TLS_1_3 in versions:
+        wire = tuple(version.wire for version in sorted(versions, reverse=True))
+        return ClientHello(
+            legacy_version=ProtocolVersion.TLS_1_2,
+            cipher_codes=codes,
+            extensions=(*extensions, supported_versions_ext(wire)),
+        )
+    return ClientHello(legacy_version=max(versions), cipher_codes=codes, extensions=extensions)
+
+
+def _identity(chain):
+    """Everything a client reads of a forged chain but the serials and
+    signatures, which each forging draws anew."""
+    return [
+        (cert.subject, cert.issuer, cert.public_key, cert.subject_alt_names,
+         cert.basic_constraints)
+        for cert in chain
+    ]
+
+
+class TestSharedAttacker:
+    @settings(max_examples=60, deadline=None)
+    @given(hostname=_HOSTNAMES, mode=st.sampled_from(_FORGED_MODES))
+    def test_one_chain_per_mode_and_hostname(self, hostname, mode):
+        hello = _hello(hostname)
+        first, second = (
+            InterceptionProxy(toolbox=_SHARED, mode=mode).respond(hello, when=WHEN)
+            for _ in range(2)
+        )
+        assert second.certificate_chain is first.certificate_chain
+        fresh = InterceptionProxy(toolbox=AttackerToolbox(issuing_ca=_ROOTS[0]), mode=mode)
+        forged = fresh.respond(hello, when=WHEN).certificate_chain
+        assert _identity(first.certificate_chain) == _identity(forged)
+        for check_hostname in (True, False):
+            cached, anew = (
+                validate_chain(
+                    list(chain),
+                    _STORE,
+                    when=WHEN,
+                    hostname=hostname,
+                    check_hostname=check_hostname,
+                    check_basic_constraints=check_hostname,
+                ).code
+                for chain in (first.certificate_chain, forged)
+            )
+            assert cached is anew
+
+    @settings(max_examples=80, deadline=None)
+    @given(hello=_hellos())
+    def test_negotiated_equals_negotiate(self, hello):
+        expected = negotiate(hello, ATTACKER_VERSIONS, ATTACKER_CIPHERS)
+        assert _SHARED.negotiated(hello) == expected
+        assert _SHARED.negotiated(hello) == expected  # from the cache
+        assert _SHARED.negotiated(replace(hello)) == expected  # an equal hello
+
+    @settings(max_examples=40, deadline=None)
+    @given(hostname=_HOSTNAMES, order=st.permutations(_ROOTS))
+    def test_spoofed_chain_keeps_its_side_channel(self, hostname, order):
+        # Every target twice for one hostname: the later chains reuse the
+        # cached spoofed roots and the hostname's cached leaf key.
+        for target in order * 2:
+            holds = RootStore.from_certificates("holds", [target.certificate])
+            other = next(root for root in _ROOTS if root is not target)
+            lacks = RootStore.from_certificates("lacks", [other.certificate])
+            chain = list(_SHARED.spoofed_ca_chain(target.certificate, hostname))
+            fresh = AttackerToolbox(issuing_ca=_ROOTS[0])
+            forged = fresh.spoofed_ca_chain(target.certificate, hostname)
+            assert _identity(chain) == _identity(forged)
+            present = validate_chain(chain, holds, when=WHEN, hostname=hostname)
+            absent = validate_chain(chain, lacks, when=WHEN, hostname=hostname)
+            assert present.code is ValidationErrorCode.BAD_SIGNATURE
+            assert absent.code is ValidationErrorCode.UNKNOWN_CA

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -59,3 +61,20 @@ class TestMatching:
 def test_hashable_and_usable_as_dict_key():
     a = DistinguishedName(common_name="CA")
     assert {a: 1}[DistinguishedName(common_name="CA")] == 1
+
+
+def test_pickled_name_keeps_equality_hash_and_matching():
+    """The cached rendering and key travel with a pickled name, and
+    equality and hashing still read only its fields."""
+    name = DistinguishedName(common_name="Root  CA", organization="Acme Corp")
+    assert name.rfc4514() == "CN=Root  CA,O=Acme Corp"  # fills both caches
+    assert name.matches(DistinguishedName(common_name="root ca", organization="ACME  corp"))
+    copy = pickle.loads(pickle.dumps(name))
+    fresh = DistinguishedName(common_name="Root  CA", organization="Acme Corp")
+    assert copy == name == fresh
+    assert hash(copy) == hash(name) == hash(fresh)
+    assert {name: 1}[copy] == 1
+    assert copy.rfc4514() == fresh.rfc4514()
+    assert copy.normalized_key() == fresh.normalized_key() == ("root ca", "acme corp", "", "")
+    assert copy.matches(DistinguishedName(common_name=" ROOT ca ", organization="acme corp"))
+    assert not copy.matches(DistinguishedName(common_name="Root CA", organization="Acme"))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.devices.configs import FS_MODERN, RSA_PLAIN
@@ -61,6 +63,21 @@ class TestCatalog:
         policy = library.alert_policy
         assert policy.alert_for(ValidationErrorCode.UNKNOWN_CA) is unknown
         assert policy.alert_for(ValidationErrorCode.BAD_SIGNATURE) is bad_sig
+
+    def test_a_replaced_policy_maps_its_own_alerts(self):
+        """Each policy builds its alert table once, from its own fields."""
+        policy = replace(
+            OPENSSL.alert_policy,
+            on_unknown_ca=AlertDescription.ACCESS_DENIED,
+            on_expired=None,
+        )
+        assert policy.alert_for(ValidationErrorCode.UNKNOWN_CA) is AlertDescription.ACCESS_DENIED
+        assert policy.alert_for(ValidationErrorCode.NOT_YET_VALID) is None
+        bad_signature = policy.alert_for(ValidationErrorCode.BAD_SIGNATURE)
+        assert bad_signature is AlertDescription.DECRYPT_ERROR
+        assert OPENSSL.alert_policy.alert_for(ValidationErrorCode.UNKNOWN_CA) is (
+            AlertDescription.UNKNOWN_CA
+        )
 
     def test_silent_libraries_flagged(self):
         assert not GNUTLS.sends_alerts
