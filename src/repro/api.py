@@ -19,7 +19,8 @@ pure function of (command, config) that no host-local field reaches.
 Failure modes that the CLI turns into exit codes are typed exceptions
 here (:class:`UnknownDeviceError`, :class:`DeviceNotProbeableError`,
 :class:`UnknownCommandError`), so programmatic callers can branch on
-them.
+them.  :class:`WorkerCrashed` reports a warm-pool worker that died
+mid-run; ``iotls serve`` answers it with 503.
 
 The passive trace runs as one stream: the generator feeds each
 device's chunk through a :class:`~repro.testbed.capture.CaptureTee`
@@ -76,6 +77,7 @@ __all__ = [
     "TraceResult",
     "UnknownCommandError",
     "UnknownDeviceError",
+    "WorkerCrashed",
     "command_names",
     "command_spec",
     "execute",
@@ -112,7 +114,8 @@ class RunConfig:
     #: build the generator's default-seed trace.
     seed: str = "iotls-passive"
     #: Telemetry for this run: every run sets the process-wide runtime to
-    #: this switch, zeroed, so no count leaks in from an earlier run.
+    #: this switch and empties its registry, so neither a count nor a
+    #: declared counter leaks in from an earlier run in the process.
     telemetry: bool = False
     #: Run the passive trace in streaming mode (bounded memory).
     stream: bool = False
@@ -204,6 +207,15 @@ class UnknownCommandError(RunError):
         known = ", ".join(command_names())
         super().__init__(f"unknown command {command!r} (known: {known})")
         self.command = command
+
+
+class WorkerCrashed(RunError):
+    """A warm-pool worker process died while the run's tasks were on it.
+
+    The pool has already replaced its processes when this is raised, so
+    the next run dispatches onto live ones.  The run is not retried: a
+    task that kills its worker would kill the next one too.
+    """
 
 
 # ----------------------------------------------------------------------
@@ -423,8 +435,8 @@ def _workers(config: RunConfig) -> int:
 
 
 def _configure_telemetry(config: RunConfig) -> None:
-    """Switch the process-wide runtime to ``config.telemetry``, zeroed:
-    a run's counts are its own, whatever ran before it in the process."""
+    """Switch the process-wide runtime to ``config.telemetry``, emptied:
+    a run's metrics are its own, whatever ran before it in the process."""
     # Refuse before any artifact is opened; the pool itself refuses
     # dispatch under telemetry for callers that bypass this facade.
     if config.telemetry and config.pool is not None:

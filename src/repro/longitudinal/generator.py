@@ -255,9 +255,9 @@ class PassiveTraceGenerator:
 
         Without a pool, devices replay in-process.  Otherwise each
         device is one task on the pool and chunks come home through
-        ``Pool.imap`` in task order.  Callers consume it under
-        ``contextlib.closing`` so a failing fold abandons the dispatch at
-        once, not when the generator is collected.
+        ``pool.imap`` in task order.  Callers consume it under
+        ``contextlib.closing`` so a failing fold cancels the tasks not
+        yet started at once, not when the generator is collected.
         """
         if pool is None:
             for profile in passive_devices():

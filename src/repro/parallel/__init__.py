@@ -2,9 +2,9 @@
 
 ``repro.parallel`` runs device-keyed workloads on a resident
 :class:`WarmWorkerPool` and merges the results in catalog order, so a
-pooled run produces byte-identical artifacts to the serial one.  Only
-``iotls serve`` holds a pool (see ``docs/architecture.md`` for the
-dispatch/merge model and the determinism argument).
+pooled run produces byte-identical artifacts to the serial one; a worker
+that dies fails the run with :class:`repro.api.WorkerCrashed`.  Only
+``iotls serve`` holds a pool (see ``docs/architecture.md``).
 """
 
 from .pool import WarmWorkerPool

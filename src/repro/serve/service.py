@@ -36,7 +36,8 @@ Request lifecycle (``POST /runs``):
    (one pool spans the server's lifetime, so every request reuses the
    same warm processes).  The run's own ``_ledger_session``
    appends exactly one ledger entry, which *is* the cache population --
-   the next identical tenant hits in step 3.
+   the next identical tenant hits in step 3.  A pool worker dying
+   mid-run answers ``503`` (:class:`repro.api.WorkerCrashed`).
 
 While a run executes, the executor emits ``request.heartbeat`` events
 every ``heartbeat_interval`` seconds into the server-wide
@@ -465,16 +466,15 @@ class FleetService:
                 self._queue.put_nowait(job)
             except asyncio.QueueFull:
                 self.cache.misses -= 1
-                raise HttpError(
-                    429,
-                    "run queue is full",
-                    headers={"Retry-After": str(self.config.retry_after)},
-                ) from None
+                raise self._retry_later(429, "run queue is full") from None
             if key is not None:
                 self._inflight[key] = future
 
         try:
             result = await asyncio.shield(future)
+        except api.WorkerCrashed as exc:
+            # The pool has replaced the dead worker: a retry recomputes.
+            raise self._retry_later(503, str(exc)) from None
         except api.UnknownDeviceError as exc:
             raise HttpError(404, str(exc)) from None
         except api.RunError as exc:
@@ -483,6 +483,12 @@ class FleetService:
             raise HttpError(400, str(exc)) from None
         await self._respond_result(writer, spec, result, digest, cache_state)
         self._log_request(request, command, digest, cache_state, started)
+
+    def _retry_later(self, status: int, message: str) -> HttpError:
+        """An error answer that tells the client when to try again."""
+        return HttpError(
+            status, message, headers={"Retry-After": str(self.config.retry_after)}
+        )
 
     def _log_request(
         self,
@@ -591,10 +597,8 @@ class FleetService:
             handle = await asyncio.to_thread(path.open, "rb")
         except FileNotFoundError:
             # A retry recomputes: lookup_config skips dangling artifacts.
-            raise HttpError(
-                503,
-                f"artifact vanished before it was sent: {path.name}",
-                headers={"Retry-After": str(self.config.retry_after)},
+            raise self._retry_later(
+                503, f"artifact vanished before it was sent: {path.name}"
             ) from None
         try:
             await send_file(writer, handle, headers)

@@ -68,9 +68,6 @@ class Metric:
     def label_sets(self) -> list[LabelKey]:
         return sorted(self._series)
 
-    def clear(self) -> None:
-        self._series.clear()
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, series={len(self._series)})"
 
@@ -215,12 +212,8 @@ class MetricsRegistry:
             yield self._metrics[name]
 
     def reset(self) -> None:
-        """Zero every series, keeping registrations (and bucket layouts)."""
-        for metric in self._metrics.values():
-            metric.clear()
-
-    def clear(self) -> None:
-        """Drop every registration entirely."""
+        """Drop every registration: what a run declares after a reset is
+        exactly what a fresh process would hold after the same run."""
         self._metrics.clear()
 
     @staticmethod

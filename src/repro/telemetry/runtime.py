@@ -49,8 +49,9 @@ class TelemetryRuntime:
     ) -> "TelemetryRuntime":
         """Switch telemetry on or off, optionally resetting state.
 
-        ``reset=True`` (the default) zeroes metrics so a run's snapshot
-        covers exactly that run.
+        ``reset=True`` (the default) drops every metric, so a run's
+        snapshot covers exactly that run, zero-valued declarations
+        included.
         """
         if reset:
             self.reset()

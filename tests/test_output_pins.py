@@ -7,9 +7,10 @@ as a cache hit.  These pins make such a move fail here: a change that
 moves an output on purpose bumps the version and adds that version's
 pins; one that moves nothing leaves both alone.
 
-Each pin is what the CLI prints or writes, run in a fresh process (a
-telemetry manifest lists every counter its process has declared, so a
-run earlier in the same process could add zeroed counters to it):
+Each pin is what the CLI prints or writes, run in a fresh process.  A
+run empties the telemetry registry before it starts, so the same run
+after another in one process records the same manifest (the last test
+holds that for ``audit_telemetry``):
 
 * ``trace``: the manifest digest of ``iotls trace --scale 1``.  A plain
   manifest carries no artifact and no counters, so this pins the
@@ -80,3 +81,17 @@ def test_audit_document_and_telemetry_manifest_are_pinned(tmp_path):
     document = hashlib.blake2s((tmp_path / "campaign.json").read_bytes(), digest_size=16)
     assert document.hexdigest() == pins["audit_json"]
     assert digest == pins["audit_telemetry"]
+
+
+def test_a_run_earlier_in_the_process_leaves_no_counter_behind(tmp_path):
+    from repro import api, telemetry
+
+    try:
+        api.run_trace(api.RunConfig(scale=1, telemetry=True, stream=True, ledger=None))
+        audit = api.run_audit(
+            api.RunConfig(telemetry=True, ledger=None),
+            json_path=tmp_path / "campaign.json",
+        )
+    finally:
+        telemetry.configure(enabled=False)
+    assert audit.manifest_digest == PINS[repro.__version__]["audit_telemetry"]

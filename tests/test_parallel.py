@@ -2,19 +2,30 @@
 
 The contract under test: a run handed a warm pool produces *identical*
 artifacts to the serial one -- same capture JSON, same campaign headline
-numbers, same manifests -- and a pooled run refuses telemetry, which
-its workers would never ship home.
+numbers, same manifests -- a pooled run refuses telemetry, which its
+workers would never ship home, and a worker that dies ends the dispatch
+in a typed error, never a hang.
 """
 
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import threading
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import telemetry
 from repro.analysis.export import capture_to_document
+from repro.api import WorkerCrashed
 from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
 from repro.longitudinal.generator import PassiveTraceGenerator
 from repro.parallel import WarmWorkerPool
@@ -71,45 +82,142 @@ class TestWarmPoolSession:
             assert stats.pop("dispatch_seconds") >= 0
             assert stats == {
                 "workers": 2,
-                "batches": 2,
-                "tasks_dispatched": 4,
                 "dispatches": 4,
                 "reused_dispatches": 2,
             }
         pool.close()  # idempotent after the with block
 
 
+#: Seconds a pool call may take before the test calls it hung.
+DEADLINE = 30.0
+
+
+def within(seconds: float, call):
+    """``call()`` on a thread joined with a timeout: a call still
+    running after ``seconds`` fails the test instead of hanging it."""
+    outcome: dict = {}
+
+    def target():
+        try:
+            outcome["value"] = call()
+        except BaseException as exc:
+            outcome["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"still running after {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
+
+
+def _exit_worker(code: int) -> None:
+    os._exit(code)
+
+
+def _mark_done(path: str) -> str:
+    time.sleep(0.25)
+    Path(path).touch()
+    return path
+
+
 class TestPoolTeardown:
-    """``close()`` terminates a drained pool and joins one with a
-    dispatch still outstanding."""
+    """Tasks not yet started are cancelled, so neither an abandoned
+    ``imap`` nor ``close()`` waits for the rest of a dispatch."""
 
-    def _record_teardown(self, pool: WarmWorkerPool, monkeypatch) -> list[str]:
-        calls: list[str] = []
-        for name in ("terminate", "close", "join"):
-            original = getattr(pool._pool, name)
+    TASKS = 40  # 10 s of work on 2 workers
 
-            def spy(original=original, name=name):
-                calls.append(name)
-                return original()
+    def _paths(self, tmp_path) -> list[str]:
+        return [str(tmp_path / f"{i}.done") for i in range(self.TASKS)]
 
-            monkeypatch.setattr(pool._pool, name, spy)
-        return calls
-
-    def test_drained_pool_terminates(self, monkeypatch):
+    def test_close_with_an_abandoned_imap_returns(self, tmp_path):
         pool = WarmWorkerPool(2)
-        calls = self._record_teardown(pool, monkeypatch)
-        assert pool.map(abs, [-1, -2]) == [1, 2]
-        assert list(pool.imap(abs, [-3, -4])) == [3, 4]
-        pool.close()
-        assert calls == ["terminate"]
+        results = pool.imap(_mark_done, self._paths(tmp_path))
+        assert next(results) == str(tmp_path / "0.done")
+        # Running every task would take 10 s; close() cancels the rest.
+        within(5.0, pool.close)
+        assert len(list(tmp_path.iterdir())) < self.TASKS
 
-    def test_abandoned_imap_still_joins(self, monkeypatch):
-        pool = WarmWorkerPool(2)
-        calls = self._record_teardown(pool, monkeypatch)
-        results = pool.imap(abs, [-1, -2, -3])
-        assert next(results) == 1
-        pool.close()
-        assert calls == ["close", "join"]
+    def test_closing_imap_part_way_cancels_unstarted_tasks(self, tmp_path):
+        with WarmWorkerPool(2) as pool:
+            results = pool.imap(_mark_done, self._paths(tmp_path))
+            assert next(results) == str(tmp_path / "0.done")
+            results.close()
+            # The tasks already handed to a process finish; none after.
+            within(DEADLINE, lambda: pool.map(abs, [-1]))
+            assert len(list(tmp_path.iterdir())) < self.TASKS
+
+
+class TestWorkerDeath:
+    """A dead worker ends its dispatch in ``WorkerCrashed``; the pool has
+    live processes again by the time the error arrives."""
+
+    def test_dead_worker_raises_then_the_pool_serves_again(self):
+        with WarmWorkerPool(2) as pool:
+            with pytest.raises(WorkerCrashed):
+                within(DEADLINE, lambda: pool.map(_exit_worker, [9]))
+            assert within(DEADLINE, lambda: pool.map(abs, [-1, -2])) == [1, 2]
+
+    def test_concurrent_dispatches_share_one_rebuild(self, tmp_path, monkeypatch):
+        spawned = []
+        real_spawn = WarmWorkerPool._spawn
+
+        def counting_spawn(pool):
+            spawned.append(real_spawn(pool))
+            return spawned[-1]
+
+        monkeypatch.setattr(WarmWorkerPool, "_spawn", counting_spawn)
+        before = set(multiprocessing.active_children())
+        with WarmWorkerPool(2) as pool:
+            victim = (set(multiprocessing.active_children()) - before).pop()
+            crashed = []
+
+            def dispatch(thread: int) -> None:
+                paths = [str(tmp_path / f"{thread}-{i}") for i in range(8)]
+                with pytest.raises(WorkerCrashed):
+                    pool.map(_mark_done, paths)
+                crashed.append(thread)
+
+            # More dispatching threads than cores, all on the first executor.
+            threads = [threading.Thread(target=dispatch, args=(i,)) for i in range(4)]
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + DEADLINE
+            while pool.stats()["dispatches"] < 4 * 8 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            os.kill(victim.pid, signal.SIGKILL)
+            for thread in threads:
+                thread.join(DEADLINE)
+            assert not any(thread.is_alive() for thread in threads)
+            assert sorted(crashed) == [0, 1, 2, 3]
+            assert len(spawned) == 2  # the first executor and one rebuild
+            assert within(DEADLINE, lambda: pool.map(abs, [-1, -2])) == [1, 2]
+
+    def test_script_without_main_guard_fails_fast(self, tmp_path):
+        # Spawned workers re-run an unguarded script, whose pool cannot
+        # start processes while its own process is still bootstrapping.
+        script = tmp_path / "unguarded.py"
+        script.write_text(
+            textwrap.dedent(
+                """
+                from repro.parallel import WarmWorkerPool
+
+                print(WarmWorkerPool(2).map(abs, [-1, -2]))
+                """
+            )
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        completed = subprocess.run(
+            [sys.executable, str(script)],
+            cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=DEADLINE,
+        )
+        assert completed.returncode != 0
+        assert "repro.api.WorkerCrashed" in completed.stderr
 
 
 # ----------------------------------------------------------------------

@@ -11,6 +11,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import os
+import signal
 import threading
 from dataclasses import replace
 from pathlib import Path
@@ -282,6 +285,42 @@ class TestPooledService:
             else:
                 direct = api.run_audit(config)
             assert headers["x-iotls-manifest-digest"] == direct.manifest_digest, body
+
+    def test_killed_worker_answers_503_and_the_retry_recomputes(self, tmp_path):
+        body = {"command": "trace", "scale": 1, "seed": "worker-killed"}
+        before = set(multiprocessing.active_children())
+
+        async def scenario(service):
+            # start() started the resident pool's two processes.
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == 2
+            os.kill(workers.pop().pid, signal.SIGKILL)
+            async def send():
+                # A hang fails here instead of stalling the suite.
+                return await asyncio.wait_for(request(service.port, "POST", "/runs", body), 60)
+
+            return await send(), await send()
+
+        telemetry.configure(enabled=False)
+        (status, headers, _), (status2, headers2, content2) = asyncio.run(
+            with_service(serve_config(tmp_path, workers=2), scenario)
+        )
+        assert status == 503
+        assert headers["retry-after"] == str(ServeConfig.retry_after)
+        entries = ledger.load_ledger(tmp_path / "ledger.jsonl")
+        assert [(e["status"], (e.get("error") or {}).get("type")) for e in entries] == [
+            ("error", "WorkerCrashed"),
+            ("ok", None),
+        ]
+        assert (status2, headers2["x-iotls-cache"]) == (200, "miss")
+        # The manifest names the stream artifact, which serve names by digest.
+        digest = headers2["x-iotls-config-digest"]
+        stream_path = tmp_path / "direct" / f"{digest}.records.jsonl"
+        stream_path.parent.mkdir()
+        config = api.RunConfig(scale=1, seed="worker-killed", ledger=None)
+        direct = api.run_trace(config, stream_path=stream_path)
+        assert content2 == stream_path.read_bytes()
+        assert headers2["x-iotls-manifest-digest"] == direct.manifest_digest
 
 
 class TestCacheContract:

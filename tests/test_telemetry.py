@@ -117,11 +117,12 @@ class TestDisabledRegistry:
         counter.inc()
         assert counter.total() == 1
 
-    def test_reset_zeroes_but_keeps_registrations(self):
+    def test_reset_drops_registrations(self):
         registry = MetricsRegistry()
         registry.counter("c_total").inc(3)
         registry.reset()
-        assert "c_total" in registry
+        assert "c_total" not in registry
+        assert list(registry.metrics()) == []
         assert registry.counter("c_total").total() == 0
 
 
