@@ -27,7 +27,10 @@ from ..devices.device import Device
 from ..devices.profile import ACTIVE_EXPERIMENT_MONTH, DestinationSpec
 from ..mitm.passthrough import PassthroughResponder
 from ..mitm.proxy import AttackMode, InterceptionProxy
+from ..testbed.cloud import month_of
 from ..testbed.infrastructure import Testbed
+from ..tls.engine import MemoizableResponder
+from ..tls.messages import ServerResponse
 from .interception import DeviceInterceptionReport, InterceptionAuditor, TABLE2_ATTACKS
 
 __all__ = ["PassthroughOutcome", "PassthroughExperiment", "has_followup"]
@@ -143,7 +146,7 @@ class PassthroughExperiment:
         return outcomes
 
 
-class _GenuineRouter:
+class _GenuineRouter(MemoizableResponder):
     """Responder that routes a hello to the genuine server by hostname."""
 
     def __init__(self, testbed: Testbed, device: Device) -> None:
@@ -153,10 +156,19 @@ class _GenuineRouter:
         }
 
     def respond(self, client_hello, *, when):
-        hostname = client_hello.server_name or ""
-        server = self._by_host.get(hostname)
-        if server is None:
-            from ..tls.messages import ServerResponse
+        return self.replay(client_hello, self.answer(client_hello, when=when), when=when)
 
+    def memo_key(self, when):
+        # Every server's answer reads the epoch in effect, a function of
+        # the month.
+        return month_of(when)
+
+    def answer(self, client_hello, *, when):
+        server = self._by_host.get(client_hello.server_name or "")
+        if server is None:
             return ServerResponse(incomplete=True)
-        return server.respond(client_hello, when=when)
+        return server.answer(client_hello, when=when)
+
+    def replay(self, client_hello, response, *, when):
+        server = self._by_host.get(client_hello.server_name or "")
+        return response if server is None else server.replay(client_hello, response, when=when)

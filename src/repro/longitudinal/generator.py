@@ -16,6 +16,7 @@ fast, while benchmarks raise it toward the study's full volume.
 from __future__ import annotations
 
 from contextlib import closing
+from dataclasses import dataclass
 from hashlib import blake2s
 from typing import TYPE_CHECKING, Iterator
 
@@ -37,12 +38,31 @@ from ..testbed.infrastructure import Testbed
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..parallel import WarmWorkerPool
 
-__all__ = ["PassiveTraceGenerator", "DEFAULT_SCALE"]
+__all__ = ["PassiveTraceGenerator", "DeviceReplay", "DEFAULT_SCALE"]
 
 #: Connections per unit of destination weight per month.
 DEFAULT_SCALE = 40
 
 _TELEMETRY = _telemetry.get()
+
+
+@dataclass(frozen=True)
+class DeviceReplay:
+    """One device's trace before any seed, scale or flow cap reaches it.
+
+    ``columns`` are the handshake columns of a
+    :class:`~repro.testbed.capture.RecordChunk` (every keyword but
+    ``counts`` and ``revocation_events``); ``flows`` holds one
+    ``(hostname, month, weight, attempts)`` per connection, in record
+    order, from which :meth:`PassiveTraceGenerator.count_flows` draws
+    the counts.  All columns are tuples, so a kept replay is never
+    changed by the chunks built from it.
+    """
+
+    device: str
+    columns: dict[str, tuple]
+    flows: tuple[tuple[str, int, float, int], ...]
+    revocation_events: tuple[RevocationEvent, ...]
 
 
 class PassiveTraceGenerator:
@@ -92,13 +112,25 @@ class PassiveTraceGenerator:
     def generate_device_chunk(self, profile: DeviceProfile) -> RecordChunk:
         """Replay one device and return its columnar record chunk.
 
+        :meth:`replay_device` (the handshakes, which no seed, scale or
+        flow cap reaches) followed by :meth:`count_flows` (this
+        generator's per-seed flow counts).  The serial path runs both
+        for every device on every run; a pool worker keeps each
+        device's replay for its lifetime and only counts
+        (:func:`repro.parallel.workers.run_trace_chunk`).  Every sink
+        -- serial or fed by pool workers -- folds or expands the
+        returned chunk.
+        """
+        return self.count_flows(self.replay_device(profile))
+
+    def replay_device(self, profile: DeviceProfile) -> DeviceReplay:
+        """The seed-independent part of one device's chunk.
+
         This is the single copy of the month loop: handshakes happen
         here, base-record fields land in column lists (no per-flow
         :class:`~repro.testbed.capture.TrafficRecord` construction), and
         revocation side effects (CRL regeneration, OCSP responses) fire
-        at the same month boundaries as always.  Every sink -- serial
-        or fed by pool workers -- folds or expands the returned
-        chunk.
+        at the same month boundaries as always.
         """
         device = self.testbed.device(profile)
         window = profile.longitudinal
@@ -113,7 +145,7 @@ class PassiveTraceGenerator:
         established_cipher_codes: list = []
         client_alerts: list = []
         downgradeds: list[bool] = []
-        counts: list[int] = []
+        flows: list[tuple[str, int, float, int]] = []
         events: list[RevocationEvent] = []
         for month in range(STUDY_MONTHS):
             if not window.active_in(month):
@@ -131,12 +163,11 @@ class PassiveTraceGenerator:
                 connection = device.connect_destination(
                     destination, server, month=month, when=when
                 )
-                count = self._flow_count(
-                    profile.name, destination.hostname, month, destination.monthly_weight
-                )
                 hostname = destination.hostname
                 party = destination.party
-                for index, result in enumerate(connection.attempt.attempts):
+                attempts = connection.attempt.attempts
+                flows.append((hostname, month, destination.monthly_weight, len(attempts)))
+                for index, result in enumerate(attempts):
                     alert = result.client_alert
                     hostnames.append(hostname)
                     parties.append(party)
@@ -150,22 +181,38 @@ class PassiveTraceGenerator:
                         alert.description.name.lower() if alert else None
                     )
                     downgradeds.append(index > 0)
-                    counts.append(count)
             self._collect_revocation_events(profile, month, events)
-        return RecordChunk(
+        return DeviceReplay(
             profile.name,
-            hostnames=hostnames,
-            parties=parties,
-            months=months,
-            whens=whens,
-            client_hellos=client_hellos,
-            establisheds=establisheds,
-            established_versions=established_versions,
-            established_cipher_codes=established_cipher_codes,
-            client_alerts=client_alerts,
-            downgradeds=downgradeds,
+            columns=dict(
+                hostnames=tuple(hostnames),
+                parties=tuple(parties),
+                months=tuple(months),
+                whens=tuple(whens),
+                client_hellos=tuple(client_hellos),
+                establisheds=tuple(establisheds),
+                established_versions=tuple(established_versions),
+                established_cipher_codes=tuple(established_cipher_codes),
+                client_alerts=tuple(client_alerts),
+                downgradeds=tuple(downgradeds),
+            ),
+            flows=tuple(flows),
+            revocation_events=tuple(events),
+        )
+
+    def count_flows(self, replay: DeviceReplay) -> RecordChunk:
+        """``replay`` as a record chunk, with this generator's flow counts.
+
+        Every attempt of one connection carries the connection's count.
+        """
+        counts: list[int] = []
+        for hostname, month, weight, attempts in replay.flows:
+            counts += [self._flow_count(replay.device, hostname, month, weight)] * attempts
+        return RecordChunk(
+            replay.device,
+            **replay.columns,
             counts=counts,
-            revocation_events=events,
+            revocation_events=replay.revocation_events,
         )
 
     def _collect_revocation_events(
@@ -234,7 +281,10 @@ class PassiveTraceGenerator:
         exactly the serial arrival order: because every flow's jitter is
         a keyed hash of ``(seed, device, hostname, month)``
         (:meth:`_flow_count`), outputs and run manifests are the same
-        with or without the pool.
+        with or without the pool.  A worker that has replayed a device
+        before only draws its counts (:meth:`count_flows` over a kept
+        :meth:`replay_device`), which no seed, scale or flow cap can
+        tell apart from a fresh replay.
 
         A ``flow_cap`` splits batched records just before ``sink``
         (:class:`~repro.testbed.capture.FlowRecordChunker`): the cap is

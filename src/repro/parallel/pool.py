@@ -3,7 +3,10 @@
 A :class:`WarmWorkerPool` is one ``spawn`` ``ProcessPoolExecutor`` whose
 processes start with the pool, are warmed by an initializer that
 preloads the device catalog and the default testbed (the two expensive
-pure-function caches worker tasks need), and serve every dispatch.
+pure-function caches worker tasks need), and serve every dispatch.  A
+process also keeps each passive device's trace replay once it has run
+it (:mod:`repro.parallel.workers`), so a later trace for any seed,
+scale or flow cap only draws that seed's flow counts.
 
 Only ``iotls serve`` holds one: the fleet service owns a pool for its
 lifetime and passes it to each run as ``RunConfig(pool=...)``.  One-shot
@@ -16,10 +19,11 @@ enable telemetry, so nothing of theirs comes home but results;
 dispatching while the caller's telemetry is on raises ``ValueError``
 rather than return counters that miss the pooled work.
 
-A worker that dies breaks the executor: the pool swaps in a fresh one
-and raises :class:`repro.api.WorkerCrashed` instead of hanging.  The
-dispatch is not retried, since a task that kills its worker would kill
-the next one too.
+A worker that dies breaks the executor: the pool swaps in a fresh one,
+whose processes start with no kept replays, and raises
+:class:`repro.api.WorkerCrashed` instead of hanging.  The dispatch is
+not retried, since a task that kills its worker would kill the next one
+too.
 """
 
 from __future__ import annotations

@@ -11,6 +11,15 @@ universe -- anchors, intermediates, servers, and device stores are all
 derived from fixed seeds -- so a worker's handshakes are bit-identical
 to the ones the parent process would have performed.  Workers run with
 telemetry off and ship home results only.
+
+A worker also keeps each passive device's
+:class:`~repro.longitudinal.generator.DeviceReplay` for its lifetime:
+no seed, scale or flow cap reaches a device's handshakes, so a trace
+task replays a device the first time the process sees it and from then
+on only draws the task's flow counts.  The cache is bounded by the
+device catalog, and a process that replaces a dead worker starts empty.
+It lives here and not on the testbed, because a worker never counts
+telemetry and a serial run must count every handshake it stands for.
 """
 
 from __future__ import annotations
@@ -26,11 +35,12 @@ __all__ = [
 ]
 
 #: Per-process caches for pooled workers.  A pool process serves many
-#: tasks; the default testbed and the device catalog are pure functions
-#: of fixed seeds/data, so rebuilding them per task would cost time and
-#: change nothing.
+#: tasks; the default testbed, the device catalog and each device's
+#: trace replay are pure functions of fixed seeds/data, so rebuilding
+#: them per task would cost time and change nothing.
 _WORKER_TESTBED = None
 _WORKER_PROFILES: dict | None = None
+_WORKER_REPLAYS: dict = {}
 
 
 def _passive_profiles() -> dict:
@@ -72,19 +82,26 @@ class TraceChunkTask:
 
 
 def run_trace_chunk(task: TraceChunkTask):
-    """Replay one device and ship its chunk home.
+    """One device's chunk for the task's seed and scale, shipped home.
 
-    The chunk (a :class:`~repro.testbed.capture.RecordChunk`) crosses
-    the process boundary in columnar form -- no per-record objects are
-    pickled -- and carries no gateway-ingest counts: the parent's
-    terminal sink counts after any flow-cap splitting.
+    The device's replay is this process's kept one when it has been
+    seen before; only the flow counts are drawn per task.  The chunk (a
+    :class:`~repro.testbed.capture.RecordChunk`) crosses the process
+    boundary in columnar form -- no per-record objects are pickled --
+    and carries no gateway-ingest counts: the parent's terminal sink
+    counts after any flow-cap splitting.
     """
     from ..longitudinal.generator import PassiveTraceGenerator
 
     generator = PassiveTraceGenerator(
         _worker_testbed(), scale=task.scale, seed=task.seed
     )
-    return generator.generate_device_chunk(_passive_profiles()[task.device_name])
+    replay = _WORKER_REPLAYS.get(task.device_name)
+    if replay is None:
+        replay = _WORKER_REPLAYS[task.device_name] = generator.replay_device(
+            _passive_profiles()[task.device_name]
+        )
+    return generator.count_flows(replay)
 
 
 # ----------------------------------------------------------------------

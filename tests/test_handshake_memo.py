@@ -27,6 +27,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from repro import api, telemetry
 from repro.analysis.export import campaign_to_document
 from repro.core import ActiveExperimentCampaign
+from repro.core.passthrough import PassthroughExperiment
 from repro.devices import build_catalog, device_by_name
 from repro.devices.profile import STUDY_MONTHS, month_to_date
 from repro.devices.policies import RevocationBehavior
@@ -243,6 +244,40 @@ def test_one_attacker_per_testbed_changes_no_campaign(monkeypatch):
     fresh = campaign_to_document(ActiveExperimentCampaign(Testbed(_UNIVERSE)).run())
     assert len(built) == 1 + 5  # three auditors, the passthrough and its auditor
     assert shared == fresh
+
+
+def _passthrough_run() -> tuple[list, dict]:
+    telemetry.configure(enabled=True)
+    try:
+        outcomes = PassthroughExperiment(Testbed(_UNIVERSE)).run_all()
+        counters = {
+            metric.name: metric.series()
+            for metric in telemetry.get_registry().metrics()
+            if isinstance(metric, telemetry.Counter)
+        }
+    finally:
+        telemetry.configure(enabled=False)
+    return outcomes, counters
+
+
+def test_passthrough_rerun_goes_through_the_memo(monkeypatch):
+    """The passthrough re-run's routing responders are memoizable: none of
+    its handshakes takes the unmemoised path, and its outcomes and
+    counters equal a re-run with every handshake unmemoised."""
+    unmemoised = []
+    original = engine._handshake_unmemoised
+
+    def counting(*args):
+        unmemoised.append(args[2])
+        return original(*args)
+
+    monkeypatch.setattr(engine, "_handshake_unmemoised", counting)
+    memoised = _passthrough_run()
+    assert unmemoised == []
+    with mock.patch.object(engine, "_perform_handshake", _unmemoised):
+        reference = _passthrough_run()
+    assert unmemoised
+    assert memoised == reference
 
 
 def test_memo_key_covers_every_client_config_field():

@@ -27,8 +27,12 @@ from repro import telemetry
 from repro.analysis.export import capture_to_document
 from repro.api import WorkerCrashed
 from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
+from repro.devices.catalog import passive_devices
+from repro.devices.device import Device
 from repro.longitudinal.generator import PassiveTraceGenerator
-from repro.parallel import WarmWorkerPool
+from repro.parallel import TraceChunkTask, WarmWorkerPool
+from repro.testbed import Testbed
+from repro.testbed.capture import RecordChunk
 
 SEED = "parallel-equivalence"
 SCALE = 2
@@ -272,12 +276,52 @@ def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json, wo
 @settings(max_examples=6, deadline=None)
 @given(
     seed=st.text(min_size=1, max_size=12),
+    scale=st.integers(min_value=1, max_value=4),
     flow_cap=st.none() | st.integers(min_value=1, max_value=20),
 )
-def test_pooled_trace_matches_serial_for_any_seed(worker_pool, seed, flow_cap):
-    generator = PassiveTraceGenerator(scale=1, seed=seed, flow_cap=flow_cap)
+def test_pooled_trace_matches_serial_for_any_seed(worker_pool, seed, scale, flow_cap):
+    # The session pool's workers keep the replays of earlier examples
+    # (and earlier tests), so most chunks here are counts over kept
+    # replays; the serial run replays on a fresh testbed.
+    generator = PassiveTraceGenerator(scale=scale, seed=seed, flow_cap=flow_cap)
     serial = _capture_json(generator.generate())
     assert _capture_json(generator.generate(pool=worker_pool(2))) == serial
+
+
+def _columns(chunk: RecordChunk) -> tuple:
+    return tuple(getattr(chunk, name) for name in RecordChunk.__slots__)
+
+
+def test_a_worker_replays_each_device_once(monkeypatch):
+    """A trace task for a device the process has seen only draws counts,
+    and its chunk is the one a fresh serial generator builds."""
+    from repro.parallel import workers
+
+    monkeypatch.setattr(workers, "_WORKER_TESTBED", None)
+    monkeypatch.setattr(workers, "_WORKER_REPLAYS", {})
+    connects = []
+    original = Device.connect_destination
+
+    def counting(self, *args, **kwargs):
+        connects.append(self.name)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Device, "connect_destination", counting)
+    names = [profile.name for profile in passive_devices()]
+    for name in names:
+        workers.run_trace_chunk(TraceChunkTask(device_name=name, seed="first", scale=1))
+    assert set(connects) == set(names)
+    connects.clear()
+    chunks = [
+        workers.run_trace_chunk(TraceChunkTask(device_name=name, seed="second", scale=3))
+        for name in names
+    ]
+    assert connects == []
+
+    monkeypatch.setattr(Device, "connect_destination", original)
+    generator = PassiveTraceGenerator(Testbed(), seed="second", scale=3)
+    for profile, chunk in zip(passive_devices(), chunks):
+        assert _columns(chunk) == _columns(generator.generate_device_chunk(profile))
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

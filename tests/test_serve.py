@@ -286,6 +286,59 @@ class TestPooledService:
                 direct = api.run_audit(config)
             assert headers["x-iotls-manifest-digest"] == direct.manifest_digest, body
 
+    def test_served_bodies_match_one_shot_runs_over_generated_requests(self, tmp_path):
+        """One resident service, generated trace requests: after the first
+        miss its workers answer from kept device replays, and every body
+        still equals the stream a one-shot serial run writes."""
+        telemetry.configure(enabled=False)
+        loop = asyncio.new_event_loop()
+        thread = threading.Thread(target=loop.run_forever, daemon=True)
+        thread.start()
+
+        def on_loop(coroutine):
+            return asyncio.run_coroutine_threadsafe(coroutine, loop).result(timeout=300)
+
+        service = FleetService(serve_config(tmp_path, workers=2))
+        direct = tmp_path / "direct"
+        direct.mkdir()
+        seen: set[str] = set()
+
+        @settings(max_examples=5, deadline=None)
+        @given(
+            seed=st.text(min_size=1, max_size=12),
+            scale=st.integers(min_value=1, max_value=4),
+            flow_cap=st.none() | st.integers(min_value=1, max_value=20),
+        )
+        def served_equals_one_shot(seed, scale, flow_cap):
+            body = {"command": "trace", "scale": scale, "seed": seed}
+            if flow_cap is not None:
+                body["flow_cap"] = flow_cap
+            status, headers, content = on_loop(request(service.port, "POST", "/runs", body))
+            digest = headers["x-iotls-config-digest"]
+            # Hypothesis may draw a request twice: the repeat is a hit.
+            expected = "hit" if digest in seen else "miss"
+            assert (status, headers["x-iotls-cache"]) == (200, expected), body
+            seen.add(digest)
+            stream_path = direct / f"{digest}.records.jsonl"
+            config = api.RunConfig(scale=scale, seed=seed, flow_cap=flow_cap, ledger=None)
+            api.run_trace(config, stream_path=stream_path)
+            # A bool, so a failure reports at once instead of diffing
+            # megabytes of stream.
+            same = content == stream_path.read_bytes()
+            assert same, f"served body differs from the one-shot stream: {body}"
+
+        on_loop(service.start())
+        try:
+            served_equals_one_shot()
+            _, _, status = on_loop(request(service.port, "GET", "/status"))
+        finally:
+            on_loop(service.stop())
+            loop.call_soon_threadsafe(loop.stop)
+            thread.join()
+            loop.close()
+        # Every miss ran on the pool: 40 device tasks each.
+        assert json.loads(status)["pool"]["dispatches"] == 40 * len(seen)
+
     def test_killed_worker_answers_503_and_the_retry_recomputes(self, tmp_path):
         body = {"command": "trace", "scale": 1, "seed": "worker-killed"}
         before = set(multiprocessing.active_children())

@@ -10,10 +10,11 @@ operator) would:
    manifest digests, and **zero** new warm-pool dispatches for the hit,
 3. assert a distinct request misses (the cache is content-addressed,
    not request-order magic),
-4. compare the served trace body byte for byte with what a one-shot
+4. compare both served trace bodies byte for byte with what a one-shot
    serial ``iotls trace --stream-out`` writes for the same request: the
    server computes its misses on a warm worker pool, and the pool must
-   be invisible in the bytes,
+   be invisible in the bytes -- the distinct request is the first miss
+   whose workers answer from the device replays they kept,
 5. check the streamed body, the final ``GET /status`` document and the
    access log against their registered contracts
    (``iotls-trace-stream/1``, ``iotls-serve-status/1``,
@@ -154,25 +155,27 @@ def smoke(workdir: Path, port: int, workers: int) -> int:
                 f"-> {dispatches_after_hit}"
             )
 
-        distinct_headers, _ = post_run(base, OTHER_REQUEST)
+        distinct_headers, distinct_body = post_run(base, OTHER_REQUEST)
         if distinct_headers.get("X-IoTLS-Cache") != "miss":
             failures.append("distinct request did not miss the cache")
 
         stream_path = workdir / "stream-body.jsonl"
         stream_path.write_bytes(first_body)
-        one_shot = workdir / "one-shot.jsonl"
-        subprocess.run(
-            [
-                sys.executable, "-m", "repro.cli", "trace",
-                "--scale", str(TRACE_REQUEST["scale"]), "--seed", TRACE_REQUEST["seed"],
-                "--stream-out", str(one_shot), "--no-ledger",
-            ],
-            env=env, cwd=workdir, check=True, stdout=subprocess.DEVNULL,
-        )
-        if one_shot.read_bytes() != first_body:
-            failures.append(
-                f"served trace body differs from `iotls trace --stream-out` ({one_shot})"
+        for request, body in ((TRACE_REQUEST, first_body), (OTHER_REQUEST, distinct_body)):
+            one_shot = workdir / f"one-shot-{request['seed']}.jsonl"
+            subprocess.run(
+                [
+                    sys.executable, "-m", "repro.cli", "trace",
+                    "--scale", str(request["scale"]), "--seed", request["seed"],
+                    "--stream-out", str(one_shot), "--no-ledger",
+                ],
+                env=env, cwd=workdir, check=True, stdout=subprocess.DEVNULL,
             )
+            if one_shot.read_bytes() != body:
+                failures.append(
+                    f"served trace body for seed {request['seed']!r} differs from "
+                    f"`iotls trace --stream-out` ({one_shot})"
+                )
         for problem in check_contract(stream_path, TRACE_STREAM_SCHEMA):
             failures.append(f"trace stream: {problem}")
 
