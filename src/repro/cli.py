@@ -29,8 +29,7 @@ flag is declared once, in :data:`_FLAGS`, under the ``dest`` it feeds:
   ``--out``, ``--expected`` -> ``expected_path``, ``--artifact`` ->
   ``artifact_path``;
 * or a CLI-only setting the CLI handles around the run --
-  ``--metrics-out``, ``--manifest``, ``--profile``, ``--profile-out``,
-  ``--no-ledger``.
+  ``--manifest``, ``--profile``, ``--profile-out``, ``--no-ledger``.
 
 :data:`_COMMAND_FLAGS` says which flags each subcommand takes and the
 few defaults it overrides.  :func:`_execute` is the one path from a
@@ -122,10 +121,6 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
         "skipped)",
     )),
     # CLI-only settings
-    "metrics_out": ("--metrics-out", dict(
-        metavar="PATH",
-        help="write the run's metrics snapshot as JSON (implies --telemetry)",
-    )),
     "manifest": ("--manifest", dict(
         metavar="PATH",
         help="write the run manifest (provenance document) as canonical JSON; "
@@ -186,13 +181,13 @@ _FLAGS: dict[str, tuple[str, dict[str, Any]]] = {
 
 _PROFILE = ("profile", "profile_out")
 _LEDGER = ("ledger", "no_ledger")
-_OBSERVED = ("telemetry", "metrics_out", "manifest", *_PROFILE)
+_OBSERVED = ("telemetry", "manifest", *_PROFILE)
 
 #: The flags each subcommand takes (in help order) and the defaults it
 #: overrides.
 _COMMAND_FLAGS: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
     "audit": (("include_passthrough", *_OBSERVED, "json_path", *_LEDGER), {}),
-    "probe": (("device", "telemetry", "metrics_out", "json_path", *_LEDGER), {}),
+    "probe": (("device", "telemetry", "json_path", *_LEDGER), {}),
     "amenability": (("telemetry",), {}),
     "trace": (
         ("scale", "seed", "stream", "stream_path", "flow_cap", *_OBSERVED,
@@ -744,8 +739,6 @@ def _run_profiled(args: argparse.Namespace) -> int:
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     given = vars(args)
-    if given.get("metrics_out") is not None:
-        args.telemetry = True  # --metrics-out implies --telemetry
     telemetry_on = given.get("telemetry")
     if telemetry_on:
         telemetry.configure(enabled=True)
@@ -758,14 +751,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         status = 2
     if status == 0 and telemetry_on:
-        registry = telemetry.get_registry()
-        if given.get("metrics_out") is not None:
-            path = telemetry.write_snapshot(
-                registry, args.metrics_out, extra={"command": args.command}
-            )
-            print(f"wrote metrics snapshot {path}")
         print("\ntelemetry summary:")
-        print(telemetry.summary_table(registry))
+        print(telemetry.summary_table(telemetry.get_registry()))
     return status
 
 

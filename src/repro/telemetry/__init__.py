@@ -6,15 +6,16 @@ real TLS measurement tooling treats per-handshake telemetry as a
 first-class artifact.  This package instruments the reproduction the
 same way, with zero external dependencies:
 
-* :class:`MetricsRegistry` -- named counters and fixed-bucket
-  histograms (:mod:`repro.telemetry.metrics`),
+* :class:`MetricsRegistry` -- named counters and count/sum histograms
+  (:mod:`repro.telemetry.metrics`),
 * :func:`profile_call` -- a per-module ``cProfile`` profile of one
   command (:mod:`repro.telemetry.profiling`),
 * the fleet service's :class:`AccessLog` (:mod:`repro.telemetry.access`),
 * declarative benchmark SLOs over the trajectory
   (:mod:`repro.telemetry.slo`),
-* exporters -- JSON snapshots and a human summary table
-  (:mod:`repro.telemetry.export`),
+* run manifests, whose ``metrics`` section is the machine-readable
+  copy of a ``--telemetry`` run's counts (:mod:`repro.telemetry.provenance`),
+* a human summary table of the registry (:mod:`repro.telemetry.export`),
 * a process-wide opt-in runtime (:mod:`repro.telemetry.runtime`);
   disabled by default and no-op cheap when off.
 
@@ -22,12 +23,7 @@ See ``docs/observability.md`` for the metric catalog and the profile.
 """
 
 from .access import ACCESS_LOG_SCHEMA, AccessLog
-from .export import (
-    SNAPSHOT_SCHEMA,
-    metrics_snapshot,
-    summary_table,
-    write_snapshot,
-)
+from .export import summary_table
 from .ledger import (
     DEFAULT_LEDGER_PATH,
     LEDGER_SCHEMA,
@@ -47,12 +43,7 @@ from .ledger import (
     render_entry,
     rewrite_ledger,
 )
-from .metrics import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Histogram,
-    MetricsRegistry,
-)
+from .metrics import Counter, Histogram, MetricsRegistry
 from .profiling import profile_call, profile_document
 from .provenance import (
     MANIFEST_SCHEMA,
@@ -78,16 +69,7 @@ from .schemas import (
     is_registered,
     schema_id,
 )
-from .runtime import (
-    TelemetryRuntime,
-    configure,
-    disable,
-    enable,
-    enabled,
-    get,
-    get_registry,
-    reset,
-)
+from .runtime import TelemetryRuntime, configure, enabled, get, get_registry
 from .slo import (
     SLO_SCHEMA,
     Slo,
@@ -104,7 +86,6 @@ __all__ = [
     "API_SURFACE_SCHEMA",
     "AccessLog",
     "Counter",
-    "DEFAULT_BUCKETS",
     "DEFAULT_LEDGER_PATH",
     "DRIFT_REPORT_SCHEMA",
     "EXPECTATIONS_SCHEMA",
@@ -114,7 +95,6 @@ __all__ = [
     "MetricsRegistry",
     "PROFILE_SCHEMA",
     "SLO_SCHEMA",
-    "SNAPSHOT_SCHEMA",
     "STATUS_SCHEMA",
     "STREAM_SCHEMA_PREFIX",
     "Slo",
@@ -156,13 +136,8 @@ __all__ = [
     "schema_id",
     "trend_report",
     "write_manifest",
-    "disable",
-    "enable",
     "enabled",
     "get",
     "get_registry",
-    "metrics_snapshot",
-    "reset",
     "summary_table",
-    "write_snapshot",
 ]

@@ -1,95 +1,18 @@
-"""Exporters: JSON snapshots and a summary table.
+"""The human summary of a :class:`~repro.telemetry.metrics.MetricsRegistry`.
 
-Two render targets for one :class:`~repro.telemetry.metrics.MetricsRegistry`:
-
-* :func:`metrics_snapshot` / :func:`write_snapshot` -- a JSON document
-  in the same family as the repo's ``BENCH_*.json`` trajectory files
-  (plain nested dicts, sorted keys, a ``schema`` tag),
-* :func:`summary_table` -- an aligned human-readable table for CLI
-  output.
+:func:`summary_table` renders every series as an aligned text table for
+CLI output.  The machine-readable metrics are the run manifest's
+``metrics`` section (:func:`repro.telemetry.provenance.deterministic_metrics`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Any
+from .metrics import Histogram, LabelKey, MetricsRegistry
 
-from .metrics import Counter, Histogram, LabelKey, MetricsRegistry
-
-__all__ = [
-    "SNAPSHOT_SCHEMA",
-    "metrics_snapshot",
-    "summary_table",
-    "write_snapshot",
-]
-
-from .schemas import SNAPSHOT_SCHEMA  # registered in repro.telemetry.schemas
+__all__ = ["summary_table"]
 
 
-# ----------------------------------------------------------------------
-# JSON snapshot
-# ----------------------------------------------------------------------
-def _labels_dict(key: LabelKey) -> dict[str, str]:
-    return {name: value for name, value in key}
-
-
-def metrics_snapshot(
-    registry: MetricsRegistry, *, extra: dict[str, Any] | None = None
-) -> dict[str, Any]:
-    """The registry as one JSON-serialisable document."""
-    counters: dict[str, Any] = {}
-    histograms: dict[str, Any] = {}
-    for metric in registry.metrics():
-        if isinstance(metric, Counter):
-            counters[metric.name] = {
-                "help": metric.help,
-                "total": metric.total(),
-                "series": [
-                    {"labels": _labels_dict(key), "value": value}
-                    for key, value in sorted(metric.series().items())
-                ],
-            }
-        elif isinstance(metric, Histogram):
-            histograms[metric.name] = {
-                "help": metric.help,
-                "buckets": list(metric.buckets),
-                "series": [
-                    {
-                        "labels": _labels_dict(key),
-                        "count": state.count,
-                        "sum": state.sum,
-                        "cumulative_bucket_counts": state.cumulative(),
-                    }
-                    for key, state in sorted(metric.series().items())
-                ],
-            }
-    snapshot: dict[str, Any] = {
-        "schema": SNAPSHOT_SCHEMA,
-        "counters": counters,
-        "histograms": histograms,
-    }
-    if extra:
-        snapshot["meta"] = extra
-    return snapshot
-
-
-def write_snapshot(
-    registry: MetricsRegistry, path: str | Path, *, extra: dict[str, Any] | None = None
-) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = metrics_snapshot(registry, extra=extra)
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
-
-
-# ----------------------------------------------------------------------
-# Human summary
-# ----------------------------------------------------------------------
 def _format_value(value: int | float) -> str:
-    if isinstance(value, bool):  # pragma: no cover - defensive
-        return str(int(value))
     if isinstance(value, int):
         return str(value)
     if value == int(value) and abs(value) < 1e15:

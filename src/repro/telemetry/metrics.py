@@ -1,4 +1,4 @@
-"""Metric primitives: counters and fixed-bucket histograms.
+"""Metric primitives: counters and count/sum histograms.
 
 A :class:`MetricsRegistry` owns every metric by name.  Instruments are
 get-or-create (``registry.counter("iotls_handshakes_total")`` returns
@@ -15,11 +15,9 @@ decide how to render them.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterator
 
 __all__ = [
-    "DEFAULT_BUCKETS",
     "Counter",
     "Histogram",
     "HistogramSeries",
@@ -27,18 +25,8 @@ __all__ = [
     "MetricsRegistry",
 ]
 
-#: Default histogram bucket upper bounds (seconds): tuned for the
-#: simulation's microsecond-to-second operation range.  A final +Inf
-#: bucket is always implied.
-DEFAULT_BUCKETS: tuple[float, ...] = (
-    1e-6, 5e-6, 1e-5, 5e-5, 1e-4, 5e-4, 1e-3, 5e-3,
-    0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
-)
-
-#: Prometheus-compatible identifier rules, enforced at registration so
-#: every metric the registry holds renders as valid line protocol.
+#: Prometheus-compatible metric names, enforced at registration.
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
-_LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
 #: Canonical form of one observation's labels: sorted (key, value) pairs.
 LabelKey = tuple[tuple[str, str], ...]
@@ -64,9 +52,6 @@ class Metric:
     @property
     def enabled(self) -> bool:
         return self._registry.enabled
-
-    def label_sets(self) -> list[LabelKey]:
-        return sorted(self._series)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, series={len(self._series)})"
@@ -96,42 +81,19 @@ class Counter(Metric):
 
 
 class HistogramSeries:
-    """Per-label-set histogram state: bucket counts, sum, and count."""
+    """Per-label-set histogram state: observation count and sum."""
 
-    __slots__ = ("bucket_counts", "sum", "count")
+    __slots__ = ("sum", "count")
 
-    def __init__(self, n_buckets: int) -> None:
-        # One slot per finite bound plus the +Inf overflow slot.
-        self.bucket_counts = [0] * (n_buckets + 1)
+    def __init__(self) -> None:
         self.sum = 0.0
         self.count = 0
 
-    def cumulative(self) -> list[int]:
-        """Bucket counts as Prometheus cumulative ``le`` counts."""
-        out, running = [], 0
-        for value in self.bucket_counts:
-            running += value
-            out.append(running)
-        return out
-
 
 class Histogram(Metric):
-    """A fixed-bucket distribution (no dynamic resizing, no quantiles)."""
+    """A distribution kept as count and sum (no buckets, no quantiles)."""
 
     kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help_text: str,
-        registry: "MetricsRegistry",
-        buckets: Iterable[float] = DEFAULT_BUCKETS,
-    ) -> None:
-        super().__init__(name, help_text, registry)
-        bounds = tuple(sorted(float(bound) for bound in buckets))
-        if not bounds:
-            raise ValueError(f"histogram {name} needs at least one bucket bound")
-        self.buckets = bounds
 
     def observe(self, value: int | float, **labels: object) -> None:
         if not self._registry.enabled:
@@ -139,8 +101,7 @@ class Histogram(Metric):
         key = _label_key(labels)
         state = self._series.get(key)
         if state is None:
-            state = self._series[key] = HistogramSeries(len(self.buckets))
-        state.bucket_counts[bisect_left(self.buckets, value)] += 1
+            state = self._series[key] = HistogramSeries()
         state.sum += value
         state.count += 1
 
@@ -154,11 +115,6 @@ class Histogram(Metric):
     def sum(self, **labels: object) -> float:
         state = self._state(**labels)
         return state.sum if state else 0.0
-
-    def bucket_counts(self, **labels: object) -> list[int]:
-        """Raw (non-cumulative) per-bucket counts, +Inf slot last."""
-        state = self._state(**labels)
-        return list(state.bucket_counts) if state else [0] * (len(self.buckets) + 1)
 
     def series(self) -> dict[LabelKey, HistogramSeries]:
         return dict(self._series)
@@ -174,7 +130,7 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # Get-or-create instruments
     # ------------------------------------------------------------------
-    def _register(self, cls, name: str, help_text: str, **kwargs) -> Metric:
+    def _register(self, cls, name: str, help_text: str) -> Metric:
         existing = self._metrics.get(name)
         if existing is not None:
             if not isinstance(existing, cls):
@@ -185,17 +141,15 @@ class MetricsRegistry:
             return existing
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
-        metric = cls(name, help_text, self, **kwargs)
+        metric = cls(name, help_text, self)
         self._metrics[name] = metric
         return metric
 
     def counter(self, name: str, help_text: str = "") -> Counter:
         return self._register(Counter, name, help_text)
 
-    def histogram(
-        self, name: str, help_text: str = "", *, buckets: Iterable[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
-        return self._register(Histogram, name, help_text, buckets=buckets)
+    def histogram(self, name: str, help_text: str = "") -> Histogram:
+        return self._register(Histogram, name, help_text)
 
     # ------------------------------------------------------------------
     # Introspection / lifecycle
@@ -215,7 +169,3 @@ class MetricsRegistry:
         """Drop every registration: what a run declares after a reset is
         exactly what a fresh process would hold after the same run."""
         self._metrics.clear()
-
-    @staticmethod
-    def validate_label(name: str) -> bool:
-        return bool(_LABEL_RE.match(name))

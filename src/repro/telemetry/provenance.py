@@ -18,8 +18,8 @@ deliberate:
   *output*, and the output is worker-invariant; recording the schedule
   would break the byte-identity that makes manifests diffable
   (``determinism.workers_invariant`` records the guarantee instead),
-* **wall-clock readings** -- histogram sums/buckets (handshake
-  latencies) vary run to run, so :func:`deterministic_metrics` keeps
+* **wall-clock readings** -- histogram sums (handshake latencies)
+  vary run to run, so :func:`deterministic_metrics` keeps
   only counter series and histogram *observation counts*,
 * **artifact directories** -- artifacts are recorded by basename,
   byte count, and digest; where the bytes landed is not provenance.
@@ -152,8 +152,8 @@ def deterministic_metrics(registry: MetricsRegistry) -> dict[str, Any]:
 
     Includes counter series (event counts -- the parallel layer
     guarantees merged totals equal a serial run's) and histogram
-    *observation counts* per series.  Excludes histogram sums and bucket
-    placements (latency-dependent).
+    *observation counts* per series.  Excludes histogram sums
+    (latency-dependent).
     """
     counters: dict[str, Any] = {}
     histogram_counts: dict[str, Any] = {}
@@ -214,6 +214,8 @@ def build_manifest(
             "workers_invariant": True,
             "excluded": [
                 "worker count",
+                # Worded when histograms had buckets; kept so manifests
+                # (and their digests) stay byte-identical.
                 "wall-clock timings (histogram sums/buckets)",
                 "artifact directories",
             ],

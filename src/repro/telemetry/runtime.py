@@ -23,12 +23,9 @@ from .metrics import MetricsRegistry
 __all__ = [
     "TelemetryRuntime",
     "configure",
-    "disable",
-    "enable",
     "enabled",
     "get",
     "get_registry",
-    "reset",
 ]
 
 
@@ -41,26 +38,14 @@ class TelemetryRuntime:
         self.enabled = enabled
         self.registry = MetricsRegistry(enabled=enabled)
 
-    def configure(
-        self,
-        *,
-        enabled: bool = True,
-        reset: bool = True,
-    ) -> "TelemetryRuntime":
-        """Switch telemetry on or off, optionally resetting state.
-
-        ``reset=True`` (the default) drops every metric, so a run's
-        snapshot covers exactly that run, zero-valued declarations
-        included.
-        """
-        if reset:
-            self.reset()
+    def configure(self, *, enabled: bool = True) -> "TelemetryRuntime":
+        """Switch telemetry on or off, dropping every metric, so a run's
+        manifest counts exactly that run, zero-valued declarations
+        included."""
+        self.registry.reset()
         self.enabled = enabled
         self.registry.enabled = enabled
         return self
-
-    def reset(self) -> None:
-        self.registry.reset()
 
 
 #: The singleton every instrumented module shares.  Mutated in place,
@@ -80,17 +65,5 @@ def enabled() -> bool:
     return _RUNTIME.enabled
 
 
-def configure(**kwargs) -> TelemetryRuntime:
-    return _RUNTIME.configure(**kwargs)
-
-
-def enable(**kwargs) -> TelemetryRuntime:
-    return _RUNTIME.configure(enabled=True, **kwargs)
-
-
-def disable() -> TelemetryRuntime:
-    return _RUNTIME.configure(enabled=False)
-
-
-def reset() -> None:
-    _RUNTIME.reset()
+def configure(*, enabled: bool = True) -> TelemetryRuntime:
+    return _RUNTIME.configure(enabled=enabled)

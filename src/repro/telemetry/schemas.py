@@ -40,7 +40,6 @@ __all__ = [
     "MANIFEST_SCHEMA",
     "PROFILE_SCHEMA",
     "SLO_SCHEMA",
-    "SNAPSHOT_SCHEMA",
     "STATUS_SCHEMA",
     "STREAM_SCHEMA_PREFIX",
     "StreamSchema",
@@ -166,12 +165,6 @@ REGISTRY: tuple[StreamSchema, ...] = (
         "across worker counts",
     ),
     StreamSchema(
-        name="telemetry",
-        version=2,
-        kind="document",
-        description="metrics snapshot export (counters/histograms)",
-    ),
-    StreamSchema(
         name="profile",
         version=2,
         kind="document",
@@ -260,7 +253,6 @@ ACCESS_LOG_SCHEMA = schema_id("serve-access")
 SLO_SCHEMA = schema_id("slo")
 STATUS_SCHEMA = schema_id("serve-status")
 MANIFEST_SCHEMA = schema_id("manifest")
-SNAPSHOT_SCHEMA = schema_id("telemetry")
 PROFILE_SCHEMA = schema_id("profile")
 EXPECTATIONS_SCHEMA = schema_id("paper-expectations")
 DRIFT_REPORT_SCHEMA = schema_id("drift-report")

@@ -152,7 +152,7 @@ _DISPATCH_CASES = [
     ),
     (
         ["trace", "--scale", "3", "--seed", "s", "--flow-cap", "5", "--stream",
-         "--stream-out", "{tmp}/t.jsonl", "--metrics-out", "{tmp}/m.json",
+         "--stream-out", "{tmp}/t.jsonl", "--telemetry",
          "--manifest", "{tmp}/man.json", "--profile", "--profile-out",
          "{tmp}/p.json"],
         "trace",
@@ -209,10 +209,10 @@ class TestCLIDispatch:
             calls.append((command, config, extras, telemetry.enabled()))
             raise _Dispatched
 
-        telemetry.disable()
+        telemetry.configure(enabled=False)
         monkeypatch.setattr(api, "execute", record)
         yield calls
-        telemetry.disable()
+        telemetry.configure(enabled=False)
 
     @staticmethod
     def _fill(value, tmp):
@@ -319,7 +319,7 @@ class TestCLIUsageErrors:
             (["trace", "--stream", "--json", "{tmp}/t.json"], "streaming runs export JSONL"),
             (["trace", "--scale", "0"], "scale must be >= 1"),
             (
-                ["trace", "--scale", "0", "--metrics-out", "{tmp}/m.json"],
+                ["trace", "--scale", "0", "--telemetry"],
                 "scale must be >= 1",
             ),
             (["pcap", "--scale", "-1", "--out", "{tmp}/x.pcap"], "scale must be >= 1"),
@@ -329,7 +329,7 @@ class TestCLIUsageErrors:
             "trace-zero-flow-cap",
             "trace-stream-json",
             "trace-zero-scale",
-            "trace-zero-scale-metrics-out",
+            "trace-zero-scale-telemetry",
             "pcap-negative-scale",
         ],
     )

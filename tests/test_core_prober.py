@@ -329,7 +329,10 @@ class TestProbeReboot:
         try:
             RootStoreProber(testbed).probe_device(device)
             counted = runtime.registry.get("iotls_probe_reboots_total").value(device=name)
+            handshakes = runtime.registry.get("iotls_handshakes_total").total()
         finally:
             telemetry.configure(enabled=False)
         assert counted == reboots
         assert connects == [device.first_destination().hostname] * reboots
+        # A reboot connects only the probed destination: one handshake each.
+        assert handshakes == reboots

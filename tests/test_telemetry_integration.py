@@ -36,16 +36,20 @@ class TestGeneratorTelemetry:
         )
 
     def test_disabled_runtime_records_nothing(self, testbed):
+        telemetry.configure(enabled=True)
+        PassiveTraceGenerator(testbed, scale=1).generate()
         telemetry.configure(enabled=False)
         PassiveTraceGenerator(testbed, scale=1).generate()
-        handshakes = telemetry.get_registry().get("iotls_handshakes_total")
-        # Registrations may linger from earlier enabled runs; values must not.
-        assert handshakes is None or handshakes.total() == 0
+        # Configuring drops the enabled run's registrations; a disabled
+        # run declares none.
+        registry = telemetry.get_registry()
+        assert registry.get("iotls_handshakes_total") is None
+        assert list(registry.metrics()) == []
 
 
 class TestCliTelemetry:
     def test_trace_telemetry_snapshot(self, capsys, tmp_path):
-        metrics_path = tmp_path / "m.json"
+        manifest_path = tmp_path / "m.json"
         assert (
             main(
                 [
@@ -53,8 +57,9 @@ class TestCliTelemetry:
                     "--scale",
                     "2",
                     "--telemetry",
-                    "--metrics-out",
-                    str(metrics_path),
+                    "--manifest",
+                    str(manifest_path),
+                    "--no-ledger",
                 ]
             )
             == 0
@@ -63,25 +68,16 @@ class TestCliTelemetry:
         assert "telemetry summary:" in out
         assert "iotls_handshakes_total" in out
 
-        # The snapshot's per-state handshake counts must sum to the number
+        # The manifest's per-state handshake counts must sum to the number
         # of handshake attempts actually performed -- which, for a trace
         # run, is exactly the flow-record count of an identical capture.
-        snapshot = json.loads(metrics_path.read_text())
-        handshakes = snapshot["counters"]["iotls_handshakes_total"]
+        counters = json.loads(manifest_path.read_text())["metrics"]["counters"]
+        handshakes = counters["iotls_handshakes_total"]
         capture = PassiveTraceGenerator(scale=2).generate()
         assert sum(entry["value"] for entry in handshakes["series"]) == len(capture.records)
         assert handshakes["total"] == len(capture.records)
-        weighted = snapshot["counters"]["iotls_capture_connections_total"]["total"]
+        weighted = counters["iotls_capture_connections_total"]["total"]
         assert weighted == sum(record.count for record in capture.records)
-        telemetry.configure(enabled=False)
-
-    def test_metrics_out_implies_telemetry(self, capsys, tmp_path):
-        metrics_path = tmp_path / "m.json"
-        assert main(["trace", "--scale", "1", "--metrics-out", str(metrics_path)]) == 0
-        assert metrics_path.exists()
-        snapshot = json.loads(metrics_path.read_text())
-        assert snapshot["meta"]["command"] == "trace"
-        assert snapshot["counters"]["iotls_handshakes_total"]["total"] > 0
         telemetry.configure(enabled=False)
 
     def test_trace_seed_threaded_into_export(self, capsys, tmp_path):
