@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
+from itertools import repeat
 from pathlib import Path
 from typing import Any
 
@@ -113,14 +114,18 @@ class _ArtifactCodec(HelloWireCache):
     wire cache): the ``advertised_max_version`` label and cipher names,
     and two fixed pieces of its record lines in ``sort_keys`` order --
     the line up to the ``client_alert`` value, and the
-    ``requests_ocsp_staple`` field up to the ``timestamp`` value.
+    ``requests_ocsp_staple`` field up to the ``timestamp`` value.  Per
+    distinct (hello, alert): the alert value up to the random in the
+    wire hex.
     """
 
-    __slots__ = ("_hellos", "_timestamps")
+    __slots__ = ("_hellos", "_alerts", "_timestamps")
 
     def __init__(self) -> None:
         super().__init__()
         self._hellos: dict[int, tuple[ClientHello, str, tuple[str, ...], str, str]] = {}
+        #: (id(hello), client_alert) -> the alert value up to the random.
+        self._alerts: dict[tuple[int, str | None], str] = {}
         #: id(when) -> (when, its JSON ``timestamp`` value).  Keyed by
         #: identity like the hellos: equal aware datetimes in different
         #: zones would share a key but not an ``isoformat``.
@@ -159,22 +164,34 @@ class _ArtifactCodec(HelloWireCache):
         established_cipher_code: int | None,
         client_alert: str | None,
         downgraded: bool,
-    ) -> tuple[str, str]:
-        """One record's stream line, cut around its ``count`` value.
+    ) -> tuple[str, str, str, str, str]:
+        """One record's stream line as ``(head, alert, random, wire, tail)``.
 
-        ``head + str(count) + tail`` is exactly
-        ``json.dumps({"record": record_to_dict(record, self)},
-        sort_keys=True)`` and a newline: the hello's fixed pieces come
-        from :meth:`_exported`, every string still goes through
-        ``json.dumps``, and only the fields that vary are formatted.
+        ``f'{head}{alert}{random}{wire}", "count": {count}{tail}'`` is
+        exactly ``json.dumps({"record": record_to_dict(record, self)},
+        sort_keys=True)`` and a newline.  ``head`` (the line up to the
+        ``client_alert`` value) and ``wire`` (the hello's wire hex after
+        its random) are shared by every line of one hello, and
+        ``alert`` by every line of one hello and alert; ``random`` is
+        the 64-char hex of the record's hello random and ``tail`` the
+        fields after ``count``.  Every string still goes through
+        ``json.dumps``, and only the fields that vary are formatted per
+        line.
         """
-        entry = self._exported(hello)
+        wire_head, random, wire = self.hex_pieces(
+            hello, seed=f"{device}:{hostname}:{month}"
+        )
         dumps = json.dumps
+        entry = self._exported(hello)
+        alert = self._alerts.get((id(hello), client_alert))
+        if alert is None:
+            value = "null" if client_alert is None else dumps(client_alert)
+            alert = self._alerts[id(hello), client_alert] = (
+                f'{value}, "client_hello_hex": "{wire_head}'
+            )
         timestamp = self._timestamps.get(id(when))
         if timestamp is None:
             timestamp = self._timestamps[id(when)] = (when, dumps(when.isoformat()))
-        wire = self.encode_hex(hello, seed=f"{device}:{hostname}:{month}")
-        alert = "null" if client_alert is None else dumps(client_alert)
         version = (
             "null" if established_version is None else dumps(established_version.label)
         )
@@ -183,7 +200,6 @@ class _ArtifactCodec(HelloWireCache):
             if established_cipher_code is None
             else dumps(hex(established_cipher_code))
         )
-        head = f'{entry[3]}{alert}, "client_hello_hex": "{wire}", "count": '
         tail = (
             f', "device": {dumps(device)}, "downgraded": {_JSON_BOOL[downgraded]}, '
             f'"established": {_JSON_BOOL[established]}, "established_cipher": {cipher}, '
@@ -191,7 +207,7 @@ class _ArtifactCodec(HelloWireCache):
             f'"month": {month!r}, "party": {dumps(party.value)}'
             f"{entry[4]}{timestamp[1]}}}}}\n"
         )
-        return head, tail
+        return entry[3], alert, random, wire, tail
 
 
 # ----------------------------------------------------------------------
@@ -414,9 +430,11 @@ class JsonlStreamWriter:
     Every line is ``json.dumps(payload, sort_keys=True)``; a record line
     is assembled from its hello's fixed pieces and its varying fields
     (:meth:`_ArtifactCodec.line`).  Nothing is buffered beyond the open
-    file handle, one line template per distinct hello and one JSON
-    timestamp per distinct record time, so the writer's memory
-    footprint is independent of trace size.
+    file handle, the fixed pieces per distinct hello and alert and one
+    JSON timestamp per distinct record time, so the writer's memory
+    footprint is independent of trace size.  A kept replay's line
+    pieces (:meth:`add_batch`) are the replay's keeper's, not the
+    writer's.
     """
 
     def __init__(self, path: str | Path, *, metadata: dict[str, Any] | None = None) -> None:
@@ -440,7 +458,7 @@ class JsonlStreamWriter:
     def add(self, record: TrafficRecord) -> None:
         self._records_seen += 1
         self._connections_seen += record.count
-        head, tail = self._codec.line(
+        head, alert, random, wire, tail = self._codec.line(
             record.device,
             record.hostname,
             record.party,
@@ -453,43 +471,56 @@ class JsonlStreamWriter:
             record.client_alert,
             record.downgraded,
         )
-        self._handle.write(f"{head}{record.count}{tail}")
+        self._handle.write(f'{head}{alert}{random}{wire}", "count": {record.count}{tail}')
 
     def add_batch(self, chunk: RecordChunk) -> None:
         """Write one columnar chunk, with no record built.
 
         The bytes equal an :meth:`add` loop over ``chunk.iter_records()``
-        followed by the chunk's revocation events.  A base record that
-        ``chunk.split_cap`` splits is formatted once: its full copies
-        repeat one line, and its remainder gets its own count.
+        followed by the chunk's revocation events.  Every line is written
+        from its base record's pieces (:meth:`_ArtifactCodec.line`).  A
+        chunk whose ``line_pieces`` is ``None`` has them formatted as
+        they are written and kept nowhere.  Otherwise the list is shared
+        by every chunk of one kept replay: the first write fills it, and
+        later writes, for any seed or flow cap, only join the pieces
+        around their counts.  A base record that ``chunk.split_cap``
+        splits repeats one line for its full copies, and its remainder
+        gets its own count.
         """
+        pieces = chunk.line_pieces
+        if not pieces:
+            lines = map(
+                self._codec.line,
+                repeat(chunk.device),
+                chunk.hostnames,
+                chunk.parties,
+                chunk.months,
+                chunk.whens,
+                chunk.client_hellos,
+                chunk.establisheds,
+                chunk.established_versions,
+                chunk.established_cipher_codes,
+                chunk.client_alerts,
+                chunk.downgradeds,
+            )
+            if pieces is None:
+                pieces = lines
+            else:
+                # One assignment: a concurrent first write of the same
+                # replay replaces the list whole, never extends it.
+                pieces[:] = lines
         cap = chunk.split_cap
-        line = self._codec.line
         write = self._handle.write
-        device = chunk.device
-        for count, *fields in zip(
-            chunk.counts,
-            chunk.hostnames,
-            chunk.parties,
-            chunk.months,
-            chunk.whens,
-            chunk.client_hellos,
-            chunk.establisheds,
-            chunk.established_versions,
-            chunk.established_cipher_codes,
-            chunk.client_alerts,
-            chunk.downgradeds,
-        ):
-            head, tail = line(device, *fields)
+        for count, (head, alert, random, wire, tail) in zip(chunk.counts, pieces):
             if cap is None or count <= cap:
-                write(f"{head}{count}{tail}")
+                write(f'{head}{alert}{random}{wire}", "count": {count}{tail}')
                 continue
             full, remainder = divmod(count, cap)
-            capped = f"{head}{cap}{tail}"
+            capped = f'{head}{alert}{random}{wire}", "count": {cap}{tail}'
             for _ in range(full):
                 write(capped)
             if remainder:
-                write(f"{head}{remainder}{tail}")
+                write(f'{head}{alert}{random}{wire}", "count": {remainder}{tail}')
         self._records_seen += chunk.record_total()
         self._connections_seen += chunk.connection_total()
         for event in chunk.revocation_events:

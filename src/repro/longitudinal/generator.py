@@ -16,7 +16,7 @@ fast, while benchmarks raise it toward the study's full volume.
 from __future__ import annotations
 
 from contextlib import closing
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from hashlib import blake2s
 from typing import TYPE_CHECKING, Iterator
 
@@ -56,13 +56,17 @@ class DeviceReplay:
     ``(hostname, month, weight, attempts)`` per connection, in record
     order, from which :meth:`PassiveTraceGenerator.count_flows` draws
     the counts.  All columns are tuples, so a kept replay is never
-    changed by the chunks built from it.
+    changed by the chunks built from it.  ``line_pieces`` is the one
+    exception: the chunks of a kept replay share it, and the JSONL
+    writer fills it with each record's stream line pieces on its first
+    write (:attr:`~repro.testbed.capture.RecordChunk.line_pieces`).
     """
 
     device: str
     columns: dict[str, tuple]
     flows: tuple[tuple[str, int, float, int], ...]
     revocation_events: tuple[RevocationEvent, ...]
+    line_pieces: list = field(default_factory=list, compare=False, repr=False)
 
 
 class PassiveTraceGenerator:
@@ -115,11 +119,9 @@ class PassiveTraceGenerator:
         :meth:`replay_device` (the handshakes, which no seed, scale or
         flow cap reaches) followed by :meth:`count_flows` (this
         generator's per-seed flow counts).  The serial path runs both
-        for every device on every run; a pool worker keeps each
-        device's replay for its lifetime and only counts
-        (:func:`repro.parallel.workers.run_trace_chunk`).  Every sink
-        -- serial or fed by pool workers -- folds or expands the
-        returned chunk.
+        for every device on every run; the process holding a pool
+        keeps each device's replay for the pool's lifetime and only
+        counts (:meth:`_chunks`).
         """
         return self.count_flows(self.replay_device(profile))
 
@@ -200,10 +202,13 @@ class PassiveTraceGenerator:
             revocation_events=tuple(events),
         )
 
-    def count_flows(self, replay: DeviceReplay) -> RecordChunk:
+    def count_flows(self, replay: DeviceReplay, *, kept: bool = False) -> RecordChunk:
         """``replay`` as a record chunk, with this generator's flow counts.
 
         Every attempt of one connection carries the connection's count.
+        The chunk of a ``kept`` replay carries the replay's
+        ``line_pieces``, so its stream lines are formatted once for all
+        the chunks built from it; any other chunk carries ``None``.
         """
         counts: list[int] = []
         for hostname, month, weight, attempts in replay.flows:
@@ -213,6 +218,7 @@ class PassiveTraceGenerator:
             **replay.columns,
             counts=counts,
             revocation_events=replay.revocation_events,
+            line_pieces=replay.line_pieces if kept else None,
         )
 
     def _collect_revocation_events(
@@ -276,15 +282,15 @@ class PassiveTraceGenerator:
         independent of ``scale`` and ``flow_cap`` -- unless the sink
         itself keeps records, as a :class:`GatewayCapture` does.
 
-        With a ``pool``, each device is one task on it (:meth:`_chunks`)
-        and chunks fold home in catalog order, so the sink observes
-        exactly the serial arrival order: because every flow's jitter is
-        a keyed hash of ``(seed, device, hostname, month)``
-        (:meth:`_flow_count`), outputs and run manifests are the same
-        with or without the pool.  A worker that has replayed a device
-        before only draws its counts (:meth:`count_flows` over a kept
-        :meth:`replay_device`), which no seed, scale or flow cap can
-        tell apart from a fresh replay.
+        With a ``pool``, each device's replay is one task on it the
+        first time the pool is asked for it, and kept in this process
+        for the pool's lifetime (:meth:`_chunks`).  This process draws
+        every chunk's counts itself and folds chunks in catalog order,
+        so the sink observes exactly the serial arrival order: because
+        every flow's jitter is a keyed hash of ``(seed, device,
+        hostname, month)`` (:meth:`_flow_count`), and no seed, scale or
+        flow cap reaches a replay, outputs and run manifests are the
+        same with or without the pool.
 
         A ``flow_cap`` splits batched records just before ``sink``
         (:class:`~repro.testbed.capture.FlowRecordChunker`): the cap is
@@ -303,20 +309,22 @@ class PassiveTraceGenerator:
     def _chunks(self, pool: WarmWorkerPool | None) -> Iterator[RecordChunk]:
         """Every device's chunk, in catalog order.
 
-        Without a pool, devices replay in-process.  Otherwise each
-        device is one task on the pool and chunks come home through
-        ``pool.imap`` in task order.  Callers consume it under
-        ``contextlib.closing`` so a failing fold cancels the tasks not
-        yet started at once, not when the generator is collected.
+        Without a pool, devices replay in-process.  Otherwise the pool
+        hands back each device's kept replay (``pool.kept``): only a
+        device it has not replayed yet is a task, in practice on the
+        pool's first trace only, and every chunk is :meth:`count_flows`
+        over a kept replay.  Pooled runs carry no telemetry, so a kept
+        replay skips no count a run must make.  Callers consume this
+        under ``contextlib.closing`` so a failing fold cancels the tasks
+        not yet started at once, not when the generator is collected.
         """
         if pool is None:
             for profile in passive_devices():
                 yield self._device_chunk_instrumented(profile)
             return
-        from ..parallel import TraceChunkTask, run_trace_chunk
+        from ..parallel import replay_passive_device
 
-        tasks = [
-            TraceChunkTask(device_name=profile.name, seed=self.seed, scale=self.scale)
-            for profile in passive_devices()
-        ]
-        yield from pool.imap(run_trace_chunk, tasks)
+        names = [profile.name for profile in passive_devices()]
+        with closing(pool.kept(replay_passive_device, names)) as replays:
+            for replay in replays:
+                yield self.count_flows(replay, kept=True)

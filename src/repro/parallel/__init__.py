@@ -11,16 +11,14 @@ from .pool import WarmWorkerPool
 from .workers import (
     CampaignDeviceOutcome,
     CampaignShardTask,
-    TraceChunkTask,
+    replay_passive_device,
     run_campaign_shard,
-    run_trace_chunk,
 )
 
 __all__ = [
     "WarmWorkerPool",
     "CampaignDeviceOutcome",
     "CampaignShardTask",
-    "TraceChunkTask",
+    "replay_passive_device",
     "run_campaign_shard",
-    "run_trace_chunk",
 ]

@@ -3,10 +3,14 @@
 A :class:`WarmWorkerPool` is one ``spawn`` ``ProcessPoolExecutor`` whose
 processes start with the pool, are warmed by an initializer that
 preloads the device catalog and the default testbed (the two expensive
-pure-function caches worker tasks need), and serve every dispatch.  A
-process also keeps each passive device's trace replay once it has run
-it (:mod:`repro.parallel.workers`), so a later trace for any seed,
-scale or flow cap only draws that seed's flow counts.
+pure-function caches worker tasks need), and serve every dispatch.
+
+The process that holds a pool also keeps results for it
+(:meth:`WarmWorkerPool.kept`): each passive device's trace replay comes
+home once per pool, so every later trace, for any seed, scale or flow
+cap, dispatches nothing and only draws that seed's flow counts here.
+The store is the pool's, bounded by the keys callers ask for (the
+40-device catalog), and a fresh pool starts empty.
 
 Only ``iotls serve`` holds one: the fleet service owns a pool for its
 lifetime and passes it to each run as ``RunConfig(pool=...)``.  One-shot
@@ -19,11 +23,11 @@ enable telemetry, so nothing of theirs comes home but results;
 dispatching while the caller's telemetry is on raises ``ValueError``
 rather than return counters that miss the pooled work.
 
-A worker that dies breaks the executor: the pool swaps in a fresh one,
-whose processes start with no kept replays, and raises
-:class:`repro.api.WorkerCrashed` instead of hanging.  The dispatch is
-not retried, since a task that kills its worker would kill the next one
-too.
+A worker that dies breaks the executor: the pool swaps in a fresh one
+and raises :class:`repro.api.WorkerCrashed` instead of hanging.  The
+dispatch is not retried, since a task that kills its worker would kill
+the next one too.  Kept results live in this process, so they outlive
+the swap.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
 from time import perf_counter
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Hashable, Iterator, Sequence, TypeVar
 
 from .. import telemetry
 
@@ -42,6 +46,7 @@ __all__ = ["WarmWorkerPool"]
 
 Task = TypeVar("Task")
 Result = TypeVar("Result")
+Key = TypeVar("Key", bound=Hashable)
 
 
 def _warm_worker() -> None:
@@ -72,8 +77,12 @@ class WarmWorkerPool:
         #: plus imap item waits).  Monotonic-clock accounting for the
         #: run ledger's pool stats; never feeds a manifest.
         self.dispatch_seconds = 0.0
-        #: Several serve run threads dispatch concurrently: the counters
-        #: and the executor swap after a crash share this lock.
+        #: (worker function, key) -> its result, kept in this process
+        #: for the pool's lifetime (:meth:`kept`).
+        self._kept: dict[tuple[Callable, Hashable], object] = {}
+        #: Several serve run threads dispatch concurrently: the counters,
+        #: the kept results and the executor swap after a crash share
+        #: this lock.
         self._lock = threading.Lock()
         self._executor = self._spawn()
 
@@ -147,6 +156,36 @@ class WarmWorkerPool:
 
         return _timed()
 
+    def kept(
+        self, worker_fn: Callable[[Key], Result], keys: Sequence[Key]
+    ) -> Iterator[Result]:
+        """``worker_fn(key)`` for each key, in order, each computed on
+        the pool once and then kept in this process for its lifetime.
+
+        Only the keys not kept yet are dispatched, at once through
+        :meth:`imap`; a warm call dispatches nothing, but refuses
+        telemetry all the same.  When two calls compute one key at
+        once, the first result stored is the one both yield.  Closing
+        the iterator part-way cancels the tasks that have not started.
+        """
+        with self._lock:
+            missing = [key for key in keys if (worker_fn, key) not in self._kept]
+        fresh = self.imap(worker_fn, missing)
+        dispatched = set(missing)
+
+        def _kept() -> Iterator[Result]:
+            with closing(fresh):
+                for key in keys:
+                    if key in dispatched:
+                        result = next(fresh)
+                        with self._lock:
+                            result = self._kept.setdefault((worker_fn, key), result)
+                    else:
+                        result = self._kept[worker_fn, key]
+                    yield result
+
+        return _kept()
+
     # ------------------------------------------------------------------
     def stats(self) -> dict:
         """Reuse accounting for benchmark documents and telemetry.
@@ -163,10 +202,11 @@ class WarmWorkerPool:
             }
 
     def close(self) -> None:
-        """Cancel the tasks not yet started, let running ones finish, and
-        join the processes; idempotent."""
+        """Cancel the tasks not yet started, let running ones finish,
+        join the processes and drop the kept results; idempotent."""
         with self._lock:
             executor = self._executor
+            self._kept.clear()
         executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WarmWorkerPool":

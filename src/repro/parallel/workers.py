@@ -12,14 +12,11 @@ derived from fixed seeds -- so a worker's handshakes are bit-identical
 to the ones the parent process would have performed.  Workers run with
 telemetry off and ship home results only.
 
-A worker also keeps each passive device's
-:class:`~repro.longitudinal.generator.DeviceReplay` for its lifetime:
-no seed, scale or flow cap reaches a device's handshakes, so a trace
-task replays a device the first time the process sees it and from then
-on only draws the task's flow counts.  The cache is bounded by the
-device catalog, and a process that replaces a dead worker starts empty.
-It lives here and not on the testbed, because a worker never counts
-telemetry and a serial run must count every handshake it stands for.
+A trace task is one passive device's name, and its result the device's
+:class:`~repro.longitudinal.generator.DeviceReplay`.  Workers keep no
+replays: the process holding the pool keeps each one it receives for
+the pool's lifetime (:meth:`repro.parallel.pool.WarmWorkerPool.kept`)
+and draws every seed's flow counts itself.
 """
 
 from __future__ import annotations
@@ -27,20 +24,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 __all__ = [
-    "TraceChunkTask",
     "CampaignShardTask",
     "CampaignDeviceOutcome",
-    "run_trace_chunk",
+    "replay_passive_device",
     "run_campaign_shard",
 ]
 
 #: Per-process caches for pooled workers.  A pool process serves many
-#: tasks; the default testbed, the device catalog and each device's
-#: trace replay are pure functions of fixed seeds/data, so rebuilding
-#: them per task would cost time and change nothing.
+#: tasks; the default testbed and the device catalog are pure functions
+#: of fixed seeds/data, so rebuilding them per task would cost time and
+#: change nothing.
 _WORKER_TESTBED = None
 _WORKER_PROFILES: dict | None = None
-_WORKER_REPLAYS: dict = {}
 
 
 def _passive_profiles() -> dict:
@@ -72,36 +67,19 @@ def _worker_testbed():
 # ----------------------------------------------------------------------
 # Passive-trace generation (one task per device)
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class TraceChunkTask:
-    """One device's worth of the passive-trace workload."""
+def replay_passive_device(name: str):
+    """The named passive device's
+    :class:`~repro.longitudinal.generator.DeviceReplay`, shipped home.
 
-    device_name: str
-    seed: str
-    scale: int
-
-
-def run_trace_chunk(task: TraceChunkTask):
-    """One device's chunk for the task's seed and scale, shipped home.
-
-    The device's replay is this process's kept one when it has been
-    seen before; only the flow counts are drawn per task.  The chunk (a
-    :class:`~repro.testbed.capture.RecordChunk`) crosses the process
-    boundary in columnar form -- no per-record objects are pickled --
-    and carries no gateway-ingest counts: the parent's terminal sink
-    counts after any flow-cap splitting.
+    The replay holds every handshake of the device's trace and no seed,
+    scale or flow cap, so one task serves every later trace of the
+    process that keeps it.
     """
     from ..longitudinal.generator import PassiveTraceGenerator
 
-    generator = PassiveTraceGenerator(
-        _worker_testbed(), scale=task.scale, seed=task.seed
+    return PassiveTraceGenerator(_worker_testbed()).replay_device(
+        _passive_profiles()[name]
     )
-    replay = _WORKER_REPLAYS.get(task.device_name)
-    if replay is None:
-        replay = _WORKER_REPLAYS[task.device_name] = generator.replay_device(
-            _passive_profiles()[task.device_name]
-        )
-    return generator.count_flows(replay)
 
 
 # ----------------------------------------------------------------------

@@ -126,8 +126,10 @@ def build_entry(
     The config digest is taken from the manifest when one was built and
     recomputed from ``(command, params, version)`` otherwise, so error
     entries raised before any manifest existed still index by config.
-    Artifacts are digested in place *and* recorded with their resolved
-    paths -- the ledger, unlike the manifest, cares where bytes landed.
+    Artifacts are recorded with their resolved paths -- the ledger,
+    unlike the manifest, cares where bytes landed -- and with the
+    manifest's digest of each, so no artifact is read twice; one the
+    manifest does not name is digested in place.
     """
     from .. import __version__
 
@@ -163,9 +165,10 @@ def build_entry(
     if metrics:
         entry["metrics_totals"] = metrics
     if artifacts:
+        digested = (manifest or {}).get("artifacts", {})
         entry["artifacts"] = {
             role: {
-                **artifact_digest(path),
+                **(digested.get(role) or artifact_digest(path)),
                 "path": str(Path(path).resolve()),
             }
             for role, path in sorted(artifacts.items())

@@ -60,6 +60,9 @@ from .schemas import MANIFEST_SCHEMA  # registered in repro.telemetry.schemas
 #: digest -- the same primitive the pcap exporter uses for addressing.
 _DIGEST_SIZE = 16
 
+#: Bytes :func:`artifact_digest` reads at a time.
+_HASH_BLOCK = 1 << 20
+
 
 def _blake2s(data: bytes) -> str:
     return hashlib.blake2s(data, digest_size=_DIGEST_SIZE).hexdigest()
@@ -137,8 +140,14 @@ def artifact_digest(path: str | Path) -> dict[str, Any]:
     manifest byte-identity across working directories).
     """
     path = Path(path)
-    data = path.read_bytes()
-    return {"name": path.name, "bytes": len(data), "blake2s": _blake2s(data)}
+    digest = hashlib.blake2s(digest_size=_DIGEST_SIZE)
+    size = 0
+    with path.open("rb") as handle:
+        # In blocks: a paper-scale artifact is never held whole.
+        while block := handle.read(_HASH_BLOCK):
+            digest.update(block)
+            size += len(block)
+    return {"name": path.name, "bytes": size, "blake2s": digest.hexdigest()}
 
 
 def config_digest(command: str, params: dict[str, Any], version: str) -> str:

@@ -168,6 +168,11 @@ class RecordChunk:
     Chunks also carry the device's revocation events so a whole device
     batch crosses a process boundary as one picklable value; sinks
     ingest records first, then events (the documented stream order).
+
+    ``line_pieces`` is ``None``, or the list in which a kept replay
+    keeps one stream line's pieces per base record for every chunk
+    built from it; the JSONL writer fills it on its first write
+    (:meth:`repro.analysis.export.JsonlStreamWriter.add_batch`).
     """
 
     __slots__ = (
@@ -185,6 +190,7 @@ class RecordChunk:
         "counts",
         "revocation_events",
         "split_cap",
+        "line_pieces",
     )
 
     def __init__(
@@ -204,6 +210,7 @@ class RecordChunk:
         counts: Sequence[int] = (),
         revocation_events: Sequence[RevocationEvent] = (),
         split_cap: int | None = None,
+        line_pieces: list | None = None,
     ) -> None:
         if split_cap is not None and split_cap < 1:
             raise ValueError(f"split_cap must be >= 1 or None, got {split_cap}")
@@ -221,6 +228,7 @@ class RecordChunk:
         self.counts = tuple(counts)
         self.revocation_events = tuple(revocation_events)
         self.split_cap = split_cap
+        self.line_pieces = line_pieces
 
     # -- size arithmetic ------------------------------------------------
     def __len__(self) -> int:
@@ -261,6 +269,7 @@ class RecordChunk:
             "downgradeds",
             "counts",
             "revocation_events",
+            "line_pieces",
         ):
             setattr(clone, name, getattr(self, name))
         if cap < 1:

@@ -264,7 +264,8 @@ class HelloWireCache:
       out, and splices in the per-record random.  It keys on identity
       and holds a reference to the hello, so the id is never reused;
       an equal hello that is a different object just misses.
-      :meth:`encode_hex` does the same on the wire's hex form.
+      :meth:`encode_hex` does the same on the wire's hex form, and
+      :meth:`hex_pieces` returns that form cut around the random.
     * :meth:`decode` keys on the wire with the random cut out.  The
       parser reads the random as opaque bytes, so the decoded hello
       depends on the key alone; records share the frozen result.  Only
@@ -298,8 +299,13 @@ class HelloWireCache:
 
     def encode_hex(self, hello: ClientHello, *, seed: str) -> str:
         """``encode(hello, seed=seed).hex()``, character for character."""
+        return "".join(self.hex_pieces(hello, seed=seed))
+
+    def hex_pieces(self, hello: ClientHello, *, seed: str) -> tuple[str, str, str]:
+        """:meth:`encode_hex` cut around the random: the hello's fixed
+        head and tail hex, and the 64-char hex of this seed's random."""
         template = self._template(hello)
-        return template[3] + _deterministic_random(seed).hex() + template[4]
+        return template[3], _deterministic_random(seed).hex(), template[4]
 
     def decode(self, wire: bytes) -> ClientHello:
         """``decode_client_hello(wire)``, shared across equal hellos."""

@@ -30,7 +30,7 @@ from repro.core.audit import ActiveExperimentCampaign, round_robin_shards
 from repro.devices.catalog import passive_devices
 from repro.devices.device import Device
 from repro.longitudinal.generator import PassiveTraceGenerator
-from repro.parallel import TraceChunkTask, WarmWorkerPool
+from repro.parallel import WarmWorkerPool
 from repro.testbed import Testbed
 from repro.testbed.capture import RecordChunk
 
@@ -92,6 +92,17 @@ class TestWarmPoolSession:
                 "reused_dispatches": 2,
             }
         pool.close()  # idempotent after the with block
+
+    def test_kept_results_dispatch_each_key_once(self):
+        with WarmWorkerPool(2) as pool:
+            assert list(pool.kept(abs, [-1, -2])) == [1, 2]
+            assert pool.stats()["dispatches"] == 2
+            # Only the key not kept yet is a task; order follows the keys.
+            assert list(pool.kept(abs, [-3, -2, -1])) == [3, 2, 1]
+            assert pool.stats()["dispatches"] == 3
+            assert list(pool.kept(abs, [-2])) == [2]
+            assert pool.stats()["dispatches"] == 3
+        assert pool._kept == {}  # a closed pool keeps nothing
 
 
 #: Seconds a pool call may take before the test calls it hung.
@@ -269,9 +280,20 @@ def _headline(results) -> tuple:
     [pytest.param(workers, None, id=str(workers)) for workers in (1, 2, 4)]
     + [pytest.param(workers, 5, id=f"{workers}-cap5") for workers in (1, 2, 4)],
 )
-def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json, worker_pool):
-    generator = PassiveTraceGenerator(scale=SCALE, seed=SEED, flow_cap=flow_cap)
-    exported = _capture_json(generator.generate(pool=worker_pool(workers)))
+def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json):
+    # Each case first sends another seed through its own pool, so a
+    # pool that served stale state from an earlier trace shows here
+    # whatever ran before; one worker is the in-process path.
+    pool = WarmWorkerPool(workers) if workers > 1 else None
+    try:
+        PassiveTraceGenerator(scale=SCALE, seed=f"{SEED}-before", flow_cap=flow_cap).generate(
+            pool=pool
+        )
+        generator = PassiveTraceGenerator(scale=SCALE, seed=SEED, flow_cap=flow_cap)
+        exported = _capture_json(generator.generate(pool=pool))
+    finally:
+        if pool is not None:
+            pool.close()
     difference = first_difference(exported, serial_capture_json(flow_cap))
     assert difference is None, f"pooled capture JSON differs from serial: {difference}"
 
@@ -286,9 +308,9 @@ def test_trace_capture_json_identical(workers, flow_cap, serial_capture_json, wo
     flow_cap=st.none() | st.integers(min_value=1, max_value=20),
 )
 def test_pooled_trace_matches_serial_for_any_seed(worker_pool, seed, scale, flow_cap):
-    # The session pool's workers keep the replays of earlier examples
-    # (and earlier tests), so most chunks here are counts over kept
-    # replays; the serial run replays on a fresh testbed.
+    # The session pool keeps the replays of earlier examples (and
+    # earlier tests), so most chunks here are counts over kept replays;
+    # the serial run replays on a fresh testbed.
     generator = PassiveTraceGenerator(scale=scale, seed=seed, flow_cap=flow_cap)
     serial = _capture_json(generator.generate())
     difference = first_difference(_capture_json(generator.generate(pool=worker_pool(2))), serial)
@@ -296,16 +318,21 @@ def test_pooled_trace_matches_serial_for_any_seed(worker_pool, seed, scale, flow
 
 
 def _columns(chunk: RecordChunk) -> tuple:
-    return tuple(getattr(chunk, name) for name in RecordChunk.__slots__)
+    return tuple(
+        getattr(chunk, name) for name in RecordChunk.__slots__ if name != "line_pieces"
+    )
 
 
-def test_a_worker_replays_each_device_once(monkeypatch):
-    """A trace task for a device the process has seen only draws counts,
-    and its chunk is the one a fresh serial generator builds."""
-    from repro.parallel import workers
+class _Chunks(list):
+    """A sink that keeps every chunk it is handed."""
 
-    monkeypatch.setattr(workers, "_WORKER_TESTBED", None)
-    monkeypatch.setattr(workers, "_WORKER_REPLAYS", {})
+    add_batch = list.append
+
+
+def test_the_pool_holder_replays_each_device_once(monkeypatch):
+    """After a pool's first trace, a trace for any seed or scale
+    dispatches nothing and makes no handshake, and its chunks are the
+    ones a fresh serial generator builds."""
     connects = []
     original = Device.connect_destination
 
@@ -315,20 +342,86 @@ def test_a_worker_replays_each_device_once(monkeypatch):
 
     monkeypatch.setattr(Device, "connect_destination", counting)
     names = [profile.name for profile in passive_devices()]
-    for name in names:
-        workers.run_trace_chunk(TraceChunkTask(device_name=name, seed="first", scale=1))
-    assert set(connects) == set(names)
-    connects.clear()
-    chunks = [
-        workers.run_trace_chunk(TraceChunkTask(device_name=name, seed="second", scale=3))
-        for name in names
-    ]
+    with WarmWorkerPool(2) as pool:
+        PassiveTraceGenerator(seed="first", scale=1).stream_into(_Chunks(), pool=pool)
+        # One replay task per device; the handshakes ran in the workers.
+        assert pool.stats()["dispatches"] == len(names)
+        assert sorted(key for _, key in pool._kept) == sorted(names)
+        second = _Chunks()
+        PassiveTraceGenerator(seed="second", scale=3).stream_into(second, pool=pool)
+        assert pool.stats()["dispatches"] == len(names)
     assert connects == []
 
     monkeypatch.setattr(Device, "connect_destination", original)
     generator = PassiveTraceGenerator(Testbed(), seed="second", scale=3)
-    for profile, chunk in zip(passive_devices(), chunks):
+    for profile, chunk in zip(passive_devices(), second, strict=True):
         assert _columns(chunk) == _columns(generator.generate_device_chunk(profile))
+
+
+def _stream(pool, seed: str, path: Path) -> bytes:
+    from repro.analysis.export import JsonlStreamWriter
+
+    with JsonlStreamWriter(path) as writer:
+        PassiveTraceGenerator(scale=SCALE, seed=seed).stream_into(writer, pool=pool)
+    return path.read_bytes()
+
+
+def test_concurrent_cold_misses_keep_one_replay_per_device(tmp_path):
+    """Two threads' first traces on one cold pool, as serve's two run
+    executors may start them: both streams are the serial ones, and the
+    pool keeps one replay, with one line per record, per device."""
+    seeds = ["cold-a", "cold-b"]
+    serial = [_stream(None, seed, tmp_path / f"serial-{seed}.jsonl") for seed in seeds]
+    with WarmWorkerPool(2) as pool:
+        threads = [
+            threading.Thread(
+                target=_stream, args=(pool, seed, tmp_path / f"pooled-{seed}.jsonl")
+            )
+            for seed in seeds
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(DEADLINE)
+        assert not any(thread.is_alive() for thread in threads)
+        replays = list(pool._kept.values())
+        assert sorted(replay.device for replay in replays) == sorted(
+            profile.name for profile in passive_devices()
+        )
+        for replay in replays:
+            assert len(replay.line_pieces) == len(replay.columns["hostnames"])
+    for seed, expected in zip(seeds, serial):
+        pooled = (tmp_path / f"pooled-{seed}.jsonl").read_bytes()
+        assert pooled == expected, f"{seed}: {first_difference(pooled, expected)}"
+
+
+#: Bytes this process may keep more of after the warm misses below.
+#: The store is full after the first miss, so later ones keep nothing
+#: (measured: under 1 KiB); keeping each seed's counts would add ~32 KiB
+#: per miss.
+KEPT_GROWTH_BOUND = 64 * 1024
+
+
+def test_warm_misses_keep_nothing_more(tmp_path):
+    """Distinct-seed misses after warm-up leave the store at one replay
+    per passive device, and this process's traced memory where it was."""
+    import tracemalloc
+
+    names = sorted(profile.name for profile in passive_devices())
+    with WarmWorkerPool(2) as pool:
+        _stream(pool, "warm-up", tmp_path / "warm-up.jsonl")
+        tracemalloc.start()
+        try:
+            _stream(pool, "settle", tmp_path / "settle.jsonl")
+            before = tracemalloc.get_traced_memory()[0]
+            for index in range(3):
+                _stream(pool, f"miss-{index}", tmp_path / f"miss-{index}.jsonl")
+            growth = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert sorted(key for _, key in pool._kept) == names
+        assert pool.stats()["dispatches"] == len(names)
+    assert growth < KEPT_GROWTH_BOUND, f"kept store grew {growth} bytes"
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -386,3 +479,13 @@ class TestPooledRunsCarryNoTelemetry:
         telemetry.configure(enabled=True)
         with pytest.raises(ValueError, match="no telemetry"):
             ActiveExperimentCampaign().run(pool=worker_pool(2))
+
+    def test_warm_trace_refuses_telemetry_without_dispatching(self, worker_pool):
+        # A warm pooled trace dispatches nothing, and still refuses.
+        pool = worker_pool(2)
+        PassiveTraceGenerator(scale=1, seed="warm").stream_into(_Chunks(), pool=pool)
+        dispatches = pool.stats()["dispatches"]
+        telemetry.configure(enabled=True)
+        with pytest.raises(ValueError, match="no telemetry"):
+            PassiveTraceGenerator(scale=1, seed="warm-b").stream_into(_Chunks(), pool=pool)
+        assert pool.stats()["dispatches"] == dispatches

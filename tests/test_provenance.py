@@ -4,6 +4,7 @@ warm worker pool)."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -52,6 +53,44 @@ class TestArtifactDigest:
         before = artifact_digest(path)["blake2s"]
         path.write_text("two")
         assert artifact_digest(path)["blake2s"] != before
+
+    @pytest.mark.parametrize("command", ["trace", "pcap"])
+    def test_manifest_and_ledger_digest_the_bytes_on_disk(
+        self, tmp_path, monkeypatch, command
+    ):
+        from repro import api
+        from repro.telemetry import ledger
+
+        reads = []
+        real = ledger.artifact_digest
+
+        def counting(path):
+            reads.append(path)
+            return real(path)
+
+        monkeypatch.setattr(ledger, "artifact_digest", counting)
+        config = api.RunConfig(scale=1, ledger=tmp_path / "ledger.jsonl")
+        if command == "trace":
+            # ~5 MB of stream: the digest spans several read blocks.
+            result = api.run_trace(config, stream_path=tmp_path / "trace.jsonl")
+            role = "records_jsonl"
+        else:
+            result = api.run_pcap(config, out=tmp_path / "trace.pcap")
+            role = "pcap"
+        path = result.artifacts[role]
+        data = path.read_bytes()
+        on_disk = {
+            "name": path.name,
+            "bytes": len(data),
+            "blake2s": hashlib.blake2s(data, digest_size=16).hexdigest(),
+        }
+        (entry,) = telemetry.load_ledger(tmp_path / "ledger.jsonl")
+        recorded = dict(entry["artifacts"][role])
+        assert recorded.pop("path") == str(path.resolve())
+        assert result.manifest["artifacts"][role] == on_disk
+        assert recorded == on_disk
+        # The ledger took each digest from the manifest: no second read.
+        assert reads == []
 
 
 class TestDeterministicMetrics:

@@ -93,6 +93,9 @@ async def with_service(config: ServeConfig, scenario):
 
 TRACE_BODY = {"command": "trace", "scale": 1, "seed": "serve-test"}
 
+#: Seconds one run request may take before a test calls it hung.
+DEADLINE = 60.0
+
 
 def parse(raw: bytes):
     """``read_request`` over ``raw`` followed by EOF."""
@@ -269,8 +272,9 @@ class TestPooledService:
             with_service(serve_config(tmp_path, workers=2), scenario)
         )
         assert pool["workers"] == 2
-        # 40 trace chunks per trace miss plus one shard per worker for the audit.
-        assert pool["dispatches"] == 40 + 40 + 2
+        # 40 device replays on the pool's first trace miss, none on the
+        # second, and one shard per worker for the audit.
+        assert pool["dispatches"] == 40 + 0 + 2
         for body, (status, headers, content) in zip(bodies, responses):
             assert (status, headers["x-iotls-cache"]) == (200, "miss"), body
             config = replace(
@@ -292,8 +296,9 @@ class TestPooledService:
 
     def test_served_bodies_match_one_shot_runs_over_generated_requests(self, tmp_path):
         """One resident service, generated trace requests: after the first
-        miss its workers answer from kept device replays, and every body
-        still equals the stream a one-shot serial run writes."""
+        miss it answers from kept device replays and their line pieces,
+        and every body still equals the stream a one-shot serial run
+        writes."""
         telemetry.configure(enabled=False)
         loop = asyncio.new_event_loop()
         thread = threading.Thread(target=loop.run_forever, daemon=True)
@@ -340,8 +345,9 @@ class TestPooledService:
             loop.call_soon_threadsafe(loop.stop)
             thread.join()
             loop.close()
-        # Every miss ran on the pool: 40 device tasks each.
-        assert json.loads(status)["pool"]["dispatches"] == 40 * len(seen)
+        # 40 device replays on the pool's first trace miss, 0 on every later one.
+        assert seen
+        assert json.loads(status)["pool"]["dispatches"] == 40
 
     def test_killed_worker_answers_503_and_the_retry_recomputes(self, tmp_path):
         body = {"command": "trace", "scale": 1, "seed": "worker-killed"}
@@ -378,6 +384,52 @@ class TestPooledService:
         direct = api.run_trace(config, stream_path=stream_path)
         assert content2 == stream_path.read_bytes()
         assert headers2["x-iotls-manifest-digest"] == direct.manifest_digest
+
+
+    def test_killed_worker_on_a_warm_pool_fails_the_next_dispatch(self, tmp_path):
+        """A warm trace miss dispatches nothing, so a worker killed after
+        warm-up first shows on the next run that dispatches: a pooled
+        audit ends in ``WorkerCrashed`` (503), not a hang."""
+        before = set(multiprocessing.active_children())
+        warm = {"command": "trace", "scale": 1, "seed": "warm-before-kill"}
+        after = {"command": "trace", "scale": 1, "seed": "warm-after-kill"}
+        audit = {"command": "audit", "include_passthrough": False}
+
+        async def scenario(service):
+            async def send(body):
+                # A hang fails here instead of stalling the suite.
+                return await asyncio.wait_for(
+                    request(service.port, "POST", "/runs", body), DEADLINE
+                )
+
+            first = await send(warm)
+            workers = set(multiprocessing.active_children()) - before
+            assert len(workers) == 2
+            os.kill(workers.pop().pid, signal.SIGKILL)
+            second = await send(after)
+            _, _, status = await request(service.port, "GET", "/status")
+            return first, second, await send(audit), json.loads(status)["pool"]
+
+        telemetry.configure(enabled=False)
+        first, second, crashed, pool = asyncio.run(
+            with_service(serve_config(tmp_path, workers=2), scenario)
+        )
+        assert (first[0], first[1]["x-iotls-cache"]) == (200, "miss")
+        assert (second[0], second[1]["x-iotls-cache"]) == (200, "miss")
+        assert pool["dispatches"] == 40  # the warm miss dispatched nothing
+        assert crashed[0] == 503
+        assert crashed[1]["retry-after"] == str(ServeConfig.retry_after)
+        entries = ledger.load_ledger(tmp_path / "ledger.jsonl")
+        assert [(e["status"], (e.get("error") or {}).get("type")) for e in entries] == [
+            ("ok", None),
+            ("ok", None),
+            ("error", "WorkerCrashed"),
+        ]
+        stream_path = tmp_path / "direct" / f"{second[1]['x-iotls-config-digest']}.records.jsonl"
+        stream_path.parent.mkdir()
+        config = api.RunConfig(scale=1, seed="warm-after-kill", ledger=None)
+        api.run_trace(config, stream_path=stream_path)
+        assert second[2] == stream_path.read_bytes()
 
 
 class TestCacheContract:

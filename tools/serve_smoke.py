@@ -9,12 +9,13 @@ operator) would:
    framed by a ``Content-Length`` equal to the bytes received, equal
    manifest digests, and **zero** new warm-pool dispatches for the hit,
 3. assert a distinct request misses (the cache is content-addressed,
-   not request-order magic),
+   not request-order magic) and adds **zero** pool dispatches: the
+   server keeps every device's replay from its first miss,
 4. compare both served trace bodies byte for byte with what a one-shot
    serial ``iotls trace --stream-out`` writes for the same request: the
    server computes its misses on a warm worker pool, and the pool must
    be invisible in the bytes -- the distinct request is the first miss
-   whose workers answer from the device replays they kept,
+   written from the kept replays and their kept line pieces,
 5. check the streamed body, the final ``GET /status`` document and the
    access log against their registered contracts
    (``iotls-trace-stream/1``, ``iotls-serve-status/1``,
@@ -156,8 +157,14 @@ def smoke(workdir: Path, port: int, workers: int) -> int:
             )
 
         distinct_headers, distinct_body = post_run(base, OTHER_REQUEST)
+        dispatches_after_distinct = (get(base, "/status")["pool"] or {}).get("dispatches", 0)
         if distinct_headers.get("X-IoTLS-Cache") != "miss":
             failures.append("distinct request did not miss the cache")
+        if dispatches_after_distinct != dispatches_after_hit:
+            failures.append(
+                f"warm miss dispatched work: pool dispatches {dispatches_after_hit} "
+                f"-> {dispatches_after_distinct}"
+            )
 
         stream_path = workdir / "stream-body.jsonl"
         stream_path.write_bytes(first_body)
