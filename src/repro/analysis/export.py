@@ -21,7 +21,8 @@ from __future__ import annotations
 
 import json
 from datetime import datetime
-from itertools import repeat
+from itertools import product, repeat
+from operator import itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -69,6 +70,7 @@ _VERSION_BY_LABEL = {version.label: version for version in ProtocolVersion}
 #: field :func:`record_from_dict` reads may have, so a mistyped field is
 #: an error rather than a silently wrong record.  Exact types keep a JSON
 #: boolean (a ``bool``, so an ``int`` subclass) out of the int fields.
+#: :func:`_record_row` unpacks the fields in this order.
 _RECORD_TYPES = {
     **dict.fromkeys(("device", "hostname", "party", "timestamp", "client_hello_hex"), (str,)),
     **dict.fromkeys(
@@ -78,8 +80,27 @@ _RECORD_TYPES = {
     **dict.fromkeys(("month", "count"), (int,)),
 }
 
+#: The record fields in ``_RECORD_TYPES`` order, as one ``itemgetter``.
+_RECORD_FIELDS = itemgetter(*_RECORD_TYPES)
+
+#: Every row of exact field types that ``_RECORD_TYPES`` accepts.
+_RECORD_TYPE_ROWS = frozenset(product(*_RECORD_TYPES.values()))
+
 #: The same for :func:`revocation_event_from_dict`.
 _EVENT_TYPES = {"device": (str,), "method": (str,), "url": (str,), "month": (int,)}
+
+#: Exported party value -> party, for :func:`_record_row`.
+_PARTY_BY_VALUE = {party.value: party for party in Party}
+
+#: ``hex(code)`` -> code for every registered suite, for :func:`_record_row`.
+_CIPHER_BY_HEX = {hex(code): code for code in REGISTRY}
+
+#: The key that ends a canonical record line's fixed head: in
+#: ``sort_keys`` order only the two advertised fields precede it.
+_ALERT_KEY = '"client_alert": '
+
+#: ``raw_decode`` of a plain decoder, which ``json.loads`` wraps.
+_RAW_DECODE = json.JSONDecoder().raw_decode
 
 #: ``json.dumps`` of a bool.
 _JSON_BOOL = {False: "false", True: "true"}
@@ -106,6 +127,30 @@ _CHUNK_COLUMNS = (
 _FOLD_RUN = 1024
 
 
+def _advertised_labels(hello: ClientHello) -> tuple[str, tuple[str, ...]]:
+    """The hello's ``advertised_max_version`` and ``advertised_ciphers``."""
+    return hello.max_version.label, tuple(suite.name for suite in hello.cipher_suites())
+
+
+def _record_head(max_version: str, cipher_names: tuple[str, ...]) -> str:
+    """A record line up to its ``client_alert`` value: the part that
+    only the hello's advertised labels fix, in ``sort_keys`` order."""
+    return (
+        f'{{"record": {{"advertised_ciphers": {json.dumps(list(cipher_names))}, '
+        f'"advertised_max_version": {json.dumps(max_version)}, {_ALERT_KEY}'
+    )
+
+
+class _JsonStrings(dict):
+    """``json.dumps`` of each ``str`` it is indexed with, each computed once."""
+
+    __slots__ = ()
+
+    def __missing__(self, text: str) -> str:
+        value = self[text] = json.dumps(text)
+        return value
+
+
 class _ArtifactCodec(HelloWireCache):
     """The hello memo of one artifact: the wire cache, plus what each
     hello fixes in its exported record.
@@ -116,10 +161,11 @@ class _ArtifactCodec(HelloWireCache):
     the line up to the ``client_alert`` value, and the
     ``requests_ocsp_staple`` field up to the ``timestamp`` value.  Per
     distinct (hello, alert): the alert value up to the random in the
-    wire hex.
+    wire hex.  Per distinct string (device, hostname, party value,
+    version label, cipher hex): its JSON form.
     """
 
-    __slots__ = ("_hellos", "_alerts", "_timestamps")
+    __slots__ = ("_hellos", "_alerts", "_timestamps", "_strings")
 
     def __init__(self) -> None:
         super().__init__()
@@ -130,18 +176,20 @@ class _ArtifactCodec(HelloWireCache):
         #: identity like the hellos: equal aware datetimes in different
         #: zones would share a key but not an ``isoformat``.
         self._timestamps: dict[int, tuple[datetime, str]] = {}
+        #: str -> its ``json.dumps``.  Only ``str`` values index it: as
+        #: dict keys, ``True``, ``1`` and ``1.0`` are one key with three
+        #: JSON forms.
+        self._strings = _JsonStrings()
 
     def _exported(self, hello: ClientHello) -> tuple[ClientHello, str, tuple[str, ...], str, str]:
         entry = self._hellos.get(id(hello))
         if entry is None:
-            max_version = hello.max_version.label
-            cipher_names = tuple(suite.name for suite in hello.cipher_suites())
+            max_version, cipher_names = _advertised_labels(hello)
             entry = self._hellos[id(hello)] = (
                 hello,
                 max_version,
                 cipher_names,
-                f'{{"record": {{"advertised_ciphers": {json.dumps(list(cipher_names))}, '
-                f'"advertised_max_version": {json.dumps(max_version)}, "client_alert": ',
+                _record_head(max_version, cipher_names),
                 f', "requests_ocsp_staple": {json.dumps(hello.requests_ocsp_staple)}, '
                 '"timestamp": ',
             )
@@ -175,36 +223,36 @@ class _ArtifactCodec(HelloWireCache):
         ``alert`` by every line of one hello and alert; ``random`` is
         the 64-char hex of the record's hello random and ``tail`` the
         fields after ``count``.  Every string still goes through
-        ``json.dumps``, and only the fields that vary are formatted per
-        line.
+        ``json.dumps``, once per distinct string of this codec, and only
+        the fields that vary are formatted per line.
         """
         wire_head, random, wire = self.hex_pieces(
             hello, seed=f"{device}:{hostname}:{month}"
         )
-        dumps = json.dumps
+        quoted = self._strings
         entry = self._exported(hello)
         alert = self._alerts.get((id(hello), client_alert))
         if alert is None:
-            value = "null" if client_alert is None else dumps(client_alert)
+            value = "null" if client_alert is None else json.dumps(client_alert)
             alert = self._alerts[id(hello), client_alert] = (
                 f'{value}, "client_hello_hex": "{wire_head}'
             )
         timestamp = self._timestamps.get(id(when))
         if timestamp is None:
-            timestamp = self._timestamps[id(when)] = (when, dumps(when.isoformat()))
+            timestamp = self._timestamps[id(when)] = (when, json.dumps(when.isoformat()))
         version = (
-            "null" if established_version is None else dumps(established_version.label)
+            "null" if established_version is None else quoted[established_version.label]
         )
         cipher = (
             "null"
             if established_cipher_code is None
-            else dumps(hex(established_cipher_code))
+            else quoted[hex(established_cipher_code)]
         )
         tail = (
-            f', "device": {dumps(device)}, "downgraded": {_JSON_BOOL[downgraded]}, '
+            f', "device": {quoted[device]}, "downgraded": {_JSON_BOOL[downgraded]}, '
             f'"established": {_JSON_BOOL[established]}, "established_cipher": {cipher}, '
-            f'"established_version": {version}, "hostname": {dumps(hostname)}, '
-            f'"month": {month!r}, "party": {dumps(party.value)}'
+            f'"established_version": {version}, "hostname": {quoted[hostname]}, '
+            f'"month": {month!r}, "party": {quoted[party.value]}'
             f"{entry[4]}{timestamp[1]}}}}}\n"
         )
         return entry[3], alert, random, wire, tail
@@ -280,40 +328,100 @@ def _record_row(
     :func:`fold_stream`.  ``whens`` memoises ``datetime.fromisoformat``
     per timestamp string for one artifact.
     """
-    _check_types(entry, _RECORD_TYPES, "record")
+    (
+        device, hostname, party, timestamp, wire_hex, label, cipher,
+        client_alert, established, downgraded, month, count,
+    ) = _record_fields(entry)
     _check_month(entry, "record")
-    if entry["count"] < 1:
-        raise ValueError(f"record field 'count' is {entry['count']}, below 1")
-    timestamp = entry["timestamp"]
+    if count < 1:
+        raise ValueError(f"record field 'count' is {count}, below 1")
     when = whens.get(timestamp)
     if when is None:
         when = whens[timestamp] = datetime.fromisoformat(timestamp)
-    label = entry["established_version"]
     version = _VERSION_BY_LABEL.get(label) if label else None
     if label and version is None:
         raise ValueError(
             f"record field 'established_version' is {label!r}, not a protocol version"
         )
-    cipher = entry["established_cipher"]
-    code = int(cipher, 16) if cipher else None
-    if code is not None and code not in REGISTRY:
-        raise ValueError(
-            f"record field 'established_cipher' is {cipher!r}, not a registered suite"
-        )
+    code = _CIPHER_BY_HEX.get(cipher) if cipher else None
+    if cipher and code is None:
+        # A hex form other than hex(code)'s, or no registered suite.
+        code = int(cipher, 16)
+        if code not in REGISTRY:
+            raise ValueError(
+                f"record field 'established_cipher' is {cipher!r}, not a registered suite"
+            )
     return (
-        entry["device"],
-        entry["hostname"],
-        Party(entry["party"]),
-        entry["month"],
+        device,
+        hostname,
+        _PARTY_BY_VALUE.get(party) or Party(party),
+        month,
         when,
-        codec.decode(bytes.fromhex(entry["client_hello_hex"])),
-        entry["established"],
+        codec.decode(bytes.fromhex(wire_hex)),
+        established,
         version,
         code,
-        entry["client_alert"],
-        entry["downgraded"],
-        entry["count"],
+        client_alert,
+        downgraded,
+        count,
     )
+
+
+def _record_fields(entry: dict[str, Any]) -> tuple:
+    """``entry``'s ``_RECORD_TYPES`` fields in order, checked as
+    :func:`_check_types` checks them, in one ``itemgetter`` call and one
+    set lookup; any entry that fails those goes through
+    :func:`_check_types` itself for its exact error."""
+    if type(entry) is dict:
+        try:
+            values = _RECORD_FIELDS(entry)
+        except KeyError:
+            pass
+        else:
+            if tuple(map(type, values)) in _RECORD_TYPE_ROWS:
+                return values
+    _check_types(entry, _RECORD_TYPES, "record")
+    return _RECORD_FIELDS(entry)
+
+
+def _canonical_row(
+    line: str,
+    codec: HelloWireCache,
+    whens: dict[str, datetime],
+    heads: dict[int, tuple[ClientHello, str]],
+) -> tuple | None:
+    """A record line's row, parsed from its fields after the hello's
+    fixed head; ``None`` unless the line is exactly as the writer
+    wrote it there.
+
+    The line is cut at its first ``"client_alert": `` and only
+    ``"{" + line[cut:-1]`` is parsed, as one whole JSON object.  That
+    row is kept when the line ends in ``}`` and everything before the
+    cut, the key included, is the canonical head of the decoded hello
+    (:func:`_record_head`, as the writer writes it).  Then the head is
+    valid JSON that leaves the parser inside the one ``record`` object,
+    expecting a key, so ``json.loads(line)`` reads the same fields, and
+    :func:`_record_row` reads none of the head's.  Any other line, or
+    one this attempt fails on, returns ``None`` for the full parse,
+    which alone reports errors.  ``heads`` caches the canonical head
+    per decoded hello (keyed by identity, holding a reference).
+    """
+    cut = line.find(_ALERT_KEY)
+    if cut <= 0 or line[-1] != "}":
+        return None
+    fields = "{" + line[cut:-1]
+    try:
+        entry, end = _RAW_DECODE(fields)
+        if end != len(fields):
+            return None
+        row = _record_row(entry, codec, whens)
+        hello = row[5]
+        known = heads.get(id(hello))
+        if known is None:
+            known = heads[id(hello)] = (hello, _record_head(*_advertised_labels(hello)))
+    except Exception:
+        return None
+    return row if line[: cut + len(_ALERT_KEY)] == known[1] else None
 
 
 def _check_types(
@@ -430,11 +538,13 @@ class JsonlStreamWriter:
     Every line is ``json.dumps(payload, sort_keys=True)``; a record line
     is assembled from its hello's fixed pieces and its varying fields
     (:meth:`_ArtifactCodec.line`).  Nothing is buffered beyond the open
-    file handle, the fixed pieces per distinct hello and alert and one
-    JSON timestamp per distinct record time, so the writer's memory
-    footprint is independent of trace size.  A kept replay's line
-    pieces (:meth:`add_batch`) are the replay's keeper's, not the
-    writer's.
+    file handle and the writer's one codec, which caches the fixed
+    pieces per distinct hello and alert, one JSON timestamp per
+    distinct record time and one JSON string per distinct device,
+    hostname, party, version label and cipher hex, so the writer's
+    memory footprint grows with the trace's distinct values, not its
+    size, and is dropped with the writer.  A kept replay's line pieces
+    (:meth:`add_batch`) are the replay's keeper's, not the writer's.
     """
 
     def __init__(self, path: str | Path, *, metadata: dict[str, Any] | None = None) -> None:
@@ -564,9 +674,18 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     in the artifact size (plus whatever state the sink itself
     accumulates).  Each record line is
     parsed into a row of fields, and a run's rows become the chunk's
-    columns at flush, so no record object is built.  Hellos are decoded
-    once per distinct hello (:class:`~repro.tls.codec.HelloWireCache`)
-    and timestamps once per distinct string.
+    columns at flush, so no record object is built.  The fold caches,
+    for its own run only: each distinct hello decoded once
+    (:class:`~repro.tls.codec.HelloWireCache`), each timestamp string
+    parsed once, and each decoded hello's canonical record head.
+
+    A record line exactly as :class:`JsonlStreamWriter` wrote it takes
+    the one-parse path (:func:`_canonical_row`): only the fields after
+    the hello's fixed head are parsed, and the head is compared with
+    the decoded hello's canonical one instead.  Any other line --
+    re-serialised, reordered, damaged, or one that path fails on --
+    goes through ``json.loads`` whole, which alone raises errors, so
+    both paths give the same chunks and the same error messages.
 
     A damaged artifact raises ``ValueError`` rather than being audited
     as paper drift: a missing header line or header ``metadata`` object,
@@ -579,6 +698,7 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
     path = Path(path)
     codec = HelloWireCache()
     whens: dict[str, datetime] = {}
+    heads: dict[int, tuple[ClientHello, str]] = {}
     rows: list[tuple] = []
     events: list[RevocationEvent] = []
     run_device: str | None = None
@@ -615,24 +735,26 @@ def fold_stream(path: str | Path, sink) -> dict[str, Any]:
                 raise ValueError(
                     f"{path}: line {number}: a line follows the summary trailer"
                 )
-            row = event = None
-            try:
-                payload = json.loads(line)
-                if not isinstance(payload, dict):
-                    raise ValueError("not a JSON object")
-                if "record" in payload:
-                    row = _record_row(payload["record"], codec, whens)
-                elif "revocation_event" in payload:
-                    event = revocation_event_from_dict(payload["revocation_event"])
-                elif "summary" in payload:
-                    summary = payload["summary"]
-                    if not isinstance(summary, dict):
-                        raise ValueError("malformed summary trailer")
-                else:
-                    raise ValueError(f"unrecognised stream line: {line[:80]}")
-            except (KeyError, TypeError, ValueError) as exc:
-                detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-                raise ValueError(f"{path}: line {number}: {detail}") from exc
+            event = None
+            row = _canonical_row(line, codec, whens, heads)
+            if row is None:
+                try:
+                    payload = json.loads(line)
+                    if not isinstance(payload, dict):
+                        raise ValueError("not a JSON object")
+                    if "record" in payload:
+                        row = _record_row(payload["record"], codec, whens)
+                    elif "revocation_event" in payload:
+                        event = revocation_event_from_dict(payload["revocation_event"])
+                    elif "summary" in payload:
+                        summary = payload["summary"]
+                        if not isinstance(summary, dict):
+                            raise ValueError("malformed summary trailer")
+                    else:
+                        raise ValueError(f"unrecognised stream line: {line[:80]}")
+                except (KeyError, TypeError, ValueError) as exc:
+                    detail = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+                    raise ValueError(f"{path}: line {number}: {detail}") from exc
             if row is not None:
                 if row[0] != run_device or events or len(rows) >= _FOLD_RUN:
                     flush()

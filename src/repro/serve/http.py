@@ -16,6 +16,9 @@ Deliberate simplifications (documented, not accidental):
   long-lived runs, not static assets;
 * request bodies must carry ``Content-Length`` (no chunked *uploads*)
   and are capped at :data:`MAX_BODY_BYTES`;
+* the request head, and then the body, must each arrive within
+  :data:`READ_DEADLINE_SECONDS`, or the answer is ``408``: a client that
+  stalls mid-request does not hold its connection until shutdown;
 * the request target's query string is split off and ignored by the
   router (no endpoint takes query parameters yet).
 """
@@ -25,7 +28,8 @@ from __future__ import annotations
 import json
 import os
 from asyncio import IncompleteReadError, LimitOverrunError, StreamReader
-from asyncio import StreamWriter, get_running_loop
+from asyncio import StreamWriter, get_running_loop, wait_for
+from asyncio import TimeoutError as ReadTimeout
 from dataclasses import dataclass, field
 from typing import Any, BinaryIO
 
@@ -33,6 +37,7 @@ __all__ = [
     "HttpError",
     "HttpRequest",
     "MAX_BODY_BYTES",
+    "READ_DEADLINE_SECONDS",
     "read_request",
     "send_file",
     "send_json",
@@ -44,11 +49,15 @@ MAX_BODY_BYTES = 1 << 20
 #: Upper bound on the request line plus headers block.
 _MAX_HEADER_BYTES = 1 << 16
 
+#: Seconds a client has to send its request head, and then its body.
+READ_DEADLINE_SECONDS = 10.0
+
 _REASONS = {
     200: "OK",
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",
@@ -88,17 +97,22 @@ class HttpRequest:
 async def read_request(reader: StreamReader) -> HttpRequest | None:
     """Parse one request off the stream; ``None`` on a clean EOF.
 
-    Malformed framing raises :class:`HttpError` (400/413) for the
-    handler to turn into a response.
+    Malformed framing raises :class:`HttpError` (400/413), and a head or
+    body not received within :data:`READ_DEADLINE_SECONDS` raises it
+    with 408, for the handler to turn into a response.
     """
     try:
-        head = await reader.readuntil(b"\r\n\r\n")
+        head = await wait_for(reader.readuntil(b"\r\n\r\n"), READ_DEADLINE_SECONDS)
     except IncompleteReadError as exc:
         if not exc.partial:
             return None
         raise HttpError(400, "truncated request head") from None
     except LimitOverrunError:
         raise HttpError(413, "request head too large") from None
+    except ReadTimeout:
+        raise HttpError(
+            408, f"request head not received within {READ_DEADLINE_SECONDS} s"
+        ) from None
     if len(head) > _MAX_HEADER_BYTES:
         raise HttpError(413, "request head too large")
     try:
@@ -125,9 +139,13 @@ async def read_request(reader: StreamReader) -> HttpRequest | None:
             raise HttpError(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
         length = int(digits)
         try:
-            body = await reader.readexactly(length)
+            body = await wait_for(reader.readexactly(length), READ_DEADLINE_SECONDS)
         except IncompleteReadError:
             raise HttpError(400, "truncated request body") from None
+        except ReadTimeout:
+            raise HttpError(
+                408, f"request body not received within {READ_DEADLINE_SECONDS} s"
+            ) from None
     return HttpRequest(method=method, path=path, headers=headers, body=body)
 
 

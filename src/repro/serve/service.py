@@ -361,6 +361,7 @@ class FleetService:
                 error=error,
             )
         except HttpError as exc:  # framing failed before a request existed
+            self.access.record("request.error", status=exc.status, error=exc.message)
             with contextlib.suppress(ConnectionError, OSError):
                 await send_json(writer, exc.status, {"error": exc.message})
         except (ConnectionError, OSError):

@@ -69,18 +69,9 @@ def _u16(value: int) -> bytes:
     return struct.pack("!H", value)
 
 
-def _u24(value: int) -> bytes:
-    return struct.pack("!I", value)[1:]
-
-
 def _vec(data: bytes, length_bytes: int) -> bytes:
-    if length_bytes == 1:
-        return _u8(len(data)) + data
-    if length_bytes == 2:
-        return _u16(len(data)) + data
-    if length_bytes == 3:
-        return _u24(len(data)) + data
-    raise AssertionError(length_bytes)
+    """``data`` behind its ``length_bytes``-byte big-endian length."""
+    return len(data).to_bytes(length_bytes, "big") + data
 
 
 class _Reader:
@@ -106,13 +97,19 @@ class _Reader:
     def u16(self) -> int:
         return struct.unpack("!H", self.take(2))[0]
 
-    def u24(self) -> int:
-        high, low = struct.unpack("!BH", self.take(3))
-        return (high << 16) | low
-
     def vector(self, length_bytes: int) -> bytes:
-        length = {1: self.u8, 2: self.u16, 3: self.u24}[length_bytes]()
-        return self.take(length)
+        """A vector behind its ``length_bytes``-byte big-endian length."""
+        return self.take(int.from_bytes(self.take(length_bytes), "big"))
+
+    def u16s(self) -> tuple[int, ...]:
+        """The rest of the input as uint16s, in one ``struct`` call.  An
+        odd last byte raises the truncation error a ``u16`` loop would."""
+        count, odd = divmod(len(self.data) - self.offset, 2)
+        items = struct.unpack_from(f"!{count}H", self.data, self.offset)
+        self.offset += 2 * count
+        if odd:
+            self.take(2)
+        return items
 
     @property
     def exhausted(self) -> bool:
@@ -129,6 +126,12 @@ def _deterministic_random(seed: str) -> bytes:
 # Extension bodies
 # ---------------------------------------------------------------------------
 
+def _u16s(values) -> bytes:
+    """``b"".join(_u16(v) for v in values)`` in one ``struct`` call."""
+    values = tuple(values)
+    return struct.pack(f"!{len(values)}H", *values)
+
+
 def _encode_extension(extension: Extension) -> bytes:
     ext_type = extension.extension_type
     if ext_type is ExtensionType.SERVER_NAME and extension.data:
@@ -140,10 +143,8 @@ def _encode_extension(extension: Extension) -> bytes:
             _u8(major) + _u8(minor) for major, minor in extension.data
         )
         body = _vec(versions, 1)
-    elif ext_type is ExtensionType.SUPPORTED_GROUPS:
-        body = _vec(b"".join(_u16(int(v)) for v in extension.data), 2)
-    elif ext_type is ExtensionType.SIGNATURE_ALGORITHMS:
-        body = _vec(b"".join(_u16(int(v)) for v in extension.data), 2)
+    elif ext_type in (ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS):
+        body = _vec(_u16s(map(int, extension.data)), 2)
     elif ext_type is ExtensionType.EC_POINT_FORMATS:
         body = _vec(b"".join(_u8(int(v)) for v in extension.data), 1)
     elif ext_type is ExtensionType.ALPN:
@@ -157,12 +158,15 @@ def _encode_extension(extension: Extension) -> bytes:
     return _u16(ext_type.value) + _vec(body, 2)
 
 
+#: Wire code -> extension type, for :func:`_decode_extension`.
+_EXTENSION_TYPES = {ext_type.value: ext_type for ext_type in ExtensionType}
+
+
 def _decode_extension(ext_type_code: int, body: bytes) -> Extension:
     reader = _Reader(body)
-    try:
-        ext_type = ExtensionType(ext_type_code)
-    except ValueError as error:
-        raise CodecError(f"unknown extension type {ext_type_code}") from error
+    ext_type = _EXTENSION_TYPES.get(ext_type_code)
+    if ext_type is None:
+        raise CodecError(f"unknown extension type {ext_type_code}")
 
     if ext_type is ExtensionType.SERVER_NAME and body:
         entries = _Reader(reader.vector(2))
@@ -177,11 +181,7 @@ def _decode_extension(ext_type_code: int, body: bytes) -> Extension:
         )
         return Extension(ext_type, pairs)
     if ext_type in (ExtensionType.SUPPORTED_GROUPS, ExtensionType.SIGNATURE_ALGORITHMS) and body:
-        values = _Reader(reader.vector(2))
-        items = []
-        while not values.exhausted:
-            items.append(values.u16())
-        return Extension(ext_type, tuple(items))
+        return Extension(ext_type, _Reader(reader.vector(2)).u16s())
     if ext_type is ExtensionType.EC_POINT_FORMATS and body:
         return Extension(ext_type, tuple(reader.vector(1)))
     if ext_type is ExtensionType.ALPN and body:
@@ -205,7 +205,7 @@ def encode_client_hello(hello: ClientHello, *, seed: str = "client") -> bytes:
     body = bytes((major, minor))
     body += _deterministic_random(seed)
     body += _vec(b"", 1)  # empty session id
-    body += _vec(b"".join(_u16(code) for code in hello.cipher_codes), 2)
+    body += _vec(_u16s(hello.cipher_codes), 2)
     body += _vec(bytes(hello.compression_methods), 1)
     extensions = b"".join(_encode_extension(ext) for ext in hello.extensions)
     body += _vec(extensions, 2)
@@ -233,10 +233,7 @@ def decode_client_hello(wire: bytes) -> ClientHello:
     ciphers_bytes = body.vector(2)
     if len(ciphers_bytes) % 2:
         raise CodecError("odd cipher-suite vector length")
-    cipher_codes = tuple(
-        struct.unpack("!H", ciphers_bytes[index : index + 2])[0]
-        for index in range(0, len(ciphers_bytes), 2)
-    )
+    cipher_codes = _Reader(ciphers_bytes).u16s()
     compression = tuple(body.vector(1))
 
     extensions = []

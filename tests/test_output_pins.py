@@ -17,6 +17,10 @@ holds that for ``audit_telemetry``):
   version, catalog and config; the next pin pins the trace's content.
 * ``trace_telemetry``: the manifest digest of ``iotls trace --scale 1
   --telemetry``, whose counters hold the flow and handshake counts.
+* ``trace_stream``: the manifest digest of ``iotls trace --scale 1
+  --stream-out stream.jsonl``.  The manifest names the artifact's byte
+  count and blake2s, so this pins every byte of the JSONL stream that
+  ``JsonlStreamWriter`` writes.
 * ``audit_json``: the blake2s-128 of the ``iotls audit --json`` document.
 * ``audit_telemetry``: the manifest digest of ``iotls audit --json
   campaign.json --telemetry`` (the manifest names the document by its
@@ -40,6 +44,7 @@ PINS = {
     "1.1.0": {
         "trace": "94cefb44faebfb81de96bf4f9e51b14d",
         "trace_telemetry": "cc77ca94905b410619d63d581cf5b0f6",
+        "trace_stream": "abcdb923e8480eb0bf28a835f5919480",
         "audit_json": "08101316967575b302076d25d467b116",
         "audit_telemetry": "12d2e2e873eb9a3befe67faeda844414",
     },
@@ -73,6 +78,11 @@ def test_trace_manifests_are_pinned(tmp_path):
         _manifest_digest(tmp_path, "trace", "--scale", "1", "--telemetry")
         == pins["trace_telemetry"]
     )
+
+
+def test_trace_stream_artifact_is_pinned(tmp_path):
+    digest = _manifest_digest(tmp_path, "trace", "--scale", "1", "--stream-out", "stream.jsonl")
+    assert digest == PINS[repro.__version__]["trace_stream"]
 
 
 def test_audit_document_and_telemetry_manifest_are_pinned(tmp_path):

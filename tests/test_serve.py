@@ -23,7 +23,7 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from repro import api, telemetry
-from repro.serve import FleetService, ServeConfig
+from repro.serve import FleetService, ServeConfig, http
 from repro.serve.http import HttpError, HttpRequest, read_request
 from repro.telemetry import ACCESS_LOG_SCHEMA, AccessLog, ledger
 from repro.telemetry.provenance import config_digest
@@ -617,6 +617,44 @@ class TestFailuresAreAttributed:
         # The retry recomputes: lookup_config skips the dangling entry.
         assert (status3, headers3["x-iotls-cache"]) == (200, "miss")
         assert body3.splitlines()[-1].startswith(b'{"summary"')
+
+    #: The read deadline these tests set, and how late past it a 408 may come.
+    READ_DEADLINE = 0.2
+    LATE_BY = 1.0
+
+    @pytest.mark.parametrize(
+        "sent, part",
+        [
+            (b"POST /runs HTTP/1.1\r\nContent-Le", "head"),
+            (b'POST /runs HTTP/1.1\r\nContent-Length: 40\r\n\r\n{"command": ', "body"),
+        ],
+        ids=["half-a-head", "half-a-body"],
+    )
+    def test_a_stalled_client_gets_408_at_the_deadline(
+        self, tmp_path, monkeypatch, sent, part
+    ):
+        monkeypatch.setattr(http, "READ_DEADLINE_SECONDS", self.READ_DEADLINE)
+
+        async def scenario(service):
+            loop = asyncio.get_running_loop()
+            started = loop.time()
+            reader, writer = await asyncio.open_connection("127.0.0.1", service.port)
+            writer.write(sent)
+            await writer.drain()
+            response = await reader.read()  # the server answers, then closes
+            elapsed = loop.time() - started
+            writer.close()
+            await writer.wait_closed()
+            return response, elapsed
+
+        response, elapsed = asyncio.run(with_service(serve_config(tmp_path), scenario))
+        assert response.startswith(b"HTTP/1.1 408 Request Timeout\r\n")
+        assert f"request {part} not received within 0.2 s".encode() in response
+        assert self.READ_DEADLINE <= elapsed < self.READ_DEADLINE + self.LATE_BY
+        errors = [e for e in self._events(tmp_path) if e["event"] == "request.error"]
+        assert [(e["status"], e["error"]) for e in errors] == [
+            (408, f"request {part} not received within 0.2 s")
+        ]
 
     def test_client_leaving_mid_body_is_not_a_server_error(self, tmp_path, monkeypatch):
         stream_file = self._big_artifact(tmp_path, monkeypatch)

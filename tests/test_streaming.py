@@ -736,6 +736,180 @@ class TestWriterEncoding:
             assert capture_from_stream(batched).records == records
 
 
+def _writer_hellos(capture) -> list:
+    """The distinct hello objects of a capture's first 400 records."""
+    return list({id(r.client_hello): r.client_hello for r in capture.records[:400]}.values())
+
+
+def _fold_outcome(path: Path) -> tuple:
+    """``("ok", items)`` of a fold into :class:`_ItemLog`, or
+    ``("error", message)`` of the ``ValueError`` it raises."""
+    log = _ItemLog()
+    try:
+        fold_stream(path, log)
+    except ValueError as exc:
+        return "error", str(exc)
+    return "ok", log.items
+
+
+def _one_parse_outcome(path: Path) -> tuple[tuple, list[str]]:
+    """:func:`_fold_outcome`, and the lines the one-parse path kept."""
+    accepted: list[str] = []
+    one_parse = export._canonical_row
+
+    def spy(line, *state):
+        row = one_parse(line, *state)
+        if row is not None:
+            accepted.append(line)
+        return row
+
+    with mock.patch.object(export, "_canonical_row", spy):
+        return _fold_outcome(path), accepted
+
+
+def _full_parse_outcome(path: Path) -> tuple:
+    """:func:`_fold_outcome` with every line on the full ``json.loads`` path."""
+    with mock.patch.object(export, "_canonical_row", lambda *args: None):
+        return _fold_outcome(path)
+
+
+def _damage(draw, line: str, hellos) -> str:
+    """One record line (no newline), changed in one drawn way."""
+    payload = json.loads(line)
+    record = payload["record"]
+    cut = line.index(export._ALERT_KEY)
+    kind = draw(
+        st.sampled_from(
+            [
+                "compact", "spaces", "trailing-space", "reordered", "ciphers",
+                "nested", "duplicate-in-head", "duplicate-in-tail", "extra-outer-key",
+                "extra-outer-key-first", "other-outer-key", "head-byte-dropped",
+                "truncated",
+            ]
+        )
+    )
+    text = draw(_AWKWARD_TEXT)
+    if kind == "compact":
+        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    if kind == "spaces":
+        return json.dumps(payload, sort_keys=True, separators=(",  ", ":  "))
+    if kind == "trailing-space":
+        return line[:-1] + " }"
+    if kind == "reordered":
+        keys = draw(st.permutations(sorted(record)))
+        return json.dumps({"record": {key: record[key] for key in keys}})
+    if kind == "ciphers":
+        other = draw(st.sampled_from(hellos))
+        record["advertised_ciphers"] = [suite.name for suite in other.cipher_suites()][::-1]
+        return json.dumps(payload, sort_keys=True)
+    if kind == "nested":
+        # An object holding "client_alert" before the real one.
+        where = draw(st.sampled_from(["before", "in-head"]))
+        if where == "before":
+            return line.replace('{"record": {', '{"record": {"a": {"client_alert": null}, ', 1)
+        record["advertised_max_version"] = {"client_alert": text}
+        return json.dumps(payload, sort_keys=True)
+    if kind == "duplicate-in-head":
+        key = draw(st.sampled_from(sorted(record)))
+        return f"{line[:cut]}{json.dumps(key)}: {json.dumps(text)}, {line[cut:]}"
+    if kind == "duplicate-in-tail":
+        key = draw(st.sampled_from(sorted(record)))
+        return f"{line[:-2]}, {json.dumps(key)}: {json.dumps(text)}}}}}"
+    if kind == "extra-outer-key":
+        return f"{line[:-1]}, {json.dumps(text)}: 1}}"
+    if kind == "extra-outer-key-first":
+        return f"{{{json.dumps(text)}: 1, {line[1:]}"
+    if kind == "other-outer-key":
+        key = draw(st.sampled_from(["revocation_event", "summary", "records"]))
+        return line.replace('"record"', json.dumps(key), 1)
+    if kind == "head-byte-dropped":
+        at = draw(st.integers(0, cut - 1))
+        return line[:at] + line[at + 1 :]
+    return line[: draw(st.integers(0, len(line) - 1))]
+
+
+class TestOneParseReader:
+    """A record line the writer wrote is parsed after its fixed head
+    only; every other line takes the full ``json.loads`` path, so
+    results and error messages are the same either way."""
+
+    @given(data=st.data())
+    @settings(
+        max_examples=80,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+    )
+    def test_damaged_lines_fold_as_the_full_parse_does(self, passive_capture, data):
+        hellos = _writer_hellos(passive_capture)
+        chunks = data.draw(generated_chunks(hellos))
+        events = passive_capture.revocation_events[: data.draw(st.integers(0, 2))]
+        with tempfile.TemporaryDirectory() as scratch:
+            path = Path(scratch) / "trace.jsonl"
+            with JsonlStreamWriter(path) as writer:
+                for chunk in chunks:
+                    writer.add_batch(chunk)
+                for event in events:
+                    writer.add_revocation_event(event)
+            lines = path.read_text().splitlines()
+            records = range(1, len(lines) - 1 - len(events))
+            damaged = data.draw(st.sets(st.sampled_from(records), min_size=1, max_size=3))
+            for index in damaged:
+                lines[index] = _damage(data.draw, lines[index], hellos)
+            text = "\n".join(lines) + "\n"
+            if data.draw(st.booleans()):
+                text = text[: data.draw(st.integers(0, len(text)))]
+            path.write_text(text)
+
+            outcome, accepted = _one_parse_outcome(path)
+            assert outcome == _full_parse_outcome(path)
+            if outcome[0] == "ok":
+                reference = GatewayCapture()
+                _fold_per_record(path, reference)
+                assert outcome[1] == reference.records + reference.revocation_events
+                kept = {lines[index] for index in records if index not in damaged}
+                assert kept <= set(accepted)
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda line: line.replace('"record"', '"records"', 1), "unrecognised stream line"),
+            (lambda line: line.replace('"record"', '"summary"', 1), "follows the summary"),
+            (lambda line: line.replace("[", "", 1), "line 2: Expecting"),
+            (lambda line: line.replace(', "client_alert"', ' "client_alert"', 1), "line 2: Expecting"),
+        ],
+        ids=["other-outer-key", "summary-outer-key", "no-list-bracket", "no-comma"],
+    )
+    def test_a_head_the_full_parse_rejects_is_never_skipped(
+        self, tmp_path, passive_capture, damage, message
+    ):
+        path = tmp_path / "damaged.jsonl"
+        _write_stream(path, passive_capture.records[:5])
+        lines = path.read_text().splitlines(keepends=True)
+        lines[1] = damage(lines[1])
+        path.write_text("".join(lines))
+        outcome, accepted = _one_parse_outcome(path)
+        assert outcome == _full_parse_outcome(path)
+        assert outcome[0] == "error" and message in outcome[1]
+        assert lines[1].strip() not in accepted
+
+    def test_compact_artifact_takes_the_full_parse_path(self, tmp_path, passive_capture):
+        canonical, compact = tmp_path / "canonical.jsonl", tmp_path / "compact.jsonl"
+        items = passive_capture.records[:50] + passive_capture.revocation_events[:3]
+        _write_stream(canonical, items)
+        compact.write_text(
+            "".join(
+                json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+                for line in canonical.read_text().splitlines()
+            )
+        )
+        outcome, accepted = _one_parse_outcome(canonical)
+        assert outcome == ("ok", items)
+        assert len(accepted) == 50
+        outcome, accepted = _one_parse_outcome(compact)
+        assert outcome == ("ok", items)
+        assert accepted == []
+
+
 class TestHelloFeatureCache:
     """The pipeline's per-hello features are keyed by identity."""
 
